@@ -392,3 +392,57 @@ fn golden_artifact_bytes_are_pinned() {
     let logits = golden_net.predict(&test_set.images).unwrap();
     assert!(logits.data().iter().all(|v| v.is_finite()));
 }
+
+/// FNV-1a64 of a tensor's f32 bit patterns (little-endian).
+fn logit_hash(t: &hero_tensor::Tensor) -> u64 {
+    let bytes: Vec<u8> = t
+        .data()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    hero_artifact::fnv1a64(&bytes)
+}
+
+/// Bit pin of eval-mode logits. The golden byte-pin sees eval numerics
+/// only through argmax accuracy; this pins `Network::predict` itself for
+/// the decoded golden ResNet and for seeded C10 MobileNet and VGG whose
+/// batch-norm running statistics were moved off their defaults by one
+/// train-mode pass, so the eval-mode BN broadcasts, depthwise kernel and
+/// pooling paths are all covered. Scalar GEMM only, like the byte-pin.
+#[test]
+fn eval_logits_are_pinned() {
+    use hero_core::experiment::model_config;
+    use hero_data::Preset;
+    use hero_nn::models::ModelKind;
+    use hero_tensor::rng::StdRng;
+
+    if std::env::var("HERO_NO_SIMD").is_err() {
+        eprintln!("skipping eval-logit pin: HERO_NO_SIMD not set (SIMD kernels differ bitwise)");
+        return;
+    }
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/c10_resnet_hero_smoke.ha");
+    let committed = std::fs::read(&golden_path).unwrap();
+    let decoded = hero_artifact::Artifact::from_bytes(&committed).unwrap();
+    let mut resnet = network_from_artifact(&decoded).unwrap();
+    let (train_set, test_set, _, _) = golden_recipe();
+
+    let mut hashes = vec![(
+        "golden resnet",
+        logit_hash(&resnet.predict(&test_set.images).unwrap()),
+    )];
+    for (name, kind, seed) in [
+        ("seeded mobilenet", ModelKind::Mobilenet, 0x3B11u64),
+        ("seeded vgg", ModelKind::Vgg, 0x7667u64),
+    ] {
+        let mut net = kind.build(model_config(Preset::C10), &mut StdRng::seed_from_u64(seed));
+        hero_nn::loss_and_grads(&mut net, &train_set.images, &train_set.labels).unwrap();
+        hashes.push((name, logit_hash(&net.predict(&test_set.images).unwrap())));
+    }
+    let expected = [
+        ("golden resnet", 14_023_885_289_347_422_372u64),
+        ("seeded mobilenet", 13_119_541_775_662_744_133u64),
+        ("seeded vgg", 8_477_554_826_185_836_743u64),
+    ];
+    assert_eq!(hashes, expected, "eval-mode logits changed bitwise");
+}

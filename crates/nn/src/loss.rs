@@ -132,7 +132,9 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
 ///
 /// # Errors
 ///
-/// Returns shape errors if any batch is incompatible with the network.
+/// Returns [`hero_tensor::TensorError::InvalidArgument`] if `batch` is 0
+/// or there are fewer labels than samples, and shape errors if any batch
+/// is incompatible with the network.
 pub fn evaluate_accuracy(
     net: &mut Network,
     xs: &Tensor,
@@ -140,6 +142,17 @@ pub fn evaluate_accuracy(
     batch: usize,
 ) -> Result<f32> {
     let n = xs.dims()[0];
+    if batch == 0 {
+        return Err(hero_tensor::TensorError::InvalidArgument(
+            "evaluation batch size must be positive".to_string(),
+        ));
+    }
+    if labels.len() < n {
+        return Err(hero_tensor::TensorError::InvalidArgument(format!(
+            "{} labels for {n} samples",
+            labels.len()
+        )));
+    }
     let mut correct = 0usize;
     let mut start = 0;
     while start < n {
@@ -237,6 +250,28 @@ mod tests {
         assert_eq!(a1, a2);
         assert_eq!(a1, a3);
         assert!((0.0..=1.0).contains(&a1));
+    }
+
+    #[test]
+    fn evaluate_accuracy_rejects_zero_batch() {
+        let mut net = tiny_net();
+        let (x, y) = batch();
+        let err = evaluate_accuracy(&mut net, &x, &y, 0).unwrap_err();
+        assert!(
+            matches!(err, hero_tensor::TensorError::InvalidArgument(_)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn evaluate_accuracy_rejects_missing_labels() {
+        let mut net = tiny_net();
+        let (x, y) = batch();
+        let err = evaluate_accuracy(&mut net, &x, &y[..3], 2).unwrap_err();
+        assert!(
+            matches!(err, hero_tensor::TensorError::InvalidArgument(_)),
+            "{err}"
+        );
     }
 }
 

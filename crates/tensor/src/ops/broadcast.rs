@@ -36,26 +36,28 @@ impl Tensor {
         }
         let out_shape = self.shape().broadcast_with(other.shape())?;
         let mut out = pool::lease_raw(out_shape.numel());
-        let a_idx = BroadcastIndexer::new(self.shape(), &out_shape);
-        let b_idx = BroadcastIndexer::new(other.shape(), &out_shape);
-        // Odometer walk: offsets advance incrementally instead of being
-        // recomputed (and a multi-index allocated) per element.
-        let dims = out_shape.dims();
-        let rank = out_shape.rank();
-        let mut idx = vec![0usize; rank];
-        let (mut a_off, mut b_off) = (0usize, 0usize);
-        for _ in 0..out_shape.numel() {
-            out.push(f(self.data()[a_off], other.data()[b_off]));
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                a_off += a_idx.strides[ax];
-                b_off += b_idx.strides[ax];
-                if idx[ax] < dims[ax] {
-                    break;
-                }
-                a_off -= dims[ax] * a_idx.strides[ax];
-                b_off -= dims[ax] * b_idx.strides[ax];
-                idx[ax] = 0;
+        if out_shape.numel() > 0 {
+            let walk = RunWalk::new(out_shape.dims(), self.dims(), other.dims());
+            let (n, a_step, b_step) = walk.run();
+            let (a, b) = (self.data(), other.data());
+            // One monomorphized slice loop per run form; each visits its run's
+            // elements in order, so `out` fills in row-major order.
+            match (a_step != 0, b_step != 0) {
+                (true, true) => walk.for_each(|i, j| {
+                    out.extend(a[i..i + n].iter().zip(&b[j..j + n]).map(|(&x, &y)| f(x, y)));
+                }),
+                (true, false) => walk.for_each(|i, j| {
+                    let y = b[j];
+                    out.extend(a[i..i + n].iter().map(|&x| f(x, y)));
+                }),
+                (false, true) => walk.for_each(|i, j| {
+                    let x = a[i];
+                    out.extend(b[j..j + n].iter().map(|&y| f(x, y)));
+                }),
+                (false, false) => walk.for_each(|i, j| {
+                    let (x, y) = (a[i], b[j]);
+                    out.extend((0..n).map(|_| f(x, y)));
+                }),
             }
         }
         Tensor::from_vec(out, out_shape)
@@ -118,44 +120,99 @@ impl Tensor {
             });
         }
         let mut out = pool::lease(target.numel());
-        let indexer = BroadcastIndexer::new(target, self.shape());
-        let dims = self.dims();
-        let rank = self.rank();
-        let mut idx = vec![0usize; rank];
-        let mut off = 0usize;
-        for flat in 0..self.numel() {
-            out[off] += self.data()[flat];
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off += indexer.strides[ax];
-                if idx[ax] < dims[ax] {
-                    break;
-                }
-                off -= dims[ax] * indexer.strides[ax];
-                idx[ax] = 0;
+        if self.numel() > 0 {
+            let walk = RunWalk::new(self.dims(), self.dims(), target.dims());
+            let (n, _, target_step) = walk.run();
+            let src = self.data();
+            // Runs arrive in row-major order and each is summed front to
+            // back, so every output accumulates its inputs in ascending flat
+            // order: the same sums, bit for bit, as an element-by-element walk.
+            if target_step != 0 {
+                walk.for_each(|i, j| {
+                    for (o, &x) in out[j..j + n].iter_mut().zip(&src[i..i + n]) {
+                        *o += x;
+                    }
+                });
+            } else {
+                walk.for_each(|i, j| out[j] = src[i..i + n].iter().fold(out[j], |acc, &x| acc + x));
             }
         }
         Tensor::from_vec(out, target.clone())
     }
 }
 
-/// Maps multi-indices in an output (broadcast) shape to flat offsets in a
-/// smaller source shape.
-struct BroadcastIndexer {
-    /// Stride to apply per output axis (0 where the source axis is stretched
-    /// or absent).
-    strides: Vec<usize>,
+/// A row-major walk of a shape with two operands broadcast to it,
+/// coalesced into contiguous runs.
+///
+/// Size-1 axes are dropped and adjacent axes merge wherever both operands'
+/// strides agree, so the walk is a few outer axes plus one innermost run.
+/// Along the run each operand either advances by one element (stride 1) or
+/// stays on one element (stride 0): the innermost kept axis has only size-1
+/// axes after it, so an operand not stretched there is contiguous.
+struct RunWalk {
+    /// Coalesced axes, innermost first, as `(size, a_stride, b_stride)`;
+    /// axis 0 is the run. Never empty.
+    axes: Vec<(usize, usize, usize)>,
 }
 
-impl BroadcastIndexer {
-    fn new(src: &Shape, out: &Shape) -> Self {
-        let src_strides = src.strides();
-        let pad = out.rank() - src.rank();
-        let mut strides = vec![0; out.rank()];
-        for (i, &stride) in src_strides.iter().enumerate() {
-            strides[i + pad] = if src.dims()[i] == 1 { 0 } else { stride };
+impl RunWalk {
+    /// Walks `dims` with operands of shapes `a` and `b` (trailing axes
+    /// aligned, each broadcastable to `dims`).
+    fn new(dims: &[usize], a: &[usize], b: &[usize]) -> Self {
+        let mut axes: Vec<(usize, usize, usize)> = Vec::with_capacity(dims.len().max(1));
+        // Row-major strides of `a` and `b` at the current axis.
+        let (mut ca, mut cb) = (1, 1);
+        for (i, &n) in dims.iter().enumerate().rev() {
+            let from_end = dims.len() - i;
+            let da = a.len().checked_sub(from_end).map_or(1, |j| a[j]);
+            let db = b.len().checked_sub(from_end).map_or(1, |j| b[j]);
+            let (sa, sb) = (if da == 1 { 0 } else { ca }, if db == 1 { 0 } else { cb });
+            (ca, cb) = (ca * da, cb * db);
+            if n == 1 {
+                continue;
+            }
+            // A merged axis keeps the strides of its inner part.
+            match axes.last_mut() {
+                Some((m, ia, ib)) if sa == *ia * *m && sb == *ib * *m => *m *= n,
+                _ => axes.push((n, sa, sb)),
+            }
         }
-        BroadcastIndexer { strides }
+        if axes.is_empty() {
+            axes.push((1, 0, 0));
+        }
+        debug_assert!(
+            axes[0].1 <= 1 && axes[0].2 <= 1,
+            "innermost run is not contiguous"
+        );
+        RunWalk { axes }
+    }
+
+    /// The run: `(length, a_stride, b_stride)`, strides 0 or 1.
+    fn run(&self) -> (usize, usize, usize) {
+        self.axes[0]
+    }
+
+    /// Calls `visit(a_offset, b_offset)` at the start of every run, in
+    /// row-major order.
+    fn for_each(&self, mut visit: impl FnMut(usize, usize)) {
+        self.walk(self.axes.len() - 1, 0, 0, &mut visit);
+    }
+
+    /// Plain nested loops over the outer axes `axis..=1`.
+    fn walk(&self, axis: usize, a: usize, b: usize, visit: &mut impl FnMut(usize, usize)) {
+        if axis == 0 {
+            return visit(a, b);
+        }
+        let (n, sa, sb) = self.axes[axis];
+        for i in 0..n {
+            // The innermost outer axis visits directly, keeping per-run
+            // overhead to one call for short runs.
+            if axis == 1 {
+                visit(a + i * sa, b + i * sb);
+            } else {
+                self.walk(axis - 1, a + i * sa, b + i * sb, visit);
+            }
+        }
     }
 }
 

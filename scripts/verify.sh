@@ -25,6 +25,12 @@ echo "==> cargo test -q (obs-off feature: instrumentation compiled out)"
 cargo test -q -p hero-obs --features obs-off
 cargo test -q -p hero-bench --features obs-off
 
+echo "==> benchmark smoke (all four workloads at smoke size, untraced and traced)"
+# The repository benchmark (benchmark/, its own Cargo workspace) checks each
+# workload's correctness on every op; running its smoke tests here makes a
+# program change that breaks a workload fail the gate.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
