@@ -45,10 +45,9 @@ pub(crate) enum Op {
     Sum(usize),
     /// Mean of all elements to a scalar.
     Mean(usize),
-    /// 2-D convolution via fused im2col-GEMM. No column matrix is saved:
-    /// forward packs patches straight from the input, and backward
-    /// recomputes the dW product the same fused way from the saved input
-    /// node.
+    /// 2-D convolution via the direct conv kernels. Nothing beyond the
+    /// input and weight nodes is saved: backward runs the dW and dX
+    /// kernels from their values.
     Conv2d {
         /// Input node (NCHW).
         x: usize,
@@ -56,10 +55,6 @@ pub(crate) enum Op {
         w: usize,
         /// Window geometry.
         geom: hero_tensor::ConvGeometry,
-        /// Batch size of `x`.
-        n: usize,
-        /// Channel count of `x`.
-        c: usize,
     },
     /// Depthwise 2-D convolution (one filter per channel).
     DepthwiseConv2d {

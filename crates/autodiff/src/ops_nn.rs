@@ -23,48 +23,13 @@ impl Graph {
     /// Returns shape/geometry errors if the input is not 4-D, the weight is
     /// not 2-D with `in_c*k*k` columns, or `geom` disagrees with the input.
     pub fn conv2d(&mut self, x: Var, w: Var, geom: ConvGeometry) -> Result<Var> {
-        let xv = self.value(x);
-        if xv.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: xv.rank(),
-            });
-        }
-        let (n, c) = (xv.dims()[0], xv.dims()[1]);
-        let wv = self.value(w);
-        if wv.rank() != 2 || wv.dims()[1] != c * geom.kernel * geom.kernel {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![
-                    wv.dims().first().copied().unwrap_or(0),
-                    c * geom.kernel * geom.kernel,
-                ],
-                right: wv.dims().to_vec(),
-            });
-        }
-        let out_c = wv.dims()[0];
-        // Fused im2col-GEMM: patch columns are packed straight from the
-        // input inside the kernel, so the patch matrix never materializes.
-        let out2d = wv.matmul_im2col(xv, &geom)?; // (out_c, n*oh*ow)
-        let (oh, ow) = geom.out_hw();
-        // Reorder (out_c, n*oh*ow) -> (n, out_c, oh, ow).
-        let mut out = Tensor::zeros([n, out_c, oh, ow]);
-        let spatial = oh * ow;
-        for oc in 0..out_c {
-            for in_ in 0..n {
-                let src = oc * (n * spatial) + in_ * spatial;
-                let dst = (in_ * out_c + oc) * spatial;
-                out.data_mut()[dst..dst + spatial]
-                    .copy_from_slice(&out2d.data()[src..src + spatial]);
-            }
-        }
+        let out = self.value(x).conv2d(self.value(w), &geom)?;
         Ok(self.push(
             out,
             Op::Conv2d {
                 x: x.0,
                 w: w.0,
                 geom,
-                n,
-                c,
             },
         ))
     }
@@ -281,27 +246,9 @@ impl Graph {
             Ok(())
         };
         match op {
-            Op::Conv2d { x, w, geom, n, c } => {
-                let out_c = self.nodes[*w].value.dims()[0];
-                let (oh, ow) = geom.out_hw();
-                let spatial = oh * ow;
-                // Reorder dY (n, out_c, oh, ow) -> (out_c, n*oh*ow).
-                let mut dy2d = Tensor::zeros([out_c, *n * spatial]);
-                for in_ in 0..*n {
-                    for oc in 0..out_c {
-                        let src = (in_ * out_c + oc) * spatial;
-                        let dst = oc * (*n * spatial) + in_ * spatial;
-                        dy2d.data_mut()[dst..dst + spatial]
-                            .copy_from_slice(&grad.data()[src..src + spatial]);
-                    }
-                }
-                // dW = dY cols^T ; dCols = W^T dY ; dX = col2im(dCols).
-                // The dW product packs patches from the saved input node
-                // (fused, never materializing cols) — bitwise identical to
-                // the former dy2d.matmul_nt(&cols).
-                let dw = dy2d.matmul_nt_im2col(&self.nodes[*x].value, geom)?; // (out_c, c*k*k)
-                let dcols = self.nodes[*w].value.matmul_tn(&dy2d)?;
-                let dx = dcols.col2im(geom, *n, *c)?;
+            Op::Conv2d { x, w, geom } => {
+                let dw = grad.conv2d_grad_weight(&self.nodes[*x].value, geom)?;
+                let dx = grad.conv2d_grad_input(&self.nodes[*w].value, geom)?;
                 add_grad(*w, dw, grads)?;
                 add_grad(*x, dx, grads)?;
             }

@@ -8,9 +8,12 @@
 //! Each shape is timed under every kernel variant — `reference` (the
 //! blocked oracle), `scalar` (portable packed kernel), `avx2fma` (forced
 //! SIMD; silently identical to scalar on hardware without AVX2+FMA, the
-//! `kernel` extra records what actually ran) — plus one fused-vs-
-//! materialized im2col pair. Writes `results/BENCH_gemm.json` with a
-//! GFLOP/s figure per row (override the path with `HERO_BENCH_OUT`).
+//! `kernel` extra records what actually ran). Each preset conv layer is
+//! then timed through the direct convolution kernels that training runs
+//! — forward, weight gradient and input gradient (`*_fwd`, `*_dw`,
+//! `*_dx`), each credited with its layer's GEMM flops. Writes
+//! `results/BENCH_gemm.json` with a GFLOP/s figure per row (override the
+//! path with `HERO_BENCH_OUT`).
 
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json, BenchRow};
 use hero_tensor::{
@@ -40,6 +43,28 @@ const SHAPES: [(&str, usize, usize, usize); 9] = [
     ("vgg_conv", 16, 1024, 144),
     // square FC head (vgg-style) at batch 16.
     ("fc_head", 16, 256, 256),
+];
+
+/// A conv layer: `(name, batch, in_c, out_c, side, kernel, stride, pad)`.
+type ConvLayer = (
+    &'static str,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+);
+
+/// The preset conv layers above.
+const CONVS: [ConvLayer; 6] = [
+    ("resnet_stem_conv", 16, 3, 8, 8, 3, 1, 1),
+    ("resnet_stage_conv", 16, 8, 8, 8, 3, 1, 1),
+    ("resnet_transition_conv", 16, 8, 16, 8, 3, 2, 1),
+    ("resnet_stage2_conv", 16, 16, 16, 4, 3, 1, 1),
+    ("mobilenet_pointwise_conv", 16, 8, 16, 8, 1, 1, 0),
+    ("vgg_conv", 16, 16, 16, 8, 3, 1, 1),
 ];
 
 fn operand(dims: [usize; 2], salt: usize) -> Tensor {
@@ -83,25 +108,31 @@ fn main() {
         }
     }
 
-    // Fused im2col-GEMM vs materialize-then-matmul on the resnet stage
-    // conv, under the auto-detected kernel: same math bitwise, the fused
-    // row saves writing/reading the (72, 1024) patch matrix.
-    {
-        let geom = ConvGeometry::new(8, 8, 3, 1, 1).unwrap();
-        let x = Tensor::from_fn([16, 8, 8, 8], |i| {
+    // The direct conv kernels on each preset layer, under the
+    // auto-detected kernel.
+    for &(name, n, c, oc, side, k, stride, pad) in &CONVS {
+        let geom = ConvGeometry::new(side, side, k, stride, pad).unwrap();
+        let (oh, ow) = geom.out_hw();
+        let x = Tensor::from_fn([n, c, side, side], |i| {
             ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
         });
-        let w = operand([8, 72], 3);
-        let (m, n, k) = (8, 1024, 72);
-        let row = time_op("resnet_stage_conv_fused", budget, || {
-            std::hint::black_box(w.matmul_im2col(&x, &geom).unwrap());
+        let w = operand([oc, c * k * k], 3);
+        let dy = Tensor::from_fn([n, oc, oh, ow], |i| {
+            ((i[0] * 5 + i[1] * 3 + i[2] * 7 + i[3]) % 13) as f32 / 6.0 - 1.0
         });
-        rows.push(with_gflops(row, m, n, k));
-        let row = time_op("resnet_stage_conv_materialized", budget, || {
-            let cols = x.im2col(&geom).unwrap();
-            std::hint::black_box(w.matmul(&cols).unwrap());
+        let (m, sites, taps) = (oc, n * oh * ow, c * k * k);
+        let row = time_op(&format!("{name}_fwd"), budget, || {
+            std::hint::black_box(x.conv2d(&w, &geom).unwrap());
         });
-        rows.push(with_gflops(row, m, n, k));
+        rows.push(with_gflops(row, m, sites, taps));
+        let row = time_op(&format!("{name}_dw"), budget, || {
+            std::hint::black_box(dy.conv2d_grad_weight(&x, &geom).unwrap());
+        });
+        rows.push(with_gflops(row, m, sites, taps));
+        let row = time_op(&format!("{name}_dx"), budget, || {
+            std::hint::black_box(dy.conv2d_grad_input(&w, &geom).unwrap());
+        });
+        rows.push(with_gflops(row, m, sites, taps));
     }
 
     let out = bench_out_path(concat!(

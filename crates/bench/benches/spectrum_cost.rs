@@ -10,15 +10,16 @@
 //!   restore.
 //!
 //! Each row carries a `grad_evals` extra — the number of gradient
-//! evaluations the operation spends — so the JSON documents the probe's
-//! cost model (`slq_probes·steps + trace_probes·n_layers + shared base
-//! gradient`) next to its wall-clock price.
+//! evaluations the operation spends, counting the base gradient each row
+//! computes once — so the JSON documents the probe's cost model
+//! (`slq_probes·steps + trace_probes·n_layers + 1`) next to its wall-clock
+//! price.
 
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json};
 use hero_core::experiment::model_config;
 use hero_core::SpectrumOptions;
 use hero_data::Preset;
-use hero_hessian::{layer_traces, slq_density, SlqConfig};
+use hero_hessian::{layer_traces, slq_density, GradOracle, SlqConfig};
 use hero_nn::models::ModelKind;
 use hero_optim::BatchOracle;
 use hero_tensor::rng::StdRng;
@@ -47,14 +48,16 @@ fn main() {
             seed: 7,
             ..SlqConfig::default()
         };
-        std::hint::black_box(slq_density(&mut oracle, &params, cfg).unwrap());
+        let (_, base) = oracle.grad(&params).unwrap();
+        std::hint::black_box(slq_density(&mut oracle, &params, &base, cfg).unwrap());
     })
     .with_extra("grad_evals", (1 + PROBES * STEPS) as f64);
     rows.push(row);
 
     let row = time_op("layer_traces_resnet_b16", budget, || {
         let mut oracle = BatchOracle::new(&mut net, &images, &labels);
-        std::hint::black_box(layer_traces(&mut oracle, &params, PROBES, 1e-3, 7).unwrap());
+        let (_, base) = oracle.grad(&params).unwrap();
+        std::hint::black_box(layer_traces(&mut oracle, &params, &base, PROBES, 1e-3, 7).unwrap());
     })
     .with_extra("grad_evals", (1 + PROBES * n_layers) as f64);
     rows.push(row);
@@ -72,7 +75,7 @@ fn main() {
     })
     .with_extra(
         "grad_evals",
-        (2 + PROBES * STEPS + PROBES * n_layers) as f64,
+        (1 + PROBES * STEPS + PROBES * n_layers) as f64,
     );
     rows.push(row);
 

@@ -1086,6 +1086,7 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
         // full broadened density for plotting, so it calls the estimators
         // directly rather than going through `probe_spectrum`.
         let params = net.params();
+        let state = net.state();
         let infos = net.param_infos();
         let (density, traces) = {
             let mut oracle = BatchOracle::new(&mut net, &images, labels);
@@ -1096,14 +1097,19 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
                 grid_points: 32,
                 ..SlqConfig::default()
             };
-            let density = slq_density(&mut oracle, &params, cfg).map_err(|e| e.to_string())?;
-            let traces = layer_traces(&mut oracle, &params, probes, 1e-3, seed ^ 0x7ACE)
+            // One base gradient serves every SLQ probe and every trace.
+            let (_, base) = oracle.grad(&params).map_err(|e| e.to_string())?;
+            let density =
+                slq_density(&mut oracle, &params, &base, cfg).map_err(|e| e.to_string())?;
+            let traces = layer_traces(&mut oracle, &params, &base, probes, 1e-3, seed ^ 0x7ACE)
                 .map_err(|e| e.to_string())?;
             (density, traces)
         };
         // The oracle leaves its last-evaluated (perturbed) parameters
-        // installed; restore before anything else touches the network.
+        // installed and its first evaluation updated the batch-norm running
+        // statistics; restore both before anything else touches the network.
         net.set_params(&params).map_err(|e| e.to_string())?;
+        net.set_state(&state).map_err(|e| e.to_string())?;
 
         // Empirical-vs-static sensitivity ranking over quantizable layers.
         // Both sides are per-weight curvature magnitudes: the measured

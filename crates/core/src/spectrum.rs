@@ -12,10 +12,10 @@
 //! the whole trajectory into `SUMMARY_<run>.json`.
 
 use hero_data::Dataset;
-use hero_hessian::{layer_traces, slq_density, Estimate, SlqConfig};
+use hero_hessian::{layer_traces, slq_density, Estimate, GradOracle, SlqConfig, SlqDensity};
 use hero_nn::Network;
 use hero_optim::BatchOracle;
-use hero_tensor::Result;
+use hero_tensor::{Result, Tensor};
 
 /// Knobs for one spectrum probe (shared by the trainer's epoch-cadence
 /// probe and the CLI's deep final probe).
@@ -135,9 +135,10 @@ impl SpectrumProbe {
 
 /// Takes one spectrum probe of `net` on a fixed subsample of `train_set`.
 ///
-/// The network's parameters are restored afterwards (the gradient oracle
-/// installs whatever it evaluated last), so probing never perturbs
-/// training.
+/// The network's parameters and batch-norm running statistics are
+/// restored afterwards (the gradient oracle installs whatever it evaluated
+/// last, and its first evaluation updates the running statistics), so
+/// probing never perturbs training.
 ///
 /// # Errors
 ///
@@ -154,28 +155,11 @@ pub fn probe_spectrum(
     let images = train_set.images.narrow(0, n)?;
     let labels = &train_set.labels[..n];
     let params = net.params();
+    let state = net.state();
     let infos = net.param_infos();
-    let (density, traces) = {
-        let mut oracle = BatchOracle::new(net, &images, labels);
-        let cfg = SlqConfig {
-            steps: opts.steps,
-            probes: opts.slq_probes,
-            eps: opts.eps,
-            seed: opts.seed,
-            ..SlqConfig::default()
-        };
-        let density = slq_density(&mut oracle, &params, cfg)?;
-        let traces = layer_traces(
-            &mut oracle,
-            &params,
-            opts.trace_probes,
-            opts.eps,
-            // Decorrelated from the SLQ probe streams.
-            opts.seed ^ 0x7ACE,
-        )?;
-        (density, traces)
-    };
+    let (density, traces) = estimate(&mut BatchOracle::new(net, &images, labels), &params, opts)?;
     net.set_params(&params)?;
+    net.set_state(&state)?;
     let layers = infos
         .into_iter()
         .zip(traces)
@@ -195,11 +179,40 @@ pub fn probe_spectrum(
     })
 }
 
+/// The SLQ density and per-layer Hutchinson traces at `params`, sharing
+/// one base gradient: `slq_probes·steps + trace_probes·n_layers + 1`
+/// gradient evaluations.
+fn estimate(
+    oracle: &mut BatchOracle<'_>,
+    params: &[Tensor],
+    opts: &SpectrumOptions,
+) -> Result<(SlqDensity, Vec<Estimate>)> {
+    let (_, base) = oracle.grad(params)?;
+    let cfg = SlqConfig {
+        steps: opts.steps,
+        probes: opts.slq_probes,
+        eps: opts.eps,
+        seed: opts.seed,
+        ..SlqConfig::default()
+    };
+    let density = slq_density(oracle, params, &base, cfg)?;
+    let traces = layer_traces(
+        oracle,
+        params,
+        &base,
+        opts.trace_probes,
+        opts.eps,
+        // Decorrelated from the SLQ probe streams.
+        opts.seed ^ 0x7ACE,
+    )?;
+    Ok((density, traces))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hero_data::{SynthGenerator, SynthSpec};
-    use hero_nn::models::{mlp, ModelConfig};
+    use hero_nn::models::{mini_resnet, mlp, ModelConfig};
     use hero_tensor::rng::StdRng;
 
     fn setup() -> (Network, Dataset) {
@@ -274,6 +287,48 @@ mod tests {
                 .map(|l| l.trace.mean.to_bits())
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn probe_restores_batch_norm_statistics() {
+        let (_, train_set) = setup();
+        let cfg = ModelConfig {
+            classes: 4,
+            in_channels: 3,
+            input_hw: 4,
+            width: 4,
+        };
+        let mut net = mini_resnet(cfg, 1, &mut StdRng::seed_from_u64(2));
+        let (params, state) = (net.params(), net.state());
+        let logits = net.predict(&train_set.images).unwrap();
+        let opts = SpectrumOptions {
+            steps: 3,
+            slq_probes: 1,
+            trace_probes: 1,
+            samples: 16,
+            ..SpectrumOptions::default()
+        };
+        probe_spectrum(&mut net, &train_set, 0, &opts).unwrap();
+        assert_eq!(net.params(), params);
+        assert_eq!(net.state(), state, "probe moved the running statistics");
+        assert_eq!(net.predict(&train_set.images).unwrap(), logits);
+    }
+
+    #[test]
+    fn probe_evaluates_the_base_gradient_once() {
+        let (mut net, train_set) = setup();
+        let params = net.params();
+        let opts = SpectrumOptions {
+            steps: 3,
+            slq_probes: 2,
+            trace_probes: 2,
+            samples: 16,
+            ..SpectrumOptions::default()
+        };
+        let images = train_set.images.narrow(0, 16).unwrap();
+        let mut oracle = BatchOracle::new(&mut net, &images, &train_set.labels[..16]);
+        estimate(&mut oracle, &params, &opts).unwrap();
+        assert_eq!(oracle.calls(), 2 * 3 + 2 * params.len() + 1);
     }
 
     #[test]

@@ -93,12 +93,16 @@ pub fn lanczos_spectrum(
             t
         })
         .collect();
-    lanczos_spectrum_from(oracle, params, &v0, steps, eps)
+    let (_, base_grad) = oracle.grad(params)?;
+    lanczos_spectrum_from(oracle, params, &base_grad, &v0, steps, eps)
 }
 
 /// [`lanczos_spectrum`] with an explicit start direction `v0` (not
-/// necessarily normalized) — the seeded-probe entry point stochastic
-/// Lanczos quadrature uses so every probe is reproducible.
+/// necessarily normalized) and the gradient `base_grad = ∇L(params)` the
+/// finite-difference HVPs difference against — the seeded-probe entry
+/// point stochastic Lanczos quadrature uses, so every probe is
+/// reproducible and all probes share one base gradient. Costs one gradient
+/// evaluation per step.
 ///
 /// # Errors
 ///
@@ -108,6 +112,7 @@ pub fn lanczos_spectrum(
 pub fn lanczos_spectrum_from(
     oracle: &mut dyn GradOracle,
     params: &[Tensor],
+    base_grad: &[Tensor],
     v0: &[Tensor],
     steps: usize,
     eps: f32,
@@ -124,7 +129,6 @@ pub fn lanczos_spectrum_from(
             "lanczos start direction has norm {n0}; probes must be nonzero and finite"
         )));
     }
-    let (_, base_grad) = oracle.grad(params)?;
     let mut v: Vec<Tensor> = v0.to_vec();
     for t in &mut v {
         t.scale_in_place(1.0 / n0);
@@ -134,7 +138,7 @@ pub fn lanczos_spectrum_from(
     let mut alphas = Vec::with_capacity(steps);
     let mut betas: Vec<f32> = Vec::new();
     for _ in 0..steps {
-        let mut w = fd_hvp(oracle, params, &base_grad, &v, eps)?;
+        let mut w = fd_hvp(oracle, params, base_grad, &v, eps)?;
         let alpha = global_dot(&v, &w);
         if !alpha.is_finite() {
             return Err(TensorError::InvalidArgument(format!(

@@ -144,6 +144,8 @@ pub fn hutchinson_trace(
 /// is the HeRo-Q quantization-sensitivity proxy this repo cross-checks
 /// against the certified static `SensitivityMatrix`.
 ///
+/// `base_grad` is `∇L(params)`, which the finite-difference HVPs difference
+/// against (callers share it with other estimators at the same point).
 /// Returns one [`Estimate`] per parameter tensor, in canonical order.
 ///
 /// # Errors
@@ -153,6 +155,7 @@ pub fn hutchinson_trace(
 pub fn layer_traces(
     oracle: &mut dyn GradOracle,
     params: &[Tensor],
+    base_grad: &[Tensor],
     probes: usize,
     eps: f32,
     seed: u64,
@@ -163,7 +166,6 @@ pub fn layer_traces(
         ));
     }
     let _obs = hero_obs::span("layer_traces");
-    let (_, grads) = oracle.grad(params)?;
     let mut z: Vec<Tensor> = params
         .iter()
         .map(|p| Tensor::zeros(p.shape().clone()))
@@ -178,7 +180,7 @@ pub fn layer_traces(
             let cell = probe_seed(seed, layer * probes + probe);
             let mut rng = StdRng::seed_from_u64(cell);
             fill_rademacher(&mut z[layer], &mut rng);
-            fd_hvp_into(oracle, params, &grads, &z, eps, &mut shifted, &mut hz)?;
+            fd_hvp_into(oracle, params, base_grad, &z, eps, &mut shifted, &mut hz)?;
             // Only the masked block contributes: z is zero off-layer.
             samples.push(z[layer].dot(&hz[layer])?);
         }
@@ -339,7 +341,8 @@ mod tests {
             ))
         };
         let params = vec![Tensor::zeros([2]), Tensor::zeros([2])];
-        let traces = layer_traces(&mut oracle, &params, 4, 1e-3, 7).unwrap();
+        let (_, base) = oracle(&params).unwrap();
+        let traces = layer_traces(&mut oracle, &params, &base, 4, 1e-3, 7).unwrap();
         assert_eq!(traces.len(), 2);
         assert!((traces[0].mean - 3.0).abs() < 0.05, "{:?}", traces[0]);
         assert!((traces[1].mean - 7.0).abs() < 0.05, "{:?}", traces[1]);
@@ -353,7 +356,9 @@ mod tests {
     fn layer_traces_rejects_zero_probes() {
         let q = Quadratic::diag(&[1.0]);
         let params = vec![Tensor::zeros([1])];
-        assert!(layer_traces(&mut q.oracle(), &params, 0, 1e-3, 0).is_err());
+        let mut oracle = q.oracle();
+        let (_, base) = oracle(&params).unwrap();
+        assert!(layer_traces(&mut oracle, &params, &base, 0, 1e-3, 0).is_err());
     }
 
     #[test]

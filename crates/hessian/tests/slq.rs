@@ -8,6 +8,12 @@ use hero_hessian::{
 };
 use hero_tensor::{Result, Tensor};
 
+/// The gradient at `params`, which the estimators take as their shared
+/// base gradient.
+fn base(oracle: &mut dyn GradOracle, params: &[Tensor]) -> Vec<Tensor> {
+    oracle.grad(params).unwrap().1
+}
+
 /// Exact spectrum {0.5, 1, 2, 4, 8, 16}: checks every density moment the
 /// observatory reports against closed-form values.
 #[test]
@@ -19,7 +25,9 @@ fn slq_moments_match_exact_eigenvalues() {
         .with_steps(6)
         .with_probes(24)
         .with_seed(3);
-    let d = slq_density(&mut q.oracle(), &params, cfg).unwrap();
+    let mut oracle = q.oracle();
+    let g = base(&mut oracle, &params);
+    let d = slq_density(&mut oracle, &params, &g, cfg).unwrap();
 
     let n = eigs.len() as f32;
     let exact_mean: f32 = eigs.iter().sum::<f32>() / n;
@@ -79,7 +87,8 @@ fn layer_traces_sum_to_global_trace() {
     static EIGS: [f32; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
     let mut oracle = layered_oracle(&EIGS);
     let params = vec![Tensor::zeros([2]), Tensor::zeros([2]), Tensor::zeros([2])];
-    let per_layer = layer_traces(&mut oracle, &params, 4, 1e-3, 11).unwrap();
+    let g = base(&mut oracle, &params);
+    let per_layer = layer_traces(&mut oracle, &params, &g, 4, 1e-3, 11).unwrap();
     assert_eq!(per_layer.len(), 3);
     // Diagonal blocks: traces 3, 7, 11 (exact under Rademacher probes).
     for (t, want) in per_layer.iter().zip(&[3.0f32, 7.0, 11.0]) {
@@ -102,7 +111,9 @@ fn lanczos_handles_repeated_eigenvalues() {
     let q = Quadratic::diag(&[2.0, 2.0, 2.0, 5.0]);
     let params = vec![Tensor::zeros([4])];
     let v0 = vec![Tensor::from_vec(vec![0.5; 4], [4]).unwrap()];
-    let res = lanczos_spectrum_from(&mut q.oracle(), &params, &v0, 4, 1e-3).unwrap();
+    let mut oracle = q.oracle();
+    let g = base(&mut oracle, &params);
+    let res = lanczos_spectrum_from(&mut oracle, &params, &g, &v0, 4, 1e-3).unwrap();
     assert!(res.steps <= 2, "Krylov dim 2, ran {} steps", res.steps);
     assert!(
         (res.lambda_min() - 2.0).abs() < 0.05,
@@ -126,7 +137,9 @@ fn lanczos_steps_beyond_dimension_break_down_cleanly() {
     let q = Quadratic::diag(&[1.0, 4.0, 9.0]);
     let params = vec![Tensor::zeros([3])];
     let v0 = vec![Tensor::from_vec(vec![1.0, 1.0, 1.0], [3]).unwrap()];
-    let res = lanczos_spectrum_from(&mut q.oracle(), &params, &v0, 12, 1e-3).unwrap();
+    let mut oracle = q.oracle();
+    let g = base(&mut oracle, &params);
+    let res = lanczos_spectrum_from(&mut oracle, &params, &g, &v0, 12, 1e-3).unwrap();
     assert!(res.steps <= 3, "dim 3, ran {} steps", res.steps);
     assert!(res.ritz_values.iter().all(|v| v.is_finite()));
     assert!((res.lambda_max() - 9.0).abs() < 0.1);
@@ -138,7 +151,9 @@ fn lanczos_zero_probe_is_a_clean_error() {
     let q = Quadratic::diag(&[1.0, 2.0]);
     let params = vec![Tensor::zeros([2])];
     let v0 = vec![Tensor::zeros([2])];
-    let err = lanczos_spectrum_from(&mut q.oracle(), &params, &v0, 2, 1e-3).unwrap_err();
+    let mut oracle = q.oracle();
+    let g = base(&mut oracle, &params);
+    let err = lanczos_spectrum_from(&mut oracle, &params, &g, &v0, 2, 1e-3).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("norm"), "unexpected error: {msg}");
 }
@@ -148,7 +163,9 @@ fn lanczos_non_finite_probe_is_a_clean_error() {
     let q = Quadratic::diag(&[1.0, 2.0]);
     let params = vec![Tensor::zeros([2])];
     let v0 = vec![Tensor::from_vec(vec![f32::NAN, 1.0], [2]).unwrap()];
-    assert!(lanczos_spectrum_from(&mut q.oracle(), &params, &v0, 2, 1e-3).is_err());
+    let mut oracle = q.oracle();
+    let g = base(&mut oracle, &params);
+    assert!(lanczos_spectrum_from(&mut oracle, &params, &g, &v0, 2, 1e-3).is_err());
 }
 
 #[test]
@@ -166,6 +183,7 @@ fn lanczos_nan_gradients_are_a_clean_error() {
     };
     let params = vec![Tensor::zeros([2])];
     let v0 = vec![Tensor::from_vec(vec![1.0, 0.0], [2]).unwrap()];
-    let err = lanczos_spectrum_from(&mut oracle, &params, &v0, 2, 1e-3).unwrap_err();
+    let g = base(&mut oracle, &params);
+    let err = lanczos_spectrum_from(&mut oracle, &params, &g, &v0, 2, 1e-3).unwrap_err();
     assert!(format!("{err}").contains("non-finite"));
 }

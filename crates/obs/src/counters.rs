@@ -107,8 +107,8 @@ pub static GEMM_CALLS: Counter = Counter::new("gemm_calls");
 pub static GEMM_FLOPS: Counter = Counter::new("gemm_flops");
 /// GEMM calls dispatched to the explicit-SIMD (AVX2/FMA) micro-kernel.
 pub static GEMM_SIMD_HITS: Counter = Counter::new("gemm_simd_hits");
-/// N-panel chunks executed on the GEMM worker pool (one per worker job;
-/// stays zero when the macro-kernel runs serially).
+/// Chunks of GEMM and convolution products executed on the GEMM worker
+/// pool (one per worker job; stays zero when every product runs serially).
 pub static GEMM_PANELS_PARALLEL: Counter = Counter::new("gemm_panels_parallel");
 /// `im2col`/`col2im` lowerings performed.
 pub static IM2COL_CALLS: Counter = Counter::new("im2col_calls");

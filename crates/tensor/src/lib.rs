@@ -11,8 +11,9 @@
 //!   adjoint ([`Tensor::reduce_to_shape`])
 //! - packed micro-kernel [`Tensor::matmul`] plus transposed variants
 //!   (with the old blocked kernel kept as [`matmul_reference`])
-//! - convolution lowering ([`Tensor::im2col`] / [`Tensor::col2im`]) and
-//!   pooling with adjoints
+//! - direct convolution kernels ([`Tensor::conv2d`] and its weight/input
+//!   gradients), the [`Tensor::im2col`] / [`Tensor::col2im`] lowering they
+//!   are tested against, and pooling with adjoints
 //! - the norms HERO's theory is stated in (ℓ1, ℓ2, ℓ∞, ℓ0)
 //! - seedable initializers ([`Init`]) driven by the in-tree [`rng`] module
 //! - a [`ScratchPool`] buffer recycler backing the zero-allocation

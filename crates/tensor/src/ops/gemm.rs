@@ -1,19 +1,17 @@
-//! Packed register-blocked GEMM: explicit-SIMD micro-kernels, a multicore
-//! macro-kernel, and fused im2col packing.
+//! Packed register-blocked GEMM: explicit-SIMD micro-kernels and a
+//! multicore macro-kernel.
 //!
-//! All matmul variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the fused
-//! convolution products over an [`Im2colView`]) route through one
-//! [`gemm`] entry point that handles transposition and patch extraction
-//! during packing, so the inner loop is always the same branch-free
-//! MR×NR micro-kernel over contiguous panels:
+//! All matmul variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) route through one [`gemm`]
+//! entry point that handles transposition during packing, so the inner
+//! loop is always the same branch-free MR×NR micro-kernel over contiguous
+//! panels. Convolution runs its own direct kernels (`ops::conv`), which
+//! share this module's kernel selection, span, counters, KC block and
+//! worker pool through [`Product`].
 //!
 //! * **Packing** — for each KC-deep slice of the reduction dimension, a
 //!   block of A is repacked into MR-row strips (`strip·kc·MR + kk·MR + r`)
 //!   and a block of B into NR-column strips (`strip·kc·NR + kk·NR + j`),
-//!   both zero-padded to full strip width. The B source is either a plain
-//!   row-major matrix or an [`Im2colView`], in which case patch elements
-//!   are sampled straight out of the NCHW input — convolution never
-//!   materializes the `(C·k·k, N·oh·ow)` patch matrix.
+//!   both zero-padded to full strip width.
 //! * **Micro-kernels** — two variants behind runtime feature detection
 //!   ([`GemmKernel`]): a portable scalar 4×8 kernel (auto-vectorized,
 //!   k-loop unrolled 4×, plain mul+add so its sums are bitwise identical
@@ -40,7 +38,6 @@
 //! steady-state training step performs no fresh pack allocations — on the
 //! calling thread and on every GEMM worker alike.
 
-use crate::ops::im2col::{Im2colMeta, Im2colView};
 use crate::pool;
 use crate::workers::{Job, WorkerPool};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -50,8 +47,10 @@ use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
 pub(crate) const MR: usize = 4;
 /// Scalar micro-kernel columns: C columns accumulated per inner call.
 pub(crate) const NR: usize = 8;
-/// Reduction-dimension cache block (sizes the packed panels).
-const KC: usize = 256;
+/// Reduction-dimension cache block (sizes the packed panels). Every C
+/// element is the sum of one chain per block, each started from zero, so
+/// this constant is part of the rounding the convolution kernels match.
+pub(crate) const KC: usize = 256;
 /// Row cache block for the scalar kernel — a multiple of `MR`.
 const MC: usize = 128;
 /// Column cache block for the scalar kernel — a multiple of `NR`.
@@ -68,9 +67,9 @@ const SIMD_MC: usize = 126;
 /// Column cache block for the AVX2 kernel — a multiple of `SIMD_NR`.
 const SIMD_NC: usize = 512;
 
-/// Minimum `2·m·n·k` flop count before [`gemm`] considers fanning the jc
-/// loop out to the worker pool; below this the scatter/join round trip
-/// costs more than the arithmetic saves.
+/// Minimum `2·m·n·k` flop count before a product considers fanning out to
+/// the worker pool; below this the scatter/join round trip costs more
+/// than the arithmetic saves.
 const PAR_MIN_FLOPS: u64 = 4 << 20;
 
 /// Which micro-kernel the GEMM dispatches to.
@@ -212,42 +211,81 @@ fn gemm_threads() -> usize {
     })
 }
 
-/// The B operand of a [`gemm`] call: either a plain row-major matrix or a
-/// virtual im2col patch matrix sampled during packing (the fused path —
-/// the full patch matrix never exists in memory).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BSrc<'a> {
-    /// A stored `k × n` matrix (`n × k` when `trans`).
-    Mat {
-        /// Row-major elements.
-        data: &'a [f32],
-        /// Read the stored matrix as Bᵀ.
-        trans: bool,
-    },
-    /// The virtual patch matrix of an NCHW input: `(C·k·k, N·oh·ow)`
-    /// (transposed when `trans`, for the dW = dY·colsᵀ product).
-    Cols {
-        /// The input-backed view.
-        view: Im2colView<'a>,
-        /// Read the view as colsᵀ.
-        trans: bool,
-    },
+/// One matrix product in flight: the kernel it runs on, its flop count,
+/// and the kernel's span, open until the product is dropped.
+pub(crate) struct Product {
+    /// The micro-kernel variant every part of the product uses.
+    pub(crate) kernel: GemmKernel,
+    /// `2·m·n·k`.
+    flops: u64,
+    _span: hero_obs::SpanGuard,
 }
 
-impl BSrc<'_> {
-    /// Debug-validates the logical `k × n` shape of this source.
-    fn debug_check(&self, k: usize, n: usize) {
-        match self {
-            BSrc::Mat { data, .. } => debug_assert_eq!(data.len(), k * n),
-            BSrc::Cols { view, trans } => {
-                let (rows, cols) = if *trans {
-                    (view.cols(), view.rows())
-                } else {
-                    (view.rows(), view.cols())
-                };
-                debug_assert_eq!((rows, cols), (k, n));
-            }
+impl Product {
+    /// Starts an `(m × k)·(k × n)` product on the active kernel: opens the
+    /// kernel's span and counts the call and its flops. Returns `None` for
+    /// an empty product, which computes nothing and counts nothing.
+    pub(crate) fn begin(m: usize, n: usize, k: usize) -> Option<Product> {
+        if m == 0 || n == 0 || k == 0 {
+            return None;
         }
+        let kernel = active_gemm_kernel();
+        let span = hero_obs::span(kernel.span_name());
+        hero_obs::counters::GEMM_CALLS.incr();
+        let flops = 2 * (m as u64) * (n as u64) * (k as u64);
+        hero_obs::counters::GEMM_FLOPS.add(flops);
+        if kernel == GemmKernel::Avx2Fma {
+            hero_obs::counters::GEMM_SIMD_HITS.incr();
+        }
+        Some(Product {
+            kernel,
+            flops,
+            _span: span,
+        })
+    }
+
+    /// Runs `work(lo, hi)` over `0..items`: split into contiguous chunks
+    /// across the worker pool when the product clears [`PAR_MIN_FLOPS`]
+    /// and at least two workers are configured, otherwise as one serial
+    /// call. Callers make each item's result independent of the chunk it
+    /// lands in, so parallel output is bitwise identical to serial.
+    pub(crate) fn split(&self, items: usize, work: &(dyn Fn(usize, usize) + Sync)) {
+        let threads = gemm_threads();
+        let parallel =
+            threads >= 2 && self.flops >= PAR_MIN_FLOPS && scatter_chunks(threads, items, work);
+        if !parallel {
+            work(0, items);
+        }
+    }
+}
+
+/// An output buffer that parallel workers write in disjoint parts.
+#[derive(Clone, Copy)]
+pub(crate) struct SharedOut(*mut f32);
+
+// SAFETY: the pointer is only dereferenced by callers of `ptr` and
+// `slice`, who guarantee that concurrent users touch disjoint elements of
+// a buffer that outlives every worker job.
+unsafe impl Send for SharedOut {}
+// SAFETY: as for `Send`; a shared reference only hands out the pointer.
+unsafe impl Sync for SharedOut {}
+
+impl SharedOut {
+    pub(crate) fn new(buf: &mut [f32]) -> Self {
+        SharedOut(buf.as_mut_ptr())
+    }
+
+    pub(crate) fn ptr(self) -> *mut f32 {
+        self.0
+    }
+
+    /// # Safety
+    ///
+    /// `[at, at + len)` must lie inside the buffer, the buffer must outlive
+    /// the returned slice, and no other thread may access that range while
+    /// the slice lives.
+    pub(crate) unsafe fn slice<'a>(self, at: usize, len: usize) -> &'a mut [f32] {
+        std::slice::from_raw_parts_mut(self.0.add(at), len)
     }
 }
 
@@ -295,32 +333,11 @@ fn pack_a(
     }
 }
 
-/// Packs the `kc × nc` block of B at `(pc, jc)` into `nr`-column strips,
-/// dispatching on the B source. The final partial strip is zero-padded.
+/// Packs the `kc × nc` block of B at `(pc, jc)` into `nr`-column strips
+/// (`ldb` is `n` row-major, `k` when transposed). The final partial strip
+/// is zero-padded.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
-    dst: &mut [f32],
-    b: &BSrc<'_>,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-) {
-    match b {
-        BSrc::Mat { data, trans } => {
-            let ldb = if *trans { k } else { n };
-            pack_b_mat(dst, data, *trans, ldb, pc, kc, jc, nc, nr);
-        }
-        BSrc::Cols { view, trans } => pack_b_cols(dst, view, *trans, pc, kc, jc, nc, nr),
-    }
-}
-
-/// Plain-matrix B packing (`ldb` is `n` row-major, `k` when transposed).
-#[allow(clippy::too_many_arguments)]
-fn pack_b_mat(
     dst: &mut [f32],
     b: &[f32],
     trans: bool,
@@ -348,125 +365,6 @@ fn pack_b_mat(
             }
             for j in cols..nr {
                 dst[at + j] = 0.0;
-            }
-        }
-    }
-}
-
-/// Fused im2col B packing: samples patch elements straight from the NCHW
-/// input while building the NR-column strips, so convolution never writes
-/// the patch matrix. Index decompositions along the k dimension are
-/// precomputed per KC block (one stack table of at most [`KC`] entries).
-/// In the forward orientation each packed row is additionally split into
-/// same-`(img, oy)` column runs, which are contiguous in the input for
-/// stride 1 and become `copy_from_slice` calls — the same streaming the
-/// materializing `im2col` does, minus the intermediate matrix.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_cols(
-    dst: &mut [f32],
-    view: &Im2colView<'_>,
-    trans: bool,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-) {
-    debug_assert!(kc <= KC);
-    debug_assert!(nr <= SIMD_NR.max(NR));
-    let m = &view.meta;
-    let (stride, pad, h, w) = (m.stride, m.pad, m.h, m.w);
-    let strips = nc.div_ceil(nr);
-    let mut kdec = [(0usize, 0usize, 0usize); KC];
-    if !trans {
-        // B = cols: the k dimension walks patch rows (ch, ky, kx), columns
-        // walk output sites (img, oy, ox).
-        for (kk, slot) in kdec[..kc].iter_mut().enumerate() {
-            *slot = view.row_pos(pc + kk);
-        }
-        for s in 0..strips {
-            let base = s * kc * nr;
-            let cols = nr.min(nc - s * nr);
-            // Split the strip's columns into runs of consecutive `ox`
-            // within one (img, oy) output row: `(img, oy, ox0, j0, len)`.
-            // At most one run per column, so a stack table of NR suffices.
-            let mut runs = [(0usize, 0usize, 0usize, 0usize, 0usize); SIMD_NR];
-            let mut nruns = 0;
-            let mut j = 0;
-            while j < cols {
-                let (img, oy, ox) = view.col_pos(jc + s * nr + j);
-                let len = (m.ow - ox).min(cols - j);
-                runs[nruns] = (img, oy, ox, j, len);
-                nruns += 1;
-                j += len;
-            }
-            for (kk, &(ch, ky, kx)) in kdec[..kc].iter().enumerate() {
-                let drow = &mut dst[base + kk * nr..][..nr];
-                for slot in &mut drow[cols..] {
-                    *slot = 0.0;
-                }
-                for &(img, oy, ox0, j0, len) in &runs[..nruns] {
-                    let dseg = &mut drow[j0..j0 + len];
-                    let y = oy * stride + ky;
-                    if y < pad || y >= h + pad {
-                        dseg.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &view.data[((img * m.c + ch) * h + (y - pad)) * w..][..w];
-                    if stride == 1 {
-                        // x = ox + kx - pad must land in [0, w).
-                        let lo = ox0.max(pad.saturating_sub(kx));
-                        let hi = (ox0 + len).min((w + pad).saturating_sub(kx));
-                        if lo < hi {
-                            dseg[..lo - ox0].fill(0.0);
-                            dseg[lo - ox0..hi - ox0]
-                                .copy_from_slice(&src_row[lo + kx - pad..hi + kx - pad]);
-                            dseg[hi - ox0..].fill(0.0);
-                        } else {
-                            dseg.fill(0.0);
-                        }
-                    } else {
-                        for (t, slot) in dseg.iter_mut().enumerate() {
-                            let x = (ox0 + t) * stride + kx;
-                            *slot = if x >= pad && x < w + pad {
-                                src_row[x - pad]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        // B = colsᵀ: the k dimension walks output sites, columns walk
-        // patch rows — the dW = dY·colsᵀ orientation. No source
-        // contiguity along the columns here (consecutive patch rows hop
-        // kernel taps), so pack element-wise with hoisted site offsets.
-        for (kk, slot) in kdec[..kc].iter_mut().enumerate() {
-            *slot = view.col_pos(pc + kk);
-        }
-        let mut jdec = [(0usize, 0usize, 0usize); SIMD_NR];
-        for s in 0..strips {
-            let base = s * kc * nr;
-            let cols = nr.min(nc - s * nr);
-            for (j, slot) in jdec[..cols].iter_mut().enumerate() {
-                *slot = view.row_pos(jc + s * nr + j);
-            }
-            for (kk, &(img, oy, ox)) in kdec[..kc].iter().enumerate() {
-                let (y0, x0, img_at) = (oy * stride, ox * stride, img * m.c * h * w);
-                let drow = &mut dst[base + kk * nr..][..nr];
-                for (slot, &(ch, ky, kx)) in drow[..cols].iter_mut().zip(&jdec[..cols]) {
-                    let (y, x) = (y0 + ky, x0 + kx);
-                    *slot = if y < pad || y >= h + pad || x < pad || x >= w + pad {
-                        0.0
-                    } else {
-                        view.data[img_at + ch * h * w + (y - pad) * w + (x - pad)]
-                    };
-                }
-                for slot in &mut drow[cols..] {
-                    *slot = 0.0;
-                }
             }
         }
     }
@@ -644,22 +542,15 @@ unsafe fn gemm_range(
     k: usize,
     a: &[f32],
     a_trans: bool,
-    b: &BSrc<'_>,
+    b: &[f32],
+    b_trans: bool,
     c: *mut f32,
     j0: usize,
     j1: usize,
 ) {
-    let (mr, nr, mc_blk) = (kernel.mr(), kernel.nr(), kernel.mc());
-    // For a fused im2col source, take the whole column range in one jc
-    // pass: each B panel is rebuilt from the view on every pass, so NC
-    // blocking would re-run the patch sampling per block instead of once.
-    // The panel stays bounded by KC rows either way. Plain matrices keep
-    // the cache-sized NC.
-    let nc_blk = match b {
-        BSrc::Mat { .. } => kernel.nc(),
-        BSrc::Cols { .. } => (j1 - j0).max(1),
-    };
+    let (mr, nr, mc_blk, nc_blk) = (kernel.mr(), kernel.nr(), kernel.mc(), kernel.nc());
     let lda = if a_trans { m } else { k };
+    let ldb = if b_trans { k } else { n };
     // Exact panel capacities so repeat leases hit the pool's free list.
     let kc_cap = KC.min(k);
     let mut a_pack = pool::lease(round_up(m.min(mc_blk), mr) * kc_cap);
@@ -671,8 +562,8 @@ unsafe fn gemm_range(
             pack_b(
                 &mut b_pack[..round_up(nc, nr) * kc],
                 b,
-                k,
-                n,
+                b_trans,
+                ldb,
                 pc,
                 kc,
                 jc,
@@ -718,214 +609,113 @@ unsafe fn gemm_range(
 }
 
 /// Computes `C += op(A) · op(B)` where `op` is transpose when the matching
-/// flag is set and B may be a fused im2col view: logical shapes
-/// `(m, k) × (k, n) → (m, n)`, all row-major.
+/// flag is set: logical shapes `(m, k) × (k, n) → (m, n)`, all row-major
+/// (a transposed B is stored `n × k`).
 ///
 /// `c` must hold exactly `m * n` elements and is accumulated into (callers
-/// lease it zeroed from the pool). Transposition and patch extraction are
-/// absorbed by the packing routines, so every variant shares the same
-/// micro-kernel. Dispatches to the AVX2/FMA kernel when available and to
-/// the worker pool for large products (both controllable: see
-/// [`force_gemm_kernel`], [`set_gemm_threads`], and `HERO_NO_SIMD`).
+/// lease it zeroed from the pool). Transposition is absorbed by the
+/// packing routines, so every variant shares the same micro-kernel.
+/// Dispatches to the AVX2/FMA kernel when available and to the worker
+/// pool for large products (both controllable: see [`force_gemm_kernel`],
+/// [`set_gemm_threads`], and `HERO_NO_SIMD`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
     a_trans: bool,
-    b: BSrc<'_>,
+    b: &[f32],
+    b_trans: bool,
     c: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    b.debug_check(k, n);
-    if m == 0 || n == 0 || k == 0 {
+    let Some(product) = Product::begin(m, n, k) else {
         return;
+    };
+    let kernel = product.kernel;
+    let nr = kernel.nr();
+    let out = SharedOut::new(c);
+    // One item per NR-wide column panel, so no packing strip straddles two
+    // workers and every C element sees exactly the serial summation order.
+    let panels = |p0: usize, p1: usize| {
+        // SAFETY: `out` is the exclusive `m × n` slice `c` and each call
+        // owns a disjoint range of panels; the kernel came from
+        // `active_gemm_kernel`, which only reports AVX2+FMA when present.
+        unsafe {
+            gemm_range(
+                kernel,
+                m,
+                n,
+                k,
+                a,
+                a_trans,
+                b,
+                b_trans,
+                out.ptr(),
+                p0 * nr,
+                (p1 * nr).min(n),
+            );
+        }
+    };
+    let items = n.div_ceil(nr);
+    if n >= 2 * nr {
+        product.split(items, &panels);
+    } else {
+        panels(0, items);
     }
-    let kernel = active_gemm_kernel();
-    let _obs = hero_obs::span(kernel.span_name());
-    hero_obs::counters::GEMM_CALLS.incr();
-    let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    hero_obs::counters::GEMM_FLOPS.add(flops);
-    if kernel == GemmKernel::Avx2Fma {
-        hero_obs::counters::GEMM_SIMD_HITS.incr();
-    }
-    let threads = gemm_threads();
-    if threads >= 2
-        && flops >= PAR_MIN_FLOPS
-        && n >= 2 * kernel.nr()
-        && gemm_parallel(kernel, threads, m, n, k, a, a_trans, &b, c)
-    {
-        return;
-    }
-    // SAFETY: `c` is an exclusive `m × n` slice and the whole column range
-    // is handled by this thread.
-    unsafe { gemm_range(kernel, m, n, k, a, a_trans, &b, c.as_mut_ptr(), 0, n) }
 }
 
-/// The process-wide worker pool backing the parallel macro-kernel. Workers
-/// carry no state (`S = ()`); determinism comes from the column partition,
-/// not from which worker runs which chunk.
+/// The process-wide worker pool behind every parallel product. Workers
+/// carry no state (`S = ()`); determinism comes from each product's
+/// partition of its output, not from which worker runs which chunk.
 static GEMM_POOL: Mutex<Option<WorkerPool<(), ()>>> = Mutex::new(None);
 
-/// A raw, `Send`-able copy of a [`BSrc`] for shipping to workers.
-#[derive(Clone, Copy)]
-enum RawBSrc {
-    Mat {
-        ptr: *const f32,
-        len: usize,
-        trans: bool,
-    },
-    Cols {
-        ptr: *const f32,
-        len: usize,
-        meta: Im2colMeta,
-        trans: bool,
-    },
-}
-
-impl RawBSrc {
-    fn from_bsrc(b: &BSrc<'_>) -> RawBSrc {
-        match b {
-            BSrc::Mat { data, trans } => RawBSrc::Mat {
-                ptr: data.as_ptr(),
-                len: data.len(),
-                trans: *trans,
-            },
-            BSrc::Cols { view, trans } => RawBSrc::Cols {
-                ptr: view.data.as_ptr(),
-                len: view.data.len(),
-                meta: view.meta,
-                trans: *trans,
-            },
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The pointed-to data must outlive the returned view — guaranteed by
-    /// [`WorkerPool::scatter`] blocking until every job completes while
-    /// the caller's borrows are held.
-    unsafe fn as_bsrc<'a>(&self) -> BSrc<'a> {
-        match *self {
-            RawBSrc::Mat { ptr, len, trans } => BSrc::Mat {
-                data: std::slice::from_raw_parts(ptr, len),
-                trans,
-            },
-            RawBSrc::Cols {
-                ptr,
-                len,
-                meta,
-                trans,
-            } => BSrc::Cols {
-                view: Im2colView {
-                    meta,
-                    data: std::slice::from_raw_parts(ptr, len),
-                },
-                trans,
-            },
-        }
-    }
-}
-
-/// One worker's share of a parallel GEMM: the full loop nest over C
-/// columns `[j0, j1)`.
-#[derive(Clone, Copy)]
-struct PanelTask {
-    kernel: GemmKernel,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: *const f32,
-    a_len: usize,
-    a_trans: bool,
-    b: RawBSrc,
-    c: *mut f32,
-    j0: usize,
-    j1: usize,
-}
-
-// SAFETY: the raw pointers reference the caller's borrows, which stay
-// alive for the whole scatter (it blocks until all jobs finish), and each
-// task writes only its own disjoint `[j0, j1)` column range of C.
-unsafe impl Send for PanelTask {}
-
-/// # Safety
-///
-/// See [`PanelTask`]'s `Send` rationale: caller borrows outlive the
-/// scatter, and column ranges across tasks are disjoint.
-unsafe fn run_panel_task(t: &PanelTask) {
-    let a = std::slice::from_raw_parts(t.a, t.a_len);
-    let b = t.b.as_bsrc();
-    gemm_range(t.kernel, t.m, t.n, t.k, a, t.a_trans, &b, t.c, t.j0, t.j1);
-}
-
-/// Fans the jc loop out over the worker pool: contiguous NR-aligned column
-/// chunks, one per worker. Returns `false` (caller runs serially) when the
-/// pool is busy — e.g. a shard worker's GEMM racing the trainer's — which
-/// is always safe because parallel and serial output are bitwise
-/// identical.
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
-    kernel: GemmKernel,
-    threads: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_trans: bool,
-    b: &BSrc<'_>,
-    c: &mut [f32],
-) -> bool {
-    let Ok(mut guard) = GEMM_POOL.try_lock() else {
-        return false;
-    };
-    let nr = kernel.nr();
-    let panels = n.div_ceil(nr);
-    let workers = threads.min(panels);
+/// Splits `0..items` into contiguous near-equal chunks, one per worker,
+/// and runs `work(lo, hi)` for each on the worker pool. Returns `false`
+/// (the caller runs serially) when fewer than two workers would get a
+/// chunk or the pool is busy — e.g. a shard worker's product racing the
+/// trainer's — which is always safe because callers only split work
+/// whose result does not depend on the partition.
+fn scatter_chunks(threads: usize, items: usize, work: &(dyn Fn(usize, usize) + Sync)) -> bool {
+    let workers = threads.min(items);
     if workers < 2 {
         return false;
     }
+    let Ok(mut guard) = GEMM_POOL.try_lock() else {
+        return false;
+    };
     let slot = &mut *guard;
     if slot.as_ref().is_none_or(|p| p.threads() != threads) {
         *slot = Some(WorkerPool::new(vec![(); threads]));
     }
     let pool = slot.as_mut().expect("pool just installed");
-    let raw_b = RawBSrc::from_bsrc(b);
-    // Chunk boundaries land on NR multiples so no packing strip straddles
-    // two workers; each C element's summation order is exactly the serial
-    // order, which is what makes parallel ≡ serial bitwise.
-    let (base, extra) = (panels / workers, panels % workers);
+    // SAFETY: only the lifetime changes. `scatter` blocks until every job
+    // has run — it drains all of them even when one panics — so `work`
+    // outlives each use of the extended borrow.
+    let work = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), &'static (dyn Fn(usize, usize) + Sync)>(
+            work,
+        )
+    };
+    let (base, extra) = (items / workers, items % workers);
     let mut jobs: Vec<Job<(), ()>> = Vec::with_capacity(workers);
-    let mut j0 = 0;
+    let mut lo = 0;
     for w in 0..workers {
-        let j1 = (j0 + (base + usize::from(w < extra)) * nr).min(n);
-        let task = PanelTask {
-            kernel,
-            m,
-            n,
-            k,
-            a: a.as_ptr(),
-            a_len: a.len(),
-            a_trans,
-            b: raw_b,
-            c: c.as_mut_ptr(),
-            j0,
-            j1,
-        };
-        // SAFETY: scatter blocks until all jobs run; column ranges are
-        // disjoint across tasks (see `PanelTask`).
-        jobs.push(Box::new(move |_: &mut ()| unsafe { run_panel_task(&task) }));
-        j0 = j1;
+        let hi = lo + base + usize::from(w < extra);
+        jobs.push(Box::new(move |_: &mut ()| work(lo, hi)));
+        lo = hi;
     }
-    debug_assert_eq!(j0, n);
+    debug_assert_eq!(lo, items);
     match pool.scatter(jobs) {
         Ok(_) => {
             hero_obs::counters::GEMM_PANELS_PARALLEL.add(workers as u64);
             true
         }
-        // C columns may be partially accumulated by the time a job fails,
-        // so there is no serial fallback from here — surface the fault.
+        // The output may be partially written by the time a job fails, so
+        // there is no serial fallback from here — surface the fault.
         Err(e) => panic!("parallel GEMM failed: {e}"),
     }
 }
@@ -1046,11 +836,7 @@ mod tests {
                     b.clone()
                 };
                 let mut c = vec![0.0f32; m * n];
-                let src = BSrc::Mat {
-                    data: &b_store,
-                    trans: bt,
-                };
-                gemm(m, n, k, &a_store, at, src, &mut c);
+                gemm(m, n, k, &a_store, at, &b_store, bt, &mut c);
                 let want = naive(m, n, k, &a_store, at, &b_store, bt);
                 for (idx, (&got, &exp)) in c.iter().zip(&want).enumerate() {
                     assert!(
@@ -1067,22 +853,14 @@ mod tests {
         let a = vec![1.0; 6];
         let b = vec![2.0; 6];
         let mut c = vec![10.0f32; 4];
-        let src = BSrc::Mat {
-            data: &b,
-            trans: false,
-        };
-        gemm(2, 2, 3, &a, false, src, &mut c);
+        gemm(2, 2, 3, &a, false, &b, false, &mut c);
         assert_eq!(c, vec![16.0; 4]);
     }
 
     #[test]
     fn zero_k_leaves_c_untouched() {
         let mut c = vec![3.0f32; 4];
-        let src = BSrc::Mat {
-            data: &[],
-            trans: false,
-        };
-        gemm(2, 2, 0, &[], false, src, &mut c);
+        gemm(2, 2, 0, &[], false, &[], false, &mut c);
         assert_eq!(c, vec![3.0; 4]);
     }
 

@@ -1,4 +1,7 @@
-//! `im2col`/`col2im` lowering used to express convolution as matmul.
+//! Convolution geometry and the `im2col`/`col2im` lowering that expresses
+//! convolution as matmul. Training runs the direct kernels of
+//! `ops::conv`; the lowering stays as public API and as the reference
+//! those kernels are tested against bit for bit.
 
 use crate::error::{Result, TensorError};
 use crate::pool;
@@ -65,130 +68,6 @@ impl ConvGeometry {
         let oh = (self.in_h + 2 * self.pad - self.kernel) / self.stride + 1;
         let ow = (self.in_w + 2 * self.pad - self.kernel) / self.stride + 1;
         (oh, ow)
-    }
-}
-
-/// The plain-old-data description of an [`Im2colView`]: input layout plus
-/// convolution geometry, with the output spatial size precomputed.
-///
-/// Split out from the view so the parallel GEMM macro-kernel can ship it
-/// across worker threads by value next to a raw data pointer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Im2colMeta {
-    /// Batch size.
-    pub n: usize,
-    /// Input channels.
-    pub c: usize,
-    /// Input height.
-    pub h: usize,
-    /// Input width.
-    pub w: usize,
-    /// Square kernel side length.
-    pub kernel: usize,
-    /// Stride along both spatial axes.
-    pub stride: usize,
-    /// Zero padding on every side.
-    pub pad: usize,
-    /// Output height.
-    pub oh: usize,
-    /// Output width.
-    pub ow: usize,
-}
-
-/// A zero-materialization view of `im2col(x)`: logically the
-/// `(C·k·k, N·oh·ow)` patch matrix of [`Tensor::im2col`], but backed
-/// directly by the NCHW input. The GEMM packing routine reads patch
-/// elements straight out of the input while building its NR-column panels
-/// (contiguous stride-1 runs become `copy_from_slice`), so convolution
-/// never allocates the full patch matrix. Element values are identical to
-/// the materialized lowering (padding reads as `0.0`), which keeps the
-/// fused path bitwise equal to `im2col` + `matmul`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Im2colView<'a> {
-    pub(crate) meta: Im2colMeta,
-    pub(crate) data: &'a [f32],
-}
-
-impl<'a> Im2colView<'a> {
-    /// Builds a view over a 4-D NCHW input, with the same validation as
-    /// [`Tensor::im2col`].
-    pub(crate) fn new(x: &'a Tensor, geom: &ConvGeometry) -> Result<Self> {
-        if x.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: x.rank(),
-            });
-        }
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        if h != geom.in_h || w != geom.in_w {
-            return Err(TensorError::InvalidGeometry(format!(
-                "geometry expects {}x{}, input is {h}x{w}",
-                geom.in_h, geom.in_w
-            )));
-        }
-        let (oh, ow) = geom.out_hw();
-        Ok(Im2colView {
-            meta: Im2colMeta {
-                n,
-                c,
-                h,
-                w,
-                kernel: geom.kernel,
-                stride: geom.stride,
-                pad: geom.pad,
-                oh,
-                ow,
-            },
-            data: x.data(),
-        })
-    }
-
-    /// Rows of the logical patch matrix: `C·k·k`.
-    pub(crate) fn rows(&self) -> usize {
-        self.meta.c * self.meta.kernel * self.meta.kernel
-    }
-
-    /// Columns of the logical patch matrix: `N·oh·ow`.
-    pub(crate) fn cols(&self) -> usize {
-        self.meta.n * self.meta.oh * self.meta.ow
-    }
-
-    /// Decomposes a row index into its `(channel, ky, kx)` kernel tap.
-    #[inline]
-    pub(crate) fn row_pos(&self, row: usize) -> (usize, usize, usize) {
-        let k = self.meta.kernel;
-        (row / (k * k), (row / k) % k, row % k)
-    }
-
-    /// Decomposes a column index into its `(image, oy, ox)` output site.
-    #[inline]
-    pub(crate) fn col_pos(&self, col: usize) -> (usize, usize, usize) {
-        let sp = self.meta.oh * self.meta.ow;
-        (col / sp, (col % sp) / self.meta.ow, col % self.meta.ow)
-    }
-
-    /// Reads one patch-matrix element given decomposed indices; padding
-    /// taps return `0.0` exactly as the materialized lowering writes them.
-    /// Test-only element oracle: the GEMM packing routine reads runs
-    /// directly, and `view_matches_materialized_im2col_bitwise` uses this
-    /// to pin the per-element semantics both paths must agree on.
-    #[cfg(test)]
-    pub(crate) fn sample(
-        &self,
-        img: usize,
-        ch: usize,
-        oy: usize,
-        ox: usize,
-        ky: usize,
-        kx: usize,
-    ) -> f32 {
-        let m = &self.meta;
-        let y = oy * m.stride + ky;
-        let x = ox * m.stride + kx;
-        if y < m.pad || y >= m.h + m.pad || x < m.pad || x >= m.w + m.pad {
-            return 0.0;
-        }
-        self.data[((img * m.c + ch) * m.h + (y - m.pad)) * m.w + (x - m.pad)]
     }
 }
 
@@ -435,33 +314,6 @@ mod tests {
         let back = y.col2im(&geom, 2, 3).unwrap();
         let rhs = x.dot(&back).unwrap();
         assert!((lhs - rhs).abs() < 1e-2, "lhs={lhs} rhs={rhs}");
-    }
-
-    #[test]
-    fn view_matches_materialized_im2col_bitwise() {
-        let x = Tensor::from_fn([2, 3, 5, 5], |i| (i.iter().sum::<usize>() % 5) as f32 - 2.0);
-        for geom in [
-            ConvGeometry::new(5, 5, 3, 1, 1).unwrap(),
-            ConvGeometry::new(5, 5, 3, 2, 1).unwrap(),
-            ConvGeometry::new(5, 5, 1, 1, 0).unwrap(),
-            ConvGeometry::new(5, 5, 5, 1, 2).unwrap(),
-        ] {
-            let cols = x.im2col(&geom).unwrap();
-            let view = Im2colView::new(&x, &geom).unwrap();
-            assert_eq!(view.rows(), cols.dims()[0]);
-            assert_eq!(view.cols(), cols.dims()[1]);
-            for row in 0..view.rows() {
-                let (ch, ky, kx) = view.row_pos(row);
-                for col in 0..view.cols() {
-                    let (img, oy, ox) = view.col_pos(col);
-                    assert_eq!(
-                        view.sample(img, ch, oy, ox, ky, kx).to_bits(),
-                        cols.get(&[row, col]).unwrap().to_bits(),
-                        "row {row} col {col}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! [`matmul_reference`], the correctness oracle and bench baseline.
 
 use crate::error::{Result, TensorError};
-use crate::ops::gemm::{gemm, BSrc};
-use crate::ops::im2col::{ConvGeometry, Im2colView};
+use crate::ops::gemm::gemm;
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -88,11 +87,7 @@ fn check_dims(lhs: &Tensor, rhs: &Tensor, lt: bool, rt: bool) -> Result<(usize, 
 fn gemm_tensor(lhs: &Tensor, rhs: &Tensor, lt: bool, rt: bool) -> Result<Tensor> {
     let (m, n, k) = check_dims(lhs, rhs, lt, rt)?;
     let mut c = pool::lease(m * n);
-    let b = BSrc::Mat {
-        data: rhs.data(),
-        trans: rt,
-    };
-    gemm(m, n, k, lhs.data(), lt, b, &mut c);
+    gemm(m, n, k, lhs.data(), lt, rhs.data(), rt, &mut c);
     Tensor::from_vec(c, [m, n])
 }
 
@@ -142,89 +137,6 @@ impl Tensor {
     /// Returns the same errors as [`Tensor::matmul`].
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
         gemm_tensor(self, other, false, true)
-    }
-
-    /// Fused convolution forward: `self · im2col(x)` where `self` is a
-    /// `(out_c, C·k·k)` weight matrix and `x` a 4-D NCHW input, yielding
-    /// `(out_c, N·oh·ow)`.
-    ///
-    /// Patch columns are packed straight out of `x` inside the GEMM's
-    /// B-packing loop, so the `(C·k·k, N·oh·ow)` patch matrix is never
-    /// materialized; the result is bitwise identical to
-    /// `self.matmul(&x.im2col(geom)?)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless `self` is 2-D and `x`
-    /// is 4-D, a geometry error if `geom` disagrees with `x`'s spatial
-    /// size, or [`TensorError::MatmulDims`] if `self`'s columns differ
-    /// from `C·k·k`.
-    pub fn matmul_im2col(&self, x: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let view = Im2colView::new(x, geom)?;
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if k != view.rows() {
-            return Err(TensorError::MatmulDims {
-                left_cols: k,
-                right_rows: view.rows(),
-            });
-        }
-        let n = view.cols();
-        let mut c = pool::lease(m * n);
-        gemm(
-            m,
-            n,
-            k,
-            self.data(),
-            false,
-            BSrc::Cols { view, trans: false },
-            &mut c,
-        );
-        Tensor::from_vec(c, [m, n])
-    }
-
-    /// Fused convolution weight gradient: `self · im2col(x)ᵀ` where
-    /// `self` is the `(out_c, N·oh·ow)` output gradient and `x` the 4-D
-    /// NCHW forward input, yielding `(out_c, C·k·k)` — the dW product —
-    /// without materializing the patch matrix. Bitwise identical to
-    /// `self.matmul_nt(&x.im2col(geom)?)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Tensor::matmul_im2col`], with the
-    /// inner-dimension check against `N·oh·ow`.
-    pub fn matmul_nt_im2col(&self, x: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let view = Im2colView::new(x, geom)?;
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if k != view.cols() {
-            return Err(TensorError::MatmulDims {
-                left_cols: k,
-                right_rows: view.cols(),
-            });
-        }
-        let n = view.rows();
-        let mut c = pool::lease(m * n);
-        gemm(
-            m,
-            n,
-            k,
-            self.data(),
-            false,
-            BSrc::Cols { view, trans: true },
-            &mut c,
-        );
-        Tensor::from_vec(c, [m, n])
     }
 
     /// Matrix-vector product: `(m, k) x (k,) -> (m,)`.
@@ -378,56 +290,6 @@ mod tests {
         }
         let a = Tensor::from_fn([4, 3], |i| (i[0] + 2 * i[1]) as f32);
         assert!(a.matmul_nt(&Tensor::zeros([5, 4])).is_err());
-    }
-
-    #[test]
-    fn fused_im2col_products_match_materialized_bitwise() {
-        let x = Tensor::from_fn([2, 3, 6, 6], |i| {
-            ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 9) as f32 / 4.0 - 1.0
-        });
-        let geom = ConvGeometry::new(6, 6, 3, 1, 1).unwrap();
-        let cols = x.im2col(&geom).unwrap();
-        let w = Tensor::from_fn([5, 27], |i| {
-            ((i[0] * 11 + i[1] * 2) % 13) as f32 / 6.0 - 1.0
-        });
-        let fused = w.matmul_im2col(&x, &geom).unwrap();
-        let materialized = w.matmul(&cols).unwrap();
-        assert_eq!(fused.dims(), materialized.dims());
-        for (i, (&f, &m)) in fused.data().iter().zip(materialized.data()).enumerate() {
-            assert_eq!(f.to_bits(), m.to_bits(), "forward idx {i}: {f} vs {m}");
-        }
-        let dy = Tensor::from_fn([5, cols.dims()[1]], |i| {
-            ((i[0] * 3 + i[1] * 7) % 11) as f32 / 5.0 - 1.0
-        });
-        let fused_dw = dy.matmul_nt_im2col(&x, &geom).unwrap();
-        let materialized_dw = dy.matmul_nt(&cols).unwrap();
-        assert_eq!(fused_dw.dims(), materialized_dw.dims());
-        for (i, (&f, &m)) in fused_dw
-            .data()
-            .iter()
-            .zip(materialized_dw.data())
-            .enumerate()
-        {
-            assert_eq!(f.to_bits(), m.to_bits(), "grad_w idx {i}: {f} vs {m}");
-        }
-    }
-
-    #[test]
-    fn fused_im2col_products_validate_shapes() {
-        let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
-        let x = Tensor::zeros([1, 2, 4, 4]);
-        // Wrong inner dim: weight columns must be C*k*k = 18.
-        assert!(Tensor::zeros([3, 17]).matmul_im2col(&x, &geom).is_err());
-        // Non-2D weight, non-4D input, geometry mismatch.
-        assert!(Tensor::zeros([18]).matmul_im2col(&x, &geom).is_err());
-        assert!(Tensor::zeros([3, 18])
-            .matmul_im2col(&Tensor::zeros([2, 4, 4]), &geom)
-            .is_err());
-        assert!(Tensor::zeros([3, 18])
-            .matmul_im2col(&Tensor::zeros([1, 2, 5, 5]), &geom)
-            .is_err());
-        // dW orientation: inner dim must be N*oh*ow = 16.
-        assert!(Tensor::zeros([3, 15]).matmul_nt_im2col(&x, &geom).is_err());
     }
 
     #[test]

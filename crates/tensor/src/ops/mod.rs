@@ -1,6 +1,7 @@
 //! Operation modules implementing `Tensor` methods.
 
 pub(crate) mod broadcast;
+pub(crate) mod conv;
 pub(crate) mod elementwise;
 pub(crate) mod gemm;
 pub(crate) mod im2col;

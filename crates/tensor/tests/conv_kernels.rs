@@ -1,0 +1,270 @@
+//! Bitwise corpus for the direct convolution kernels (`Tensor::conv2d`,
+//! `conv2d_grad_weight`, `conv2d_grad_input`).
+//!
+//! Each kernel is compared bit for bit with the im2col lowering whose
+//! products it computes: forward against `im2col` + `matmul`, dW against
+//! `matmul_nt` with the patch matrix, dX against `matmul_tn` + `col2im`.
+//! Every check runs under both forced GEMM kernels and at 1–4 worker
+//! threads. Seeded geometries cover kernels 1/3/5, strides 1–3, padding
+//! 0–2, 1–40 channels, spatial sizes 1–9 and batches 1–5; fixed cases add
+//! the preset layer shapes (two of them large enough to engage the worker
+//! pool), `C·k·k` and `N·oh·ow` beyond the GEMM's 256-deep reduction
+//! block, more than 256 output channels, and an empty batch.
+
+use hero_tensor::rng::{Rng, StdRng};
+use hero_tensor::{force_gemm_kernel, set_gemm_threads, ConvGeometry, GemmKernel, Tensor};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes tests that touch the process-wide kernel/thread overrides.
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+struct OverrideGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for OverrideGuard {
+    fn drop(&mut self) {
+        force_gemm_kernel(None);
+        set_gemm_threads(None);
+    }
+}
+
+fn lock_overrides() -> OverrideGuard {
+    OverrideGuard(OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// One convolution: batch, input and output channels, input height and
+/// width, kernel, stride, padding.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    n: usize,
+    c: usize,
+    oc: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+}
+
+impl Case {
+    fn geom(&self) -> ConvGeometry {
+        ConvGeometry::new(self.h, self.w, self.k, self.s, self.p).unwrap()
+    }
+
+    /// `2·out_c·(N·oh·ow)·(C·k·k)`, the flops of each of the three products.
+    fn flops(&self) -> usize {
+        let (oh, ow) = self.geom().out_hw();
+        2 * self.oc * self.n * oh * ow * self.c * self.k * self.k
+    }
+}
+
+/// Seeded uniform values in [−1, 1).
+fn seeded(dims: &[usize], rng: &mut StdRng) -> Tensor {
+    let len = dims.iter().product();
+    let data = (0..len).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+    Tensor::from_vec(data, dims.to_vec()).unwrap()
+}
+
+/// Swaps the two outer axes of an `a × b × inner` array: the reorder
+/// between the lowering's `(out_c, N·oh·ow)` matrices and NCHW.
+fn swap_outer(t: &[f32], a: usize, b: usize, inner: usize) -> Vec<f32> {
+    let mut out = vec![0.0; t.len()];
+    for i in 0..a {
+        for j in 0..b {
+            out[(j * a + i) * inner..][..inner].copy_from_slice(&t[(i * b + j) * inner..][..inner]);
+        }
+    }
+    out
+}
+
+/// Forward, dW and dX through the im2col lowering.
+fn lowered(case: &Case, x: &Tensor, w: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
+    let geom = case.geom();
+    let (oh, ow) = geom.out_hw();
+    let sites = case.n * oh * ow;
+    let cols = x.im2col(&geom).unwrap();
+    let fwd = w.matmul(&cols).unwrap();
+    let dy2 = swap_outer(dy.data(), case.n, case.oc, oh * ow);
+    let dy2 = Tensor::from_vec(dy2, [case.oc, sites]).unwrap();
+    let dw = dy2.matmul_nt(&cols).unwrap();
+    let dx = w.matmul_tn(&dy2).unwrap();
+    let dx = dx.col2im(&geom, case.n, case.c).unwrap();
+    [
+        swap_outer(fwd.data(), case.oc, case.n, oh * ow),
+        dw.data().to_vec(),
+        dx.data().to_vec(),
+    ]
+}
+
+/// Forward, dW and dX through the direct kernels.
+fn direct(case: &Case, x: &Tensor, w: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
+    let geom = case.geom();
+    [
+        x.conv2d(w, &geom).unwrap().data().to_vec(),
+        dy.conv2d_grad_weight(x, &geom).unwrap().data().to_vec(),
+        dy.conv2d_grad_input(w, &geom).unwrap().data().to_vec(),
+    ]
+}
+
+/// Checks every kernel of `case` against the lowering, under both GEMM
+/// kernels and 1–4 threads. NaNs compare equal to each other (their
+/// payload bits are not part of the contract); everything else to the bit.
+fn check(case: &Case, x: &Tensor, w: &Tensor, dy: &Tensor) {
+    for kernel in [GemmKernel::Scalar, GemmKernel::Avx2Fma] {
+        force_gemm_kernel(Some(kernel));
+        set_gemm_threads(Some(1));
+        let want = lowered(case, x, w, dy);
+        for threads in 1..=4 {
+            set_gemm_threads(Some(threads));
+            let got = direct(case, x, w, dy);
+            for (what, (g, w)) in ["forward", "dW", "dX"].iter().zip(got.iter().zip(&want)) {
+                assert_eq!(g.len(), w.len(), "{case:?} {what}");
+                for (i, (&gv, &wv)) in g.iter().zip(w).enumerate() {
+                    assert!(
+                        gv.to_bits() == wv.to_bits() || (gv.is_nan() && wv.is_nan()),
+                        "{case:?} {} threads={threads} {what} idx {i}: {gv:e} vs {wv:e}",
+                        kernel.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// [`check`] on seeded operands.
+fn check_seeded(case: &Case, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (oh, ow) = case.geom().out_hw();
+    let x = seeded(&[case.n, case.c, case.h, case.w], &mut rng);
+    let w = seeded(&[case.oc, case.c * case.k * case.k], &mut rng);
+    let dy = seeded(&[case.n, case.oc, oh, ow], &mut rng);
+    check(case, &x, &w, &dy);
+}
+
+#[test]
+fn seeded_geometries_match_the_im2col_lowering_bitwise() {
+    let _g = lock_overrides();
+    let mut rng = StdRng::seed_from_u64(0xC0_4E);
+    let mut checked = 0;
+    while checked < 48 {
+        let mut draw = |lo: usize, hi: usize| rng.gen_range(lo..hi);
+        let k = [1, 3, 5][draw(0, 3)];
+        let case = Case {
+            n: draw(1, 6),
+            c: draw(1, 41),
+            oc: draw(1, 41),
+            h: draw(1, 10),
+            w: draw(1, 10),
+            k,
+            s: draw(1, 4),
+            p: draw(0, 3),
+        };
+        // Keep the geometry valid and the unoptimized test build quick.
+        if k > case.h + 2 * case.p || k > case.w + 2 * case.p || case.flops() > 400_000 {
+            continue;
+        }
+        check_seeded(&case, checked);
+        checked += 1;
+    }
+}
+
+#[test]
+fn layer_shapes_match_the_im2col_lowering_bitwise() {
+    let _g = lock_overrides();
+    let case = |n, c, oc, hw, k, s, p| Case {
+        n,
+        c,
+        oc,
+        h: hw,
+        w: hw,
+        k,
+        s,
+        p,
+    };
+    let cases = [
+        // ResNet stem, stride-1 stage conv (over the parallel threshold,
+        // 4096 dW sites) and stride-2 transition with its 1×1 shortcut.
+        case(2, 3, 8, 8, 3, 1, 1),
+        case(64, 8, 8, 8, 3, 1, 1),
+        case(4, 8, 16, 8, 3, 2, 1),
+        case(4, 8, 16, 8, 1, 2, 0),
+        // 2×2 spatial, where most taps are padding.
+        case(4, 16, 16, 2, 3, 1, 1),
+        // VGG's 32-channel 3×3 conv: 288 taps, two reduction blocks, and
+        // over the parallel threshold.
+        case(4, 32, 32, 8, 3, 1, 1),
+        // MobileNet's 16→64 pointwise conv.
+        case(4, 16, 64, 4, 1, 1, 0),
+        // 5×5 kernel with 275 taps; stride 3 over a 1×1 kernel.
+        case(2, 11, 5, 5, 5, 1, 2),
+        case(2, 3, 4, 7, 1, 3, 1),
+        // More output channels than one reduction block (dX chains).
+        case(1, 2, 260, 3, 3, 1, 1),
+        // Empty batch.
+        case(0, 3, 4, 5, 3, 1, 1),
+    ];
+    for (i, c) in cases.iter().enumerate() {
+        check_seeded(c, 100 + i as u64);
+    }
+}
+
+#[test]
+fn non_finite_values_meet_padding_as_zeros() {
+    // The lowering multiplies padding in as zeros, so an infinite weight
+    // or output gradient meeting padding yields NaN; a kernel that skipped
+    // padding taps would report ±inf or a finite value there instead. dX
+    // must also keep the NaNs its junk grid lanes compute (inf · 0) out of
+    // real pixels.
+    let _g = lock_overrides();
+    let case = Case {
+        n: 2,
+        c: 2,
+        oc: 3,
+        h: 5,
+        w: 5,
+        k: 3,
+        s: 1,
+        p: 1,
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    let x = seeded(&[2, 2, 5, 5], &mut rng);
+    let mut w = seeded(&[3, 18], &mut rng);
+    // Tap (0, 0, 0) of output channel 0 reads padding along the top row
+    // and the left column.
+    w.data_mut()[0] = f32::INFINITY;
+    let mut dy = seeded(&[2, 3, 5, 5], &mut rng);
+    // Site (0, 0) of image 0, channel 0 reads padding on five taps.
+    dy.data_mut()[0] = f32::INFINITY;
+    check(&case, &x, &w, &dy);
+}
+
+#[test]
+fn kernels_validate_shapes() {
+    let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
+    let x = Tensor::zeros([1, 2, 4, 4]);
+    // Weight columns must be C·k·k = 18; input must be 4-D and match geom.
+    assert!(x.conv2d(&Tensor::zeros([3, 17]), &geom).is_err());
+    assert!(x.conv2d(&Tensor::zeros([18]), &geom).is_err());
+    let w = Tensor::zeros([3, 18]);
+    assert!(Tensor::zeros([2, 4, 4]).conv2d(&w, &geom).is_err());
+    assert!(Tensor::zeros([1, 2, 5, 5]).conv2d(&w, &geom).is_err());
+    // Output gradients must be (N, out_c, oh, ow) for the input's batch
+    // and the weights' channel count.
+    let dy = Tensor::zeros([1, 3, 4, 4]);
+    assert!(dy.conv2d_grad_weight(&x, &geom).is_ok());
+    assert!(Tensor::zeros([2, 3, 4, 4])
+        .conv2d_grad_weight(&x, &geom)
+        .is_err());
+    assert!(Tensor::zeros([1, 3, 3, 4])
+        .conv2d_grad_weight(&x, &geom)
+        .is_err());
+    assert!(dy.conv2d_grad_input(&w, &geom).is_ok());
+    assert!(dy
+        .conv2d_grad_input(&Tensor::zeros([4, 18]), &geom)
+        .is_err());
+    assert!(dy
+        .conv2d_grad_input(&Tensor::zeros([3, 17]), &geom)
+        .is_err());
+    assert!(Tensor::zeros([3, 4, 4])
+        .conv2d_grad_input(&w, &geom)
+        .is_err());
+}

@@ -20,13 +20,12 @@
 //! * **Parallel vs serial — bitwise, any thread count.** Worker chunk
 //!   boundaries are NR-aligned C column ranges; every element's summation
 //!   order is the serial order regardless of which worker owns it.
-//! * **Fused im2col vs materialized — bitwise.** The packing loop samples
-//!   the same values `im2col` writes (padding included), in the same
-//!   reduction order.
+//!
+//! The convolution kernels' bitwise contract against the im2col lowering
+//! lives in `conv_kernels.rs`.
 
 use hero_tensor::{
-    force_gemm_kernel, gemm_pool_stats, matmul_reference, set_gemm_threads, ConvGeometry,
-    GemmKernel, Tensor,
+    force_gemm_kernel, gemm_pool_stats, matmul_reference, set_gemm_threads, GemmKernel, Tensor,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -171,53 +170,6 @@ fn parallel_macro_kernel_is_bitwise_equal_to_serial() {
         !gemm_pool_stats().is_empty(),
         "parallel path never engaged the worker pool"
     );
-}
-
-#[test]
-fn fused_im2col_is_bitwise_equal_to_materialized_for_both_kernels() {
-    let _g = lock_overrides();
-    let x = Tensor::from_fn([2, 3, 8, 8], |i| {
-        (((i[0] * 29 + i[1] * 17 + i[2] * 5 + i[3] * 3) % 19) as f32 - 9.5) / 6.0
-    });
-    for kernel in [GemmKernel::Scalar, GemmKernel::Avx2Fma] {
-        force_gemm_kernel(Some(kernel));
-        for geom in [
-            ConvGeometry::new(8, 8, 3, 1, 1).unwrap(),
-            ConvGeometry::new(8, 8, 3, 2, 1).unwrap(),
-            ConvGeometry::new(8, 8, 1, 1, 0).unwrap(),
-        ] {
-            let cols = x.im2col(&geom).unwrap();
-            let w = fill([5, cols.dims()[0]], 7);
-            let fused = w.matmul_im2col(&x, &geom).unwrap();
-            let materialized = w.matmul(&cols).unwrap();
-            for (i, (&f, &mv)) in fused.data().iter().zip(materialized.data()).enumerate() {
-                assert_eq!(
-                    f.to_bits(),
-                    mv.to_bits(),
-                    "{} fwd k={} idx {i}",
-                    kernel.name(),
-                    geom.kernel
-                );
-            }
-            let dy = fill([5, cols.dims()[1]], 8);
-            let fused_dw = dy.matmul_nt_im2col(&x, &geom).unwrap();
-            let materialized_dw = dy.matmul_nt(&cols).unwrap();
-            for (i, (&f, &mv)) in fused_dw
-                .data()
-                .iter()
-                .zip(materialized_dw.data())
-                .enumerate()
-            {
-                assert_eq!(
-                    f.to_bits(),
-                    mv.to_bits(),
-                    "{} dW k={} idx {i}",
-                    kernel.name(),
-                    geom.kernel
-                );
-            }
-        }
-    }
 }
 
 #[test]

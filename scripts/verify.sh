@@ -144,17 +144,22 @@ echo "==> GEMM kernel sweep (gemm_shapes --quick, GFLOP/s per variant)"
 HERO_BENCH_OUT="$PWD/results/BENCH_gemm.json" \
   cargo bench -p hero-bench --bench gemm_shapes -- --quick
 # Tabulate GFLOP/s per shape across kernel variants (reference / scalar /
-# avx2fma) into a diff-friendly artifact so CI surfaces SIMD speedups —
+# avx2fma), then per preset conv layer across the direct kernels (forward
+# / dW / dX), into a diff-friendly artifact so CI surfaces SIMD speedups —
 # and regressions — next to the raw JSON.
 awk -F'"' '
   /"name"/ {
     name = $4
     gf = $0; sub(/.*"gflops": /, "", gf); sub(/[,}].*/, "", gf)
-    variant = "single"
-    if (sub(/_reference$/, "", name)) variant = "reference"
+    if (sub(/_fwd$/, "", name)) variant = "fwd"
+    else if (sub(/_dw$/, "", name)) variant = "dw"
+    else if (sub(/_dx$/, "", name)) variant = "dx"
+    else if (sub(/_reference$/, "", name)) variant = "reference"
     else if (sub(/_scalar$/, "", name)) variant = "scalar"
     else if (sub(/_avx2fma$/, "", name)) variant = "avx2fma"
-    if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
+    else variant = "single"
+    if (variant == "fwd") convs[++nc] = name
+    else if (variant != "dw" && variant != "dx" && !(name in seen)) { order[++n] = name; seen[name] = 1 }
     gflops[name "/" variant] = gf
   }
   END {
@@ -167,6 +172,11 @@ awk -F'"' '
       } else {
         printf "%-34s %10.2f %10.2f %10.2f %7.2fx\n", s, ref, sc, sx, sx / sc
       }
+    }
+    printf "\n%-34s %10s %10s %10s\n", "direct conv kernel", "forward", "dW", "dX"
+    for (i = 1; i <= nc; i++) {
+      s = convs[i]
+      printf "%-34s %10.2f %10.2f %10.2f\n", s, gflops[s "/fwd"], gflops[s "/dw"], gflops[s "/dx"]
     }
   }
 ' results/BENCH_gemm.json > results/BENCH_gemm_gflops.txt
