@@ -143,7 +143,7 @@ impl Graph {
                 } else {
                     uniform
                 };
-                let p = softmax.data()[row * classes + k].max(1e-12);
+                let p = crate::ops_nn::clamp_prob(softmax.data()[row * classes + k]);
                 loss -= q * p.ln();
             }
         }

@@ -216,7 +216,7 @@ impl Graph {
         let softmax = lv.softmax_rows()?;
         let mut loss = 0.0;
         for (row, &label) in labels.iter().enumerate() {
-            let p = softmax.data()[row * classes + label].max(1e-12);
+            let p = clamp_prob(softmax.data()[row * classes + label]);
             loss -= p.ln();
         }
         loss /= batch as f32;
@@ -509,6 +509,18 @@ fn depthwise_backward(
         }
     }
     Ok((dx, dw))
+}
+
+/// Clamps a softmax probability away from zero before the loss takes
+/// its log. NaN passes through: a diverged forward must surface as a
+/// non-finite loss, not as the clamp's finite ceiling (`f32::max` would
+/// otherwise return the `1e-12` floor for a NaN probability).
+pub(crate) fn clamp_prob(p: f32) -> f32 {
+    if p.is_nan() {
+        p
+    } else {
+        p.max(1e-12)
+    }
 }
 
 #[cfg(test)]

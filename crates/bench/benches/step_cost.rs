@@ -106,7 +106,7 @@ fn main() {
     }
 
     // Anchor at the workspace root so `cargo bench` (which runs with the
-    // package dir as CWD) writes next to the repro_* outputs.
+    // package dir as CWD) writes next to the `hero repro` outputs.
     let out = bench_out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/BENCH_step.json"

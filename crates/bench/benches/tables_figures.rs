@@ -1,6 +1,6 @@
 //! One bench per paper table/figure, each timing a scaled-down cell of the
-//! corresponding experiment (the full-scale reproductions are the `repro_*`
-//! binaries; these benches keep the per-experiment machinery measured and
+//! corresponding experiment (the full-scale reproductions are the `hero
+//! repro` targets; these benches keep the per-experiment machinery measured and
 //! exercised under `cargo bench`).
 
 use hero_bench::timing::{default_budget, time_op};

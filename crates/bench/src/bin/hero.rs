@@ -1,14 +1,14 @@
 //! `hero` — command-line front end for the HERO reproduction.
 //!
 //! ```text
-//! hero train     --preset c10 --model resnet --method hero --epochs 30 [--out net.ckpt]
+//! hero train     --preset c10 --model resnet --method hero --epochs 30
 //!                [--save model.ha] [--checkpoint ckpt.ha --checkpoint-every 5]
 //!                [--resume ckpt.ha] [--git-rev REV] [--golden-recipe golden.ha]
-//! hero quantize  --preset c10 --model resnet (--ckpt net.ckpt | --artifact model.ha)
+//! hero quantize  --preset c10 (--artifact model.ha | --model resnet --method hero)
 //!                --bits 3,4,6,8 [--mixed 5.0 [--sens static|proxy]]
 //!                [--save quantized.ha [--save-bits 4]]
-//! hero analyze   --preset c10 --model resnet --ckpt net.ckpt
-//! hero preflight --preset c10 --model resnet [--artifact model.ha [--stamp model.ha]]
+//! hero analyze   --preset c10 (--artifact model.ha | --model resnet --method hero)
+//! hero preflight --preset c10 (--artifact model.ha [--stamp model.ha] | --model resnet)
 //!                [--bits 3,4,8] [--noise-bits 4 | --mixed 4.0] [--budget 0.5]
 //!                [--out-dir results/analyze]
 //! hero noise-crosscheck --preset c10 --models resnet,mobilenet,vgg
@@ -18,14 +18,16 @@
 //!                [--artifact model.ha] [--steps 10] [--probes 4]
 //!                [--out results/SPECTRUM_run.json]
 //! hero artifact inspect --path model.ha
+//! hero repro     <table1|table2|table3|fig1|fig2|fig3|c10-row> [--fast]
+//!                [--artifact-dir DIR]
 //! ```
 //!
-//! `train` trains and optionally checkpoints a model; `quantize` sweeps
-//! post-training precision on a checkpoint (or a uniform/mixed allocation,
+//! `train` trains a model and optionally saves it; `quantize` sweeps
+//! post-training precision on a model (or a uniform/mixed allocation,
 //! with the sensitivity source selectable between the certified static
 //! noise matrix and the size/range proxy); `analyze` reports curvature
 //! (λ_max via Lanczos, ‖Hz‖) and the Theorem 3 robustness bounds at the
-//! checkpoint; `preflight` runs the static analyzer suite (structure,
+//! model's weights; `preflight` runs the static analyzer suite (structure,
 //! shapes, liveness, value intervals, gradient-scale bounds, and — with
 //! `--noise-bits`/`--mixed` — the quantization-noise domain) over the
 //! model's tape without training and writes the report plus an
@@ -39,86 +41,62 @@
 //! density + per-layer Hutchinson-trace probe of the final weights,
 //! cross-checks the empirical trace ranking against the certified static
 //! sensitivity matrix (Spearman), prints an ASCII density plot, and
-//! writes one comparison artifact.
+//! writes one comparison artifact; `repro` regenerates one table or
+//! figure of the paper's evaluation (`--fast` selects the smoke scale).
 //!
-//! The `--save`/`--artifact` family speaks the versioned deterministic
-//! model-artifact format (`hero-artifact`): `train --save` captures the
-//! trained weights, batch-norm state, full config and training history in
-//! one byte-reproducible file, `--checkpoint`/`--resume` make runs
+//! The only model file is the versioned deterministic model artifact
+//! (`hero-artifact`, `.ha`): `train --save` captures the trained weights,
+//! batch-norm state, full config and training history in one
+//! byte-reproducible file, `--checkpoint`/`--resume` make runs
 //! interruptible without perturbing a single bit of the final result, and
-//! `preflight --artifact` / `quantize --artifact` / `spectrum --artifact`
-//! re-analyze a saved model without retraining. `artifact inspect` prints
-//! a human summary of any artifact file.
+//! `quantize`/`analyze`/`preflight`/`spectrum --artifact` re-analyze a
+//! saved model without retraining. `artifact inspect` prints a human
+//! summary of any artifact file.
+//!
+//! Every subcommand declares its flags in one table (name, whether the
+//! flag takes a value, default). Parsing rejects unknown, duplicate and
+//! valueless flags and stray arguments, so a typo fails loudly instead of
+//! running with a default.
 
 use hero_artifact::{Artifact, MetaValue, QuantEntry};
-use hero_core::experiment::{model_config, MethodKind};
+use hero_core::experiment::{
+    fig1_bits, model_config, quant_sweep, run_fig2, run_fig3, run_table1, run_table1_cached,
+    run_table2, run_table3, table1_matrix, MethodKind, Scale,
+};
+use hero_core::report::{
+    render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
+};
 use hero_core::{
     attach_quant, golden_recipe, load_artifact, network_from_artifact, record_from_artifact,
     resume_from_artifact, save_artifact, train, train_to_artifact, ModelSpec, NoiseConfig, RunMeta,
     TrainConfig, TrainRecord,
 };
-use hero_data::Preset;
+use hero_data::{Dataset, Preset};
 use hero_hessian::{
     hessian_norm_probe, lanczos_spectrum, layer_traces, slq_density, spearman_rank_checked,
     BoundInputs, GradOracle, SlqConfig,
 };
 use hero_nn::models::ModelKind;
-use hero_nn::{evaluate_accuracy, load_params_from_file, save_params_to_file, Network};
+use hero_nn::{evaluate_accuracy, Network};
+use hero_obs::json::{array_lines, escape, num, JsonObj};
 use hero_optim::BatchOracle;
 use hero_quant::{
     allocate_bits, network_sensitivities, quantize_params, quantize_params_mixed, quantize_tensor,
     QuantScheme,
 };
 use hero_tensor::rng::StdRng;
-use hero_tensor::{global_norm_l1, global_norm_l2};
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use hero_tensor::{global_norm_l1, global_norm_l2, Tensor};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// Every subcommand's failure type: flag errors, tensor and artifact
+/// errors and I/O errors all surface as one `error: ...` line.
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    // `artifact` takes a subcommand word before its flags; fold it into
-    // the command name so the flag parser only ever sees `--key value`.
-    let (cmd, rest): (&str, &[String]) = if cmd == "artifact" {
-        match rest.split_first() {
-            Some((sub, tail)) if sub == "inspect" => ("artifact-inspect", tail),
-            _ => {
-                eprintln!("error: `hero artifact` supports `inspect --path FILE`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        (cmd.as_str(), rest)
-    };
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    hero_obs::init_from_env(&format!("hero_{cmd}"));
-    let result = match cmd {
-        "train" => cmd_train(&opts),
-        "quantize" => cmd_quantize(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "preflight" => cmd_preflight(&opts),
-        "noise-crosscheck" => cmd_noise_crosscheck(&opts),
-        "spectrum" => cmd_spectrum(&opts),
-        "artifact-inspect" => cmd_artifact_inspect(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
-    hero_obs::finish();
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -127,159 +105,448 @@ fn main() -> ExitCode {
     }
 }
 
+/// Resolves the subcommand, parses its flags against its table, and runs
+/// it inside an obs run named after it.
+fn run(args: &[String]) -> CliResult {
+    let (name, rest) = args
+        .split_first()
+        .ok_or_else(|| format!("no command given\n\n{USAGE}"))?;
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`\n\n{USAGE}"))?;
+    // `artifact` and `repro` name one word (a subcommand or a target)
+    // before their flags.
+    let (word, flags) = if cmd.words.is_empty() {
+        (None, rest)
+    } else {
+        let first = rest.first().map_or("", String::as_str);
+        let word = cmd.words.iter().find(|w| **w == first).ok_or_else(|| {
+            let expected = cmd.words.join("|");
+            match first {
+                "" => format!("hero {name}: expected one of {expected}"),
+                _ => format!("hero {name}: unknown `{first}` (expected one of {expected})"),
+            }
+        })?;
+        (Some(*word), &rest[1..])
+    };
+    let opts = Opts::parse(cmd.name, word, cmd.flags, flags)?;
+    // Repro runs keep their `repro_<target>` trace file names.
+    let run_name = match word {
+        Some(t) if cmd.name == "repro" => format!("repro_{}", t.replace('-', "_")),
+        Some(w) => format!("hero_{name}-{w}"),
+        None => format!("hero_{name}"),
+    };
+    hero_obs::init_from_env(&run_name);
+    let result = (cmd.run)(&opts);
+    hero_obs::finish();
+    result
+}
+
 const USAGE: &str = "\
 hero — HERO (DAC 2022) reproduction CLI
 
 USAGE:
   hero train    --preset <c10|c100|in50> --model <resnet|mobilenet|vgg>
                 --method <hero|sam|gradl1|sgd> [--epochs N] [--scale F]
-                [--seed N] [--out FILE] [--save FILE.ha] [--git-rev REV]
+                [--seed N] [--save FILE.ha] [--git-rev REV]
                 [--checkpoint FILE.ha [--checkpoint-every N]]
                 [--resume FILE.ha] [--golden-recipe FILE.ha]
-  hero quantize --preset ... --model ...
-                (--ckpt FILE | --artifact FILE.ha | --method ... [--epochs N])
+  hero quantize --preset ... [--scale F]
+                (--artifact FILE.ha | --model ... --method ... [--epochs N] [--seed N])
                 [--bits 3,4,6,8] [--mixed AVG_BITS [--sens static|proxy]]
                 [--save FILE.ha [--save-bits N]]
-  hero analyze  --preset ... --model ... (--ckpt FILE | --method ... [--epochs N])
-  hero preflight --preset ... --model ... [--ckpt FILE] [--scale F] [--seed N]
-                 [--artifact FILE.ha [--stamp FILE.ha]]
+  hero analyze  --preset ... [--scale F]
+                (--artifact FILE.ha | --model ... --method ... [--epochs N] [--seed N])
+  hero preflight --preset ... [--scale F]
+                 (--artifact FILE.ha [--stamp FILE.ha] | --model ... [--seed N])
                  [--bits 3,4,8] [--noise-bits N | --mixed AVG_BITS]
                  [--budget F] [--out-dir DIR]
   hero noise-crosscheck --preset ... [--models resnet,mobilenet,vgg]
-                 [--bits 2,4,8] [--trials N] [--epochs N] [--scale F]
+                 [--bits 2,4,8] [--trials N] [--epochs N] [--scale F] [--seed N]
                  [--avg AVG_BITS] [--min-overlap F] [--out FILE]
                  [--tightness FILE]
   hero spectrum  --preset ... --model ... [--methods sgd,hero] [--epochs N]
                  [--artifact FILE.ha] [--scale F] [--seed N] [--steps N]
                  [--probes N] [--bits N] [--spectrum-every N] [--out FILE]
   hero artifact inspect --path FILE.ha
+  hero repro    <table1|table2|table3|fig1|fig2|fig3|c10-row> [--fast]
+                [--artifact-dir DIR]   (c10-row only)
 
-Artifact-format notes: `--save`/`--checkpoint` write the versioned
-deterministic model-artifact format (see DESIGN.md §16); `--resume`
-continues a checkpoint bit-exactly (pass the original --preset/--scale so
-the datasets match); `--golden-recipe` trains the fixed smoke recipe
-behind the committed golden artifact and writes it to FILE.ha.";
+Model files are versioned deterministic artifacts (see DESIGN.md §16):
+`--save`/`--checkpoint` write them, `--artifact` reads one in place of
+training; `--resume` continues a checkpoint bit-exactly (pass the original
+--preset/--scale so the datasets match); `--golden-recipe` trains the fixed
+smoke recipe behind the committed golden artifact and writes it to FILE.ha.
+Unknown, repeated or valueless flags are errors.";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
-        };
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), value.clone());
-    }
-    Ok(out)
+// --- declared flags -------------------------------------------------------
+
+/// One subcommand: its name, the leading words it accepts (`artifact
+/// inspect`, `repro <target>`; empty when the flags follow the name), its
+/// flag table and its body.
+///
+/// `flags` declares every accepted flag, space-separated: `name=default`
+/// takes a value with that default, `name=` takes a value and has no
+/// default, and a bare `name` is a switch.
+struct Command {
+    name: &'static str,
+    words: &'static [&'static str],
+    flags: &'static str,
+    run: fn(&Opts) -> CliResult,
 }
 
-fn preset_of(opts: &HashMap<String, String>) -> Result<Preset, String> {
-    match opts.get("preset").map(String::as_str) {
-        Some("c10") | None => Ok(Preset::C10),
-        Some("c100") => Ok(Preset::C100),
-        Some("in50") => Ok(Preset::In50),
-        Some(other) => Err(format!("unknown preset `{other}`")),
-    }
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "train",
+        words: &[],
+        flags: "preset=c10 model=resnet method=hero epochs=20 scale=0.5 seed=42 save= \
+                git-rev= checkpoint= checkpoint-every=1 resume= golden-recipe=",
+        run: cmd_train,
+    },
+    Command {
+        name: "quantize",
+        words: &[],
+        flags: "preset=c10 model=resnet method=hero epochs=20 scale=0.5 seed=42 artifact= \
+                bits=3,4,6,8 mixed= sens=static save= save-bits=",
+        run: cmd_quantize,
+    },
+    Command {
+        name: "analyze",
+        words: &[],
+        flags: "preset=c10 model=resnet method=hero epochs=20 scale=0.5 seed=42 artifact=",
+        run: cmd_analyze,
+    },
+    Command {
+        name: "preflight",
+        words: &[],
+        flags: "preset=c10 model=resnet scale=0.5 seed=42 artifact= stamp= bits=3,4,8 \
+                noise-bits= mixed= budget= out-dir=results/analyze",
+        run: cmd_preflight,
+    },
+    Command {
+        name: "noise-crosscheck",
+        words: &[],
+        flags: "preset=c10 models=resnet,mobilenet,vgg scale=0.25 seed=42 epochs=3 trials=2 \
+                bits=2,4,8 avg=4.0 min-overlap=0.0 \
+                out=results/analyze/noise_crosscheck.json tightness=",
+        run: cmd_noise_crosscheck,
+    },
+    Command {
+        name: "spectrum",
+        words: &[],
+        flags: "preset=c10 model=resnet methods=sgd,hero artifact= scale=0.25 seed=42 \
+                epochs=3 steps=10 probes=4 bits=4 spectrum-every=1 out=",
+        run: cmd_spectrum,
+    },
+    Command {
+        name: "artifact",
+        words: &["inspect"],
+        flags: "path=",
+        run: cmd_artifact_inspect,
+    },
+    Command {
+        name: "repro",
+        words: &[
+            "table1", "table2", "table3", "fig1", "fig2", "fig3", "c10-row",
+        ],
+        flags: "fast artifact-dir=",
+        run: cmd_repro,
+    },
+];
+
+/// Name → value tables for the enum-valued flags.
+const PRESETS: &[(&str, Preset)] = &[
+    ("c10", Preset::C10),
+    ("c100", Preset::C100),
+    ("in50", Preset::In50),
+];
+const MODELS: &[(&str, ModelKind)] = &[
+    ("resnet", ModelKind::Resnet),
+    ("mobilenet", ModelKind::Mobilenet),
+    ("vgg", ModelKind::Vgg),
+];
+const METHODS: &[(&str, MethodKind)] = &[
+    ("hero", MethodKind::Hero),
+    ("sam", MethodKind::FirstOrder),
+    ("first-order", MethodKind::FirstOrder),
+    ("gradl1", MethodKind::GradL1),
+    ("sgd", MethodKind::Sgd),
+];
+
+/// One subcommand's parsed command line, checked against its table.
+struct Opts {
+    cmd: &'static str,
+    /// The leading word, for commands that take one.
+    word: Option<&'static str>,
+    flags: &'static str,
+    /// Flags given on the command line, in order (switches map to "").
+    given: Vec<(&'static str, String)>,
 }
 
-fn model_of(opts: &HashMap<String, String>) -> Result<ModelKind, String> {
-    match opts.get("model").map(String::as_str) {
-        Some("resnet") | None => Ok(ModelKind::Resnet),
-        Some("mobilenet") => Ok(ModelKind::Mobilenet),
-        Some("vgg") => Ok(ModelKind::Vgg),
-        Some(other) => Err(format!("unknown model `{other}`")),
-    }
-}
-
-fn method_of(opts: &HashMap<String, String>) -> Result<MethodKind, String> {
-    match opts.get("method").map(String::as_str) {
-        Some("hero") | None => Ok(MethodKind::Hero),
-        Some("sam") | Some("first-order") => Ok(MethodKind::FirstOrder),
-        Some("gradl1") => Ok(MethodKind::GradL1),
-        Some("sgd") => Ok(MethodKind::Sgd),
-        Some(other) => Err(format!("unknown method `{other}`")),
-    }
-}
-
-fn parse_bits(arg: &str, flag: &str) -> Result<Vec<u8>, String> {
-    arg.split(',')
-        .map(|token| {
-            token
-                .trim()
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{token}`"))
+impl Opts {
+    fn parse(
+        cmd: &'static str,
+        word: Option<&'static str>,
+        flags: &'static str,
+        args: &[String],
+    ) -> Result<Self, String> {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("hero {cmd}: unexpected argument `{arg}`"));
+            };
+            let decl = flags
+                .split_whitespace()
+                .find(|d| d.split('=').next() == Some(key))
+                .ok_or_else(|| format!("hero {cmd}: unknown flag `--{key}`"))?;
+            let name = decl.split('=').next().unwrap_or(decl);
+            if given.iter().any(|(n, _)| *n == name) {
+                return Err(format!("hero {cmd}: `--{name}` given more than once"));
+            }
+            let value = if decl.contains('=') {
+                it.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("hero {cmd}: `--{name}` needs a value"))?
+                    .clone()
+            } else {
+                String::new()
+            };
+            given.push((name, value));
+        }
+        Ok(Opts {
+            cmd,
+            word,
+            flags,
+            given,
         })
-        .collect()
-}
+    }
 
-fn num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse `{v}`")),
+    /// True when `--name` was given on the command line.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The flag's given value, else its declared default.
+    fn get(&self, name: &str) -> Option<&str> {
+        match self.given.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => Some(v),
+            None => self
+                .flags
+                .split_whitespace()
+                .find_map(|d| d.split_once('=').filter(|(n, _)| *n == name))
+                .map(|(_, default)| default)
+                .filter(|default| !default.is_empty()),
+        }
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.get(name).map(PathBuf::from)
+    }
+
+    /// Parses the flag's value, if it has one.
+    fn opt_num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("hero {}: --{name}: cannot parse `{v}`", self.cmd))
+            })
+            .transpose()
+    }
+
+    /// Parses the flag's value, which must have one (given or default).
+    fn num<T: FromStr>(&self, name: &str) -> Result<T, String> {
+        self.opt_num(name)?
+            .ok_or_else(|| format!("hero {}: --{name} is required", self.cmd))
+    }
+
+    /// Parses each comma-separated item of the flag's value.
+    fn list<T>(&self, name: &str, item: impl Fn(&str) -> Option<T>) -> Result<Vec<T>, String> {
+        let list = self.get(name).unwrap_or_default();
+        list.split(',')
+            .map(|t| {
+                item(t.trim())
+                    .ok_or_else(|| format!("hero {}: --{name}: invalid value `{t}`", self.cmd))
+            })
+            .collect()
+    }
+
+    /// Parses a comma-separated list of bit widths.
+    fn bits(&self, name: &str) -> Result<Vec<u8>, String> {
+        self.list(name, |t| t.parse().ok())
+    }
+
+    /// Maps each comma-separated name of the flag's value through `table`.
+    fn names<T: Copy>(&self, name: &str, table: &[(&str, T)]) -> Result<Vec<T>, String> {
+        self.list(name, |t| {
+            table.iter().find(|(n, _)| *n == t).map(|&(_, v)| v)
+        })
+    }
+
+    /// Maps the flag's single value through `table`.
+    fn one<T: Copy>(&self, name: &str, table: &[(&str, T)]) -> Result<T, String> {
+        match self.names(name, table)?[..] {
+            [v] => Ok(v),
+            _ => Err(format!("hero {}: --{name} takes one value", self.cmd)),
+        }
     }
 }
 
-/// Obtains a trained network: from a checkpoint if `--ckpt` is given,
-/// otherwise by training with `--method` for `--epochs`.
-fn obtain_model(
-    opts: &HashMap<String, String>,
-) -> Result<(Network, Preset, hero_data::Dataset, hero_data::Dataset), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.5)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let (train_set, test_set) = preset.load(scale);
+// --- model sources --------------------------------------------------------
+
+/// What `quantize`, `analyze` and `preflight` work on: the `--preset`
+/// datasets at `--scale`, and a model.
+struct Source {
+    net: Network,
+    /// The artifact the model was loaded from, if any.
+    artifact: Option<Artifact>,
+    preset: Preset,
+    train_set: Dataset,
+    test_set: Dataset,
+}
+
+/// Loads the datasets and the model: the saved `--artifact`, or else a
+/// fresh `--model` initialised from `--seed` and, when `trained`, trained
+/// with `--method` for `--epochs`.
+fn model_source(o: &Opts, trained: bool) -> CliResult<Source> {
+    // The artifact fixes the architecture, weights and training history,
+    // so the flags that would pick them cannot apply.
+    if o.has("artifact") {
+        if let Some(flag) = ["model", "method", "epochs", "seed"]
+            .into_iter()
+            .find(|f| o.has(f))
+        {
+            return Err(format!(
+                "hero {}: --{flag} cannot be combined with --artifact (the model comes from the file)",
+                o.cmd
+            )
+            .into());
+        }
+    }
+    let preset = o.one("preset", PRESETS)?;
+    let (train_set, test_set) = preset.load(o.num("scale")?);
+    let (net, artifact) = match o.get("artifact") {
+        Some(path) => {
+            let art = load_artifact(path)?;
+            let net = network_from_artifact(&art)?;
+            hero_obs::Event::new("artifact_loaded")
+                .str("path", path)
+                .human(format!("loaded artifact {path}"))
+                .emit();
+            (net, Some(art))
+        }
+        None if trained => (
+            train_fresh(o, preset, &train_set, &test_set, 0, None)?.0,
+            None,
+        ),
+        None => {
+            let model = o.one("model", MODELS)?;
+            let mut rng = StdRng::seed_from_u64(o.num("seed")?);
+            (model.build(model_config(preset), &mut rng), None)
+        }
+    };
+    Ok(Source {
+        net,
+        artifact,
+        preset,
+        train_set,
+        test_set,
+    })
+}
+
+/// Trains a fresh `--model` with `--method` for `--epochs` from `--seed`
+/// through the artifact pipeline, writing a checkpoint to `ckpt_path`
+/// every `ckpt_every` epochs when a path is given.
+fn train_fresh(
+    o: &Opts,
+    preset: Preset,
+    train_set: &Dataset,
+    test_set: &Dataset,
+    ckpt_every: usize,
+    ckpt_path: Option<&Path>,
+) -> CliResult<(Network, Artifact)> {
+    let model = o.one("model", MODELS)?;
+    let method = o.one("method", METHODS)?;
+    let epochs: usize = o.num("epochs")?;
+    let seed: u64 = o.num("seed")?;
+    hero_obs::Event::new("train_start")
+        .str("model", model.paper_name())
+        .str("method", method.paper_name())
+        .str("preset", preset.paper_name())
+        .u64("epochs", epochs as u64)
+        .human(format!(
+            "training {} with {} for {epochs} epochs on {} ...",
+            model.paper_name(),
+            method.paper_name(),
+            preset.paper_name()
+        ))
+        .emit();
     let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-    if let Some(ckpt) = opts.get("ckpt") {
-        load_params_from_file(&mut net, &PathBuf::from(ckpt)).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("checkpoint_loaded")
-            .str("path", ckpt)
-            .human(format!("loaded checkpoint {ckpt}"))
-            .emit();
-    } else {
-        let method = method_of(opts)?;
-        let epochs: usize = num(opts, "epochs", 20)?;
-        hero_obs::Event::new("train_start")
-            .str("model", model.paper_name())
-            .str("method", method.paper_name())
-            .str("preset", preset.paper_name())
-            .u64("epochs", epochs as u64)
-            .human(format!(
-                "training {} with {} for {epochs} epochs on {} ...",
-                model.paper_name(),
-                method.paper_name(),
-                preset.paper_name()
-            ))
-            .emit();
-        let config = TrainConfig::new(method.tuned(), epochs).with_seed(seed);
-        let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "trained: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-    }
-    Ok((net, preset, train_set, test_set))
+    let meta = RunMeta {
+        model: ModelSpec::Kind(model),
+        model_cfg: model_config(preset),
+        config: TrainConfig::new(method.tuned(), epochs).with_seed(seed),
+        git_rev: o.get("git-rev").unwrap_or("unknown").to_string(),
+        preflight_hash: None,
+    };
+    let (rec, art) =
+        train_to_artifact(&mut net, train_set, test_set, &meta, ckpt_every, ckpt_path)?;
+    report_trained("trained", &rec);
+    Ok((net, art))
 }
 
-fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
+fn report_trained(what: &str, rec: &TrainRecord) {
+    hero_obs::Event::new("train_result")
+        .f64("train_acc", f64::from(rec.final_train_acc))
+        .f64("test_acc", f64::from(rec.final_test_acc))
+        .human(format!(
+            "{what}: train acc {:.2}%, test acc {:.2}%",
+            100.0 * rec.final_train_acc,
+            100.0 * rec.final_test_acc
+        ))
+        .emit();
+}
+
+/// The file stem of a per-model report: `<model>_<preset>`, lowercased.
+fn report_stem(model: &str, preset: Preset) -> String {
+    format!("{model}_{}", preset.paper_name())
+        .to_lowercase()
+        .replace(['/', ' ', '-'], "_")
+}
+
+/// Writes `text` to `path`, creating its parent directory.
+fn write_file(path: &Path, text: &str) -> CliResult {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, text)?;
+    Ok(())
+}
+
+/// The first `n` training samples (all of them if fewer): the probe batch
+/// the analysis subcommands evaluate on.
+fn probe_batch(train_set: &Dataset, n: usize) -> CliResult<(Tensor, &[usize])> {
+    let n = train_set.len().min(n);
+    if n == 0 {
+        return Err("needs at least one training sample".into());
+    }
+    Ok((train_set.images.narrow(0, n)?, &train_set.labels[..n]))
+}
+
+// --- subcommands ----------------------------------------------------------
+
+fn cmd_train(o: &Opts) -> CliResult {
     // The fixed golden-recipe run: shared with the byte-pin regression
     // test and verify.sh, so the three can never disagree on the recipe.
-    if let Some(out) = opts.get("golden-recipe") {
+    if let Some(out) = o.get("golden-recipe") {
         let (train_set, test_set, mut net, meta) = golden_recipe();
-        let (rec, art) = train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)
-            .map_err(|e| e.to_string())?;
-        save_artifact(&art, PathBuf::from(out)).map_err(|e| e.to_string())?;
+        let (rec, art) = train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)?;
+        save_artifact(&art, out)?;
         println!(
             "golden artifact ({} scalars, train acc {:.2}%, test acc {:.2}%) written to {out}",
             art.num_scalars(),
@@ -289,162 +556,85 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let save = opts.get("save").map(PathBuf::from);
-    let ckpt_path = opts.get("checkpoint").map(PathBuf::from);
-    let ckpt_every: usize = num(opts, "checkpoint-every", 1)?;
-
+    let ckpt_path = o.path("checkpoint");
+    let ckpt_every: usize = o.num("checkpoint-every")?;
+    let preset = o.one("preset", PRESETS)?;
+    let (train_set, test_set) = preset.load(o.num("scale")?);
     // Resume a checkpoint artifact: the model, config and trainer state
     // all come from the file; only the datasets are reloaded, so the
     // caller must pass the original --preset/--scale.
-    if let Some(resume) = opts.get("resume") {
-        let preset = preset_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let (train_set, test_set) = preset.load(scale);
-        let art = load_artifact(PathBuf::from(resume)).map_err(|e| e.to_string())?;
-        let (rec, final_art, _net) = resume_from_artifact(
-            &art,
+    let art = if let Some(resume) = o.get("resume") {
+        let (rec, art, _) = resume_from_artifact(
+            &load_artifact(resume)?,
             &train_set,
             &test_set,
             ckpt_every,
             ckpt_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "resumed {resume}: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-        if let Some(out) = &save {
-            save_artifact(&final_art, out).map_err(|e| e.to_string())?;
-            println!("artifact written to {}", out.display());
-        }
-        return Ok(());
-    }
-
-    // Fresh training through the artifact pipeline when any artifact
-    // output is requested.
-    if save.is_some() || ckpt_path.is_some() {
-        let preset = preset_of(opts)?;
-        let model = model_of(opts)?;
-        let method = method_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let seed: u64 = num(opts, "seed", 42)?;
-        let epochs: usize = num(opts, "epochs", 20)?;
-        let (train_set, test_set) = preset.load(scale);
-        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-        let meta = RunMeta {
-            model: ModelSpec::Kind(model),
-            model_cfg: model_config(preset),
-            config: TrainConfig::new(method.tuned(), epochs).with_seed(seed),
-            git_rev: opts
-                .get("git-rev")
-                .cloned()
-                .unwrap_or_else(|| "unknown".into()),
-            preflight_hash: None,
-        };
-        let (rec, art) = train_to_artifact(
-            &mut net,
+        )?;
+        report_trained(&format!("resumed {resume}"), &rec);
+        art
+    } else {
+        train_fresh(
+            o,
+            preset,
             &train_set,
             &test_set,
-            &meta,
             ckpt_every,
             ckpt_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "trained: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-        if let Some(out) = &save {
-            save_artifact(&art, out).map_err(|e| e.to_string())?;
-            println!("artifact written to {}", out.display());
-        }
-        if let Some(out) = opts.get("out") {
-            save_params_to_file(&net, &PathBuf::from(out)).map_err(|e| e.to_string())?;
-        }
-        return Ok(());
-    }
-
-    let (net, _, _, _) = obtain_model(opts)?;
-    if let Some(out) = opts.get("out") {
-        save_params_to_file(&net, &PathBuf::from(out)).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("checkpoint_written")
-            .str("path", out)
-            .human(format!("checkpoint written to {out}"))
-            .emit();
+        )?
+        .1
+    };
+    if let Some(out) = o.get("save") {
+        save_artifact(&art, out)?;
+        println!("artifact written to {out}");
     }
     Ok(())
 }
 
-fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (mut net, mut loaded, train_set, test_set) = if let Some(path) = opts.get("artifact") {
-        let preset = preset_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let (train_set, test_set) = preset.load(scale);
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("artifact_loaded")
-            .str("path", path)
-            .human(format!("loaded artifact {path}"))
-            .emit();
-        (net, Some(art), train_set, test_set)
-    } else {
-        let (net, _, train_set, test_set) = obtain_model(opts)?;
-        (net, None, train_set, test_set)
-    };
+fn cmd_quantize(o: &Opts) -> CliResult {
+    if o.has("save") && !o.has("artifact") {
+        return Err("hero quantize: --save needs --artifact (a model artifact to quantize)".into());
+    }
+    let bits = o.bits("bits")?;
+    let save_bits: u8 = o.opt_num("save-bits")?.unwrap_or(bits[0]);
+    let mixed: Option<f32> = o.opt_num("mixed")?;
+    let Source {
+        mut net,
+        artifact: mut loaded,
+        train_set,
+        test_set,
+        ..
+    } = model_source(o, true)?;
     let full_params = net.params();
-    let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-        .map_err(|e| e.to_string())?;
+    let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
     hero_obs::Event::new("quant_eval")
         .str("scheme", "full_precision")
         .f64("accuracy", f64::from(full_acc))
         .human(format!("full precision: test acc {:.2}%", 100.0 * full_acc))
         .emit();
 
-    if let Some(avg) = opts.get("mixed") {
-        let avg: f32 = avg
-            .parse()
-            .map_err(|_| "--mixed: cannot parse".to_string())?;
-        let sens_source = opts.get("sens").map_or("static", String::as_str);
+    if let Some(avg) = mixed {
+        let sens_source = o.get("sens").unwrap_or_default();
         let (bits, sens) = match sens_source {
             // Certified static sensitivity: the analyzer's noise domain
             // bounds each layer's loss impact; the allocator spends the
             // budget against those certificates.
             "static" => {
-                let probe = train_set.len().min(64);
-                if probe == 0 {
-                    return Err("--sens static needs at least one training sample".into());
-                }
-                let images = train_set
-                    .images
-                    .narrow(0, probe)
-                    .map_err(|e| e.to_string())?;
-                let matrix = hero_core::static_sensitivity_matrix(
-                    &mut net,
-                    &images,
-                    &train_set.labels[..probe],
-                    &[2, 4, 8],
-                )
-                .map_err(|e| e.to_string())?;
-                let bits = matrix.allocate(avg, 2, 8).map_err(|e| e.to_string())?;
+                let (images, labels) = probe_batch(&train_set, 64)?;
+                let matrix =
+                    hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[2, 4, 8])?;
+                let bits = matrix.allocate(avg, 2, 8)?;
                 (bits, matrix.to_layer_sensitivities())
             }
             // Gradient-free proxy: curvature 1, range/size allocation only.
             "proxy" => {
                 let sens = network_sensitivities(&net);
-                let bits = allocate_bits(&sens, avg, 2, 8).map_err(|e| e.to_string())?;
+                let bits = allocate_bits(&sens, avg, 2, 8)?;
                 (bits, sens)
             }
-            other => return Err(format!("--sens: `{other}` is not static|proxy")),
+            other => {
+                return Err(format!("hero quantize: --sens: `{other}` is not static|proxy").into())
+            }
         };
         println!("mixed-precision allocation (avg {avg} bits, {sens_source} sensitivity):");
         for (s, b) in sens.iter().zip(&bits) {
@@ -456,10 +646,9 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 .human(format!("  {:40} {} bits ({} weights)", s.name, b, s.numel))
                 .emit();
         }
-        let (qp, report) = quantize_params_mixed(&net, &bits).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
+        let (qp, report) = quantize_params_mixed(&net, &bits)?;
+        net.set_params(&qp)?;
+        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
         hero_obs::Event::new("quant_eval")
             .str("scheme", "mixed")
             .f64("avg_bits", f64::from(avg))
@@ -471,23 +660,14 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 report.worst_linf
             ))
             .emit();
-        net.set_params(&full_params).map_err(|e| e.to_string())?;
+        net.set_params(&full_params)?;
     }
 
-    let bits_arg = opts
-        .get("bits")
-        .cloned()
-        .unwrap_or_else(|| "3,4,6,8".into());
-    for token in bits_arg.split(',') {
-        let b: u8 = token
-            .trim()
-            .parse()
-            .map_err(|_| format!("--bits: cannot parse `{token}`"))?;
-        let scheme = QuantScheme::symmetric(b).map_err(|e| e.to_string())?;
-        let (qp, report) = quantize_params(&net, &scheme).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
+    for &b in &bits {
+        let scheme = QuantScheme::symmetric(b)?;
+        let (qp, report) = quantize_params(&net, &scheme)?;
+        net.set_params(&qp)?;
+        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
         hero_obs::Event::new("quant_eval")
             .str("scheme", "uniform")
             .u64("bits", u64::from(b))
@@ -501,7 +681,7 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 report.max_bin_width / 2.0
             ))
             .emit();
-        net.set_params(&full_params).map_err(|e| e.to_string())?;
+        net.set_params(&full_params)?;
     }
 
     // Persist one quantization decision back into the artifact: the
@@ -509,22 +689,17 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
     // records the per-tensor bit width and grid. The RESUME section is
     // dropped — a quantized snapshot is a deployment artifact, not a
     // training state.
-    if let Some(out) = opts.get("save") {
-        let Some(art) = loaded.as_mut() else {
-            return Err("--save needs --artifact (a model artifact to quantize)".into());
-        };
-        let first_bits = parse_bits(&bits_arg, "bits")?[0];
-        let b: u8 = num(opts, "save-bits", first_bits)?;
-        let scheme = QuantScheme::symmetric(b).map_err(|e| e.to_string())?;
+    if let (Some(out), Some(art)) = (o.get("save"), loaded.as_mut()) {
+        let scheme = QuantScheme::symmetric(save_bits)?;
         let infos = net.param_infos();
         let mut quantized = Vec::with_capacity(full_params.len());
         let mut entries = Vec::new();
         for (p, info) in full_params.iter().zip(&infos) {
             if info.kind.is_quantizable() {
-                let q = quantize_tensor(p, &scheme).map_err(|e| e.to_string())?;
+                let q = quantize_tensor(p, &scheme)?;
                 entries.push(QuantEntry {
                     name: info.name.clone(),
-                    bits: b,
+                    bits: save_bits,
                     per_channel: false,
                     bin_widths: q.bin_widths.clone(),
                 });
@@ -535,69 +710,54 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         attach_quant(art, &quantized, entries);
         art.resume = None;
-        save_artifact(art, PathBuf::from(out)).map_err(|e| e.to_string())?;
-        println!("quantized artifact ({b}-bit weights) written to {out}");
+        save_artifact(art, out)?;
+        println!("quantized artifact ({save_bits}-bit weights) written to {out}");
     }
     Ok(())
 }
 
-fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.5)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let (train_set, _) = preset.load(scale);
-    let mut loaded: Option<Artifact> = None;
-    let mut net = if let Some(path) = opts.get("artifact") {
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        loaded = Some(art);
-        net
-    } else {
-        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-        if let Some(ckpt) = opts.get("ckpt") {
-            load_params_from_file(&mut net, &PathBuf::from(ckpt)).map_err(|e| e.to_string())?;
-        }
-        net
-    };
-    let bits_arg = opts.get("bits").cloned().unwrap_or_else(|| "3,4,8".into());
-    let bits = parse_bits(&bits_arg, "bits")?;
-    let probe = train_set.len().min(64);
-    if probe == 0 {
-        return Err("preflight needs at least one sample".into());
+fn cmd_preflight(o: &Opts) -> CliResult {
+    if o.has("stamp") && !o.has("artifact") {
+        return Err("hero preflight: --stamp needs --artifact (an artifact to annotate)".into());
     }
-    let images = train_set
-        .images
-        .narrow(0, probe)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe];
+    let bits = o.bits("bits")?;
+    let mixed: Option<f32> = o.opt_num("mixed")?;
+    let noise_bits: Option<u8> = o.opt_num("noise-bits")?;
+    let budget: Option<f32> = o.opt_num("budget")?;
+    let Source {
+        mut net,
+        artifact: mut loaded,
+        preset,
+        train_set,
+        ..
+    } = model_source(o, false)?;
+    // Name the report after the model actually analyzed: an artifact's
+    // own `model.kind`, not the `--model` default.
+    let model_name = match &loaded {
+        Some(art) => {
+            let kind = art.meta_str("model.kind").unwrap_or("unknown");
+            MODELS
+                .iter()
+                .find(|(n, _)| *n == kind)
+                .map_or(kind, |(_, m)| m.paper_name())
+        }
+        None => o.one("model", MODELS)?.paper_name(),
+    };
+    let (images, labels) = probe_batch(&train_set, 64)?;
 
     // Quantization-noise configuration: `--noise-bits N` seeds every
     // weight uniformly; `--mixed AVG` first computes the certified static
     // sensitivity matrix, allocates per-layer widths against it, and
     // seeds the allocation. Either way the report (and dot overlay)
     // carries certified per-node error bounds.
-    let budget: Option<f32> = match opts.get("budget") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| "--budget: cannot parse".to_string())?,
-        ),
-    };
     let mut noise_cfg: Option<NoiseConfig> = None;
-    if let Some(avg) = opts.get("mixed") {
-        let avg: f32 = avg
-            .parse()
-            .map_err(|_| "--mixed: cannot parse".to_string())?;
+    if let Some(avg) = mixed {
         let mut grid = bits.clone();
         grid.sort_unstable();
         grid.dedup();
-        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &grid)
-            .map_err(|e| e.to_string())?;
+        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &grid)?;
         let max_b = grid.last().copied().unwrap_or(8);
-        let alloc = matrix
-            .allocate(avg, grid[0].min(2), max_b)
-            .map_err(|e| e.to_string())?;
+        let alloc = matrix.allocate(avg, grid[0].min(2), max_b)?;
         println!("certified static sensitivity (err[layer][bits], avg {avg}-bit allocation):");
         for (l, layer) in matrix.layers.iter().enumerate() {
             let cells: Vec<String> = grid
@@ -613,12 +773,8 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
             );
         }
         noise_cfg = Some(NoiseConfig::per_layer(alloc));
-    } else if let Some(nb) = opts.get("noise-bits") {
-        let nb: u8 = nb
-            .parse()
-            .map_err(|_| "--noise-bits: cannot parse".to_string())?;
-        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[nb])
-            .map_err(|e| e.to_string())?;
+    } else if let Some(nb) = noise_bits {
+        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[nb])?;
         println!("certified per-layer loss-error bounds at {nb} bits:");
         for layer in &matrix.layers {
             println!("  {:40} err ≤ {:.3e}", layer.name, layer.err[0]);
@@ -640,23 +796,14 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
         &vopts,
         noise_cfg.as_ref(),
         true,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
 
-    let out_dir = PathBuf::from(
-        opts.get("out-dir")
-            .cloned()
-            .unwrap_or_else(|| "results/analyze".into()),
-    );
-    std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-    let stem = format!("{}_{}", model.paper_name(), preset.paper_name())
-        .to_lowercase()
-        .replace(['/', ' ', '-'], "_");
+    let out_dir = o.path("out-dir").unwrap_or_default();
+    let stem = report_stem(model_name, preset);
     let txt_path = out_dir.join(format!("{stem}.txt"));
-    std::fs::write(&txt_path, format!("{report}\n")).map_err(|e| e.to_string())?;
+    write_file(&txt_path, &format!("{report}\n"))?;
     if let Some(dot) = dot {
-        let dot_path = out_dir.join(format!("{stem}.dot"));
-        std::fs::write(&dot_path, dot).map_err(|e| e.to_string())?;
+        write_file(&out_dir.join(format!("{stem}.dot")), &dot)?;
     }
 
     let errors = report.errors().count();
@@ -672,12 +819,9 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
         report.nodes,
         txt_path.display()
     );
-    if let Some(stamp) = opts.get("stamp") {
-        let Some(art) = loaded.as_mut() else {
-            return Err("--stamp needs --artifact (an artifact to annotate)".into());
-        };
+    if let (Some(stamp), Some(art)) = (o.get("stamp"), loaded.as_mut()) {
         art.set_meta("provenance.preflight_hash", MetaValue::U64(hash));
-        save_artifact(art, PathBuf::from(stamp)).map_err(|e| e.to_string())?;
+        save_artifact(art, stamp)?;
         println!("preflight hash stamped into {stamp}");
     }
     if errors > 0 || warnings > 0 {
@@ -687,7 +831,8 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!(
             "preflight found {errors} error-severity diagnostics for `{}`",
             net.name()
-        ));
+        )
+        .into());
     }
     Ok(())
 }
@@ -705,46 +850,22 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
 /// additionally writes the per-layer×bits domain-comparison artifact
 /// (interval width, zonotope width, ratio) and fails if the raw
 /// un-clamped sensitivity matrix is rank-constant on a multi-layer model.
-fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.25)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let epochs: usize = num(opts, "epochs", 3)?;
-    let trials: usize = num(opts, "trials", 2)?;
-    let avg: f32 = num(opts, "avg", 4.0)?;
-    let min_overlap: f32 = num(opts, "min-overlap", 0.0)?;
-    let bits_arg = opts.get("bits").cloned().unwrap_or_else(|| "2,4,8".into());
-    let grid = parse_bits(&bits_arg, "bits")?;
-    let models_arg = opts
-        .get("models")
-        .cloned()
-        .unwrap_or_else(|| "resnet,mobilenet,vgg".into());
-    let out_path = PathBuf::from(
-        opts.get("out")
-            .cloned()
-            .unwrap_or_else(|| "results/analyze/noise_crosscheck.json".into()),
-    );
-    let tightness_path = opts.get("tightness").map(PathBuf::from);
+fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
+    let preset = o.one("preset", PRESETS)?;
+    let models = o.names("models", MODELS)?;
+    let scale: f32 = o.num("scale")?;
+    let seed: u64 = o.num("seed")?;
+    let epochs: usize = o.num("epochs")?;
+    let trials: usize = o.num("trials")?;
+    let avg: f32 = o.num("avg")?;
+    let min_overlap: f32 = o.num("min-overlap")?;
+    let grid = o.bits("bits")?;
+    let out_path = o.path("out").unwrap_or_default();
+    let tightness_path = o.path("tightness");
 
     let (train_set, test_set) = preset.load(scale);
-    let probe = train_set.len().min(64);
-    if probe == 0 {
-        return Err("noise-crosscheck needs at least one training sample".into());
-    }
-    let images = train_set
-        .images
-        .narrow(0, probe)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe];
+    let (images, labels) = probe_batch(&train_set, 64)?;
 
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"preset\": \"{}\",\n  \"bits\": {:?},\n  \"avg_bits\": {},\n  \"models\": [\n",
-        preset.paper_name(),
-        grid,
-        jnum(avg)
-    );
     let mut total_violations = 0usize;
     let mut worst_overlap = f32::INFINITY;
     // NaN never survives an `f32::min`, so a degenerate (constant or
@@ -753,20 +874,13 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut saw_degenerate_ranking = false;
     let mut widened_cells = 0usize;
     let mut rank_constant_models: Vec<String> = Vec::new();
-    let mut tightness_json = String::from("{\n  \"models\": [\n");
-    let mut first_model = true;
-    for token in models_arg.split(',') {
-        let model = match token.trim() {
-            "resnet" => ModelKind::Resnet,
-            "mobilenet" => ModelKind::Mobilenet,
-            "vgg" => ModelKind::Vgg,
-            other => return Err(format!("--models: unknown model `{other}`")),
-        };
+    let mut model_docs = Vec::new();
+    let mut tightness_docs = Vec::new();
+    for model in models {
         let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
         let config = TrainConfig::new(MethodKind::Sgd.tuned(), epochs).with_seed(seed);
-        let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
-        let report = hero_core::noise_crosscheck(&mut net, &images, labels, &grid, trials, seed)
-            .map_err(|e| e.to_string())?;
+        let rec = train(&mut net, &train_set, &test_set, &config)?;
+        let report = hero_core::noise_crosscheck(&mut net, &images, labels, &grid, trials, seed)?;
         total_violations += report.violations;
 
         // Static-matrix mixed allocation vs uniform at equal average bits.
@@ -782,80 +896,60 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             worst_overlap = worst_overlap.min(report.overlap);
         }
         let max_b = grid.last().copied().unwrap_or(8);
-        let alloc = matrix
-            .allocate(avg, grid[0].min(2), max_b)
-            .map_err(|e| e.to_string())?;
+        let alloc = matrix.allocate(avg, grid[0].min(2), max_b)?;
         let full = net.params();
-        let (qp, _) = quantize_params_mixed(&net, &alloc).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let mixed_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
-        net.set_params(&full).map_err(|e| e.to_string())?;
-        let uniform_scheme =
-            QuantScheme::symmetric(avg.round() as u8).map_err(|e| e.to_string())?;
-        let (qp, _) = quantize_params(&net, &uniform_scheme).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let uniform_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
-        net.set_params(&full).map_err(|e| e.to_string())?;
+        let (qp, _) = quantize_params_mixed(&net, &alloc)?;
+        net.set_params(&qp)?;
+        let mixed_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
+        net.set_params(&full)?;
+        let uniform_scheme = QuantScheme::symmetric(avg.round() as u8)?;
+        let (qp, _) = quantize_params(&net, &uniform_scheme)?;
+        net.set_params(&qp)?;
+        let uniform_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
+        net.set_params(&full)?;
 
         // Domain-tightness audit: every zonotope-tightened cell must sit
         // inside its interval-domain cell, and the raw (un-clamped)
         // matrix must distinguish at least two layer ranks somewhere on
         // the grid for the ranking to mean anything.
         let mut model_widened = 0usize;
-        let mut distinct_ranks = 0usize;
-        for (k, _) in matrix.bits.iter().enumerate() {
-            let mut col: Vec<f32> = Vec::new();
-            for l in &matrix.layers {
+        let mut tight_cells = Vec::new();
+        for l in &matrix.layers {
+            for (k, &b) in matrix.bits.iter().enumerate() {
                 let zono = l.err[k];
                 let interval = l.err_interval.get(k).copied().unwrap_or(zono);
                 if zono > interval {
                     model_widened += 1;
                 }
-                col.push(zono);
+                let ratio = if interval > 0.0 { zono / interval } else { 1.0 };
+                let mut cell = JsonObj::new();
+                cell.str("layer", &l.name)
+                    .u64("bits", u64::from(b))
+                    .f64("interval", f64::from(interval))
+                    .f64("zonotope", f64::from(zono))
+                    .f64("ratio", f64::from(ratio));
+                tight_cells.push(cell.finish());
             }
-            col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            col.dedup();
-            distinct_ranks = distinct_ranks.max(col.len());
         }
+        let distinct_ranks = (0..matrix.bits.len())
+            .map(|k| {
+                let mut col: Vec<f32> = matrix.layers.iter().map(|l| l.err[k]).collect();
+                col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                col.dedup();
+                col.len()
+            })
+            .max()
+            .unwrap_or(0);
         widened_cells += model_widened;
         if matrix.layers.len() >= 2 && distinct_ranks < 2 {
             rank_constant_models.push(model.paper_name().to_string());
         }
-        if !first_model {
-            tightness_json.push_str(",\n");
-        }
-        let _ = write!(
-            tightness_json,
-            "    {{\n      \"model\": \"{}\",\n      \"distinct_ranks\": {},\n      \
-             \"widened_cells\": {},\n      \"cells\": [\n",
-            model.paper_name(),
-            distinct_ranks,
-            model_widened
-        );
-        let total_cells: usize = matrix.layers.len() * matrix.bits.len();
-        let mut cell_idx = 0usize;
-        for l in &matrix.layers {
-            for (k, &b) in matrix.bits.iter().enumerate() {
-                let zono = l.err[k];
-                let interval = l.err_interval.get(k).copied().unwrap_or(zono);
-                let ratio = if interval > 0.0 { zono / interval } else { 1.0 };
-                cell_idx += 1;
-                let _ = write!(
-                    tightness_json,
-                    "        {{\"layer\": \"{}\", \"bits\": {}, \"interval\": {}, \
-                     \"zonotope\": {}, \"ratio\": {}}}{}",
-                    l.name.replace(['"', '\\'], "_"),
-                    b,
-                    jnum(interval),
-                    jnum(zono),
-                    jnum(ratio),
-                    if cell_idx < total_cells { ",\n" } else { "\n" }
-                );
-            }
-        }
-        tightness_json.push_str("      ]\n    }");
+        let mut doc = JsonObj::new();
+        doc.str("model", model.paper_name())
+            .u64("distinct_ranks", distinct_ranks as u64)
+            .u64("widened_cells", model_widened as u64)
+            .raw("cells", &array_lines(tight_cells));
+        tightness_docs.push(doc.finish());
 
         let rho_str = report
             .rank_rho
@@ -885,74 +979,56 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             .f64("uniform_acc", f64::from(uniform_acc))
             .emit();
 
-        if !first_model {
-            json.push_str(",\n");
-        }
-        first_model = false;
-        // Every float goes through `jnum`: a NaN overlap (degenerate
-        // ranking) or a non-finite measured shift must land in the sink
-        // as `null`, not as a bare `NaN` token no JSON parser accepts.
-        let _ = write!(
-            json,
-            "    {{\n      \"model\": \"{}\",\n      \"violations\": {},\n      \
-             \"overlap\": {},\n      \"rank_rho\": {},\n      \"ref_bits\": {},\n      \
-             \"full_acc\": {},\n      \"mixed_acc\": {},\n      \
-             \"uniform_acc\": {},\n      \"allocation\": {:?},\n      \"cells\": [\n",
-            model.paper_name(),
-            report.violations,
-            jnum(report.overlap),
-            report.rank_rho.map_or_else(|| "null".into(), jnum),
-            report.ref_bits,
-            jnum(rec.final_test_acc),
-            jnum(mixed_acc),
-            jnum(uniform_acc),
-            alloc
+        // A NaN overlap (degenerate ranking) or a non-finite measured
+        // shift lands in the sink as `null`, never as a bare `NaN`.
+        let cells = report.cells.iter().map(|c| {
+            let mut cell = JsonObj::new();
+            cell.str("layer", &c.layer)
+                .u64("bits", u64::from(c.bits))
+                .f64("certified", f64::from(c.certified))
+                .f64("empirical", f64::from(c.empirical))
+                .bool("violated", c.violated);
+            cell.finish()
+        });
+        let mut doc = JsonObj::new();
+        doc.str("model", model.paper_name())
+            .u64("violations", report.violations as u64)
+            .f64("overlap", f64::from(report.overlap))
+            .f64("rank_rho", f64::from(report.rank_rho.unwrap_or(f32::NAN)))
+            .u64("ref_bits", u64::from(report.ref_bits))
+            .f64("full_acc", f64::from(rec.final_test_acc))
+            .f64("mixed_acc", f64::from(mixed_acc))
+            .f64("uniform_acc", f64::from(uniform_acc))
+            .raw("allocation", &json_list(&alloc))
+            .raw("cells", &array_lines(cells));
+        model_docs.push(doc.finish());
+    }
+    let mut doc = JsonObj::new();
+    doc.str("preset", preset.paper_name())
+        .raw("bits", &json_list(&grid))
+        .f64("avg_bits", f64::from(avg))
+        .raw("models", &array_lines(model_docs))
+        .u64("total_violations", total_violations as u64)
+        // No models ran: report a vacuous perfect overlap.
+        .f64(
+            "worst_overlap",
+            f64::from(if worst_overlap == f32::INFINITY {
+                1.0
+            } else {
+                worst_overlap
+            }),
         );
-        for (i, c) in report.cells.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"layer\": \"{}\", \"bits\": {}, \"certified\": {}, \
-                 \"empirical\": {}, \"violated\": {}}}{}",
-                c.layer.replace(['"', '\\'], "_"),
-                c.bits,
-                jnum(c.certified),
-                jnum(c.empirical),
-                c.violated,
-                if i + 1 < report.cells.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                }
-            );
-        }
-        json.push_str("      ]\n    }");
-    }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"total_violations\": {total_violations},\n  \
-         \"worst_overlap\": {}\n}}\n",
-        jnum(if worst_overlap == f32::INFINITY {
-            // No models ran; report a vacuous perfect overlap.
-            1.0
-        } else {
-            worst_overlap
-        })
-    );
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| e.to_string())?;
+    write_file(&out_path, &(doc.finish() + "\n"))?;
     println!("noise crosscheck written to {}", out_path.display());
     if let Some(path) = &tightness_path {
-        let _ = write!(
-            tightness_json,
-            "\n  ],\n  \"widened_cells\": {widened_cells},\n  \
-             \"rank_constant_models\": {rank_constant_models:?}\n}}\n"
-        );
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-        std::fs::write(path, &tightness_json).map_err(|e| e.to_string())?;
+        let names = rank_constant_models
+            .iter()
+            .map(|m| format!("\"{}\"", escape(m)));
+        let mut doc = JsonObj::new();
+        doc.raw("models", &array_lines(tightness_docs))
+            .u64("widened_cells", widened_cells as u64)
+            .raw("rank_constant_models", &json_list(names));
+        write_file(path, &(doc.finish() + "\n"))?;
         println!("domain-tightness artifact written to {}", path.display());
     }
 
@@ -961,20 +1037,23 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             "noise-domain soundness violated: {total_violations} measured errors \
              escaped their certified bounds (see {})",
             out_path.display()
-        ));
+        )
+        .into());
     }
     if widened_cells > 0 {
         return Err(format!(
             "domain tightening regressed: {widened_cells} zonotope cells are wider \
              than their interval-domain cells"
-        ));
+        )
+        .into());
     }
     if tightness_path.is_some() && !rank_constant_models.is_empty() {
         return Err(format!(
             "raw sensitivity matrix is rank-constant (every layer×bits cell ties) \
              on: {}",
             rank_constant_models.join(", ")
-        ));
+        )
+        .into());
     }
     if min_overlap > 0.0 {
         if saw_degenerate_ranking {
@@ -982,23 +1061,25 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
                 "static-vs-empirical ranking is degenerate (NaN overlap or \
                  undefined Spearman rho) on at least one model; cannot certify \
                  the required {min_overlap:.2} overlap"
-            ));
+            )
+            .into());
         }
         if worst_overlap < min_overlap {
             return Err(format!(
                 "static-vs-empirical ranking overlap {worst_overlap:.2} below the \
                  required {min_overlap:.2}"
-            ));
+            )
+            .into());
         }
     }
     Ok(())
 }
 
-/// Formats a float as a JSON number through the obs sink's canonical
-/// encoder: non-finite values become `null` (NaN/inf literals are not
-/// valid JSON and silently poison every downstream parser).
-fn jnum(v: f32) -> String {
-    hero_obs::json::num(f64::from(v))
+/// Serializes already-formatted JSON values (or numbers) as a one-line
+/// array.
+fn json_list<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(", "))
 }
 
 /// The spectrum observatory (`hero spectrum`): for each requested method,
@@ -1007,80 +1088,50 @@ fn jnum(v: f32) -> String {
 /// the Spearman rank correlation between the empirical quantizable-layer
 /// trace ranking and the certified static sensitivity ranking, prints an
 /// ASCII density plot, and rolls everything into one JSON artifact.
-fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.25)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let epochs: usize = num(opts, "epochs", 3)?;
-    let steps: usize = num(opts, "steps", 10)?;
-    let probes: usize = num(opts, "probes", 4)?;
-    let bits: u8 = num(opts, "bits", 4)?;
-    let every: usize = num(opts, "spectrum-every", 1)?;
-    let methods_arg = opts
-        .get("methods")
-        .cloned()
-        .unwrap_or_else(|| "sgd,hero".into());
-    let stem = format!("{}_{}", model.paper_name(), preset.paper_name())
-        .to_lowercase()
-        .replace(['/', ' ', '-'], "_");
-    let out_path = PathBuf::from(
-        opts.get("out")
-            .cloned()
-            .unwrap_or_else(|| format!("results/SPECTRUM_{stem}.json")),
-    );
+fn cmd_spectrum(o: &Opts) -> CliResult {
+    let preset = o.one("preset", PRESETS)?;
+    let model = o.one("model", MODELS)?;
+    let scale: f32 = o.num("scale")?;
+    let seed: u64 = o.num("seed")?;
+    let epochs: usize = o.num("epochs")?;
+    let steps: usize = o.num("steps")?;
+    let probes: usize = o.num("probes")?;
+    let bits: u8 = o.num("bits")?;
+    let every: usize = o.num("spectrum-every")?;
+    let out_path = o.path("out").unwrap_or_else(|| {
+        PathBuf::from(format!(
+            "results/SPECTRUM_{}.json",
+            report_stem(model.paper_name(), preset)
+        ))
+    });
 
     let (train_set, test_set) = preset.load(scale);
-    let probe_n = train_set.len().min(64);
-    if probe_n == 0 {
-        return Err("spectrum needs at least one training sample".into());
-    }
-    let images = train_set
-        .images
-        .narrow(0, probe_n)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe_n];
+    let (images, labels) = probe_batch(&train_set, 64)?;
 
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"preset\": \"{}\",\n  \"model\": \"{}\",\n  \"epochs\": {epochs},\n  \
-         \"steps\": {steps},\n  \"probes\": {probes},\n  \"sens_bits\": {bits},\n  \
-         \"methods\": [\n",
-        preset.paper_name(),
-        model.paper_name()
-    );
     // Either probe one saved model artifact (no retraining — the weights
     // and per-epoch spectrum trajectory both come from the file) or train
     // each requested method fresh.
     let mut runs: Vec<(String, Network, TrainRecord)> = Vec::new();
-    if let Some(path) = opts.get("artifact") {
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
+    if let Some(path) = o.get("artifact") {
+        let art = load_artifact(path)?;
         let name = art
             .meta_str("train.method.kind")
             .unwrap_or("artifact")
             .to_string();
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        let rec = record_from_artifact(&art).map_err(|e| e.to_string())?;
+        let net = network_from_artifact(&art)?;
+        let rec = record_from_artifact(&art)?;
         runs.push((name, net, rec));
     } else {
-        for token in methods_arg.split(',') {
-            let method = match token.trim() {
-                "hero" => MethodKind::Hero,
-                "sam" | "first-order" => MethodKind::FirstOrder,
-                "gradl1" => MethodKind::GradL1,
-                "sgd" => MethodKind::Sgd,
-                other => return Err(format!("--methods: unknown method `{other}`")),
-            };
+        for method in o.names("methods", METHODS)? {
             let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
             let config = TrainConfig::new(method.tuned(), epochs)
                 .with_seed(seed)
                 .with_spectrum_every(every);
-            let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
+            let rec = train(&mut net, &train_set, &test_set, &config)?;
             runs.push((method.paper_name().to_string(), net, rec));
         }
     }
-    let mut first_method = true;
+    let mut method_docs = Vec::new();
     for (name, mut net, rec) in runs {
         // Deep final probe. Unlike the trainer's epoch probe this keeps the
         // full broadened density for plotting, so it calls the estimators
@@ -1098,26 +1149,23 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
                 ..SlqConfig::default()
             };
             // One base gradient serves every SLQ probe and every trace.
-            let (_, base) = oracle.grad(&params).map_err(|e| e.to_string())?;
-            let density =
-                slq_density(&mut oracle, &params, &base, cfg).map_err(|e| e.to_string())?;
-            let traces = layer_traces(&mut oracle, &params, &base, probes, 1e-3, seed ^ 0x7ACE)
-                .map_err(|e| e.to_string())?;
+            let (_, base) = oracle.grad(&params)?;
+            let density = slq_density(&mut oracle, &params, &base, cfg)?;
+            let traces = layer_traces(&mut oracle, &params, &base, probes, 1e-3, seed ^ 0x7ACE)?;
             (density, traces)
         };
         // The oracle leaves its last-evaluated (perturbed) parameters
         // installed and its first evaluation updated the batch-norm running
         // statistics; restore both before anything else touches the network.
-        net.set_params(&params).map_err(|e| e.to_string())?;
-        net.set_state(&state).map_err(|e| e.to_string())?;
+        net.set_params(&params)?;
+        net.set_state(&state)?;
 
         // Empirical-vs-static sensitivity ranking over quantizable layers.
         // Both sides are per-weight curvature magnitudes: the measured
         // `|tr(H_ii)| / nᵢ` against the matrix's quadratic-model
         // projection (raw `err` cells can all clamp at the analyzer's
         // loss-interval ceiling, which would make the ranking constant).
-        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[bits])
-            .map_err(|e| e.to_string())?;
+        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[bits])?;
         let sens = matrix.to_layer_sensitivities();
         let mut empirical = Vec::new();
         let mut certified = Vec::new();
@@ -1170,94 +1218,81 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
             .f64("spearman", f64::from(rho.unwrap_or(f32::NAN)))
             .emit();
 
-        if !first_method {
-            json.push_str(",\n");
-        }
-        first_method = false;
-        let _ = write!(
-            json,
-            "    {{\n      \"method\": \"{}\",\n      \"test_acc\": {},\n      \
-             \"lambda_max\": {},\n      \"lambda_max_se\": {},\n      \
-             \"lambda_min\": {},\n      \"mean_eigenvalue\": {},\n      \
-             \"second_moment\": {},\n      \"trace\": {},\n      \
-             \"spearman_trace_vs_static\": {},\n      \"sigma\": {},\n",
-            name,
-            jnum(rec.final_test_acc),
-            jnum(density.lambda_max.mean),
-            jnum(density.lambda_max.std_error),
-            jnum(density.lambda_min.mean),
-            jnum(density.mean_eigenvalue.mean),
-            jnum(density.second_moment.mean),
-            jnum(global_trace),
-            rho.map_or_else(|| "null".into(), jnum),
-            jnum(density.sigma)
-        );
-        let grid: Vec<String> = density.grid.iter().map(|&v| jnum(v)).collect();
-        let dens: Vec<String> = density.density.iter().map(|&v| jnum(v)).collect();
-        let _ = write!(
-            json,
-            "      \"grid\": [{}],\n      \"density\": [{}],\n      \"layers\": [\n",
-            grid.join(", "),
-            dens.join(", ")
-        );
-        for (i, (info, trace)) in infos.iter().zip(&traces).enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"layer\": \"{}\", \"quantizable\": {}, \"trace\": {}, \
-                 \"trace_se\": {}}}{}",
-                info.name.replace(['"', '\\'], "_"),
-                info.kind.is_quantizable(),
-                jnum(trace.mean),
-                jnum(trace.std_error),
-                if i + 1 < traces.len() { ",\n" } else { "\n" }
-            );
-        }
-        json.push_str("      ],\n      \"trajectory\": [\n");
-        for (i, p) in rec.spectra.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"epoch\": {}, \"lambda_max\": {}, \"trace\": {}, \
-                 \"second_moment\": {}}}{}",
-                p.epoch,
-                jnum(p.lambda_max.mean),
-                jnum(p.global_trace()),
-                jnum(p.second_moment.mean),
-                if i + 1 < rec.spectra.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                }
-            );
-        }
-        json.push_str("      ]\n    }");
+        let layers = infos.iter().zip(&traces).map(|(info, trace)| {
+            let mut layer = JsonObj::new();
+            layer
+                .str("layer", &info.name)
+                .bool("quantizable", info.kind.is_quantizable())
+                .f64("trace", f64::from(trace.mean))
+                .f64("trace_se", f64::from(trace.std_error));
+            layer.finish()
+        });
+        let trajectory = rec.spectra.iter().map(|p| {
+            let mut point = JsonObj::new();
+            point
+                .u64("epoch", p.epoch as u64)
+                .f64("lambda_max", f64::from(p.lambda_max.mean))
+                .f64("trace", f64::from(p.global_trace()))
+                .f64("second_moment", f64::from(p.second_moment.mean));
+            point.finish()
+        });
+        let mut doc = JsonObj::new();
+        doc.str("method", &name)
+            .f64("test_acc", f64::from(rec.final_test_acc))
+            .f64("lambda_max", f64::from(density.lambda_max.mean))
+            .f64("lambda_max_se", f64::from(density.lambda_max.std_error))
+            .f64("lambda_min", f64::from(density.lambda_min.mean))
+            .f64("mean_eigenvalue", f64::from(density.mean_eigenvalue.mean))
+            .f64("second_moment", f64::from(density.second_moment.mean))
+            .f64("trace", f64::from(global_trace))
+            .f64(
+                "spearman_trace_vs_static",
+                f64::from(rho.unwrap_or(f32::NAN)),
+            )
+            .f64("sigma", f64::from(density.sigma))
+            .raw(
+                "grid",
+                &json_list(density.grid.iter().map(|&v| num(f64::from(v)))),
+            )
+            .raw(
+                "density",
+                &json_list(density.density.iter().map(|&v| num(f64::from(v)))),
+            )
+            .raw("layers", &array_lines(layers))
+            .raw("trajectory", &array_lines(trajectory));
+        method_docs.push(doc.finish());
     }
-    json.push_str("\n  ]\n}\n");
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| e.to_string())?;
+    let mut doc = JsonObj::new();
+    doc.str("preset", preset.paper_name())
+        .str("model", model.paper_name())
+        .u64("epochs", epochs as u64)
+        .u64("steps", steps as u64)
+        .u64("probes", probes as u64)
+        .u64("sens_bits", u64::from(bits))
+        .raw("methods", &array_lines(method_docs));
+    write_file(&out_path, &(doc.finish() + "\n"))?;
     println!("spectrum artifact written to {}", out_path.display());
     Ok(())
 }
 
-fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (mut net, _, train_set, _) = obtain_model(opts)?;
-    let n = train_set.len().min(128);
-    let images = train_set.images.narrow(0, n).map_err(|e| e.to_string())?;
-    let labels = train_set.labels[..n].to_vec();
+fn cmd_analyze(o: &Opts) -> CliResult {
+    let Source {
+        mut net, train_set, ..
+    } = model_source(o, true)?;
+    let (images, labels) = probe_batch(&train_set, 128)?;
+    let n = labels.len();
     let params = net.params();
     let nonzeros: usize = params.iter().map(|p| p.norm_l0()).sum();
-    let mut oracle = BatchOracle::new(&mut net, &images, &labels);
-    let (loss, grads) = oracle.grad(&params).map_err(|e| e.to_string())?;
-    let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3).map_err(|e| e.to_string())?;
+    let mut oracle = BatchOracle::new(&mut net, &images, labels);
+    let (loss, grads) = oracle.grad(&params)?;
+    let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3)?;
     let spectrum = lanczos_spectrum(
         &mut oracle,
         &params,
         10,
         1e-3,
         &mut StdRng::seed_from_u64(0),
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     let bounds = BoundInputs {
         grad_l2: global_norm_l2(&grads),
         grad_l1: global_norm_l1(&grads),
@@ -1301,11 +1336,131 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `hero artifact inspect --path FILE`: decodes an artifact (verifying
 /// magic, version and checksum on the way in) and prints its meta,
 /// tensor inventory, quantization decision and resume state.
-fn cmd_artifact_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts
+fn cmd_artifact_inspect(o: &Opts) -> CliResult {
+    let path = o
         .get("path")
-        .ok_or_else(|| "artifact inspect needs --path FILE".to_string())?;
-    let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-    print!("{}", art.describe());
+        .ok_or("hero artifact inspect: --path FILE is required")?;
+    print!("{}", load_artifact(path)?.describe());
     Ok(())
+}
+
+/// `hero repro <target>`: regenerates one table or figure of the paper's
+/// evaluation section (DESIGN.md §3) at the full reproduction scale
+/// recorded in EXPERIMENTS.md, or at the smoke scale with `--fast`.
+fn cmd_repro(o: &Opts) -> CliResult {
+    let target = o.word.unwrap_or_default();
+    let fast = o.has("fast");
+    let scale = if fast { Scale::fast() } else { Scale::full() };
+    let artifact_dir = o.path("artifact-dir");
+    if artifact_dir.is_some() && target != "c10-row" {
+        return Err(format!(
+            "hero repro: --artifact-dir applies to `c10-row` only, not `{target}`"
+        )
+        .into());
+    }
+    match target {
+        "table1" => {
+            banner("Table 1 (test accuracy)", scale);
+            let (table, _) = run_table1(&table1_matrix(), scale)?;
+            emit_artifact("table1", render_table1(&table));
+        }
+        "table2" => {
+            banner("Table 2 (noisy-label training)", scale);
+            let ratios = [0.2, 0.4, 0.6, 0.8];
+            for model in [ModelKind::Resnet, ModelKind::Mobilenet] {
+                let table = run_table2(model, &ratios, scale)?;
+                emit_artifact(
+                    &format!("table2_{}", model.paper_name()),
+                    render_table2(&table),
+                );
+            }
+        }
+        "table3" => {
+            banner("Table 3 (Hessian-term ablation)", scale);
+            emit_artifact("table3", render_table3(&run_table3(scale)?));
+        }
+        // The Fig. 1 checkpoints are the Table 1 models (as in the paper):
+        // train the matrix, then print both the Table 1 rows and one
+        // Fig. 1 panel per cell.
+        "fig1" => {
+            banner("Fig. 1 (post-training quantization sweeps)", scale);
+            table1_and_fig1(&table1_matrix(), scale, None, "table1")?;
+        }
+        "fig2" => {
+            banner("Fig. 2 (Hessian norm and generalization gap)", scale);
+            emit_artifact("fig2", render_fig2(&run_fig2(scale)?));
+        }
+        "fig3" => {
+            banner("Fig. 3 (loss contours)", scale);
+            let steps = if fast { 11 } else { 17 };
+            emit_artifact("fig3", render_fig3(&run_fig3(scale, 1.0, steps)?));
+        }
+        // The CIFAR-10 row of Table 1 / Fig. 1 (all three model families).
+        // `--artifact-dir DIR` backs every training cell with the model
+        // artifact cache: a warm cache reproduces the row without
+        // retraining, and a cold one trains once and fills it.
+        "c10-row" => {
+            banner("Table 1 / Fig. 1, CIFAR-10 row", scale);
+            let matrix =
+                [ModelKind::Resnet, ModelKind::Mobilenet, ModelKind::Vgg].map(|m| (Preset::C10, m));
+            table1_and_fig1(&matrix, scale, artifact_dir.as_deref(), "table1_c10_row")?;
+        }
+        other => return Err(format!("hero repro: unknown target `{other}`").into()),
+    }
+    Ok(())
+}
+
+/// Trains the Table 1 `matrix` (through the artifact cache under `cache`
+/// when given), emits the table as `table_name`, then sweeps every
+/// trained model over the Fig. 1 bit widths and emits one panel per cell.
+fn table1_and_fig1(
+    matrix: &[(Preset, ModelKind)],
+    scale: Scale,
+    cache: Option<&Path>,
+    table_name: &str,
+) -> CliResult {
+    let (table, mut models) = match cache {
+        Some(dir) => run_table1_cached(matrix, scale, dir)?,
+        None => run_table1(matrix, scale)?,
+    };
+    emit_artifact(table_name, render_table1(&table));
+    let bits = fig1_bits();
+    for ((preset, model), cell) in matrix.iter().zip(models.iter_mut()) {
+        let (_, test_set) = preset.load(scale.data);
+        let curves = cell
+            .iter_mut()
+            .map(|t| quant_sweep(t, &test_set, &bits))
+            .collect::<Result<Vec<_>, _>>()?;
+        emit_artifact(
+            &format!("fig1_{}_{}", preset.paper_name(), model.paper_name()),
+            render_fig1_panel(preset.paper_name(), model.paper_name(), &curves),
+        );
+    }
+    Ok(())
+}
+
+/// Emits the standard header for a reproduction run: a `banner` event
+/// whose human rendering is the console header.
+fn banner(what: &str, scale: Scale) {
+    hero_obs::Event::new("banner")
+        .str("what", what)
+        .f64("data_scale", f64::from(scale.data))
+        .u64("epochs_small", scale.epochs_small as u64)
+        .u64("epochs_large", scale.epochs_large as u64)
+        .human(format!(
+            "== HERO reproduction: {what} ==\n\
+             scale: data x{:.2}, {} epochs (8x8 presets) / {} epochs (16x16)\n",
+            scale.data, scale.epochs_small, scale.epochs_large
+        ))
+        .emit();
+}
+
+/// Emits a rendered table / figure as a structured `artifact` event; the
+/// console sees the rendering unchanged, and a `HERO_TRACE=1` run also
+/// records which artifact was produced.
+fn emit_artifact(name: &str, rendered: impl Into<String>) {
+    hero_obs::Event::new("artifact")
+        .str("name", name)
+        .human(rendered)
+        .emit();
 }

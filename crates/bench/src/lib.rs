@@ -1,17 +1,18 @@
 //! # hero-bench
 //!
-//! Benchmarks and reproduction binaries for the HERO (DAC 2022)
-//! reproduction. The `repro_*` binaries regenerate every table and figure
-//! of the paper's evaluation section (see DESIGN.md §3 for the index);
-//! the plain-`fn main()` harnesses under `benches/` measure component
-//! costs (the per-step overhead of each training method, quantization
-//! throughput, curvature-probe cost) with the in-tree [`timing`] module —
-//! no external bench framework, so everything builds offline.
+//! Benchmarks and the `hero` command-line front end for the HERO (DAC
+//! 2022) reproduction. `hero repro <target>` regenerates every table and
+//! figure of the paper's evaluation section (see DESIGN.md §3 for the
+//! index); the plain-`fn main()` harnesses under `benches/` measure
+//! component costs (the per-step overhead of each training method,
+//! quantization throughput, curvature-probe cost) with the in-tree
+//! [`timing`] module — no external bench framework, so everything builds
+//! offline.
 //!
-//! Run a reproduction binary with:
+//! Run a reproduction with:
 //!
 //! ```text
-//! cargo run --release -p hero-bench --bin repro_table1 [-- --fast]
+//! cargo run --release -p hero-bench --bin hero -- repro table1 [--fast]
 //! ```
 //!
 //! and a bench with:
@@ -22,57 +23,4 @@
 
 #![warn(missing_docs)]
 
-use hero_core::experiment::Scale;
-
 pub mod timing;
-
-/// Parses the common `--fast` flag used by every reproduction binary.
-///
-/// `--fast` selects the smoke-test scale; anything else (or nothing) runs
-/// the full reproduction scale recorded in EXPERIMENTS.md.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--fast") {
-        Scale::fast()
-    } else {
-        Scale::full()
-    }
-}
-
-/// Emits the standard header for a reproduction binary: a `banner` event
-/// whose human rendering is the familiar console header.
-pub fn banner(what: &str, scale: Scale) {
-    hero_obs::Event::new("banner")
-        .str("what", what)
-        .f64("data_scale", f64::from(scale.data))
-        .u64("epochs_small", scale.epochs_small as u64)
-        .u64("epochs_large", scale.epochs_large as u64)
-        .human(format!(
-            "== HERO reproduction: {what} ==\n\
-             scale: data x{:.2}, {} epochs (8x8 presets) / {} epochs (16x16)\n",
-            scale.data, scale.epochs_small, scale.epochs_large
-        ))
-        .emit();
-}
-
-/// Emits a rendered table / figure as a structured `artifact` event; the
-/// console sees the rendering unchanged, and a `HERO_TRACE=1` run also
-/// records which artifact was produced (the rendering itself lives in the
-/// stdout log, not the trace stream).
-pub fn emit_artifact(name: &str, rendered: impl Into<String>) {
-    hero_obs::Event::new("artifact")
-        .str("name", name)
-        .human(rendered)
-        .emit();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_full() {
-        // Test binaries never pass --fast, so this exercises the default arm.
-        let s = scale_from_args();
-        assert_eq!(s.data, Scale::full().data);
-    }
-}

@@ -2,7 +2,8 @@
 //! the binary interpolates into a sink must go through the NaN-safe
 //! encoder: a degenerate run (constant ranking → NaN overlap, unevaluated
 //! epoch → NaN accuracy) must land as `null`, never as a bare `NaN`
-//! token that no JSON parser accepts.
+//! token that no JSON parser accepts. The key layout of every object is
+//! pinned too, since other tools read these sinks by key.
 
 use hero_obs::json::{parse, Value};
 use std::path::PathBuf;
@@ -27,6 +28,18 @@ fn read_sink(path: &PathBuf, out: &Output) -> String {
     text
 }
 
+/// Asserts an object carries exactly `keys`, in order: the sink layout
+/// other tools read.
+fn assert_keys(obj: &Value, keys: &[&str]) {
+    match obj {
+        Value::Obj(fields) => {
+            let got: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(got, keys);
+        }
+        other => panic!("expected an object with keys {keys:?}, got {other:?}"),
+    }
+}
+
 fn assert_num_or_null(obj: &Value, key: &str) {
     match obj.get(key) {
         Some(Value::Num(_) | Value::Null) => {}
@@ -37,6 +50,7 @@ fn assert_num_or_null(obj: &Value, key: &str) {
 #[test]
 fn noise_crosscheck_sink_round_trips_through_the_json_parser() {
     let out_path = tmp("nc.json");
+    let tightness_path = tmp("tightness.json");
     let out = hero()
         .args([
             "noise-crosscheck",
@@ -57,6 +71,8 @@ fn noise_crosscheck_sink_round_trips_through_the_json_parser() {
             "--out",
         ])
         .arg(&out_path)
+        .arg("--tightness")
+        .arg(&tightness_path)
         .output()
         .expect("spawn hero");
     // A soundness violation exits nonzero but still writes the sink; only
@@ -64,21 +80,71 @@ fn noise_crosscheck_sink_round_trips_through_the_json_parser() {
     let text = read_sink(&out_path, &out);
     let value = parse(&text).unwrap_or_else(|e| panic!("sink is not valid JSON: {e}\n---\n{text}"));
 
+    assert_keys(
+        &value,
+        &[
+            "preset",
+            "bits",
+            "avg_bits",
+            "models",
+            "total_violations",
+            "worst_overlap",
+        ],
+    );
     let models = value
         .get("models")
         .and_then(Value::as_arr)
         .expect("models array");
     assert_eq!(models.len(), 1, "one model requested");
     let m = &models[0];
+    assert_keys(
+        m,
+        &[
+            "model",
+            "violations",
+            "overlap",
+            "rank_rho",
+            "ref_bits",
+            "full_acc",
+            "mixed_acc",
+            "uniform_acc",
+            "allocation",
+            "cells",
+        ],
+    );
     assert_eq!(m.get("model").and_then(Value::as_str), Some("ResNet20"));
     for key in ["overlap", "full_acc", "mixed_acc", "uniform_acc"] {
         assert_num_or_null(m, key);
     }
     for cell in m.get("cells").and_then(Value::as_arr).expect("cells") {
+        assert_keys(
+            cell,
+            &["layer", "bits", "certified", "empirical", "violated"],
+        );
         assert_num_or_null(cell, "certified");
         assert_num_or_null(cell, "empirical");
     }
     assert_num_or_null(&value, "worst_overlap");
+
+    let text = read_sink(&tightness_path, &out);
+    let value = parse(&text).unwrap_or_else(|e| panic!("sink is not valid JSON: {e}\n---\n{text}"));
+    assert_keys(&value, &["models", "widened_cells", "rank_constant_models"]);
+    let models = value
+        .get("models")
+        .and_then(Value::as_arr)
+        .expect("models array");
+    assert_eq!(models.len(), 1, "one model requested");
+    assert_keys(
+        &models[0],
+        &["model", "distinct_ranks", "widened_cells", "cells"],
+    );
+    for cell in models[0]
+        .get("cells")
+        .and_then(Value::as_arr)
+        .expect("cells")
+    {
+        assert_keys(cell, &["layer", "bits", "interval", "zonotope", "ratio"]);
+    }
 }
 
 #[test]
@@ -113,12 +179,50 @@ fn spectrum_sink_round_trips_through_the_json_parser() {
     );
     let text = read_sink(&out_path, &out);
     let value = parse(&text).unwrap_or_else(|e| panic!("sink is not valid JSON: {e}\n---\n{text}"));
+    assert_keys(
+        &value,
+        &[
+            "preset",
+            "model",
+            "epochs",
+            "steps",
+            "probes",
+            "sens_bits",
+            "methods",
+        ],
+    );
     let methods = value
         .get("methods")
         .and_then(Value::as_arr)
         .expect("methods array");
     assert_eq!(methods.len(), 1);
     let m = &methods[0];
+    assert_keys(
+        m,
+        &[
+            "method",
+            "test_acc",
+            "lambda_max",
+            "lambda_max_se",
+            "lambda_min",
+            "mean_eigenvalue",
+            "second_moment",
+            "trace",
+            "spearman_trace_vs_static",
+            "sigma",
+            "grid",
+            "density",
+            "layers",
+            "trajectory",
+        ],
+    );
+    for point in m
+        .get("trajectory")
+        .and_then(Value::as_arr)
+        .expect("trajectory")
+    {
+        assert_keys(point, &["epoch", "lambda_max", "trace", "second_moment"]);
+    }
     for key in [
         "lambda_max",
         "lambda_min",
@@ -130,6 +234,7 @@ fn spectrum_sink_round_trips_through_the_json_parser() {
     // The per-layer trace table mixes finite means with NaN standard
     // errors at low probe counts — exactly the case the encoder exists for.
     for layer in m.get("layers").and_then(Value::as_arr).expect("layers") {
+        assert_keys(layer, &["layer", "quantizable", "trace", "trace_se"]);
         assert_num_or_null(layer, "trace");
         assert_num_or_null(layer, "trace_se");
     }

@@ -578,7 +578,9 @@ pub fn attach_quant(art: &mut Artifact, quantized: &[Tensor], entries: Vec<Quant
 ///
 /// # Errors
 ///
-/// Propagates training and checkpoint-write errors.
+/// Propagates training and checkpoint-write errors (including
+/// [`TensorError::Diverged`]), and refuses to return an artifact whose
+/// weights or batch-norm state hold NaN or infinity.
 pub fn train_to_artifact(
     net: &mut Network,
     train_set: &Dataset,
@@ -665,6 +667,18 @@ fn train_or_resume(
         &mut on_checkpoint,
     )?;
     let final_art = build_artifact(net, meta, Some(&final_state));
+    // The format preserves NaN bits by design, so a diverged model would
+    // save without complaint; refuse it here instead.
+    let entries = final_art.tensors.iter().map(|t| (&t.name, &t.data));
+    let state = final_art.state.iter().map(|t| (&t.name, &t.data));
+    if let Some((name, _)) = entries
+        .chain(state)
+        .find(|(_, data)| !data.iter().all(|v| v.is_finite()))
+    {
+        return Err(TensorError::InvalidArgument(format!(
+            "refusing to build a model artifact: `{name}` holds non-finite values"
+        )));
+    }
     Ok((record, final_art))
 }
 

@@ -97,8 +97,10 @@ pub fn train(
 ///
 /// # Errors
 ///
-/// Returns shape errors if the datasets are incompatible with the network
-/// or whatever error `on_checkpoint` surfaces.
+/// Returns shape errors if the datasets are incompatible with the network,
+/// [`TensorError::Diverged`] at the first step (serial or sharded) whose
+/// loss is non-finite — after emitting a `train_diverged` event — or
+/// whatever error `on_checkpoint` surfaces.
 pub fn train_resumable(
     net: &mut Network,
     train_set: &Dataset,
@@ -178,6 +180,18 @@ pub fn train_resumable(
                 }
                 None => train_step(net, &mut optimizer, &images, &batch.labels, lr)?,
             };
+            if !stats.loss.is_finite() {
+                hero_obs::Event::new("train_diverged")
+                    .u64("epoch", epoch as u64)
+                    .u64("step", step as u64)
+                    .f64("loss", f64::from(stats.loss))
+                    .emit();
+                return Err(TensorError::Diverged {
+                    epoch,
+                    step,
+                    loss: stats.loss,
+                });
+            }
             loss_acc += stats.loss;
             reg_acc += stats.regularizer;
             grad_evals += stats.grad_evals;

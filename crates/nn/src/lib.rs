@@ -33,7 +33,6 @@
 
 pub mod act;
 pub mod block;
-pub mod checkpoint;
 pub mod conv;
 pub mod dropout;
 pub mod linear;
@@ -44,7 +43,6 @@ pub mod norm;
 
 pub use act::{Activation, AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d};
 pub use block::{BasicBlock, InvertedResidual};
-pub use checkpoint::{load_params, load_params_from_file, save_params, save_params_to_file};
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use dropout::Dropout;
 pub use linear::Linear;

@@ -11,7 +11,7 @@ pub type Result<T> = std::result::Result<T, TensorError>;
 /// All shape-sensitive operations validate their arguments and return a
 /// variant of this enum rather than panicking, so callers can surface
 /// configuration mistakes (wrong layer sizes, mismatched batches) cleanly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TensorError {
     /// The number of data elements does not match the product of dimensions.
     DataLength {
@@ -67,6 +67,16 @@ pub enum TensorError {
     InvalidGeometry(String),
     /// A generic invalid-argument error with context.
     InvalidArgument(String),
+    /// A training step produced a non-finite loss; training stopped
+    /// instead of carrying NaN/Inf into the weights.
+    Diverged {
+        /// Epoch of the offending step.
+        epoch: usize,
+        /// Global step index of the offending step.
+        step: usize,
+        /// The offending value (NaN or ±Inf).
+        loss: f32,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -107,6 +117,12 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            TensorError::Diverged { epoch, step, loss } => {
+                write!(
+                    f,
+                    "training diverged: loss {loss} at epoch {epoch}, step {step}"
+                )
+            }
         }
     }
 }

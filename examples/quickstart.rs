@@ -54,6 +54,6 @@ fn main() -> Result<(), TensorError> {
     }
     println!("expect: HERO at or above SGD at full precision with a visibly smaller");
     println!("train-test gap. For the full quantization-robustness comparison (more");
-    println!("epochs, all models, all precisions) run the repro_* binaries in hero-bench.");
+    println!("epochs, all models, all precisions) run `hero repro <target>` from hero-bench.");
     Ok(())
 }

@@ -77,6 +77,11 @@ cargo run --release -p hero-bench --bin hero -- \
 cargo run --release -p hero-bench --bin hero -- \
   artifact inspect --path results/artifacts/model_int4.ha
 
+echo "==> hero repro smoke (fig2 --fast, the cheapest reproduction target)"
+# Drives the paper-reproduction entry point end to end at smoke scale so a
+# broken `hero repro` dispatch fails the gate, not just a full rerun.
+cargo run --release -p hero-bench --bin hero -- repro fig2 --fast
+
 echo "==> pre-flight analyzer over the example networks"
 mkdir -p results/analyze
 # `hero preflight` exits nonzero when the analyzer finds error-severity
