@@ -183,16 +183,9 @@ pub struct ValueAnalysis {
     /// Backward gradient-magnitude upper bound per tape node; `0` for
     /// nodes the loss cannot reach.
     pub grad_bounds: Vec<f32>,
-    /// Propagated quantization-noise bound per tape node (index-aligned);
-    /// empty when no noise seeds were supplied. This is the *tightened*
-    /// cell: the relational zonotope enclosure intersected with the
-    /// interval-domain cell, so it is always contained in
-    /// [`ValueAnalysis::noise_interval`].
-    pub noise: Vec<Interval>,
-    /// The plain interval-domain noise bound per tape node, kept for
-    /// domain-tightness comparison (`hero preflight --tightness`);
+    /// Certified quantization-noise bound per tape node (index-aligned);
     /// empty when no noise seeds were supplied.
-    pub noise_interval: Vec<Interval>,
+    pub noise: Vec<Interval>,
 }
 
 /// Everything the analyzer found on one tape.

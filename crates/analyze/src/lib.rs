@@ -21,16 +21,14 @@
 //!   from the loss roots. These feed the quantization-clip, dead-zone,
 //!   gradient explosion/vanishing and non-finite-range lints.
 //! * **Quantization noise** (opt-in via [`ValueOptions::noise_seeds`]) — a
-//!   forward error domain seeded with per-weight perturbation magnitudes
-//!   (`Δ(bits)/2` for a quantized tensor) that certifies an end-to-end
-//!   output-error bound per node, feeding the noise-dominance and
-//!   error-budget lints and `hero-quant`'s static sensitivity matrix.
-//! * **Relational noise** (automatic whenever noise seeds are present) —
-//!   a zonotope/affine-arithmetic refinement of the noise domain that
-//!   threads shared noise symbols through the tape and centers value
-//!   ranges on the recorded trace ([`ValueOptions::recorded_abs`]),
-//!   then intersects per node with the interval result so the published
-//!   bound ([`ValueAnalysis::noise`]) only ever tightens.
+//!   forward zonotope/affine-arithmetic error domain seeded with
+//!   per-weight perturbation magnitudes (`Δ(bits)/2` for a quantized
+//!   tensor). It threads shared noise symbols through the tape and
+//!   centers value ranges on the recorded trace
+//!   ([`ValueOptions::recorded_abs`]) to certify an end-to-end
+//!   output-error bound per node ([`ValueAnalysis::noise`]), feeding the
+//!   noise-dominance and error-budget lints and `hero-quant`'s static
+//!   sensitivity matrix.
 //!
 //! Findings come back as structured [`Diagnostic`]s (node index, op name,
 //! provenance chain) in a [`Report`] instead of a panic mid-step.
@@ -64,7 +62,7 @@ mod zonotope;
 pub use diag::{DiagCode, Diagnostic, Report, Severity, ValueAnalysis};
 pub use dot::to_dot_colored;
 pub use interval::{interval_pass, quant_clip_risk, Interval, RangeSeed};
-pub use noisepass::{noise_pass, NoiseSeed};
+pub use noisepass::NoiseSeed;
 pub use zonotope::{relational_noise_pass, AffineNoise, RelationalNoise};
 
 use hero_autodiff::{Graph, NodeTrace, Var};
@@ -204,8 +202,8 @@ pub fn analyze(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Report {
                 vopts.explode_threshold,
                 vopts.vanish_threshold,
             ));
-            let (noise, noise_interval) = if vopts.noise_seeds.is_empty() {
-                (Vec::new(), Vec::new())
+            let noise = if vopts.noise_seeds.is_empty() {
+                Vec::new()
             } else {
                 let rec = (!vopts.recorded_abs.is_empty()).then_some(&vopts.recorded_abs[..]);
                 let rn = zonotope::relational_noise_pass(tape, &intervals, rec, &vopts.noise_seeds);
@@ -216,13 +214,12 @@ pub fn analyze(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Report {
                     &roots,
                     vopts.noise_budget,
                 ));
-                (rn.tightened, rn.interval)
+                rn.tightened
             };
             value = Some(ValueAnalysis {
                 intervals,
                 grad_bounds: bounds.iter().map(|&b| b as f32).collect(),
                 noise,
-                noise_interval,
             });
         }
     }

@@ -1,46 +1,19 @@
-//! Forward quantization-noise propagation over the trace IR.
+//! Shared pieces of the quantization-noise domain: the [`NoiseSeed`]
+//! perturbation a quantized weight induces, the interval transfers the
+//! relational pass ([`crate::relational_noise_pass`]) applies where
+//! symbols do not survive (element-wise rounding, contractions, means,
+//! monotone clamps), and the noise-domain lints.
 //!
-//! The third abstract domain of `hero-analyze`: given the value intervals
-//! from [`crate::interval_pass`] and a set of *noise seeds* — input leaves
-//! carrying a symmetric perturbation `|δ| ≤ m` (a weight tensor quantized
-//! at `b` bits satisfies `m = Δ(b)/2` with Δ the bin width) — the pass
-//! derives, per tape node, a sound interval enclosing the element-wise
-//! difference between the perturbed and the unperturbed `f32` forward run:
-//!
-//! ```text
-//!   f(x + δ) − f(x)   ∈   noise[node]      for every admissible δ
-//! ```
-//!
-//! The transfers are affine-arithmetic style: exact first-order error
-//! identities where they exist (`mul`, `square`, contractions), global
-//! slope intervals via the mean-value theorem for the smooth activations,
-//! and dedicated bounds for batch-norm and the losses. Like the value
-//! pass, every transfer runs in `f64` and widens outward before narrowing
-//! back to `f32`; since *two* concrete runs round independently, every
+//! Every transfer runs in `f64` and widens outward before narrowing back
+//! to `f32`; since *two* concrete runs round independently, every
 //! rounding/contraction slack is doubled relative to the value pass and
 //! scales with the *value* magnitude at the node (the rounding error of
 //! `a+e` is proportional to `|a+e|`, not `|e|`).
-//!
-//! The contract assumes both runs share all non-seeded state: same batch,
-//! same labels, same dropout masks, same batch-norm mode. Nodes whose
-//! value interval is unbounded get [`Interval::TOP`] noise — an unbounded
-//! signal admits no finite rounding-error bound.
-//!
-//! At the loss root the propagated interval is a *certified* end-to-end
-//! quantization-error bound, which is what `hero-quant` consumes as the
-//! static sensitivity matrix `err[layer][bits]`.
 
 use crate::diag::{DiagCode, Diagnostic};
 use crate::interval::{Interval, ABS_MARGIN, CONTRACT_MARGIN, REL_MARGIN};
 use crate::verify::provenance;
-use hero_autodiff::{NodeTrace, TraceDetail};
-
-/// Exactly-zero noise: unseeded leaves are bit-identical across runs.
-const ZERO: Interval = Interval {
-    lo: 0.0,
-    hi: 0.0,
-    maybe_nan: false,
-};
+use hero_autodiff::NodeTrace;
 
 /// `-ln(1e-12)` rounded up: the per-sample cap the clamped CE loss obeys.
 pub(crate) const CE_CAP: f64 = 27.65;
@@ -123,284 +96,6 @@ pub(crate) fn hull_zero(e: Interval) -> Interval {
     }
 }
 
-/// Batch-norm output error. `m` is the per-channel normalization count
-/// `n·h·w`, `inv_std_max` the recorded largest `1/√(σ²+ε)`.
-///
-/// With `u = √(σ²+ε)`, a per-element input perturbation `|δ| ≤ w/2`
-/// (width `w = hi−lo` of `e_x`) shifts the channel mean by at most `w`
-/// and — since the standard deviation is a 1-Lipschitz seminorm and
-/// `std(δ) ≤ w/2` — shifts `u` by at most `d = w/2`. Writing
-/// `x̂' − x̂ = x̂·(u−u')/u' + (δ − μ(δ))/u'`:
-///
-/// ```text
-///   |x̂' − x̂|  ≤  (x̂_max·d + w) / (u_min − d)       (refined, batch-specific)
-///   |x̂'|, |x̂| ≤  x̂_max = √m                        (input-independent)
-/// ```
-///
-/// The output error `γ'x̂' + β' − γx̂ − β = γ(x̂'−x̂) + e_γ·x̂' + e_β` then
-/// takes the tighter of the refined bound and the trivial `2γ_max·x̂_max`
-/// fallback (which needs no `u_min` and survives `d ≥ u_min`).
-#[allow(clippy::too_many_arguments)]
-fn bn_err(
-    ex: Interval,
-    eg: Interval,
-    eb: Interval,
-    vg: Interval,
-    m: usize,
-    inv_std_max: f32,
-    out_abs: f64,
-) -> Interval {
-    if ex.maybe_nan || eg.maybe_nan || eb.maybe_nan {
-        return Interval::TOP;
-    }
-    let mf = m as f64;
-    // |x̂| bound including the value pass's own accumulation widening.
-    let xhat_max = mf.sqrt() * (1.0 + mf * CONTRACT_MARGIN) + 1e-6;
-    let g_abs = f64::from(vg.add(eg).abs_max());
-    let eg_abs = f64::from(eg.abs_max());
-    let w = f64::from(ex.hi) - f64::from(ex.lo);
-    if !w.is_finite() || !g_abs.is_finite() || !out_abs.is_finite() {
-        return Interval::TOP;
-    }
-    let trivial = g_abs * 2.0 * xhat_max + eg_abs * xhat_max;
-    let d = w / 2.0;
-    // The recorded inv_std rounds once; shrink u_min a hair to cover it.
-    let u_min = (1.0 / f64::from(inv_std_max)) * (1.0 - 1e-5);
-    let refined = if u_min.is_finite() && u_min > d {
-        g_abs * (xhat_max * d + w) / (u_min - d) + eg_abs * xhat_max
-    } else {
-        f64::INFINITY
-    };
-    let core = refined.min(trivial);
-    let e = span(-core, core).add(eb);
-    // Normalization reduces over m terms at x̂-level magnitude, scaled by γ.
-    mean_err(e, m, out_abs.max(g_abs * xhat_max))
-}
-
-/// Runs the noise pass. `values` must be the interval-pass result for the
-/// same tape; `seeds` perturb input leaves (unseeded inputs carry exactly
-/// zero noise). Returns one error interval per node.
-pub fn noise_pass(tape: &[NodeTrace], values: &[Interval], seeds: &[NoiseSeed]) -> Vec<Interval> {
-    hero_obs::counters::ANALYZE_NOISE_PASSES.incr();
-    let mut out: Vec<Interval> = Vec::with_capacity(tape.len());
-    for (i, node) in tape.iter().enumerate() {
-        let e = |slot: usize| -> Interval {
-            node.parents
-                .get(slot)
-                .filter(|&&idx| idx < i)
-                .map_or(Interval::TOP, |&idx| out[idx])
-        };
-        let v = |slot: usize| -> Interval {
-            node.parents
-                .get(slot)
-                .filter(|&&idx| idx < i)
-                .map_or(Interval::TOP, |&idx| {
-                    values.get(idx).copied().unwrap_or(Interval::TOP)
-                })
-        };
-        let pshape = |slot: usize| -> &[usize] {
-            node.parents
-                .get(slot)
-                .filter(|&&idx| idx < i)
-                .map_or(&[][..], |&idx| &tape[idx].shape)
-        };
-        let numel = |shape: &[usize]| -> usize { shape.iter().product() };
-        // Magnitude both runs' outputs stay under: base value interval
-        // plus the derived error.
-        let own = values.get(i).copied().unwrap_or(Interval::TOP);
-        let mag = |ee: Interval| -> f64 { f64::from(own.abs_max()) + f64::from(ee.abs_max()) };
-        let scalar_c = match node.detail {
-            TraceDetail::Scalar { c } => Some(c),
-            _ => None,
-        };
-        let ev = match node.op {
-            "input" => seeds.iter().find(|s| s.node == i).map_or(ZERO, |s| {
-                let m = s.magnitude.abs();
-                Interval::of(-m, m)
-            }),
-            "add" => {
-                let ee = e(0).add(e(1));
-                elem(ee, mag(ee))
-            }
-            "sub" => {
-                let ee = e(0).sub(e(1));
-                elem(ee, mag(ee))
-            }
-            "mul" => {
-                // a'b' − ab = a·e_b + e_a·b'   with b' ∈ v₁ ⊕ e₁.
-                let ee = v(0).mul(e(1)).add(e(0).mul(v(1).add(e(1))));
-                elem(ee, mag(ee))
-            }
-            "scale" => match scalar_c {
-                Some(c) => {
-                    let ee = e(0).mul(Interval::point(c));
-                    elem(ee, mag(ee))
-                }
-                None => Interval::TOP,
-            },
-            "add_scalar" => elem(e(0), mag(e(0))),
-            "square" => {
-                // (x+δ)² − x² = 2xδ + δ².
-                let ee = Interval::point(2.0).mul(v(0)).mul(e(0)).add(e(0).square());
-                elem(ee, mag(ee))
-            }
-            "matmul" => {
-                let k = pshape(0).get(1).copied().unwrap_or(0);
-                let eprod = v(0).mul(e(1)).add(e(0).mul(v(1).add(e(1))));
-                let term = f64::from(v(0).add(e(0)).mul(v(1).add(e(1))).abs_max());
-                contract_err(eprod, k, term)
-            }
-            "conv2d" | "depthwise_conv2d" => {
-                let k = match node.detail {
-                    TraceDetail::Conv { geom } => {
-                        if node.op == "conv2d" {
-                            pshape(0).get(1).copied().unwrap_or(0) * geom.kernel * geom.kernel
-                        } else {
-                            geom.kernel * geom.kernel
-                        }
-                    }
-                    _ => 0,
-                };
-                if k == 0 {
-                    Interval::TOP
-                } else {
-                    let eprod = v(0).mul(e(1)).add(e(0).mul(v(1).add(e(1))));
-                    let term = f64::from(v(0).add(e(0)).mul(v(1).add(e(1))).abs_max());
-                    contract_err(eprod, k, term)
-                }
-            }
-            // Monotone 1-Lipschitz clamps are exact in f32; the error can
-            // only shrink toward zero.
-            "relu" | "relu6" => hull_zero(e(0)),
-            // max over a window moves by at most the extreme per-element
-            // perturbations; exact in f32.
-            "max_pool2d" => e(0),
-            "reshape" => e(0),
-            "sum" => {
-                let k = numel(pshape(0));
-                let term = f64::from(v(0).add(e(0)).abs_max());
-                contract_err(e(0), k, term)
-            }
-            "mean" => {
-                let k = numel(pshape(0));
-                let term = f64::from(v(0).add(e(0)).abs_max());
-                mean_err(e(0), k, term)
-            }
-            "avg_pool2d" => match node.detail {
-                TraceDetail::AvgPool { k } => {
-                    let term = f64::from(v(0).add(e(0)).abs_max());
-                    mean_err(e(0), k * k, term)
-                }
-                _ => Interval::TOP,
-            },
-            "global_avg_pool2d" => {
-                let xs = pshape(0);
-                if xs.len() != 4 {
-                    Interval::TOP
-                } else {
-                    let term = f64::from(v(0).add(e(0)).abs_max());
-                    mean_err(e(0), xs[2] * xs[3], term)
-                }
-            }
-            "batch_norm" => {
-                let xs = pshape(0);
-                match node.detail {
-                    TraceDetail::BatchNorm { inv_std_max, .. } if xs.len() == 4 => {
-                        let m = xs[0] * xs[2] * xs[3];
-                        let core = bn_err(
-                            e(0),
-                            e(1),
-                            e(2),
-                            v(1),
-                            m,
-                            inv_std_max,
-                            f64::from(own.abs_max()),
-                        );
-                        elem(core, mag(core))
-                    }
-                    _ => Interval::TOP,
-                }
-            }
-            // Per-row CE gradient is softmax − target: ℓ1-norm ≤ 2, so the
-            // loss is 2-Lipschitz in ‖δz‖∞ (mean over the batch preserves
-            // it); the 1e-12 probability clamp caps any single row at
-            // CE_CAP regardless.
-            "cross_entropy" | "cross_entropy_smoothed" => {
-                let ez = e(0);
-                let z_pert = v(0).add(ez);
-                if ez.maybe_nan || !z_pert.is_finite() {
-                    Interval::TOP
-                } else {
-                    let classes = pshape(0).get(1).copied().unwrap_or(1).max(1);
-                    let batch = pshape(0).first().copied().unwrap_or(1).max(1);
-                    let b = (2.0 * f64::from(ez.abs_max())).min(CE_CAP);
-                    mean_err(span(-b, b), batch * classes, CE_CAP)
-                }
-            }
-            // Sigmoid/tanh are smooth and monotone: by the mean-value
-            // theorem the output error is slope·δ for some slope in the
-            // derivative's global range.
-            "sigmoid" => {
-                let ee = Interval::of(0.0, 0.25).mul(e(0));
-                elem(ee, mag(ee))
-            }
-            "tanh" => {
-                let ee = Interval::of(0.0, 1.0).mul(e(0));
-                elem(ee, mag(ee))
-            }
-            "leaky_relu" => match scalar_c {
-                Some(s) => {
-                    // Piecewise-linear with slopes {s, 1}; a chord between
-                    // the two runs has average slope inside their hull.
-                    let ee = Interval::of(s.min(1.0), s.max(1.0)).mul(e(0));
-                    elem(ee, mag(ee))
-                }
-                None => Interval::TOP,
-            },
-            "ln" => {
-                // MVT over the union of both runs' ranges U: the
-                // derivative 1/x stays within [1/U.hi, 1/U.lo].
-                let u = v(0).hull(v(0).add(e(0)));
-                if u.lo <= 0.0 || !u.is_finite() {
-                    Interval::TOP
-                } else {
-                    let d = Interval::of(
-                        (1.0 / f64::from(u.hi)) as f32,
-                        (1.0 / f64::from(u.lo)) as f32,
-                    );
-                    let ee = d.mul(e(0));
-                    elem(ee, mag(ee))
-                }
-            }
-            // Same mask in both runs: each element is scaled by a factor
-            // in [0, max_scale].
-            "dropout" => match node.detail {
-                TraceDetail::Dropout { max_scale } => {
-                    let ee = Interval::of(0.0, max_scale).mul(e(0));
-                    elem(ee, mag(ee))
-                }
-                _ => Interval::TOP,
-            },
-            "mse_loss" => match node.detail {
-                TraceDetail::Mse {
-                    target_lo,
-                    target_hi,
-                } => {
-                    // ((x+δ−t)² − (x−t)²) = 2(x−t)δ + δ², averaged over N.
-                    let d = v(0).sub(Interval::of(target_lo, target_hi));
-                    let ee = Interval::point(2.0).mul(d).mul(e(0)).add(e(0).square());
-                    let term = f64::from(d.add(e(0)).square().abs_max());
-                    mean_err(ee, numel(pshape(0)), term)
-                }
-                _ => Interval::TOP,
-            },
-            _ => Interval::TOP,
-        };
-        out.push(ev);
-    }
-    out
-}
-
 /// Emits the noise-domain lints: [`DiagCode::QuantNoiseDominant`] at the
 /// first node where the propagated error bound exceeds the node's own
 /// value-interval width (the quantization noise drowns the signal), and
@@ -472,14 +167,20 @@ pub(crate) fn noise_diags(
 mod tests {
     use super::*;
     use crate::interval::{interval_pass, RangeSeed};
+    use crate::zonotope::relational_noise_pass;
     use hero_autodiff::Graph;
     use hero_tensor::Tensor;
 
-    fn seeds_for(g: &Graph) -> Vec<RangeSeed> {
-        g.input_ranges()
+    /// Certified error cell per node of `g`'s tape under `seeds`.
+    fn noise(g: &Graph, seeds: &[NoiseSeed]) -> Vec<Interval> {
+        let tape = g.trace();
+        let ranges: Vec<RangeSeed> = g
+            .input_ranges()
             .into_iter()
             .map(|(node, lo, hi)| RangeSeed { node, lo, hi })
-            .collect()
+            .collect();
+        let values = interval_pass(&tape, &ranges);
+        relational_noise_pass(&tape, &values, Some(&g.value_abs_max()), seeds).tightened
     }
 
     #[test]
@@ -487,14 +188,10 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::arange(4));
         let y = g.square(x);
-        let loss = g.sum(y);
-        let tape = g.trace();
-        let values = interval_pass(&tape, &seeds_for(&g));
-        let noise = noise_pass(&tape, &values, &[]);
-        for (i, e) in noise.iter().enumerate() {
-            assert!(e.abs_max() < 1e-3, "node {i} picked up phantom noise {e:?}");
+        g.sum(y);
+        for (i, e) in noise(&g, &[]).iter().enumerate() {
+            assert_eq!(*e, Interval::point(0.0), "node {i} picked up phantom noise");
         }
-        let _ = loss;
     }
 
     #[test]
@@ -504,13 +201,11 @@ mod tests {
         let w = g.input(Tensor::from_fn([8, 3], |_| 0.1));
         let h = g.matmul(x, w).unwrap();
         let loss = g.sum(h);
-        let tape = g.trace();
-        let values = interval_pass(&tape, &seeds_for(&g));
         let seed = NoiseSeed {
             node: w.index(),
             magnitude: 0.01,
         };
-        let noise = noise_pass(&tape, &values, &[seed]);
+        let noise = noise(&g, &[seed]);
         let at_w = noise[w.index()].abs_max();
         let at_h = noise[h.index()].abs_max();
         let at_loss = noise[loss.index()].abs_max();
@@ -528,11 +223,9 @@ mod tests {
         let w = g.input(Tensor::from_fn([8, 3], |_| 0.1));
         let h = g.matmul(x, w).unwrap();
         let loss = g.sum(h);
-        let tape = g.trace();
-        let values = interval_pass(&tape, &seeds_for(&g));
         let bound = |bits: u8| {
             let seed = NoiseSeed::for_quantized_weight(w.index(), 0.1, bits);
-            noise_pass(&tape, &values, &[seed])[loss.index()].abs_max()
+            noise(&g, &[seed])[loss.index()].abs_max()
         };
         assert!(bound(2) > bound(4));
         assert!(bound(4) > bound(8));
@@ -544,13 +237,11 @@ mod tests {
         let x = g.input(Tensor::from_fn([1, 1, 4, 4], |_| 0.3));
         let r = g.relu(x);
         let p = g.max_pool2d(r, 2).unwrap();
-        let tape = g.trace();
-        let values = interval_pass(&tape, &seeds_for(&g));
         let seed = NoiseSeed {
             node: x.index(),
             magnitude: 0.05,
         };
-        let noise = noise_pass(&tape, &values, &[seed]);
+        let noise = noise(&g, &[seed]);
         assert!(noise[r.index()].abs_max() <= 0.05 + 1e-6);
         assert!(noise[p.index()].abs_max() <= 0.05 + 1e-6);
     }

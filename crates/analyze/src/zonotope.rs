@@ -1,18 +1,27 @@
 //! Relational (zonotope / affine-arithmetic) quantization-noise domain.
 //!
-//! The fourth abstract domain of `hero-analyze`. Where the interval noise
-//! pass ([`crate::noise_pass`], §14) carries one error interval per node
-//! and forgets every correlation at every join, this pass threads *shared
-//! noise symbols* through the tape: each node carries an affine form
+//! The noise domain of `hero-analyze`: given the value intervals from
+//! [`crate::interval_pass`] and a set of [`NoiseSeed`]s — input leaves
+//! carrying a symmetric perturbation `|δ| ≤ m` (a weight tensor quantized
+//! at `b` bits satisfies `m = Δ(b)/2`) — the pass derives, per tape node,
+//! a sound enclosure of the element-wise difference between the perturbed
+//! and the unperturbed `f32` forward run, `f(x + δ) − f(x)`. Both runs
+//! share all non-seeded state: same batch, labels, dropout masks and
+//! batch-norm mode. At the loss root the enclosure is a *certified*
+//! end-to-end quantization-error bound, which `hero-quant` consumes as
+//! the static sensitivity matrix `err[layer][bits]`.
+//!
+//! Each node carries *shared noise symbols* in an affine form
 //!
 //! ```text
 //!   e  =  Σᵢ cᵢ·εᵢ  +  [r_lo, r_hi]        εᵢ ∈ [−1, 1]
 //! ```
 //!
-//! with one symbol family `εᵢ` minted per [`NoiseSeed`] (one per seeded
-//! weight tensor) and an interval remainder absorbing nonlinear and
-//! rounding slack, outward-rounded in `f64` with the same margin
-//! discipline as the value and noise passes.
+//! with one symbol family `εᵢ` minted per seed (one per seeded weight
+//! tensor) and an interval remainder absorbing nonlinear and rounding
+//! slack. Every transfer runs in `f64` with the value pass's margin
+//! discipline, doubled because *two* concrete runs round independently;
+//! [`AffineNoise::concretize`] narrows to the adjacent `f32` outward.
 //!
 //! # Lane-aligned symbol semantics
 //!
@@ -27,46 +36,34 @@
 //! *delinearized*: `Σ|cᵢ|` folds into the remainder and the term list
 //! empties. Cancellation (e.g. `x − x ≡ 0` up to rounding slack) is
 //! therefore exact through element-wise chains and degrades soundly to
-//! the interval behavior across contractions.
+//! interval arithmetic across contractions.
 //!
 //! # Trace-centered magnitudes
 //!
-//! The noise pass certifies the *two-run* difference `f(x+δ) − f(x)`
-//! against one recorded tape — the crosscheck's base run is that exact
-//! recorded forward (byte-reproducible by the determinism contract). So
-//! this pass may soundly intersect every *base-run* value range with the
-//! recorded per-node magnitude (`Graph::value_abs_max`): in the exact
-//! first-order error identities (`a'b' − ab = a·e_b + e_a·b'`) the
-//! unprimed factors are base-run values, and batch-norm's recorded
-//! `|x̂|` replaces the worst-case `√m` for the base run. This is where
-//! the bounds tighten on real conv nets — the interval pass's
-//! input-range-general value intervals balloon layer over layer, while
-//! the recorded trace stays small. The resulting certificate is
-//! correspondingly *trace-specific*: it bounds perturbations of the
-//! recorded batch, which is exactly what the static sensitivity matrix
-//! and `hero noise-crosscheck` consume.
+//! The pass certifies the *two-run* difference `f(x+δ) − f(x)` against
+//! one recorded tape — the crosscheck's base run is that exact recorded
+//! forward (byte-reproducible by the determinism contract). So this pass
+//! may soundly intersect every *base-run* value range with the recorded
+//! per-node magnitude (`Graph::value_abs_max`): in the exact first-order
+//! error identities (`a'b' − ab = a·e_b + e_a·b'`) the unprimed factors
+//! are base-run values, and batch-norm's recorded `|x̂|` replaces the
+//! worst-case `√m` for the base run. This is where the bounds tighten on
+//! real conv nets — input-range-general value intervals balloon layer
+//! over layer, while the recorded trace stays small. The resulting
+//! certificate is correspondingly *trace-specific*: it bounds
+//! perturbations of the recorded batch, which is exactly what the static
+//! sensitivity matrix and `hero noise-crosscheck` consume.
 //!
 //! The same argument gives *zero preservation*: a node whose parents all
 //! carry exactly zero error is recomputed by the identical f32
 //! instruction sequence on bit-identical inputs in both runs, so its
-//! two-run difference is exactly zero (guarded by the plain pass's NaN
-//! analysis — `NaN − NaN` is `NaN`). Error therefore only exists inside
-//! a seed's cone of influence; the interval pass instead charges its
-//! rounding margins unconditionally and lets phantom error grow from
-//! unseeded regions of the tape, which is what used to pin every
-//! sensitivity cell at the loss-interval ceiling.
-//!
-//! # Monotone tightening
-//!
-//! Per node the pass also keeps the plain interval-pass cell and stores
-//! `tightened = concretize(form) ∩ interval`, falling back to the
-//! interval cell whenever the zonotope is not strictly tighter (or the
-//! intersection would be empty). `tightened[i] ⊆ interval[i]` therefore
-//! holds *by construction*, so adopting this domain can never weaken a
-//! previously certified bound.
+//! two-run difference is exactly zero (guarded by the value interval:
+//! `NaN − NaN` is `NaN`). Error therefore only exists inside a seed's
+//! cone of influence instead of growing from unseeded regions of the
+//! tape through rounding margins charged unconditionally.
 
 use crate::interval::{Interval, ABS_MARGIN, CONTRACT_MARGIN, REL_MARGIN};
-use crate::noisepass::{contract_err, elem, mean_err, noise_pass, span, NoiseSeed, CE_CAP};
+use crate::noisepass::{contract_err, elem, hull_zero, mean_err, span, NoiseSeed, CE_CAP};
 use hero_autodiff::{NodeTrace, TraceDetail};
 
 /// An affine error form `Σᵢ cᵢ·εᵢ + [rem_lo, rem_hi]`, `εᵢ ∈ [−1, 1]`.
@@ -143,11 +140,6 @@ impl AffineNoise {
         self.terms.iter().map(|&(_, c)| c.abs()).sum()
     }
 
-    /// True for the exactly-zero form: no symbols, zero remainder.
-    fn is_zero(&self) -> bool {
-        !self.top && self.terms.is_empty() && self.rem_lo == 0.0 && self.rem_hi == 0.0
-    }
-
     /// Drops the symbolic part into the remainder (sound: each `εᵢ`
     /// ranges over `[−1, 1]`).
     fn delinearize(&mut self) {
@@ -165,7 +157,8 @@ impl AffineNoise {
     }
 
     /// The concrete enclosure `[rem_lo − Σ|cᵢ|, rem_hi + Σ|cᵢ|]`,
-    /// rounded outward before narrowing to `f32`.
+    /// narrowed to the adjacent `f32` outward (lo down, hi up): exact
+    /// whenever the `f64` bounds are themselves `f32` values.
     pub fn concretize(&self) -> Interval {
         if self.top {
             return Interval::TOP;
@@ -176,10 +169,20 @@ impl AffineNoise {
         if lo.is_nan() || hi.is_nan() {
             return Interval::TOP;
         }
-        // span() narrows via round-to-nearest; pad by more than one f32
-        // ulp so the narrowed interval still encloses the f64 one.
-        let pad = |x: f64| x.abs() * 1.2e-7 + f64::from(f32::MIN_POSITIVE);
-        span(lo - pad(lo), hi + pad(hi))
+        let near = (lo as f32, hi as f32);
+        Interval {
+            lo: if f64::from(near.0) > lo {
+                near.0.next_down()
+            } else {
+                near.0
+            },
+            hi: if f64::from(near.1) < hi {
+                near.1.next_up()
+            } else {
+                near.1
+            },
+            maybe_nan: false,
+        }
     }
 
     /// `self + other` with exact (signed) merging of shared symbols.
@@ -376,53 +379,37 @@ impl AffineNoise {
 /// Result of [`relational_noise_pass`], index-aligned with the tape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationalNoise {
-    /// The affine form per node (rebased to the tightened interval
-    /// wherever the zonotope was not at least as tight).
+    /// The affine form per node.
     pub forms: Vec<AffineNoise>,
-    /// The plain interval noise-pass result for the same tape/seeds.
-    pub interval: Vec<Interval>,
-    /// `concretize(form) ∩ interval` per node; `tightened[i] ⊆
-    /// interval[i]` holds by construction.
+    /// `concretize(form)` per node: the certified error interval.
     pub tightened: Vec<Interval>,
 }
 
-/// `c ∩ iv` biased toward the trusted interval cell: if the zonotope
-/// enclosure is NaN-tainted or the intersection would be empty, the
-/// interval cell wins outright, and `maybe_nan` is always inherited from
-/// the interval cell (the relational pass never claims better
-/// NaN-freedom than the plain pass).
 /// True when an error cell pins the two-run difference to exactly zero.
 fn exactly_zero(iv: Interval) -> bool {
     iv.lo == 0.0 && iv.hi == 0.0 && !iv.maybe_nan
 }
 
-fn intersect(c: Interval, iv: Interval) -> Interval {
-    if c.maybe_nan {
-        return iv;
-    }
-    let lo = c.lo.max(iv.lo);
-    let hi = c.hi.min(iv.hi);
-    if lo > hi {
-        return iv;
-    }
-    Interval {
-        lo,
-        hi,
-        maybe_nan: iv.maybe_nan,
-    }
-}
-
 /// Batch-norm output error with the recorded `|x̂|` in every place the
-/// base run appears. Mirrors the interval pass's `bn_err` derivation
-/// (`x̂' − x̂ = x̂·(u−u')/u' + (δ − μ(δ))/u'`), except:
+/// base run appears. `m` is the per-channel normalization count `n·h·w`,
+/// `inv_std_max` the recorded largest `1/√(σ²+ε)`.
+///
+/// With `u = √(σ²+ε)`, a per-element input perturbation `|δ| ≤ w/2`
+/// (width `w` of `e_x`) shifts the channel mean by at most `w` and —
+/// since the standard deviation is a 1-Lipschitz seminorm — shifts `u`
+/// by at most `d = w/2`. Writing `x̂' − x̂ = x̂·(u−u')/u' + (δ − μ(δ))/u'`
+/// gives `|x̂' − x̂| ≤ (|x̂|·d + w) / (u_min − d)`, capped by the trivial
+/// `|x̂'| + |x̂|` (which needs no `u_min` and survives `d ≥ u_min`). Here
 ///
 /// * the *base-run* `|x̂|` is bounded by `min(√m_widened, x̂_rec)` where
 ///   `x̂_rec` is the largest normalized value the recorded forward
 ///   actually produced (the perturbed run keeps the input-independent
 ///   `√m` bound — an adversarial in-bin `δ` can collapse a channel's
 ///   variance, so no recorded quantity bounds `x̂'` by itself);
-/// * the trivial fallback becomes `√m + x̂_rec` instead of `2√m`;
 /// * the perturbed `|x̂'|` is additionally capped by `x̂_rec + |x̂'−x̂|`.
+///
+/// The output error `γ(x̂'−x̂) + e_γ·x̂' + e_β` then takes the normalization's
+/// accumulation slack over `m` terms.
 #[allow(clippy::too_many_arguments)]
 fn bn_err_rec(
     ex: Interval,
@@ -470,11 +457,10 @@ fn bn_err_rec(
 /// result for the same tape; `recorded_abs` is the per-node recorded
 /// `max |value|` from the traced base run ([`Graph::value_abs_max`],
 /// `None` or short/`∞` entries degrade gracefully to the input-range
-/// bounds); `seeds` perturb input leaves exactly as in [`noise_pass`].
-///
-/// Internally the plain interval pass runs first; the returned
-/// [`RelationalNoise::tightened`] cells are each the intersection of the
-/// zonotope enclosure with the corresponding interval cell.
+/// bounds); `seeds` perturb input leaves (unseeded inputs carry exactly
+/// zero noise). Nodes whose value interval is unbounded or may be NaN get
+/// [`Interval::TOP`] noise: an unbounded signal admits no finite
+/// rounding-error bound.
 ///
 /// [`Graph::value_abs_max`]: hero_autodiff::Graph::value_abs_max
 pub fn relational_noise_pass(
@@ -484,7 +470,6 @@ pub fn relational_noise_pass(
     seeds: &[NoiseSeed],
 ) -> RelationalNoise {
     hero_obs::counters::ANALYZE_ZONOTOPE_PASSES.incr();
-    let plain = noise_pass(tape, values, seeds);
     let mut forms: Vec<AffineNoise> = Vec::with_capacity(tape.len());
     // Symbol ids 0..seeds.len() name the seeds; nonlinear transfers mint
     // fresh ids above that for their linearization excursions.
@@ -527,6 +512,15 @@ pub fn relational_noise_pass(
         }
     };
     for (i, node) in tape.iter().enumerate() {
+        // An unbounded or possibly-NaN signal admits no finite rounding
+        // bound, and NaN−NaN is NaN, not zero: give up on such nodes.
+        // (Inputs are exempt: their error is the seed alone.)
+        let own = values.get(i).copied().unwrap_or(Interval::TOP);
+        if node.op != "input" && !own.is_finite() {
+            forms.push(AffineNoise::top());
+            tightened.push(Interval::TOP);
+            continue;
+        }
         let pidx = |slot: usize| -> Option<usize> {
             node.parents.get(slot).filter(|&&idx| idx < i).copied()
         };
@@ -551,7 +545,7 @@ pub fn relational_noise_pass(
                 }
             })
         };
-        let ownc = clip(values.get(i).copied().unwrap_or(Interval::TOP), i);
+        let ownc = clip(own, i);
         // Magnitude both runs' outputs stay under at this node.
         let magc = |ee: Interval| -> f64 { f64::from(ownc.abs_max()) + f64::from(ee.abs_max()) };
         // Element-wise rounding slack (both runs), mirroring `elem`.
@@ -571,17 +565,15 @@ pub fn relational_noise_pass(
         // exactly zero error is recomputed by the identical f32 instruction
         // sequence on bit-identical inputs in both runs, so its two-run
         // difference is exactly zero — no rounding or contraction slack
-        // applies. (Guarded by the plain pass's own NaN analysis: NaN−NaN
-        // is NaN, not zero.) This is what confines the certificate to the
-        // seed's cone of influence; the interval pass charges its margins
-        // unconditionally and lets phantom error grow from unseeded nodes.
+        // applies. This is what confines the certificate to the seed's
+        // cone of influence instead of letting phantom error grow from
+        // unseeded nodes.
         let parents_zero = node.op != "input"
             && !node.parents.is_empty()
             && node
                 .parents
                 .iter()
-                .all(|&p| p < i && exactly_zero(tightened[p]))
-            && !plain[i].maybe_nan;
+                .all(|&p| p < i && exactly_zero(tightened[p]));
         if parents_zero {
             forms.push(AffineNoise::zero());
             tightened.push(Interval::point(0.0));
@@ -645,7 +637,7 @@ pub fn relational_noise_pass(
             "relu" | "relu6" => aligned(0).mul_by_range_fresh(Interval::of(0.0, 1.0), &mut fresh),
             // Window max moves by at most the extreme per-element
             // perturbation, but lanes do not survive the reduction.
-            "max_pool2d" => AffineNoise::from_interval(crate::noisepass::hull_zero(et(0))),
+            "max_pool2d" => AffineNoise::from_interval(hull_zero(et(0))),
             // Flat order is untouched: lanes survive by definition.
             "reshape" => pidx(0).map_or_else(AffineNoise::top, |p| forms[p].clone()),
             "sum" => {
@@ -758,42 +750,10 @@ pub fn relational_noise_pass(
             },
             _ => AffineNoise::top(),
         };
-        // Monotone reduced product with the interval cell.
-        let iv = plain[i];
-        let (form, tight) = if iv.maybe_nan || !iv.is_finite() {
-            // The plain pass gave up here; never outdo it on NaN-ness.
-            (AffineNoise::from_interval(iv), iv)
-        } else if form.is_zero() {
-            // An exactly-zero form (unseeded input, or a transfer that
-            // provably cancels) stays exactly zero: concretize()'s
-            // outward pad would otherwise break the zero-preservation
-            // chain one node downstream.
-            (form, Interval::point(0.0))
-        } else {
-            let c = form.concretize();
-            let tight = intersect(c, iv);
-            // Keep the symbolic form unless the interval cell is
-            // meaningfully tighter than the zonotope enclosure (beyond
-            // concretize()'s own outward padding): the form is a sound
-            // enclosure either way, so rebasing is purely a precision
-            // heuristic, and symbols are worth a sliver of width.
-            let keep = f64::from(c.width()) <= f64::from(tight.width()) * (1.0 + 1e-3) + 1e-30;
-            if keep && !c.maybe_nan {
-                (form, tight)
-            } else {
-                // The interval pass won here: rebase so downstream
-                // transfers start from the better cell.
-                (AffineNoise::from_interval(tight), tight)
-            }
-        };
+        tightened.push(form.concretize());
         forms.push(form);
-        tightened.push(tight);
     }
-    RelationalNoise {
-        forms,
-        interval: plain,
-        tightened,
-    }
+    RelationalNoise { forms, tightened }
 }
 
 #[cfg(test)]
@@ -818,26 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn tightened_is_contained_in_interval_everywhere() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_fn([4, 8], |_| 0.5));
-        let w = g.input(Tensor::from_fn([8, 3], |_| 0.1));
-        let h = g.matmul(x, w).unwrap();
-        let _loss = g.sum(h);
-        let seed = NoiseSeed {
-            node: w.index(),
-            magnitude: 0.01,
-        };
-        let rn = run(&g, &[seed]);
-        for (i, (t, iv)) in rn.tightened.iter().zip(rn.interval.iter()).enumerate() {
-            assert!(
-                t.lo >= iv.lo && t.hi <= iv.hi,
-                "node {i}: tightened {t:?} escapes interval {iv:?}"
-            );
-        }
-    }
-
-    #[test]
     fn shared_symbols_cancel_through_subtraction() {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_fn([4], |_| 0.5));
@@ -847,11 +787,9 @@ mod tests {
             magnitude: 0.1,
         };
         let rn = run(&g, &[seed]);
-        // Interval domain: e(x) − e(x) = [−0.2, 0.2]. Zonotope: ≈ 0.
+        // Interval arithmetic would give e(x) − e(x) = [−0.2, 0.2].
         let zono = rn.tightened[d.index()].abs_max();
-        let interval = rn.interval[d.index()].abs_max();
         assert!(zono < 1e-4, "cancellation failed: {zono}");
-        assert!(interval > 0.19, "interval should not cancel: {interval}");
     }
 
     #[test]
@@ -926,5 +864,31 @@ mod tests {
         let c = f.concretize();
         assert!(f64::from(c.lo) <= -0.101 && f64::from(c.hi) >= 0.101);
         assert!(AffineNoise::top().concretize() == Interval::TOP);
+    }
+
+    #[test]
+    fn concretize_is_exact_on_f32_bounds_and_one_ulp_outward_otherwise() {
+        // A term-less form built from an f32 interval gives it back.
+        let iv = Interval::of(-0.3, 1.7);
+        assert_eq!(AffineNoise::from_interval(iv).concretize(), iv);
+        assert_eq!(AffineNoise::zero().concretize(), Interval::point(0.0));
+        // f64 bounds between two f32 values land on the outer neighbour.
+        for &(lo, hi) in &[(-0.1f64, 0.1f64), (1.0 / 3.0, 2.0 / 3.0), (-1e-40, 7e30)] {
+            let c = AffineNoise {
+                terms: Vec::new(),
+                rem_lo: lo,
+                rem_hi: hi,
+                top: false,
+            }
+            .concretize();
+            assert!(
+                f64::from(c.lo) < lo && f64::from(c.lo.next_up()) > lo,
+                "{lo}"
+            );
+            assert!(
+                f64::from(c.hi) > hi && f64::from(c.hi.next_down()) < hi,
+                "{hi}"
+            );
+        }
     }
 }

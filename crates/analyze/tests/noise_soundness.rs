@@ -4,12 +4,12 @@
 //! twice with identical program randomness — once with base inputs, once
 //! with each seeded input perturbed element-wise by `|δ| ≤ magnitude` —
 //! and asserts that the per-element difference between the two `f32`
-//! forward runs lies inside the interval the noise pass derived for that
-//! node. Each case repeats over 120 independently seeded draws, and every
+//! forward runs lies inside the interval the relational noise pass
+//! derived for that node. Each case repeats over 120 independently seeded draws, and every
 //! tracked bound must also be *finite* (non-vacuity): a transfer that
 //! escapes to `TOP` on an op it claims to support fails loudly.
 
-use hero_analyze::{interval_pass, noise_pass, relational_noise_pass, NoiseSeed, RangeSeed};
+use hero_analyze::{interval_pass, relational_noise_pass, NoiseSeed, RangeSeed};
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{ConvGeometry, Shape, Tensor};
@@ -80,7 +80,8 @@ fn run_case(name: &str, build: impl Fn(&mut Ctx)) {
         let (value_seeds, noise_seeds, vars) = (ctx.value_seeds, ctx.noise_seeds, ctx.vars);
         let tape = g1.trace();
         let values = interval_pass(&tape, &value_seeds);
-        let noise = noise_pass(&tape, &values, &noise_seeds);
+        let rec = g1.value_abs_max();
+        let noise = relational_noise_pass(&tape, &values, Some(&rec), &noise_seeds).tightened;
         let base_vals: Vec<Vec<f32>> = vars.iter().map(|v| g1.value(*v).data().to_vec()).collect();
 
         // Phase 2: identical program randomness, perturbed seeded inputs.
@@ -331,17 +332,15 @@ fn build_random_tape(c: &mut Ctx, op_seed: u64) {
     c.track(m);
 }
 
-/// Zonotope-vs-interval dominance fuzzer: 200 independently seeded random
-/// tapes, each asserting per node that the relational pass's tightened
-/// cell is contained in the plain interval cell (`tightened ⊆ interval`),
-/// that the pass's `interval` field reproduces [`noise_pass`] exactly,
-/// and that the tightened cell still encloses the measured difference of
-/// two real forward runs on perturbed seeded inputs.
+/// Zonotope soundness fuzzer: 200 independently seeded random tapes,
+/// each asserting per node that the relational pass's cell encloses the
+/// measured difference of two real forward runs on perturbed seeded
+/// inputs.
 #[test]
-fn zonotope_dominates_interval_on_random_tapes() {
+fn zonotope_is_sound_on_random_tapes() {
     const TAPES: u64 = 200;
     for op_seed in 0..TAPES {
-        // Phase 1: base run; derive intervals and both noise domains.
+        // Phase 1: base run; derive intervals and the noise cells.
         let mut rng = StdRng::seed_from_u64(0xD0_0D ^ (op_seed << 8));
         let mut g1 = Graph::new();
         let mut ctx = Ctx {
@@ -356,27 +355,13 @@ fn zonotope_dominates_interval_on_random_tapes() {
         let (value_seeds, noise_seeds, vars) = (ctx.value_seeds, ctx.noise_seeds, ctx.vars);
         let tape = g1.trace();
         let values = interval_pass(&tape, &value_seeds);
-        let plain = noise_pass(&tape, &values, &noise_seeds);
         let rec = g1.value_abs_max();
         let rn = relational_noise_pass(&tape, &values, Some(&rec), &noise_seeds);
         assert_eq!(rn.tightened.len(), tape.len(), "tape {op_seed}: length");
-        for i in 0..tape.len() {
-            let (t, iv) = (rn.tightened[i], rn.interval[i]);
-            assert_eq!(
-                (iv.lo, iv.hi, iv.maybe_nan),
-                (plain[i].lo, plain[i].hi, plain[i].maybe_nan),
-                "tape {op_seed}: node #{i} interval field drifted from noise_pass"
-            );
-            assert!(
-                t.lo >= iv.lo && t.hi <= iv.hi && (iv.maybe_nan || !t.maybe_nan),
-                "tape {op_seed}: node #{i} ({}) tightened {t:?} escapes interval {iv:?}",
-                tape[i].op,
-            );
-        }
         let base_vals: Vec<Vec<f32>> = vars.iter().map(|v| g1.value(*v).data().to_vec()).collect();
 
         // Phase 2: identical program randomness, perturbed seeded inputs;
-        // the tightened cells must still enclose the measured difference.
+        // the cells must enclose the measured difference.
         let mut rng2 = StdRng::seed_from_u64(0xD0_0D ^ (op_seed << 8));
         let mut nrng = StdRng::seed_from_u64(op_seed ^ 0xD1CE_CA5E);
         let mut g2 = Graph::new();

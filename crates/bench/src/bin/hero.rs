@@ -13,9 +13,8 @@
 //!                [--out-dir results/analyze]
 //! hero noise-crosscheck --preset c10 --models resnet,mobilenet,vgg
 //!                [--bits 2,4,8] [--trials 2] [--out results/analyze/noise_crosscheck.json]
-//!                [--tightness results/analyze/tightness.json]
-//! hero spectrum  --preset c10 --model resnet --methods sgd,hero [--epochs 3]
-//!                [--artifact model.ha] [--steps 10] [--probes 4]
+//! hero spectrum  --preset c10 (--artifact model.ha | --model resnet
+//!                --methods sgd,hero [--epochs 3]) [--steps 10] [--probes 4]
 //!                [--out results/SPECTRUM_run.json]
 //! hero artifact inspect --path model.ha
 //! hero repro     <table1|table2|table3|fig1|fig2|fig3|c10-row> [--fast]
@@ -33,10 +32,9 @@
 //! model's tape without training and writes the report plus an
 //! interval-colored Graphviz view; `noise-crosscheck` adversarially
 //! validates the noise domain against measured fake-quant probe-loss
-//! shifts, writes a JSON artifact (plus, with `--tightness`, the
-//! interval-vs-zonotope domain-comparison table), and exits nonzero on
-//! any soundness violation or domain-tightness regression; `spectrum` is
-//! the Hessian observatory — it trains each
+//! shifts, writes a JSON artifact, and exits nonzero on any soundness
+//! violation or a rank-constant sensitivity matrix; `spectrum` is the
+//! Hessian observatory — it trains each
 //! requested method with per-epoch spectrum telemetry, takes a deep SLQ
 //! density + per-layer Hutchinson-trace probe of the final weights,
 //! cross-checks the empirical trace ranking against the certified static
@@ -78,7 +76,7 @@ use hero_hessian::{
 };
 use hero_nn::models::ModelKind;
 use hero_nn::{evaluate_accuracy, Network};
-use hero_obs::json::{array_lines, escape, num, JsonObj};
+use hero_obs::json::{array_lines, num, JsonObj};
 use hero_optim::BatchOracle;
 use hero_quant::{
     allocate_bits, network_sensitivities, quantize_params, quantize_params_mixed, quantize_tensor,
@@ -169,10 +167,10 @@ USAGE:
   hero noise-crosscheck --preset ... [--models resnet,mobilenet,vgg]
                  [--bits 2,4,8] [--trials N] [--epochs N] [--scale F] [--seed N]
                  [--avg AVG_BITS] [--min-overlap F] [--out FILE]
-                 [--tightness FILE]
-  hero spectrum  --preset ... --model ... [--methods sgd,hero] [--epochs N]
-                 [--artifact FILE.ha] [--scale F] [--seed N] [--steps N]
-                 [--probes N] [--bits N] [--spectrum-every N] [--out FILE]
+  hero spectrum  --preset ... [--scale F] [--seed N]
+                 (--artifact FILE.ha | --model ... [--methods sgd,hero]
+                  [--epochs N] [--spectrum-every N])
+                 [--steps N] [--probes N] [--bits N] [--out FILE]
   hero artifact inspect --path FILE.ha
   hero repro    <table1|table2|table3|fig1|fig2|fig3|c10-row> [--fast]
                 [--artifact-dir DIR]   (c10-row only)
@@ -233,7 +231,7 @@ const COMMANDS: &[Command] = &[
         words: &[],
         flags: "preset=c10 models=resnet,mobilenet,vgg scale=0.25 seed=42 epochs=3 trials=2 \
                 bits=2,4,8 avg=4.0 min-overlap=0.0 \
-                out=results/analyze/noise_crosscheck.json tightness=",
+                out=results/analyze/noise_crosscheck.json",
         run: cmd_noise_crosscheck,
     },
     Command {
@@ -414,20 +412,7 @@ struct Source {
 /// fresh `--model` initialised from `--seed` and, when `trained`, trained
 /// with `--method` for `--epochs`.
 fn model_source(o: &Opts, trained: bool) -> CliResult<Source> {
-    // The artifact fixes the architecture, weights and training history,
-    // so the flags that would pick them cannot apply.
-    if o.has("artifact") {
-        if let Some(flag) = ["model", "method", "epochs", "seed"]
-            .into_iter()
-            .find(|f| o.has(f))
-        {
-            return Err(format!(
-                "hero {}: --{flag} cannot be combined with --artifact (the model comes from the file)",
-                o.cmd
-            )
-            .into());
-        }
-    }
+    reject_with_artifact(o, &["model", "method", "epochs", "seed"])?;
     let preset = o.one("preset", PRESETS)?;
     let (train_set, test_set) = preset.load(o.num("scale")?);
     let (net, artifact) = match o.get("artifact") {
@@ -457,6 +442,30 @@ fn model_source(o: &Opts, trained: bool) -> CliResult<Source> {
         train_set,
         test_set,
     })
+}
+
+/// Fails when `--artifact` is given together with any of `flags`: the
+/// artifact fixes the architecture, weights and training history, so the
+/// flags that would pick them cannot apply.
+fn reject_with_artifact(o: &Opts, flags: &[&str]) -> CliResult {
+    match flags.iter().find(|f| o.has("artifact") && o.has(f)) {
+        Some(flag) => Err(format!(
+            "hero {}: --{flag} cannot be combined with --artifact (the model comes from the file)",
+            o.cmd
+        )
+        .into()),
+        None => Ok(()),
+    }
+}
+
+/// The paper name of the model an artifact holds, from its `model.kind`
+/// (the raw kind when it names no known model).
+fn artifact_model_name(art: &Artifact) -> &str {
+    let kind = art.meta_str("model.kind").unwrap_or("unknown");
+    MODELS
+        .iter()
+        .find(|(n, _)| *n == kind)
+        .map_or(kind, |(_, m)| m.paper_name())
 }
 
 /// Trains a fresh `--model` with `--method` for `--epochs` from `--seed`
@@ -734,13 +743,7 @@ fn cmd_preflight(o: &Opts) -> CliResult {
     // Name the report after the model actually analyzed: an artifact's
     // own `model.kind`, not the `--model` default.
     let model_name = match &loaded {
-        Some(art) => {
-            let kind = art.meta_str("model.kind").unwrap_or("unknown");
-            MODELS
-                .iter()
-                .find(|(n, _)| *n == kind)
-                .map_or(kind, |(_, m)| m.paper_name())
-        }
+        Some(art) => artifact_model_name(art),
         None => o.one("model", MODELS)?.paper_name(),
     };
     let (images, labels) = probe_batch(&train_set, 64)?;
@@ -843,13 +846,10 @@ fn cmd_preflight(o: &Opts) -> CliResult {
 /// ([`hero_core::noise_crosscheck`]), compares a static-matrix mixed
 /// allocation against uniform quantization at equal average bits, and
 /// writes everything to one JSON artifact. Exits nonzero if any measured
-/// error escapes its certified bound, if any zonotope-tightened cell is
-/// wider than its interval-domain cell, or if the ranking overlap falls
-/// under `--min-overlap` — a NaN overlap (degenerate ranking) counts as
-/// a failure there, never as a silent pass. With `--tightness FILE` it
-/// additionally writes the per-layer×bits domain-comparison artifact
-/// (interval width, zonotope width, ratio) and fails if the raw
-/// un-clamped sensitivity matrix is rank-constant on a multi-layer model.
+/// error escapes its certified bound, if the raw un-clamped sensitivity
+/// matrix is rank-constant on a multi-layer model, or if the ranking
+/// overlap falls under `--min-overlap` — a NaN overlap (degenerate
+/// ranking) counts as a failure there, never as a silent pass.
 fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
     let preset = o.one("preset", PRESETS)?;
     let models = o.names("models", MODELS)?;
@@ -861,7 +861,6 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
     let min_overlap: f32 = o.num("min-overlap")?;
     let grid = o.bits("bits")?;
     let out_path = o.path("out").unwrap_or_default();
-    let tightness_path = o.path("tightness");
 
     let (train_set, test_set) = preset.load(scale);
     let (images, labels) = probe_batch(&train_set, 64)?;
@@ -872,10 +871,8 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
     // single-layer) ranking would otherwise sail through the
     // `--min-overlap` gate unexamined. Track it explicitly instead.
     let mut saw_degenerate_ranking = false;
-    let mut widened_cells = 0usize;
     let mut rank_constant_models: Vec<String> = Vec::new();
     let mut model_docs = Vec::new();
-    let mut tightness_docs = Vec::new();
     for model in models {
         let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
         let config = TrainConfig::new(MethodKind::Sgd.tuned(), epochs).with_seed(seed);
@@ -908,29 +905,8 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
         let uniform_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
         net.set_params(&full)?;
 
-        // Domain-tightness audit: every zonotope-tightened cell must sit
-        // inside its interval-domain cell, and the raw (un-clamped)
-        // matrix must distinguish at least two layer ranks somewhere on
-        // the grid for the ranking to mean anything.
-        let mut model_widened = 0usize;
-        let mut tight_cells = Vec::new();
-        for l in &matrix.layers {
-            for (k, &b) in matrix.bits.iter().enumerate() {
-                let zono = l.err[k];
-                let interval = l.err_interval.get(k).copied().unwrap_or(zono);
-                if zono > interval {
-                    model_widened += 1;
-                }
-                let ratio = if interval > 0.0 { zono / interval } else { 1.0 };
-                let mut cell = JsonObj::new();
-                cell.str("layer", &l.name)
-                    .u64("bits", u64::from(b))
-                    .f64("interval", f64::from(interval))
-                    .f64("zonotope", f64::from(zono))
-                    .f64("ratio", f64::from(ratio));
-                tight_cells.push(cell.finish());
-            }
-        }
+        // The raw (un-clamped) matrix must distinguish at least two layer
+        // ranks somewhere on the grid for the ranking to mean anything.
         let distinct_ranks = (0..matrix.bits.len())
             .map(|k| {
                 let mut col: Vec<f32> = matrix.layers.iter().map(|l| l.err[k]).collect();
@@ -940,16 +916,9 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
             })
             .max()
             .unwrap_or(0);
-        widened_cells += model_widened;
         if matrix.layers.len() >= 2 && distinct_ranks < 2 {
             rank_constant_models.push(model.paper_name().to_string());
         }
-        let mut doc = JsonObj::new();
-        doc.str("model", model.paper_name())
-            .u64("distinct_ranks", distinct_ranks as u64)
-            .u64("widened_cells", model_widened as u64)
-            .raw("cells", &array_lines(tight_cells));
-        tightness_docs.push(doc.finish());
 
         let rho_str = report
             .rank_rho
@@ -972,7 +941,6 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
             .str("model", model.paper_name())
             .u64("violations", report.violations as u64)
             .u64("distinct_ranks", distinct_ranks as u64)
-            .u64("widened_cells", model_widened as u64)
             .f64("overlap", f64::from(report.overlap))
             .f64("rank_rho", f64::from(report.rank_rho.unwrap_or(f32::NAN)))
             .f64("mixed_acc", f64::from(mixed_acc))
@@ -995,6 +963,7 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
             .u64("violations", report.violations as u64)
             .f64("overlap", f64::from(report.overlap))
             .f64("rank_rho", f64::from(report.rank_rho.unwrap_or(f32::NAN)))
+            .u64("distinct_ranks", distinct_ranks as u64)
             .u64("ref_bits", u64::from(report.ref_bits))
             .f64("full_acc", f64::from(rec.final_test_acc))
             .f64("mixed_acc", f64::from(mixed_acc))
@@ -1020,18 +989,6 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
         );
     write_file(&out_path, &(doc.finish() + "\n"))?;
     println!("noise crosscheck written to {}", out_path.display());
-    if let Some(path) = &tightness_path {
-        let names = rank_constant_models
-            .iter()
-            .map(|m| format!("\"{}\"", escape(m)));
-        let mut doc = JsonObj::new();
-        doc.raw("models", &array_lines(tightness_docs))
-            .u64("widened_cells", widened_cells as u64)
-            .raw("rank_constant_models", &json_list(names));
-        write_file(path, &(doc.finish() + "\n"))?;
-        println!("domain-tightness artifact written to {}", path.display());
-    }
-
     if total_violations > 0 {
         return Err(format!(
             "noise-domain soundness violated: {total_violations} measured errors \
@@ -1040,14 +997,7 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
         )
         .into());
     }
-    if widened_cells > 0 {
-        return Err(format!(
-            "domain tightening regressed: {widened_cells} zonotope cells are wider \
-             than their interval-domain cells"
-        )
-        .into());
-    }
-    if tightness_path.is_some() && !rank_constant_models.is_empty() {
+    if !rank_constant_models.is_empty() {
         return Err(format!(
             "raw sensitivity matrix is rank-constant (every layer×bits cell ties) \
              on: {}",
@@ -1088,22 +1038,17 @@ fn json_list<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
 /// the Spearman rank correlation between the empirical quantizable-layer
 /// trace ranking and the certified static sensitivity ranking, prints an
 /// ASCII density plot, and rolls everything into one JSON artifact.
+/// With `--artifact` it probes the saved model instead, labelled by the
+/// artifact's own `model.kind`; the flags that pick or train a model are
+/// rejected there (`--seed` still seeds the probes).
 fn cmd_spectrum(o: &Opts) -> CliResult {
+    reject_with_artifact(o, &["model", "methods", "epochs", "spectrum-every"])?;
     let preset = o.one("preset", PRESETS)?;
-    let model = o.one("model", MODELS)?;
     let scale: f32 = o.num("scale")?;
     let seed: u64 = o.num("seed")?;
-    let epochs: usize = o.num("epochs")?;
     let steps: usize = o.num("steps")?;
     let probes: usize = o.num("probes")?;
     let bits: u8 = o.num("bits")?;
-    let every: usize = o.num("spectrum-every")?;
-    let out_path = o.path("out").unwrap_or_else(|| {
-        PathBuf::from(format!(
-            "results/SPECTRUM_{}.json",
-            report_stem(model.paper_name(), preset)
-        ))
-    });
 
     let (train_set, test_set) = preset.load(scale);
     let (images, labels) = probe_batch(&train_set, 64)?;
@@ -1112,7 +1057,7 @@ fn cmd_spectrum(o: &Opts) -> CliResult {
     // and per-epoch spectrum trajectory both come from the file) or train
     // each requested method fresh.
     let mut runs: Vec<(String, Network, TrainRecord)> = Vec::new();
-    if let Some(path) = o.get("artifact") {
+    let (model_name, epochs) = if let Some(path) = o.get("artifact") {
         let art = load_artifact(path)?;
         let name = art
             .meta_str("train.method.kind")
@@ -1120,8 +1065,13 @@ fn cmd_spectrum(o: &Opts) -> CliResult {
             .to_string();
         let net = network_from_artifact(&art)?;
         let rec = record_from_artifact(&art)?;
+        let label = (artifact_model_name(&art).to_string(), rec.epochs.len());
         runs.push((name, net, rec));
+        label
     } else {
+        let model = o.one("model", MODELS)?;
+        let epochs: usize = o.num("epochs")?;
+        let every: usize = o.num("spectrum-every")?;
         for method in o.names("methods", METHODS)? {
             let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
             let config = TrainConfig::new(method.tuned(), epochs)
@@ -1130,7 +1080,14 @@ fn cmd_spectrum(o: &Opts) -> CliResult {
             let rec = train(&mut net, &train_set, &test_set, &config)?;
             runs.push((method.paper_name().to_string(), net, rec));
         }
-    }
+        (model.paper_name().to_string(), epochs)
+    };
+    let out_path = o.path("out").unwrap_or_else(|| {
+        PathBuf::from(format!(
+            "results/SPECTRUM_{}.json",
+            report_stem(&model_name, preset)
+        ))
+    });
     let mut method_docs = Vec::new();
     for (name, mut net, rec) in runs {
         // Deep final probe. Unlike the trainer's epoch probe this keeps the
@@ -1264,7 +1221,7 @@ fn cmd_spectrum(o: &Opts) -> CliResult {
     }
     let mut doc = JsonObj::new();
     doc.str("preset", preset.paper_name())
-        .str("model", model.paper_name())
+        .str("model", &model_name)
         .u64("epochs", epochs as u64)
         .u64("steps", steps as u64)
         .u64("probes", probes as u64)

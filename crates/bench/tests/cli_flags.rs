@@ -33,6 +33,7 @@ fn rejects(args: &[&str], culprit: &str) {
 #[test]
 fn unknown_flags_are_rejected() {
     rejects(&["train", "--epoch", "5"], "`--epoch`");
+    rejects(&["noise-crosscheck", "--tightness", "x"], "`--tightness`");
 }
 
 #[test]
@@ -87,13 +88,18 @@ fn model_flags_conflict_with_an_artifact() {
         &["analyze", "--artifact", "missing.ha", "--seed", "1"],
         "--seed",
     );
+    for flag in ["--model", "--methods", "--epochs", "--spectrum-every"] {
+        let value = if flag == "--methods" { "sgd" } else { "1" };
+        rejects(
+            &["spectrum", "--artifact", "missing.ha", flag, value],
+            &format!("{flag} cannot be combined with --artifact"),
+        );
+    }
 }
 
-#[test]
-fn preflight_names_its_report_after_the_artifact_model() {
-    let model = tmp("vgg.ha");
-    let out_dir = tmp("preflight");
-    // Zero epochs: an untrained VGG artifact is enough to label.
+/// Trains a 0-epoch VGG artifact: untrained, but enough to label.
+fn untrained_vgg(name: &str) -> PathBuf {
+    let model = tmp(name);
     let out = hero(&[
         "train",
         "--model",
@@ -110,6 +116,13 @@ fn preflight_names_its_report_after_the_artifact_model() {
         "train --save failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    model
+}
+
+#[test]
+fn preflight_names_its_report_after_the_artifact_model() {
+    let model = untrained_vgg("vgg.ha");
+    let out_dir = tmp("preflight");
     let out = hero(&[
         "preflight",
         "--scale",
@@ -128,4 +141,40 @@ fn preflight_names_its_report_after_the_artifact_model() {
     assert!(!out_dir.join("resnet20_cifar_10.txt").exists());
     std::fs::remove_file(&model).ok();
     std::fs::remove_dir_all(&out_dir).ok();
+}
+
+#[test]
+fn spectrum_names_its_document_after_the_artifact_model() {
+    let model = untrained_vgg("vgg_spectrum.ha");
+    let dir = tmp("spectrum");
+    std::fs::create_dir_all(&dir).unwrap();
+    // No --out: the default path is derived from the model name, relative
+    // to the working directory.
+    let out = Command::new(env!("CARGO_BIN_EXE_hero"))
+        .current_dir(&dir)
+        .args([
+            "spectrum",
+            "--scale",
+            "0.05",
+            "--steps",
+            "2",
+            "--probes",
+            "1",
+            "--artifact",
+            model.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn hero");
+    assert!(
+        out.status.success(),
+        "spectrum --artifact failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = dir.join("results/SPECTRUM_vgg19bn_cifar_10.json");
+    let text = std::fs::read_to_string(&doc).expect("spectrum document at the VGG path");
+    assert!(text.contains("\"model\": \"VGG19BN\""), "{text}");
+    assert!(text.contains("\"epochs\": 0"), "{text}");
+    assert!(!dir.join("results/SPECTRUM_resnet20_cifar_10.json").exists());
+    std::fs::remove_file(&model).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -202,8 +202,7 @@ fn validate_grid(bits_grid: &[u8]) -> Result<()> {
 /// `‖δW‖∞ ≤ Δ(bits)/2`, bounding the induced loss perturbation. The
 /// zonotope pass centers its base-run ranges on the recorded trace
 /// magnitudes, which is what keeps the raw cells off the loss-interval
-/// ceiling; the plain interval-domain cells are retained in
-/// [`StaticSensitivity::err_interval`] for tightness reporting.
+/// ceiling.
 ///
 /// This is the sound replacement for the `curvature = 1` placeholder of
 /// [`hero_quant::network_sensitivities`]: feed the matrix (or its
@@ -256,21 +255,20 @@ pub fn static_sensitivity_matrix(
             .get(var.index())
             .copied()
             .unwrap_or(f32::INFINITY);
-        let mut err = Vec::with_capacity(bits_grid.len());
-        let mut err_interval = Vec::with_capacity(bits_grid.len());
-        for &b in bits_grid {
-            let seed = NoiseSeed::for_quantized_weight(var.index(), max_abs, b);
-            let rn = relational_noise_pass(&tape, &value.intervals, Some(&recorded), &[seed]);
-            err.push(rn.tightened[loss.index()].abs_max());
-            err_interval.push(rn.interval[loss.index()].abs_max());
-        }
+        let err = bits_grid
+            .iter()
+            .map(|&b| {
+                let seed = NoiseSeed::for_quantized_weight(var.index(), max_abs, b);
+                let rn = relational_noise_pass(&tape, &value.intervals, Some(&recorded), &[seed]);
+                rn.tightened[loss.index()].abs_max()
+            })
+            .collect();
         layers.push(StaticSensitivity {
             name: info.name.clone(),
             numel: param.numel(),
             max_abs,
             grad_bound,
             err,
-            err_interval,
         });
     }
     g.reset();
@@ -379,8 +377,7 @@ pub struct CrosscheckReport {
     /// Bit width the ranking overlap was computed at (grid midpoint).
     pub ref_bits: u8,
     /// The certified static sensitivity matrix the cells were checked
-    /// against (tightened cells in `err`, interval-domain cells in
-    /// `err_interval` — the tightness artifact is derived from these).
+    /// against.
     pub matrix: SensitivityMatrix,
 }
 

@@ -125,8 +125,6 @@ pub static ANALYZE_DIAGS_ERROR: Counter = Counter::new("analyze_diags_error");
 /// Warning-severity diagnostics produced by `hero-analyze` pre-flight
 /// runs.
 pub static ANALYZE_DIAGS_WARN: Counter = Counter::new("analyze_diags_warn");
-/// Quantization-noise propagation passes executed by `hero-analyze`.
-pub static ANALYZE_NOISE_PASSES: Counter = Counter::new("analyze_noise_passes");
 /// Relational (zonotope) noise passes executed by `hero-analyze`.
 pub static ANALYZE_ZONOTOPE_PASSES: Counter = Counter::new("analyze_zonotope_passes");
 /// Static-vs-empirical noise crosscheck trials where the measured error
@@ -137,7 +135,7 @@ pub static ARTIFACT_SAVES: Counter = Counter::new("artifact_saves");
 /// Model artifacts successfully decoded from disk.
 pub static ARTIFACT_LOADS: Counter = Counter::new("artifact_loads");
 
-const BUILTINS: [&Counter; 20] = [
+const BUILTINS: [&Counter; 19] = [
     &GRAD_EVALS,
     &POOL_HITS,
     &POOL_FRESH_ALLOCS,
@@ -153,7 +151,6 @@ const BUILTINS: [&Counter; 20] = [
     &REDUCE_WAIT_NS,
     &ANALYZE_DIAGS_ERROR,
     &ANALYZE_DIAGS_WARN,
-    &ANALYZE_NOISE_PASSES,
     &ANALYZE_ZONOTOPE_PASSES,
     &NOISE_CROSSCHECK_VIOLATIONS,
     &ARTIFACT_SAVES,

@@ -34,11 +34,6 @@ pub struct StaticSensitivity {
     /// with [`SensitivityMatrix::bits`]. Entry `k` bounds `|L(W + δ) − L(W)|`
     /// over all `‖δ‖∞ ≤ Δ(bits[k])/2` perturbations of this layer alone.
     pub err: Vec<f32>,
-    /// The plain interval-domain bound per grid bit width, before the
-    /// relational (zonotope) tightening that produces [`Self::err`].
-    /// Kept for domain-tightness reporting (`err[k] ≤ err_interval[k]`
-    /// holds cell-wise); may be empty when only one domain was run.
-    pub err_interval: Vec<f32>,
 }
 
 impl StaticSensitivity {
@@ -87,14 +82,6 @@ impl SensitivityMatrix {
                     "layer {}: {} err entries for a {}-point grid",
                     l.name,
                     l.err.len(),
-                    self.bits.len()
-                )));
-            }
-            if !l.err_interval.is_empty() && l.err_interval.len() != self.bits.len() {
-                return Err(TensorError::InvalidArgument(format!(
-                    "layer {}: {} err_interval entries for a {}-point grid",
-                    l.name,
-                    l.err_interval.len(),
                     self.bits.len()
                 )));
             }
@@ -204,7 +191,6 @@ mod tests {
                     max_abs: 1.0,
                     grad_bound: f32::INFINITY,
                     err: vec![8.0, 1.6, 0.09],
-                    err_interval: vec![16.0, 3.2, 0.18],
                 },
                 StaticSensitivity {
                     name: "robust".into(),
@@ -212,7 +198,6 @@ mod tests {
                     max_abs: 1.0,
                     grad_bound: f32::INFINITY,
                     err: vec![0.08, 0.016, 0.0009],
-                    err_interval: vec![],
                 },
             ],
         }
@@ -266,7 +251,6 @@ mod tests {
                 max_abs: 1.0,
                 grad_bound: f32::INFINITY,
                 err: vec![cap, cap],
-                err_interval: vec![],
             }],
         };
         let old_estimate = cap * (m.layers[0].delta(3) / m.layers[0].delta(2));

@@ -141,7 +141,6 @@ fn matrix_allocator_shares_the_greedy_properties() {
                         rng.gen_range(1e-4f32..=10.0)
                     },
                     err,
-                    err_interval: vec![],
                 }
             })
             .collect();

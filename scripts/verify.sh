@@ -95,16 +95,14 @@ done
 echo "==> quantization-noise crosscheck (certified bounds vs measurement)"
 # Trains each smoke model briefly, then fake-quantizes every layer at every
 # grid width and checks the measured probe-loss shift against the static
-# noise-domain certificate (DESIGN.md §14). Any soundness violation exits
-# nonzero, as does a zonotope cell wider than its interval cell or a
-# rank-constant raw sensitivity matrix (DESIGN.md §17); the tightness
-# artifact records interval vs zonotope width per layer×bits. Ranking
-# overlap is recorded in the JSON but not gated: the 2-epoch smoke models
-# are too noisy for a stable sensitivity ranking.
+# zonotope noise certificate (DESIGN.md §17). Any soundness violation exits
+# nonzero, as does a rank-constant raw sensitivity matrix; each model's
+# `distinct_ranks` is recorded in the JSON. Ranking overlap is recorded but
+# not gated: the 2-epoch smoke models are too noisy for a stable
+# sensitivity ranking.
 cargo run --release -p hero-bench --bin hero -- \
   noise-crosscheck --preset c10 --models resnet,mobilenet,vgg \
-  --scale 0.25 --epochs 2 --out results/analyze/noise_crosscheck.json \
-  --tightness results/analyze/tightness.json
+  --scale 0.25 --epochs 2 --out results/analyze/noise_crosscheck.json
 
 echo "==> spectrum observatory smoke (hero spectrum, SGD vs HERO)"
 mkdir -p results
