@@ -1,40 +1,42 @@
-//! GEMM throughput sweep over the *real* layer shapes of the experiment
-//! presets (resnet / mobilenet / vgg at the `model_config` scale: width 8,
-//! 8×8 inputs, batch 16), not just the square 256³ headline product.
-//! Conv-as-im2col GEMMs are skinny (m = out-channels ≤ 16) with fat panel
-//! dims, which stresses the edge-tile and packing paths very differently
-//! from a square matmul.
+//! GEMM throughput sweep over preset-scale products, not just the square
+//! 256³ headline product, followed by the direct convolution kernels on
+//! every conv layer the C10 models run.
 //!
-//! Each shape is timed under every kernel variant — `reference` (the
+//! Each GEMM shape is timed under every kernel variant — `reference` (the
 //! blocked oracle), `scalar` (portable packed kernel), `avx2fma` (forced
 //! SIMD; silently identical to scalar on hardware without AVX2+FMA, the
-//! `kernel` extra records what actually ran). Each preset conv layer is
-//! then timed through the direct convolution kernels that training runs
-//! — forward, weight gradient and input gradient (`*_fwd`, `*_dw`,
-//! `*_dx`), each credited with its layer's GEMM flops. Writes
-//! `results/BENCH_gemm.json` with a GFLOP/s figure per row (override the
-//! path with `HERO_BENCH_OUT`).
+//! `kernel_ran` extra records what actually ran). Conv-as-im2col GEMMs are
+//! skinny (m = out-channels ≤ 16) with fat panel dims, which stresses the
+//! edge-tile and packing paths very differently from a square matmul.
+//!
+//! The conv rows are read off a recorded train-mode forward tape of each
+//! C10 model (ResNet, MobileNet, VGG) at the training batch of 32, so they
+//! cannot drift from the layers the models actually run. Each distinct
+//! layer is timed through the direct kernels — forward, weight gradient
+//! and input gradient (`*_fwd`, `*_dw`, `*_dx`), each credited with its
+//! layer's GEMM flops; the `count` extra says how many of the model's
+//! convs share the shape. Writes `results/BENCH_gemm.json` with a GFLOP/s
+//! figure per row (override the path with `HERO_BENCH_OUT`).
 
+use hero_autodiff::{Graph, TraceDetail};
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json, BenchRow};
+use hero_core::experiment::model_config;
+use hero_data::Preset;
+use hero_nn::models::ModelKind;
+use hero_tensor::rng::StdRng;
 use hero_tensor::{
     active_gemm_kernel, force_gemm_kernel, matmul_reference, ConvGeometry, GemmKernel, Tensor,
 };
 
-/// Named layer shapes `(name, m, n, k)` of the preset models.
+/// Named GEMM shapes `(name, m, n, k)`.
 ///
-/// Conv layers appear as their im2col GEMM `(out_c, N·oh·ow, in_c·k·k)`;
-/// the `grad_w` row is the backward dW product of the same layer, whose
-/// reduction runs over the long spatial dimension instead.
-const SHAPES: [(&str, usize, usize, usize); 9] = [
+/// The conv rows are im2col GEMMs `(out_c, N·oh·ow, in_c·k·k)` at batch
+/// 16; the `grad_w` row is the backward dW product of the same layer,
+/// whose reduction runs over the long spatial dimension instead.
+const SHAPES: [(&str, usize, usize, usize); 6] = [
     ("matmul_256x256x256", 256, 256, 256),
-    // resnet: 3→8ch 3×3 stem on 8×8, batch 16.
-    ("resnet_stem_conv", 8, 1024, 27),
     // resnet: 8→8ch 3×3 stage conv on 8×8.
     ("resnet_stage_conv", 8, 1024, 72),
-    // resnet: 8→16ch stride-2 transition (8×8 → 4×4).
-    ("resnet_transition_conv", 16, 256, 72),
-    // resnet/vgg: 16→16ch 3×3 conv on 4×4.
-    ("resnet_stage2_conv", 16, 256, 144),
     // resnet stage conv backward: dW = dY·colsᵀ (reduction over N·oh·ow).
     ("resnet_stage_conv_grad_w", 8, 72, 1024),
     // mobilenet: 8→16ch 1×1 pointwise conv on 8×8.
@@ -45,27 +47,64 @@ const SHAPES: [(&str, usize, usize, usize); 9] = [
     ("fc_head", 16, 256, 256),
 ];
 
-/// A conv layer: `(name, batch, in_c, out_c, side, kernel, stride, pad)`.
-type ConvLayer = (
-    &'static str,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-    usize,
-);
+/// Batch of the conv rows: the C10 training batch.
+const CONV_BATCH: usize = 32;
 
-/// The preset conv layers above.
-const CONVS: [ConvLayer; 6] = [
-    ("resnet_stem_conv", 16, 3, 8, 8, 3, 1, 1),
-    ("resnet_stage_conv", 16, 8, 8, 8, 3, 1, 1),
-    ("resnet_transition_conv", 16, 8, 16, 8, 3, 2, 1),
-    ("resnet_stage2_conv", 16, 16, 16, 4, 3, 1, 1),
-    ("mobilenet_pointwise_conv", 16, 8, 16, 8, 1, 1, 0),
-    ("vgg_conv", 16, 16, 16, 8, 3, 1, 1),
-];
+/// One conv layer of a model: batch, in and out channels, input height
+/// and width, and window geometry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ConvLayer {
+    n: usize,
+    c: usize,
+    oc: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+}
+
+impl ConvLayer {
+    /// Row name, e.g. `resnet_8to16_k1s2_4x4`.
+    fn name(&self, model: &str) -> String {
+        let g = &self.geom;
+        format!(
+            "{model}_{}to{}_k{}s{}_{}x{}",
+            self.c, self.oc, g.kernel, g.stride, self.h, self.w
+        )
+    }
+}
+
+/// The distinct conv layers of `kind`'s C10 model, in tape order, each
+/// with how many of the model's convs share it: read off a train-mode
+/// forward tape at batch [`CONV_BATCH`]. The input's shape comes from the
+/// conv node's first parent, the output channels from its own shape.
+fn model_convs(kind: ModelKind) -> Vec<(ConvLayer, usize)> {
+    let cfg = model_config(Preset::C10);
+    let mut net = kind.build(cfg, &mut StdRng::seed_from_u64(0));
+    let x = Tensor::zeros([CONV_BATCH, cfg.in_channels, cfg.input_hw, cfg.input_hw]);
+    let mut g = Graph::new();
+    net.forward(&mut g, &x, true).expect("model forward");
+    let tape = g.trace();
+    let mut layers: Vec<(ConvLayer, usize)> = Vec::new();
+    for node in tape.iter().filter(|node| node.op == "conv2d") {
+        let TraceDetail::Conv { geom } = node.detail else {
+            panic!("conv2d node {} carries no geometry", node.index);
+        };
+        let input = &tape[node.parents[0]].shape;
+        let layer = ConvLayer {
+            n: input[0],
+            c: input[1],
+            oc: node.shape[1],
+            h: input[2],
+            w: input[3],
+            geom,
+        };
+        match layers.iter_mut().find(|(l, _)| *l == layer) {
+            Some((_, count)) => *count += 1,
+            None => layers.push((layer, 1)),
+        }
+    }
+    layers
+}
 
 fn operand(dims: [usize; 2], salt: usize) -> Tensor {
     Tensor::from_fn(dims, |i| {
@@ -108,31 +147,46 @@ fn main() {
         }
     }
 
-    // The direct conv kernels on each preset layer, under the
+    // The direct conv kernels on each model's conv layers, under the
     // auto-detected kernel.
-    for &(name, n, c, oc, side, k, stride, pad) in &CONVS {
-        let geom = ConvGeometry::new(side, side, k, stride, pad).unwrap();
-        let (oh, ow) = geom.out_hw();
-        let x = Tensor::from_fn([n, c, side, side], |i| {
-            ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
-        });
-        let w = operand([oc, c * k * k], 3);
-        let dy = Tensor::from_fn([n, oc, oh, ow], |i| {
-            ((i[0] * 5 + i[1] * 3 + i[2] * 7 + i[3]) % 13) as f32 / 6.0 - 1.0
-        });
-        let (m, sites, taps) = (oc, n * oh * ow, c * k * k);
-        let row = time_op(&format!("{name}_fwd"), budget, || {
-            std::hint::black_box(x.conv2d(&w, &geom).unwrap());
-        });
-        rows.push(with_gflops(row, m, sites, taps));
-        let row = time_op(&format!("{name}_dw"), budget, || {
-            std::hint::black_box(dy.conv2d_grad_weight(&x, &geom).unwrap());
-        });
-        rows.push(with_gflops(row, m, sites, taps));
-        let row = time_op(&format!("{name}_dx"), budget, || {
-            std::hint::black_box(dy.conv2d_grad_input(&w, &geom).unwrap());
-        });
-        rows.push(with_gflops(row, m, sites, taps));
+    let models = [
+        ("resnet", ModelKind::Resnet),
+        ("mobilenet", ModelKind::Mobilenet),
+        ("vgg", ModelKind::Vgg),
+    ];
+    for (model, kind) in models {
+        for (layer, count) in model_convs(kind) {
+            let ConvLayer {
+                n,
+                c,
+                oc,
+                h,
+                w,
+                geom,
+            } = layer;
+            let name = layer.name(model);
+            let (oh, ow) = geom.out_hw();
+            let k = geom.kernel;
+            let x = Tensor::from_fn([n, c, h, w], |i| {
+                ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
+            });
+            let wt = operand([oc, c * k * k], 3);
+            let dy = Tensor::from_fn([n, oc, oh, ow], |i| {
+                ((i[0] * 5 + i[1] * 3 + i[2] * 7 + i[3]) % 13) as f32 / 6.0 - 1.0
+            });
+            let (m, sites, taps) = (oc, n * oh * ow, c * k * k);
+            let passes: [(&str, &dyn Fn() -> Tensor); 3] = [
+                ("fwd", &|| x.conv2d(&wt, &geom).unwrap()),
+                ("dw", &|| dy.conv2d_grad_weight(&x, &geom).unwrap()),
+                ("dx", &|| dy.conv2d_grad_input(&wt, &geom).unwrap()),
+            ];
+            for (pass, run) in passes {
+                let row = time_op(&format!("{name}_{pass}"), budget, || {
+                    std::hint::black_box(run());
+                });
+                rows.push(with_gflops(row, m, sites, taps).with_extra("count", count as f64));
+            }
+        }
     }
 
     let out = bench_out_path(concat!(

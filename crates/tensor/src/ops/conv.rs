@@ -1,7 +1,7 @@
 //! Direct convolution kernels: forward, weight gradient (dW) and input
 //! gradient (dX) of a 2-D convolution over NCHW activations.
 //!
-//! The kernels read activations through a zero-padded copy of each image
+//! The kernels read activations through one zero-padded copy of the batch
 //! and never build, pack or scatter a patch matrix. They compute the
 //! products the im2col lowering expresses as GEMMs — forward `W·cols`, dW
 //! `dY·colsᵀ`, dX `col2im(Wᵀ·dY)` — with the packed GEMM's rounding, so
@@ -21,21 +21,26 @@
 //!   padded buffer in ascending `(ky, kx)` order — col2im's order — and
 //!   the buffer is cropped at the end.
 //!
-//! **Layout.** A padded image is stored as `s × s` phase planes of width
-//! `wq = ⌈(w + 2p)/s⌉` (a single plane at stride 1), so output site
-//! `(oy, ox)` reads tap `(ky, kx)` at a constant offset from `oy·wq + ox`.
-//! Forward and dX therefore run over the flattened site grid in
-//! [`LANES`]-wide tiles with contiguous loads and stores; grid columns
-//! `ox ≥ ow` are junk lanes, which forward discards and dX masks out.
-//! Forward tiles hold 8 output channels × 8 sites, dW tiles put 8 output
-//! channels in the lanes against 12 taps, and dX runs up to 8 site tiles
-//! of one tap at a time.
+//! **Layout.** The batch is copied once, by rows, into one folded buffer
+//! (the forward folds a training batch of images at a time): per channel,
+//! `s × s` phase planes (a single plane at stride 1), each holding every
+//! image's zero-padded plane rows one image after another. Neighbouring rows and images share their padding, so rows are
+//! `wq` wide and images `hq` rows tall with `wq ≤ ⌈(w + 2p)/s⌉` and
+//! `hq ≤ ⌈(h + 2p)/s⌉` (see `Plan::new`). Output site `(img, oy, ox)`
+//! sits at `img·hq·wq + oy·wq + ox` on the folded site grid and reads tap
+//! `(ky, kx)` at a constant offset from there. Forward and dX therefore
+//! run over the whole batch's grid in [`LANES`]-wide tiles with contiguous
+//! loads and stores; sites with `ox ≥ ow` or `oy ≥ oh` are junk lanes,
+//! which forward crops away and dX masks out. Forward tiles hold 4 output
+//! channels × 2 site tiles, dW tiles put 8 output channels in the lanes
+//! against 12 taps, and dX runs up to 3 site tiles of 4 taps at a time.
 //!
 //! Each kernel runs inside its product's GEMM span and counters and splits
-//! its outer loop over the GEMM worker pool: images for forward and dX,
-//! channel × tap tiles for dW. Items write disjoint outputs and no chain
-//! depends on the split, so results are bitwise equal at any thread count.
-//! Scratch buffers are leased from the running thread's pool.
+//! its outer loop over the GEMM worker pool: forward tiles, dW channel ×
+//! tap tiles, and dX images (a dX chunk folds only its own images). Items
+//! write disjoint outputs and no chain depends on the split, so results
+//! are bitwise equal at any thread count. Scratch buffers are leased from
+//! the running thread's pool.
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::{GemmKernel, Product, SharedOut, KC};
@@ -49,6 +54,18 @@ const LANES: usize = 8;
 /// Taps per dW tile: twelve `f32x8` accumulators, the `dY` lanes and one
 /// broadcast fit the sixteen ymm registers.
 const DW_TAPS: usize = 12;
+/// Output channels × site tiles per forward tile: eight `f32x8` chains,
+/// enough to keep both FMA ports busy, for six loads per tap. (Three site
+/// tiles leave one register short, and the two spilled chains cost a fifth
+/// of the forward.)
+const FWD_CHANNELS: usize = 4;
+const FWD_TILES: usize = 2;
+/// Grid sites per forward tile.
+const FWD_SITES: usize = FWD_TILES * LANES;
+/// Images the forward folds at a time: a training batch. Larger
+/// (evaluation) batches run in chunks, so the folded copy and grid scratch
+/// stay the size a training step leases.
+const FOLD_IMAGES: usize = 32;
 
 /// `LANES` accumulation chains side by side, stepped the way one GEMM
 /// kernel rounds: the kernels' one generic body runs on either type.
@@ -207,9 +224,10 @@ unsafe fn run_fused<P: Pass>(pass: &P, lo: usize, hi: usize) {
     pass.run::<std::arch::x86_64::__m256>(lo, hi);
 }
 
-/// Shapes of one convolution and of its phase-split image layout.
+/// Shapes of one convolution over a batch and of its folded layout.
 #[derive(Debug, Clone, Copy)]
 struct Plan {
+    n: usize,
     c: usize,
     h: usize,
     w: usize,
@@ -224,14 +242,20 @@ struct Plan {
     sp: usize,
     /// Phase-plane width.
     wq: usize,
-    /// Phase-plane size.
+    /// Grid stride of one image, `hq·wq`.
+    ig: usize,
+    /// Phase-plane size, `n·ig`: every image's rows, one after another.
     ps: usize,
-    /// Channel stride of a phase-split image.
+    /// Channel stride of the folded buffer.
     cs: usize,
-    /// Sites of the flattened output grid, `(oh − 1)·wq + ow`.
+    /// Sites of the folded grid up to the last real one,
+    /// `(n − 1)·ig + (oh − 1)·wq + ow`.
     grid: usize,
     /// `LANES`-wide tiles covering the grid.
     tiles: usize,
+    /// The grid rounded up to whole forward tiles: the row length of
+    /// grid-shaped scratch.
+    gp: usize,
     /// Patch rows, `c·k·k`.
     taps: usize,
     /// Output channels rounded up to whole lane groups.
@@ -239,14 +263,39 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(geom: &ConvGeometry, c: usize, oc: usize) -> Plan {
+    fn new(geom: &ConvGeometry, n: usize, c: usize, oc: usize) -> Plan {
         let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
         let (oh, ow) = geom.out_hw();
         let sp = s.min(k);
-        let hq = (geom.in_h + 2 * p).div_ceil(s);
-        let wq = (geom.in_w + 2 * p).div_ceil(s);
-        let grid = (oh - 1) * wq + ow;
+        // Pitch of the folded layout along one axis: plane row width, or
+        // rows per image. Neighbours share their padding: phase `r` holds
+        // data at indices `lo..hi`, and real sites reach index
+        // `out − 1 + (k − 1 − r)/s`, so a pitch that holds the data and
+        // keeps every reach past it inside the next row's (or image's)
+        // leading padding reads what a separately padded image holds.
+        let pitch = |len: usize, out: usize| {
+            (0..sp).fold(out, |pitch, r| {
+                let lo = p.saturating_sub(r).div_ceil(s);
+                let hi = (p + len).saturating_sub(r).div_ceil(s);
+                let reach = out + (k - 1 - r) / s;
+                pitch.max(hi).max(reach.saturating_sub(lo))
+            })
+        };
+        let (hq, wq) = (pitch(geom.in_h, oh), pitch(geom.in_w, ow));
+        let ig = hq * wq;
+        // A plane holds every image, then the rows the last image's real
+        // sites reach past its own, plus one for reads past the last
+        // column.
+        let rows = match n {
+            0 => 0,
+            _ => (n - 1) * hq + hq.max(oh + (k - 1) / s + 1),
+        };
+        let grid = match n {
+            0 => 0,
+            _ => (n - 1) * ig + (oh - 1) * wq + ow,
+        };
         Plan {
+            n,
             c,
             h: geom.in_h,
             w: geom.in_w,
@@ -258,26 +307,28 @@ impl Plan {
             ow,
             sp,
             wq,
-            ps: hq * wq,
-            cs: sp * sp * hq * wq,
+            ig,
+            ps: rows * wq,
+            cs: sp * sp * rows * wq,
             grid,
             tiles: grid.div_ceil(LANES),
+            gp: grid.div_ceil(FWD_SITES) * FWD_SITES,
             taps: c * k * k,
             ocp: oc.div_ceil(LANES) * LANES,
         }
     }
 
-    /// Elements of one phase-split image, plus one tile of slack that the
-    /// last grid tile reads or writes past the end.
+    /// Elements of the folded buffer, plus the slack that tiles past the
+    /// last real site read or write beyond the end.
     fn split_len(&self) -> usize {
-        self.c * self.cs + LANES
+        self.c * self.cs + self.gp - self.grid
     }
 
-    /// Fills `out` with the offsets of taps `t0, t0 + 1, …` in a
-    /// phase-split image, relative to the grid position `oy·wq + ox` of the
-    /// output site that reads them. Tap `(ch, ky, kx)` lies in phase plane
-    /// `(ky mod s, kx mod s)` at row `ky / s`, column `kx / s`; the
-    /// quotients and remainders are stepped rather than divided per tap.
+    /// Fills `out` with the offsets of taps `t0, t0 + 1, …` in the folded
+    /// buffer, relative to the grid position of the output site that reads
+    /// them. Tap `(ch, ky, kx)` lies in phase plane `(ky mod s, kx mod s)`
+    /// at row `ky / s`, column `kx / s`; the quotients and remainders are
+    /// stepped rather than divided per tap.
     fn tap_offsets(&self, t0: usize, out: &mut [usize]) {
         let (k, s) = (self.k, self.s);
         let (mut ch, mut ky, mut kx) = (t0 / (k * k), t0 / k % k, t0 % k);
@@ -302,61 +353,107 @@ impl Plan {
         }
     }
 
-    /// Calls `f(pixel, slot, len)` for each run of `len` pixels `pixel,
-    /// pixel + s, …` of one row of an unpadded `c × h × w` image that land
-    /// on the consecutive slots `slot, slot + 1, …` of its phase-split
-    /// copy. Pixels no tap reads (stride above kernel) are left out.
+    /// Calls `f(pixel, slot, len)` for each input row of the NCHW batch,
+    /// once per phase plane that stores part of it: its pixels `pixel,
+    /// pixel + s, …` land on the `len` consecutive slots `slot, slot + 1, …`
+    /// of the folded buffer. Pixels no tap reads (stride above kernel) are
+    /// left out.
     fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
         let (s, p) = (self.s, self.p);
-        // Phase indices `i` with `p ≤ i·s + r < p + len`.
-        let span = |r: usize, len: usize| {
-            (
-                p.saturating_sub(r).div_ceil(s),
-                (p + len).saturating_sub(r).div_ceil(s),
-            )
-        };
-        for ch in 0..self.c {
-            for ry in 0..self.sp {
-                let (a0, a1) = span(ry, self.h);
-                for rx in 0..self.sp {
-                    let (b0, b1) = span(rx, self.w);
-                    if b0 >= b1 {
-                        continue;
-                    }
-                    let plane = ch * self.cs + (ry * self.sp + rx) * self.ps;
-                    for a in a0..a1 {
-                        let (y, x) = (a * s + ry - p, b0 * s + rx - p);
-                        f(
-                            (ch * self.h + y) * self.w + x,
-                            plane + a * self.wq + b0,
-                            b1 - b0,
-                        );
+        // Padded row `y + p` of input row `y` is row `a` of phase `ry`.
+        let (a0, ry0) = (p / s, p % s);
+        for rx in 0..self.sp {
+            // Phase columns `b` with `p ≤ b·s + rx < p + w`.
+            let b0 = p.saturating_sub(rx).div_ceil(s);
+            let b1 = (p + self.w).saturating_sub(rx).div_ceil(s);
+            if b0 >= b1 {
+                continue;
+            }
+            // Input rows in storage order, so the batch is read front to
+            // back once per stored column phase.
+            let mut px = b0 * s + rx - p;
+            for img in 0..self.n {
+                for ch in 0..self.c {
+                    let (mut a, mut ry) = (a0, ry0);
+                    for _ in 0..self.h {
+                        if ry < self.sp {
+                            let plane = ch * self.cs + (ry * self.sp + rx) * self.ps;
+                            f(px, plane + img * self.ig + a * self.wq + b0, b1 - b0);
+                        }
+                        px += self.w;
+                        (a, ry) = if ry + 1 == s { (a + 1, 0) } else { (a, ry + 1) };
                     }
                 }
             }
         }
     }
 
-    /// Copies image `src` into the interior of its phase-split copy `dst`;
-    /// the padding slots keep their (zero) values.
+    /// Copies the NCHW batch `src` into the interior of the zeroed folded
+    /// buffer `dst`, one row copy (a deinterleave at stride above 1) per
+    /// run; the padding and slack keep their zeros.
     fn split(&self, src: &[f32], dst: &mut [f32]) {
         self.for_each_run(|px, slot, len| {
-            let run = src[px..].iter().step_by(self.s);
-            for (d, &v) in dst[slot..][..len].iter_mut().zip(run) {
-                *d = v;
+            let run = &mut dst[slot..][..len];
+            if self.s == 1 {
+                copy_row(run, &src[px..][..len]);
+            } else {
+                let src = &src[px..][..(len - 1) * self.s + 1];
+                for (i, d) in run.iter_mut().enumerate() {
+                    *d = src[i * self.s];
+                }
             }
         });
     }
 
-    /// Crops a phase-split buffer back to the unpadded image `dst`; pixels
-    /// no tap touches keep their (zero) values.
+    /// Crops the folded buffer `src` back to the NCHW batch `dst`, one row
+    /// copy per run; pixels no tap touches keep their (zero) values.
     fn merge(&self, src: &[f32], dst: &mut [f32]) {
         self.for_each_run(|px, slot, len| {
-            let run = dst[px..].iter_mut().step_by(self.s);
-            for (d, &v) in run.zip(&src[slot..][..len]) {
-                *d = v;
+            let run = &src[slot..][..len];
+            if self.s == 1 {
+                copy_row(&mut dst[px..][..len], run);
+            } else {
+                let dst = &mut dst[px..][..(len - 1) * self.s + 1];
+                for (i, &v) in run.iter().enumerate() {
+                    dst[i * self.s] = v;
+                }
             }
         });
+    }
+
+    /// Calls `f(at, px)` for every output row: `at` is its first site in
+    /// `oc × gp` grid-shaped scratch, `px` its first element in the
+    /// `(n, oc, oh, ow)` tensor.
+    fn for_each_output_row(&self, mut f: impl FnMut(usize, usize)) {
+        for img in 0..self.n {
+            for o in 0..self.oc {
+                for oy in 0..self.oh {
+                    let at = o * self.gp + img * self.ig + oy * self.wq;
+                    f(at, ((img * self.oc + o) * self.oh + oy) * self.ow);
+                }
+            }
+        }
+    }
+}
+
+/// Copies `src` into `dst` of the same length. The rows of small feature
+/// maps are a few elements long, where fixed-size pieces that stay in
+/// registers beat a `memcpy` call.
+#[inline(always)]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let len = src.len();
+    match len {
+        0..4 => {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v;
+            }
+        }
+        // Two overlapping 4-element pieces.
+        4..=8 => {
+            dst[..4].copy_from_slice(&src[..4]);
+            dst[len - 4..].copy_from_slice(&src[len - 4..]);
+        }
+        _ => dst.copy_from_slice(src),
     }
 }
 
@@ -370,12 +467,15 @@ fn add_block<V: Lanes, const R: usize>(sums: &mut [V; R], acc: &mut [V; R]) {
     }
 }
 
-/// Forward: output slabs `(oc, oh, ow)` of images `lo..hi`.
+/// Forward: grid tiles `lo..hi` (`FWD_SITES` sites each) of every output
+/// channel.
 struct Forward<'a> {
     plan: Plan,
     /// Weights transposed to `taps × ocp`, zero in the padding lanes.
     wt: &'a [f32],
-    x: &'a [f32],
+    /// The folded input.
+    xs: &'a [f32],
+    /// Zeroed `oc × gp` grid-shaped output.
     out: SharedOut,
 }
 
@@ -383,76 +483,55 @@ impl Pass for Forward<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
         let p = &self.plan;
-        let (chw, slab) = (p.c * p.h * p.w, p.oc * p.oh * p.ow);
-        let mut xs = pool::lease(p.split_len());
-        for img in lo..hi {
-            p.split(&self.x[img * chw..][..chw], &mut xs);
-            // SAFETY: each image owns its output slab, and items are
-            // disjoint ranges of images.
-            let out = unsafe { self.out.slice(img * slab, slab) };
-            forward_image::<V>(p, self.wt, &xs, out);
-        }
-        pool::recycle(xs);
-    }
-}
-
-/// Forward of one phase-split image `xs` into its zeroed output slab.
-#[inline(always)]
-fn forward_image<V: Lanes>(p: &Plan, wt: &[f32], xs: &[f32], out: &mut [f32]) {
-    let mut table = [0usize; KC];
-    for k0 in (0..p.taps).step_by(KC) {
-        let offs = &mut table[..KC.min(p.taps - k0)];
-        p.tap_offsets(k0, offs);
-        let wblk = &wt[k0 * p.ocp..];
-        let (mut oy0, mut ox0) = (0, 0);
-        for g0 in (0..p.grid).step_by(LANES) {
-            for o0 in (0..p.oc).step_by(LANES) {
-                // Rows are output channels, lanes are sites.
-                let mut acc = [V::zero(); LANES];
-                for (i, &off) in offs.iter().enumerate() {
-                    let wv = &wblk[i * p.ocp + o0..][..LANES];
-                    let xv = V::load(&xs[off + g0..]);
-                    for (a, &wr) in acc.iter_mut().zip(wv) {
-                        *a = a.mul_add(V::splat(wr), xv);
-                    }
-                }
-                // Add the block's chains into the output, dropping the
-                // padding channels and the junk sites. A tile of real sites
-                // that is contiguous in the output (inside one output row,
-                // or anywhere when the grid has no junk columns) adds as
-                // whole lanes.
-                let rows = acc.iter().enumerate().take(p.oc - o0);
-                if (p.wq == p.ow || ox0 + LANES <= p.ow) && g0 + LANES <= p.grid {
-                    let at = oy0 * p.ow + ox0;
-                    for (r, a) in rows {
-                        let dst = &mut out[(o0 + r) * p.oh * p.ow + at..][..LANES];
-                        V::load(dst).add(*a).store(dst);
-                    }
-                } else {
-                    for (r, a) in rows {
-                        let (mut oy, mut ox) = (oy0, ox0);
-                        for (j, v) in a.to_array().into_iter().enumerate() {
-                            if g0 + j == p.grid {
-                                break;
-                            }
-                            if ox < p.ow {
-                                out[((o0 + r) * p.oh + oy) * p.ow + ox] += v;
-                            }
-                            ox += 1;
-                            if ox == p.wq {
-                                (oy, ox) = (oy + 1, 0);
-                            }
+        let mut table = [0usize; KC];
+        for k0 in (0..p.taps).step_by(KC) {
+            let offs = &mut table[..KC.min(p.taps - k0)];
+            p.tap_offsets(k0, offs);
+            let wblk = &self.wt[k0 * p.ocp..];
+            for g0 in (lo * FWD_SITES..hi * FWD_SITES).step_by(FWD_SITES) {
+                for o0 in (0..p.oc).step_by(FWD_CHANNELS) {
+                    let acc = forward_tile::<V>(p, wblk, offs, &self.xs[g0..], o0);
+                    // Add the block's chains into the output as whole
+                    // lanes, dropping the padding channels.
+                    for (r, a) in acc.iter().enumerate().take(p.oc - o0) {
+                        // SAFETY: the tile lies inside row `o0 + r` of the
+                        // `oc × gp` output, and items own disjoint tiles.
+                        let dst = unsafe { self.out.slice((o0 + r) * p.gp + g0, FWD_SITES) };
+                        for (d, &aj) in dst.chunks_exact_mut(LANES).zip(a) {
+                            V::load(d).add(aj).store(d);
                         }
                     }
                 }
             }
-            // Grid position of the next tile's first site.
-            ox0 += LANES;
-            while ox0 >= p.wq {
-                (oy0, ox0) = (oy0 + 1, ox0 - p.wq);
+        }
+    }
+}
+
+/// One `KC` block's chains of output channels `o0..o0 + FWD_CHANNELS` at
+/// the `FWD_SITES` grid sites whose folded input starts at `xs`, over the
+/// taps at offsets `offs` (weights from `wblk`).
+#[inline(always)]
+fn forward_tile<V: Lanes>(
+    p: &Plan,
+    wblk: &[f32],
+    offs: &[usize],
+    xs: &[f32],
+    o0: usize,
+) -> [[V; FWD_TILES]; FWD_CHANNELS] {
+    // Rows are output channels, columns are site tiles, lanes are sites.
+    let mut acc = [[V::zero(); FWD_TILES]; FWD_CHANNELS];
+    for (i, &off) in offs.iter().enumerate() {
+        let x = &xs[off..][..FWD_SITES];
+        let xv: [V; FWD_TILES] = std::array::from_fn(|j| V::load(&x[j * LANES..]));
+        let wv = &wblk[i * p.ocp + o0..][..FWD_CHANNELS];
+        for (a, &wr) in acc.iter_mut().zip(wv) {
+            let wr = V::splat(wr);
+            for (aj, &xj) in a.iter_mut().zip(&xv) {
+                *aj = aj.mul_add(wr, xj);
             }
         }
     }
+    acc
 }
 
 /// dW: `(channel tile, tap tile)` items of the `oc × taps` output.
@@ -460,7 +539,7 @@ struct GradW<'a> {
     plan: Plan,
     /// `dY` transposed to `sites × ocp`, zero in the padding lanes.
     dyt: &'a [f32],
-    /// Every image, phase-split, back to back.
+    /// The folded input.
     xs: &'a [f32],
     out: SharedOut,
 }
@@ -494,17 +573,22 @@ fn grad_w_tile<V: Lanes>(p: &Plan, dyt: &[f32], xs: &[f32], o0: usize, t0: usize
     p.tap_offsets(t0, &mut offs[..real]);
     let last = offs[real - 1];
     offs[real..].fill(last);
+    let reach = offs.iter().max().copied().unwrap_or(0) + p.ow;
     // Rows are taps, lanes are output channels.
     let mut sums = [V::zero(); DW_TAPS];
     let mut acc = [V::zero(); DW_TAPS];
     let mut site = 0;
-    for img in xs.chunks_exact(p.split_len()) {
+    for img in 0..p.n {
         for oy in 0..p.oh {
-            let row = &img[oy * p.wq..];
+            let row = &xs[img * p.ig + oy * p.wq..];
+            assert!(reach <= row.len(), "tap past the folded buffer");
             for ox in 0..p.ow {
                 let dv = V::load(&dyt[site * p.ocp + o0..]);
                 for (a, &off) in acc.iter_mut().zip(&offs) {
-                    *a = a.mul_add(dv, V::splat(row[ox + off]));
+                    // SAFETY: `ox + off < reach ≤ row.len()`. Checking
+                    // every tap instead costs a quarter of the kernel.
+                    let x = unsafe { *row.get_unchecked(ox + off) };
+                    *a = a.mul_add(dv, V::splat(x));
                 }
                 site += 1;
                 if site % KC == 0 {
@@ -519,8 +603,10 @@ fn grad_w_tile<V: Lanes>(p: &Plan, dyt: &[f32], xs: &[f32], o0: usize, t0: usize
     sums
 }
 
-/// dX: input-gradient slabs `(c, h, w)` of images `lo..hi`.
+/// dX: input-gradient slabs `(c, h, w)` of images `lo..hi`, folded as a
+/// batch of their own.
 struct GradX<'a> {
+    geom: ConvGeometry,
     plan: Plan,
     /// Weights `oc × taps`.
     w: &'a [f32],
@@ -532,102 +618,103 @@ struct GradX<'a> {
 impl Pass for GradX<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
-        let p = &self.plan;
-        let gp = p.tiles * LANES;
-        let (chw, ohw) = (p.c * p.h * p.w, p.oh * p.ow);
-        // One image's `dY` on the site grid (junk sites stay zero), and a
+        let p = Plan::new(&self.geom, hi - lo, self.plan.c, self.plan.oc);
+        let (chw, slab) = (p.c * p.h * p.w, p.oc * p.oh * p.ow);
+        // The chunk's `dY` on the folded grid (junk sites stay zero), and a
         // lane mask with all bits set on real sites and clear on junk ones.
-        let mut dyg = pool::lease(p.oc * gp);
-        let mut real = pool::lease(gp);
-        for oy in 0..p.oh {
-            real[oy * p.wq..][..p.ow].fill(f32::from_bits(u32::MAX));
+        let dy = &self.dy[lo * slab..hi * slab];
+        let mut dyg = pool::lease(p.oc * p.gp);
+        p.for_each_output_row(|at, px| {
+            copy_row(&mut dyg[at..][..p.ow], &dy[px..][..p.ow]);
+        });
+        let mut real = pool::lease(p.gp);
+        for img in 0..p.n {
+            for oy in 0..p.oh {
+                real[img * p.ig + oy * p.wq..][..p.ow].fill(f32::from_bits(u32::MAX));
+            }
         }
         let mut dxs = pool::lease(p.split_len());
-        for img in lo..hi {
-            let planes = self.dy[img * p.oc * ohw..][..p.oc * ohw].chunks_exact(ohw);
-            for (oc, plane) in planes.enumerate() {
-                for (oy, row) in plane.chunks_exact(p.ow).enumerate() {
-                    dyg[oc * gp + oy * p.wq..][..p.ow].copy_from_slice(row);
-                }
-            }
-            dxs.fill(0.0);
-            // Enough taps per block that the short chains over output
-            // channels have independent accumulators to interleave.
-            match p.tiles {
-                1 => grad_x_image::<V, 8>(p, self.w, &dyg, &real, &mut dxs),
-                2 | 3 => grad_x_image::<V, 4>(p, self.w, &dyg, &real, &mut dxs),
-                _ => grad_x_image::<V, 3>(p, self.w, &dyg, &real, &mut dxs),
-            }
-            // SAFETY: each image owns its output slab, and items are
-            // disjoint ranges of images.
-            let out = unsafe { self.out.slice(img * chw, chw) };
-            p.merge(&dxs, out);
+        // Enough taps per block that the short chains over output channels
+        // have independent accumulators to interleave.
+        match p.tiles {
+            1 => grad_x_grid::<V, 8>(&p, self.w, &dyg, &real, &mut dxs),
+            _ => grad_x_grid::<V, 4>(&p, self.w, &dyg, &real, &mut dxs),
         }
+        // SAFETY: the images' slabs are contiguous, and items are disjoint
+        // ranges of images.
+        let out = unsafe { self.out.slice(lo * chw, (hi - lo) * chw) };
+        p.merge(&dxs, out);
         pool::recycle(dyg);
         pool::recycle(real);
         pool::recycle(dxs);
     }
 }
 
-/// dX of one image into its zeroed padded buffer `dxs`, `T` taps per
+/// dX of a folded batch into its zeroed folded buffer `dxs`, `T` taps per
 /// block. Blocks run over the site grid from the top down: within a block
 /// a buffer element takes a lower tap from a higher site than any higher
 /// tap (tap offsets grow with the tap index inside a channel's phase
 /// plane), so top-down blocks that each add their taps in order keep
-/// col2im's ascending tap order at every element.
+/// col2im's ascending tap order at every element. Real sites reach only
+/// their own image's rows, so images never mix.
 #[inline(always)]
-fn grad_x_image<V: Lanes, const T: usize>(
+fn grad_x_grid<V: Lanes, const T: usize>(
     p: &Plan,
     w: &[f32],
     dyg: &[f32],
     real: &[f32],
     dxs: &mut [f32],
 ) {
+    // The block's weights, `oc × T`.
+    let mut wb = pool::lease(p.oc * T);
     for t0 in (0..p.taps).step_by(T) {
         // Taps past the end repeat the last one and are never added.
         let real_taps = T.min(p.taps - t0);
         let mut offs = [0usize; T];
         p.tap_offsets(t0, &mut offs[..real_taps]);
-        let taps: [usize; T] = std::array::from_fn(|i| t0 + i.min(real_taps - 1));
-        let blk = (&taps, &offs[..real_taps]);
+        for (row, w) in wb.chunks_exact_mut(T).zip(w.chunks_exact(p.taps)) {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = w[t0 + i.min(real_taps - 1)];
+            }
+        }
+        let blk = (&wb[..], &offs[..real_taps]);
         let mut end = p.tiles;
         while end > 0 {
             end -= match end {
-                4.. => grad_x_block::<V, T, 4>(p, w, blk, dyg, real, dxs, end - 4),
-                3 => grad_x_block::<V, T, 3>(p, w, blk, dyg, real, dxs, 0),
-                2 => grad_x_block::<V, T, 2>(p, w, blk, dyg, real, dxs, 0),
-                _ => grad_x_block::<V, T, 1>(p, w, blk, dyg, real, dxs, 0),
+                3.. => grad_x_block::<V, T, 3>(p, blk, dyg, real, dxs, end - 3),
+                2 => grad_x_block::<V, T, 2>(p, blk, dyg, real, dxs, 0),
+                _ => grad_x_block::<V, T, 1>(p, blk, dyg, real, dxs, 0),
             };
         }
     }
+    pool::recycle(wb);
 }
 
-/// dX contributions of the block's `taps` at grid tiles `t..t + J`: per tap
-/// and site, one chain over output channels (`KC`-blocked), added into the
-/// padded dX buffer `dxs` tap after tap at the taps' offsets `offs` (one
-/// per real tap), on real sites only — so a NaN from a non-finite weight
-/// times a junk zero never lands. Returns `J`.
-#[allow(clippy::too_many_arguments)]
+/// dX contributions of the block's `T` taps (weights `wb`, `oc × T`) at
+/// grid tiles `t..t + J`: per tap and site, one chain over output channels
+/// (`KC`-blocked), added into the folded dX buffer `dxs` tap after tap at
+/// the taps' offsets `offs` (one per real tap), on real sites only — so a
+/// NaN from a non-finite weight times a junk zero never lands. Returns `J`.
 #[inline(always)]
 fn grad_x_block<V: Lanes, const T: usize, const J: usize>(
     p: &Plan,
-    w: &[f32],
-    (taps, offs): (&[usize; T], &[usize]),
+    (wb, offs): (&[f32], &[usize]),
     dyg: &[f32],
     real: &[f32],
     dxs: &mut [f32],
     t: usize,
 ) -> usize {
-    let (g0, gp) = (t * LANES, p.tiles * LANES);
+    let g0 = t * LANES;
     // Rows are taps, columns are site tiles, lanes are sites.
     let mut sums = [[V::zero(); J]; T];
-    for c0 in (0..p.oc).step_by(KC) {
+    for (c0, wblk) in (0..p.oc).step_by(KC).zip(wb.chunks(KC * T)) {
         let mut acc = [[V::zero(); J]; T];
-        for oc in c0..p.oc.min(c0 + KC) {
-            let row = &dyg[oc * gp + g0..][..J * LANES];
+        let rows = dyg[c0 * p.gp + g0..].chunks(p.gp);
+        for (wrow, row) in wblk.chunks_exact(T).zip(rows) {
+            let row = &row[..J * LANES];
             let dv: [V; J] = std::array::from_fn(|j| V::load(&row[j * LANES..]));
-            for (a, &tap) in acc.iter_mut().zip(taps) {
-                let wv = V::splat(w[oc * p.taps + tap]);
+            for (a, &wr) in acc.iter_mut().zip(wrow) {
+                let wv = V::splat(wr);
                 for (aj, &dj) in a.iter_mut().zip(&dv) {
                     *aj = aj.mul_add(wv, dj);
                 }
@@ -723,23 +810,36 @@ impl Tensor {
     pub fn conv2d(&self, w: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(self, geom)?;
         let oc = weight_rows(w, c * geom.kernel * geom.kernel)?;
-        let plan = Plan::new(geom, c, oc);
-        let sites = n * plan.oh * plan.ow;
-        let mut out = pool::lease(oc * sites);
-        if let Some(product) = Product::begin(oc, sites, plan.taps) {
+        let plan = Plan::new(geom, n, c, oc);
+        let (chw, slab) = (c * plan.h * plan.w, oc * plan.oh * plan.ow);
+        let mut out = pool::lease(n * slab);
+        if let Some(product) = Product::begin(oc, n * plan.oh * plan.ow, plan.taps) {
             let mut wt = pool::lease(plan.taps * plan.ocp);
             for (o, row) in w.data().chunks_exact(plan.taps).enumerate() {
                 for (t, &v) in row.iter().enumerate() {
                     wt[t * plan.ocp + o] = v;
                 }
             }
-            let pass = Forward {
-                plan,
-                wt: &wt,
-                x: self.data(),
-                out: SharedOut::new(&mut out),
-            };
-            execute(&product, &pass, n);
+            let images = self.data().chunks(FOLD_IMAGES * chw);
+            for (x, out) in images.zip(out.chunks_mut(FOLD_IMAGES * slab)) {
+                let plan = Plan::new(geom, x.len() / chw, c, oc);
+                let mut xs = pool::lease(plan.split_len());
+                plan.split(x, &mut xs);
+                let mut grid = pool::lease(oc * plan.gp);
+                let pass = Forward {
+                    plan,
+                    wt: &wt,
+                    xs: &xs,
+                    out: SharedOut::new(&mut grid),
+                };
+                execute(&product, &pass, plan.gp / FWD_SITES);
+                // Crop the real sites into NCHW.
+                plan.for_each_output_row(|at, px| {
+                    copy_row(&mut out[px..][..plan.ow], &grid[at..][..plan.ow]);
+                });
+                pool::recycle(xs);
+                pool::recycle(grid);
+            }
             pool::recycle(wt);
         }
         Tensor::from_vec(out, [n, oc, plan.oh, plan.ow])
@@ -761,7 +861,7 @@ impl Tensor {
     pub fn conv2d_grad_weight(&self, x: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(x, geom)?;
         let (dn, oc) = grad_dims(self, geom)?;
-        let plan = Plan::new(geom, c, oc);
+        let plan = Plan::new(geom, n, c, oc);
         if dn != n {
             return Err(TensorError::ShapeMismatch {
                 left: vec![n, oc, plan.oh, plan.ow],
@@ -772,17 +872,16 @@ impl Tensor {
         let mut out = pool::lease(oc * plan.taps);
         if let Some(product) = Product::begin(oc, plan.taps, n * ohw) {
             let mut dyt = pool::lease(n * ohw * plan.ocp);
-            for (plane, src) in self.data().chunks_exact(ohw).enumerate() {
-                let (img, o) = (plane / oc, plane % oc);
-                for (j, &v) in src.iter().enumerate() {
-                    dyt[(img * ohw + j) * plan.ocp + o] = v;
+            let images = dyt.chunks_exact_mut(ohw * plan.ocp);
+            for (dst, src) in images.zip(self.data().chunks_exact(oc * ohw)) {
+                for (j, dst) in dst.chunks_exact_mut(plan.ocp).enumerate() {
+                    for (d, plane) in dst.iter_mut().zip(src.chunks_exact(ohw)) {
+                        *d = plane[j];
+                    }
                 }
             }
-            let (chw, split) = (c * plan.h * plan.w, plan.split_len());
-            let mut xs = pool::lease(n * split);
-            for (img, dst) in xs.chunks_exact_mut(split).enumerate() {
-                plan.split(&x.data()[img * chw..][..chw], dst);
-            }
+            let mut xs = pool::lease(plan.split_len());
+            plan.split(x.data(), &mut xs);
             let pass = GradW {
                 plan,
                 dyt: &dyt,
@@ -829,7 +928,7 @@ impl Tensor {
             )));
         }
         let (n, dc) = grad_dims(self, geom)?;
-        let plan = Plan::new(geom, taps / kk, oc);
+        let plan = Plan::new(geom, n, taps / kk, oc);
         if dc != oc {
             return Err(TensorError::ShapeMismatch {
                 left: vec![n, oc, plan.oh, plan.ow],
@@ -839,6 +938,7 @@ impl Tensor {
         let mut out = pool::lease(n * plan.c * plan.h * plan.w);
         if let Some(product) = Product::begin(taps, n * plan.oh * plan.ow, oc) {
             let pass = GradX {
+                geom: *geom,
                 plan,
                 w: w.data(),
                 dy: self.data(),
@@ -847,5 +947,86 @@ impl Tensor {
             execute(&product, &pass, n);
         }
         Tensor::from_vec(out, [n, plan.c, plan.h, plan.w])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::{Rng, StdRng};
+
+    /// Seeded geometries `(n, c, h, w, k, s, p)`, including strides above
+    /// the kernel (1×1 at stride 2 and 3), where some pixels are not
+    /// stored.
+    fn geometries() -> Vec<(usize, usize, usize, usize, usize, usize, usize)> {
+        let mut rng = StdRng::seed_from_u64(0x5_9117);
+        let mut out = vec![(3, 2, 8, 8, 1, 2, 0), (2, 3, 7, 5, 1, 3, 1)];
+        while out.len() < 40 {
+            let mut draw = |lo: usize, hi: usize| rng.gen_range(lo..hi);
+            let g = (
+                draw(1, 5),
+                draw(1, 4),
+                draw(1, 10),
+                draw(1, 10),
+                draw(1, 6),
+                draw(1, 4),
+                draw(0, 3),
+            );
+            if g.4 <= g.2 + 2 * g.6 && g.4 <= g.3 + 2 * g.6 {
+                out.push(g);
+            }
+        }
+        out
+    }
+
+    fn plan(&(n, c, h, w, k, s, p): &(usize, usize, usize, usize, usize, usize, usize)) -> Plan {
+        Plan::new(&ConvGeometry::new(h, w, k, s, p).unwrap(), n, c, 1)
+    }
+
+    /// Whether a tap reads pixel `(y, x)`: its padded coordinates fall in
+    /// a stored phase.
+    fn stored(pl: &Plan, y: usize, x: usize) -> bool {
+        (y + pl.p) % pl.s < pl.sp && (x + pl.p) % pl.s < pl.sp
+    }
+
+    #[test]
+    fn merge_undoes_split() {
+        for g in geometries() {
+            let pl = plan(&g);
+            let len = pl.n * pl.c * pl.h * pl.w;
+            let x: Vec<f32> = (0..len).map(|i| i as f32 + 1.0).collect();
+            let mut xs = vec![0.0; pl.split_len()];
+            pl.split(&x, &mut xs);
+            let mut back = vec![0.0; len];
+            pl.merge(&xs, &mut back);
+            for (i, (&b, &v)) in back.iter().zip(&x).enumerate() {
+                let (y, xx) = (i / pl.w % pl.h, i % pl.w);
+                let want = if stored(&pl, y, xx) { v } else { 0.0 };
+                assert_eq!(b, want, "{g:?} pixel {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_leaves_padding_at_positive_zero() {
+        for g in geometries() {
+            let pl = plan(&g);
+            let len = pl.n * pl.c * pl.h * pl.w;
+            // A dirty buffer back in the pool comes out of the next lease
+            // zeroed; the split must write pixels only.
+            let mut dirty = pool::lease(pl.split_len());
+            dirty.fill(-0.0);
+            pool::recycle(dirty);
+            let mut xs = pool::lease(pl.split_len());
+            pl.split(&vec![1.0; len], &mut xs);
+            let pixels = (0..len)
+                .filter(|&i| stored(&pl, i / pl.w % pl.h, i % pl.w))
+                .count();
+            assert_eq!(xs.iter().filter(|&&v| v == 1.0).count(), pixels, "{g:?}");
+            for (slot, v) in xs.iter().enumerate() {
+                assert!(v.to_bits() == 0 || *v == 1.0, "{g:?} slot {slot}: {v:e}");
+            }
+            pool::recycle(xs);
+        }
     }
 }

@@ -7,9 +7,15 @@
 //! Every check runs under both forced GEMM kernels and at 1–4 worker
 //! threads. Seeded geometries cover kernels 1/3/5, strides 1–3, padding
 //! 0–2, 1–40 channels, spatial sizes 1–9 and batches 1–5; fixed cases add
-//! the preset layer shapes (two of them large enough to engage the worker
-//! pool), `C·k·k` and `N·oh·ow` beyond the GEMM's 256-deep reduction
-//! block, more than 256 output channels, and an empty batch.
+//! the preset layer shapes, every ResNet training layer at batch 32 (some
+//! large enough to engage the worker pool), `C·k·k` and `N·oh·ow` beyond
+//! the GEMM's 256-deep reduction block, more than 256 output channels, a
+//! folded site grid that ends inside a tile, and an empty batch.
+//! Non-finite cases put infinities where padding or a neighbouring image
+//! meets them. A release-only sweep (`#[ignore]`d; run with
+//! `cargo test --release -p hero-tensor --test conv_kernels --
+//! --include-ignored`) adds seeded geometries up to batch 64, side 16
+//! and 50 MFLOP.
 
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{force_gemm_kernel, set_gemm_threads, ConvGeometry, GemmKernel, Tensor};
@@ -140,31 +146,46 @@ fn check_seeded(case: &Case, seed: u64) {
     check(case, &x, &w, &dy);
 }
 
-#[test]
-fn seeded_geometries_match_the_im2col_lowering_bitwise() {
-    let _g = lock_overrides();
-    let mut rng = StdRng::seed_from_u64(0xC0_4E);
+/// Checks `cases` seeded geometries drawn from `seed`: batches `1..n_max`,
+/// sides `1..side_max`, at most `max_flops` per product.
+fn check_seeded_sweep(seed: u64, cases: u64, n_max: usize, side_max: usize, max_flops: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut checked = 0;
-    while checked < 48 {
+    while checked < cases {
         let mut draw = |lo: usize, hi: usize| rng.gen_range(lo..hi);
         let k = [1, 3, 5][draw(0, 3)];
         let case = Case {
-            n: draw(1, 6),
+            n: draw(1, n_max),
             c: draw(1, 41),
             oc: draw(1, 41),
-            h: draw(1, 10),
-            w: draw(1, 10),
+            h: draw(1, side_max),
+            w: draw(1, side_max),
             k,
             s: draw(1, 4),
             p: draw(0, 3),
         };
-        // Keep the geometry valid and the unoptimized test build quick.
-        if k > case.h + 2 * case.p || k > case.w + 2 * case.p || case.flops() > 400_000 {
+        if k > case.h + 2 * case.p || k > case.w + 2 * case.p || case.flops() > max_flops {
             continue;
         }
         check_seeded(&case, checked);
         checked += 1;
     }
+}
+
+#[test]
+fn seeded_geometries_match_the_im2col_lowering_bitwise() {
+    let _g = lock_overrides();
+    // Small enough to keep the unoptimized test build quick.
+    check_seeded_sweep(0xC0_4E, 48, 6, 10, 400_000);
+}
+
+#[test]
+#[ignore = "release-only: cargo test --release -p hero-tensor --test conv_kernels -- --include-ignored"]
+fn large_seeded_geometries_match_the_im2col_lowering_bitwise() {
+    // Batches up to 64 fold long site grids, and cases above 4 Mi flops
+    // engage the worker pool.
+    let _g = lock_overrides();
+    check_seeded_sweep(0xB16_C04E, 64, 65, 17, 50_000_000);
 }
 
 #[test]
@@ -199,6 +220,18 @@ fn layer_shapes_match_the_im2col_lowering_bitwise() {
         case(2, 3, 4, 7, 1, 3, 1),
         // More output channels than one reduction block (dX chains).
         case(1, 2, 260, 3, 3, 1, 1),
+        // A folded grid of 2·36 + 4·6 + 5 = 101 sites: the last tile is
+        // part junk, past the end of the batch.
+        case(3, 5, 6, 5, 3, 1, 1),
+        // The ResNet training layers at batch 32: stage 1's stride-2 conv
+        // and 1×1 shortcut on 8×8, its 8→8 conv on 4×4; stage 2's 8→16
+        // stride-2 conv and shortcut on 4×4, its 16→16 conv on 2×2.
+        case(32, 8, 8, 8, 3, 2, 1),
+        case(32, 8, 8, 8, 1, 2, 0),
+        case(32, 8, 8, 4, 3, 1, 1),
+        case(32, 8, 16, 4, 3, 2, 1),
+        case(32, 8, 16, 4, 1, 2, 0),
+        case(32, 16, 16, 2, 3, 1, 1),
         // Empty batch.
         case(0, 3, 4, 5, 3, 1, 1),
     ];
@@ -235,6 +268,54 @@ fn non_finite_values_meet_padding_as_zeros() {
     // Site (0, 0) of image 0, channel 0 reads padding on five taps.
     dy.data_mut()[0] = f32::INFINITY;
     check(&case, &x, &w, &dy);
+}
+
+#[test]
+fn non_finite_values_stay_inside_their_image() {
+    // On the folded grid image 0's last row and column sit next to junk
+    // sites and image 1's first site. An infinity there must reach only
+    // the elements the lowering sends it to: a junk lane's `inf · 0` NaN
+    // must not leak into either image.
+    let _g = lock_overrides();
+    for s in [1, 2] {
+        let case = Case {
+            n: 3,
+            c: 2,
+            oc: 3,
+            h: 6,
+            w: 6,
+            k: 3,
+            s,
+            p: 1,
+        };
+        let (oh, ow) = case.geom().out_hw();
+        let mut rng = StdRng::seed_from_u64(11 + s as u64);
+        let x = seeded(&[3, 2, 6, 6], &mut rng);
+        let w = seeded(&[3, 18], &mut rng);
+        let dy = seeded(&[3, 3, oh, ow], &mut rng);
+        // Infinities in image 0's last row and column and at image 1's
+        // first site, channel 0 of an `(n, ch, hh, ww)` tensor.
+        let poke = |t: &Tensor, hh: usize, ww: usize| {
+            let mut t = t.clone();
+            let plane = t.dims()[1] * hh * ww;
+            let data = t.data_mut();
+            for i in 0..hh {
+                data[i * ww + ww - 1] = f32::INFINITY;
+            }
+            for j in 0..ww {
+                data[(hh - 1) * ww + j] = f32::INFINITY;
+            }
+            data[plane] = f32::INFINITY;
+            t
+        };
+        check(&case, &poke(&x, 6, 6), &w, &dy);
+        check(&case, &x, &w, &poke(&dy, oh, ow));
+        // An infinite weight meets the junk lanes of every image.
+        let mut wi = w.clone();
+        wi.data_mut()[0] = f32::INFINITY;
+        wi.data_mut()[2 * 18 - 1] = f32::NEG_INFINITY;
+        check(&case, &x, &wi, &poke(&dy, oh, ow));
+    }
 }
 
 #[test]

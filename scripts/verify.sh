@@ -17,6 +17,12 @@ HERO_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -q (HERO_NO_SIMD=1: portable scalar GEMM kernel)"
 HERO_NO_SIMD=1 cargo test -q --workspace
 
+echo "==> conv kernel sweep (release: seeded geometries up to batch 64)"
+# The debug-build conv corpus keeps its seeded cases small, so no seeded
+# case reaches a long folded grid or the worker pool's threshold; the
+# ignored sweep does, against the im2col lowering bit for bit.
+cargo test --release -p hero-tensor --test conv_kernels -- --include-ignored
+
 echo "==> cargo test -q (sanitize feature: pool + tape sanitizers)"
 cargo test -q -p hero-tensor --features sanitize
 cargo test -q -p hero-autodiff --features sanitize
