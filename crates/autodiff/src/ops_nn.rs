@@ -83,73 +83,21 @@ impl Graph {
         beta: Var,
         eps: f32,
     ) -> Result<(Var, BatchStats)> {
-        let xv = self.value(x);
-        if xv.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: xv.rank(),
-            });
-        }
-        let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-        let gv = self.value(gamma);
-        let bv = self.value(beta);
-        if gv.dims() != [c] || bv.dims() != [c] {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![c],
-                right: if gv.dims() != [c] {
-                    gv.dims().to_vec()
-                } else {
-                    bv.dims().to_vec()
-                },
-            });
-        }
-        let m = (n * h * w) as f32;
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for (ch, mean_ch) in mean.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for in_ in 0..n {
-                let base = (in_ * c + ch) * h * w;
-                acc += xv.data()[base..base + h * w].iter().sum::<f32>();
-            }
-            *mean_ch = acc / m;
-        }
-        for (ch, var_ch) in var.iter_mut().enumerate() {
-            let mu = mean[ch];
-            let mut acc = 0.0;
-            for in_ in 0..n {
-                let base = (in_ * c + ch) * h * w;
-                acc += xv.data()[base..base + h * w]
-                    .iter()
-                    .map(|&v| (v - mu) * (v - mu))
-                    .sum::<f32>();
-            }
-            *var_ch = acc / m;
-        }
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-        let mut xhat = Tensor::zeros([n, c, h, w]);
-        let mut out = Tensor::zeros([n, c, h, w]);
-        for in_ in 0..n {
-            for ch in 0..c {
-                let base = (in_ * c + ch) * h * w;
-                let (mu, is) = (mean[ch], inv_std[ch]);
-                let (ga, be) = (gv.data()[ch], bv.data()[ch]);
-                for off in base..base + h * w {
-                    let z = (xv.data()[off] - mu) * is;
-                    xhat.data_mut()[off] = z;
-                    out.data_mut()[off] = ga * z + be;
-                }
-            }
-        }
-        let stats = BatchStats { mean, var };
+        let f = self
+            .value(x)
+            .batch_norm_train(self.value(gamma), self.value(beta), eps)?;
+        let stats = BatchStats {
+            mean: f.mean,
+            var: f.var,
+        };
         let node = self.push(
-            out,
+            f.out,
             Op::BatchNorm {
                 x: x.0,
                 gamma: gamma.0,
                 beta: beta.0,
-                xhat,
-                inv_std,
+                xhat: f.xhat,
+                inv_std: f.inv_std,
             },
         );
         Ok((node, stats))
@@ -265,45 +213,11 @@ impl Graph {
                 xhat,
                 inv_std,
             } => {
-                let xv = &self.nodes[*x].value;
-                let (n, c, h, w) = (xv.dims()[0], xv.dims()[1], xv.dims()[2], xv.dims()[3]);
-                let m = (n * h * w) as f32;
-                let gv = &self.nodes[*gamma].value;
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
-                let mut sum_dxhat = vec![0.0f32; c];
-                let mut sum_dxhat_xhat = vec![0.0f32; c];
-                for in_ in 0..n {
-                    for ch in 0..c {
-                        let base = (in_ * c + ch) * h * w;
-                        for off in base..base + h * w {
-                            let dy = grad.data()[off];
-                            let xh = xhat.data()[off];
-                            dbeta[ch] += dy;
-                            dgamma[ch] += dy * xh;
-                            let dxh = dy * gv.data()[ch];
-                            sum_dxhat[ch] += dxh;
-                            sum_dxhat_xhat[ch] += dxh * xh;
-                        }
-                    }
-                }
-                let mut dx = Tensor::zeros([n, c, h, w]);
-                for in_ in 0..n {
-                    for ch in 0..c {
-                        let base = (in_ * c + ch) * h * w;
-                        let scale = inv_std[ch] / m;
-                        for off in base..base + h * w {
-                            let dy = grad.data()[off];
-                            let xh = xhat.data()[off];
-                            let dxh = dy * gv.data()[ch];
-                            dx.data_mut()[off] =
-                                scale * (m * dxh - sum_dxhat[ch] - xh * sum_dxhat_xhat[ch]);
-                        }
-                    }
-                }
+                let (dx, dgamma, dbeta) =
+                    grad.batch_norm_backward(xhat, &self.nodes[*gamma].value, inv_std)?;
                 add_grad(*x, dx, grads)?;
-                add_grad(*gamma, Tensor::from_vec(dgamma, [c])?, grads)?;
-                add_grad(*beta, Tensor::from_vec(dbeta, [c])?, grads)?;
+                add_grad(*gamma, dgamma, grads)?;
+                add_grad(*beta, dbeta, grads)?;
             }
             Op::MaxPool { x, arg } => {
                 let mut dx = Tensor::zeros(self.nodes[*x].value.shape().clone());

@@ -15,17 +15,26 @@
 //! layer is timed through the direct kernels — forward, weight gradient
 //! and input gradient (`*_fwd`, `*_dw`, `*_dx`), each credited with its
 //! layer's GEMM flops; the `count` extra says how many of the model's
-//! convs share the shape. Writes `results/BENCH_gemm.json` with a GFLOP/s
-//! figure per row (override the path with `HERO_BENCH_OUT`).
+//! convs share the shape. The batch-norm rows come off the same tapes:
+//! each distinct train-mode batch norm's forward and backward kernels
+//! (`*_bn_fwd`, `*_bn_bwd`) with a GB/s figure that counts one read of
+//! each tensor-sized input and one write of each tensor-sized output
+//! (forward `x` → `out`, `x̂`; backward `dY`, `x̂` → `dX`). The last row,
+//! `pool_lease_held1024`, is one lease and recycle against a scratch pool
+//! holding its cap of 1024 buffers, none of exactly the leased size.
+//! Writes `results/BENCH_gemm.json` with a GFLOP/s or GB/s figure per row
+//! (override the path with `HERO_BENCH_OUT`).
 
-use hero_autodiff::{Graph, TraceDetail};
+use hero_autodiff::{Graph, NodeTrace, TraceDetail};
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json, BenchRow};
 use hero_core::experiment::model_config;
 use hero_data::Preset;
 use hero_nn::models::ModelKind;
+use hero_tensor::pool::MAX_HELD;
 use hero_tensor::rng::StdRng;
 use hero_tensor::{
-    active_gemm_kernel, force_gemm_kernel, matmul_reference, ConvGeometry, GemmKernel, Tensor,
+    active_gemm_kernel, force_gemm_kernel, matmul_reference, ConvGeometry, GemmKernel, ScratchPool,
+    Tensor,
 };
 
 /// Named GEMM shapes `(name, m, n, k)`.
@@ -73,17 +82,30 @@ impl ConvLayer {
     }
 }
 
-/// The distinct conv layers of `kind`'s C10 model, in tape order, each
-/// with how many of the model's convs share it: read off a train-mode
-/// forward tape at batch [`CONV_BATCH`]. The input's shape comes from the
-/// conv node's first parent, the output channels from its own shape.
-fn model_convs(kind: ModelKind) -> Vec<(ConvLayer, usize)> {
+/// A train-mode forward tape of `kind`'s C10 model at batch
+/// [`CONV_BATCH`].
+fn model_tape(kind: ModelKind) -> Vec<NodeTrace> {
     let cfg = model_config(Preset::C10);
     let mut net = kind.build(cfg, &mut StdRng::seed_from_u64(0));
     let x = Tensor::zeros([CONV_BATCH, cfg.in_channels, cfg.input_hw, cfg.input_hw]);
     let mut g = Graph::new();
     net.forward(&mut g, &x, true).expect("model forward");
-    let tape = g.trace();
+    g.trace()
+}
+
+/// Adds one sighting of `layer` to a tape-ordered list of distinct layers
+/// with their counts.
+fn tally<T: PartialEq>(layers: &mut Vec<(T, usize)>, layer: T) {
+    match layers.iter_mut().find(|(l, _)| *l == layer) {
+        Some((_, count)) => *count += 1,
+        None => layers.push((layer, 1)),
+    }
+}
+
+/// The distinct conv layers of a model tape, in tape order, each with how
+/// many of the model's convs share it. The input's shape comes from the
+/// conv node's first parent, the output channels from its own shape.
+fn model_convs(tape: &[NodeTrace]) -> Vec<(ConvLayer, usize)> {
     let mut layers: Vec<(ConvLayer, usize)> = Vec::new();
     for node in tape.iter().filter(|node| node.op == "conv2d") {
         let TraceDetail::Conv { geom } = node.detail else {
@@ -98,10 +120,20 @@ fn model_convs(kind: ModelKind) -> Vec<(ConvLayer, usize)> {
             w: input[3],
             geom,
         };
-        match layers.iter_mut().find(|(l, _)| *l == layer) {
-            Some((_, count)) => *count += 1,
-            None => layers.push((layer, 1)),
-        }
+        tally(&mut layers, layer);
+    }
+    layers
+}
+
+/// The distinct batch-norm input shapes `(n, c, h, w)` of a model tape,
+/// in tape order, with their counts.
+fn model_batch_norms(tape: &[NodeTrace]) -> Vec<(Vec<usize>, usize)> {
+    let mut layers = Vec::new();
+    for node in tape
+        .iter()
+        .filter(|node| matches!(node.detail, TraceDetail::BatchNorm { .. }))
+    {
+        tally(&mut layers, tape[node.parents[0]].shape.clone());
     }
     layers
 }
@@ -155,7 +187,8 @@ fn main() {
         ("vgg", ModelKind::Vgg),
     ];
     for (model, kind) in models {
-        for (layer, count) in model_convs(kind) {
+        let tape = model_tape(kind);
+        for (layer, count) in model_convs(&tape) {
             let ConvLayer {
                 n,
                 c,
@@ -187,7 +220,54 @@ fn main() {
                 rows.push(with_gflops(row, m, sites, taps).with_extra("count", count as f64));
             }
         }
+        for (dims, count) in model_batch_norms(&tape) {
+            let [n, c, h, w] = dims[..] else {
+                panic!("batch norm input {dims:?} is not NCHW");
+            };
+            let name = format!("{model}_bn_{c}ch_{h}x{w}");
+            let x = Tensor::from_fn([n, c, h, w], |i| {
+                ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
+            });
+            let dy = Tensor::from_fn([n, c, h, w], |i| {
+                ((i[0] * 5 + i[1] * 3 + i[2] * 7 + i[3]) % 13) as f32 / 6.0 - 1.0
+            });
+            let gamma = Tensor::from_fn([c], |i| 0.5 + (i[0] % 5) as f32 / 4.0);
+            let beta = Tensor::from_fn([c], |i| (i[0] % 3) as f32 / 2.0 - 0.5);
+            let saved = x.batch_norm_train(&gamma, &beta, 1e-5).unwrap();
+            let passes: [(&str, &dyn Fn()); 2] = [
+                ("fwd", &|| {
+                    std::hint::black_box(x.batch_norm_train(&gamma, &beta, 1e-5).unwrap());
+                }),
+                ("bwd", &|| {
+                    std::hint::black_box(
+                        dy.batch_norm_backward(&saved.xhat, &gamma, &saved.inv_std)
+                            .unwrap(),
+                    );
+                }),
+            ];
+            let bytes = 3.0 * x.numel() as f64 * 4.0;
+            for (pass, run) in passes {
+                let row = time_op(&format!("{name}_{pass}"), budget, run);
+                let gbps = bytes / row.ns_per_iter; // bytes/ns ≡ GB/s
+                rows.push(
+                    row.with_extra("gbps", gbps)
+                        .with_extra("count", count as f64),
+                );
+            }
+        }
     }
+
+    // One best-fit lease against a full free list: capacities 16..2048
+    // floats in steps of 16, eight buffers each; 1000 fits none exactly.
+    let mut pool = ScratchPool::new();
+    for i in 0..MAX_HELD {
+        pool.recycle(Vec::with_capacity(16 * (1 + i % 128)));
+    }
+    let row = time_op("pool_lease_held1024", budget, || {
+        let buf = pool.lease(std::hint::black_box(1000));
+        pool.recycle(buf);
+    });
+    rows.push(row.with_extra("held", pool.stats().held as f64));
 
     let out = bench_out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),

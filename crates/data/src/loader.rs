@@ -139,14 +139,12 @@ impl Loader {
         let pix = c * h * w;
         let mut batches = Vec::with_capacity(n.div_ceil(self.batch_size));
         for chunk in order.chunks(self.batch_size) {
-            let mut imgs = Vec::with_capacity(chunk.len() * pix);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &idx in chunk {
-                imgs.extend_from_slice(&data.images.data()[idx * pix..(idx + 1) * pix]);
-                labels.push(data.labels[idx]);
+            // Leased from the scratch pool, so a batch recycles when dropped.
+            let mut images = Tensor::zeros([chunk.len(), c, h, w]);
+            for (dst, &idx) in images.data_mut().chunks_exact_mut(pix.max(1)).zip(chunk) {
+                dst.copy_from_slice(&data.images.data()[idx * pix..(idx + 1) * pix]);
             }
-            let images = Tensor::from_vec(imgs, [chunk.len(), c, h, w])
-                .expect("volume matches by construction");
+            let labels = chunk.iter().map(|&idx| data.labels[idx]).collect();
             batches.push(Batch { images, labels });
         }
         batches

@@ -56,7 +56,7 @@ impl Layer for Conv2d {
     fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
         let dims = g.value(x).dims().to_vec();
         let geom = ConvGeometry::new(dims[2], dims[3], self.kernel, self.stride, self.pad)?;
-        let w = g.input(self.w.clone_pooled());
+        let w = g.input(self.w.clone());
         vars.push(w);
         g.conv2d(x, w, geom)
     }
@@ -122,7 +122,7 @@ impl Layer for DepthwiseConv2d {
     fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
         let dims = g.value(x).dims().to_vec();
         let geom = ConvGeometry::new(dims[2], dims[3], self.kernel, self.stride, self.pad)?;
-        let w = g.input(self.w.clone_pooled());
+        let w = g.input(self.w.clone());
         vars.push(w);
         g.depthwise_conv2d(x, w, geom)
     }

@@ -45,11 +45,11 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
-        let w = g.input(self.w.clone_pooled());
+        let w = g.input(self.w.clone());
         vars.push(w);
         let mut out = g.matmul(x, w)?;
         if let Some(b) = &self.b {
-            let bv = g.input(b.clone_pooled());
+            let bv = g.input(b.clone());
             vars.push(bv);
             out = g.add(out, bv)?; // broadcasts (out_dim,) over rows
         }

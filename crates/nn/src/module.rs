@@ -365,7 +365,7 @@ impl Network {
     ///
     /// Returns shape errors if `x` is incompatible with the first layer.
     pub fn forward(&mut self, g: &mut Graph, x: &Tensor, train: bool) -> Result<(Var, Vec<Var>)> {
-        let input = g.input(x.clone_pooled());
+        let input = g.input(x.clone());
         let mut vars = Vec::new();
         let logits = self.body.forward(g, input, train, &mut vars)?;
         Ok((logits, vars))

@@ -75,8 +75,8 @@ impl BatchNorm2d {
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var> {
-        let gamma = g.input(self.gamma.clone_pooled());
-        let beta = g.input(self.beta.clone_pooled());
+        let gamma = g.input(self.gamma.clone());
+        let beta = g.input(self.beta.clone());
         vars.push(gamma);
         vars.push(beta);
         if train {

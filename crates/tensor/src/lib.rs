@@ -14,6 +14,8 @@
 //! - direct convolution kernels ([`Tensor::conv2d`] and its weight/input
 //!   gradients), the [`Tensor::im2col`] / [`Tensor::col2im`] lowering they
 //!   are tested against, and pooling with adjoints
+//! - train-mode batch-norm kernels ([`Tensor::batch_norm_train`] and
+//!   [`Tensor::batch_norm_backward`])
 //! - the norms HERO's theory is stated in (ℓ1, ℓ2, ℓ∞, ℓ0)
 //! - seedable initializers ([`Init`]) driven by the in-tree [`rng`] module
 //! - a [`ScratchPool`] buffer recycler backing the zero-allocation
@@ -51,6 +53,7 @@ pub mod workers;
 
 pub use error::{Result, TensorError};
 pub use init::{fill_standard_normal, random_unit_vector, Init};
+pub use ops::batch_norm::BatchNormForward;
 pub use ops::gemm::{
     active_gemm_kernel, force_gemm_kernel, gemm_pool_reset_stats, gemm_pool_stats,
     set_gemm_threads, GemmKernel,

@@ -1,5 +1,6 @@
 //! Operation modules implementing `Tensor` methods.
 
+pub(crate) mod batch_norm;
 pub(crate) mod broadcast;
 pub(crate) mod conv;
 pub(crate) mod elementwise;

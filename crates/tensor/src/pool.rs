@@ -7,7 +7,14 @@
 //! those allocations be *leased* and *recycled* instead: after one warm-up
 //! step the same buffers cycle through the graph forever and the pool
 //! performs zero new heap allocations ([`PoolStats::fresh_allocs`] is the
-//! proof — see `crates/autodiff/tests/pool_reuse.rs`).
+//! proof — see `crates/optim/tests/pool_reuse.rs`).
+//!
+//! The free list is keyed by capacity, so a lease finds its best fit — the
+//! smallest held capacity that needs no growth — in O(log k) over the `k`
+//! distinct capacities held, however many buffers sit in the list. A best
+//! fit more than `MAX_SLACK` times the need is passed over: a small
+//! tensor that lives for the rest of the run (a model replica's parameter,
+//! an optimizer buffer) would otherwise pin a buffer many times its size.
 //!
 //! A thread-local default pool backs the tensor kernels and the autodiff
 //! graph so no `&mut pool` needs to be threaded through every op signature
@@ -29,10 +36,23 @@
 //! ```
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Upper bound on buffers the free list retains; recycles beyond this are
 /// dropped so donated one-off buffers cannot grow the pool without bound.
-const MAX_HELD: usize = 1024;
+pub const MAX_HELD: usize = 1024;
+
+/// Upper bound on the bytes of capacity the free list retains; a recycle
+/// that would pass it is dropped like one past [`MAX_HELD`]. The C10
+/// working sets fit (a batch-32 ResNet HERO epoch with its evaluation
+/// holds under 4 MiB at once, a batch-64 spectrum probe under 7 MiB),
+/// while large evaluation batches cannot park tens of megabytes of
+/// activations in the list for the rest of the run.
+const MAX_HELD_BYTES: usize = 8 << 20;
+
+/// Largest ratio of a reused buffer's capacity to the capacity a lease
+/// needs; a lease with no held buffer in that range allocates fresh.
+const MAX_SLACK: usize = 2;
 
 /// Number of canary words placed past each lease's live region under the
 /// `sanitize` feature.
@@ -59,6 +79,15 @@ struct LeaseRecord {
     /// buffer, which relocates it and invalidates the canary region.
     cap: usize,
     /// Pool generation when the lease was issued.
+    gen: u64,
+}
+
+/// One free-list entry.
+#[derive(Debug)]
+struct Held {
+    buf: Vec<f32>,
+    /// Pool generation when the buffer was recycled (sanitize builds only).
+    #[cfg(feature = "sanitize")]
     gen: u64,
 }
 
@@ -94,14 +123,17 @@ pub struct ScratchPool {
     /// Thread the pool was created on; the only thread recycles are
     /// accepted from.
     owner: std::thread::ThreadId,
-    free: Vec<Vec<f32>>,
+    /// Held buffers by capacity. A bucket is removed when its last buffer
+    /// is leased, so every key has at least one buffer.
+    free: BTreeMap<usize, Vec<Held>>,
+    /// Buffers across all buckets.
+    held: usize,
+    /// Bytes of capacity across all buckets.
+    held_bytes: usize,
     fresh_allocs: usize,
     leases: usize,
     recycles: usize,
     foreign_recycles: usize,
-    /// Generation stamped on each free-list entry, parallel to `free`.
-    #[cfg(feature = "sanitize")]
-    free_gens: Vec<u64>,
     /// Monotonic recycle counter used to label sanitizer reports.
     #[cfg(feature = "sanitize")]
     generation: u64,
@@ -116,13 +148,13 @@ impl Default for ScratchPool {
     fn default() -> Self {
         ScratchPool {
             owner: std::thread::current().id(),
-            free: Vec::new(),
+            free: BTreeMap::new(),
+            held: 0,
+            held_bytes: 0,
             fresh_allocs: 0,
             leases: 0,
             recycles: 0,
             foreign_recycles: 0,
-            #[cfg(feature = "sanitize")]
-            free_gens: Vec::new(),
             #[cfg(feature = "sanitize")]
             generation: 0,
             #[cfg(feature = "sanitize")]
@@ -144,8 +176,8 @@ impl ScratchPool {
 
     /// Leases a zeroed buffer of exactly `len` elements.
     ///
-    /// Reuses the best-fitting free buffer when one exists; otherwise (or
-    /// when the best fit would have to grow) counts a fresh allocation.
+    /// Reuses the best-fitting free buffer when one holds `len` within
+    /// `MAX_SLACK` times; otherwise counts a fresh allocation.
     pub fn lease(&mut self, len: usize) -> Vec<f32> {
         // Best fit: smallest capacity that can hold `len` without growing.
         let mut buf = self.lease_raw(len);
@@ -171,24 +203,14 @@ impl ScratchPool {
         let need = len + CANARY_WORDS;
         #[cfg(not(feature = "sanitize"))]
         let need = len;
-        let mut best: Option<(usize, usize)> = None;
-        for (i, buf) in self.free.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= need && best.is_none_or(|(_, bc)| cap < bc) {
-                best = Some((i, cap));
-                if cap == need {
-                    break;
-                }
-            }
-        }
         #[allow(unused_mut)]
-        let mut buf = match best {
-            Some((i, _)) => {
+        let mut buf = match self.take_best_fit(need) {
+            Some(held) => {
                 hero_obs::counters::POOL_HITS.incr();
-                let mut buf = self.free.swap_remove(i);
+                let mut buf = held.buf;
                 #[cfg(feature = "sanitize")]
                 {
-                    let gen = self.free_gens.swap_remove(i);
+                    let gen = held.gen;
                     if let Some(pos) = buf.iter().position(|v| v.to_bits() != POISON) {
                         panic!(
                             "hero-tensor sanitize: use-after-recycle — free buffer {:p} \
@@ -211,6 +233,22 @@ impl ScratchPool {
         #[cfg(feature = "sanitize")]
         self.arm_lease(&mut buf, len);
         buf
+    }
+
+    /// Removes and returns a held buffer of the smallest capacity in
+    /// `need..=MAX_SLACK·need`, dropping its bucket when that empties it.
+    fn take_best_fit(&mut self, need: usize) -> Option<Held> {
+        let (&cap, bucket) = self
+            .free
+            .range_mut(need..=need.saturating_mul(MAX_SLACK))
+            .next()?;
+        let held = bucket.pop().expect("free-list buckets are never empty");
+        if bucket.is_empty() {
+            self.free.remove(&cap);
+        }
+        self.held -= 1;
+        self.held_bytes -= bytes_of(cap);
+        Some(held)
     }
 
     /// Writes canary words past the live region and records the lease
@@ -241,7 +279,12 @@ impl ScratchPool {
     #[cfg(feature = "sanitize")]
     fn sanitize_recycle(&mut self, mut buf: Vec<f32>) -> Vec<f32> {
         let ptr = buf.as_ptr() as usize;
-        if self.free.iter().any(|b| b.as_ptr() as usize == ptr) {
+        if self
+            .free
+            .values()
+            .flatten()
+            .any(|h| h.buf.as_ptr() as usize == ptr)
+        {
             panic!(
                 "hero-tensor sanitize: double-recycle — buffer {ptr:#x} is already in the \
                  free list"
@@ -274,8 +317,9 @@ impl ScratchPool {
         buf
     }
 
-    /// Returns a buffer to the free list (dropped if the pool is full or
-    /// the buffer has no capacity).
+    /// Returns a buffer to the free list (dropped if the pool is full —
+    /// [`MAX_HELD`] buffers or `MAX_HELD_BYTES` — or the buffer has no
+    /// capacity).
     pub fn recycle(&mut self, buf: Vec<f32>) {
         if buf.capacity() == 0 {
             return;
@@ -290,10 +334,16 @@ impl ScratchPool {
         let buf = self.sanitize_recycle(buf);
         self.recycles += 1;
         hero_obs::counters::POOL_RECYCLES.incr();
-        if self.free.len() < MAX_HELD {
-            #[cfg(feature = "sanitize")]
-            self.free_gens.push(self.generation);
-            self.free.push(buf);
+        let bytes = bytes_of(buf.capacity());
+        if self.held < MAX_HELD && self.held_bytes + bytes <= MAX_HELD_BYTES {
+            let held = Held {
+                buf,
+                #[cfg(feature = "sanitize")]
+                gen: self.generation,
+            };
+            self.free.entry(held.buf.capacity()).or_default().push(held);
+            self.held += 1;
+            self.held_bytes += bytes;
         }
     }
 
@@ -303,7 +353,7 @@ impl ScratchPool {
             fresh_allocs: self.fresh_allocs,
             leases: self.leases,
             recycles: self.recycles,
-            held: self.free.len(),
+            held: self.held,
             foreign_recycles: self.foreign_recycles,
         }
     }
@@ -319,13 +369,17 @@ impl ScratchPool {
     /// Drops every held buffer and zeroes the counters.
     pub fn clear(&mut self) {
         self.free.clear();
+        self.held = 0;
+        self.held_bytes = 0;
         #[cfg(feature = "sanitize")]
-        {
-            self.free_gens.clear();
-            self.outstanding.clear();
-        }
+        self.outstanding.clear();
         self.reset_stats();
     }
+}
+
+/// Bytes of a buffer with `cap` elements of capacity.
+fn bytes_of(cap: usize) -> usize {
+    cap * std::mem::size_of::<f32>()
 }
 
 thread_local! {
@@ -453,13 +507,106 @@ mod tests {
         assert_eq!(pool.stats().fresh_allocs, 2);
     }
 
+    /// Capacity a lease of `len` elements asks the free list for.
+    fn need(len: usize) -> usize {
+        #[cfg(feature = "sanitize")]
+        return len + CANARY_WORDS;
+        #[cfg(not(feature = "sanitize"))]
+        len
+    }
+
+    /// A pool holding one donated buffer per capacity in `caps`.
+    fn pool_holding(caps: &[usize]) -> ScratchPool {
+        let mut pool = ScratchPool::new();
+        for &cap in caps {
+            pool.recycle(Vec::with_capacity(cap));
+        }
+        pool
+    }
+
+    #[test]
+    fn best_fit_takes_smallest_sufficient_capacity_across_buckets() {
+        let caps = [need(40), need(10), need(16), need(16), need(64)];
+        let mut pool = pool_holding(&caps);
+        assert_eq!(pool.free.len(), 4, "equal capacities share a bucket");
+        // Between buckets: 12 fits in 16 (not 40 or 64).
+        let a = pool.lease(12);
+        assert_eq!(a.capacity(), need(16));
+        // Exact hit, then the second buffer of the same bucket.
+        let b = pool.lease(16);
+        assert_eq!(b.capacity(), need(16));
+        let c = pool.lease(20);
+        assert_eq!(c.capacity(), need(40), "16-bucket was drained");
+        let d = pool.lease(10);
+        assert_eq!(d.capacity(), need(10));
+        let e = pool.lease(65);
+        assert_eq!(e.capacity(), need(65), "nothing fits: fresh allocation");
+        let s = pool.stats();
+        assert_eq!((s.fresh_allocs, s.held), (1, 1));
+    }
+
+    #[test]
+    fn best_fit_passes_over_buffers_beyond_max_slack() {
+        let mut pool = pool_holding(&[need(100), 2 * need(100) + 1]);
+        let a = pool.lease(99);
+        assert_eq!(a.capacity(), need(100));
+        let b = pool.lease(100);
+        assert_eq!(b.capacity(), need(100), "2·need + 1 is past MAX_SLACK");
+        let s = pool.stats();
+        assert_eq!((s.fresh_allocs, s.held), (1, 1));
+        let c = pool.lease(need(100) + 1);
+        assert_eq!(c.capacity(), 2 * need(100) + 1);
+        assert_eq!(pool.stats().fresh_allocs, 1);
+    }
+
+    #[test]
+    fn drained_buckets_are_removed() {
+        let mut pool = pool_holding(&[need(8), need(8), need(32)]);
+        assert_eq!(pool.free.len(), 2);
+        let a = pool.lease(8);
+        assert_eq!(pool.free.len(), 2, "the 8-bucket still holds one buffer");
+        let b = pool.lease(8);
+        assert_eq!(pool.free.len(), 1, "drained bucket kept");
+        assert!(!pool.free.contains_key(&need(8)));
+        pool.recycle(a);
+        pool.recycle(b);
+        assert_eq!(pool.free[&need(8)].len(), 2);
+        let _ = pool.lease(32);
+        assert_eq!(pool.free.keys().copied().collect::<Vec<_>>(), [need(8)]);
+    }
+
     #[test]
     fn free_list_is_capped() {
         let mut pool = ScratchPool::new();
-        for _ in 0..(MAX_HELD + 10) {
-            pool.recycle(vec![0.0; 4]);
+        for i in 0..(MAX_HELD + 10) {
+            pool.recycle(vec![0.0; 4 + i % 7]);
         }
+        let s = pool.stats();
+        assert_eq!(s.held, MAX_HELD);
+        assert_eq!(s.recycles, MAX_HELD + 10, "dropped recycles still count");
+        let bucketed: usize = pool.free.values().map(Vec::len).sum();
+        assert_eq!(bucketed, MAX_HELD);
+        // A lease frees a slot, so the next recycle is held again.
+        let a = pool.lease(4);
+        assert_eq!(pool.stats().held, MAX_HELD - 1);
+        pool.recycle(a);
         assert_eq!(pool.stats().held, MAX_HELD);
+    }
+
+    #[test]
+    fn free_list_bytes_are_capped() {
+        let quarter = MAX_HELD_BYTES / 4 / std::mem::size_of::<f32>();
+        let mut pool = pool_holding(&[quarter; 5]);
+        let s = pool.stats();
+        assert_eq!((s.held, s.recycles), (4, 5), "the fifth quarter was kept");
+        assert_eq!(pool.held_bytes, MAX_HELD_BYTES);
+        let a = pool.lease(quarter - 4); // fits `quarter` under sanitize too
+        assert_eq!(pool.held_bytes, MAX_HELD_BYTES - MAX_HELD_BYTES / 4);
+        pool.recycle(vec![0.0; 1]); // fits beside three quarters
+        pool.recycle(a); // one float over the cap: dropped
+        assert_eq!(pool.stats().held, 4);
+        pool.clear();
+        assert_eq!(pool.held_bytes, 0);
     }
 
     #[test]
@@ -573,6 +720,35 @@ mod sanitize_tests {
         // region (within capacity, so nothing else would ever notice).
         unsafe { a.as_mut_ptr().add(8).write(0.0) };
         pool.recycle(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "use-after-recycle")]
+    fn stale_write_is_caught_among_many_buckets() {
+        let mut pool = ScratchPool::new();
+        for len in [4, 64, 9, 300] {
+            pool.recycle(vec![0.0; len]);
+        }
+        let mut a = pool.lease(16);
+        let stale = a.as_mut_ptr();
+        pool.recycle(a);
+        unsafe { stale.add(3).write(1.0) };
+        let _ = pool.lease(16);
+    }
+
+    #[test]
+    #[should_panic(expected = "double-recycle")]
+    fn double_recycle_is_caught_in_any_bucket() {
+        let pool: &'static mut ScratchPool = Box::leak(Box::default());
+        for len in [4, 64, 9] {
+            pool.recycle(vec![0.0; len]);
+        }
+        let a = pool.lease(20);
+        let (ptr, len, cap) = (a.as_ptr() as *mut f32, a.len(), a.capacity());
+        pool.recycle(a);
+        let _ = pool.lease(2); // buckets change between the two recycles
+        let dup = unsafe { Vec::from_raw_parts(ptr, len, cap) };
+        pool.recycle(dup);
     }
 
     #[test]

@@ -34,11 +34,12 @@ pub struct Tensor {
     home: std::thread::ThreadId,
 }
 
-/// Clones allocate fresh storage on the *current* thread (and are tagged
-/// with it), so a clone of a worker-produced tensor recycles locally.
+/// Clones lease their storage from the *current* thread's scratch pool (and
+/// are tagged with it), so a clone of a worker-produced tensor recycles
+/// locally.
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        Tensor::assemble(self.shape.clone(), self.data.clone())
+        Tensor::assemble(self.shape.clone(), crate::pool::lease_copy(&self.data))
     }
 }
 
@@ -91,7 +92,7 @@ impl Tensor {
 
     /// Creates a rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
-        Tensor::assemble(Shape::scalar(), vec![value])
+        Tensor::assemble(Shape::scalar(), crate::pool::lease_copy(&[value]))
     }
 
     /// Creates a tensor filled with zeros (storage leased from the scratch
@@ -111,8 +112,9 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        let n = shape.numel();
-        Tensor::assemble(shape, vec![value; n])
+        let mut data = crate::pool::lease_raw(shape.numel());
+        data.resize(shape.numel(), value);
+        Tensor::assemble(shape, data)
     }
 
     /// Creates a 1-D tensor `[0, 1, ..., n-1]` as `f32`.
@@ -171,14 +173,6 @@ impl Tensor {
     /// recycling `Drop`).
     pub fn into_vec(mut self) -> Vec<f32> {
         std::mem::take(&mut self.data)
-    }
-
-    /// Clones this tensor into storage leased from the thread-local scratch
-    /// pool. Used where a clone is handed to a recycling consumer (e.g. a
-    /// `Graph` input), so steady-state clones reuse pooled buffers instead
-    /// of allocating.
-    pub fn clone_pooled(&self) -> Tensor {
-        Tensor::assemble(self.shape.clone(), crate::pool::lease_copy(&self.data))
     }
 
     /// Copies `src`'s contents into this tensor without reallocating — the
@@ -247,7 +241,7 @@ impl Tensor {
                 actual: self.numel(),
             });
         }
-        Ok(Tensor::assemble(shape, self.data.clone()))
+        Ok(Tensor::assemble(shape, crate::pool::lease_copy(&self.data)))
     }
 
     /// In-place variant of [`reshape`](Tensor::reshape); avoids the copy.
@@ -269,7 +263,10 @@ impl Tensor {
 
     /// Flattens to a 1-D tensor without copying semantics changes.
     pub fn flatten(&self) -> Tensor {
-        Tensor::assemble(Shape::from([self.numel()]), self.data.clone())
+        Tensor::assemble(
+            Shape::from([self.numel()]),
+            crate::pool::lease_copy(&self.data),
+        )
     }
 
     /// Transposes a 2-D tensor (copies).

@@ -23,6 +23,11 @@ echo "==> conv kernel sweep (release: seeded geometries up to batch 64)"
 # ignored sweep does, against the im2col lowering bit for bit.
 cargo test --release -p hero-tensor --test conv_kernels -- --include-ignored
 
+echo "==> batch-norm kernel sweep (release: seeded shapes up to batch 64, 96 channels)"
+# The batch-norm kernels against the per-element reference loops, bit for
+# bit, including the ignored 300-shape seeded sweep.
+cargo test --release -p hero-tensor --test batch_norm_kernels -- --include-ignored
+
 echo "==> cargo test -q (sanitize feature: pool + tape sanitizers)"
 cargo test -q -p hero-tensor --features sanitize
 cargo test -q -p hero-autodiff --features sanitize
@@ -154,9 +159,19 @@ HERO_BENCH_OUT="$PWD/results/BENCH_gemm.json" \
   cargo bench -p hero-bench --bench gemm_shapes -- --quick
 # Tabulate GFLOP/s per shape across kernel variants (reference / scalar /
 # avx2fma), then per preset conv layer across the direct kernels (forward
-# / dW / dX), into a diff-friendly artifact so CI surfaces SIMD speedups —
-# and regressions — next to the raw JSON.
+# / dW / dX), then µs and GB/s per batch-norm layer and the pool lease
+# time, into a diff-friendly artifact so CI surfaces SIMD speedups — and
+# regressions — next to the raw JSON.
 awk -F'"' '
+  /"name"/ && ($4 ~ /_bn_/ || $4 ~ /^pool_/) {
+    name = $4
+    ns = $0; sub(/.*"ns_per_iter": /, "", ns); sub(/[,}].*/, "", ns)
+    gb = $0; sub(/.*"gbps": /, "", gb); sub(/[,}].*/, "", gb)
+    if (sub(/_fwd$/, "", name)) { bns[++nb] = name; bn[name "/fwd"] = ns; bn[name "/fwdgb"] = gb }
+    else if (sub(/_bwd$/, "", name)) { bn[name "/bwd"] = ns; bn[name "/bwdgb"] = gb }
+    else { other[++no] = name; bn[name "/ns"] = ns }
+    next
+  }
   /"name"/ {
     name = $4
     gf = $0; sub(/.*"gflops": /, "", gf); sub(/[,}].*/, "", gf)
@@ -187,6 +202,12 @@ awk -F'"' '
       s = convs[i]
       printf "%-34s %10.2f %10.2f %10.2f\n", s, gflops[s "/fwd"], gflops[s "/dw"], gflops[s "/dx"]
     }
+    printf "\n%-34s %10s %10s %10s %10s\n", "batch-norm kernel", "fwd us", "fwd GB/s", "bwd us", "bwd GB/s"
+    for (i = 1; i <= nb; i++) {
+      s = bns[i]
+      printf "%-34s %10.2f %10.2f %10.2f %10.2f\n", s, bn[s "/fwd"] / 1e3, bn[s "/fwdgb"], bn[s "/bwd"] / 1e3, bn[s "/bwdgb"]
+    }
+    for (i = 1; i <= no; i++) printf "\n%-34s %10.1f ns\n", other[i], bn[other[i] "/ns"]
   }
 ' results/BENCH_gemm.json > results/BENCH_gemm_gflops.txt
 cat results/BENCH_gemm_gflops.txt
