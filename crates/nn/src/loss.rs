@@ -36,14 +36,12 @@ pub fn loss_and_grads(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result
     drop(fwd);
     let _bwd = hero_obs::span("backward");
     let mut grads = g.backward(loss)?;
-    let params = net.params();
     let grad_tensors = vars
         .iter()
-        .zip(&params)
-        .map(|(v, p)| {
+        .map(|&v| {
             grads
-                .take(*v)
-                .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
+                .take(v)
+                .unwrap_or_else(|| Tensor::zeros(g.value(v).shape().clone()))
         })
         .collect();
     grads.recycle();
@@ -76,14 +74,12 @@ pub fn loss_and_grads_smoothed(
     drop(fwd);
     let _bwd = hero_obs::span("backward");
     let mut grads = g.backward(loss)?;
-    let params = net.params();
     let grad_tensors = vars
         .iter()
-        .zip(&params)
-        .map(|(v, p)| {
+        .map(|&v| {
             grads
-                .take(*v)
-                .unwrap_or_else(|| Tensor::zeros(p.shape().clone()))
+                .take(v)
+                .unwrap_or_else(|| Tensor::zeros(g.value(v).shape().clone()))
         })
         .collect();
     grads.recycle();
