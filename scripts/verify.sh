@@ -115,6 +115,18 @@ cargo run --release -p hero-bench --bin hero -- \
   noise-crosscheck --preset c10 --models resnet,mobilenet,vgg \
   --scale 0.25 --epochs 2 --out results/analyze/noise_crosscheck.json
 
+echo "==> regenerated analyzer artifacts match the committed ones"
+# The three preflight reports and the crosscheck JSON are deterministic,
+# so a change that alters them must commit the regenerated files with it.
+# (The artifact-pipeline preflight above rewrites resnet20_* from its own
+# model; the preflight loop restores them.) MobileNet's scale-explosion
+# bounds follow the GEMM kernel's FMA rounding, so the committed files
+# are the AVX2 ones.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code --stat -- results/analyze || {
+    echo "FAIL: regenerated results/analyze/ differs from the committed files"; exit 1; }
+fi
+
 echo "==> spectrum observatory smoke (hero spectrum, SGD vs HERO)"
 mkdir -p results
 # Trains two short runs with per-epoch spectrum telemetry, takes a deep
