@@ -1,7 +1,11 @@
 //! Structured diagnostics emitted by the tape verifier.
 
 use crate::interval::Interval;
+use hero_autodiff::NodeTrace;
 use std::fmt;
+
+/// Longest provenance chain attached to a diagnostic.
+const MAX_PROVENANCE: usize = 8;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -145,10 +149,40 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
+    /// A finding on `tape[node]`, carrying the node's op name and its
+    /// provenance chain.
+    pub(crate) fn new(tape: &[NodeTrace], node: usize, code: DiagCode, message: String) -> Self {
+        Diagnostic {
+            node,
+            op: tape[node].op.to_string(),
+            code,
+            message,
+            provenance: provenance(tape, node),
+        }
+    }
+
     /// The severity implied by the diagnostic's code.
     pub fn severity(&self) -> Severity {
         self.code.severity()
     }
+}
+
+/// Walks first parents from `node` toward a leaf, stopping at malformed
+/// links, to give a diagnostic its op-pipeline context.
+fn provenance(tape: &[NodeTrace], node: usize) -> Vec<usize> {
+    let mut chain = vec![node];
+    let mut cur = node;
+    while chain.len() < MAX_PROVENANCE {
+        let Some(&parent) = tape.get(cur).and_then(|n| n.parents.first()) else {
+            break;
+        };
+        if parent >= cur {
+            break; // malformed link; structural pass reports it
+        }
+        chain.push(parent);
+        cur = parent;
+    }
+    chain
 }
 
 impl fmt::Display for Diagnostic {

@@ -14,9 +14,9 @@
 //! and [`DiagCode::QuantClipRisk`].
 
 use crate::diag::{DiagCode, Diagnostic};
-use crate::verify::provenance;
+use crate::verify::{numel, Operands};
 use crate::ValueOptions;
-use hero_autodiff::{NodeTrace, TraceDetail};
+use hero_autodiff::{NodeTrace, TraceOp};
 use std::num::FpCategory;
 
 /// Relative outward-widening margin applied per transfer (one op's worth
@@ -215,49 +215,28 @@ fn contract(p: Interval, k: usize) -> Interval {
     }
 }
 
-fn numel(shape: &[usize]) -> usize {
-    shape.iter().product()
-}
-
 /// Runs the forward interval pass over a (structurally sound) tape,
 /// returning one interval per node. Inputs without a seed, and ops the
 /// pass cannot bound, get [`Interval::TOP`].
 pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
     let mut out: Vec<Interval> = Vec::with_capacity(tape.len());
     for (i, node) in tape.iter().enumerate() {
-        // Defensive accessors: the pass only runs on tapes without
-        // structural errors, but stays panic-free regardless.
-        let p = |slot: usize| -> Interval {
-            node.parents
-                .get(slot)
-                .filter(|&&idx| idx < i)
-                .map_or(Interval::TOP, |&idx| out[idx])
-        };
-        let pshape = |slot: usize| -> &[usize] {
-            node.parents
-                .get(slot)
-                .filter(|&&idx| idx < i)
-                .map_or(&[][..], |&idx| &tape[idx].shape)
-        };
-        let scalar_c = match node.detail {
-            TraceDetail::Scalar { c } => Some(c),
-            _ => None,
-        };
+        let ops = Operands::new(tape, i);
+        let p = |slot: usize| ops.get(&out, slot, Interval::TOP);
         let iv = match node.op {
-            "input" => seeds
+            TraceOp::Input => seeds
                 .iter()
                 .find(|s| s.node == i)
                 .map_or(Interval::TOP, |s| Interval::of(s.lo, s.hi)),
-            "add" => p(0).add(p(1)),
-            "sub" => p(0).sub(p(1)),
-            "mul" => p(0).mul(p(1)),
-            "scale" => scalar_c.map_or(Interval::TOP, |c| p(0).mul(Interval::point(c))),
-            "add_scalar" => scalar_c.map_or(Interval::TOP, |c| p(0).add(Interval::point(c))),
-            "matmul" => {
-                let k = pshape(0).get(1).copied().unwrap_or(0);
-                contract(p(0).mul(p(1)), k)
+            TraceOp::Add => p(0).add(p(1)),
+            TraceOp::Sub => p(0).sub(p(1)),
+            TraceOp::Mul => p(0).mul(p(1)),
+            TraceOp::Scale { c } => p(0).mul(Interval::point(c)),
+            TraceOp::AddScalar { c } => p(0).add(Interval::point(c)),
+            TraceOp::Matmul | TraceOp::Conv2d { .. } | TraceOp::DepthwiseConv2d { .. } => {
+                contract(p(0).mul(p(1)), ops.contraction_len())
             }
-            "relu" => {
+            TraceOp::Relu => {
                 let x = p(0);
                 Interval {
                     lo: x.lo.max(0.0),
@@ -265,7 +244,7 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     maybe_nan: x.maybe_nan,
                 }
             }
-            "relu6" => {
+            TraceOp::Relu6 => {
                 let x = p(0);
                 Interval {
                     lo: x.lo.clamp(0.0, 6.0),
@@ -273,33 +252,16 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     maybe_nan: x.maybe_nan,
                 }
             }
-            "square" => p(0).square(),
-            "reshape" | "max_pool2d" => p(0),
-            "sum" => contract(p(0), numel(pshape(0))),
-            "mean" => p(0).widen_by(numel(pshape(0))),
-            "conv2d" | "depthwise_conv2d" => {
-                let k = match node.detail {
-                    TraceDetail::Conv { geom } => {
-                        if node.op == "conv2d" {
-                            pshape(0).get(1).copied().unwrap_or(0) * geom.kernel * geom.kernel
-                        } else {
-                            geom.kernel * geom.kernel
-                        }
-                    }
-                    _ => 0,
-                };
-                if k == 0 {
-                    Interval::TOP
-                } else {
-                    contract(p(0).mul(p(1)), k)
-                }
-            }
-            "batch_norm" => {
+            TraceOp::Square => p(0).square(),
+            TraceOp::Reshape { .. } | TraceOp::MaxPool { .. } => p(0),
+            TraceOp::Sum => contract(p(0), numel(ops.shape(0))),
+            TraceOp::Mean => p(0).widen_by(numel(ops.shape(0))),
+            TraceOp::BatchNorm { .. } => {
                 // Per channel, sum(xhat^2) <= M = n*h*w regardless of the
                 // input values (var/(var+eps) <= 1), so |xhat| <= sqrt(M).
                 // This is input-independent: it holds for any batch, not
                 // just the recorded one.
-                let xs = pshape(0);
+                let xs = ops.shape(0);
                 if xs.len() != 4 {
                     Interval::TOP
                 } else {
@@ -309,26 +271,23 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     xhat.mul(p(1)).add(p(2))
                 }
             }
-            "avg_pool2d" => match node.detail {
-                TraceDetail::AvgPool { k } => p(0).widen_by(k * k),
-                _ => Interval::TOP,
-            },
-            "global_avg_pool2d" => {
-                let xs = pshape(0);
+            TraceOp::AvgPool { k } => p(0).widen_by(k * k),
+            TraceOp::GlobalAvgPool => {
+                let xs = ops.shape(0);
                 if xs.len() != 4 {
                     Interval::TOP
                 } else {
                     p(0).widen_by(xs[2] * xs[3])
                 }
             }
-            "cross_entropy" | "cross_entropy_smoothed" => {
+            TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
                 // -log p_y = logsumexp(z) - z_y <= ln(C) + (hi - lo); the
                 // implementation also clamps p at 1e-12, capping each term
                 // at -ln(1e-12) even for non-finite logits. The lower
                 // bound allows softmax rows to round slightly above 1.
                 let z = p(0);
-                let classes = pshape(0).get(1).copied().unwrap_or(1).max(1);
-                let batch = pshape(0).first().copied().unwrap_or(1).max(1);
+                let classes = ops.shape(0).get(1).copied().unwrap_or(1).max(1);
+                let batch = ops.shape(0).first().copied().unwrap_or(1).max(1);
                 let clamp_cap = 27.64; // -ln(1e-12), rounded up
                 let hi = if z.is_finite() {
                     ((classes as f64).ln() + (z.hi as f64 - z.lo as f64)).min(clamp_cap)
@@ -337,24 +296,21 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                 };
                 Interval::of(-1e-4, hi as f32).widen_by(batch * classes)
             }
-            "sigmoid" => p(0).monotone(|x| 1.0 / (1.0 + (-x).exp()), Some((0.0, 1.0))),
-            "tanh" => p(0).monotone(f64::tanh, Some((-1.0, 1.0))),
-            "leaky_relu" => match scalar_c {
-                Some(s) => {
-                    let f = |x: f64| if x > 0.0 { x } else { s as f64 * x };
-                    let x = p(0);
-                    let (a, b) = (f(x.lo as f64), f(x.hi as f64));
-                    let mut lo = a.min(b);
-                    let mut hi = a.max(b);
-                    if x.lo < 0.0 && x.hi > 0.0 {
-                        lo = lo.min(0.0);
-                        hi = hi.max(0.0);
-                    }
-                    from64(lo, hi, x.maybe_nan)
+            TraceOp::Sigmoid => p(0).monotone(|x| 1.0 / (1.0 + (-x).exp()), Some((0.0, 1.0))),
+            TraceOp::Tanh => p(0).monotone(f64::tanh, Some((-1.0, 1.0))),
+            TraceOp::LeakyRelu { slope } => {
+                let f = |x: f64| if x > 0.0 { x } else { slope as f64 * x };
+                let x = p(0);
+                let (a, b) = (f(x.lo as f64), f(x.hi as f64));
+                let mut lo = a.min(b);
+                let mut hi = a.max(b);
+                if x.lo < 0.0 && x.hi > 0.0 {
+                    lo = lo.min(0.0);
+                    hi = hi.max(0.0);
                 }
-                None => Interval::TOP,
-            },
-            "ln" => {
+                from64(lo, hi, x.maybe_nan)
+            }
+            TraceOp::Ln => {
                 let x = p(0);
                 if x.hi <= 0.0 {
                     // Only -inf (at exactly 0) or NaN (below 0) possible.
@@ -372,24 +328,17 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     from64(lo, (x.hi as f64).ln(), x.lo < 0.0 || x.maybe_nan)
                 }
             }
-            "dropout" => match node.detail {
-                TraceDetail::Dropout { max_scale } => p(0).mul(Interval::of(0.0, max_scale)),
-                _ => Interval::TOP,
-            },
-            "mse_loss" => match node.detail {
-                TraceDetail::Mse {
-                    target_lo,
-                    target_hi,
-                } => {
-                    let d = p(0).sub(Interval::of(target_lo, target_hi));
-                    let mut m = d.square().widen_by(numel(pshape(0)));
-                    // mean of f32 squares is exactly nonnegative.
-                    m.lo = m.lo.max(0.0);
-                    m
-                }
-                _ => Interval::TOP,
-            },
-            _ => Interval::TOP,
+            TraceOp::Dropout { max_scale } => p(0).mul(Interval::of(0.0, max_scale)),
+            TraceOp::MseLoss {
+                target_lo,
+                target_hi,
+            } => {
+                let d = p(0).sub(Interval::of(target_lo, target_hi));
+                let mut m = d.square().widen_by(numel(ops.shape(0)));
+                // mean of f32 squares is exactly nonnegative.
+                m.lo = m.lo.max(0.0);
+                m
+            }
         };
         out.push(iv);
     }
@@ -414,16 +363,17 @@ pub fn quant_clip_risk(iv: Interval, bits: u8, max_abs: f32) -> bool {
 /// sigmoid recomputes `y = 1/(1+e^-x)` and `y(1-y)` in `f32` (`y == 1`
 /// for `x >= 17`, `y == 0` for `x <= -89`); `tanh(x) == ±1` in `f32`
 /// well before `|x| = 10`.
-fn saturation_dead(op: &str, x: Interval, slope: Option<f32>) -> bool {
+fn saturation_dead(op: &TraceOp, x: Interval) -> bool {
     if x.maybe_nan {
         return false;
     }
-    match op {
-        "relu" => x.hi <= 0.0,
-        "relu6" => x.hi <= 0.0 || x.lo >= 6.0,
-        "sigmoid" => x.lo >= 17.0 || x.hi <= -89.0,
-        "tanh" => x.lo >= 10.0 || x.hi <= -10.0,
-        "leaky_relu" => slope.is_some_and(|s| s.classify() == FpCategory::Zero) && x.hi <= 0.0,
+    match *op {
+        TraceOp::Relu => x.hi <= 0.0,
+        TraceOp::Relu6 => x.hi <= 0.0 || x.lo >= 6.0,
+        TraceOp::Sigmoid => x.lo >= 17.0 || x.hi <= -89.0,
+        TraceOp::Tanh => x.lo >= 10.0 || x.hi <= -10.0,
+        TraceOp::LeakyRelu { slope } => slope.classify() == FpCategory::Zero && x.hi <= 0.0,
+        // Not an activation: no dead zone to report.
         _ => false,
     }
 }
@@ -435,14 +385,6 @@ pub(crate) fn interval_diags(
     opts: &ValueOptions,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let diag = |node: usize, code: DiagCode, message: String| Diagnostic {
-        node,
-        op: tape[node].op.to_string(),
-        code,
-        message,
-        provenance: provenance(tape, node),
-    };
-
     // Default clip range: the largest seed magnitude (the "input grid"
     // policy — interior activations that outgrow the seeded data range
     // are the ones a shared-range quantizer would clip).
@@ -464,7 +406,8 @@ pub(crate) fn interval_diags(
                 .iter()
                 .all(|&p| p < i && intervals[p].is_finite());
             if parents_ok {
-                out.push(diag(
+                out.push(Diagnostic::new(
+                    tape,
                     i,
                     DiagCode::NonFiniteRange,
                     format!(
@@ -472,7 +415,7 @@ pub(crate) fn interval_diags(
                         iv.lo,
                         iv.hi,
                         if iv.maybe_nan { " (NaN possible)" } else { "" },
-                        if node.op == "input" {
+                        if node.op == TraceOp::Input {
                             " — seed the input with a finite range"
                         } else {
                             ""
@@ -483,27 +426,18 @@ pub(crate) fn interval_diags(
             continue;
         }
 
-        let slope = match node.detail {
-            TraceDetail::Scalar { c } => Some(c),
-            _ => None,
-        };
-        if let Some(&x) = node
-            .parents
-            .first()
-            .filter(|&&p| p < i)
-            .map(|p| &intervals[*p])
-        {
-            if saturation_dead(node.op, x, slope) {
-                out.push(diag(
-                    i,
-                    DiagCode::SaturationDeadZone,
-                    format!(
-                        "input interval [{:e}, {:e}] lies entirely in the zero-gradient \
-                         region of `{}`; no gradient can flow through this node",
-                        x.lo, x.hi, node.op
-                    ),
-                ));
-            }
+        let x = Operands::new(tape, i).get(intervals, 0, Interval::TOP);
+        if saturation_dead(&node.op, x) {
+            out.push(Diagnostic::new(
+                tape,
+                i,
+                DiagCode::SaturationDeadZone,
+                format!(
+                    "input interval [{:e}, {:e}] lies entirely in the zero-gradient \
+                     region of `{}`; no gradient can flow through this node",
+                    x.lo, x.hi, node.op
+                ),
+            ));
         }
 
         if !opts.quant_bits.is_empty() && clip_range > 0.0 && clip_range.is_finite() {
@@ -514,7 +448,8 @@ pub(crate) fn interval_diags(
                 .filter(|&b| quant_clip_risk(iv, b, clip_range))
                 .collect();
             if !offending.is_empty() {
-                out.push(diag(
+                out.push(Diagnostic::new(
+                    tape,
                     i,
                     DiagCode::QuantClipRisk,
                     format!(

@@ -2,9 +2,8 @@
 //! unused parameters, and constant-foldable subgraphs.
 
 use crate::diag::{DiagCode, Diagnostic};
-use crate::verify::provenance;
 use crate::AnalyzeOptions;
-use hero_autodiff::NodeTrace;
+use hero_autodiff::{NodeTrace, TraceOp};
 
 /// Consumers of each node, considering only well-formed (backward) edges.
 pub(crate) fn consumer_lists(tape: &[NodeTrace]) -> Vec<Vec<usize>> {
@@ -66,7 +65,7 @@ pub(crate) fn liveness_pass(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Vec<Di
     let variable = opts.variable_inputs.as_deref();
     let mut constant = vec![false; tape.len()];
     for (i, node) in tape.iter().enumerate() {
-        constant[i] = if node.op == "input" {
+        constant[i] = if node.op == TraceOp::Input {
             variable.is_some_and(|v| !v.contains(&i))
         } else {
             !node.parents.is_empty() && node.parents.iter().all(|&p| p < i && constant[p])
@@ -75,41 +74,36 @@ pub(crate) fn liveness_pass(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Vec<Di
 
     for (i, node) in tape.iter().enumerate() {
         let is_root = roots.contains(&i);
-        if node.op == "input" {
+        if node.op == TraceOp::Input {
             if consumers[i].is_empty() && !is_root {
-                out.push(Diagnostic {
-                    node: i,
-                    op: node.op.to_string(),
-                    code: DiagCode::UnusedParameter,
-                    message: "leaf is consumed by no op and is not an output".to_string(),
-                    provenance: vec![i],
-                });
+                out.push(Diagnostic::new(
+                    tape,
+                    i,
+                    DiagCode::UnusedParameter,
+                    "leaf is consumed by no op and is not an output".to_string(),
+                ));
             }
             continue;
         }
         if !reachable[i] {
-            out.push(Diagnostic {
-                node: i,
-                op: node.op.to_string(),
-                code: DiagCode::DeadNode,
-                message: "node cannot reach any output; its value is computed and discarded"
-                    .to_string(),
-                provenance: provenance(tape, i),
-            });
+            out.push(Diagnostic::new(
+                tape,
+                i,
+                DiagCode::DeadNode,
+                "node cannot reach any output; its value is computed and discarded".to_string(),
+            ));
             continue;
         }
         // Report constant subgraphs at their fold boundary: a constant node
         // feeding a non-constant consumer (or serving as an output).
         if constant[i] && (is_root || consumers[i].iter().any(|&c| !constant[c])) {
-            out.push(Diagnostic {
-                node: i,
-                op: node.op.to_string(),
-                code: DiagCode::ConstantFoldable,
-                message: "subgraph rooted here depends on no variable input and could be \
-                          precomputed once"
+            out.push(Diagnostic::new(
+                tape,
+                i,
+                DiagCode::ConstantFoldable,
+                "subgraph rooted here depends on no variable input and could be precomputed once"
                     .to_string(),
-                provenance: provenance(tape, i),
-            });
+            ));
         }
     }
     out

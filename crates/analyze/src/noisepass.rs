@@ -12,8 +12,7 @@
 
 use crate::diag::{DiagCode, Diagnostic};
 use crate::interval::{Interval, ABS_MARGIN, CONTRACT_MARGIN, REL_MARGIN};
-use crate::verify::provenance;
-use hero_autodiff::NodeTrace;
+use hero_autodiff::{NodeTrace, TraceOp};
 
 /// `-ln(1e-12)` rounded up: the per-sample cap the clamped CE loss obeys.
 pub(crate) const CE_CAP: f64 = 27.65;
@@ -109,16 +108,9 @@ pub(crate) fn noise_diags(
     budget: Option<f32>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let diag = |node: usize, code: DiagCode, message: String| Diagnostic {
-        node,
-        op: tape[node].op.to_string(),
-        code,
-        message,
-        provenance: provenance(tape, node),
-    };
     let mut dominant = vec![false; tape.len()];
     for (i, node) in tape.iter().enumerate() {
-        if node.op == "input" {
+        if node.op == TraceOp::Input {
             continue;
         }
         let (val, err) = (values[i], noise[i]);
@@ -132,7 +124,8 @@ pub(crate) fn noise_diags(
             // problem through propagation, not on their own account.
             let inherited = node.parents.iter().any(|&p| p < i && dominant[p]);
             if !inherited {
-                out.push(diag(
+                out.push(Diagnostic::new(
+                    tape,
                     i,
                     DiagCode::QuantNoiseDominant,
                     format!(
@@ -149,7 +142,8 @@ pub(crate) fn noise_diags(
             let Some(err) = noise.get(r) else { continue };
             let e_abs = err.abs_max();
             if e_abs > b {
-                out.push(diag(
+                out.push(Diagnostic::new(
+                    tape,
                     r,
                     DiagCode::QuantErrorBudgetExceeded,
                     format!(

@@ -20,58 +20,52 @@
 
 use crate::diag::{DiagCode, Diagnostic};
 use crate::interval::Interval;
-use crate::verify::provenance;
-use hero_autodiff::{NodeTrace, TraceDetail};
+use crate::verify::{numel, Operands};
+use hero_autodiff::{NodeTrace, TraceOp};
 
 /// Multiplicative headroom covering `f32` rounding of the concrete
 /// backward products the bounds model.
 const HEADROOM: f64 = 1.0 + 1e-6;
 
-fn numel(shape: &[usize]) -> usize {
-    shape.iter().product()
-}
-
 /// Upper bounds on the per-parent Jacobian-magnitude multipliers of node
 /// `i`, aligned with its parent slots.
 fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> Vec<f64> {
     let node = &tape[i];
-    let iv = |slot: usize| -> Interval {
-        node.parents
-            .get(slot)
-            .filter(|&&p| p < i)
-            .map_or(Interval::TOP, |&p| intervals[p])
-    };
-    let pshape = |slot: usize| -> &[usize] {
-        node.parents
-            .get(slot)
-            .filter(|&&p| p < i)
-            .map_or(&[][..], |&p| &tape[p].shape)
-    };
+    let ops = Operands::new(tape, i);
+    let iv = |slot: usize| ops.get(intervals, slot, Interval::TOP);
     // Broadcast fan-in: adjoint terms summed into one element of `slot`.
     let fan = |slot: usize| -> f64 {
-        let np = numel(pshape(slot)).max(1);
+        let np = numel(ops.shape(slot)).max(1);
         (numel(&node.shape).max(1) as f64 / np as f64).max(1.0)
     };
-    let scalar_c = match node.detail {
-        TraceDetail::Scalar { c } => Some(c as f64),
-        _ => None,
+    // Output positions a conv weight element contributes to.
+    let positions = || -> f64 {
+        [0, 2, 3]
+            .iter()
+            .map(|&axis| node.shape.get(axis).copied().unwrap_or(1) as f64)
+            .product()
     };
     let raw: Vec<f64> = match node.op {
-        "input" => vec![],
-        "add" | "sub" => vec![fan(0), fan(1)],
-        "mul" => vec![
+        TraceOp::Input => vec![],
+        TraceOp::Add | TraceOp::Sub => vec![fan(0), fan(1)],
+        TraceOp::Mul => vec![
             fan(0) * iv(1).abs_max() as f64,
             fan(1) * iv(0).abs_max() as f64,
         ],
-        "scale" => vec![scalar_c.map_or(f64::INFINITY, f64::abs)],
-        "add_scalar" | "reshape" | "sum" | "max_pool2d" => vec![1.0],
-        "matmul" => {
+        TraceOp::Scale { c } => vec![(c as f64).abs()],
+        TraceOp::AddScalar { .. }
+        | TraceOp::Reshape { .. }
+        | TraceOp::Sum
+        | TraceOp::MaxPool { .. } => {
+            vec![1.0]
+        }
+        TraceOp::Matmul => {
             // dA = dC B^T sums over B's columns; dB = A^T dC over A's rows.
-            let n = pshape(1).get(1).copied().unwrap_or(0).max(1) as f64;
-            let m = pshape(0).first().copied().unwrap_or(0).max(1) as f64;
+            let n = ops.shape(1).get(1).copied().unwrap_or(0).max(1) as f64;
+            let m = ops.shape(0).first().copied().unwrap_or(0).max(1) as f64;
             vec![n * iv(1).abs_max() as f64, m * iv(0).abs_max() as f64]
         }
-        "relu" => {
+        TraceOp::Relu => {
             let x = iv(0);
             vec![if !x.maybe_nan && x.hi <= 0.0 {
                 0.0
@@ -79,74 +73,53 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
                 1.0
             }]
         }
-        "relu6" => {
+        TraceOp::Relu6 => {
             let x = iv(0);
             let dead = !x.maybe_nan && (x.hi <= 0.0 || x.lo >= 6.0);
             vec![if dead { 0.0 } else { 1.0 }]
         }
-        "square" => vec![2.0 * iv(0).abs_max() as f64],
-        "mean" => vec![1.0 / numel(pshape(0)).max(1) as f64],
-        "conv2d" => {
-            let (k, out_c) = match node.detail {
-                TraceDetail::Conv { geom } => (
-                    geom.kernel as f64,
-                    node.shape.get(1).copied().unwrap_or(1) as f64,
-                ),
-                _ => return vec![f64::INFINITY; node.parents.len()],
-            };
-            let positions = node.shape.first().copied().unwrap_or(1) as f64
-                * node.shape.get(2).copied().unwrap_or(1) as f64
-                * node.shape.get(3).copied().unwrap_or(1) as f64;
+        TraceOp::Square => vec![2.0 * iv(0).abs_max() as f64],
+        TraceOp::Mean => vec![1.0 / numel(ops.shape(0)).max(1) as f64],
+        TraceOp::Conv2d { geom } => {
+            let k = geom.kernel as f64;
+            let out_c = node.shape.get(1).copied().unwrap_or(1) as f64;
             vec![
                 out_c * k * k * iv(1).abs_max() as f64,
-                positions * iv(0).abs_max() as f64,
+                positions() * iv(0).abs_max() as f64,
             ]
         }
-        "depthwise_conv2d" => {
-            let k = match node.detail {
-                TraceDetail::Conv { geom } => geom.kernel as f64,
-                _ => return vec![f64::INFINITY; node.parents.len()],
-            };
-            let positions = node.shape.first().copied().unwrap_or(1) as f64
-                * node.shape.get(2).copied().unwrap_or(1) as f64
-                * node.shape.get(3).copied().unwrap_or(1) as f64;
+        TraceOp::DepthwiseConv2d { geom } => {
+            let k = geom.kernel as f64;
             vec![
                 k * k * iv(1).abs_max() as f64,
-                positions * iv(0).abs_max() as f64,
+                positions() * iv(0).abs_max() as f64,
             ]
         }
-        "batch_norm" => {
+        TraceOp::BatchNorm { inv_std_max, .. } => {
             // dx = γ·inv_std·(dy − mean(dy) − xhat·mean(dy·xhat)); with
             // rms(xhat) <= 1 and |xhat| <= sqrt(M): |dx| <= γ·s·(2+√M)·g.
             // dγ = Σ dy·xhat <= M·g (Cauchy-Schwarz); dβ = Σ dy <= M·g.
-            let xs = pshape(0);
+            let xs = ops.shape(0);
             let m = if xs.len() == 4 {
                 (xs[0] * xs[2] * xs[3]) as f64
             } else {
                 1.0
             };
-            let inv_std_max = match node.detail {
-                TraceDetail::BatchNorm { inv_std_max, .. } => inv_std_max as f64,
-                _ => f64::INFINITY,
-            };
             let gmax = iv(1).abs_max() as f64;
-            vec![gmax * inv_std_max * (2.0 + m.sqrt()), m, m]
+            vec![gmax * inv_std_max as f64 * (2.0 + m.sqrt()), m, m]
         }
-        "avg_pool2d" => match node.detail {
-            TraceDetail::AvgPool { k } => vec![1.0 / ((k * k).max(1) as f64)],
-            _ => vec![f64::INFINITY],
-        },
-        "global_avg_pool2d" => {
-            let xs = pshape(0);
+        TraceOp::AvgPool { k } => vec![1.0 / ((k * k).max(1) as f64)],
+        TraceOp::GlobalAvgPool => {
+            let xs = ops.shape(0);
             let hw = if xs.len() == 4 { xs[2] * xs[3] } else { 1 };
             vec![1.0 / hw.max(1) as f64]
         }
-        "cross_entropy" | "cross_entropy_smoothed" => {
+        TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
             // dlogits = (softmax − target)/batch; |softmax − target| <= 1.
-            let batch = pshape(0).first().copied().unwrap_or(1).max(1) as f64;
+            let batch = ops.shape(0).first().copied().unwrap_or(1).max(1) as f64;
             vec![1.0 / batch]
         }
-        "sigmoid" => {
+        TraceOp::Sigmoid => {
             let x = iv(0);
             let d = if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
                 0.25
@@ -157,7 +130,7 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             };
             vec![d]
         }
-        "tanh" => {
+        TraceOp::Tanh => {
             let x = iv(0);
             let d = if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
                 1.0
@@ -168,8 +141,8 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             };
             vec![d]
         }
-        "leaky_relu" => {
-            let s = scalar_c.map_or(f64::INFINITY, f64::abs);
+        TraceOp::LeakyRelu { slope } => {
+            let s = (slope as f64).abs();
             let x = iv(0);
             if x.maybe_nan {
                 vec![s.max(1.0)]
@@ -181,7 +154,7 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
                 vec![s.max(1.0)]
             }
         }
-        "ln" => {
+        TraceOp::Ln => {
             let x = iv(0);
             let d = if x.lo > 0.0 {
                 1.0 / x.lo as f64
@@ -192,31 +165,21 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             };
             vec![d]
         }
-        "dropout" => match node.detail {
-            TraceDetail::Dropout { max_scale } => vec![max_scale as f64],
-            _ => vec![f64::INFINITY],
-        },
-        "mse_loss" => {
-            let d = match node.detail {
-                TraceDetail::Mse {
-                    target_lo,
-                    target_hi,
-                } => {
-                    let t = Interval::of(target_lo, target_hi);
-                    let lo = iv(0).lo - t.hi;
-                    let hi = iv(0).hi - t.lo;
-                    if iv(0).maybe_nan {
-                        f64::INFINITY
-                    } else {
-                        lo.abs().max(hi.abs()) as f64
-                    }
-                }
-                _ => f64::INFINITY,
+        TraceOp::Dropout { max_scale } => vec![max_scale as f64],
+        TraceOp::MseLoss {
+            target_lo,
+            target_hi,
+        } => {
+            let t = Interval::of(target_lo, target_hi);
+            let lo = iv(0).lo - t.hi;
+            let hi = iv(0).hi - t.lo;
+            let d = if iv(0).maybe_nan {
+                f64::INFINITY
+            } else {
+                lo.abs().max(hi.abs()) as f64
             };
-            vec![2.0 * d / numel(pshape(0)).max(1) as f64]
+            vec![2.0 * d / numel(ops.shape(0)).max(1) as f64]
         }
-        // Unknown op: no Jacobian model; propagate "unbounded".
-        _ => vec![f64::INFINITY; node.parents.len()],
     };
     raw.into_iter().map(|m| m * HEADROOM).collect()
 }
@@ -273,7 +236,7 @@ pub(crate) fn scale_diags(
     let mut out = Vec::new();
     let exploded = |i: usize| reachable[i] && bounds[i] > explode as f64;
     let vanished = |i: usize| reachable[i] && bounds[i] < vanish as f64;
-    for (i, node) in tape.iter().enumerate() {
+    for i in 0..tape.len() {
         if !reachable[i] || roots.contains(&i) {
             continue;
         }
@@ -285,28 +248,26 @@ pub(crate) fn scale_diags(
                 .collect::<Vec<_>>()
         };
         if exploded(i) && !feeders().iter().any(|&c| exploded(c)) {
-            out.push(Diagnostic {
-                node: i,
-                op: node.op.to_string(),
-                code: DiagCode::ScaleExplosion,
-                message: format!(
+            out.push(Diagnostic::new(
+                tape,
+                i,
+                DiagCode::ScaleExplosion,
+                format!(
                     "gradient-magnitude bound {:e} crosses the explosion threshold {:e} here",
                     bounds[i], explode
                 ),
-                provenance: provenance(tape, i),
-            });
+            ));
         }
         if vanished(i) && !feeders().iter().any(|&c| vanished(c)) {
-            out.push(Diagnostic {
-                node: i,
-                op: node.op.to_string(),
-                code: DiagCode::ScaleVanishing,
-                message: format!(
+            out.push(Diagnostic::new(
+                tape,
+                i,
+                DiagCode::ScaleVanishing,
+                format!(
                     "gradient-magnitude bound {:e} falls below the vanishing threshold {:e} here",
                     bounds[i], vanish
                 ),
-                provenance: provenance(tape, i),
-            });
+            ));
         }
     }
     out

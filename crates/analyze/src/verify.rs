@@ -5,40 +5,13 @@
 //! tape actually recorded. A disagreement means the tape was built by code
 //! whose shape arithmetic is wrong — exactly the class of defect that
 //! corrupts λmax estimates without failing a loss-goes-down test.
+//!
+//! [`Operands`], the by-slot operand lookup, is shared with the value
+//! passes.
 
 use crate::diag::{DiagCode, Diagnostic};
-use hero_autodiff::{NodeTrace, TraceDetail};
-
-/// Longest provenance chain attached to a diagnostic.
-const MAX_PROVENANCE: usize = 8;
-
-/// Walks first parents from `node` toward a leaf, stopping at malformed
-/// links, to give a diagnostic its op-pipeline context.
-pub(crate) fn provenance(tape: &[NodeTrace], node: usize) -> Vec<usize> {
-    let mut chain = vec![node];
-    let mut cur = node;
-    while chain.len() < MAX_PROVENANCE {
-        let Some(&parent) = tape.get(cur).and_then(|n| n.parents.first()) else {
-            break;
-        };
-        if parent >= cur {
-            break; // malformed link; structural pass reports it
-        }
-        chain.push(parent);
-        cur = parent;
-    }
-    chain
-}
-
-fn diag(tape: &[NodeTrace], node: usize, code: DiagCode, message: String) -> Diagnostic {
-    Diagnostic {
-        node,
-        op: tape[node].op.to_string(),
-        code,
-        message,
-        provenance: provenance(tape, node),
-    }
-}
+use hero_autodiff::{NodeTrace, TraceOp};
+use hero_tensor::ConvGeometry;
 
 /// NumPy-style broadcast of two shapes (trailing axes aligned, size-1 axes
 /// stretch); `None` when incompatible.
@@ -67,36 +40,55 @@ fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
     Some(out)
 }
 
-fn numel(shape: &[usize]) -> usize {
+/// Element count of a shape.
+pub(crate) fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Operand count each known op must record; `None` for unknown ops.
-fn expected_arity(op: &str) -> Option<usize> {
-    match op {
-        "input" => Some(0),
-        "add" | "sub" | "mul" | "matmul" | "conv2d" | "depthwise_conv2d" => Some(2),
-        "batch_norm" => Some(3),
-        "scale"
-        | "add_scalar"
-        | "relu"
-        | "relu6"
-        | "square"
-        | "reshape"
-        | "sum"
-        | "mean"
-        | "sigmoid"
-        | "tanh"
-        | "leaky_relu"
-        | "ln"
-        | "dropout"
-        | "mse_loss"
-        | "max_pool2d"
-        | "avg_pool2d"
-        | "global_avg_pool2d"
-        | "cross_entropy"
-        | "cross_entropy_smoothed" => Some(1),
-        _ => None,
+/// The operands of tape node `i`, by slot. A slot that is missing or is
+/// not a backward edge reads as absent, so the value passes, which are
+/// public and may run on unchecked tapes, stay panic-free.
+pub(crate) struct Operands<'a> {
+    tape: &'a [NodeTrace],
+    i: usize,
+}
+
+impl<'a> Operands<'a> {
+    pub(crate) fn new(tape: &'a [NodeTrace], i: usize) -> Self {
+        Operands { tape, i }
+    }
+
+    /// Tape index of operand `slot`, if it is a backward edge.
+    pub(crate) fn index(&self, slot: usize) -> Option<usize> {
+        let p = *self.tape[self.i].parents.get(slot)?;
+        (p < self.i).then_some(p)
+    }
+
+    /// Recorded shape of operand `slot` (empty when absent).
+    pub(crate) fn shape(&self, slot: usize) -> &'a [usize] {
+        self.index(slot).map_or(&[], |p| &self.tape[p].shape)
+    }
+
+    /// Operand `slot`'s entry in a per-node table, or `absent`.
+    pub(crate) fn get<T: Copy>(&self, per_node: &[T], slot: usize, absent: T) -> T {
+        self.index(slot).map_or(absent, |p| per_node[p])
+    }
+
+    /// Terms each output element of a contraction sums: matmul's inner
+    /// dimension, conv's `in_c·k·k` patch, depthwise's `k·k` window; 0 for
+    /// an op that contracts nothing.
+    pub(crate) fn contraction_len(&self) -> usize {
+        let inner = self.shape(0).get(1).copied().unwrap_or(0);
+        match &self.tape[self.i].op {
+            TraceOp::Matmul => inner,
+            TraceOp::Conv2d { geom } => inner * geom.kernel * geom.kernel,
+            TraceOp::DepthwiseConv2d { geom } => geom.kernel * geom.kernel,
+            _ => 0,
+        }
+    }
+
+    fn diag(&self, code: DiagCode, message: String) -> Diagnostic {
+        Diagnostic::new(self.tape, self.i, code, message)
     }
 }
 
@@ -105,10 +97,9 @@ fn expected_arity(op: &str) -> Option<usize> {
 pub(crate) fn structural_and_shape_pass(tape: &[NodeTrace]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, node) in tape.iter().enumerate() {
+        let ops = Operands::new(tape, i);
         if node.index != i {
-            out.push(diag(
-                tape,
-                i,
+            out.push(ops.diag(
                 DiagCode::IndexMismatch,
                 format!(
                     "recorded index {} but sits at tape position {i}",
@@ -120,9 +111,7 @@ pub(crate) fn structural_and_shape_pass(tape: &[NodeTrace]) -> Vec<Diagnostic> {
         for (slot, &p) in node.parents.iter().enumerate() {
             if p >= tape.len() {
                 structurally_sound = false;
-                out.push(diag(
-                    tape,
-                    i,
+                out.push(ops.diag(
                     DiagCode::ParentOutOfRange,
                     format!(
                         "operand {slot} refers to node #{p}, but the tape has {} nodes",
@@ -131,94 +120,84 @@ pub(crate) fn structural_and_shape_pass(tape: &[NodeTrace]) -> Vec<Diagnostic> {
                 ));
             } else if p >= i {
                 structurally_sound = false;
-                out.push(diag(
-                    tape,
-                    i,
+                out.push(ops.diag(
                     DiagCode::ForwardReference,
                     format!("operand {slot} refers to node #{p}, which does not precede #{i} in tape order"),
                 ));
             }
         }
-        if let Some(want) = expected_arity(node.op) {
-            if node.parents.len() != want {
-                structurally_sound = false;
-                out.push(diag(
-                    tape,
-                    i,
-                    DiagCode::ArityMismatch,
-                    format!(
-                        "`{}` takes {want} operand(s), but {} are recorded",
-                        node.op,
-                        node.parents.len()
-                    ),
-                ));
-            }
+        let want = node.op.arity();
+        if node.parents.len() != want {
+            structurally_sound = false;
+            out.push(ops.diag(
+                DiagCode::ArityMismatch,
+                format!(
+                    "`{}` takes {want} operand(s), but {} are recorded",
+                    node.op,
+                    node.parents.len()
+                ),
+            ));
         }
         if structurally_sound {
-            check_shapes(tape, i, &mut out);
+            check_shapes(&ops, &mut out);
         }
     }
     out
 }
 
-/// Convenience accessors over a structurally sound node.
-struct Operands<'a> {
-    tape: &'a [NodeTrace],
-    node: &'a NodeTrace,
-}
-
-impl Operands<'_> {
-    fn parent_shape(&self, slot: usize) -> &[usize] {
-        &self.tape[self.node.parents[slot]].shape
-    }
-}
-
-fn check_shapes(tape: &[NodeTrace], i: usize, out: &mut Vec<Diagnostic>) {
-    let node = &tape[i];
-    let ops = Operands { tape, node };
+fn check_shapes(ops: &Operands, out: &mut Vec<Diagnostic>) {
+    let node = &ops.tape[ops.i];
     let recorded = &node.shape;
     // The shape the op must produce, derived from the operands; `None`
     // when an operand-level error was already reported.
-    let expected: Option<Vec<usize>> = match node.op {
-        "input" => None,
-        "add" | "sub" | "mul" => {
-            let (a, b) = (ops.parent_shape(0), ops.parent_shape(1));
-            match broadcast(a, b) {
-                Some(s) => Some(s),
-                None => {
-                    out.push(diag(
-                        tape,
-                        i,
-                        DiagCode::BroadcastIncompatible,
-                        format!("operand shapes {a:?} and {b:?} cannot broadcast together"),
-                    ));
-                    None
-                }
+    let expected: Option<Vec<usize>> = match &node.op {
+        TraceOp::Input => None,
+        TraceOp::Add | TraceOp::Sub | TraceOp::Mul => {
+            let (a, b) = (ops.shape(0), ops.shape(1));
+            let shape = broadcast(a, b);
+            if shape.is_none() {
+                out.push(ops.diag(
+                    DiagCode::BroadcastIncompatible,
+                    format!("operand shapes {a:?} and {b:?} cannot broadcast together"),
+                ));
             }
+            shape
         }
-        "scale" | "add_scalar" | "relu" | "relu6" | "square" | "sigmoid" | "tanh"
-        | "leaky_relu" | "ln" | "dropout" => Some(ops.parent_shape(0).to_vec()),
-        "matmul" => check_matmul(tape, i, &ops, out),
-        "reshape" => check_reshape(tape, i, &ops, out),
-        "sum" | "mean" | "mse_loss" => Some(vec![]),
-        "cross_entropy" | "cross_entropy_smoothed" => check_loss(tape, i, &ops, out),
-        "conv2d" => check_conv2d(tape, i, &ops, out),
-        "depthwise_conv2d" => check_depthwise(tape, i, &ops, out),
-        "batch_norm" => check_batch_norm(tape, i, &ops, out),
-        "max_pool2d" => check_max_pool(tape, i, &ops, out),
-        "avg_pool2d" => check_avg_pool(tape, i, &ops, out),
-        "global_avg_pool2d" => check_global_pool(tape, i, &ops, out),
-        // Unknown op: nothing to derive; skip rather than guess.
-        _ => None,
+        TraceOp::Scale { .. }
+        | TraceOp::AddScalar { .. }
+        | TraceOp::Relu
+        | TraceOp::Relu6
+        | TraceOp::Square
+        | TraceOp::Sigmoid
+        | TraceOp::Tanh
+        | TraceOp::LeakyRelu { .. }
+        | TraceOp::Ln
+        | TraceOp::Dropout { .. } => Some(ops.shape(0).to_vec()),
+        TraceOp::Matmul => check_matmul(ops, out),
+        TraceOp::Reshape { from } => check_reshape(ops, from, out),
+        TraceOp::Sum | TraceOp::Mean | TraceOp::MseLoss { .. } => Some(vec![]),
+        TraceOp::CrossEntropy { labels } | TraceOp::CrossEntropySmoothed { labels } => {
+            check_loss(ops, *labels, out)
+        }
+        TraceOp::Conv2d { geom } => check_conv2d(ops, geom, out),
+        TraceOp::DepthwiseConv2d { geom } => check_depthwise(ops, geom, out),
+        TraceOp::BatchNorm { .. } => check_batch_norm(ops, out),
+        TraceOp::MaxPool {
+            outputs,
+            max_source,
+        } => check_max_pool(ops, *outputs, *max_source, out),
+        TraceOp::AvgPool { k } => check_avg_pool(ops, *k, out),
+        TraceOp::GlobalAvgPool => {
+            let x = ops.shape(0);
+            check_rank(ops, x, 4, "global-avg-pool input", out).then(|| vec![x[0], x[1]])
+        }
     };
     if let Some(expected) = expected {
         // Scalar-producing ops record rank-0 values; accept any recorded
         // one-element shape so a `[1]` scalar is not a false positive.
         let scalar_ok = expected.is_empty() && numel(recorded) == 1;
         if *recorded != expected && !scalar_ok {
-            out.push(diag(
-                tape,
-                i,
+            out.push(ops.diag(
                 DiagCode::ShapeMismatch,
                 format!("recorded output shape {recorded:?}, but operands imply {expected:?}"),
             ));
@@ -227,17 +206,14 @@ fn check_shapes(tape: &[NodeTrace], i: usize, out: &mut Vec<Diagnostic>) {
 }
 
 fn check_rank(
-    tape: &[NodeTrace],
-    i: usize,
+    ops: &Operands,
     shape: &[usize],
     want: usize,
     what: &str,
     out: &mut Vec<Diagnostic>,
 ) -> bool {
     if shape.len() != want {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::RankMismatch,
             format!("{what} must have rank {want}, got shape {shape:?}"),
         ));
@@ -246,22 +222,15 @@ fn check_rank(
     true
 }
 
-fn check_matmul(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let (a, b) = (ops.parent_shape(0), ops.parent_shape(1));
+fn check_matmul(ops: &Operands, out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
+    let (a, b) = (ops.shape(0), ops.shape(1));
     let rank_ok =
-        check_rank(tape, i, a, 2, "matmul lhs", out) & check_rank(tape, i, b, 2, "matmul rhs", out);
+        check_rank(ops, a, 2, "matmul lhs", out) & check_rank(ops, b, 2, "matmul rhs", out);
     if !rank_ok {
         return None;
     }
     if a[1] != b[0] {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::MatmulDimMismatch,
             format!(
                 "inner dimensions disagree: lhs {a:?} contracts over {}, rhs {b:?} over {}",
@@ -273,99 +242,80 @@ fn check_matmul(
     Some(vec![a[0], b[1]])
 }
 
-fn check_reshape(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let parent = ops.parent_shape(0);
-    let TraceDetail::Reshape { from } = &ops.node.detail else {
-        return None;
-    };
+fn check_reshape(ops: &Operands, from: &[usize], out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
+    let (parent, shape) = (ops.shape(0), &ops.tape[ops.i].shape);
     if from != parent {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::ShapeMismatch,
             format!("reshape recorded source shape {from:?}, but its operand has shape {parent:?}"),
         ));
     }
-    if numel(&ops.node.shape) != numel(parent) {
-        out.push(diag(
-            tape,
-            i,
+    if numel(shape) != numel(parent) {
+        out.push(ops.diag(
             DiagCode::ReshapeCountMismatch,
             format!(
-                "reshape changes the element count: {parent:?} has {} elements, output {:?} has {}",
+                "reshape changes the element count: {parent:?} has {} elements, output {shape:?} has {}",
                 numel(parent),
-                ops.node.shape,
-                numel(&ops.node.shape)
+                numel(shape)
             ),
         ));
     }
     None // both checks above are authoritative; no further comparison
 }
 
-fn check_loss(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let logits = ops.parent_shape(0);
-    if !check_rank(tape, i, logits, 2, "cross-entropy logits", out) {
+fn check_loss(ops: &Operands, labels: usize, out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
+    let logits = ops.shape(0);
+    if !check_rank(ops, logits, 2, "cross-entropy logits", out) {
         return None;
     }
-    if let TraceDetail::Loss { labels } = ops.node.detail {
-        if labels != logits[0] {
-            out.push(diag(
-                tape,
-                i,
-                DiagCode::LabelCountMismatch,
-                format!(
-                    "{labels} labels recorded for a logits batch of {}",
-                    logits[0]
-                ),
-            ));
-        }
+    if labels != logits[0] {
+        out.push(ops.diag(
+            DiagCode::LabelCountMismatch,
+            format!(
+                "{labels} labels recorded for a logits batch of {}",
+                logits[0]
+            ),
+        ));
     }
     Some(vec![])
 }
 
-fn check_conv2d(
-    tape: &[NodeTrace],
-    i: usize,
+/// Checks a 4-D conv input against the recorded window geometry.
+fn check_conv_input(
     ops: &Operands,
+    geom: &ConvGeometry,
+    x: &[usize],
     out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let (x, w) = (ops.parent_shape(0), ops.parent_shape(1));
-    let rank_ok = check_rank(tape, i, x, 4, "conv2d input", out)
-        & check_rank(tape, i, w, 2, "conv2d weight", out);
-    if !rank_ok {
-        return None;
-    }
-    let TraceDetail::Conv { geom } = ops.node.detail else {
-        return None;
-    };
-    let (n, c, h, wd) = (x[0], x[1], x[2], x[3]);
+) -> bool {
+    let (h, wd) = (x[2], x[3]);
     if geom.in_h != h || geom.in_w != wd {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::ConvGeometryMismatch,
             format!(
                 "geometry expects a {}x{} input, but the operand is {h}x{wd}",
                 geom.in_h, geom.in_w
             ),
         ));
+        return false;
+    }
+    true
+}
+
+fn check_conv2d(
+    ops: &Operands,
+    geom: &ConvGeometry,
+    out: &mut Vec<Diagnostic>,
+) -> Option<Vec<usize>> {
+    let (x, w) = (ops.shape(0), ops.shape(1));
+    let rank_ok =
+        check_rank(ops, x, 4, "conv2d input", out) & check_rank(ops, w, 2, "conv2d weight", out);
+    if !rank_ok || !check_conv_input(ops, geom, x, out) {
         return None;
     }
+    let (n, c) = (x[0], x[1]);
     let patch = c * geom.kernel * geom.kernel;
     if w[1] != patch {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::ConvGeometryMismatch,
             format!(
                 "weight {w:?} must have {patch} columns (in_c {c} x {k} x {k})",
@@ -379,35 +329,17 @@ fn check_conv2d(
 }
 
 fn check_depthwise(
-    tape: &[NodeTrace],
-    i: usize,
     ops: &Operands,
+    geom: &ConvGeometry,
     out: &mut Vec<Diagnostic>,
 ) -> Option<Vec<usize>> {
-    let (x, w) = (ops.parent_shape(0), ops.parent_shape(1));
-    if !check_rank(tape, i, x, 4, "depthwise input", out) {
+    let (x, w) = (ops.shape(0), ops.shape(1));
+    if !check_rank(ops, x, 4, "depthwise input", out) || !check_conv_input(ops, geom, x, out) {
         return None;
     }
-    let TraceDetail::Conv { geom } = ops.node.detail else {
-        return None;
-    };
-    let (n, c, h, wd) = (x[0], x[1], x[2], x[3]);
-    if geom.in_h != h || geom.in_w != wd {
-        out.push(diag(
-            tape,
-            i,
-            DiagCode::ConvGeometryMismatch,
-            format!(
-                "geometry expects a {}x{} input, but the operand is {h}x{wd}",
-                geom.in_h, geom.in_w
-            ),
-        ));
-        return None;
-    }
+    let (n, c) = (x[0], x[1]);
     if w != [c, geom.kernel, geom.kernel] {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::ConvGeometryMismatch,
             format!(
                 "depthwise weight must be [{c}, {k}, {k}], got {w:?}",
@@ -420,23 +352,16 @@ fn check_depthwise(
     Some(vec![n, c, oh, ow])
 }
 
-fn check_batch_norm(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let x = ops.parent_shape(0);
-    if !check_rank(tape, i, x, 4, "batch-norm input", out) {
+fn check_batch_norm(ops: &Operands, out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
+    let x = ops.shape(0);
+    if !check_rank(ops, x, 4, "batch-norm input", out) {
         return None;
     }
     let c = x[1];
     for (slot, name) in [(1usize, "gamma"), (2, "beta")] {
-        let s = ops.parent_shape(slot);
+        let s = ops.shape(slot);
         if s != [c] {
-            out.push(diag(
-                tape,
-                i,
+            out.push(ops.diag(
                 DiagCode::ShapeMismatch,
                 format!("batch-norm {name} must be [{c}], got {s:?}"),
             ));
@@ -446,25 +371,21 @@ fn check_batch_norm(
 }
 
 fn check_max_pool(
-    tape: &[NodeTrace],
-    i: usize,
     ops: &Operands,
+    outputs: usize,
+    max_source: Option<usize>,
     out: &mut Vec<Diagnostic>,
 ) -> Option<Vec<usize>> {
-    let x = ops.parent_shape(0);
-    if !check_rank(tape, i, x, 4, "max-pool input", out) {
-        return None;
-    }
-    let rec = &ops.node.shape;
-    if !check_rank(tape, i, rec, 4, "max-pool output", out) {
+    let (x, rec) = (ops.shape(0), &ops.tape[ops.i].shape);
+    if !check_rank(ops, x, 4, "max-pool input", out)
+        || !check_rank(ops, rec, 4, "max-pool output", out)
+    {
         return None;
     }
     // Window side is not stored on the tape; recover it from the recorded
     // output and cross-check divisibility and the argmax routing.
     if rec[0] != x[0] || rec[1] != x[1] || rec[2] == 0 || rec[3] == 0 {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::PoolGeometryMismatch,
             format!("max-pool output {rec:?} incompatible with input {x:?}"),
         ));
@@ -472,9 +393,7 @@ fn check_max_pool(
     }
     let (kh, kw) = (x[2] / rec[2], x[3] / rec[3]);
     if kh == 0 || kh != kw || rec[2] * kh != x[2] || rec[3] * kw != x[3] {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::PoolGeometryMismatch,
             format!(
                 "max-pool output {rec:?} does not evenly tile input {x:?} with a square window"
@@ -482,73 +401,38 @@ fn check_max_pool(
         ));
         return None;
     }
-    if let TraceDetail::MaxPool {
-        outputs,
-        max_source,
-    } = ops.node.detail
-    {
-        if outputs != numel(rec) {
-            out.push(diag(
-                tape,
-                i,
-                DiagCode::PoolGeometryMismatch,
-                format!(
-                    "max-pool saved {outputs} argmax entries for {} output elements",
-                    numel(rec)
-                ),
-            ));
-        }
-        if let Some(src) = max_source {
-            if src >= numel(x) {
-                out.push(diag(
-                    tape,
-                    i,
-                    DiagCode::ArgIndexOutOfRange,
-                    format!(
-                        "max-pool argmax routes from flat index {src}, but the input has only {} elements",
-                        numel(x)
-                    ),
-                ));
-            }
-        }
+    if outputs != numel(rec) {
+        out.push(ops.diag(
+            DiagCode::PoolGeometryMismatch,
+            format!(
+                "max-pool saved {outputs} argmax entries for {} output elements",
+                numel(rec)
+            ),
+        ));
+    }
+    if let Some(src) = max_source.filter(|&src| src >= numel(x)) {
+        out.push(ops.diag(
+            DiagCode::ArgIndexOutOfRange,
+            format!(
+                "max-pool argmax routes from flat index {src}, but the input has only {} elements",
+                numel(x)
+            ),
+        ));
     }
     None // geometry checks above already compared the recorded shape
 }
 
-fn check_avg_pool(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let x = ops.parent_shape(0);
-    if !check_rank(tape, i, x, 4, "avg-pool input", out) {
+fn check_avg_pool(ops: &Operands, k: usize, out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
+    let x = ops.shape(0);
+    if !check_rank(ops, x, 4, "avg-pool input", out) {
         return None;
     }
-    let TraceDetail::AvgPool { k } = ops.node.detail else {
-        return None;
-    };
     if k == 0 || !x[2].is_multiple_of(k) || !x[3].is_multiple_of(k) {
-        out.push(diag(
-            tape,
-            i,
+        out.push(ops.diag(
             DiagCode::PoolGeometryMismatch,
             format!("window side {k} does not evenly tile input {x:?}"),
         ));
         return None;
     }
     Some(vec![x[0], x[1], x[2] / k, x[3] / k])
-}
-
-fn check_global_pool(
-    tape: &[NodeTrace],
-    i: usize,
-    ops: &Operands,
-    out: &mut Vec<Diagnostic>,
-) -> Option<Vec<usize>> {
-    let x = ops.parent_shape(0);
-    if !check_rank(tape, i, x, 4, "global-avg-pool input", out) {
-        return None;
-    }
-    Some(vec![x[0], x[1]])
 }

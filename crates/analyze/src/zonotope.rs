@@ -64,7 +64,8 @@
 
 use crate::interval::{Interval, ABS_MARGIN, CONTRACT_MARGIN, REL_MARGIN};
 use crate::noisepass::{contract_err, elem, hull_zero, mean_err, span, NoiseSeed, CE_CAP};
-use hero_autodiff::{NodeTrace, TraceDetail};
+use crate::verify::{numel, Operands};
+use hero_autodiff::{NodeTrace, TraceOp};
 
 /// An affine error form `Σᵢ cᵢ·εᵢ + [rem_lo, rem_hi]`, `εᵢ ∈ [−1, 1]`.
 ///
@@ -516,28 +517,25 @@ pub fn relational_noise_pass(
         // bound, and NaN−NaN is NaN, not zero: give up on such nodes.
         // (Inputs are exempt: their error is the seed alone.)
         let own = values.get(i).copied().unwrap_or(Interval::TOP);
-        if node.op != "input" && !own.is_finite() {
+        let is_input = node.op == TraceOp::Input;
+        if !is_input && !own.is_finite() {
             forms.push(AffineNoise::top());
             tightened.push(Interval::TOP);
             continue;
         }
-        let pidx = |slot: usize| -> Option<usize> {
-            node.parents.get(slot).filter(|&&idx| idx < i).copied()
-        };
+        let ops = Operands::new(tape, i);
         // Tightened error interval of a parent.
-        let et = |slot: usize| -> Interval { pidx(slot).map_or(Interval::TOP, |p| tightened[p]) };
+        let et = |slot: usize| ops.get(&tightened, slot, Interval::TOP);
         // Recorded-clipped base-run value range of a parent.
         let vc = |slot: usize| -> Interval {
-            pidx(slot).map_or(Interval::TOP, |p| {
+            ops.index(slot).map_or(Interval::TOP, |p| {
                 clip(values.get(p).copied().unwrap_or(Interval::TOP), p)
             })
         };
-        let pshape = |slot: usize| -> &[usize] { pidx(slot).map_or(&[][..], |p| &tape[p].shape) };
-        let numel = |shape: &[usize]| -> usize { shape.iter().product() };
         // A parent's form, delinearized unless its lanes align with this
         // node's (same shape, element-wise correspondence).
         let aligned = |slot: usize| -> AffineNoise {
-            pidx(slot).map_or_else(AffineNoise::top, |p| {
+            ops.index(slot).map_or_else(AffineNoise::top, |p| {
                 if tape[p].shape == node.shape {
                     forms[p].clone()
                 } else {
@@ -557,9 +555,10 @@ pub fn relational_noise_pass(
             f.widen_sym(2.0 * (REL_MARGIN * magc(ee) + ABS_MARGIN));
             f.checked()
         };
-        let scalar_c = match node.detail {
-            TraceDetail::Scalar { c } => Some(c),
-            _ => None,
+        // Error of a mean-style reduction over `k` terms of parent 0.
+        let mean_of = |k: usize| -> AffineNoise {
+            let term = f64::from(vc(0).add(et(0)).abs_max());
+            AffineNoise::from_interval(mean_err(et(0), k, term))
         };
         // Trace-centered zero preservation: a node whose parents all carry
         // exactly zero error is recomputed by the identical f32 instruction
@@ -568,7 +567,7 @@ pub fn relational_noise_pass(
         // applies. This is what confines the certificate to the seed's
         // cone of influence instead of letting phantom error grow from
         // unseeded nodes.
-        let parents_zero = node.op != "input"
+        let parents_zero = !is_input
             && !node.parents.is_empty()
             && node
                 .parents
@@ -580,145 +579,111 @@ pub fn relational_noise_pass(
             continue;
         }
         let form = match node.op {
-            "input" => seeds
+            TraceOp::Input => seeds
                 .iter()
                 .position(|s| s.node == i)
                 .map_or_else(AffineNoise::zero, |si| {
                     AffineNoise::symbol(si as u32, f64::from(seeds[si].magnitude.abs()))
                 }),
-            "add" => with_elem_slack(aligned(0).add_form(&aligned(1))),
-            "sub" => with_elem_slack(aligned(0).sub_form(&aligned(1))),
-            "mul" => {
+            TraceOp::Add => with_elem_slack(aligned(0).add_form(&aligned(1))),
+            TraceOp::Sub => with_elem_slack(aligned(0).sub_form(&aligned(1))),
+            TraceOp::Mul => {
                 // a'b' − ab = a·e_b + e_a·b', a the base run (clipped).
                 let f = aligned(1)
                     .mul_by_range(vc(0))
                     .add_form(&aligned(0).mul_by_range(vc(1).add(et(1))));
                 with_elem_slack(f)
             }
-            "scale" => match scalar_c {
-                Some(c) => with_elem_slack(aligned(0).scale_by(f64::from(c))),
-                None => AffineNoise::top(),
-            },
-            "add_scalar" => with_elem_slack(aligned(0)),
-            "square" => {
+            TraceOp::Scale { c } => with_elem_slack(aligned(0).scale_by(f64::from(c))),
+            TraceOp::AddScalar { .. } => with_elem_slack(aligned(0)),
+            TraceOp::Square => {
                 // (x+δ)² − x² = 2xδ + δ².
                 let mut f = aligned(0).mul_by_range(vc(0).mul(Interval::point(2.0)));
                 f.add_rem(et(0).square());
                 with_elem_slack(f)
             }
-            "matmul" => {
-                let k = pshape(0).get(1).copied().unwrap_or(0);
+            TraceOp::Matmul | TraceOp::Conv2d { .. } | TraceOp::DepthwiseConv2d { .. } => {
                 let eprod = vc(0).mul(et(1)).add(et(0).mul(vc(1).add(et(1))));
                 let term = f64::from(vc(0).add(et(0)).mul(vc(1).add(et(1))).abs_max());
-                AffineNoise::from_interval(contract_err(eprod, k, term))
-            }
-            "conv2d" | "depthwise_conv2d" => {
-                let k = match node.detail {
-                    TraceDetail::Conv { geom } => {
-                        if node.op == "conv2d" {
-                            pshape(0).get(1).copied().unwrap_or(0) * geom.kernel * geom.kernel
-                        } else {
-                            geom.kernel * geom.kernel
-                        }
-                    }
-                    _ => 0,
-                };
-                if k == 0 {
-                    AffineNoise::top()
-                } else {
-                    let eprod = vc(0).mul(et(1)).add(et(0).mul(vc(1).add(et(1))));
-                    let term = f64::from(vc(0).add(et(0)).mul(vc(1).add(et(1))).abs_max());
-                    AffineNoise::from_interval(contract_err(eprod, k, term))
-                }
+                AffineNoise::from_interval(contract_err(eprod, ops.contraction_len(), term))
             }
             // relu(x+δ) − relu(x) = s·δ for a per-lane chord slope
             // s ∈ [0, 1]; exact in f32, so no rounding slack — and the
             // symbols survive the clamp.
-            "relu" | "relu6" => aligned(0).mul_by_range_fresh(Interval::of(0.0, 1.0), &mut fresh),
+            TraceOp::Relu | TraceOp::Relu6 => {
+                aligned(0).mul_by_range_fresh(Interval::of(0.0, 1.0), &mut fresh)
+            }
             // Window max moves by at most the extreme per-element
             // perturbation, but lanes do not survive the reduction.
-            "max_pool2d" => AffineNoise::from_interval(hull_zero(et(0))),
+            TraceOp::MaxPool { .. } => AffineNoise::from_interval(hull_zero(et(0))),
             // Flat order is untouched: lanes survive by definition.
-            "reshape" => pidx(0).map_or_else(AffineNoise::top, |p| forms[p].clone()),
-            "sum" => {
-                let k = numel(pshape(0));
+            TraceOp::Reshape { .. } => ops
+                .index(0)
+                .map_or_else(AffineNoise::top, |p| forms[p].clone()),
+            TraceOp::Sum => {
                 let term = f64::from(vc(0).add(et(0)).abs_max());
-                AffineNoise::from_interval(contract_err(et(0), k, term))
+                AffineNoise::from_interval(contract_err(et(0), numel(ops.shape(0)), term))
             }
-            "mean" => {
-                let k = numel(pshape(0));
-                let term = f64::from(vc(0).add(et(0)).abs_max());
-                AffineNoise::from_interval(mean_err(et(0), k, term))
-            }
-            "avg_pool2d" => match node.detail {
-                TraceDetail::AvgPool { k } => {
-                    let term = f64::from(vc(0).add(et(0)).abs_max());
-                    AffineNoise::from_interval(mean_err(et(0), k * k, term))
-                }
-                _ => AffineNoise::top(),
-            },
-            "global_avg_pool2d" => {
-                let xs = pshape(0);
+            TraceOp::Mean => mean_of(numel(ops.shape(0))),
+            TraceOp::AvgPool { k } => mean_of(k * k),
+            TraceOp::GlobalAvgPool => {
+                let xs = ops.shape(0);
                 if xs.len() != 4 {
                     AffineNoise::top()
                 } else {
-                    let term = f64::from(vc(0).add(et(0)).abs_max());
-                    AffineNoise::from_interval(mean_err(et(0), xs[2] * xs[3], term))
+                    mean_of(xs[2] * xs[3])
                 }
             }
-            "batch_norm" => {
-                let xs = pshape(0);
-                match node.detail {
-                    TraceDetail::BatchNorm {
+            TraceOp::BatchNorm {
+                inv_std_max,
+                xhat_abs_max,
+            } => {
+                let xs = ops.shape(0);
+                if xs.len() != 4 {
+                    AffineNoise::top()
+                } else {
+                    let m = xs[0] * xs[2] * xs[3];
+                    let xrec = if xhat_abs_max.is_finite() {
+                        f64::from(xhat_abs_max) * (1.0 + 1e-5) + 1e-9
+                    } else {
+                        f64::INFINITY
+                    };
+                    let core = bn_err_rec(
+                        et(0),
+                        et(1),
+                        et(2),
+                        vc(1),
+                        m,
                         inv_std_max,
-                        xhat_abs_max,
-                    } if xs.len() == 4 => {
-                        let m = xs[0] * xs[2] * xs[3];
-                        let xrec = if xhat_abs_max.is_finite() {
-                            f64::from(xhat_abs_max) * (1.0 + 1e-5) + 1e-9
-                        } else {
-                            f64::INFINITY
-                        };
-                        let core = bn_err_rec(
-                            et(0),
-                            et(1),
-                            et(2),
-                            vc(1),
-                            m,
-                            inv_std_max,
-                            xrec,
-                            f64::from(ownc.abs_max()),
-                        );
-                        AffineNoise::from_interval(elem(core, magc(core)))
-                    }
-                    _ => AffineNoise::top(),
+                        xrec,
+                        f64::from(ownc.abs_max()),
+                    );
+                    AffineNoise::from_interval(elem(core, magc(core)))
                 }
             }
-            "cross_entropy" | "cross_entropy_smoothed" => {
+            TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
                 let ez = et(0);
                 let z_pert = vc(0).add(ez);
                 if ez.maybe_nan || !z_pert.is_finite() {
                     AffineNoise::top()
                 } else {
-                    let classes = pshape(0).get(1).copied().unwrap_or(1).max(1);
-                    let batch = pshape(0).first().copied().unwrap_or(1).max(1);
+                    let classes = ops.shape(0).get(1).copied().unwrap_or(1).max(1);
+                    let batch = ops.shape(0).first().copied().unwrap_or(1).max(1);
                     let b = (2.0 * f64::from(ez.abs_max())).min(CE_CAP);
                     AffineNoise::from_interval(mean_err(span(-b, b), batch * classes, CE_CAP))
                 }
             }
-            "sigmoid" => {
+            TraceOp::Sigmoid => {
                 with_elem_slack(aligned(0).mul_by_range_fresh(Interval::of(0.0, 0.25), &mut fresh))
             }
-            "tanh" => {
+            TraceOp::Tanh => {
                 with_elem_slack(aligned(0).mul_by_range_fresh(Interval::of(0.0, 1.0), &mut fresh))
             }
-            "leaky_relu" => match scalar_c {
-                Some(s) => with_elem_slack(
-                    aligned(0).mul_by_range_fresh(Interval::of(s.min(1.0), s.max(1.0)), &mut fresh),
-                ),
-                None => AffineNoise::top(),
-            },
-            "ln" => {
+            TraceOp::LeakyRelu { slope } => with_elem_slack(
+                aligned(0)
+                    .mul_by_range_fresh(Interval::of(slope.min(1.0), slope.max(1.0)), &mut fresh),
+            ),
+            TraceOp::Ln => {
                 let u = vc(0).hull(vc(0).add(et(0)));
                 if u.lo <= 0.0 || !u.is_finite() {
                     AffineNoise::top()
@@ -730,25 +695,18 @@ pub fn relational_noise_pass(
                     with_elem_slack(aligned(0).mul_by_range_fresh(d, &mut fresh))
                 }
             }
-            "dropout" => match node.detail {
-                TraceDetail::Dropout { max_scale } => with_elem_slack(
-                    aligned(0).mul_by_range_fresh(Interval::of(0.0, max_scale), &mut fresh),
-                ),
-                _ => AffineNoise::top(),
-            },
-            "mse_loss" => match node.detail {
-                TraceDetail::Mse {
-                    target_lo,
-                    target_hi,
-                } => {
-                    let d = vc(0).sub(Interval::of(target_lo, target_hi));
-                    let ee = Interval::point(2.0).mul(d).mul(et(0)).add(et(0).square());
-                    let term = f64::from(d.add(et(0)).square().abs_max());
-                    AffineNoise::from_interval(mean_err(ee, numel(pshape(0)), term))
-                }
-                _ => AffineNoise::top(),
-            },
-            _ => AffineNoise::top(),
+            TraceOp::Dropout { max_scale } => with_elem_slack(
+                aligned(0).mul_by_range_fresh(Interval::of(0.0, max_scale), &mut fresh),
+            ),
+            TraceOp::MseLoss {
+                target_lo,
+                target_hi,
+            } => {
+                let d = vc(0).sub(Interval::of(target_lo, target_hi));
+                let ee = Interval::point(2.0).mul(d).mul(et(0)).add(et(0).square());
+                let term = f64::from(d.add(et(0)).square().abs_max());
+                AffineNoise::from_interval(mean_err(ee, numel(ops.shape(0)), term))
+            }
         };
         tightened.push(form.concretize());
         forms.push(form);

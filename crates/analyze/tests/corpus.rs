@@ -7,27 +7,20 @@
 //! the plain-data trace IR.
 
 use hero_analyze::{analyze, AnalyzeOptions, DiagCode, NoiseSeed, RangeSeed, Report, ValueOptions};
-use hero_autodiff::{NodeTrace, TraceDetail};
+use hero_autodiff::{NodeTrace, TraceOp};
 use hero_tensor::ConvGeometry;
 
-fn node(
-    index: usize,
-    op: &'static str,
-    parents: &[usize],
-    shape: &[usize],
-    detail: TraceDetail,
-) -> NodeTrace {
+fn node(index: usize, op: TraceOp, parents: &[usize], shape: &[usize]) -> NodeTrace {
     NodeTrace {
         index,
         op,
         parents: parents.to_vec(),
         shape: shape.to_vec(),
-        detail,
     }
 }
 
 fn input(index: usize, shape: &[usize]) -> NodeTrace {
-    node(index, "input", &[], shape, TraceDetail::None)
+    node(index, TraceOp::Input, &[], shape)
 }
 
 fn run(tape: &[NodeTrace]) -> Report {
@@ -39,7 +32,7 @@ fn matmul_inner_dim_mismatch() {
     let tape = vec![
         input(0, &[2, 3]),
         input(1, &[4, 5]),
-        node(2, "matmul", &[0, 1], &[2, 5], TraceDetail::None),
+        node(2, TraceOp::Matmul, &[0, 1], &[2, 5]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::MatmulDimMismatch), "{report}");
@@ -50,7 +43,7 @@ fn matmul_operand_rank_mismatch() {
     let tape = vec![
         input(0, &[2, 3, 4]),
         input(1, &[3, 5]),
-        node(2, "matmul", &[0, 1], &[2, 5], TraceDetail::None),
+        node(2, TraceOp::Matmul, &[0, 1], &[2, 5]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::RankMismatch), "{report}");
@@ -62,7 +55,7 @@ fn matmul_lying_output_shape() {
     let tape = vec![
         input(0, &[2, 3]),
         input(1, &[3, 4]),
-        node(2, "matmul", &[0, 1], &[4, 2], TraceDetail::None),
+        node(2, TraceOp::Matmul, &[0, 1], &[4, 2]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::ShapeMismatch), "{report}");
@@ -72,13 +65,7 @@ fn matmul_lying_output_shape() {
 fn reshape_element_count_mismatch() {
     let tape = vec![
         input(0, &[6]),
-        node(
-            1,
-            "reshape",
-            &[0],
-            &[2, 2],
-            TraceDetail::Reshape { from: vec![6] },
-        ),
+        node(1, TraceOp::Reshape { from: vec![6] }, &[0], &[2, 2]),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ReshapeCountMismatch), "{report}");
@@ -89,13 +76,7 @@ fn reshape_with_stale_source_shape() {
     // The recorded "from" shape disagrees with the actual operand.
     let tape = vec![
         input(0, &[2, 3]),
-        node(
-            1,
-            "reshape",
-            &[0],
-            &[4],
-            TraceDetail::Reshape { from: vec![4] },
-        ),
+        node(1, TraceOp::Reshape { from: vec![4] }, &[0], &[4]),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ShapeMismatch), "{report}");
@@ -106,7 +87,7 @@ fn broadcast_incompatible_operands() {
     let tape = vec![
         input(0, &[2, 3]),
         input(1, &[4]),
-        node(2, "add", &[0, 1], &[2, 3], TraceDetail::None),
+        node(2, TraceOp::Add, &[0, 1], &[2, 3]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::BroadcastIncompatible), "{report}");
@@ -114,10 +95,7 @@ fn broadcast_incompatible_operands() {
 
 #[test]
 fn dangling_parent_reference() {
-    let tape = vec![
-        input(0, &[3]),
-        node(1, "square", &[7], &[3], TraceDetail::None),
-    ];
+    let tape = vec![input(0, &[3]), node(1, TraceOp::Square, &[7], &[3])];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ParentOutOfRange), "{report}");
 }
@@ -126,8 +104,8 @@ fn dangling_parent_reference() {
 fn forward_reference_breaks_topological_order() {
     let tape = vec![
         input(0, &[3]),
-        node(1, "add", &[0, 2], &[3], TraceDetail::None),
-        node(2, "square", &[0], &[3], TraceDetail::None),
+        node(1, TraceOp::Add, &[0, 2], &[3]),
+        node(2, TraceOp::Square, &[0], &[3]),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ForwardReference), "{report}");
@@ -135,10 +113,7 @@ fn forward_reference_breaks_topological_order() {
 
 #[test]
 fn node_index_disagrees_with_position() {
-    let tape = vec![
-        input(0, &[3]),
-        node(5, "square", &[0], &[3], TraceDetail::None),
-    ];
+    let tape = vec![input(0, &[3]), node(5, TraceOp::Square, &[0], &[3])];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::IndexMismatch), "{report}");
 }
@@ -149,13 +124,7 @@ fn conv_geometry_disagrees_with_input() {
     let tape = vec![
         input(0, &[1, 3, 6, 6]), // 6x6, geometry says 8x8
         input(1, &[4, 27]),
-        node(
-            2,
-            "conv2d",
-            &[0, 1],
-            &[1, 4, 8, 8],
-            TraceDetail::Conv { geom },
-        ),
+        node(2, TraceOp::Conv2d { geom }, &[0, 1], &[1, 4, 8, 8]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::ConvGeometryMismatch), "{report}");
@@ -167,13 +136,7 @@ fn conv_weight_patch_width_mismatch() {
     let tape = vec![
         input(0, &[1, 3, 8, 8]),
         input(1, &[4, 25]), // must be 3*3*3 = 27 columns
-        node(
-            2,
-            "conv2d",
-            &[0, 1],
-            &[1, 4, 8, 8],
-            TraceDetail::Conv { geom },
-        ),
+        node(2, TraceOp::Conv2d { geom }, &[0, 1], &[1, 4, 8, 8]),
     ];
     let report = run(&tape);
     assert!(report.flags(2, DiagCode::ConvGeometryMismatch), "{report}");
@@ -183,13 +146,7 @@ fn conv_weight_patch_width_mismatch() {
 fn avg_pool_window_does_not_tile_input() {
     let tape = vec![
         input(0, &[1, 2, 8, 8]),
-        node(
-            1,
-            "avg_pool2d",
-            &[0],
-            &[1, 2, 2, 2],
-            TraceDetail::AvgPool { k: 3 },
-        ),
+        node(1, TraceOp::AvgPool { k: 3 }, &[0], &[1, 2, 2, 2]),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::PoolGeometryMismatch), "{report}");
@@ -201,13 +158,12 @@ fn max_pool_argmax_routes_outside_input() {
         input(0, &[1, 1, 4, 4]),
         node(
             1,
-            "max_pool2d",
-            &[0],
-            &[1, 1, 2, 2],
-            TraceDetail::MaxPool {
+            TraceOp::MaxPool {
                 outputs: 4,
                 max_source: Some(99), // input has 16 elements
             },
+            &[0],
+            &[1, 1, 2, 2],
         ),
     ];
     let report = run(&tape);
@@ -218,13 +174,7 @@ fn max_pool_argmax_routes_outside_input() {
 fn loss_label_count_mismatch() {
     let tape = vec![
         input(0, &[4, 10]),
-        node(
-            1,
-            "cross_entropy",
-            &[0],
-            &[],
-            TraceDetail::Loss { labels: 3 },
-        ),
+        node(1, TraceOp::CrossEntropy { labels: 3 }, &[0], &[]),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::LabelCountMismatch), "{report}");
@@ -235,10 +185,10 @@ fn dead_subgraph_behind_explicit_root() {
     // Nodes 3 and 4 form a branch the loss never consumes.
     let tape = vec![
         input(0, &[4]),
-        node(1, "square", &[0], &[4], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
-        node(3, "scale", &[1], &[4], TraceDetail::None),
-        node(4, "add", &[3, 0], &[4], TraceDetail::None),
+        node(1, TraceOp::Square, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
+        node(3, TraceOp::Scale { c: 2.0 }, &[1], &[4]),
+        node(4, TraceOp::Add, &[3, 0], &[4]),
     ];
     let report = analyze(&tape, &AnalyzeOptions::with_roots(vec![2]));
     assert!(!report.has_errors(), "{report}");
@@ -249,10 +199,7 @@ fn dead_subgraph_behind_explicit_root() {
 #[test]
 fn elementwise_op_shape_drift() {
     // A unary op whose recorded output silently changed shape.
-    let tape = vec![
-        input(0, &[2, 3]),
-        node(1, "relu", &[0], &[3, 2], TraceDetail::None),
-    ];
+    let tape = vec![input(0, &[2, 3]), node(1, TraceOp::Relu, &[0], &[3, 2])];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ShapeMismatch), "{report}");
 }
@@ -261,10 +208,10 @@ fn elementwise_op_shape_drift() {
 fn diagnostics_carry_provenance_chains() {
     let tape = vec![
         input(0, &[2, 3]),
-        node(1, "relu", &[0], &[2, 3], TraceDetail::None),
-        node(2, "square", &[1], &[2, 3], TraceDetail::None),
+        node(1, TraceOp::Relu, &[0], &[2, 3]),
+        node(2, TraceOp::Square, &[1], &[2, 3]),
         input(3, &[4, 5]),
-        node(4, "matmul", &[2, 3], &[2, 5], TraceDetail::None),
+        node(4, TraceOp::Matmul, &[2, 3], &[2, 5]),
     ];
     let report = run(&tape);
     let d = report
@@ -309,26 +256,16 @@ fn run_value(tape: &[NodeTrace], vopts: ValueOptions) -> Report {
     )
 }
 
-fn scalar(c: f32) -> TraceDetail {
-    TraceDetail::Scalar { c }
-}
-
 #[test]
 fn arity_mismatch_on_binary_op_with_one_parent() {
-    let tape = vec![
-        input(0, &[3]),
-        node(1, "add", &[0], &[3], TraceDetail::None),
-    ];
+    let tape = vec![input(0, &[3]), node(1, TraceOp::Add, &[0], &[3])];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ArityMismatch), "{report}");
 }
 
 #[test]
 fn arity_mismatch_on_unary_op_with_extra_parent() {
-    let tape = vec![
-        input(0, &[3]),
-        node(1, "square", &[0, 0], &[3], TraceDetail::None),
-    ];
+    let tape = vec![input(0, &[3]), node(1, TraceOp::Square, &[0, 0], &[3])];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::ArityMismatch), "{report}");
 }
@@ -339,8 +276,8 @@ fn quant_clip_risk_on_outgrown_activation() {
     // and cannot be represented by a shared-range 4-bit quantizer.
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(100.0)),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 100.0 }, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let mut vopts = seeded(&[(0, -1.0, 1.0)]);
     vopts.quant_bits = vec![4];
@@ -352,8 +289,8 @@ fn quant_clip_risk_on_outgrown_activation() {
 fn quant_clip_risk_stays_silent_inside_the_grid() {
     let tape = vec![
         input(0, &[1]),
-        node(1, "scale", &[0], &[1], scalar(1.0)),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 1.0 }, &[0], &[1]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let mut vopts = seeded(&[(0, -1.0, 1.0)]);
     vopts.quant_bits = vec![4];
@@ -371,8 +308,8 @@ fn quant_clip_risk_stays_silent_inside_the_grid() {
 fn saturated_sigmoid_is_a_dead_zone() {
     let tape = vec![
         input(0, &[4]),
-        node(1, "sigmoid", &[0], &[4], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Sigmoid, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let report = run_value(&tape, seeded(&[(0, 20.0, 30.0)]));
     assert!(report.flags(1, DiagCode::SaturationDeadZone), "{report}");
@@ -382,8 +319,8 @@ fn saturated_sigmoid_is_a_dead_zone() {
 fn always_negative_relu_input_is_a_dead_zone() {
     let tape = vec![
         input(0, &[4]),
-        node(1, "relu", &[0], &[4], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Relu, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let report = run_value(&tape, seeded(&[(0, -5.0, -1.0)]));
     assert!(report.flags(1, DiagCode::SaturationDeadZone), "{report}");
@@ -393,8 +330,8 @@ fn always_negative_relu_input_is_a_dead_zone() {
 fn moderate_sigmoid_input_is_not_a_dead_zone() {
     let tape = vec![
         input(0, &[4]),
-        node(1, "sigmoid", &[0], &[4], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Sigmoid, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let report = run_value(&tape, seeded(&[(0, -2.0, 2.0)]));
     assert!(
@@ -412,9 +349,9 @@ fn amplifier_chain_crosses_the_explosion_threshold() {
     // threshold at 1e6 the crossing happens at the input edge.
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(1e4)),
-        node(2, "scale", &[1], &[4], scalar(1e4)),
-        node(3, "sum", &[2], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 1e4 }, &[0], &[4]),
+        node(2, TraceOp::Scale { c: 1e4 }, &[1], &[4]),
+        node(3, TraceOp::Sum, &[2], &[]),
     ];
     let mut vopts = seeded(&[(0, -1.0, 1.0)]);
     vopts.explode_threshold = 1e6;
@@ -428,9 +365,9 @@ fn amplifier_chain_crosses_the_explosion_threshold() {
 fn amplifier_chain_is_fine_under_default_thresholds() {
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(1e4)),
-        node(2, "scale", &[1], &[4], scalar(1e4)),
-        node(3, "sum", &[2], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 1e4 }, &[0], &[4]),
+        node(2, TraceOp::Scale { c: 1e4 }, &[1], &[4]),
+        node(3, TraceOp::Sum, &[2], &[]),
     ];
     let report = run_value(&tape, seeded(&[(0, -1.0, 1.0)]));
     assert!(
@@ -446,8 +383,8 @@ fn amplifier_chain_is_fine_under_default_thresholds() {
 fn attenuator_crosses_the_vanishing_threshold() {
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(1e-12)),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 1e-12 }, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let mut vopts = seeded(&[(0, -1.0, 1.0)]);
     vopts.vanish_threshold = 1e-6;
@@ -459,8 +396,8 @@ fn attenuator_crosses_the_vanishing_threshold() {
 fn unseeded_input_has_a_non_finite_range() {
     let tape = vec![
         input(0, &[3]),
-        node(1, "square", &[0], &[3], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Square, &[0], &[3]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let report = run_value(&tape, ValueOptions::default());
     assert!(report.flags(0, DiagCode::NonFiniteRange), "{report}");
@@ -468,7 +405,7 @@ fn unseeded_input_has_a_non_finite_range() {
 
 #[test]
 fn nan_seed_flags_the_input() {
-    let tape = vec![input(0, &[3]), node(1, "sum", &[0], &[], TraceDetail::None)];
+    let tape = vec![input(0, &[3]), node(1, TraceOp::Sum, &[0], &[])];
     let report = run_value(&tape, seeded(&[(0, f32::NAN, f32::NAN)]));
     assert!(report.flags(0, DiagCode::NonFiniteRange), "{report}");
 }
@@ -477,8 +414,8 @@ fn nan_seed_flags_the_input() {
 fn ln_of_a_sign_straddling_range_goes_non_finite_at_the_ln() {
     let tape = vec![
         input(0, &[3]),
-        node(1, "ln", &[0], &[3], TraceDetail::None),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Ln, &[0], &[3]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let report = run_value(&tape, seeded(&[(0, -1.0, 2.0)]));
     assert!(report.flags(1, DiagCode::NonFiniteRange), "{report}");
@@ -496,8 +433,8 @@ fn seeded_tape_over_budget_flags_the_root() {
     // induces up to 8 units of output noise — far over a 1e-3 budget.
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(8.0)),
-        node(2, "sum", &[1], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 8.0 }, &[0], &[4]),
+        node(2, TraceOp::Sum, &[1], &[]),
     ];
     let vopts = ValueOptions {
         noise_seeds: vec![NoiseSeed {
@@ -521,9 +458,9 @@ fn zero_magnitude_seed_certifies_exactly_zero_noise() {
     // (any margin-charging domain would exceed it).
     let tape = vec![
         input(0, &[4]),
-        node(1, "scale", &[0], &[4], scalar(8.0)),
-        node(2, "square", &[1], &[4], TraceDetail::None),
-        node(3, "sum", &[2], &[], TraceDetail::None),
+        node(1, TraceOp::Scale { c: 8.0 }, &[0], &[4]),
+        node(2, TraceOp::Square, &[1], &[4]),
+        node(3, TraceOp::Sum, &[2], &[]),
     ];
     let vopts = ValueOptions {
         noise_seeds: vec![NoiseSeed {

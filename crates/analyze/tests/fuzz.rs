@@ -7,33 +7,28 @@
 //! deterministic and a failure reproduces from the case number alone.
 
 use hero_analyze::{analyze, AnalyzeOptions, RangeSeed, Severity, ValueOptions};
-use hero_autodiff::{NodeTrace, TraceDetail};
+use hero_autodiff::{NodeTrace, TraceOp};
 use hero_tensor::rng::{Rng, StdRng};
 
 const VALID_CASES: u64 = 250;
 const CORRUPT_CASES: u64 = 250;
 
 /// Ops producing a tensor of the same shape as their single operand.
-const UNARY_ELEMENTWISE: &[&str] = &["relu", "relu6", "square", "sigmoid", "tanh"];
+const UNARY_ELEMENTWISE: &[TraceOp] = &[
+    TraceOp::Relu,
+    TraceOp::Relu6,
+    TraceOp::Square,
+    TraceOp::Sigmoid,
+    TraceOp::Tanh,
+];
 
-fn push(tape: &mut Vec<NodeTrace>, op: &'static str, parents: &[usize], shape: &[usize]) {
-    push_detail(tape, op, parents, shape, TraceDetail::None);
-}
-
-fn push_detail(
-    tape: &mut Vec<NodeTrace>,
-    op: &'static str,
-    parents: &[usize],
-    shape: &[usize],
-    detail: TraceDetail,
-) {
+fn push(tape: &mut Vec<NodeTrace>, op: TraceOp, parents: &[usize], shape: &[usize]) {
     let index = tape.len();
     tape.push(NodeTrace {
         index,
         op,
         parents: parents.to_vec(),
         shape: shape.to_vec(),
-        detail,
     });
 }
 
@@ -48,29 +43,31 @@ fn gen_valid_tape(rng: &mut StdRng) -> Vec<NodeTrace> {
     let mut pool = Vec::new();
     for _ in 0..rng.gen_range(1..4usize) {
         pool.push(tape.len());
-        push(&mut tape, "input", &[], &shape);
+        push(&mut tape, TraceOp::Input, &[], &shape);
     }
     for _ in 0..rng.gen_range(2..12usize) {
         let a = pool[rng.gen_range(0..pool.len())];
         match rng.gen_range(0..10usize) {
             0..=2 => {
-                let op = UNARY_ELEMENTWISE[rng.gen_range(0..UNARY_ELEMENTWISE.len())];
+                let op = UNARY_ELEMENTWISE[rng.gen_range(0..UNARY_ELEMENTWISE.len())].clone();
                 pool.push(tape.len());
                 push(&mut tape, op, &[a], &shape);
             }
             3 | 4 => {
-                let op = if rng.gen::<bool>() {
-                    "scale"
+                let scale = rng.gen::<bool>();
+                let c = rng.gen_range(-2.0f32..=2.0);
+                let op = if scale {
+                    TraceOp::Scale { c }
                 } else {
-                    "add_scalar"
+                    TraceOp::AddScalar { c }
                 };
-                let k = rng.gen_range(-2.0f32..=2.0);
                 pool.push(tape.len());
-                push_detail(&mut tape, op, &[a], &shape, TraceDetail::Scalar { c: k });
+                push(&mut tape, op, &[a], &shape);
             }
             5 | 6 => {
                 let b = pool[rng.gen_range(0..pool.len())];
-                let op = ["add", "sub", "mul"][rng.gen_range(0..3usize)];
+                let op =
+                    [TraceOp::Add, TraceOp::Sub, TraceOp::Mul][rng.gen_range(0..3usize)].clone();
                 pool.push(tape.len());
                 push(&mut tape, op, &[a, b], &shape);
             }
@@ -78,20 +75,19 @@ fn gen_valid_tape(rng: &mut StdRng) -> Vec<NodeTrace> {
                 // Fresh right operand so the inner dimensions agree.
                 let m = rng.gen_range(1..4usize);
                 let b = tape.len();
-                push(&mut tape, "input", &[], &[c, m]);
-                push(&mut tape, "matmul", &[a, b], &[r, m]);
+                push(&mut tape, TraceOp::Input, &[], &[c, m]);
+                push(&mut tape, TraceOp::Matmul, &[a, b], &[r, m]);
             }
             8 => {
-                push_detail(
-                    &mut tape,
-                    "reshape",
-                    &[a],
-                    &[r * c],
-                    TraceDetail::Reshape { from: vec![r, c] },
-                );
+                let from = vec![r, c];
+                push(&mut tape, TraceOp::Reshape { from }, &[a], &[r * c]);
             }
             _ => {
-                let op = if rng.gen::<bool>() { "sum" } else { "mean" };
+                let op = if rng.gen::<bool>() {
+                    TraceOp::Sum
+                } else {
+                    TraceOp::Mean
+                };
                 push(&mut tape, op, &[a], &[]);
             }
         }
@@ -103,7 +99,7 @@ fn gen_valid_tape(rng: &mut StdRng) -> Vec<NodeTrace> {
 /// input leaf.
 fn gen_seeds(rng: &mut StdRng, tape: &[NodeTrace]) -> Vec<RangeSeed> {
     tape.iter()
-        .filter(|n| n.op == "input")
+        .filter(|n| n.op == TraceOp::Input)
         .map(|n| {
             let a = rng.gen_range(-4.0f32..=4.0);
             let b = rng.gen_range(-4.0f32..=4.0);
@@ -168,7 +164,7 @@ fn random_valid_tapes_have_no_structural_errors() {
         let vreport = analyze(&tape, &value_opts(seeds));
         for d in &vreport.diagnostics {
             assert!(
-                tape[d.node].op != "input" || d.severity() != Severity::Error,
+                tape[d.node].op != TraceOp::Input || d.severity() != Severity::Error,
                 "case {case}: seeded input flagged\n{vreport}"
             );
         }

@@ -280,7 +280,7 @@ impl Graph {
         let mut next = op.parents().first().copied();
         while let Some(i) = next {
             let node = &self.nodes[i];
-            chain.push(format!("#{i} {} {:?}", node.op.name(), node.value.dims()));
+            chain.push(format!("#{i} {} {:?}", node.op.lower(), node.value.dims()));
             next = node.op.parents().first().copied();
             if chain.len() >= 8 {
                 chain.push("…".to_string());
@@ -291,7 +291,7 @@ impl Graph {
             "hero-autodiff sanitize: non-finite value {} at flat index {bad} produced by \
              op `{}` (would be tape node #{}); provenance: [{}]",
             value.data()[bad],
-            op.name(),
+            op.lower(),
             self.nodes.len(),
             chain.join(" <- ")
         );

@@ -40,4 +40,4 @@ pub mod trace;
 
 pub use graph::{Gradients, Graph, Var};
 pub use ops_nn::BatchStats;
-pub use trace::{NodeTrace, TraceDetail};
+pub use trace::{NodeTrace, TraceOp};

@@ -1,11 +1,11 @@
 //! Read-only introspection of a recorded tape.
 //!
 //! [`Graph::trace`] lowers the private [`Op`](crate::graph) tape into a
-//! flat, owned intermediate representation — one [`NodeTrace`] per node —
-//! that static-analysis tooling (the `hero-analyze` verifier) can inspect
-//! without access to the graph internals or the saved backward context
-//! tensors. [`Graph::to_dot`] renders the same view as Graphviz for
-//! debugging.
+//! flat, owned intermediate representation — one [`NodeTrace`] per node,
+//! its [`TraceOp`] naming the op and carrying the metadata static analysis
+//! needs — that tooling (the `hero-analyze` verifier, its value passes and
+//! its Graphviz renderer) can inspect without access to the graph
+//! internals or the saved backward context tensors.
 //!
 //! The IR is deliberately plain data: a tape verifier must be able to
 //! build *malformed* tapes for its own tests (dangling parents, lying
@@ -14,83 +14,203 @@
 
 use crate::graph::{Graph, Op};
 use hero_tensor::ConvGeometry;
+use std::fmt;
 
 /// One tape node, lowered to plain data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTrace {
     /// Position in the tape (parents must refer to smaller indices).
     pub index: usize,
-    /// Stable op name (e.g. `"matmul"`, `"conv2d"`).
-    pub op: &'static str,
+    /// The op and its recorded metadata.
+    pub op: TraceOp,
     /// Parent node indices, in operand order.
     pub parents: Vec<usize>,
     /// Dimensions of the recorded forward value.
     pub shape: Vec<usize>,
-    /// Op-specific metadata needed for static shape checking.
-    pub detail: TraceDetail,
 }
 
-/// Extra per-op metadata carried by a [`NodeTrace`].
+/// A recorded op with the metadata static analysis needs.
+///
+/// Deliberately exhaustive: every analyzer matches all variants, so a new
+/// op does not compile until each pass has a transfer for it.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum TraceDetail {
-    /// The op needs no extra metadata.
-    None,
-    /// Reshape: the parent shape recorded at build time.
+pub enum TraceOp {
+    /// Leaf node: an input or parameter.
+    Input,
+    /// Broadcast addition.
+    Add,
+    /// Broadcast subtraction.
+    Sub,
+    /// Broadcast (Hadamard) multiplication.
+    Mul,
+    /// Multiplication by a constant.
+    Scale {
+        /// The constant factor.
+        c: f32,
+    },
+    /// Addition of a constant.
+    AddScalar {
+        /// The constant addend.
+        c: f32,
+    },
+    /// Matrix product `(m,k) x (k,n)`.
+    Matmul,
+    /// Rectified linear unit.
+    Relu,
+    /// ReLU clipped at 6.
+    Relu6,
+    /// Element-wise square.
+    Square,
+    /// Reshape (metadata only).
     Reshape {
         /// Dimensions of the parent value when the op was recorded.
         from: Vec<usize>,
     },
-    /// Convolution (regular or depthwise): the window geometry.
-    Conv {
+    /// Sum of all elements to a scalar.
+    Sum,
+    /// Mean of all elements to a scalar.
+    Mean,
+    /// 2-D convolution with weight `(out_c, in_c*k*k)`.
+    Conv2d {
         /// Window geometry recorded at build time.
         geom: ConvGeometry,
     },
-    /// Average pooling: the window side.
-    AvgPool {
-        /// Window side length.
-        k: usize,
+    /// Depthwise 2-D convolution with weight `(c, k, k)`.
+    DepthwiseConv2d {
+        /// Window geometry recorded at build time.
+        geom: ConvGeometry,
     },
-    /// Max pooling: the saved argmax routing summarized.
-    MaxPool {
-        /// Number of saved argmax entries (one per output element).
-        outputs: usize,
-        /// Largest saved flat source index, if any entries exist.
-        max_source: Option<usize>,
-    },
-    /// Classification loss: how many labels were recorded.
-    Loss {
-        /// Length of the recorded label vector.
-        labels: usize,
-    },
-    /// Scalar-constant ops (`scale`, `add_scalar`, `leaky_relu`): the
-    /// constant operand / negative-side slope.
-    Scalar {
-        /// The recorded constant.
-        c: f32,
-    },
-    /// Batch normalization: the largest saved per-channel `1/sqrt(var+eps)`
-    /// and the largest recorded normalized value `|x̂|`.
+    /// Train-mode batch normalization over `(N, H, W)` per channel.
     BatchNorm {
-        /// Upper bound on the normalization scale across channels.
+        /// Largest saved per-channel `1/sqrt(var+eps)`.
         inv_std_max: f32,
         /// Largest `|x̂|` the recorded forward actually produced
         /// (`f32::INFINITY` when the saved tensor holds NaN). Batch-specific:
         /// only valid for reasoning about the recorded run itself.
         xhat_abs_max: f32,
     },
-    /// Dropout: the largest entry of the saved `mask / keep_prob`.
+    /// Non-overlapping max pooling: the saved argmax routing summarized.
+    MaxPool {
+        /// Number of saved argmax entries (one per output element).
+        outputs: usize,
+        /// Largest saved flat source index, if any entries exist.
+        max_source: Option<usize>,
+    },
+    /// Non-overlapping average pooling.
+    AvgPool {
+        /// Window side length.
+        k: usize,
+    },
+    /// Global average pooling `(n,c,h,w) -> (n,c)`.
+    GlobalAvgPool,
+    /// Softmax cross-entropy against integer labels.
+    CrossEntropy {
+        /// Length of the recorded label vector.
+        labels: usize,
+    },
+    /// Label-smoothed softmax cross-entropy.
+    CrossEntropySmoothed {
+        /// Length of the recorded label vector.
+        labels: usize,
+    },
+    /// Logistic sigmoid.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+    /// Leaky ReLU.
+    LeakyRelu {
+        /// Negative-side slope.
+        slope: f32,
+    },
+    /// Natural logarithm.
+    Ln,
+    /// Inverted dropout.
     Dropout {
-        /// Upper bound on the mask scaling (0 when everything dropped).
+        /// Largest entry of the saved `mask / keep_prob` (0 when everything
+        /// dropped).
         max_scale: f32,
     },
-    /// MSE loss: the recorded constant target's value range.
-    Mse {
+    /// Mean-squared error against a constant target.
+    MseLoss {
         /// Smallest target element.
         target_lo: f32,
         /// Largest target element.
         target_hi: f32,
     },
+}
+
+impl TraceOp {
+    /// Stable, lowercase op name used in diagnostics and DOT output.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TraceOp::Input => "input",
+            TraceOp::Add => "add",
+            TraceOp::Sub => "sub",
+            TraceOp::Mul => "mul",
+            TraceOp::Scale { .. } => "scale",
+            TraceOp::AddScalar { .. } => "add_scalar",
+            TraceOp::Matmul => "matmul",
+            TraceOp::Relu => "relu",
+            TraceOp::Relu6 => "relu6",
+            TraceOp::Square => "square",
+            TraceOp::Reshape { .. } => "reshape",
+            TraceOp::Sum => "sum",
+            TraceOp::Mean => "mean",
+            TraceOp::Conv2d { .. } => "conv2d",
+            TraceOp::DepthwiseConv2d { .. } => "depthwise_conv2d",
+            TraceOp::BatchNorm { .. } => "batch_norm",
+            TraceOp::MaxPool { .. } => "max_pool2d",
+            TraceOp::AvgPool { .. } => "avg_pool2d",
+            TraceOp::GlobalAvgPool => "global_avg_pool2d",
+            TraceOp::CrossEntropy { .. } => "cross_entropy",
+            TraceOp::CrossEntropySmoothed { .. } => "cross_entropy_smoothed",
+            TraceOp::Sigmoid => "sigmoid",
+            TraceOp::Tanh => "tanh",
+            TraceOp::LeakyRelu { .. } => "leaky_relu",
+            TraceOp::Ln => "ln",
+            TraceOp::Dropout { .. } => "dropout",
+            TraceOp::MseLoss { .. } => "mse_loss",
+        }
+    }
+
+    /// Number of operands the op records.
+    pub fn arity(&self) -> usize {
+        match self {
+            TraceOp::Input => 0,
+            TraceOp::Add
+            | TraceOp::Sub
+            | TraceOp::Mul
+            | TraceOp::Matmul
+            | TraceOp::Conv2d { .. }
+            | TraceOp::DepthwiseConv2d { .. } => 2,
+            TraceOp::BatchNorm { .. } => 3,
+            TraceOp::Scale { .. }
+            | TraceOp::AddScalar { .. }
+            | TraceOp::Relu
+            | TraceOp::Relu6
+            | TraceOp::Square
+            | TraceOp::Reshape { .. }
+            | TraceOp::Sum
+            | TraceOp::Mean
+            | TraceOp::MaxPool { .. }
+            | TraceOp::AvgPool { .. }
+            | TraceOp::GlobalAvgPool
+            | TraceOp::CrossEntropy { .. }
+            | TraceOp::CrossEntropySmoothed { .. }
+            | TraceOp::Sigmoid
+            | TraceOp::Tanh
+            | TraceOp::LeakyRelu { .. }
+            | TraceOp::Ln
+            | TraceOp::Dropout { .. }
+            | TraceOp::MseLoss { .. } => 1,
+        }
+    }
+}
+
+impl fmt::Display for TraceOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// Largest absolute value in `data`, or `f32::INFINITY` when any element
@@ -107,36 +227,57 @@ fn abs_max_or_inf(data: &[f32]) -> f32 {
 }
 
 impl Op {
-    /// Stable, lowercase op name used in diagnostics and DOT output.
-    pub(crate) fn name(&self) -> &'static str {
+    /// The op with its static metadata, dropping the saved backward context.
+    pub(crate) fn lower(&self) -> TraceOp {
         match self {
-            Op::Input => "input",
-            Op::Add(..) => "add",
-            Op::Sub(..) => "sub",
-            Op::Mul(..) => "mul",
-            Op::Scale(..) => "scale",
-            Op::AddScalar(..) => "add_scalar",
-            Op::Matmul(..) => "matmul",
-            Op::Relu(..) => "relu",
-            Op::Relu6(..) => "relu6",
-            Op::Square(..) => "square",
-            Op::Reshape(..) => "reshape",
-            Op::Sum(..) => "sum",
-            Op::Mean(..) => "mean",
-            Op::Conv2d { .. } => "conv2d",
-            Op::DepthwiseConv2d { .. } => "depthwise_conv2d",
-            Op::BatchNorm { .. } => "batch_norm",
-            Op::MaxPool { .. } => "max_pool2d",
-            Op::AvgPool { .. } => "avg_pool2d",
-            Op::GlobalAvgPool(..) => "global_avg_pool2d",
-            Op::CrossEntropy { .. } => "cross_entropy",
-            Op::Sigmoid(..) => "sigmoid",
-            Op::Tanh(..) => "tanh",
-            Op::LeakyRelu(..) => "leaky_relu",
-            Op::Ln(..) => "ln",
-            Op::Dropout { .. } => "dropout",
-            Op::MseLoss { .. } => "mse_loss",
-            Op::CrossEntropySmoothed { .. } => "cross_entropy_smoothed",
+            Op::Input => TraceOp::Input,
+            Op::Add(..) => TraceOp::Add,
+            Op::Sub(..) => TraceOp::Sub,
+            Op::Mul(..) => TraceOp::Mul,
+            Op::Scale(_, c) => TraceOp::Scale { c: *c },
+            Op::AddScalar(_, c) => TraceOp::AddScalar { c: *c },
+            Op::Matmul(..) => TraceOp::Matmul,
+            Op::Relu(..) => TraceOp::Relu,
+            Op::Relu6(..) => TraceOp::Relu6,
+            Op::Square(..) => TraceOp::Square,
+            Op::Reshape(_, from) => TraceOp::Reshape {
+                from: from.dims().to_vec(),
+            },
+            Op::Sum(..) => TraceOp::Sum,
+            Op::Mean(..) => TraceOp::Mean,
+            Op::Conv2d { geom, .. } => TraceOp::Conv2d { geom: *geom },
+            Op::DepthwiseConv2d { geom, .. } => TraceOp::DepthwiseConv2d { geom: *geom },
+            Op::BatchNorm { inv_std, xhat, .. } => TraceOp::BatchNorm {
+                inv_std_max: inv_std.iter().copied().fold(0.0, f32::max),
+                xhat_abs_max: abs_max_or_inf(xhat.data()),
+            },
+            Op::MaxPool { arg, .. } => TraceOp::MaxPool {
+                outputs: arg.len(),
+                max_source: arg.iter().copied().max(),
+            },
+            Op::AvgPool { k, .. } => TraceOp::AvgPool { k: *k },
+            Op::GlobalAvgPool(..) => TraceOp::GlobalAvgPool,
+            Op::CrossEntropy { labels, .. } => TraceOp::CrossEntropy {
+                labels: labels.len(),
+            },
+            Op::CrossEntropySmoothed { labels, .. } => TraceOp::CrossEntropySmoothed {
+                labels: labels.len(),
+            },
+            Op::Sigmoid(..) => TraceOp::Sigmoid,
+            Op::Tanh(..) => TraceOp::Tanh,
+            Op::LeakyRelu(_, slope) => TraceOp::LeakyRelu { slope: *slope },
+            Op::Ln(..) => TraceOp::Ln,
+            Op::Dropout { scaled_mask, .. } => TraceOp::Dropout {
+                max_scale: scaled_mask.data().iter().copied().fold(0.0, f32::max),
+            },
+            Op::MseLoss {
+                target_lo,
+                target_hi,
+                ..
+            } => TraceOp::MseLoss {
+                target_lo: *target_lo,
+                target_hi: *target_hi,
+            },
         }
     }
 
@@ -169,46 +310,6 @@ impl Op {
             }
         }
     }
-
-    fn detail(&self) -> TraceDetail {
-        match self {
-            Op::Reshape(_, from) => TraceDetail::Reshape {
-                from: from.dims().to_vec(),
-            },
-            Op::Conv2d { geom, .. } | Op::DepthwiseConv2d { geom, .. } => {
-                TraceDetail::Conv { geom: *geom }
-            }
-            Op::AvgPool { k, .. } => TraceDetail::AvgPool { k: *k },
-            Op::MaxPool { arg, .. } => TraceDetail::MaxPool {
-                outputs: arg.len(),
-                max_source: arg.iter().copied().max(),
-            },
-            Op::CrossEntropy { labels, .. } | Op::CrossEntropySmoothed { labels, .. } => {
-                TraceDetail::Loss {
-                    labels: labels.len(),
-                }
-            }
-            Op::Scale(_, c) | Op::AddScalar(_, c) | Op::LeakyRelu(_, c) => {
-                TraceDetail::Scalar { c: *c }
-            }
-            Op::BatchNorm { inv_std, xhat, .. } => TraceDetail::BatchNorm {
-                inv_std_max: inv_std.iter().copied().fold(0.0, f32::max),
-                xhat_abs_max: abs_max_or_inf(xhat.data()),
-            },
-            Op::Dropout { scaled_mask, .. } => TraceDetail::Dropout {
-                max_scale: scaled_mask.data().iter().copied().fold(0.0, f32::max),
-            },
-            Op::MseLoss {
-                target_lo,
-                target_hi,
-                ..
-            } => TraceDetail::Mse {
-                target_lo: *target_lo,
-                target_hi: *target_hi,
-            },
-            _ => TraceDetail::None,
-        }
-    }
 }
 
 impl Graph {
@@ -220,10 +321,9 @@ impl Graph {
             .enumerate()
             .map(|(index, node)| NodeTrace {
                 index,
-                op: node.op.name(),
+                op: node.op.lower(),
                 parents: node.op.parents(),
                 shape: node.value.dims().to_vec(),
-                detail: node.op.detail(),
             })
             .collect()
     }
@@ -267,47 +367,6 @@ impl Graph {
             .map(|node| abs_max_or_inf(node.value.data()))
             .collect()
     }
-
-    /// Renders the tape as a Graphviz `digraph` (nodes labelled with index,
-    /// op name and value shape; edges point from parent to child).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hero_autodiff::Graph;
-    /// use hero_tensor::Tensor;
-    ///
-    /// let mut g = Graph::new();
-    /// let x = g.input(Tensor::arange(4));
-    /// let y = g.square(x);
-    /// let _loss = g.sum(y);
-    /// let dot = g.to_dot();
-    /// assert!(dot.starts_with("digraph tape {"));
-    /// assert!(dot.contains("square"));
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph tape {\n  rankdir=TB;\n  node [shape=box];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let shape = node.value.dims();
-            let style = if matches!(node.op, Op::Input) {
-                ", style=filled, fillcolor=lightgray"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "  n{i} [label=\"#{i} {}\\n{:?}\"{style}];",
-                node.op.name(),
-                shape
-            );
-            for p in node.op.parents() {
-                let _ = writeln!(out, "  n{p} -> n{i};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -325,11 +384,10 @@ mod tests {
         let loss = g.sum(c);
         let tape = g.trace();
         assert_eq!(tape.len(), 5);
-        assert_eq!(tape[0].op, "input");
-        assert_eq!(tape[1].op, "reshape");
+        assert_eq!(tape[0].op, TraceOp::Input);
+        assert_eq!(tape[1].op, TraceOp::Reshape { from: vec![6] });
         assert_eq!(tape[1].parents, vec![a.index()]);
-        assert_eq!(tape[1].detail, TraceDetail::Reshape { from: vec![6] });
-        assert_eq!(tape[3].op, "matmul");
+        assert_eq!(tape[3].op, TraceOp::Matmul);
         assert_eq!(tape[3].parents, vec![m.index(), b.index()]);
         assert_eq!(tape[3].shape, vec![2, 2]);
         assert_eq!(tape[loss.index()].shape, vec![] as Vec<usize>);
@@ -343,30 +401,109 @@ mod tests {
         let flat = g.reshape(p, [1, 4]).unwrap();
         let loss = g.cross_entropy(flat, &[1]).unwrap();
         let tape = g.trace();
-        match &tape[p.index()].detail {
-            TraceDetail::MaxPool {
-                outputs,
-                max_source,
-            } => {
-                assert_eq!(*outputs, 4);
-                assert_eq!(*max_source, Some(15));
+        assert_eq!(
+            tape[p.index()].op,
+            TraceOp::MaxPool {
+                outputs: 4,
+                max_source: Some(15)
             }
-            other => panic!("unexpected detail {other:?}"),
-        }
-        assert_eq!(tape[loss.index()].detail, TraceDetail::Loss { labels: 1 });
+        );
+        assert_eq!(tape[loss.index()].op, TraceOp::CrossEntropy { labels: 1 });
     }
 
+    /// One tape records every `Graph` op: each lowered node's arity is the
+    /// operand count `Graph` recorded, and each name is the pinned string
+    /// that diagnostics, DOT output and the preflight report hash carry.
     #[test]
-    fn dot_output_lists_every_node_and_edge() {
+    fn every_graph_op_lowers_to_its_recorded_arity_and_pinned_name() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(3));
-        let y = g.square(x);
-        let s = g.sum(y);
-        let dot = g.to_dot();
-        assert!(dot.contains("n0 [label=\"#0 input"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.contains("n1 -> n2;"));
-        assert!(dot.ends_with("}\n"));
-        let _ = s;
+        let x = g.input(Tensor::from_fn([2, 2, 4, 4], |i| {
+            0.1 * (i[2] + i[3]) as f32
+        }));
+        let w = g.input(Tensor::from_fn([2, 18], |_| 0.1));
+        let dw = g.input(Tensor::from_fn([2, 3, 3], |_| 0.1));
+        let gamma = g.input(Tensor::from_fn([2], |_| 1.0));
+        let beta = g.input(Tensor::zeros([2]));
+        let head = g.input(Tensor::from_fn([2, 3], |i| 0.1 * i[1] as f32));
+        let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
+        let c = g.conv2d(x, w, geom).unwrap();
+        let d = g.depthwise_conv2d(x, dw, geom).unwrap();
+        let v = g.add(c, d).unwrap();
+        let v = g.sub(v, x).unwrap();
+        let v = g.mul(v, x).unwrap();
+        let (v, _) = g.batch_norm(v, gamma, beta, 1e-5).unwrap();
+        let v = g.relu(v);
+        let v = g.relu6(v);
+        let v = g.leaky_relu(v, 0.1);
+        let v = g.sigmoid(v);
+        let v = g.tanh(v);
+        let v = g.scale(v, 2.0);
+        let v = g.add_scalar(v, 3.0);
+        let v = g.ln(v);
+        let v = g.square(v);
+        let v = g
+            .dropout(
+                v,
+                &Tensor::from_fn([2, 2, 4, 4], |i| (i[3] % 2) as f32),
+                0.5,
+            )
+            .unwrap();
+        let v = g.max_pool2d(v, 2).unwrap();
+        let v = g.avg_pool2d(v, 2).unwrap();
+        let v = g.global_avg_pool2d(v).unwrap();
+        let logits = g.matmul(v, head).unwrap();
+        g.cross_entropy(logits, &[0, 2]).unwrap();
+        g.cross_entropy_smoothed(logits, &[1, 0], 0.1).unwrap();
+        let flat = g.reshape(logits, [6]).unwrap();
+        g.mse_loss(flat, &Tensor::arange(6)).unwrap();
+        g.sum(flat);
+        g.mean(flat);
+
+        let tape = g.trace();
+        for node in &tape {
+            assert_eq!(
+                node.op.arity(),
+                node.parents.len(),
+                "#{} {}",
+                node.index,
+                node.op
+            );
+        }
+        let names: Vec<&str> = tape.iter().map(|node| node.op.name()).collect();
+        let pinned = [
+            "input",
+            "input",
+            "input",
+            "input",
+            "input",
+            "input",
+            "conv2d",
+            "depthwise_conv2d",
+            "add",
+            "sub",
+            "mul",
+            "batch_norm",
+            "relu",
+            "relu6",
+            "leaky_relu",
+            "sigmoid",
+            "tanh",
+            "scale",
+            "add_scalar",
+            "ln",
+            "square",
+            "dropout",
+            "max_pool2d",
+            "avg_pool2d",
+            "global_avg_pool2d",
+            "matmul",
+            "cross_entropy",
+            "cross_entropy_smoothed",
+            "reshape",
+            "mse_loss",
+            "sum",
+            "mean",
+        ];
+        assert_eq!(names, pinned);
     }
 }

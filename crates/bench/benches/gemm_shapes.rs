@@ -25,7 +25,7 @@
 //! Writes `results/BENCH_gemm.json` with a GFLOP/s or GB/s figure per row
 //! (override the path with `HERO_BENCH_OUT`).
 
-use hero_autodiff::{Graph, NodeTrace, TraceDetail};
+use hero_autodiff::{Graph, NodeTrace, TraceOp};
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json, BenchRow};
 use hero_core::experiment::model_config;
 use hero_data::Preset;
@@ -107,9 +107,9 @@ fn tally<T: PartialEq>(layers: &mut Vec<(T, usize)>, layer: T) {
 /// conv node's first parent, the output channels from its own shape.
 fn model_convs(tape: &[NodeTrace]) -> Vec<(ConvLayer, usize)> {
     let mut layers: Vec<(ConvLayer, usize)> = Vec::new();
-    for node in tape.iter().filter(|node| node.op == "conv2d") {
-        let TraceDetail::Conv { geom } = node.detail else {
-            panic!("conv2d node {} carries no geometry", node.index);
+    for node in tape {
+        let TraceOp::Conv2d { geom } = node.op else {
+            continue;
         };
         let input = &tape[node.parents[0]].shape;
         let layer = ConvLayer {
@@ -131,7 +131,7 @@ fn model_batch_norms(tape: &[NodeTrace]) -> Vec<(Vec<usize>, usize)> {
     let mut layers = Vec::new();
     for node in tape
         .iter()
-        .filter(|node| matches!(node.detail, TraceDetail::BatchNorm { .. }))
+        .filter(|node| matches!(node.op, TraceOp::BatchNorm { .. }))
     {
         tally(&mut layers, tape[node.parents[0]].shape.clone());
     }
