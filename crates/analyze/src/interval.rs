@@ -363,7 +363,7 @@ pub fn quant_clip_risk(iv: Interval, bits: u8, max_abs: f32) -> bool {
 /// sigmoid recomputes `y = 1/(1+e^-x)` and `y(1-y)` in `f32` (`y == 1`
 /// for `x >= 17`, `y == 0` for `x <= -89`); `tanh(x) == ±1` in `f32`
 /// well before `|x| = 10`.
-fn saturation_dead(op: &TraceOp, x: Interval) -> bool {
+pub(crate) fn saturation_dead(op: &TraceOp, x: Interval) -> bool {
     if x.maybe_nan {
         return false;
     }

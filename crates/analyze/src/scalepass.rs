@@ -19,7 +19,7 @@
 //! the roots, not at every node past it.
 
 use crate::diag::{DiagCode, Diagnostic};
-use crate::interval::Interval;
+use crate::interval::{saturation_dead, Interval};
 use crate::verify::{numel, Operands};
 use hero_autodiff::{NodeTrace, TraceOp};
 
@@ -45,6 +45,17 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             .map(|&axis| node.shape.get(axis).copied().unwrap_or(1) as f64)
             .product()
     };
+    // Largest slope of a bell-shaped derivative (sigmoid, tanh) over
+    // parent 0: `peak` when the range straddles 0, else `slope` at the
+    // endpoint nearest 0.
+    let bell = |peak: f64, slope: fn(f64) -> f64| -> f64 {
+        let x = iv(0);
+        if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
+            peak
+        } else {
+            slope(if x.lo > 0.0 { x.lo } else { x.hi } as f64)
+        }
+    };
     let raw: Vec<f64> = match node.op {
         TraceOp::Input => vec![],
         TraceOp::Add | TraceOp::Sub => vec![fan(0), fan(1)],
@@ -65,18 +76,12 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             let m = ops.shape(0).first().copied().unwrap_or(0).max(1) as f64;
             vec![n * iv(1).abs_max() as f64, m * iv(0).abs_max() as f64]
         }
-        TraceOp::Relu => {
-            let x = iv(0);
-            vec![if !x.maybe_nan && x.hi <= 0.0 {
+        TraceOp::Relu | TraceOp::Relu6 => {
+            vec![if saturation_dead(&node.op, iv(0)) {
                 0.0
             } else {
                 1.0
             }]
-        }
-        TraceOp::Relu6 => {
-            let x = iv(0);
-            let dead = !x.maybe_nan && (x.hi <= 0.0 || x.lo >= 6.0);
-            vec![if dead { 0.0 } else { 1.0 }]
         }
         TraceOp::Square => vec![2.0 * iv(0).abs_max() as f64],
         TraceOp::Mean => vec![1.0 / numel(ops.shape(0)).max(1) as f64],
@@ -119,28 +124,14 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             let batch = ops.shape(0).first().copied().unwrap_or(1).max(1) as f64;
             vec![1.0 / batch]
         }
-        TraceOp::Sigmoid => {
-            let x = iv(0);
-            let d = if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
-                0.25
-            } else {
-                let at = if x.lo > 0.0 { x.lo } else { x.hi } as f64;
-                let s = 1.0 / (1.0 + (-at).exp());
-                s * (1.0 - s)
-            };
-            vec![d]
-        }
-        TraceOp::Tanh => {
-            let x = iv(0);
-            let d = if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
-                1.0
-            } else {
-                let at = if x.lo > 0.0 { x.lo } else { x.hi } as f64;
-                let t = at.tanh();
-                1.0 - t * t
-            };
-            vec![d]
-        }
+        TraceOp::Sigmoid => vec![bell(0.25, |at| {
+            let s = 1.0 / (1.0 + (-at).exp());
+            s * (1.0 - s)
+        })],
+        TraceOp::Tanh => vec![bell(1.0, |at| {
+            let t = at.tanh();
+            1.0 - t * t
+        })],
         TraceOp::LeakyRelu { slope } => {
             let s = (slope as f64).abs();
             let x = iv(0);
