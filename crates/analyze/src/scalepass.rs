@@ -38,12 +38,10 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
         let np = numel(ops.shape(slot)).max(1);
         (numel(&node.shape).max(1) as f64 / np as f64).max(1.0)
     };
-    // Output positions a conv weight element contributes to.
+    // Output positions (n·oh·ow) a conv weight element contributes to.
     let positions = || -> f64 {
-        [0, 2, 3]
-            .iter()
-            .map(|&axis| node.shape.get(axis).copied().unwrap_or(1) as f64)
-            .product()
+        let dim = |axis: usize| node.shape.get(axis).copied().unwrap_or(1) as f64;
+        dim(0) * dim(2) * dim(3)
     };
     // Largest slope of a bell-shaped derivative (sigmoid, tanh) over
     // parent 0: `peak` when the range straddles 0, else `slope` at the
@@ -67,9 +65,7 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
         TraceOp::AddScalar { .. }
         | TraceOp::Reshape { .. }
         | TraceOp::Sum
-        | TraceOp::MaxPool { .. } => {
-            vec![1.0]
-        }
+        | TraceOp::MaxPool { .. } => vec![1.0],
         TraceOp::Matmul => {
             // dA = dC B^T sums over B's columns; dB = A^T dC over A's rows.
             let n = ops.shape(1).get(1).copied().unwrap_or(0).max(1) as f64;
