@@ -144,7 +144,7 @@ fn operand(dims: [usize; 2], salt: usize) -> Tensor {
     })
 }
 
-/// Attaches the GFLOP/s figure implied by the mean iteration time.
+/// Attaches the GFLOP/s figure implied by the median iteration time.
 fn with_gflops(row: BenchRow, m: usize, n: usize, k: usize) -> BenchRow {
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let gflops = flops / row.ns_per_iter; // flops/ns ≡ GFLOP/s

@@ -8,10 +8,11 @@
 //!   the enabled span cost for scale;
 //! * a macro row — one full HERO training step with tracing disabled.
 //!
-//! `scripts/verify.sh` runs this bench twice, once from a default build
-//! and once with `--features obs-off`, and requires the macro rows to
-//! agree within a few percent: proof that the disabled instrumentation is
-//! free. The `obs_off` extra marks which configuration produced the file.
+//! `scripts/verify.sh` builds this bench twice, once by default and once
+//! with `--features obs-off`, runs the two binaries alternately in pairs,
+//! and requires the median of the pairs' macro-row ratios to stay within
+//! 3%: proof that the disabled instrumentation is free. The `obs_off`
+//! extra marks which configuration produced the file.
 
 use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json};
 use hero_core::experiment::{model_config, MethodKind};

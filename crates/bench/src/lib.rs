@@ -3,11 +3,11 @@
 //! Benchmarks and the `hero` command-line front end for the HERO (DAC
 //! 2022) reproduction. `hero repro <target>` regenerates every table and
 //! figure of the paper's evaluation section (see DESIGN.md §3 for the
-//! index); the plain-`fn main()` harnesses under `benches/` measure
-//! component costs (the per-step overhead of each training method,
-//! quantization throughput, curvature-probe cost) with the in-tree
-//! [`timing`] module — no external bench framework, so everything builds
-//! offline.
+//! index). The two plain-`fn main()` harnesses under `benches/` time what
+//! the repository benchmark (`benchmark/`) does not: `overhead`, the cost
+//! of the disabled instrumentation, and `gemm_shapes`, the GEMM and direct
+//! conv kernels on every real layer shape. Both use the in-tree [`timing`]
+//! module — no external bench framework, so everything builds offline.
 //!
 //! Run a reproduction with:
 //!
@@ -18,7 +18,7 @@
 //! and a bench with:
 //!
 //! ```text
-//! cargo bench -p hero-bench --bench step_cost [-- --quick]
+//! cargo bench -p hero-bench --bench gemm_shapes [-- --quick]
 //! ```
 
 #![warn(missing_docs)]

@@ -103,6 +103,7 @@ fn shard_count_override_changes_plan_but_stays_deterministic() {
     let run = |threads: usize| {
         let (mut net, x, labels) = (net.clone(), x.clone(), labels.clone());
         let mut ctx = ParallelCtx::new(&net, threads).unwrap().with_shards(3);
+        assert_eq!(ctx.shards(), 3);
         let mut opt = Optimizer::new(Method::Sgd);
         for _ in 0..4 {
             train_step_parallel(&mut ctx, &mut net, &mut opt, &x, &labels, 0.1).unwrap();

@@ -13,8 +13,8 @@ use crate::tensor::Tensor;
 const BLOCK: usize = 32;
 
 /// The pre-packing cache-blocked i-k-j kernel, kept as the correctness
-/// oracle for the packed GEMM's shape-grid tests and as the baseline the
-/// `step_cost` bench compares against.
+/// oracle for the packed GEMM's shape-grid tests and as the `reference`
+/// rows of the `gemm_shapes` bench.
 ///
 /// # Errors
 ///

@@ -143,32 +143,8 @@ HERO_TRACE=1 HERO_TRACE_RUN=spectrum \
   --scale 0.2 --epochs 2 --steps 6 --probes 2 \
   --out results/SPECTRUM_resnet_c10.json
 
-echo "==> spectrum probe cost (spectrum_cost --quick)"
-HERO_BENCH_OUT="$PWD/results/BENCH_spectrum.json" \
-  cargo bench -p hero-bench --bench spectrum_cost -- --quick
-
-echo "==> bench smoke (step_cost --quick, HERO_THREADS=1 vs 4)"
-mkdir -p results
-# HERO_BENCH_OUT is resolved in the bench executable's working directory
-# (the crate dir under cargo), so pass absolute paths.
-HERO_THREADS=1 HERO_BENCH_OUT="$PWD/results/BENCH_step_t1.json" \
-  cargo bench -p hero-bench --bench step_cost -- --quick
-HERO_THREADS=4 HERO_BENCH_OUT="$PWD/results/BENCH_step_t4.json" \
-  cargo bench -p hero-bench --bench step_cost -- --quick
-# Keep the canonical artifact name pointing at the single-worker run.
-cp results/BENCH_step_t1.json results/BENCH_step.json
-# Diff the per-step cost rows between the two worker counts into an
-# artifact so CI surfaces the parallel step cost next to the serial one.
-grep '"name": "step_' results/BENCH_step_t1.json > results/.steps_t1 || true
-grep '"name": "step_' results/BENCH_step_t4.json > results/.steps_t4 || true
-diff -u results/.steps_t1 results/.steps_t4 > results/BENCH_step_threads.diff || true
-rm -f results/.steps_t1 results/.steps_t4
-echo "step-cost rows (1 thread vs 4 threads):"
-cat results/BENCH_step_threads.diff
-
 echo "==> GEMM kernel sweep (gemm_shapes --quick, GFLOP/s per variant)"
-HERO_BENCH_OUT="$PWD/results/BENCH_gemm.json" \
-  cargo bench -p hero-bench --bench gemm_shapes -- --quick
+cargo bench -p hero-bench --bench gemm_shapes -- --quick
 # Tabulate GFLOP/s per shape across kernel variants (reference / scalar /
 # avx2fma), then per preset conv layer across the direct kernels (forward
 # / dW / dX), then µs and GB/s per batch-norm layer and the pool lease
@@ -224,18 +200,35 @@ awk -F'"' '
 ' results/BENCH_gemm.json > results/BENCH_gemm_gflops.txt
 cat results/BENCH_gemm_gflops.txt
 
-echo "==> observability overhead gate (disabled tracer vs obs-off build)"
-on_json="$(mktemp)"
-off_json="$(mktemp)"
-trap 'rm -f "$on_json" "$off_json"' EXIT
-HERO_BENCH_OUT="$on_json" cargo bench -p hero-bench --bench overhead
-HERO_BENCH_OUT="$off_json" cargo bench -p hero-bench --features obs-off --bench overhead
-on_ns="$(grep overhead_step_HERO "$on_json" | sed 's/.*"ns_per_iter": \([0-9.eE+-]*\).*/\1/')"
-off_ns="$(grep overhead_step_HERO "$off_json" | sed 's/.*"ns_per_iter": \([0-9.eE+-]*\).*/\1/')"
-awk -v on="$on_ns" -v off="$off_ns" 'BEGIN {
-  ratio = on / off
-  printf "overhead_step_HERO: instrumented %.3f ms/iter, obs-off %.3f ms/iter (ratio %.4f)\n", on / 1e6, off / 1e6, ratio
-  if (ratio > 1.03) { print "FAIL: disabled instrumentation costs more than 3%"; exit 1 }
+echo "==> observability overhead gate (disabled tracer vs obs-off build, interleaved pairs)"
+# One run's HERO step follows host load by more than the 3% bound, so the
+# default and obs-off builds run alternately in 31 short (--quick) pairs,
+# the first binary alternating between pairs, and the gate judges the
+# median pair ratio. Short runs keep a pair's two halves close in time.
+overhead_exe() {
+  cargo bench -p hero-bench --bench overhead --no-run "$@" 2>&1 |
+    sed -n 's/.*Executable .*(\(.*\))$/\1/p'
+}
+on_exe="$(overhead_exe)"
+off_exe="$(overhead_exe --features obs-off)"
+out_dir="$(mktemp -d)"
+trap 'rm -rf "$out_dir"' EXIT
+step_ns() { sed -n 's/.*"overhead_step_HERO".*"ns_per_iter": \([0-9.eE+-]*\).*/\1/p' "$1"; }
+for pair in $(seq 31); do
+  if ((pair % 2)); then sides="on off"; else sides="off on"; fi
+  for side in $sides; do
+    exe="$on_exe"
+    if [ "$side" = off ]; then exe="$off_exe"; fi
+    HERO_BENCH_OUT="$out_dir/$side.json" "$exe" --bench --quick >/dev/null
+  done
+  awk -v pair="$pair" -v first="${sides%% *}" -v on="$(step_ns "$out_dir/on.json")" \
+    -v off="$(step_ns "$out_dir/off.json")" 'BEGIN {
+    printf "pair %d (%s first): instrumented %.3f ms/iter, obs-off %.3f ms/iter, ratio %.4f\n",
+      pair, first, on / 1e6, off / 1e6, on / off }'
+done | tee "$out_dir/pairs.txt"
+sed 's/.*ratio //' "$out_dir/pairs.txt" | sort -g | awk '{ r[NR] = $1 } END {
+  printf "overhead_step_HERO: median pair ratio %.4f over %d pairs\n", r[(NR + 1) / 2], NR
+  if (r[(NR + 1) / 2] > 1.03) { print "FAIL: disabled instrumentation costs more than 3%"; exit 1 }
 }'
 
 echo "verify.sh: all gates passed"
