@@ -408,18 +408,16 @@ fn logit_hash(t: &hero_tensor::Tensor) -> u64 {
 /// the decoded golden ResNet and for seeded C10 MobileNet and VGG whose
 /// batch-norm running statistics were moved off their defaults by one
 /// train-mode pass, so the eval-mode BN broadcasts, depthwise kernel and
-/// pooling paths are all covered. Scalar GEMM only, like the byte-pin.
+/// pooling paths are all covered. Each GEMM kernel rounds one way, so
+/// each has its own table.
 #[test]
 fn eval_logits_are_pinned() {
     use hero_core::experiment::model_config;
     use hero_data::Preset;
     use hero_nn::models::ModelKind;
     use hero_tensor::rng::StdRng;
+    use hero_tensor::GemmKernel;
 
-    if std::env::var("HERO_NO_SIMD").is_err() {
-        eprintln!("skipping eval-logit pin: HERO_NO_SIMD not set (SIMD kernels differ bitwise)");
-        return;
-    }
     let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/c10_resnet_hero_smoke.ha");
     let committed = std::fs::read(&golden_path).unwrap();
@@ -439,10 +437,17 @@ fn eval_logits_are_pinned() {
         hero_nn::loss_and_grads(&mut net, &train_set.images, &train_set.labels).unwrap();
         hashes.push((name, logit_hash(&net.predict(&test_set.images).unwrap())));
     }
-    let expected = [
-        ("golden resnet", 14_023_885_289_347_422_372u64),
-        ("seeded mobilenet", 13_119_541_775_662_744_133u64),
-        ("seeded vgg", 8_477_554_826_185_836_743u64),
-    ];
+    let expected = match hero_tensor::active_gemm_kernel() {
+        GemmKernel::Scalar => [
+            ("golden resnet", 14_023_885_289_347_422_372u64),
+            ("seeded mobilenet", 13_119_541_775_662_744_133u64),
+            ("seeded vgg", 8_477_554_826_185_836_743u64),
+        ],
+        GemmKernel::Avx2Fma => [
+            ("golden resnet", 16_965_550_597_281_842_274u64),
+            ("seeded mobilenet", 8_093_755_523_341_453_577u64),
+            ("seeded vgg", 9_924_324_883_538_834_119u64),
+        ],
+    };
     assert_eq!(hashes, expected, "eval-mode logits changed bitwise");
 }
