@@ -6,7 +6,8 @@
 //! products the im2col lowering expresses as GEMMs — forward `W·cols`, dW
 //! `dY·colsᵀ`, dX `col2im(Wᵀ·dY)` — with the packed GEMM's rounding, so
 //! every output is bitwise identical to that lowering under either
-//! [`GemmKernel`]:
+//! [`GemmKernel`](crate::GemmKernel) — both run on the lanes of
+//! [`crate::ops::lanes`]:
 //!
 //! * **Chains.** A forward or dW output element is one chain per `KC`
 //!   block of its reduction (the `C·k·k` taps for forward, the `N·oh·ow`
@@ -43,14 +44,12 @@
 //! the running thread's pool.
 
 use crate::error::{Result, TensorError};
-use crate::ops::gemm::{GemmKernel, Product, SharedOut, KC};
+use crate::ops::gemm::{Product, SharedOut, KC};
 use crate::ops::im2col::ConvGeometry;
+use crate::ops::lanes::{execute, Lanes, Pass, LANES};
 use crate::pool;
 use crate::tensor::Tensor;
 
-/// Vector width of every tile: output channels or output sites per
-/// `f32x8`.
-const LANES: usize = 8;
 /// Taps per dW tile: twelve `f32x8` accumulators, the `dY` lanes and one
 /// broadcast fit the sixteen ymm registers.
 const DW_TAPS: usize = 12;
@@ -66,163 +65,6 @@ const FWD_SITES: usize = FWD_TILES * LANES;
 /// (evaluation) batches run in chunks, so the folded copy and grid scratch
 /// stay the size a training step leases.
 const FOLD_IMAGES: usize = 32;
-
-/// `LANES` accumulation chains side by side, stepped the way one GEMM
-/// kernel rounds: the kernels' one generic body runs on either type.
-trait Lanes: Copy {
-    fn zero() -> Self;
-    fn splat(v: f32) -> Self;
-    /// The first `LANES` values of `src`.
-    fn load(src: &[f32]) -> Self;
-    /// Writes the lanes to the first `LANES` values of `dst`.
-    fn store(self, dst: &mut [f32]);
-    /// `self + a·b` in every lane, rounded as the kernel rounds.
-    fn mul_add(self, a: Self, b: Self) -> Self;
-    /// `self + b` in every lane.
-    fn add(self, b: Self) -> Self;
-    /// The bitwise AND of every lane with `mask`.
-    fn and(self, mask: Self) -> Self;
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; LANES] {
-        let mut out = [0.0; LANES];
-        self.store(&mut out);
-        out
-    }
-}
-
-/// [`GemmKernel::Scalar`]: a rounded product, then a rounded sum.
-impl Lanes for [f32; LANES] {
-    #[inline(always)]
-    fn zero() -> Self {
-        [0.0; LANES]
-    }
-
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        [v; LANES]
-    }
-
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        let mut out = [0.0; LANES];
-        out.copy_from_slice(&src[..LANES]);
-        out
-    }
-
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        dst[..LANES].copy_from_slice(&self);
-    }
-
-    #[inline(always)]
-    fn mul_add(mut self, a: Self, b: Self) -> Self {
-        for ((s, a), b) in self.iter_mut().zip(a).zip(b) {
-            *s += a * b;
-        }
-        self
-    }
-
-    #[inline(always)]
-    fn add(mut self, b: Self) -> Self {
-        for (s, b) in self.iter_mut().zip(b) {
-            *s += b;
-        }
-        self
-    }
-
-    #[inline(always)]
-    fn and(mut self, mask: Self) -> Self {
-        for (s, m) in self.iter_mut().zip(mask) {
-            *s = f32::from_bits(s.to_bits() & m.to_bits());
-        }
-        self
-    }
-}
-
-/// [`GemmKernel::Avx2Fma`]: one fused multiply-add per lane
-/// (`vfmadd231ps`), the AVX2 GEMM micro-kernel's rounding. Only ever
-/// instantiated inside [`run_fused`], on a CPU with AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-impl Lanes for std::arch::x86_64::__m256 {
-    #[inline(always)]
-    fn zero() -> Self {
-        // SAFETY: only reached from `run_fused`, which requires AVX.
-        unsafe { std::arch::x86_64::_mm256_setzero_ps() }
-    }
-
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        // SAFETY: as for `zero`.
-        unsafe { std::arch::x86_64::_mm256_set1_ps(v) }
-    }
-
-    #[inline(always)]
-    fn load(src: &[f32]) -> Self {
-        let src = &src[..LANES];
-        // SAFETY: `src` holds `LANES` floats; AVX as for `zero`.
-        unsafe { std::arch::x86_64::_mm256_loadu_ps(src.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn store(self, dst: &mut [f32]) {
-        let dst = &mut dst[..LANES];
-        // SAFETY: `dst` holds `LANES` floats; AVX as for `zero`.
-        unsafe { std::arch::x86_64::_mm256_storeu_ps(dst.as_mut_ptr(), self) };
-    }
-
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        // SAFETY: FMA as for `zero`: `run_fused` requires it.
-        unsafe { std::arch::x86_64::_mm256_fmadd_ps(a, b, self) }
-    }
-
-    #[inline(always)]
-    fn add(self, b: Self) -> Self {
-        // SAFETY: as for `zero`.
-        unsafe { std::arch::x86_64::_mm256_add_ps(self, b) }
-    }
-
-    #[inline(always)]
-    fn and(self, mask: Self) -> Self {
-        // SAFETY: as for `zero`.
-        unsafe { std::arch::x86_64::_mm256_and_ps(self, mask) }
-    }
-}
-
-/// One kernel's work over a range of independent items.
-trait Pass: Sync {
-    /// Runs items `lo..hi` on lanes `V`.
-    fn run<V: Lanes>(&self, lo: usize, hi: usize);
-}
-
-/// Runs `items` of `pass` on `product`'s kernel, split over the worker
-/// pool as the product decides.
-fn execute<P: Pass>(product: &Product, pass: &P, items: usize) {
-    let kernel = product.kernel;
-    product.split(items, &|lo, hi| match kernel {
-        GemmKernel::Scalar => pass.run::<[f32; LANES]>(lo, hi),
-        // SAFETY: `active_gemm_kernel` only reports `Avx2Fma` on a CPU with
-        // AVX2 and FMA.
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2Fma => unsafe { run_fused(pass, lo, hi) },
-        #[cfg(not(target_arch = "x86_64"))]
-        GemmKernel::Avx2Fma => unreachable!("SIMD kernel on non-x86_64"),
-    });
-}
-
-/// [`Pass::run`] on `__m256` lanes, compiled for AVX2+FMA so every chain
-/// step is one `vfmadd231ps` and the tiles live in ymm registers (the pass
-/// bodies are `#[inline(always)]` so they inherit these features).
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_fused<P: Pass>(pass: &P, lo: usize, hi: usize) {
-    pass.run::<std::arch::x86_64::__m256>(lo, hi);
-}
 
 /// Shapes of one convolution over a batch and of its folded layout.
 #[derive(Debug, Clone, Copy)]

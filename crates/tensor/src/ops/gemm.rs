@@ -1,4 +1,4 @@
-//! Packed register-blocked GEMM: explicit-SIMD micro-kernels and a
+//! Packed register-blocked GEMM: one lane-generic micro-kernel and a
 //! multicore macro-kernel.
 //!
 //! All matmul variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) route through one [`gemm`]
@@ -12,14 +12,15 @@
 //!   block of A is repacked into MR-row strips (`strip·kc·MR + kk·MR + r`)
 //!   and a block of B into NR-column strips (`strip·kc·NR + kk·NR + j`),
 //!   both zero-padded to full strip width.
-//! * **Micro-kernels** — two variants behind runtime feature detection
-//!   ([`GemmKernel`]): a portable scalar 4×8 kernel (auto-vectorized,
-//!   k-loop unrolled 4×, plain mul+add so its sums are bitwise identical
-//!   to [`crate::matmul_reference`]'s ascending-k order), and an AVX2/FMA
-//!   6×16 kernel holding twelve `f32x8` accumulators in the ymm register
-//!   file. The FMA kernel fuses each multiply-add rounding step, so it is
-//!   *not* bitwise identical to the scalar kernel — see the tolerance
-//!   contract in `crates/tensor/tests/gemm_kernels.rs`.
+//! * **Micro-kernel** — one 6×16 register tile for both [`GemmKernel`]s,
+//!   written once over the lanes of [`crate::ops::lanes`]: twelve
+//!   `f32x8` accumulators, each packed k-step broadcasting six A values
+//!   against two B vectors. The lanes are the only place that encodes
+//!   rounding: plain mul+add under `Scalar` (within a KC block the
+//!   ascending-k order of [`crate::matmul_reference`]), one fused
+//!   multiply-add per step under `Avx2Fma`. Every C element is one chain
+//!   per KC block, started from zero and added into C in block order —
+//!   see the bitwise contracts in `crates/tensor/tests/gemm_kernels.rs`.
 //! * **Blocking** — loops are ordered jc → pc → ic → jr → ir with cache
 //!   blocks NC/KC/MC, so the B panel stays in L2/L3 across the ic loop and
 //!   each A strip stays in L1 across the jr loop (the BLIS / GotoBLAS
@@ -38,34 +39,26 @@
 //! steady-state training step performs no fresh pack allocations — on the
 //! calling thread and on every GEMM worker alike.
 
+use crate::ops::lanes::{dispatch, Lanes, Pass, LANES};
 use crate::pool;
 use crate::workers::{Job, WorkerPool};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
 
-/// Scalar micro-kernel rows: C rows accumulated per inner call.
-pub(crate) const MR: usize = 4;
-/// Scalar micro-kernel columns: C columns accumulated per inner call.
-pub(crate) const NR: usize = 8;
+/// Micro-tile rows: six broadcast A values against two B vectors give
+/// twelve accumulators (+ 1 broadcast + 2 B loads = 15 of the 16 ymm
+/// registers under AVX2).
+const MR: usize = 6;
+/// Micro-tile columns: two lane vectors.
+const NR: usize = 2 * LANES;
 /// Reduction-dimension cache block (sizes the packed panels). Every C
 /// element is the sum of one chain per block, each started from zero, so
 /// this constant is part of the rounding the convolution kernels match.
 pub(crate) const KC: usize = 256;
-/// Row cache block for the scalar kernel — a multiple of `MR`.
-const MC: usize = 128;
-/// Column cache block for the scalar kernel — a multiple of `NR`.
+/// Row cache block — a multiple of `MR`.
+const MC: usize = 126;
+/// Column cache block — a multiple of `NR`.
 const NC: usize = 512;
-
-/// AVX2 micro-kernel rows: six broadcast lanes fill the ymm file
-/// (6 rows × 2 column registers = 12 accumulators + 1 broadcast + 2 B
-/// loads = 15 of 16 registers).
-const SIMD_MR: usize = 6;
-/// AVX2 micro-kernel columns: two `f32x8` lanes.
-const SIMD_NR: usize = 16;
-/// Row cache block for the AVX2 kernel — a multiple of `SIMD_MR`.
-const SIMD_MC: usize = 126;
-/// Column cache block for the AVX2 kernel — a multiple of `SIMD_NR`.
-const SIMD_NC: usize = 512;
 
 /// Minimum `2·m·n·k` flop count before a product considers fanning out to
 /// the worker pool; below this the scatter/join round trip costs more
@@ -75,12 +68,13 @@ const PAR_MIN_FLOPS: u64 = 4 << 20;
 /// Which micro-kernel the GEMM dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Portable 4×8 kernel: plain mul+add, auto-vectorized. Bitwise
-    /// identical to [`crate::matmul_reference`] for the same operands.
+    /// Portable lanes: plain mul+add, auto-vectorized. Within a KC block
+    /// of the reduction, bitwise identical to [`crate::matmul_reference`]
+    /// for the same operands.
     Scalar,
-    /// x86-64 6×16 kernel built on `_mm256_fmadd_ps`; requires AVX2+FMA
-    /// at runtime. Fused rounding makes it differ from `Scalar` by a few
-    /// ULP per dot product.
+    /// x86-64 lanes of fused multiply-adds (`vfmadd231ps`); requires
+    /// AVX2+FMA at runtime. Fused rounding makes it differ from `Scalar`
+    /// by a few ULP per dot product.
     Avx2Fma,
 }
 
@@ -101,37 +95,9 @@ impl GemmKernel {
             GemmKernel::Avx2Fma => "gemm_simd",
         }
     }
-
-    fn mr(self) -> usize {
-        match self {
-            GemmKernel::Scalar => MR,
-            GemmKernel::Avx2Fma => SIMD_MR,
-        }
-    }
-
-    fn nr(self) -> usize {
-        match self {
-            GemmKernel::Scalar => NR,
-            GemmKernel::Avx2Fma => SIMD_NR,
-        }
-    }
-
-    fn mc(self) -> usize {
-        match self {
-            GemmKernel::Scalar => MC,
-            GemmKernel::Avx2Fma => SIMD_MC,
-        }
-    }
-
-    fn nc(self) -> usize {
-        match self {
-            GemmKernel::Scalar => NC,
-            GemmKernel::Avx2Fma => SIMD_NC,
-        }
-    }
 }
 
-/// True when this CPU can run the AVX2/FMA micro-kernel.
+/// True when this CPU can run the AVX2/FMA lanes.
 fn simd_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -294,7 +260,7 @@ fn round_up(v: usize, to: usize) -> usize {
     v.div_ceil(to) * to
 }
 
-/// Packs the `mc × kc` block of A at `(ic, pc)` into `mr`-row strips.
+/// Packs the `mc × kc` block of A at `(ic, pc)` into `MR`-row strips.
 ///
 /// `lda` is the leading dimension of the stored matrix (`k` for row-major
 /// A, `m` when `trans` reads the stored `k × m` matrix as Aᵀ). The final
@@ -310,30 +276,29 @@ fn pack_a(
     mc: usize,
     pc: usize,
     kc: usize,
-    mr: usize,
 ) {
-    let strips = mc.div_ceil(mr);
+    let strips = mc.div_ceil(MR);
     for s in 0..strips {
-        let base = s * kc * mr;
-        let rows = mr.min(mc - s * mr);
+        let base = s * kc * MR;
+        let rows = MR.min(mc - s * MR);
         for kk in 0..kc {
-            let at = base + kk * mr;
+            let at = base + kk * MR;
             for r in 0..rows {
-                let (gi, gk) = (ic + s * mr + r, pc + kk);
+                let (gi, gk) = (ic + s * MR + r, pc + kk);
                 dst[at + r] = if trans {
                     a[gk * lda + gi]
                 } else {
                     a[gi * lda + gk]
                 };
             }
-            for r in rows..mr {
+            for r in rows..MR {
                 dst[at + r] = 0.0;
             }
         }
     }
 }
 
-/// Packs the `kc × nc` block of B at `(pc, jc)` into `nr`-column strips
+/// Packs the `kc × nc` block of B at `(pc, jc)` into `NR`-column strips
 /// (`ldb` is `n` row-major, `k` when transposed). The final partial strip
 /// is zero-padded.
 #[allow(clippy::too_many_arguments)]
@@ -346,194 +311,100 @@ fn pack_b(
     kc: usize,
     jc: usize,
     nc: usize,
-    nr: usize,
 ) {
-    let strips = nc.div_ceil(nr);
+    let strips = nc.div_ceil(NR);
     for s in 0..strips {
-        let base = s * kc * nr;
-        let cols = nr.min(nc - s * nr);
+        let base = s * kc * NR;
+        let cols = NR.min(nc - s * NR);
         for kk in 0..kc {
-            let at = base + kk * nr;
+            let at = base + kk * NR;
             let gk = pc + kk;
             for j in 0..cols {
-                let gj = jc + s * nr + j;
+                let gj = jc + s * NR + j;
                 dst[at + j] = if trans {
                     b[gj * ldb + gk]
                 } else {
                     b[gk * ldb + gj]
                 };
             }
-            for j in cols..nr {
+            for j in cols..NR {
                 dst[at + j] = 0.0;
             }
         }
     }
 }
 
-/// The scalar MR×NR register-blocked inner kernel: accumulates
-/// `Ap · Bp` over `kc` packed k-steps (unrolled 4×) and adds the valid
-/// `mr × nr` corner into C. Plain mul+add in ascending-k order — the
-/// summation order [`crate::matmul_reference`] uses — so scalar GEMM is
-/// bitwise identical to the reference kernel.
-///
-/// # Safety
-///
-/// `c` must be valid for reads and writes at `r * ldc + j` for every
-/// `r < mr`, `j < nr`.
-unsafe fn micro_kernel_scalar(
+/// The micro-tiles of one packed B strip: item `s` is A strip `s` of the
+/// packed block against the strip, added into the `mc × nr` corner of C
+/// at `c`.
+struct Tiles<'a> {
     kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: *mut f32,
+    /// The packed A block, `kc·MR` per strip.
+    ap: &'a [f32],
+    /// One packed B strip, `kc·NR`.
+    bp: &'a [f32],
+    c: SharedOut,
     ldc: usize,
-    mr: usize,
+    mc: usize,
     nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    accumulate_scalar(kc, ap, bp, &mut acc);
-    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        for (j, &v) in acc_row.iter().enumerate().take(nr) {
-            *c.add(r * ldc + j) += v;
-        }
-    }
 }
 
-/// The accumulate loop of the scalar kernel, split out as a safe
-/// slice-only function: with `&mut acc` the sole mutable reference LLVM
-/// promotes the whole 4×8 tile to SSE registers and vectorizes each row
-/// update — folding it into the pointer-writeback caller demonstrably
-/// regresses codegen to shuffle-and-spill (~3× slower).
-#[inline(never)]
-fn accumulate_scalar(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let mut kk = 0;
-    while kk + 4 <= kc {
-        for u in 0..4 {
-            let a = &ap[(kk + u) * MR..(kk + u) * MR + MR];
-            let b = &bp[(kk + u) * NR..(kk + u) * NR + NR];
-            for r in 0..MR {
-                let ar = a[r];
-                for j in 0..NR {
-                    acc[r][j] += ar * b[j];
-                }
-            }
-        }
-        kk += 4;
-    }
-    while kk < kc {
-        let a = &ap[kk * MR..kk * MR + MR];
-        let b = &bp[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let ar = a[r];
-            for j in 0..NR {
-                acc[r][j] += ar * b[j];
-            }
-        }
-        kk += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! The AVX2/FMA 6×16 micro-kernel. Each packed k-step loads two
-    //! `f32x8` B registers, broadcasts each of the six A lanes, and issues
-    //! twelve `vfmadd231ps` — 192 flops per iteration from 15 of the 16
-    //! ymm registers. Full tiles stream through `loadu`/`add`/`storeu`;
-    //! partial edge tiles spill the accumulators to a stack tile and add
-    //! element-wise, which rounds identically (`vaddps` lane add ≡ scalar
-    //! `+`), so edge handling never changes results.
-
-    use super::{SIMD_MR, SIMD_NR};
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA. `ap` must hold at least
-    /// `kc * SIMD_MR` packed elements and `bp` at least `kc * SIMD_NR`.
-    /// `c` must be valid for reads and writes at `r * ldc + j` for every
-    /// `r < mr`, `j < nr` — and, when `mr == SIMD_MR && nr == SIMD_NR`,
-    /// for the full contiguous 16-wide rows the vector stores touch.
-    #[allow(clippy::missing_safety_doc)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn micro_kernel(
-        kc: usize,
-        ap: &[f32],
-        bp: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        debug_assert!(ap.len() >= kc * SIMD_MR);
-        debug_assert!(bp.len() >= kc * SIMD_NR);
-        let mut acc = [[_mm256_setzero_ps(); 2]; SIMD_MR];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // k unrolled 2×: halves the loop overhead without touching the
-        // per-accumulator FMA chain, so results are identical to the
-        // rolled loop (each acc register still sees the same ascending-k
-        // sequence of fused multiply-adds).
-        for _ in 0..kc / 2 {
-            let b0 = _mm256_loadu_ps(b);
-            let b1 = _mm256_loadu_ps(b.add(8));
-            for (r, lanes) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*a.add(r));
-                lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
-                lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
-            }
-            let b2 = _mm256_loadu_ps(b.add(SIMD_NR));
-            let b3 = _mm256_loadu_ps(b.add(SIMD_NR + 8));
-            for (r, lanes) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*a.add(SIMD_MR + r));
-                lanes[0] = _mm256_fmadd_ps(av, b2, lanes[0]);
-                lanes[1] = _mm256_fmadd_ps(av, b3, lanes[1]);
-            }
-            a = a.add(2 * SIMD_MR);
-            b = b.add(2 * SIMD_NR);
-        }
-        if kc % 2 == 1 {
-            let b0 = _mm256_loadu_ps(b);
-            let b1 = _mm256_loadu_ps(b.add(8));
-            for (r, lanes) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*a.add(r));
-                lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
-                lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
-            }
-        }
-        if mr == SIMD_MR && nr == SIMD_NR {
-            for (r, lanes) in acc.iter().enumerate() {
-                let crow = c.add(r * ldc);
-                _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), lanes[0]));
-                let chigh = crow.add(8);
-                _mm256_storeu_ps(chigh, _mm256_add_ps(_mm256_loadu_ps(chigh), lanes[1]));
-            }
-        } else {
-            let mut tile = [0.0f32; SIMD_MR * SIMD_NR];
-            for (r, lanes) in acc.iter().enumerate() {
-                _mm256_storeu_ps(tile.as_mut_ptr().add(r * SIMD_NR), lanes[0]);
-                _mm256_storeu_ps(tile.as_mut_ptr().add(r * SIMD_NR + 8), lanes[1]);
-            }
-            for r in 0..mr {
-                for j in 0..nr {
-                    *c.add(r * ldc + j) += tile[r * SIMD_NR + j];
+impl Pass for Tiles<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(&self, lo: usize, hi: usize) {
+        for s in lo..hi {
+            let ap = &self.ap[s * self.kc * MR..][..self.kc * MR];
+            let acc = micro_kernel::<V>(ap, self.bp);
+            let rows = MR.min(self.mc - s * MR);
+            for (r, lanes) in acc.iter().enumerate().take(rows) {
+                // SAFETY: row `s·MR + r` of the corner lies inside C, and
+                // the caller owns these columns of it.
+                let row = unsafe { self.c.slice((s * MR + r) * self.ldc, self.nr) };
+                if self.nr == NR {
+                    for (d, &l) in row.chunks_exact_mut(LANES).zip(lanes) {
+                        V::load(d).add(l).store(d);
+                    }
+                } else {
+                    // An edge tile adds element by element, which rounds
+                    // as the lane add does.
+                    let mut tile = [0.0; NR];
+                    lanes[0].store(&mut tile);
+                    lanes[1].store(&mut tile[LANES..]);
+                    for (d, &v) in row.iter_mut().zip(&tile) {
+                        *d += v;
+                    }
                 }
             }
         }
     }
 }
 
-/// Runs the serial BLIS loop nest over C columns `[j0, j1)` with the
-/// given micro-kernel, leasing pack buffers from the *calling thread's*
-/// scratch pool (per-worker buffers in the parallel path).
+/// The MR×NR register tile of `Ap · Bp` over the packed k-steps: one
+/// chain per element, from zero, in ascending k with the lanes'
+/// multiply-add.
+#[inline(always)]
+fn micro_kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
+    let mut acc = [[V::zero(); 2]; MR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        let (b0, b1) = (V::load(b), V::load(&b[LANES..]));
+        for (lanes, &ar) in acc.iter_mut().zip(a) {
+            let av = V::splat(ar);
+            lanes[0] = lanes[0].mul_add(av, b0);
+            lanes[1] = lanes[1].mul_add(av, b1);
+        }
+    }
+    acc
+}
+
+/// Runs the serial BLIS loop nest over C columns `[j0, j1)` on `kernel`'s
+/// lanes, leasing pack buffers from the *calling thread's* scratch pool
+/// (per-worker buffers in the parallel path).
 ///
 /// # Safety
 ///
 /// `c` must point to an `m × n` row-major matrix valid for reads and
 /// writes, and no other thread may concurrently access columns
-/// `[j0, j1)` of it (callers partition columns disjointly). When the
-/// kernel is [`GemmKernel::Avx2Fma`], the CPU must support AVX2+FMA.
+/// `[j0, j1)` of it (callers partition columns disjointly).
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_range(
     kernel: GemmKernel,
@@ -544,62 +415,37 @@ unsafe fn gemm_range(
     a_trans: bool,
     b: &[f32],
     b_trans: bool,
-    c: *mut f32,
+    c: SharedOut,
     j0: usize,
     j1: usize,
 ) {
-    let (mr, nr, mc_blk, nc_blk) = (kernel.mr(), kernel.nr(), kernel.mc(), kernel.nc());
     let lda = if a_trans { m } else { k };
     let ldb = if b_trans { k } else { n };
     // Exact panel capacities so repeat leases hit the pool's free list.
     let kc_cap = KC.min(k);
-    let mut a_pack = pool::lease(round_up(m.min(mc_blk), mr) * kc_cap);
-    let mut b_pack = pool::lease(round_up((j1 - j0).min(nc_blk), nr) * kc_cap);
-    for jc in (j0..j1).step_by(nc_blk) {
-        let nc = nc_blk.min(j1 - jc);
+    let mut a_pack = pool::lease(round_up(m.min(MC), MR) * kc_cap);
+    let mut b_pack = pool::lease(round_up((j1 - j0).min(NC), NR) * kc_cap);
+    for jc in (j0..j1).step_by(NC) {
+        let nc = NC.min(j1 - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(
-                &mut b_pack[..round_up(nc, nr) * kc],
-                b,
-                b_trans,
-                ldb,
-                pc,
-                kc,
-                jc,
-                nc,
-                nr,
-            );
-            for ic in (0..m).step_by(mc_blk) {
-                let mc = mc_blk.min(m - ic);
-                pack_a(
-                    &mut a_pack[..round_up(mc, mr) * kc],
-                    a,
-                    a_trans,
-                    lda,
-                    ic,
-                    mc,
-                    pc,
-                    kc,
-                    mr,
-                );
-                for jr in (0..nc).step_by(nr) {
-                    let nrr = nr.min(nc - jr);
-                    let bp = &b_pack[(jr / nr) * kc * nr..][..kc * nr];
-                    for ir in (0..mc).step_by(mr) {
-                        let mrr = mr.min(mc - ir);
-                        let ap = &a_pack[(ir / mr) * kc * mr..][..kc * mr];
-                        let ct = c.add((ic + ir) * n + jc + jr);
-                        match kernel {
-                            GemmKernel::Scalar => {
-                                micro_kernel_scalar(kc, ap, bp, ct, n, mrr, nrr);
-                            }
-                            #[cfg(target_arch = "x86_64")]
-                            GemmKernel::Avx2Fma => avx2::micro_kernel(kc, ap, bp, ct, n, mrr, nrr),
-                            #[cfg(not(target_arch = "x86_64"))]
-                            GemmKernel::Avx2Fma => unreachable!("SIMD kernel on non-x86_64"),
-                        }
-                    }
+            let b_block = &mut b_pack[..round_up(nc, NR) * kc];
+            pack_b(b_block, b, b_trans, ldb, pc, kc, jc, nc);
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                let a_block = &mut a_pack[..round_up(mc, MR) * kc];
+                pack_a(a_block, a, a_trans, lda, ic, mc, pc, kc);
+                for (jr, bp) in (0..nc).step_by(NR).zip(b_block.chunks_exact(kc * NR)) {
+                    let tiles = Tiles {
+                        kc,
+                        ap: a_block,
+                        bp,
+                        c: SharedOut(c.ptr().add(ic * n + jc + jr)),
+                        ldc: n,
+                        mc,
+                        nr: NR.min(nc - jr),
+                    };
+                    dispatch(kernel, &tiles, 0, mc.div_ceil(MR));
                 }
             }
         }
@@ -636,14 +482,12 @@ pub(crate) fn gemm(
         return;
     };
     let kernel = product.kernel;
-    let nr = kernel.nr();
     let out = SharedOut::new(c);
     // One item per NR-wide column panel, so no packing strip straddles two
     // workers and every C element sees exactly the serial summation order.
     let panels = |p0: usize, p1: usize| {
         // SAFETY: `out` is the exclusive `m × n` slice `c` and each call
-        // owns a disjoint range of panels; the kernel came from
-        // `active_gemm_kernel`, which only reports AVX2+FMA when present.
+        // owns a disjoint range of panels.
         unsafe {
             gemm_range(
                 kernel,
@@ -654,14 +498,14 @@ pub(crate) fn gemm(
                 a_trans,
                 b,
                 b_trans,
-                out.ptr(),
-                p0 * nr,
-                (p1 * nr).min(n),
+                out,
+                p0 * NR,
+                (p1 * NR).min(n),
             );
         }
     };
-    let items = n.div_ceil(nr);
-    if n >= 2 * nr {
+    let items = n.div_ceil(NR);
+    if n >= 2 * NR {
         product.split(items, &panels);
     } else {
         panels(0, items);
@@ -792,8 +636,7 @@ mod tests {
     #[test]
     fn packed_matches_naive_across_shape_grid_and_transposes() {
         // Shapes chosen to hit every edge case: unit dims, primes straddling
-        // MR/NR (both kernels'), tall/skinny, wide, and sizes crossing the
-        // MC/NC/KC blocks.
+        // MR/NR, tall/skinny, wide, and sizes crossing the MC/NC/KC blocks.
         let shapes = [
             (1, 1, 1),
             (1, 9, 5),

@@ -6,6 +6,7 @@ pub(crate) mod conv;
 pub(crate) mod elementwise;
 pub(crate) mod gemm;
 pub(crate) mod im2col;
+pub(crate) mod lanes;
 pub(crate) mod matmul;
 pub(crate) mod norm;
 pub(crate) mod pad;

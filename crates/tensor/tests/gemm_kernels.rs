@@ -54,9 +54,9 @@ fn fill(dims: [usize; 2], salt: usize) -> Tensor {
     })
 }
 
-/// Edge-dim corpus: unit dims, MR−1/MR/MR+1 and NR−1/NR/NR+1 for both
-/// kernels' tile sizes (4×8 scalar, 6×16 AVX2), KC straddles, and
-/// tall/skinny panels that force zero-padded tails.
+/// Edge-dim corpus: unit dims, MR−1/MR/MR+1 and NR−1/NR/NR+1 around the
+/// 6×16 micro-tile both kernels share, KC straddles, and tall/skinny
+/// panels that force zero-padded tails.
 const SHAPES: [(usize, usize, usize); 14] = [
     (1, 1, 1),
     (3, 7, 2),
