@@ -58,8 +58,8 @@
 
 use hero_artifact::{Artifact, MetaValue, QuantEntry};
 use hero_core::experiment::{
-    fig1_bits, model_config, quant_sweep, run_fig2, run_fig3, run_table1, run_table1_cached,
-    run_table2, run_table3, table1_matrix, MethodKind, Scale,
+    fig1_bits, model_config, quant_sweep, run_fig2, run_fig3, run_table1, run_table2, run_table3,
+    table1_matrix, MethodKind, Scale,
 };
 use hero_core::report::{
     render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
@@ -1318,7 +1318,7 @@ fn cmd_repro(o: &Opts) -> CliResult {
     match target {
         "table1" => {
             banner("Table 1 (test accuracy)", scale);
-            let (table, _) = run_table1(&table1_matrix(), scale)?;
+            let (table, _) = run_table1(&table1_matrix(), scale, None)?;
             emit_artifact("table1", render_table1(&table));
         }
         "table2" => {
@@ -1376,10 +1376,7 @@ fn table1_and_fig1(
     cache: Option<&Path>,
     table_name: &str,
 ) -> CliResult {
-    let (table, mut models) = match cache {
-        Some(dir) => run_table1_cached(matrix, scale, dir)?,
-        None => run_table1(matrix, scale)?,
-    };
+    let (table, mut models) = run_table1(matrix, scale, cache)?;
     emit_artifact(table_name, render_table1(&table));
     let bits = fig1_bits();
     for ((preset, model), cell) in matrix.iter().zip(models.iter_mut()) {

@@ -160,43 +160,29 @@ pub fn train_cell(
     probe_every: usize,
 ) -> Result<TrainedModel> {
     let (train_set, test_set) = preset.load(scale.data);
-    train_on(
-        &train_set,
-        &test_set,
-        preset,
-        model,
-        method,
-        scale,
-        probe_every,
-    )
-}
-
-/// Like [`train_cell`] but on caller-supplied datasets (used by the
-/// noisy-label experiment).
-///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn train_on(
-    train_set: &Dataset,
-    test_set: &Dataset,
-    preset: Preset,
-    model: ModelKind,
-    method: MethodKind,
-    scale: Scale,
-    probe_every: usize,
-) -> Result<TrainedModel> {
-    let mut rng = StdRng::seed_from_u64(model_seed(preset, model));
-    let mut net = model.build(model_config(preset), &mut rng);
-    let config = TrainConfig::new(method.tuned_for(preset, model), scale.epochs(preset))
-        .with_probe_every(probe_every)
-        .with_seed(model_seed(preset, model) ^ 0x7EA7);
-    let record = train(&mut net, train_set, test_set, &config)?;
+    let (mut net, config) = cell_setup(preset, model, method, scale, probe_every);
+    let record = train(&mut net, &train_set, &test_set, &config)?;
     Ok(TrainedModel {
         net,
         record,
         method,
     })
+}
+
+/// The seeded network and training configuration of one cell.
+fn cell_setup(
+    preset: Preset,
+    model: ModelKind,
+    method: MethodKind,
+    scale: Scale,
+    probe_every: usize,
+) -> (Network, TrainConfig) {
+    let seed = model_seed(preset, model);
+    let net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
+    let config = TrainConfig::new(method.tuned_for(preset, model), scale.epochs(preset))
+        .with_probe_every(probe_every)
+        .with_seed(seed ^ 0x7EA7);
+    (net, config)
 }
 
 /// Like [`train_cell`] but backed by a directory of model artifacts: a
@@ -242,11 +228,7 @@ pub fn train_cell_cached(
         });
     }
     let (train_set, test_set) = preset.load(scale.data);
-    let mut rng = StdRng::seed_from_u64(model_seed(preset, model));
-    let mut net = model.build(model_config(preset), &mut rng);
-    let config = TrainConfig::new(method.tuned_for(preset, model), scale.epochs(preset))
-        .with_probe_every(probe_every)
-        .with_seed(model_seed(preset, model) ^ 0x7EA7);
+    let (mut net, config) = cell_setup(preset, model, method, scale, probe_every);
     let meta = crate::artifact_io::RunMeta {
         model: crate::artifact_io::ModelSpec::Kind(model),
         model_cfg: model_config(preset),
@@ -321,52 +303,17 @@ pub fn table1_matrix() -> Vec<(Preset, ModelKind)> {
 /// Runs Table 1 over the given matrix, returning the table and the trained
 /// models (reused by Fig. 1, which quantizes exactly these checkpoints).
 ///
-/// # Errors
-///
-/// Propagates training errors.
-pub fn run_table1(
-    matrix: &[(Preset, ModelKind)],
-    scale: Scale,
-) -> Result<(Table1, Vec<Vec<TrainedModel>>)> {
-    let methods = [MethodKind::Hero, MethodKind::GradL1, MethodKind::Sgd];
-    let mut rows = Vec::new();
-    let mut all_models = Vec::new();
-    for &(preset, model) in matrix {
-        let mut accs = Vec::new();
-        let mut cell_models = Vec::new();
-        for &method in &methods {
-            let trained = train_cell(preset, model, method, scale, 0)?;
-            accs.push(trained.record.final_test_acc);
-            cell_models.push(trained);
-        }
-        rows.push(Table1Row {
-            dataset: preset.paper_name(),
-            model: model.paper_name(),
-            accs,
-        });
-        all_models.push(cell_models);
-    }
-    Ok((
-        Table1 {
-            methods: methods.to_vec(),
-            rows,
-        },
-        all_models,
-    ))
-}
-
-/// Like [`run_table1`] but with every cell backed by an artifact cache
-/// directory ([`train_cell_cached`]): a fully warm cache reproduces the
-/// table (and the Fig. 1 sweeps over exactly these checkpoints) without
-/// a single training step.
+/// With a `cache` directory every cell goes through [`train_cell_cached`]:
+/// a fully warm cache reproduces the table (and the Fig. 1 sweeps over
+/// exactly these checkpoints) without a single training step.
 ///
 /// # Errors
 ///
 /// Propagates training, artifact and I/O errors.
-pub fn run_table1_cached(
+pub fn run_table1(
     matrix: &[(Preset, ModelKind)],
     scale: Scale,
-    cache_dir: &std::path::Path,
+    cache: Option<&std::path::Path>,
 ) -> Result<(Table1, Vec<Vec<TrainedModel>>)> {
     let methods = [MethodKind::Hero, MethodKind::GradL1, MethodKind::Sgd];
     let mut rows = Vec::new();
@@ -375,7 +322,10 @@ pub fn run_table1_cached(
         let mut accs = Vec::new();
         let mut cell_models = Vec::new();
         for &method in &methods {
-            let trained = train_cell_cached(preset, model, method, scale, 0, cache_dir)?;
+            let trained = match cache {
+                Some(dir) => train_cell_cached(preset, model, method, scale, 0, dir)?,
+                None => train_cell(preset, model, method, scale, 0)?,
+            };
             accs.push(trained.record.final_test_acc);
             cell_models.push(trained);
         }

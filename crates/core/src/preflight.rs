@@ -71,13 +71,6 @@ impl NoiseConfig {
         }
     }
 
-    /// Sets the certified error budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: f32) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// The width for quantizable tensor `ordinal` out of `total`.
     fn bits_for(&self, ordinal: usize, total: usize) -> Result<u8> {
         match &self.bits {

@@ -1,7 +1,7 @@
 //! Lanczos iteration over Hessian-vector products: Ritz-value estimates of
 //! the Hessian spectrum (the quadrature rule behind stochastic Lanczos
-//! quadrature), extending the single-eigenvalue power iteration to
-//! whole-spectrum summaries.
+//! quadrature): λ_max, λ_min and whole-spectrum summaries from one
+//! Krylov run.
 //!
 //! The Krylov basis is kept and every new direction is re-orthogonalized
 //! against *all* previous basis vectors (two classical Gram–Schmidt
@@ -281,6 +281,18 @@ mod tests {
         assert!((vals[1] - 3.0).abs() < 1e-4);
         assert!((weights[0] - 0.5).abs() < 1e-4);
         assert!((weights[1] - 0.5).abs() < 1e-4);
+    }
+
+    #[test]
+    fn zero_hessian_reports_zero() {
+        // Linear objective: gradient constant, Hessian zero.
+        let mut oracle =
+            |ps: &[Tensor]| Ok((ps[0].sum(), vec![Tensor::ones(ps[0].shape().clone())]));
+        let params = vec![Tensor::zeros([3])];
+        let res =
+            lanczos_spectrum(&mut oracle, &params, 3, 1e-3, &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_eq!(res.lambda_max(), 0.0);
+        assert_eq!(res.lambda_min(), 0.0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 /// A Monte-Carlo estimate annotated with its sampling uncertainty.
 ///
 /// Every stochastic curvature estimator in this crate (Hutchinson traces,
-/// SLQ moments, restarted power iteration) reports one of these instead of
-/// a bare mean, so downstream artifacts carry confidence intervals.
+/// SLQ moments and extremes) reports one of these instead of a bare mean,
+/// so downstream artifacts carry confidence intervals.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Sample mean over the probes.

@@ -74,6 +74,9 @@ pub struct StepStats {
     pub grad_evals: usize,
 }
 
+/// Step size for the finite-difference HVPs inside HERO and GRAD-L1.
+const FD_EPS: f32 = 1e-3;
+
 /// One training method bound to SGD-with-momentum state and shared
 /// hyper-parameters.
 ///
@@ -86,8 +89,6 @@ pub struct Optimizer {
     sgd: SgdState,
     /// Weight decay α (applied to entries where the decay mask is true).
     weight_decay: f32,
-    /// Step size for the finite-difference HVPs inside HERO and GRAD-L1.
-    fd_eps: f32,
     /// Reusable per-step workspaces (sized on the first step).
     scratch: StepScratch,
 }
@@ -167,7 +168,6 @@ impl Optimizer {
             method,
             sgd: SgdState::new(0.9),
             weight_decay: 1e-4,
-            fd_eps: 1e-3,
             scratch: StepScratch::default(),
         }
     }
@@ -183,13 +183,6 @@ impl Optimizer {
     #[must_use]
     pub fn with_weight_decay(mut self, alpha: f32) -> Self {
         self.weight_decay = alpha;
-        self
-    }
-
-    /// Overrides the finite-difference step used for HVPs.
-    #[must_use]
-    pub fn with_fd_eps(mut self, eps: f32) -> Self {
-        self.fd_eps = eps;
         self
     }
 
@@ -268,7 +261,7 @@ impl Optimizer {
                     params,
                     &ws.g,
                     &ws.z,
-                    self.fd_eps,
+                    FD_EPS,
                     &mut ws.fd_shift,
                     &mut ws.hvp,
                 )?;
@@ -300,7 +293,7 @@ impl Optimizer {
                     &ws.w_star,
                     &ws.g_star,
                     &ws.d,
-                    self.fd_eps,
+                    FD_EPS,
                     &mut ws.fd_shift,
                     &mut ws.hvp,
                 )?;

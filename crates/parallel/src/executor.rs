@@ -88,19 +88,6 @@ impl ParallelCtx {
         })
     }
 
-    /// Builds a context from `HERO_THREADS`; `Ok(None)` when the variable
-    /// does not select the parallel path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ParallelCtx::new`] errors (stateful-RNG networks).
-    pub fn from_env(net: &Network) -> Result<Option<Self>> {
-        match threads_from_env() {
-            0 => Ok(None),
-            t => ParallelCtx::new(net, t).map(Some),
-        }
-    }
-
     /// Builder: overrides the shard count. Changing it changes the f32
     /// result (a different reduction tree), so every run being compared
     /// must use the same value.

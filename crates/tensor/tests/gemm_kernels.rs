@@ -133,7 +133,11 @@ fn chain_model(a: &Tensor, b: &Tensor, fused: bool) -> Vec<f32> {
                 let mut chain = 0.0f32;
                 for kk in k0..(k0 + KC).min(k) {
                     let (x, y) = (a[i * k + kk], b[kk * n + j]);
-                    chain = if fused { x.mul_add(y, chain) } else { chain + x * y };
+                    chain = if fused {
+                        x.mul_add(y, chain)
+                    } else {
+                        chain + x * y
+                    };
                 }
                 c[i * n + j] += chain;
             }

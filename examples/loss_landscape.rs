@@ -11,7 +11,7 @@
 use hero_core::experiment::{landscape_scan, model_config, MethodKind, Scale, TrainedModel};
 use hero_core::{train, TrainConfig};
 use hero_data::Preset;
-use hero_hessian::{power_iteration, BoundInputs, PowerIterConfig};
+use hero_hessian::{lanczos_spectrum, BoundInputs};
 use hero_landscape::{probe_robustness, PerturbNorm};
 use hero_nn::models::ModelKind;
 use hero_optim::BatchOracle;
@@ -82,28 +82,19 @@ fn main() -> Result<(), TensorError> {
         // (3) Theorem 3 bounds from measured gradient/curvature.
         let mut grad_oracle = BatchOracle::new(&mut trained.net, &images, &labels);
         let (_, grads) = hero_hessian::GradOracle::grad(&mut grad_oracle, &params)?;
-        let eig = power_iteration(
-            &mut grad_oracle,
-            &params,
-            PowerIterConfig {
-                max_iters: 10,
-                tol: 1e-2,
-                eps: 1e-3,
-                restarts: 1,
-                seed: 17,
-            },
-        )?;
+        let mut eig_rng = StdRng::seed_from_u64(17);
+        let eig = lanczos_spectrum(&mut grad_oracle, &params, 10, 1e-3, &mut eig_rng)?;
         let nonzeros: usize = params.iter().map(|p| p.norm_l0()).sum();
         let bounds = BoundInputs {
             grad_l2: global_norm_l2(&grads),
             grad_l1: global_norm_l1(&grads),
-            eigenvalue: eig.lambda(),
+            eigenvalue: eig.lambda_max(),
             nonzeros,
             tolerance: 0.1,
         };
         println!(
             "theorem 3: λ_max≈{:.2}; ‖δ*‖₂ ≥ {:.4}; ‖δ*‖∞ ≥ {:.6} (safe Δ ≤ {:.6})\n",
-            eig.lambda(),
+            eig.lambda_max(),
             bounds.l2_bound(),
             bounds.linf_bound(),
             bounds.max_safe_bin_width()

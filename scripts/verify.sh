@@ -17,6 +17,12 @@ HERO_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -q (HERO_NO_SIMD=1: portable scalar GEMM kernel)"
 HERO_NO_SIMD=1 cargo test -q --workspace
 
+echo "==> GEMM kernel corpus (release: the shipped micro-kernel build)"
+# Both kernels run one lane-generic micro-kernel that the AVX2 path gets
+# only by inlining under #[target_feature]; the release build is the one
+# that ships, so its rounding is checked bit for bit here too.
+cargo test --release -p hero-tensor --test gemm_kernels
+
 echo "==> conv kernel sweep (release: seeded geometries up to batch 64)"
 # The debug-build conv corpus keeps its seeded cases small, so no seeded
 # case reaches a long folded grid or the worker pool's threshold; the
