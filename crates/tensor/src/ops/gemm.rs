@@ -381,19 +381,31 @@ impl Pass for Tiles<'_> {
 
 /// The MR×NR register tile of `Ap · Bp` over the packed k-steps: one
 /// chain per element, from zero, in ascending k with the lanes'
-/// multiply-add.
+/// multiply-add. k is unrolled 2×, which halves the loop overhead and
+/// leaves every chain's order as it is.
 #[inline(always)]
 fn micro_kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
     let mut acc = [[V::zero(); 2]; MR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let (b0, b1) = (V::load(b), V::load(&b[LANES..]));
-        for (lanes, &ar) in acc.iter_mut().zip(a) {
-            let av = V::splat(ar);
-            lanes[0] = lanes[0].mul_add(av, b0);
-            lanes[1] = lanes[1].mul_add(av, b1);
-        }
+    let (mut a2, mut b2) = (ap.chunks_exact(2 * MR), bp.chunks_exact(2 * NR));
+    for (a, b) in (&mut a2).zip(&mut b2) {
+        k_step(&mut acc, &a[..MR], &b[..NR]);
+        k_step(&mut acc, &a[MR..], &b[NR..]);
+    }
+    if !a2.remainder().is_empty() {
+        k_step(&mut acc, a2.remainder(), b2.remainder());
     }
     acc
+}
+
+/// One packed k-step: six A broadcasts against the two B vectors.
+#[inline(always)]
+fn k_step<V: Lanes>(acc: &mut [[V; 2]; MR], a: &[f32], b: &[f32]) {
+    let (b0, b1) = (V::load(b), V::load(&b[LANES..]));
+    for (lanes, &ar) in acc.iter_mut().zip(&a[..MR]) {
+        let av = V::splat(ar);
+        lanes[0] = lanes[0].mul_add(av, b0);
+        lanes[1] = lanes[1].mul_add(av, b1);
+    }
 }
 
 /// Runs the serial BLIS loop nest over C columns `[j0, j1)` on `kernel`'s
@@ -404,7 +416,8 @@ fn micro_kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
 ///
 /// `c` must point to an `m × n` row-major matrix valid for reads and
 /// writes, and no other thread may concurrently access columns
-/// `[j0, j1)` of it (callers partition columns disjointly).
+/// `[j0, j1)` of it (callers partition columns disjointly). When the
+/// kernel is [`GemmKernel::Avx2Fma`], the CPU must support AVX2+FMA.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_range(
     kernel: GemmKernel,
@@ -487,7 +500,8 @@ pub(crate) fn gemm(
     // workers and every C element sees exactly the serial summation order.
     let panels = |p0: usize, p1: usize| {
         // SAFETY: `out` is the exclusive `m × n` slice `c` and each call
-        // owns a disjoint range of panels.
+        // owns a disjoint range of panels; the kernel came from
+        // `active_gemm_kernel`, which only reports AVX2+FMA when present.
         unsafe {
             gemm_range(
                 kernel,

@@ -145,14 +145,17 @@ pub(crate) trait Pass: Sync {
 }
 
 /// Runs items `lo..hi` of `pass` on `kernel`'s lanes.
+///
+/// # Safety
+///
+/// `kernel` may be [`GemmKernel::Avx2Fma`] only on a CPU with AVX2 and
+/// FMA, as every kernel [`crate::active_gemm_kernel`] reports is.
 #[inline(always)]
-pub(crate) fn dispatch<P: Pass>(kernel: GemmKernel, pass: &P, lo: usize, hi: usize) {
+pub(crate) unsafe fn dispatch<P: Pass>(kernel: GemmKernel, pass: &P, lo: usize, hi: usize) {
     match kernel {
         GemmKernel::Scalar => pass.run::<[f32; LANES]>(lo, hi),
-        // SAFETY: `active_gemm_kernel` only reports `Avx2Fma` on a CPU with
-        // AVX2 and FMA, and every product's kernel comes from it.
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2Fma => unsafe { run_fused(pass, lo, hi) },
+        GemmKernel::Avx2Fma => run_fused(pass, lo, hi),
         #[cfg(not(target_arch = "x86_64"))]
         GemmKernel::Avx2Fma => unreachable!("SIMD kernel on non-x86_64"),
     }
@@ -162,7 +165,8 @@ pub(crate) fn dispatch<P: Pass>(kernel: GemmKernel, pass: &P, lo: usize, hi: usi
 /// pool as the product decides.
 pub(crate) fn execute<P: Pass>(product: &Product, pass: &P, items: usize) {
     let kernel = product.kernel;
-    product.split(items, &|lo, hi| dispatch(kernel, pass, lo, hi));
+    // SAFETY: a product's kernel comes from `active_gemm_kernel`.
+    product.split(items, &|lo, hi| unsafe { dispatch(kernel, pass, lo, hi) });
 }
 
 /// [`Pass::run`] on `__m256` lanes, compiled for AVX2+FMA so every chain
