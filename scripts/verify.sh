@@ -149,6 +149,17 @@ HERO_TRACE=1 HERO_TRACE_RUN=spectrum \
   --scale 0.2 --epochs 2 --steps 6 --probes 2 \
   --out results/SPECTRUM_resnet_c10.json
 
+echo "==> regenerated spectrum artifact matches the committed one"
+# The spectrum document is deterministic (a traced run writes the same
+# bytes as an untraced one), so a change that alters it must commit the
+# regenerated file. Like results/analyze/, the committed file is the AVX2
+# one: under the scalar kernel the FMA rounding difference moves its
+# digits.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code --stat -- results/SPECTRUM_resnet_c10.json || {
+    echo "FAIL: regenerated results/SPECTRUM_resnet_c10.json differs from the committed file"; exit 1; }
+fi
+
 echo "==> GEMM kernel sweep (gemm_shapes --quick, GFLOP/s per variant)"
 cargo bench -p hero-bench --bench gemm_shapes -- --quick
 # Tabulate GFLOP/s per shape across kernel variants (reference / scalar /
