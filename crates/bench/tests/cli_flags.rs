@@ -1,8 +1,9 @@
 //! The `hero` flag layer rejects bad command lines before doing any work:
 //! unknown, repeated and valueless flags, stray arguments, the removed
-//! legacy-checkpoint flags, unknown repro targets, and model-picking flags
-//! combined with `--artifact`. Each rejection exits nonzero and names the
-//! offending flag or argument.
+//! legacy-checkpoint flags, unknown repro targets, model-picking flags
+//! combined with `--artifact`, flags that would have no effect, and bit
+//! grids or probe counts the experiment cannot use. Each rejection exits
+//! nonzero and names the offending flag, argument or value.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -95,6 +96,61 @@ fn model_flags_conflict_with_an_artifact() {
             &format!("{flag} cannot be combined with --artifact"),
         );
     }
+}
+
+#[test]
+fn flags_without_effect_are_rejected() {
+    rejects(&["preflight", "--budget", "0.5"], "--budget has no effect");
+    rejects(
+        &["preflight", "--noise-bits", "4", "--mixed", "4.0"],
+        "--noise-bits cannot be combined with --mixed",
+    );
+    rejects(&["quantize", "--sens", "proxy"], "--sens has no effect");
+    rejects(
+        &["quantize", "--save-bits", "4"],
+        "--save-bits has no effect",
+    );
+    rejects(
+        &["train", "--checkpoint-every", "2"],
+        "--checkpoint-every has no effect",
+    );
+    rejects(
+        &[
+            "train",
+            "--golden-recipe",
+            "g.ha",
+            "--epochs",
+            "7",
+            "--model",
+            "vgg",
+        ],
+        "cannot be combined with --golden-recipe",
+    );
+}
+
+/// `cmd` on a model artifact that does not exist.
+fn on_missing<'a>(cmd: &[&'a str]) -> Vec<&'a str> {
+    [cmd, &["--artifact", "missing.ha"]].concat()
+}
+
+/// Each bad value is checked before anything is loaded: naming a missing
+/// artifact (or a training budget far beyond the test's) would otherwise
+/// surface as a different error (or run for hours) first.
+#[test]
+fn unusable_grids_and_probe_counts_fail_before_any_work() {
+    let no_probe = "at least one Lanczos step and one probe";
+    rejects(&on_missing(&["spectrum", "--probes", "0"]), no_probe);
+    rejects(&on_missing(&["spectrum", "--steps", "0"]), no_probe);
+    rejects(&on_missing(&["spectrum", "--bits", "32"]), "bit width 32");
+    let grid = ["preflight", "--bits", "8,4,3,4", "--mixed", "4.0"];
+    rejects(&on_missing(&grid), "strictly increasing");
+    let width = ["preflight", "--noise-bits", "32"];
+    rejects(&on_missing(&width), "bit width 32");
+    rejects(&on_missing(&["quantize", "--bits", "4,32"]), "bit width 32");
+    rejects(
+        &["noise-crosscheck", "--bits", "8,4", "--epochs", "100000"],
+        "strictly increasing",
+    );
 }
 
 /// Trains a 0-epoch VGG artifact: untrained, but enough to label.

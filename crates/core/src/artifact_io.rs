@@ -31,6 +31,7 @@ use hero_hessian::Estimate;
 use hero_nn::models::{mlp, ModelConfig, ModelKind};
 use hero_nn::{Network, ParamKind};
 use hero_optim::Method;
+use hero_quant::{quantize_tensor, QuantScheme};
 use hero_tensor::rng::StdRng;
 use hero_tensor::{Result, Tensor, TensorError};
 use std::path::Path;
@@ -55,6 +56,15 @@ impl ModelSpec {
             ModelSpec::Kind(ModelKind::Resnet) => "resnet".to_string(),
             ModelSpec::Kind(ModelKind::Mobilenet) => "mobilenet".to_string(),
             ModelSpec::Kind(ModelKind::Vgg) => "vgg".to_string(),
+        }
+    }
+
+    /// The model's display name: the paper name of a convolutional
+    /// stand-in, `mlp` otherwise.
+    pub fn paper_name(&self) -> &'static str {
+        match self {
+            ModelSpec::Mlp(_) => "mlp",
+            ModelSpec::Kind(kind) => kind.paper_name(),
         }
     }
 
@@ -558,15 +568,41 @@ pub fn load_artifact(path: impl AsRef<Path>) -> Result<Artifact> {
     Artifact::load(path).map_err(art_err)
 }
 
-/// Attaches a post-training quantization decision to an artifact: the
-/// quantized values replace the TENSORS section (full precision for
-/// non-quantizable tensors) and the QUANT section records the per-tensor
-/// bit allocation and grid.
-pub fn attach_quant(art: &mut Artifact, quantized: &[Tensor], entries: Vec<QuantEntry>) {
-    for (slot, t) in art.tensors.iter_mut().zip(quantized) {
-        slot.data = t.data().to_vec();
+/// Attaches a post-training quantization decision to an artifact: every
+/// quantizable tensor of `net` is quantized at `bits` (symmetric,
+/// per-tensor) and replaces its TENSORS entry (non-quantizable tensors
+/// keep full precision), the QUANT section records each tensor's width and
+/// grid, and the RESUME section is dropped: a quantized snapshot is a
+/// deployment artifact, not a training state.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] for an unsupported width.
+pub fn attach_quant(art: &mut Artifact, net: &Network, bits: u8) -> Result<()> {
+    let scheme = QuantScheme::symmetric(bits)?;
+    art.quant.clear();
+    for ((slot, p), info) in art
+        .tensors
+        .iter_mut()
+        .zip(net.params())
+        .zip(net.param_infos())
+    {
+        let values = if info.kind.is_quantizable() {
+            let q = quantize_tensor(&p, &scheme)?;
+            art.quant.push(QuantEntry {
+                name: info.name,
+                bits,
+                per_channel: false,
+                bin_widths: q.bin_widths,
+            });
+            q.values
+        } else {
+            p
+        };
+        slot.data = values.data().to_vec();
     }
-    art.quant = entries;
+    art.resume = None;
+    Ok(())
 }
 
 // --- high-level pipeline --------------------------------------------------

@@ -6,17 +6,28 @@
 //! in EXPERIMENTS.md (the paper's §5.1 grid, re-run on the synthetic
 //! substrate).
 
+use crate::artifact_io::{
+    attach_quant, load_artifact, network_from_artifact, record_from_artifact,
+    run_meta_from_artifact, save_artifact, train_to_artifact, ModelSpec, RunMeta,
+};
 use crate::config::TrainConfig;
 use crate::metrics::TrainRecord;
-use crate::trainer::train;
+use crate::preflight::{static_sensitivity_matrix, NoiseBits};
+use crate::trainer::{probe_batch, train};
+use hero_artifact::Artifact;
 use hero_data::{inject_symmetric_noise, Dataset, Preset};
+use hero_hessian::{hessian_norm_probe, lanczos_spectrum, BoundInputs, GradOracle};
 use hero_landscape::{filter_normalized_direction, scan_2d, SurfaceScan};
 use hero_nn::models::{ModelConfig, ModelKind};
 use hero_nn::{evaluate_accuracy, Network};
-use hero_optim::Method;
-use hero_quant::{quantize_params, QuantScheme};
+use hero_optim::{BatchOracle, Method};
+use hero_quant::{
+    allocate_bits, network_sensitivities, quantize_params, quantize_params_mixed, LayerSensitivity,
+    ModelQuantReport, QuantScheme,
+};
 use hero_tensor::rng::StdRng;
-use hero_tensor::{Result, TensorError};
+use hero_tensor::{global_norm_l1, global_norm_l2, Result, TensorError};
+use std::path::{Path, PathBuf};
 
 /// The method variants evaluated across the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,21 +213,14 @@ pub fn train_cell_cached(
     method: MethodKind,
     scale: Scale,
     probe_every: usize,
-    cache_dir: &std::path::Path,
+    cache_dir: &Path,
 ) -> Result<TrainedModel> {
-    let slug = format!(
-        "{}_{}_{}",
-        preset.paper_name(),
-        model.paper_name(),
-        method.paper_name()
-    )
-    .to_lowercase()
-    .replace(['/', ' ', '-'], "_");
+    let slug = slug(&[preset.paper_name(), model.paper_name(), method.paper_name()]);
     let path = cache_dir.join(format!("{slug}.ha"));
     if path.is_file() {
-        let art = crate::artifact_io::load_artifact(&path)?;
-        let net = crate::artifact_io::network_from_artifact(&art)?;
-        let record = crate::artifact_io::record_from_artifact(&art)?;
+        let art = load_artifact(&path)?;
+        let net = network_from_artifact(&art)?;
+        let record = record_from_artifact(&art)?;
         hero_obs::Event::new("artifact_cache_hit")
             .str("path", &path.to_string_lossy())
             .human(format!("loaded trained model from {}", path.display()))
@@ -229,19 +233,18 @@ pub fn train_cell_cached(
     }
     let (train_set, test_set) = preset.load(scale.data);
     let (mut net, config) = cell_setup(preset, model, method, scale, probe_every);
-    let meta = crate::artifact_io::RunMeta {
-        model: crate::artifact_io::ModelSpec::Kind(model),
+    let meta = RunMeta {
+        model: ModelSpec::Kind(model),
         model_cfg: model_config(preset),
         config,
         git_rev: "cache".to_string(),
         preflight_hash: None,
     };
-    let (record, art) =
-        crate::artifact_io::train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)?;
+    let (record, art) = train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)?;
     std::fs::create_dir_all(cache_dir).map_err(|e| {
         TensorError::InvalidArgument(format!("create {}: {e}", cache_dir.display()))
     })?;
-    crate::artifact_io::save_artifact(&art, &path)?;
+    save_artifact(&art, &path)?;
     Ok(TrainedModel {
         net,
         record,
@@ -261,6 +264,380 @@ fn model_seed(preset: Preset, model: ModelKind) -> u64 {
         ModelKind::Vgg => 30,
     };
     p * 1000 + m
+}
+
+/// The file-name slug of `parts`: joined by `_`, lowercased, with `/`,
+/// spaces and `-` replaced by `_` (`["ResNet20", "CIFAR-10"]` →
+/// `resnet20_cifar_10`).
+pub fn slug(parts: &[&str]) -> String {
+    parts.join("_").to_lowercase().replace(['/', ' ', '-'], "_")
+}
+
+// ---------------------------------------------------------------------------
+// One model under analysis, and its post-training quantization
+// ---------------------------------------------------------------------------
+
+/// A fresh training run of one model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FreshRun {
+    /// Architecture.
+    pub model: ModelKind,
+    /// Method, with its default tuned hyper-parameters.
+    pub method: MethodKind,
+    /// Epoch budget.
+    pub epochs: usize,
+    /// Seed of the initialization and of the training streams.
+    pub seed: u64,
+}
+
+/// Where an experiment's model comes from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ModelSource {
+    /// A saved model artifact.
+    Artifact(PathBuf),
+    /// A fresh, untrained model initialized from a seed.
+    Init(ModelKind, u64),
+    /// A fresh model trained by [`train_fresh`].
+    Train(FreshRun),
+}
+
+impl ModelSource {
+    /// The network, the artifact it was loaded from or trained into (none
+    /// for [`ModelSource::Init`]) and the model's paper name (an artifact's
+    /// own `model.kind`). A loaded artifact emits `artifact_loaded`.
+    pub fn load(
+        &self,
+        preset: Preset,
+        train_set: &Dataset,
+        test_set: &Dataset,
+    ) -> Result<(Network, Option<Artifact>, &'static str)> {
+        Ok(match self {
+            ModelSource::Artifact(path) => {
+                let art = load_artifact(path)?;
+                let model = run_meta_from_artifact(&art)?.model.paper_name();
+                let path = path.to_string_lossy();
+                let net = network_from_artifact(&art)?;
+                hero_obs::Event::new("artifact_loaded")
+                    .str("path", &path)
+                    .human(format!("loaded artifact {path}"))
+                    .emit();
+                (net, Some(art), model)
+            }
+            ModelSource::Init(model, seed) => {
+                let net = model.build(model_config(preset), &mut StdRng::seed_from_u64(*seed));
+                (net, None, model.paper_name())
+            }
+            ModelSource::Train(run) => {
+                let (net, art) = train_fresh(run, preset, train_set, test_set, "unknown", 0, None)?;
+                (net, Some(art), run.model.paper_name())
+            }
+        })
+    }
+}
+
+/// Trains `run` through the artifact pipeline (provenance `git_rev`),
+/// checkpointing to `ckpt_path` every `ckpt_every` epochs when a path is
+/// given, and emits `train_start` and `train_result`.
+pub fn train_fresh(
+    run: &FreshRun,
+    preset: Preset,
+    train_set: &Dataset,
+    test_set: &Dataset,
+    git_rev: &str,
+    ckpt_every: usize,
+    ckpt_path: Option<&Path>,
+) -> Result<(Network, Artifact)> {
+    let (model, method) = (run.model.paper_name(), run.method.paper_name());
+    hero_obs::Event::new("train_start")
+        .str("model", model)
+        .str("method", method)
+        .str("preset", preset.paper_name())
+        .u64("epochs", run.epochs as u64)
+        .human(format!(
+            "training {model} with {method} for {} epochs on {} ...",
+            run.epochs,
+            preset.paper_name()
+        ))
+        .emit();
+    let mut net = run
+        .model
+        .build(model_config(preset), &mut StdRng::seed_from_u64(run.seed));
+    let meta = RunMeta {
+        model: ModelSpec::Kind(run.model),
+        model_cfg: model_config(preset),
+        config: TrainConfig::new(run.method.tuned(), run.epochs).with_seed(run.seed),
+        git_rev: git_rev.to_string(),
+        preflight_hash: None,
+    };
+    let (rec, art) =
+        train_to_artifact(&mut net, train_set, test_set, &meta, ckpt_every, ckpt_path)?;
+    report_trained("trained", &rec);
+    Ok((net, art))
+}
+
+/// Emits a `train_result` event: `<what>: train acc …, test acc …`.
+pub fn report_trained(what: &str, rec: &TrainRecord) {
+    let (train_acc, test_acc) = (rec.final_train_acc, rec.final_test_acc);
+    hero_obs::Event::new("train_result")
+        .f64("train_acc", f64::from(train_acc))
+        .f64("test_acc", f64::from(test_acc))
+        .human(format!(
+            "{what}: train acc {:.2}%, test acc {:.2}%",
+            100.0 * train_acc,
+            100.0 * test_acc
+        ))
+        .emit();
+}
+
+/// Test accuracy of `net` with its weights quantized at `bits`, and the
+/// quantization report; the full-precision weights are restored after.
+pub fn eval_quantized(
+    net: &mut Network,
+    bits: &NoiseBits,
+    test_set: &Dataset,
+) -> Result<(f32, ModelQuantReport)> {
+    let full = net.params();
+    let (quantized, report) = match bits {
+        NoiseBits::Uniform(b) => quantize_params(net, &QuantScheme::symmetric(*b)?)?,
+        NoiseBits::PerLayer(widths) => quantize_params_mixed(net, widths)?,
+    };
+    net.set_params(&quantized)?;
+    let acc = evaluate_accuracy(net, &test_set.images, &test_set.labels, 64);
+    net.set_params(&full)?;
+    Ok((acc?, report))
+}
+
+/// What ranks the layers of a mixed-precision allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sensitivity {
+    /// The certified static noise matrix over a 2/4/8-bit grid.
+    Static,
+    /// The gradient-free size/range proxy (curvature 1).
+    Proxy,
+}
+
+/// A mixed-precision allocation and its test accuracy.
+#[derive(Debug, Clone)]
+pub struct MixedEval {
+    /// Average width, and what ranked the layers.
+    pub budget: (f32, Sensitivity),
+    /// The ranked quantizable layers, with their allocated widths.
+    pub layers: Vec<(LayerSensitivity, u8)>,
+    /// Test accuracy and quantization report under the allocation.
+    pub eval: (f32, ModelQuantReport),
+}
+
+/// Result of [`quantize_report`].
+#[derive(Debug, Clone)]
+pub struct QuantizeReport {
+    /// Full-precision test accuracy.
+    pub full_acc: f32,
+    /// The mixed-precision allocation, when one was asked for.
+    pub mixed: Option<MixedEval>,
+    /// Width, test accuracy and quantization report per uniform width.
+    pub uniform: Vec<(u8, f32, ModelQuantReport)>,
+    /// The source artifact quantized by [`crate::attach_quant`], when a
+    /// snapshot width was given and the model has an artifact.
+    pub snapshot: Option<Artifact>,
+}
+
+/// Post-training quantization of one model: full-precision accuracy, a
+/// `mixed` allocation (average width and ranking source), each uniform
+/// width in `bits`, and a snapshot at `snapshot_bits`. Every width is
+/// checked before the model is loaded or trained.
+pub fn quantize_report(
+    preset: Preset,
+    scale: f32,
+    source: &ModelSource,
+    bits: &[u8],
+    mixed: Option<(f32, Sensitivity)>,
+    snapshot_bits: Option<u8>,
+) -> Result<QuantizeReport> {
+    for &b in bits.iter().chain(&snapshot_bits) {
+        QuantScheme::symmetric(b)?;
+    }
+    let (train_set, test_set) = preset.load(scale);
+    let (mut net, artifact, _) = source.load(preset, &train_set, &test_set)?;
+    let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
+    let mut mixed_eval = None;
+    if let Some((avg, sens)) = mixed {
+        let (widths, layers) = match sens {
+            Sensitivity::Static => {
+                let (images, labels) = probe_batch(&train_set, 64)?;
+                let matrix = static_sensitivity_matrix(&mut net, &images, labels, &[2, 4, 8])?;
+                (matrix.allocate(avg, 2, 8)?, matrix.to_layer_sensitivities())
+            }
+            Sensitivity::Proxy => {
+                let layers = network_sensitivities(&net);
+                (allocate_bits(&layers, avg, 2, 8)?, layers)
+            }
+        };
+        let eval = eval_quantized(&mut net, &NoiseBits::PerLayer(widths.clone()), &test_set)?;
+        let layers = layers.into_iter().zip(widths).collect();
+        mixed_eval = Some(MixedEval {
+            budget: (avg, sens),
+            layers,
+            eval,
+        });
+    }
+    let mut uniform = Vec::with_capacity(bits.len());
+    for &b in bits {
+        let (acc, quant) = eval_quantized(&mut net, &NoiseBits::Uniform(b), &test_set)?;
+        uniform.push((b, acc, quant));
+    }
+    let mut snapshot = artifact.filter(|_| snapshot_bits.is_some());
+    if let (Some(art), Some(b)) = (snapshot.as_mut(), snapshot_bits) {
+        attach_quant(art, &net, b)?;
+    }
+    Ok(QuantizeReport {
+        full_acc,
+        mixed: mixed_eval,
+        uniform,
+        snapshot,
+    })
+}
+
+impl QuantizeReport {
+    /// Prints the report as `quant_eval` events (and, for a mixed
+    /// allocation, one `bit_allocation` event per layer).
+    pub fn emit(&self) {
+        hero_obs::Event::new("quant_eval")
+            .str("scheme", "full_precision")
+            .f64("accuracy", f64::from(self.full_acc))
+            .human(format!(
+                "full precision: test acc {:.2}%",
+                100.0 * self.full_acc
+            ))
+            .emit();
+        if let Some(MixedEval {
+            budget: (avg, sens),
+            layers,
+            eval: (acc, quant),
+        }) = &self.mixed
+        {
+            let sens = match sens {
+                Sensitivity::Static => "static",
+                Sensitivity::Proxy => "proxy",
+            };
+            println!("mixed-precision allocation (avg {avg} bits, {sens} sensitivity):");
+            for (s, b) in layers {
+                hero_obs::Event::new("bit_allocation")
+                    .str("tensor", &s.name)
+                    .str("sens", sens)
+                    .u64("bits", u64::from(*b))
+                    .u64("weights", s.numel as u64)
+                    .human(format!("  {:40} {} bits ({} weights)", s.name, b, s.numel))
+                    .emit();
+            }
+            hero_obs::Event::new("quant_eval")
+                .str("scheme", "mixed")
+                .f64("avg_bits", f64::from(*avg))
+                .f64("accuracy", f64::from(*acc))
+                .f64("worst_linf", f64::from(quant.worst_linf))
+                .human(format!(
+                    "mixed {avg}-bit: test acc {:.2}%  (‖δ‖∞ {:.4})",
+                    100.0 * acc,
+                    quant.worst_linf
+                ))
+                .emit();
+        }
+        for (b, acc, quant) in &self.uniform {
+            hero_obs::Event::new("quant_eval")
+                .str("scheme", "uniform")
+                .u64("bits", u64::from(*b))
+                .f64("accuracy", f64::from(*acc))
+                .f64("worst_linf", f64::from(quant.worst_linf))
+                .f64("max_bin_width", f64::from(quant.max_bin_width))
+                .human(format!(
+                    "{b}-bit uniform: test acc {:.2}%  (‖δ‖∞ {:.4} ≤ Δ/2 {:.4})",
+                    100.0 * acc,
+                    quant.worst_linf,
+                    quant.max_bin_width / 2.0
+                ))
+                .emit();
+        }
+    }
+}
+
+/// The curvature analysis of `hero analyze` at a model's weights, on the
+/// first 128 training samples.
+#[derive(Debug, Clone)]
+pub struct CurvatureReport {
+    /// Probe samples.
+    pub samples: usize,
+    /// Probe loss and the Fig. 2 probe ‖Hz‖.
+    pub loss_hz: (f32, f32),
+    /// Lanczos λ_min (λ_max is `bounds.eigenvalue`).
+    pub lambda_min: f32,
+    /// The Theorem 3 inputs: gradient norms, λ_max and the nonzero count.
+    pub bounds: BoundInputs,
+}
+
+/// Probes `net`'s loss, gradient norms, ‖Hz‖ and Lanczos λ extremes (10
+/// steps) for the Theorem 3 bounds; weights and batch-norm state are
+/// restored afterwards.
+pub fn curvature_report(net: &mut Network, train_set: &Dataset) -> Result<CurvatureReport> {
+    let (images, labels) = probe_batch(train_set, 128)?;
+    let (params, state) = (net.params(), net.state());
+    let nonzeros = params.iter().map(|p| p.norm_l0()).sum();
+    let mut oracle = BatchOracle::new(net, &images, labels);
+    let (loss, grads) = oracle.grad(&params)?;
+    let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3)?;
+    let mut rng = StdRng::seed_from_u64(0);
+    let spectrum = lanczos_spectrum(&mut oracle, &params, 10, 1e-3, &mut rng)?;
+    net.set_params(&params)?;
+    net.set_state(&state)?;
+    let bounds = BoundInputs {
+        grad_l2: global_norm_l2(&grads),
+        grad_l1: global_norm_l1(&grads),
+        eigenvalue: spectrum.lambda_max(),
+        nonzeros,
+        tolerance: 0.1,
+    };
+    Ok(CurvatureReport {
+        samples: labels.len(),
+        loss_hz: (loss, hz),
+        lambda_min: spectrum.lambda_min(),
+        bounds,
+    })
+}
+
+impl CurvatureReport {
+    /// Prints the report as one `analysis` event.
+    pub fn emit(&self) {
+        let (b, (loss, hz)) = (&self.bounds, self.loss_hz);
+        let report = format!(
+            "curvature analysis on {} training samples:\n\
+             \x20 loss                      {loss:.4}\n\
+             \x20 ‖g‖₂ / ‖g‖₁               {:.4} / {:.4}\n\
+             \x20 ‖Hz‖ (Fig. 2 probe)       {hz:.4}\n\
+             \x20 λ_max / λ_min (Lanczos)   {:.4} / {:.4}\n\
+             \x20 theorem 3 ‖δ*‖₂ bound     {:.5}\n\
+             \x20 theorem 3 ‖δ*‖∞ bound     {:.6}\n\
+             \x20 max safe bin width Δ      {:.6}",
+            self.samples,
+            b.grad_l2,
+            b.grad_l1,
+            b.eigenvalue,
+            self.lambda_min,
+            b.l2_bound(),
+            b.linf_bound(),
+            b.max_safe_bin_width()
+        );
+        hero_obs::Event::new("analysis")
+            .u64("samples", self.samples as u64)
+            .f64("loss", f64::from(loss))
+            .f64("grad_l2", f64::from(b.grad_l2))
+            .f64("grad_l1", f64::from(b.grad_l1))
+            .f64("hz_norm", f64::from(hz))
+            .f64("lambda_max", f64::from(b.eigenvalue))
+            .f64("lambda_min", f64::from(self.lambda_min))
+            .f64("l2_bound", f64::from(b.l2_bound()))
+            .f64("linf_bound", f64::from(b.linf_bound()))
+            .f64("max_safe_bin_width", f64::from(b.max_safe_bin_width()))
+            .human(report)
+            .emit();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +690,7 @@ pub fn table1_matrix() -> Vec<(Preset, ModelKind)> {
 pub fn run_table1(
     matrix: &[(Preset, ModelKind)],
     scale: Scale,
-    cache: Option<&std::path::Path>,
+    cache: Option<&Path>,
 ) -> Result<(Table1, Vec<Vec<TrainedModel>>)> {
     let methods = [MethodKind::Hero, MethodKind::GradL1, MethodKind::Sgd];
     let mut rows = Vec::new();
@@ -440,32 +817,21 @@ pub fn quant_sweep(
     // lint at exactly the bit widths about to be swept — so a malformed
     // model fails with a report rather than skewing every point of the
     // curve.
-    let probe = test_set.len().min(64);
     let mut gate = None;
-    if probe > 0 {
-        let images = test_set.images.narrow(0, probe)?;
+    if !test_set.is_empty() {
+        let (images, labels) = probe_batch(test_set, 64)?;
         let vopts = hero_analyze::VerifyOptions {
             quant_bits: bits.to_vec(),
             ..hero_analyze::VerifyOptions::default()
         };
-        crate::trainer::verify_network_tape_with(
-            &mut trained.net,
-            &images,
-            &test_set.labels[..probe],
-            &vopts,
-        )?;
+        crate::trainer::verify_network_tape_with(&mut trained.net, &images, labels, &vopts)?;
         // Certified whole-network noise bounds at the swept widths plus the
         // unquantized probe loss: every sweep point is held against its
         // static certificate below (the soundness gate of DESIGN.md §14).
-        let bounds = crate::preflight::certified_noise_bounds(
-            &mut trained.net,
-            &images,
-            &test_set.labels[..probe],
-            bits,
-        )?;
-        let base =
-            crate::preflight::probe_loss(&mut trained.net, &images, &test_set.labels[..probe])?;
-        gate = Some((images, bounds, base));
+        let bounds =
+            crate::preflight::certified_noise_bounds(&mut trained.net, &images, labels, bits)?;
+        let base = crate::preflight::probe_loss(&mut trained.net, &images, labels)?;
+        gate = Some((images, labels, bounds, base));
     }
     let _sweep = hero_obs::span("quant_sweep");
     let full_params = trained.net.params();
@@ -473,9 +839,8 @@ pub fn quant_sweep(
     for (i, &b) in bits.iter().enumerate() {
         let (qp, _) = quantize_params(&trained.net, &QuantScheme::symmetric(b)?)?;
         trained.net.set_params(&qp)?;
-        if let Some((images, bounds, base)) = &gate {
-            let shifted =
-                crate::preflight::probe_loss(&mut trained.net, images, &test_set.labels[..probe])?;
+        if let Some((images, labels, bounds, base)) = &gate {
+            let shifted = crate::preflight::probe_loss(&mut trained.net, images, labels)?;
             let measured = (shifted - base).abs();
             let certified = bounds[i];
             if hero_obs::run_active() {
@@ -511,6 +876,26 @@ pub fn quant_sweep(
         full_acc: trained.record.final_test_acc,
         points,
     })
+}
+
+/// Fig. 1 over the Table 1 `matrix`: runs [`run_table1`] (through the
+/// artifact cache under `cache` when given) and sweeps every trained
+/// checkpoint over [`fig1_bits`], as the paper quantizes exactly the
+/// Table 1 models. Returns the table and one curve per method per cell.
+pub fn run_fig1(
+    matrix: &[(Preset, ModelKind)],
+    scale: Scale,
+    cache: Option<&Path>,
+) -> Result<(Table1, Vec<Vec<QuantCurve>>)> {
+    let (table, mut models) = run_table1(matrix, scale, cache)?;
+    let bits = fig1_bits();
+    let mut panels = Vec::with_capacity(matrix.len());
+    for (&(preset, _), cell) in matrix.iter().zip(&mut models) {
+        let (_, test_set) = preset.load(scale.data);
+        let sweep = cell.iter_mut().map(|t| quant_sweep(t, &test_set, &bits));
+        panels.push(sweep.collect::<Result<Vec<_>>>()?);
+    }
+    Ok((table, panels))
 }
 
 /// The paper's Fig. 1 bit-width grid adapted to the substrate.
@@ -632,9 +1017,7 @@ pub fn landscape_scan(
     steps: usize,
     seed: u64,
 ) -> Result<SurfaceScan> {
-    let n = train_set.len().min(128);
-    let images = train_set.images.narrow(0, n)?;
-    let labels = train_set.labels[..n].to_vec();
+    let (images, labels) = probe_batch(train_set, 128)?;
     let params = trained.net.params();
     let mut rng = StdRng::seed_from_u64(seed);
     let d1 = filter_normalized_direction(&params, &mut rng)?;
@@ -642,7 +1025,7 @@ pub fn landscape_scan(
     let net = &mut trained.net;
     let mut oracle = |ps: &[hero_tensor::Tensor]| -> Result<f32> {
         net.set_params(ps)?;
-        hero_nn::eval_loss(net, &images, &labels)
+        hero_nn::eval_loss(net, &images, labels)
     };
     let scan = scan_2d(&mut oracle, &params, &d1, &d2, radius, steps)?;
     trained.net.set_params(&params)?;

@@ -52,10 +52,14 @@ pub use config::TrainConfig;
 pub use metrics::{EpochMetrics, TrainRecord};
 pub use preflight::{
     certified_noise_bounds, noise_crosscheck, preflight_report_with_noise, probe_loss,
-    static_sensitivity_matrix, CrosscheckCell, CrosscheckReport, NoiseBits, NoiseConfig,
+    run_crosscheck, run_preflight, static_sensitivity_matrix, CrosscheckCell, CrosscheckGrid,
+    CrosscheckReport, CrosscheckRun, NoiseBits, NoiseConfig, NoisePlan, PreflightRun,
 };
-pub use spectrum::{probe_spectrum, LayerTrace, SpectrumOptions, SpectrumProbe};
+pub use spectrum::{
+    probe_density, probe_spectrum, spectrum_report, LayerTrace, MethodSpectrum, SpectrumOptions,
+    SpectrumProbe, SpectrumReport, SpectrumSource,
+};
 pub use trainer::{
-    preflight_report, probe_hessian_norm, train, train_resumable, verify_network_tape,
+    probe_batch, probe_hessian_norm, train, train_resumable, verify_network_tape,
     verify_network_tape_with, TrainerState,
 };

@@ -20,12 +20,21 @@
 //!   static bound dominates every measured error and that the static
 //!   sensitivity *ranking* agrees with the empirical one.
 
-use hero_analyze::{relational_noise_pass, NoiseSeed, Report, VerifyOptions};
-use hero_autodiff::Graph;
+use crate::experiment::{eval_quantized, model_config, MethodKind, ModelSource};
+use crate::trainer::{probe_batch, train};
+use crate::TrainConfig;
+use hero_analyze::{relational_noise_pass, NoiseSeed, Report, ValueAnalysis, VerifyOptions};
+use hero_artifact::{Artifact, MetaValue};
+
+use hero_autodiff::{Graph, NodeTrace, Var};
+use hero_data::{Dataset, Preset};
+use hero_nn::models::ModelKind;
 use hero_nn::Network;
+use hero_obs::json::{self, JsonObj};
 use hero_quant::{quantize_tensor, QuantScheme, SensitivityMatrix, StaticSensitivity};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{Result, Tensor, TensorError};
+use std::path::Path;
 
 /// Relative slack for the dominance comparison: the certified bound is
 /// computed in widened interval arithmetic and must exceed the measured
@@ -34,7 +43,8 @@ const DOMINANCE_REL_TOL: f32 = 1e-4;
 /// Absolute slack for the dominance comparison near zero loss deltas.
 const DOMINANCE_ABS_TOL: f32 = 1e-6;
 
-/// Bit widths for the noise seeds of a preflight run.
+/// A weight bit allocation: the widths of a preflight run's noise seeds
+/// or of a fake quantization ([`crate::experiment::eval_quantized`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum NoiseBits {
     /// Same width for every quantizable tensor.
@@ -54,69 +64,35 @@ pub struct NoiseConfig {
     pub budget: Option<f32>,
 }
 
-impl NoiseConfig {
-    /// Uniform `bits` everywhere, no budget.
-    pub fn uniform(bits: u8) -> Self {
-        NoiseConfig {
-            bits: NoiseBits::Uniform(bits),
-            budget: None,
+/// One noise seed per quantizable parameter, at the widths `bits` gives
+/// them, from the probe tape's parameter variables.
+fn build_seeds(net: &Network, vars: &[Var], bits: &NoiseBits) -> Result<Vec<NoiseSeed>> {
+    let weights: Vec<(usize, f32)> = (vars.iter().zip(net.params()).zip(net.param_infos()))
+        .filter(|(_, info)| info.kind.is_quantizable())
+        .map(|((var, param), _)| (var.index(), param.norm_linf()))
+        .collect();
+    let widths = match bits {
+        NoiseBits::Uniform(b) => vec![*b; weights.len()],
+        NoiseBits::PerLayer(v) if v.len() == weights.len() => v.clone(),
+        NoiseBits::PerLayer(v) => {
+            return Err(TensorError::InvalidArgument(format!(
+                "{} per-layer bit widths for {} quantizable tensors",
+                v.len(),
+                weights.len()
+            )))
         }
-    }
-
-    /// Per-layer widths (quantizable-tensor order), no budget.
-    pub fn per_layer(bits: Vec<u8>) -> Self {
-        NoiseConfig {
-            bits: NoiseBits::PerLayer(bits),
-            budget: None,
-        }
-    }
-
-    /// The width for quantizable tensor `ordinal` out of `total`.
-    fn bits_for(&self, ordinal: usize, total: usize) -> Result<u8> {
-        match &self.bits {
-            NoiseBits::Uniform(b) => Ok(*b),
-            NoiseBits::PerLayer(v) => {
-                if v.len() != total {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "{} per-layer bit widths for {total} quantizable tensors",
-                        v.len()
-                    )));
-                }
-                Ok(v[ordinal])
-            }
-        }
-    }
+    };
+    let seeds = weights.into_iter().zip(widths);
+    seeds
+        .map(|((var, max_abs), b)| {
+            QuantScheme::symmetric(b)?;
+            Ok(NoiseSeed::for_quantized_weight(var, max_abs, b))
+        })
+        .collect()
 }
 
-/// Builds one noise seed per quantizable parameter from the forward
-/// tape's parameter variables.
-fn build_seeds(
-    net: &Network,
-    vars: &[hero_autodiff::Var],
-    noise: &NoiseConfig,
-) -> Result<Vec<NoiseSeed>> {
-    let params = net.params();
-    let infos = net.param_infos();
-    let total = infos.iter().filter(|i| i.kind.is_quantizable()).count();
-    let mut seeds = Vec::with_capacity(total);
-    let mut ordinal = 0usize;
-    for ((var, param), info) in vars.iter().zip(&params).zip(&infos) {
-        if !info.kind.is_quantizable() {
-            continue;
-        }
-        let bits = noise.bits_for(ordinal, total)?;
-        QuantScheme::symmetric(bits)?;
-        seeds.push(NoiseSeed::for_quantized_weight(
-            var.index(),
-            param.norm_linf(),
-            bits,
-        ));
-        ordinal += 1;
-    }
-    Ok(seeds)
-}
-
-/// [`crate::trainer::preflight_report`] plus an optional quantization-noise
+/// The full analyzer suite over one frozen-BN probe tape (see
+/// [`crate::verify_network_tape_with`]), plus an optional quantization-noise
 /// configuration: when `noise` is set, every quantizable weight tensor is
 /// seeded with `‖δW‖∞ ≤ Δ(bits)/2` and the report carries the certified
 /// per-node error bounds, the noise-dominance lint and (with a budget)
@@ -135,16 +111,11 @@ pub fn preflight_report_with_noise(
     noise: Option<&NoiseConfig>,
     render_dot: bool,
 ) -> Result<(Report, Option<String>)> {
-    let prev = hero_nn::norm::set_bn_running_stat_updates(false);
     let mut g = Graph::new();
-    let built = net
-        .forward(&mut g, images, true)
-        .and_then(|(logits, vars)| Ok((g.cross_entropy(logits, labels)?, vars)));
-    hero_nn::norm::set_bn_running_stat_updates(prev);
-    let (loss, vars) = built?;
+    let (loss, vars) = probe_tape(net, &mut g, images, labels)?;
     let mut opts = opts.clone();
     if let Some(noise) = noise {
-        opts.noise_seeds = build_seeds(net, &vars, noise)?;
+        opts.noise_seeds = build_seeds(net, &vars, &noise.bits)?;
         opts.noise_budget = noise.budget;
     }
     let report = hero_analyze::verify_graph_with(&g, &[loss], &opts);
@@ -163,20 +134,81 @@ pub fn preflight_report_with_noise(
 ///
 /// Returns shape errors if the batch is incompatible with the network.
 pub fn probe_loss(net: &mut Network, images: &Tensor, labels: &[usize]) -> Result<f32> {
-    let prev = hero_nn::norm::set_bn_running_stat_updates(false);
     let mut g = Graph::new();
-    let built = net
-        .forward(&mut g, images, true)
-        .and_then(|(logits, _)| g.cross_entropy(logits, labels));
-    hero_nn::norm::set_bn_running_stat_updates(prev);
-    let loss = built?;
+    let (loss, _) = probe_tape(net, &mut g, images, labels)?;
     let value = g.value(loss).data()[0];
     g.reset();
     Ok(value)
 }
 
+/// Records one train-mode forward of `net` and its cross-entropy loss on
+/// `g` with the batch-norm running statistics frozen; returns the loss and
+/// the parameter variables.
+fn probe_tape(
+    net: &mut Network,
+    g: &mut Graph,
+    images: &Tensor,
+    labels: &[usize],
+) -> Result<(Var, Vec<Var>)> {
+    let prev = hero_nn::norm::set_bn_running_stat_updates(false);
+    let built = net
+        .forward(g, images, true)
+        .and_then(|(logits, vars)| Ok((g.cross_entropy(logits, labels)?, vars)));
+    hero_nn::norm::set_bn_running_stat_updates(prev);
+    built
+}
+
+/// A verified, value-analyzed probe tape: what every certified noise
+/// propagation runs over.
+struct NoiseTape {
+    tape: Vec<NodeTrace>,
+    value: ValueAnalysis,
+    recorded: Vec<f32>,
+    loss: usize,
+    vars: Vec<Var>,
+}
+
+impl NoiseTape {
+    /// Records and analyzes `net`'s probe tape; fails when it does not
+    /// pass structural verification.
+    fn record(net: &mut Network, images: &Tensor, labels: &[usize]) -> Result<Self> {
+        let mut g = Graph::new();
+        let (loss, vars) = probe_tape(net, &mut g, images, labels)?;
+        let report = hero_analyze::verify_graph_with(&g, &[loss], &VerifyOptions::default());
+        let (tape, recorded) = (g.trace(), g.value_abs_max());
+        g.reset();
+        if report.has_errors() {
+            return Err(TensorError::InvalidArgument(format!(
+                "static tape verification failed for `{}`:\n{report}",
+                net.name()
+            )));
+        }
+        let value = report.value.ok_or_else(|| {
+            TensorError::InvalidArgument("analyzer produced no value analysis".into())
+        })?;
+        Ok(NoiseTape {
+            tape,
+            value,
+            recorded,
+            loss: loss.index(),
+            vars,
+        })
+    }
+
+    /// The certified bound on the loss shift when `seeds` perturb weights.
+    fn bound(&self, seeds: &[NoiseSeed]) -> f32 {
+        let rn = relational_noise_pass(
+            &self.tape,
+            &self.value.intervals,
+            Some(&self.recorded),
+            seeds,
+        );
+        rn.tightened[self.loss].abs_max()
+    }
+}
+
 /// Validates a bit-width grid: non-empty, strictly increasing, supported.
-fn validate_grid(bits_grid: &[u8]) -> Result<()> {
+pub(crate) fn validate_grid(bits_grid: &[u8]) -> Result<()> {
     if bits_grid.is_empty() || !bits_grid.windows(2).all(|w| w[0] < w[1]) {
         return Err(TensorError::InvalidArgument(
             "bit grid must be non-empty and strictly increasing".into(),
@@ -215,56 +247,26 @@ pub fn static_sensitivity_matrix(
 ) -> Result<SensitivityMatrix> {
     validate_grid(bits_grid)?;
     let _obs = hero_obs::span("static_sensitivity");
-    let prev = hero_nn::norm::set_bn_running_stat_updates(false);
-    let mut g = Graph::new();
-    let built = net
-        .forward(&mut g, images, true)
-        .and_then(|(logits, vars)| Ok((g.cross_entropy(logits, labels)?, vars)));
-    hero_nn::norm::set_bn_running_stat_updates(prev);
-    let (loss, vars) = built?;
-    let report = hero_analyze::verify_graph_with(&g, &[loss], &VerifyOptions::default());
-    if report.has_errors() {
-        g.reset();
-        return Err(TensorError::InvalidArgument(format!(
-            "static tape verification failed for `{}`:\n{report}",
-            net.name()
-        )));
-    }
-    let value = report.value.ok_or_else(|| {
-        TensorError::InvalidArgument("analyzer produced no value analysis".into())
-    })?;
-    let tape = g.trace();
-    let recorded = g.value_abs_max();
-    let params = net.params();
-    let infos = net.param_infos();
+    let t = NoiseTape::record(net, images, labels)?;
     let mut layers = Vec::new();
-    for ((var, param), info) in vars.iter().zip(&params).zip(&infos) {
+    for ((var, param), info) in t.vars.iter().zip(net.params()).zip(net.param_infos()) {
         if !info.kind.is_quantizable() {
             continue;
         }
         let max_abs = param.norm_linf();
-        let grad_bound = value
-            .grad_bounds
-            .get(var.index())
-            .copied()
-            .unwrap_or(f32::INFINITY);
+        let grad_bound = t.value.grad_bounds.get(var.index()).copied();
         let err = bits_grid
             .iter()
-            .map(|&b| {
-                let seed = NoiseSeed::for_quantized_weight(var.index(), max_abs, b);
-                let rn = relational_noise_pass(&tape, &value.intervals, Some(&recorded), &[seed]);
-                rn.tightened[loss.index()].abs_max()
-            })
+            .map(|&b| t.bound(&[NoiseSeed::for_quantized_weight(var.index(), max_abs, b)]))
             .collect();
         layers.push(StaticSensitivity {
-            name: info.name.clone(),
+            name: info.name,
             numel: param.numel(),
             max_abs,
-            grad_bound,
+            grad_bound: grad_bound.unwrap_or(f32::INFINITY),
             err,
         });
     }
-    g.reset();
     Ok(SensitivityMatrix {
         bits: bits_grid.to_vec(),
         layers,
@@ -289,46 +291,9 @@ pub fn certified_noise_bounds(
     for &b in bits {
         QuantScheme::symmetric(b)?;
     }
-    let prev = hero_nn::norm::set_bn_running_stat_updates(false);
-    let mut g = Graph::new();
-    let built = net
-        .forward(&mut g, images, true)
-        .and_then(|(logits, vars)| Ok((g.cross_entropy(logits, labels)?, vars)));
-    hero_nn::norm::set_bn_running_stat_updates(prev);
-    let (loss, vars) = built?;
-    let report = hero_analyze::verify_graph_with(&g, &[loss], &VerifyOptions::default());
-    if report.has_errors() {
-        g.reset();
-        return Err(TensorError::InvalidArgument(format!(
-            "static tape verification failed for `{}`:\n{report}",
-            net.name()
-        )));
-    }
-    let value = report.value.ok_or_else(|| {
-        TensorError::InvalidArgument("analyzer produced no value analysis".into())
-    })?;
-    let tape = g.trace();
-    let recorded = g.value_abs_max();
-    let params = net.params();
-    let infos = net.param_infos();
-    let bounds = bits
-        .iter()
-        .map(|&b| {
-            let seeds: Vec<NoiseSeed> = vars
-                .iter()
-                .zip(&params)
-                .zip(&infos)
-                .filter(|(_, info)| info.kind.is_quantizable())
-                .map(|((var, param), _)| {
-                    NoiseSeed::for_quantized_weight(var.index(), param.norm_linf(), b)
-                })
-                .collect();
-            let rn = relational_noise_pass(&tape, &value.intervals, Some(&recorded), &seeds);
-            rn.tightened[loss.index()].abs_max()
-        })
-        .collect();
-    g.reset();
-    Ok(bounds)
+    let t = NoiseTape::record(net, images, labels)?;
+    let seeds = |b| build_seeds(net, &t.vars, &NoiseBits::Uniform(b));
+    bits.iter().map(|&b| Ok(t.bound(&seeds(b)?))).collect()
 }
 
 /// One `(layer, bits)` cell of the empirical crosscheck.
@@ -372,47 +337,78 @@ pub struct CrosscheckReport {
     /// The certified static sensitivity matrix the cells were checked
     /// against.
     pub matrix: SensitivityMatrix,
+    /// The matrix's mixed allocation at the average width.
+    pub allocation: Vec<u8>,
+    /// Test accuracy under that allocation, and under uniform quantization
+    /// at the rounded average width.
+    pub mixed_vs_uniform: (f32, f32),
 }
 
-/// Cross-validates the static noise domain against measurement: for every
-/// quantizable layer and every grid width, fake-quantizes that layer
-/// alone (round-to-nearest, plus `trials` random perturbations with
-/// `‖δ‖∞ ≤ Δ/2`) and measures the probe-loss shift. Sound analysis means
-/// every measured shift sits inside the certified bound; a useful one
-/// means the static sensitivity *ranking* matches the empirical ranking.
-/// Each violated cell increments the
-/// `noise_crosscheck_violations` counter.
-///
+impl CrosscheckReport {
+    /// Most distinct values in any bit column of the raw matrix: under 2
+    /// on a multi-layer model, the ranking means nothing.
+    pub fn distinct_ranks(&self) -> usize {
+        let m = &self.matrix;
+        let column = |k: usize| {
+            let mut col: Vec<f32> = m.layers.iter().map(|l| l.err[k]).collect();
+            col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            col.dedup();
+            col.len()
+        };
+        (0..m.bits.len()).map(column).max().unwrap_or(0)
+    }
+}
+
+/// The measurement knobs of [`noise_crosscheck`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrosscheckGrid {
+    /// The bit grid (strictly increasing).
+    pub bits: Vec<u8>,
+    /// Random in-bin perturbations per cell, beyond the rounding trial.
+    pub trials: usize,
+    /// Seed of the perturbation trials.
+    pub seed: u64,
+    /// Average width of the mixed allocation, and (rounded) of the uniform
+    /// quantization it is compared against.
+    pub avg: f32,
+}
+
+/// Cross-validates the static noise domain against measurement on the
+/// probe batch: for every quantizable layer and grid width, fake-quantizes
+/// that layer alone (round-to-nearest, plus `grid.trials` random
+/// perturbations with `‖δ‖∞ ≤ Δ/2`) and measures the probe-loss shift.
+/// Sound analysis means every measured shift sits inside the certified
+/// bound (each violation increments `noise_crosscheck_violations`); a
+/// useful one means the static sensitivity *ranking* matches the
+/// empirical one. Then the certified matrix's mixed allocation at
+/// `grid.avg` is evaluated against uniform quantization on `test_set`.
 /// Parameters are restored before returning.
 ///
 /// # Errors
 ///
-/// Same contract as [`static_sensitivity_matrix`].
+/// Same contract as [`static_sensitivity_matrix`], plus allocation and
+/// evaluation errors.
 pub fn noise_crosscheck(
     net: &mut Network,
     images: &Tensor,
     labels: &[usize],
-    bits_grid: &[u8],
-    trials: usize,
-    seed: u64,
+    test_set: &Dataset,
+    grid: &CrosscheckGrid,
 ) -> Result<CrosscheckReport> {
+    let bits_grid = &grid.bits;
     let matrix = static_sensitivity_matrix(net, images, labels, bits_grid)?;
     let base = probe_loss(net, images, labels)?;
     let full = net.params();
     let infos = net.param_infos();
-    let quant_idx: Vec<usize> = infos
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.kind.is_quantizable())
-        .map(|(i, _)| i)
+    let quant_idx: Vec<usize> = (0..infos.len())
+        .filter(|&i| infos[i].kind.is_quantizable())
         .collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC805_5C8E);
+    let mut rng = StdRng::seed_from_u64(grid.seed ^ 0xC805_5C8E);
     let mut cells = Vec::with_capacity(quant_idx.len() * bits_grid.len());
-    let mut violations = 0usize;
     for (l, &pi) in quant_idx.iter().enumerate() {
         for (k, &b) in bits_grid.iter().enumerate() {
             let certified = matrix.impact(l, b).min(matrix.layers[l].err[k]);
-            let delta = matrix.layers[l].delta(b);
+            let half = matrix.layers[l].delta(b) / 2.0;
             let mut empirical = 0.0f32;
             // Trial 0: the actual round-to-nearest fake quantization.
             let q = quantize_tensor(&full[pi], &QuantScheme::symmetric(b)?)?;
@@ -427,18 +423,13 @@ pub fn noise_crosscheck(
             probe_with(q.values)?;
             // Random in-bin perturbations: any ‖δ‖∞ ≤ Δ/2 is admissible
             // under the certificate, not just the rounding pattern.
-            for _ in 0..trials {
-                let half = delta / 2.0;
-                let data: Vec<f32> = full[pi]
-                    .data()
-                    .iter()
-                    .map(|&w| w + rng.gen_range(-half..=half))
-                    .collect();
+            for _ in 0..grid.trials {
+                let data = full[pi].data().iter();
+                let data = data.map(|&w| w + rng.gen_range(-half..=half)).collect();
                 probe_with(Tensor::from_vec(data, full[pi].shape().clone())?)?;
             }
             let violated = empirical > certified * (1.0 + DOMINANCE_REL_TOL) + DOMINANCE_ABS_TOL;
             if violated {
-                violations += 1;
                 hero_obs::counters::NOISE_CROSSCHECK_VIOLATIONS.incr();
             }
             cells.push(CrosscheckCell {
@@ -452,55 +443,340 @@ pub fn noise_crosscheck(
     }
     net.set_params(&full)?;
 
-    // Ranking overlap at the grid midpoint: do the statically-sensitive
-    // layers match the empirically-sensitive ones?
+    // Ranking at the grid midpoint: do the statically-sensitive layers
+    // match the empirically-sensitive ones?
     let ref_k = bits_grid.len() / 2;
     let ref_bits = bits_grid[ref_k];
     let n = quant_idx.len();
-    let overlap = if n < 2 {
-        1.0
-    } else {
-        let top = n.div_ceil(2);
-        let top_set = |score: &dyn Fn(usize) -> f32| -> Vec<usize> {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                score(b)
-                    .partial_cmp(&score(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            order.truncate(top);
-            order
-        };
-        let static_top = top_set(&|l| matrix.impact(l, ref_bits));
-        let emp_top = top_set(&|l| {
-            cells
-                .iter()
-                .find(|c| c.layer == matrix.layers[l].name && c.bits == ref_bits)
-                .map_or(0.0, |c| c.empirical)
-        });
-        let hits = static_top.iter().filter(|l| emp_top.contains(l)).count();
-        hits as f32 / top as f32
-    };
     let static_scores: Vec<f32> = (0..n).map(|l| matrix.impact(l, ref_bits)).collect();
     let emp_scores: Vec<f32> = (0..n)
-        .map(|l| {
-            cells
-                .iter()
-                .find(|c| c.layer == matrix.layers[l].name && c.bits == ref_bits)
-                .map_or(0.0, |c| c.empirical)
-        })
+        .map(|l| cells[l * bits_grid.len() + ref_k].empirical)
         .collect();
+    let top = n.div_ceil(2);
+    let top_set = |score: &[f32]| -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            score[b]
+                .partial_cmp(&score[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order.truncate(top);
+        order
+    };
+    let (static_top, emp_top) = (top_set(&static_scores), top_set(&emp_scores));
+    let hits = static_top.iter().filter(|l| emp_top.contains(l)).count();
+    // A single-layer ranking is trivially perfect.
+    let overlap = if n < 2 { 1.0 } else { hits as f32 / top as f32 };
     let rank_rho = hero_hessian::spearman_rank_checked(&static_scores, &emp_scores);
 
+    // Reuse the certified matrix rather than paying for a second
+    // relational pass per layer×bits.
+    let (lo, hi) = (bits_grid[0].min(2), bits_grid[bits_grid.len() - 1]);
+    let allocation = matrix.allocate(grid.avg, lo, hi)?;
+    let mixed = eval_quantized(net, &NoiseBits::PerLayer(allocation.clone()), test_set)?.0;
+    let uniform = eval_quantized(net, &NoiseBits::Uniform(grid.avg.round() as u8), test_set)?.0;
     Ok(CrosscheckReport {
         model: net.name().to_string(),
+        violations: cells.iter().filter(|c| c.violated).count(),
         cells,
-        violations,
         overlap,
         rank_rho,
         ref_bits,
         matrix,
+        allocation,
+        mixed_vs_uniform: (mixed, uniform),
     })
+}
+
+// ---------------------------------------------------------------------------
+// The preflight and crosscheck experiments (`hero preflight`,
+// `hero noise-crosscheck`)
+// ---------------------------------------------------------------------------
+
+/// Which quantization noise a preflight run certifies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NoisePlan {
+    /// Every quantizable weight at this width.
+    Uniform(u8),
+    /// Per-layer widths allocated at this average width against the
+    /// certified static sensitivity matrix over the lint grid.
+    Mixed(f32),
+}
+
+/// Result of [`run_preflight`].
+#[derive(Debug, Clone)]
+pub struct PreflightRun {
+    /// Paper name of the analyzed model (names the report files).
+    pub model: &'static str,
+    /// The network's own name.
+    pub network: String,
+    /// The noise plan, its certified sensitivity matrix and the width it
+    /// seeds per quantizable layer.
+    pub noise: Option<(NoisePlan, SensitivityMatrix, Vec<u8>)>,
+    /// The analyzer report and its interval-colored Graphviz view.
+    pub report: (Report, Option<String>),
+    /// The report's provenance hash ([`crate::preflight_hash`]).
+    pub hash: u64,
+    /// The source artifact with the hash in `provenance.preflight_hash`.
+    pub stamped: Option<Artifact>,
+}
+
+/// The static analyzer suite over one probe tape of an untrained or saved
+/// model (64 training samples), with the clip-risk lint at `bits` and the
+/// certified `noise` (under an optional error `budget`). The noise grid is
+/// checked before the model is loaded; diagnostics never error.
+pub fn run_preflight(
+    preset: Preset,
+    scale: f32,
+    source: &ModelSource,
+    bits: &[u8],
+    noise: Option<NoisePlan>,
+    budget: Option<f32>,
+) -> Result<PreflightRun> {
+    let grid = match noise {
+        Some(NoisePlan::Mixed(_)) => bits.to_vec(),
+        Some(NoisePlan::Uniform(b)) => vec![b],
+        None => Vec::new(),
+    };
+    if noise.is_some() {
+        validate_grid(&grid)?;
+    }
+    let (train_set, test_set) = preset.load(scale);
+    let (mut net, artifact, model) = source.load(preset, &train_set, &test_set)?;
+    let (images, labels) = probe_batch(&train_set, 64)?;
+    let mut cfg = None;
+    let noise = match noise {
+        None => None,
+        Some(plan) => {
+            let matrix = static_sensitivity_matrix(&mut net, &images, labels, &grid)?;
+            let (widths, bits) = match plan {
+                NoisePlan::Mixed(avg) => {
+                    let widths = matrix.allocate(avg, grid[0].min(2), grid[grid.len() - 1])?;
+                    (widths.clone(), NoiseBits::PerLayer(widths))
+                }
+                NoisePlan::Uniform(b) => (vec![b; matrix.layers.len()], NoiseBits::Uniform(b)),
+            };
+            cfg = Some(NoiseConfig { bits, budget });
+            Some((plan, matrix, widths))
+        }
+    };
+    let vopts = VerifyOptions {
+        quant_bits: bits.to_vec(),
+        ..VerifyOptions::default()
+    };
+    let report =
+        preflight_report_with_noise(&mut net, &images, labels, &vopts, cfg.as_ref(), true)?;
+    let hash = crate::artifact_io::preflight_hash(&report.0);
+    let stamped = artifact.map(|mut art| {
+        art.set_meta("provenance.preflight_hash", MetaValue::U64(hash));
+        art
+    });
+    Ok(PreflightRun {
+        model,
+        network: net.name().to_string(),
+        noise,
+        report,
+        hash,
+        stamped,
+    })
+}
+
+impl PreflightRun {
+    /// The certified sensitivity table: per layer, its width and every grid
+    /// cell (mixed plan) or its one bound (uniform plan). Empty without a
+    /// noise plan.
+    pub fn sensitivity_table(&self) -> String {
+        let Some((plan, matrix, widths)) = &self.noise else {
+            return String::new();
+        };
+        let mut out = match plan {
+            NoisePlan::Mixed(avg) => {
+                format!(
+                    "certified static sensitivity (err[layer][bits], avg {avg}-bit allocation):"
+                )
+            }
+            NoisePlan::Uniform(b) => format!("certified per-layer loss-error bounds at {b} bits:"),
+        };
+        for (layer, width) in matrix.layers.iter().zip(widths) {
+            out += &match plan {
+                NoisePlan::Mixed(_) => {
+                    let cells: Vec<String> = (matrix.bits.iter().zip(&layer.err))
+                        .map(|(b, e)| format!("{b}b:{e:.2e}"))
+                        .collect();
+                    format!(
+                        "\n  {:40} {width:>2} bits  {}",
+                        layer.name,
+                        cells.join("  ")
+                    )
+                }
+                NoisePlan::Uniform(_) => {
+                    format!("\n  {:40} err ≤ {:.3e}", layer.name, layer.err[0])
+                }
+            };
+        }
+        out + "\n"
+    }
+}
+
+/// Result of [`run_crosscheck`].
+#[derive(Debug, Clone)]
+pub struct CrosscheckRun {
+    /// Dataset preset.
+    pub preset: Preset,
+    /// The measurement knobs.
+    pub grid: CrosscheckGrid,
+    /// Per model: its paper name, full-precision test accuracy and report.
+    pub models: Vec<(&'static str, f32, CrosscheckReport)>,
+}
+
+/// Adversarial validation of the static quantization-noise domain over
+/// `preset`'s datasets at `scale`: one SGD baseline per model, trained for
+/// `epochs` from `grid.seed`, then [`noise_crosscheck`] on 64 training
+/// samples. The grid and the uniform width are checked before any data is
+/// loaded.
+pub fn run_crosscheck(
+    preset: Preset,
+    scale: f32,
+    models: &[ModelKind],
+    epochs: usize,
+    grid: CrosscheckGrid,
+) -> Result<CrosscheckRun> {
+    validate_grid(&grid.bits)?;
+    QuantScheme::symmetric(grid.avg.round() as u8)?;
+    let (train_set, test_set) = preset.load(scale);
+    let (images, labels) = probe_batch(&train_set, 64)?;
+    let mut checks = Vec::with_capacity(models.len());
+    for model in models {
+        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(grid.seed));
+        let config = TrainConfig::new(MethodKind::Sgd.tuned(), epochs).with_seed(grid.seed);
+        let acc = train(&mut net, &train_set, &test_set, &config)?.final_test_acc;
+        let report = noise_crosscheck(&mut net, &images, labels, &test_set, &grid)?;
+        checks.push((model.paper_name(), acc, report));
+    }
+    Ok(CrosscheckRun {
+        preset,
+        grid,
+        models: checks,
+    })
+}
+
+impl CrosscheckRun {
+    /// Prints one summary line and emits one `noise_crosscheck` event per
+    /// model.
+    pub fn emit(&self) {
+        let avg = self.grid.avg;
+        for (model, full_acc, r) in &self.models {
+            let (mixed, uniform) = r.mixed_vs_uniform;
+            let rho = r
+                .rank_rho
+                .map_or_else(|| "undefined".into(), |r| format!("{r:.3}"));
+            println!(
+                "{model}: {} cells, {} violations, overlap {:.2}, rank rho {rho}, \
+                 {} distinct ranks, mixed {:.2}% vs uniform {:.2}% \
+                 at avg {avg} bits (full {:.2}%)",
+                r.cells.len(),
+                r.violations,
+                r.overlap,
+                r.distinct_ranks(),
+                100.0 * mixed,
+                100.0 * uniform,
+                100.0 * full_acc
+            );
+            hero_obs::Event::new("noise_crosscheck")
+                .str("model", model)
+                .u64("violations", r.violations as u64)
+                .u64("distinct_ranks", r.distinct_ranks() as u64)
+                .f64("overlap", f64::from(r.overlap))
+                .f64("rank_rho", f64::from(r.rank_rho.unwrap_or(f32::NAN)))
+                .f64("mixed_acc", f64::from(mixed))
+                .f64("uniform_acc", f64::from(uniform))
+                .emit();
+        }
+    }
+
+    /// The smallest defined ranking overlap (a vacuous 1.0 when none is).
+    pub fn worst_overlap(&self) -> f32 {
+        let overlaps = self.models.iter().map(|m| m.2.overlap);
+        overlaps
+            .filter(|o| !o.is_nan())
+            .reduce(f32::min)
+            .unwrap_or(1.0)
+    }
+
+    /// The crosscheck document: one line per model with its cells. A NaN
+    /// overlap or a non-finite measured shift serializes as `null`.
+    pub fn to_json(&self) -> String {
+        let docs = self.models.iter().map(|(model, full_acc, r)| {
+            let cells = r.cells.iter().map(|c| {
+                let mut cell = JsonObj::new();
+                cell.str("layer", &c.layer)
+                    .u64("bits", u64::from(c.bits))
+                    .f64("certified", f64::from(c.certified))
+                    .f64("empirical", f64::from(c.empirical))
+                    .bool("violated", c.violated);
+                cell.finish()
+            });
+            let mut doc = JsonObj::new();
+            doc.str("model", model)
+                .u64("violations", r.violations as u64)
+                .f64("overlap", f64::from(r.overlap))
+                .f64("rank_rho", f64::from(r.rank_rho.unwrap_or(f32::NAN)))
+                .u64("distinct_ranks", r.distinct_ranks() as u64)
+                .u64("ref_bits", u64::from(r.ref_bits))
+                .f64("full_acc", f64::from(*full_acc))
+                .f64("mixed_acc", f64::from(r.mixed_vs_uniform.0))
+                .f64("uniform_acc", f64::from(r.mixed_vs_uniform.1))
+                .raw("allocation", &json::list(&r.allocation))
+                .raw("cells", &json::array_lines(cells));
+            doc.finish()
+        });
+        let violations: usize = self.models.iter().map(|m| m.2.violations).sum();
+        let mut doc = JsonObj::new();
+        doc.str("preset", self.preset.paper_name())
+            .raw("bits", &json::list(&self.grid.bits))
+            .f64("avg_bits", f64::from(self.grid.avg))
+            .raw("models", &json::array_lines(docs))
+            .u64("total_violations", violations as u64)
+            .f64("worst_overlap", f64::from(self.worst_overlap()));
+        doc.finish() + "\n"
+    }
+
+    /// Why the run fails its gate, if it does: a soundness violation (see
+    /// `out`), a rank-constant raw matrix on a multi-layer model, or, when
+    /// `min_overlap > 0`, a degenerate ranking (NaN overlap, or undefined ρ
+    /// on a multi-layer model: never a silent pass) or a worst overlap
+    /// under `min_overlap`.
+    pub fn failure(&self, min_overlap: f32, out: &Path) -> Option<String> {
+        let reports = || self.models.iter().map(|m| &m.2);
+        let violations: usize = reports().map(|r| r.violations).sum();
+        let multi = |r: &CrosscheckReport| r.matrix.layers.len() >= 2;
+        let constant: Vec<&str> = (self.models.iter())
+            .filter(|m| multi(&m.2) && m.2.distinct_ranks() < 2)
+            .map(|m| m.0)
+            .collect();
+        let degenerate =
+            reports().any(|r| r.overlap.is_nan() || (r.rank_rho.is_none() && multi(r)));
+        let worst = self.worst_overlap();
+        Some(if violations > 0 {
+            format!(
+                "noise-domain soundness violated: {violations} measured errors \
+                 escaped their certified bounds (see {})",
+                out.display()
+            )
+        } else if !constant.is_empty() {
+            let constant = constant.join(", ");
+            format!("raw sensitivity matrix is rank-constant (every layer×bits cell ties) on: {constant}")
+        } else if min_overlap > 0.0 && degenerate {
+            format!(
+                "static-vs-empirical ranking is degenerate (NaN overlap or undefined Spearman \
+                 rho) on at least one model; cannot certify the required {min_overlap:.2} overlap"
+            )
+        } else if min_overlap > 0.0 && worst < min_overlap {
+            format!("static-vs-empirical ranking overlap {worst:.2} below the required {min_overlap:.2}")
+        } else {
+            return None;
+        })
+    }
 }
 
 #[cfg(test)]
@@ -531,7 +807,10 @@ mod tests {
     #[test]
     fn noisy_preflight_produces_bounds() {
         let (mut net, images, labels) = setup();
-        let cfg = NoiseConfig::uniform(4);
+        let cfg = NoiseConfig {
+            bits: NoiseBits::Uniform(4),
+            budget: None,
+        };
         let (report, dot) = preflight_report_with_noise(
             &mut net,
             &images,
@@ -553,7 +832,10 @@ mod tests {
     #[test]
     fn per_layer_bits_validate_arity() {
         let (mut net, images, labels) = setup();
-        let bad = NoiseConfig::per_layer(vec![4]); // mlp has 3 weights
+        let bad = NoiseConfig {
+            bits: NoiseBits::PerLayer(vec![4]), // mlp has 3 weights
+            budget: None,
+        };
         assert!(preflight_report_with_noise(
             &mut net,
             &images,
@@ -583,7 +865,18 @@ mod tests {
     fn crosscheck_has_no_violations_on_fresh_mlp() {
         let (mut net, images, labels) = setup();
         let before = net.params();
-        let report = noise_crosscheck(&mut net, &images, &labels, &[2, 4, 8], 2, 11).unwrap();
+        let test_set = hero_data::Dataset {
+            images: images.clone(),
+            labels: labels.clone(),
+            classes: 4,
+        };
+        let grid = CrosscheckGrid {
+            bits: vec![2, 4, 8],
+            trials: 2,
+            seed: 11,
+            avg: 4.0,
+        };
+        let report = noise_crosscheck(&mut net, &images, &labels, &test_set, &grid).unwrap();
         assert_eq!(report.violations, 0, "{:?}", report.cells);
         assert!(report
             .cells

@@ -10,15 +10,32 @@
 //! evaluations), emits it as `spectrum` / `spectrum_layer` JSONL events
 //! and records it into the `hero-obs` series registry, so traced runs roll
 //! the whole trajectory into `SUMMARY_<run>.json`.
+//!
+//! [`spectrum_report`] is the observatory behind `hero spectrum`: the same
+//! estimator on each model's final weights, keeping the density grid
+//! ([`probe_density`]), ranked against the certified static sensitivity.
 
-use hero_data::Dataset;
-use hero_hessian::{layer_traces, slq_density, Estimate, GradOracle, SlqConfig, SlqDensity};
+use crate::artifact_io::{
+    load_artifact, network_from_artifact, record_from_artifact, run_meta_from_artifact,
+};
+use crate::experiment::{model_config, slug, MethodKind};
+use crate::preflight::{static_sensitivity_matrix, validate_grid};
+use crate::trainer::{probe_batch, train};
+use crate::{TrainConfig, TrainRecord};
+use hero_data::{Dataset, Preset};
+use hero_hessian::{
+    layer_traces, slq_density, spearman_rank_checked, Estimate, GradOracle, SlqConfig, SlqDensity,
+};
+use hero_nn::models::ModelKind;
 use hero_nn::Network;
+use hero_obs::json::{self, JsonObj};
 use hero_optim::BatchOracle;
-use hero_tensor::{Result, Tensor};
+use hero_tensor::rng::StdRng;
+use hero_tensor::{Result, Tensor, TensorError};
+use std::path::PathBuf;
 
 /// Knobs for one spectrum probe (shared by the trainer's epoch-cadence
-/// probe and the CLI's deep final probe).
+/// probe and the observatory's deep final probe).
 #[derive(Debug, Clone, Copy)]
 pub struct SpectrumOptions {
     /// Lanczos steps per SLQ probe vector.
@@ -133,12 +150,8 @@ impl SpectrumProbe {
     }
 }
 
-/// Takes one spectrum probe of `net` on a fixed subsample of `train_set`.
-///
-/// The network's parameters and batch-norm running statistics are
-/// restored afterwards (the gradient oracle installs whatever it evaluated
-/// last, and its first evaluation updates the running statistics), so
-/// probing never perturbs training.
+/// Takes one spectrum probe of `net` on a fixed subsample of `train_set`:
+/// [`probe_density`] without the density grid.
 ///
 /// # Errors
 ///
@@ -150,10 +163,36 @@ pub fn probe_spectrum(
     epoch: usize,
     opts: &SpectrumOptions,
 ) -> Result<SpectrumProbe> {
+    let (density, layers) = probe_density(net, train_set, opts)?;
+    Ok(SpectrumProbe {
+        epoch,
+        lambda_max: density.lambda_max,
+        lambda_min: density.lambda_min,
+        mean_eigenvalue: density.mean_eigenvalue,
+        second_moment: density.second_moment,
+        layers,
+    })
+}
+
+/// The SLQ density (on a 32-point grid) and the per-layer Hutchinson
+/// traces of `net` at its current weights, on the first `opts.samples`
+/// training samples.
+///
+/// The network's parameters and batch-norm running statistics are
+/// restored afterwards (the gradient oracle installs whatever it evaluated
+/// last, and its first evaluation updates the running statistics), so
+/// probing never perturbs training.
+///
+/// # Errors
+///
+/// Same contract as [`probe_spectrum`].
+pub fn probe_density(
+    net: &mut Network,
+    train_set: &Dataset,
+    opts: &SpectrumOptions,
+) -> Result<(SlqDensity, Vec<LayerTrace>)> {
     let _obs = hero_obs::span("spectrum");
-    let n = train_set.len().min(opts.samples);
-    let images = train_set.images.narrow(0, n)?;
-    let labels = &train_set.labels[..n];
+    let (images, labels) = probe_batch(train_set, opts.samples)?;
     let params = net.params();
     let state = net.state();
     let infos = net.param_infos();
@@ -169,14 +208,7 @@ pub fn probe_spectrum(
             trace,
         })
         .collect();
-    Ok(SpectrumProbe {
-        epoch,
-        lambda_max: density.lambda_max,
-        lambda_min: density.lambda_min,
-        mean_eigenvalue: density.mean_eigenvalue,
-        second_moment: density.second_moment,
-        layers,
-    })
+    Ok((density, layers))
 }
 
 /// The SLQ density and per-layer Hutchinson traces at `params`, sharing
@@ -193,6 +225,7 @@ fn estimate(
         probes: opts.slq_probes,
         eps: opts.eps,
         seed: opts.seed,
+        grid_points: 32,
         ..SlqConfig::default()
     };
     let density = slq_density(oracle, params, &base, cfg)?;
@@ -206,6 +239,249 @@ fn estimate(
         opts.seed ^ 0x7ACE,
     )?;
     Ok((density, traces))
+}
+
+// ---------------------------------------------------------------------------
+// The spectrum observatory (`hero spectrum`)
+// ---------------------------------------------------------------------------
+
+/// Where the observatory's models come from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpectrumSource {
+    /// One saved artifact: its weights and recorded spectrum trajectory,
+    /// labelled by its training method.
+    Artifact(PathBuf),
+    /// A fresh model trained with each method from the probe seed.
+    Train {
+        /// Architecture.
+        model: ModelKind,
+        /// One run per method.
+        methods: Vec<MethodKind>,
+        /// Epoch budget of each run.
+        epochs: usize,
+        /// Epoch cadence of the trajectory probes.
+        every: usize,
+    },
+}
+
+/// One model's final probe and its trace-vs-certificate ranking.
+#[derive(Debug, Clone)]
+pub struct MethodSpectrum {
+    /// Method label (paper name, or an artifact's `train.method.kind`).
+    pub method: String,
+    /// The training record (accuracy, epochs, spectrum trajectory).
+    pub record: TrainRecord,
+    /// SLQ density and per-tensor Hutchinson traces of the final weights.
+    pub probe: (SlqDensity, Vec<LayerTrace>),
+    /// Spearman ρ of the quantizable layers' per-weight trace `|tr(H_ii)|/nᵢ`
+    /// against their certified curvature (`None` when degenerate), and the
+    /// number of layers ranked.
+    pub spearman: (Option<f32>, usize),
+}
+
+impl MethodSpectrum {
+    /// Sum of the per-layer trace means: the global trace estimate.
+    pub fn global_trace(&self) -> f32 {
+        self.probe.1.iter().map(|l| l.trace.mean).sum()
+    }
+}
+
+/// Result of [`spectrum_report`].
+#[derive(Debug, Clone)]
+pub struct SpectrumReport {
+    /// Dataset preset.
+    pub preset: Preset,
+    /// Paper name of the probed architecture, and its training epochs.
+    pub model: (&'static str, usize),
+    /// The final probe's options.
+    pub opts: SpectrumOptions,
+    /// Width of the static sensitivity ranking.
+    pub sens_bits: u8,
+    /// One entry per probed model.
+    pub methods: Vec<MethodSpectrum>,
+}
+
+/// The spectrum observatory: trains each requested method with per-epoch
+/// spectrum telemetry (or loads one artifact), probes the final weights
+/// with [`probe_density`], and ranks the quantizable layers' traces
+/// against the certified static sensitivity at `sens_bits` (Spearman).
+/// The probe counts and the width are checked before any data is loaded.
+pub fn spectrum_report(
+    preset: Preset,
+    scale: f32,
+    source: &SpectrumSource,
+    opts: SpectrumOptions,
+    sens_bits: u8,
+) -> Result<SpectrumReport> {
+    if opts.steps == 0 || opts.slq_probes == 0 || opts.trace_probes == 0 {
+        return Err(TensorError::InvalidArgument(
+            "spectrum needs at least one Lanczos step and one probe".into(),
+        ));
+    }
+    validate_grid(&[sens_bits])?;
+    let (train_set, test_set) = preset.load(scale);
+    let mut runs: Vec<(String, Network, TrainRecord)> = Vec::new();
+    let model = match source {
+        SpectrumSource::Artifact(path) => {
+            let art = load_artifact(path)?;
+            let record = record_from_artifact(&art)?;
+            let epochs = record.epochs.len();
+            let method = art.meta_str("train.method.kind").unwrap_or("artifact");
+            runs.push((method.to_string(), network_from_artifact(&art)?, record));
+            (run_meta_from_artifact(&art)?.model.paper_name(), epochs)
+        }
+        SpectrumSource::Train {
+            model,
+            methods,
+            epochs,
+            every,
+        } => {
+            for method in methods {
+                let mut net =
+                    model.build(model_config(preset), &mut StdRng::seed_from_u64(opts.seed));
+                let config = TrainConfig::new(method.tuned(), *epochs).with_seed(opts.seed);
+                let record = train(
+                    &mut net,
+                    &train_set,
+                    &test_set,
+                    &config.with_spectrum_every(*every),
+                )?;
+                runs.push((method.paper_name().to_string(), net, record));
+            }
+            (model.paper_name(), *epochs)
+        }
+    };
+    let (images, labels) = probe_batch(&train_set, opts.samples)?;
+    let mut methods = Vec::with_capacity(runs.len());
+    for (method, mut net, record) in runs {
+        let probe = probe_density(&mut net, &train_set, &opts)?;
+        // Both sides are per-weight curvature magnitudes: the raw `err`
+        // cells can all clamp at the analyzer's loss-interval ceiling,
+        // which would make the ranking constant.
+        let matrix = static_sensitivity_matrix(&mut net, &images, labels, &[sens_bits])?;
+        let sens = matrix.to_layer_sensitivities();
+        let (empirical, certified): (Vec<f32>, Vec<f32>) = (probe.1.iter())
+            .filter(|l| l.quantizable)
+            .filter_map(|l| {
+                let s = sens.iter().find(|s| s.name == l.name)?;
+                Some(((l.trace.mean / s.numel.max(1) as f32).abs(), s.curvature))
+            })
+            .unzip();
+        let rho = spearman_rank_checked(&empirical, &certified);
+        methods.push(MethodSpectrum {
+            method,
+            record,
+            probe,
+            spearman: (rho, empirical.len()),
+        });
+    }
+    Ok(SpectrumReport {
+        preset,
+        model,
+        opts,
+        sens_bits,
+        methods,
+    })
+}
+
+impl SpectrumReport {
+    /// The document's default path: `results/SPECTRUM_<model>_<preset>.json`.
+    pub fn default_path(&self) -> PathBuf {
+        let stem = slug(&[self.model.0, self.preset.paper_name()]);
+        PathBuf::from(format!("results/SPECTRUM_{stem}.json"))
+    }
+
+    /// Prints each model's summary line and ASCII density plot, and emits
+    /// one `spectrum_summary` event per model.
+    pub fn emit(&self) {
+        for m in &self.methods {
+            let (name, d, (rho, ranked)) = (&m.method, &m.probe.0, m.spearman);
+            let rho_str = rho.map_or_else(|| "undefined".into(), |r| format!("{r:.3}"));
+            println!(
+                "{name} after {} epochs: λ_max {:.4} ± {:.4}, λ_min {:.4}, tr(H) {:.2}, \
+                 E[λ²] {:.4}, trace-vs-static Spearman ρ {rho_str} over {ranked} layers",
+                m.record.epochs.len(),
+                d.lambda_max.mean,
+                d.lambda_max.ci95(),
+                d.lambda_min.mean,
+                m.global_trace(),
+                d.second_moment.mean,
+            );
+            let (probes, steps) = (self.opts.slq_probes, self.opts.steps);
+            println!(
+                "{name} spectral density (SLQ, {probes} probes × {steps} steps, σ {:.3}):",
+                d.sigma
+            );
+            let rows: Vec<(String, f64)> = (d.grid.iter().zip(&d.density))
+                .map(|(&x, &v)| (format!("{x:>10.3}"), f64::from(v)))
+                .collect();
+            print!("{}", hero_obs::ascii_bars(&rows, 48));
+            hero_obs::Event::new("spectrum_summary")
+                .str("method", name)
+                .f64("lambda_max", f64::from(d.lambda_max.mean))
+                .f64("lambda_min", f64::from(d.lambda_min.mean))
+                .f64("trace", f64::from(m.global_trace()))
+                .f64("second_moment", f64::from(d.second_moment.mean))
+                .f64("spearman", f64::from(rho.unwrap_or(f32::NAN)))
+                .emit();
+        }
+    }
+
+    /// The comparison document: one line per model with its density grid,
+    /// per-layer traces and per-epoch trajectory (`null` for an undefined
+    /// ranking).
+    pub fn to_json(&self) -> String {
+        let nums = |v: &[f32]| json::list(v.iter().map(|&x| json::num(f64::from(x))));
+        let methods = self.methods.iter().map(|m| {
+            let (d, layers) = &m.probe;
+            let layers = layers.iter().map(|l| {
+                let mut layer = JsonObj::new();
+                layer
+                    .str("layer", &l.name)
+                    .bool("quantizable", l.quantizable)
+                    .f64("trace", f64::from(l.trace.mean))
+                    .f64("trace_se", f64::from(l.trace.std_error));
+                layer.finish()
+            });
+            let trajectory = m.record.spectra.iter().map(|p| {
+                let mut point = JsonObj::new();
+                point
+                    .u64("epoch", p.epoch as u64)
+                    .f64("lambda_max", f64::from(p.lambda_max.mean))
+                    .f64("trace", f64::from(p.global_trace()))
+                    .f64("second_moment", f64::from(p.second_moment.mean));
+                point.finish()
+            });
+            let mut doc = JsonObj::new();
+            doc.str("method", &m.method)
+                .f64("test_acc", f64::from(m.record.final_test_acc))
+                .f64("lambda_max", f64::from(d.lambda_max.mean))
+                .f64("lambda_max_se", f64::from(d.lambda_max.std_error))
+                .f64("lambda_min", f64::from(d.lambda_min.mean))
+                .f64("mean_eigenvalue", f64::from(d.mean_eigenvalue.mean))
+                .f64("second_moment", f64::from(d.second_moment.mean))
+                .f64("trace", f64::from(m.global_trace()))
+                .f64(
+                    "spearman_trace_vs_static",
+                    f64::from(m.spearman.0.unwrap_or(f32::NAN)),
+                )
+                .f64("sigma", f64::from(d.sigma))
+                .raw("grid", &nums(&d.grid))
+                .raw("density", &nums(&d.density))
+                .raw("layers", &json::array_lines(layers))
+                .raw("trajectory", &json::array_lines(trajectory));
+            doc.finish()
+        });
+        let mut doc = JsonObj::new();
+        doc.str("preset", self.preset.paper_name())
+            .str("model", self.model.0)
+            .u64("epochs", self.model.1 as u64)
+            .u64("steps", self.opts.steps as u64)
+            .u64("probes", self.opts.slq_probes as u64)
+            .u64("sens_bits", u64::from(self.sens_bits))
+            .raw("methods", &json::array_lines(methods));
+        doc.finish() + "\n"
+    }
 }
 
 #[cfg(test)]

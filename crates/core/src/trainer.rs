@@ -2,6 +2,7 @@
 
 use crate::config::TrainConfig;
 use crate::metrics::{EpochMetrics, TrainRecord};
+use crate::preflight::preflight_report_with_noise;
 use crate::spectrum::{probe_spectrum, SpectrumOptions};
 use hero_analyze::{Report, VerifyOptions};
 use hero_data::{Dataset, Loader};
@@ -121,10 +122,9 @@ pub fn train_resumable(
     // structured report instead of corrupting λmax estimates silently.
     // BN statistics are frozen around the probe, so re-running it on
     // resume does not perturb the restored trajectory.
-    let probe = train_set.len().min(config.batch_size);
-    if probe > 0 {
-        let images = train_set.images.narrow(0, probe)?;
-        verify_network_tape(net, &images, &train_set.labels[..probe])?;
+    if !train_set.is_empty() {
+        let (images, labels) = probe_batch(train_set, config.batch_size)?;
+        verify_network_tape(net, &images, labels)?;
     }
 
     // Persistent data-parallel context (config.threads ≥ 1): workers with
@@ -218,7 +218,7 @@ pub fn train_resumable(
         let hessian_norm = if config.probe_every > 0
             && (epoch % config.probe_every == 0 || epoch + 1 == config.epochs)
         {
-            probe_hessian_norm(net, train_set, config)?
+            probe_hessian_norm(net, train_set)?
         } else {
             f32::NAN
         };
@@ -326,7 +326,7 @@ pub fn verify_network_tape_with(
     labels: &[usize],
     opts: &VerifyOptions,
 ) -> Result<Report> {
-    let (report, _dot) = preflight_report(net, images, labels, opts, false)?;
+    let (report, _) = preflight_report_with_noise(net, images, labels, opts, None, false)?;
     if report.has_errors() {
         return Err(TensorError::InvalidArgument(format!(
             "static tape verification failed for `{}`:\n{report}",
@@ -336,47 +336,37 @@ pub fn verify_network_tape_with(
     Ok(report)
 }
 
-/// Records one train-mode probe tape, runs the full analyzer suite over
-/// it, and (when `render_dot` is set) renders the interval-colored
-/// Graphviz view — the building block behind [`verify_network_tape_with`]
-/// and the CLI `preflight` subcommand. Never errors on diagnostics; the
-/// caller decides what gates.
-///
-/// # Errors
-///
-/// Returns shape errors if the batch is incompatible with the network.
-pub fn preflight_report(
-    net: &mut Network,
-    images: &Tensor,
-    labels: &[usize],
-    opts: &VerifyOptions,
-    render_dot: bool,
-) -> Result<(Report, Option<String>)> {
-    crate::preflight::preflight_report_with_noise(net, images, labels, opts, None, render_dot)
-}
-
 /// Evaluates the paper's Fig. 2(a) probe ‖Hz‖ on a fixed training
 /// subsample.
 ///
 /// # Errors
 ///
 /// Returns shape errors if the probe batch is incompatible.
-pub fn probe_hessian_norm(
-    net: &mut Network,
-    train_set: &Dataset,
-    config: &TrainConfig,
-) -> Result<f32> {
-    let n = train_set.len().min(PROBE_SAMPLES);
-    let images = train_set.images.narrow(0, n)?;
-    let labels = &train_set.labels[..n];
+pub fn probe_hessian_norm(net: &mut Network, train_set: &Dataset) -> Result<f32> {
+    let (images, labels) = probe_batch(train_set, PROBE_SAMPLES)?;
     let params = net.params();
     let mut oracle = BatchOracle::new(net, &images, labels);
     let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3)?;
     // Restore the unperturbed parameters (the oracle installs whatever it
     // evaluated last).
     net.set_params(&params)?;
-    let _ = config;
     Ok(hz)
+}
+
+/// The first `n` samples of `set` (all of them if fewer): the fixed batch
+/// every curvature, sensitivity and preflight probe evaluates on.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] when `set` is empty.
+pub fn probe_batch(set: &Dataset, n: usize) -> Result<(Tensor, &[usize])> {
+    let n = set.len().min(n);
+    if n == 0 {
+        return Err(TensorError::InvalidArgument(
+            "the probe batch needs at least one sample".into(),
+        ));
+    }
+    Ok((set.images.narrow(0, n)?, &set.labels[..n]))
 }
 
 #[cfg(test)]
@@ -481,9 +471,8 @@ mod tests {
     #[test]
     fn probe_preserves_parameters() {
         let (mut net, train_set, _) = setup();
-        let config = TrainConfig::new(Method::Sgd, 1);
         let before = net.params();
-        probe_hessian_norm(&mut net, &train_set, &config).unwrap();
+        probe_hessian_norm(&mut net, &train_set).unwrap();
         assert_eq!(net.params(), before);
     }
 

@@ -1,10 +1,9 @@
 //! End-to-end exercise of the static quantization-noise domain on the
 //! conv/BN path: a briefly-trained mini ResNet must pass the
-//! measurement crosscheck (zero soundness violations) and the
-//! `quant_sweep` dominance gate, and the static sensitivity matrix must
-//! drive a feasible mixed-precision allocation.
+//! measurement crosscheck (zero soundness violations), and the report's
+//! mixed-precision allocation from the certified matrix must be feasible.
 
-use hero_core::{noise_crosscheck, static_sensitivity_matrix, train, TrainConfig};
+use hero_core::{noise_crosscheck, train, CrosscheckGrid, TrainConfig};
 use hero_data::{Dataset, SynthGenerator, SynthSpec};
 use hero_nn::models::{mini_resnet, ModelConfig};
 use hero_nn::Network;
@@ -38,9 +37,14 @@ fn crosscheck_is_sound_on_trained_conv_bn_model() {
     let probe = test_set.len().min(16);
     let images = test_set.images.narrow(0, probe).unwrap();
     let labels = &test_set.labels[..probe];
-    let grid = [4u8, 8];
+    let grid = CrosscheckGrid {
+        bits: vec![4, 8],
+        trials: 2,
+        seed: 0xC0DE,
+        avg: 6.0,
+    };
     let before = net.params();
-    let report = noise_crosscheck(&mut net, &images, labels, &grid, 2, 0xC0DE).unwrap();
+    let report = noise_crosscheck(&mut net, &images, labels, &test_set, &grid).unwrap();
 
     assert_eq!(
         report.violations,
@@ -57,23 +61,23 @@ fn crosscheck_is_sound_on_trained_conv_bn_model() {
         .iter()
         .filter(|i| i.kind.is_quantizable())
         .count();
-    assert_eq!(report.cells.len(), quantizable * grid.len());
+    assert_eq!(report.cells.len(), quantizable * grid.bits.len());
     assert!(report.cells.iter().all(|c| c.certified.is_finite()));
     assert!((0.0..=1.0).contains(&report.overlap));
     // Crosscheck must leave the weights exactly as it found them.
     assert_eq!(net.params(), before);
 
-    // The same probe feeds a feasible mixed-precision allocation.
-    let matrix = static_sensitivity_matrix(&mut net, &images, labels, &grid).unwrap();
-    let bits = matrix.allocate(6.0, 4, 8).unwrap();
+    // The certified matrix drives a feasible mixed-precision allocation
+    // (widths from 2 bits up to the top of the grid), evaluated next to
+    // uniform quantization at the same average width.
+    let bits = &report.allocation;
     assert_eq!(bits.len(), quantizable);
-    assert!(bits.iter().all(|&b| (4..=8).contains(&b)));
-    let total: usize = matrix.layers.iter().map(|l| l.numel).sum();
-    let spent: usize = matrix
-        .layers
-        .iter()
-        .zip(&bits)
+    assert!(bits.iter().all(|&b| (2..=8).contains(&b)));
+    let total: usize = report.matrix.layers.iter().map(|l| l.numel).sum();
+    let spent: usize = (report.matrix.layers.iter().zip(bits))
         .map(|(l, &b)| l.numel * usize::from(b))
         .sum();
     assert!(spent <= (6.0 * total as f32).floor() as usize);
+    let (mixed, uniform) = report.mixed_vs_uniform;
+    assert!((0.0..=1.0).contains(&mixed) && (0.0..=1.0).contains(&uniform));
 }

@@ -124,6 +124,13 @@ impl JsonObj {
     }
 }
 
+/// Serializes already-serialized JSON values (or numbers) as a one-line
+/// array: `[1, 2, 3]`.
+pub fn list<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(", "))
+}
+
 /// Serializes an iterator of already-serialized JSON values as a pretty
 /// one-value-per-line array — the layout of every `results/*.json` file.
 pub fn array_lines<I: IntoIterator<Item = String>>(items: I) -> String {

@@ -13,7 +13,7 @@
 //! Under the `obs-off` feature [`record`] compiles to an inline no-op and
 //! snapshots are empty, matching the tracer's zero-cost contract.
 
-use crate::json::JsonObj;
+use crate::json::{list, JsonObj};
 
 /// Per-series sample cap: recording is epoch-cadenced, so this is far
 /// above any real run; it bounds memory if a hot loop misuses the sink.
@@ -252,7 +252,6 @@ impl Histogram {
 
     /// Serializes the histogram as one JSON object (bins, edges, counts).
     pub fn to_json(&self) -> String {
-        let counts: Vec<String> = self.counts.iter().map(u64::to_string).collect();
         let mut o = JsonObj::new();
         o.f64("lo", self.lo)
             .f64("hi", self.hi)
@@ -260,7 +259,7 @@ impl Histogram {
             .u64("underflow", self.underflow)
             .u64("overflow", self.overflow)
             .u64("non_finite", self.non_finite)
-            .raw("counts", &format!("[{}]", counts.join(", ")));
+            .raw("counts", &list(&self.counts));
         o.finish()
     }
 }

@@ -10,8 +10,7 @@
 //! greedy marginal-gain problem — the direction the paper points at with
 //! its mixed-precision citations (§2.2, BSQ).
 
-use crate::model::ModelQuantReport;
-use crate::quantizer::{quant_error, quantize_tensor};
+use crate::model::{quantize_each, ModelQuantReport};
 use crate::scheme::QuantScheme;
 use hero_nn::Network;
 use hero_tensor::{Result, Tensor, TensorError};
@@ -212,8 +211,6 @@ pub fn quantize_params_mixed(
     net: &Network,
     bits: &[u8],
 ) -> Result<(Vec<Tensor>, ModelQuantReport)> {
-    let _obs = hero_obs::span("quantize");
-    let params = net.params();
     let infos = net.param_infos();
     let quantizable = infos.iter().filter(|i| i.kind.is_quantizable()).count();
     if bits.len() != quantizable {
@@ -222,37 +219,8 @@ pub fn quantize_params_mixed(
             bits.len()
         )));
     }
-    let mut out = Vec::with_capacity(params.len());
-    let mut report = ModelQuantReport {
-        scheme: QuantScheme::symmetric(bits.iter().copied().max().unwrap_or(8))?,
-        quantized_tensors: 0,
-        skipped_tensors: 0,
-        worst_linf: 0.0,
-        max_bin_width: 0.0,
-        mean_mse: 0.0,
-    };
-    let mut mse_acc = 0.0;
-    let mut next_bit = bits.iter();
-    for (p, info) in params.iter().zip(&infos) {
-        if info.kind.is_quantizable() {
-            let b = *next_bit.next().expect("counted above");
-            let q = quantize_tensor(p, &QuantScheme::symmetric(b)?)?;
-            let err = quant_error(p, &q.values)?;
-            hero_obs::counters::QUANT_TENSORS.incr();
-            report.quantized_tensors += 1;
-            report.worst_linf = report.worst_linf.max(err.linf);
-            report.max_bin_width = report.max_bin_width.max(q.max_bin_width());
-            mse_acc += err.mse;
-            out.push(q.values);
-        } else {
-            report.skipped_tensors += 1;
-            out.push(p.clone());
-        }
-    }
-    if report.quantized_tensors > 0 {
-        report.mean_mse = mse_acc / report.quantized_tensors as f32;
-    }
-    Ok((out, report))
+    let widest = QuantScheme::symmetric(bits.iter().copied().max().unwrap_or(8))?;
+    quantize_each(net, widest, |i| QuantScheme::symmetric(bits[i]))
 }
 
 #[cfg(test)]

@@ -35,12 +35,21 @@ pub fn quantize_params(
     net: &Network,
     scheme: &QuantScheme,
 ) -> Result<(Vec<Tensor>, ModelQuantReport)> {
+    quantize_each(net, *scheme, |_| Ok(*scheme))
+}
+
+/// Fake-quantizes the `i`-th quantizable tensor under `scheme_of(i)` and
+/// passes every other parameter through; `scheme` labels the report.
+pub(crate) fn quantize_each(
+    net: &Network,
+    scheme: QuantScheme,
+    mut scheme_of: impl FnMut(usize) -> Result<QuantScheme>,
+) -> Result<(Vec<Tensor>, ModelQuantReport)> {
     let _obs = hero_obs::span("quantize");
     let params = net.params();
-    let infos = net.param_infos();
     let mut out = Vec::with_capacity(params.len());
     let mut report = ModelQuantReport {
-        scheme: *scheme,
+        scheme,
         quantized_tensors: 0,
         skipped_tensors: 0,
         worst_linf: 0.0,
@@ -48,9 +57,9 @@ pub fn quantize_params(
         mean_mse: 0.0,
     };
     let mut mse_acc = 0.0;
-    for (p, info) in params.iter().zip(&infos) {
+    for (p, info) in params.iter().zip(net.param_infos()) {
         if info.kind.is_quantizable() {
-            let q = quantize_tensor(p, scheme)?;
+            let q = quantize_tensor(p, &scheme_of(report.quantized_tensors)?)?;
             let err: QuantError = quant_error(p, &q.values)?;
             hero_obs::counters::QUANT_TENSORS.incr();
             report.quantized_tensors += 1;

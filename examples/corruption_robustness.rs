@@ -52,14 +52,12 @@ fn main() -> Result<(), TensorError> {
 
         // Scalar sharpness at the converged weights (Keskar ε-sharpness on
         // a training subsample).
-        let n = train_set.len().min(128);
-        let images = train_set.images.narrow(0, n)?;
-        let labels = train_set.labels[..n].to_vec();
+        let (images, labels) = hero_core::probe_batch(&train_set, 128)?;
         let params = net.params();
         let netref = &mut net;
         let mut oracle = |ps: &[hero_tensor::Tensor]| -> hero_tensor::Result<f32> {
             netref.set_params(ps)?;
-            hero_nn::eval_loss(netref, &images, &labels)
+            hero_nn::eval_loss(netref, &images, labels)
         };
         let sharp = epsilon_sharpness(
             &mut oracle,

@@ -14,12 +14,10 @@
 //! cargo run --release -p hero-core --example edge_quantization
 //! ```
 
-use hero_core::experiment::{model_config, MethodKind};
-use hero_core::{train, TrainConfig};
+use hero_core::experiment::{eval_quantized, model_config, MethodKind};
+use hero_core::{train, NoiseBits, TrainConfig};
 use hero_data::Preset;
-use hero_nn::evaluate_accuracy;
 use hero_nn::models::ModelKind;
-use hero_quant::{quantize_params, QuantScheme};
 use hero_tensor::rng::StdRng;
 use hero_tensor::TensorError;
 
@@ -50,20 +48,16 @@ fn main() -> Result<(), TensorError> {
             method.paper_name(),
             100.0 * record.final_test_acc
         );
-        let full = net.params();
         for (phase, bits) in schedule {
-            let (qp, report) = quantize_params(&net, &QuantScheme::symmetric(bits)?)?;
-            net.set_params(&qp)?;
-            let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
+            // Switching precision re-quantizes the *stored* full-precision
+            // weights rather than stacking quantizations.
+            let (acc, report) = eval_quantized(&mut net, &NoiseBits::Uniform(bits), &test_set)?;
             println!(
                 "  {phase:18} -> {bits}-bit: acc {:5.1}%  (‖δ‖∞ {:.4} ≤ Δ/2 {:.4})",
                 100.0 * acc,
                 report.worst_linf,
                 report.max_bin_width / 2.0
             );
-            // Switching precision means re-quantizing the *stored* full-
-            // precision weights, not stacking quantizations.
-            net.set_params(&full)?;
         }
         println!();
     }

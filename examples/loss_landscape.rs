@@ -60,13 +60,11 @@ fn main() -> Result<(), TensorError> {
 
         // (2) Direct random-perturbation robustness (Theorems 1 and 2).
         let params = trained.net.params();
-        let n = train_set.len().min(128);
-        let images = train_set.images.narrow(0, n)?;
-        let labels = train_set.labels[..n].to_vec();
+        let (images, labels) = hero_core::probe_batch(&train_set, 128)?;
         let net = &mut trained.net;
         let mut loss_oracle = |ps: &[hero_tensor::Tensor]| -> hero_tensor::Result<f32> {
             net.set_params(ps)?;
-            hero_nn::eval_loss(net, &images, &labels)
+            hero_nn::eval_loss(net, &images, labels)
         };
         let mut probe_rng = StdRng::seed_from_u64(5);
         for (norm, radius) in [(PerturbNorm::L2, 0.5), (PerturbNorm::Linf, 0.02)] {
@@ -80,7 +78,7 @@ fn main() -> Result<(), TensorError> {
         trained.net.set_params(&params)?;
 
         // (3) Theorem 3 bounds from measured gradient/curvature.
-        let mut grad_oracle = BatchOracle::new(&mut trained.net, &images, &labels);
+        let mut grad_oracle = BatchOracle::new(&mut trained.net, &images, labels);
         let (_, grads) = hero_hessian::GradOracle::grad(&mut grad_oracle, &params)?;
         let mut eig_rng = StdRng::seed_from_u64(17);
         let eig = lanczos_spectrum(&mut grad_oracle, &params, 10, 1e-3, &mut eig_rng)?;
