@@ -18,9 +18,9 @@
 
 use hero_bench::cli::{self, write_file, CliResult, Command, Opts};
 use hero_core::experiment::{
-    curvature_report, quantize_report, report_trained, run_fig1, run_fig2, run_fig3, run_table1,
-    run_table2, run_table3, slug, table1_matrix, train_fresh, FreshRun, MethodKind, ModelSource,
-    Scale, Sensitivity,
+    curvature_report, fig1_bits, quant_sweep, quantize_report, report_trained, run_fig2, run_fig3,
+    run_table1, run_table2, run_table3, slug, table1_matrix, train_fresh, FreshRun, MethodKind,
+    ModelSource, Scale, Sensitivity,
 };
 use hero_core::report::{
     render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
@@ -471,19 +471,28 @@ fn cmd_repro(o: &Opts) -> CliResult {
     Ok(())
 }
 
-/// Emits Fig. 1 over the Table 1 `matrix` ([`run_fig1`]): the table as
-/// `table_name`, then one panel per cell.
+/// Trains the Table 1 `matrix` (through the artifact cache under `cache`
+/// when given), emits the table as `table_name`, then sweeps every
+/// trained model over the Fig. 1 bit widths and emits one panel per cell.
 fn table1_and_fig1(
     matrix: &[(Preset, ModelKind)],
     scale: Scale,
     cache: Option<&Path>,
     table_name: &str,
 ) -> CliResult {
-    let (table, panels) = run_fig1(matrix, scale, cache)?;
+    let (table, mut models) = run_table1(matrix, scale, cache)?;
     emit_artifact(table_name, render_table1(&table));
-    for ((preset, model), curves) in matrix.iter().zip(&panels) {
-        let (p, m) = (preset.paper_name(), model.paper_name());
-        emit_artifact(&format!("fig1_{p}_{m}"), render_fig1_panel(p, m, curves));
+    let bits = fig1_bits();
+    for ((preset, model), cell) in matrix.iter().zip(models.iter_mut()) {
+        let (_, test_set) = preset.load(scale.data);
+        let curves = cell
+            .iter_mut()
+            .map(|t| quant_sweep(t, &test_set, &bits))
+            .collect::<Result<Vec<_>, _>>()?;
+        emit_artifact(
+            &format!("fig1_{}_{}", preset.paper_name(), model.paper_name()),
+            render_fig1_panel(preset.paper_name(), model.paper_name(), &curves),
+        );
     }
     Ok(())
 }

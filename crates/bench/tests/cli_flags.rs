@@ -6,7 +6,8 @@
 //! nonzero and names the offending flag, argument or value.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn hero(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_hero"))
@@ -128,6 +129,22 @@ fn flags_without_effect_are_rejected() {
     );
 }
 
+/// Waits for `child` to exit unsuccessfully within `limit` (killing it and
+/// failing otherwise) and returns its stderr.
+fn exits_within(mut child: Child, limit: Duration) -> String {
+    let start = Instant::now();
+    while child.try_wait().expect("poll hero").is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            panic!("hero was still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let out = child.wait_with_output().expect("collect hero");
+    assert!(!out.status.success());
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 /// `cmd` on a model artifact that does not exist.
 fn on_missing<'a>(cmd: &[&'a str]) -> Vec<&'a str> {
     [cmd, &["--artifact", "missing.ha"]].concat()
@@ -147,10 +164,15 @@ fn unusable_grids_and_probe_counts_fail_before_any_work() {
     let width = ["preflight", "--noise-bits", "32"];
     rejects(&on_missing(&width), "bit width 32");
     rejects(&on_missing(&["quantize", "--bits", "4,32"]), "bit width 32");
-    rejects(
-        &["noise-crosscheck", "--bits", "8,4", "--epochs", "100000"],
-        "strictly increasing",
-    );
+    // No artifact to name here: a training budget of hours stands in, and
+    // the deadline turns a rejection that comes too late into a failure.
+    let child = Command::new(env!("CARGO_BIN_EXE_hero"))
+        .args(["noise-crosscheck", "--bits", "8,4", "--epochs", "100000"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hero");
+    let stderr = exits_within(child, Duration::from_secs(60));
+    assert!(stderr.contains("strictly increasing"), "{stderr}");
 }
 
 /// Trains a 0-epoch VGG artifact: untrained, but enough to label.

@@ -878,26 +878,6 @@ pub fn quant_sweep(
     })
 }
 
-/// Fig. 1 over the Table 1 `matrix`: runs [`run_table1`] (through the
-/// artifact cache under `cache` when given) and sweeps every trained
-/// checkpoint over [`fig1_bits`], as the paper quantizes exactly the
-/// Table 1 models. Returns the table and one curve per method per cell.
-pub fn run_fig1(
-    matrix: &[(Preset, ModelKind)],
-    scale: Scale,
-    cache: Option<&Path>,
-) -> Result<(Table1, Vec<Vec<QuantCurve>>)> {
-    let (table, mut models) = run_table1(matrix, scale, cache)?;
-    let bits = fig1_bits();
-    let mut panels = Vec::with_capacity(matrix.len());
-    for (&(preset, _), cell) in matrix.iter().zip(&mut models) {
-        let (_, test_set) = preset.load(scale.data);
-        let sweep = cell.iter_mut().map(|t| quant_sweep(t, &test_set, &bits));
-        panels.push(sweep.collect::<Result<Vec<_>>>()?);
-    }
-    Ok((table, panels))
-}
-
 /// The paper's Fig. 1 bit-width grid adapted to the substrate.
 pub fn fig1_bits() -> Vec<u8> {
     vec![3, 4, 5, 6, 8]

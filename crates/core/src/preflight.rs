@@ -25,7 +25,6 @@ use crate::trainer::{probe_batch, train};
 use crate::TrainConfig;
 use hero_analyze::{relational_noise_pass, NoiseSeed, Report, ValueAnalysis, VerifyOptions};
 use hero_artifact::{Artifact, MetaValue};
-
 use hero_autodiff::{Graph, NodeTrace, Var};
 use hero_data::{Dataset, Preset};
 use hero_nn::models::ModelKind;
