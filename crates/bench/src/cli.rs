@@ -68,7 +68,7 @@ pub fn run(commands: &[Command], usage: &str, args: &[String]) -> CliResult {
     };
     let opts = Opts::parse(cmd.name, word, cmd.flags, flags)?;
     for (flag, others) in cmd.needs {
-        if opts.has(flag) && !others.split(' ').any(|other| opts.has(other)) {
+        if opts.has(flag) && !others.split_whitespace().any(|other| opts.has(other)) {
             let others = others.replace(' ', " or --");
             return Err(format!("hero {name}: --{flag} has no effect without --{others}").into());
         }
