@@ -274,7 +274,8 @@ pub fn slug(parts: &[&str]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// One model under analysis, and its post-training quantization
+// One model under analysis: where it comes from, its post-training
+// quantization and its curvature
 // ---------------------------------------------------------------------------
 
 /// A fresh training run of one model.
