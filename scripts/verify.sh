@@ -76,7 +76,7 @@ echo "==> artifact pipeline smoke (train --save -> inspect -> preflight -> quant
 # Drives the deterministic artifact pipeline end to end on the smoke
 # preset and leaves the artifacts in results/artifacts/ for upload: a
 # trained model, the preflight-stamped copy, and a 4-bit quantized
-# snapshot. save->load->save byte identity and checkpoint/resume
+# snapshot. They embed the commit hash, so they are git-ignored. save->load->save byte identity and checkpoint/resume
 # equality are covered by the test suites above; this exercises the
 # same flow through the shipped binary.
 cargo run --release -p hero-bench --bin hero -- \
@@ -142,7 +142,8 @@ mkdir -p results
 # ranking). The overlap is recorded, not gated: 2-epoch smoke models are
 # too noisy for a stable ranking. Runs traced so the JSONL stream carries
 # the per-epoch `spectrum` / `spectrum_layer` events and the summary
-# rolls up the `spectrum/*` series.
+# rolls up the `spectrum/*` series. The trace and summary hold span
+# timings, so they are git-ignored; only the spectrum JSON is committed.
 HERO_TRACE=1 HERO_TRACE_RUN=spectrum \
   cargo run --release -p hero-bench --bin hero -- \
   spectrum --preset c10 --model resnet --methods sgd,hero \
