@@ -111,7 +111,9 @@ pub fn check_graph_fn(
         let mut g = Graph::new();
         let vars: Vec<Var> = inputs.iter().map(|x| g.input(x.clone())).collect();
         let loss = build(&mut g, &vars).expect("gradcheck corpus builder failed");
-        let mut grads = g.backward(loss).expect("backward failed on corpus tape");
+        let mut grads = g
+            .backward(loss, &vars)
+            .expect("backward failed on corpus tape");
         let out = vars
             .iter()
             .zip(inputs)

@@ -153,8 +153,9 @@ pub(crate) struct Node {
 /// A define-by-run computation graph.
 ///
 /// Operations append nodes in topological order; [`Graph::backward`] then
-/// walks the tape in reverse, accumulating adjoints. The graph is intended
-/// to be rebuilt every training step (like eager-mode frameworks).
+/// walks the tape in reverse, accumulating adjoints for the nodes it is
+/// asked about. The graph is intended to be rebuilt every training step
+/// (like eager-mode frameworks).
 ///
 /// # Examples
 ///
@@ -167,7 +168,7 @@ pub(crate) struct Node {
 /// let x = g.input(Tensor::from_vec(vec![2.0, 3.0], [2])?);
 /// let y = g.square(x);           // y = x^2
 /// let loss = g.sum(y);           // loss = sum(x^2)
-/// let grads = g.backward(loss)?;
+/// let grads = g.backward(loss, &[x])?;
 /// assert_eq!(grads.get(x).unwrap().data(), &[4.0, 6.0]); // d/dx = 2x
 /// # Ok(())
 /// # }
@@ -184,8 +185,8 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// The gradient of the loss with respect to `v`, if `v` influenced the
-    /// loss.
+    /// The gradient of the loss with respect to `v`, if `v` lies on a path
+    /// from a node of the backward pass's `wrt` to the loss.
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(Option::as_ref)
     }
@@ -225,6 +226,15 @@ impl Graph {
     /// Registers a leaf tensor (input or parameter) and returns its handle.
     pub fn input(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Input)
+    }
+
+    /// Every leaf (input or parameter) node, in tape order.
+    pub fn leaves(&self) -> Vec<Var> {
+        let leaves = self.nodes.iter().enumerate();
+        leaves
+            .filter(|(_, node)| matches!(node.op, Op::Input))
+            .map(|(i, _)| Var(i))
+            .collect()
     }
 
     /// Clears the tape, recycling every node's forward value and the
@@ -390,107 +400,108 @@ impl Graph {
         self.push(value, Op::Mean(a.0))
     }
 
-    /// Runs reverse-mode differentiation from the scalar node `loss`.
+    /// Runs reverse-mode differentiation from the scalar node `loss`,
+    /// computing adjoints only where a caller can read them: for the
+    /// nodes on a path from a node of `wrt` to `loss`.
+    ///
+    /// A node off every such path gets no gradient ([`Gradients::get`]
+    /// returns `None`), and no backward rule computes a contribution to it:
+    /// passing a network's parameters skips the input batch's gradient,
+    /// the first conv's dX. The adjoints that are computed are bitwise the
+    /// same whatever else `wrt` holds, since each receives the same
+    /// contributions in the same order.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if `loss` is not a scalar
     /// (one-element) node.
-    pub fn backward(&mut self, loss: Var) -> Result<Gradients> {
+    pub fn backward(&mut self, loss: Var, wrt: &[Var]) -> Result<Gradients> {
         if self.nodes[loss.0].value.numel() != 1 {
             return Err(TensorError::InvalidArgument(format!(
                 "backward requires a scalar loss, got {} elements",
                 self.nodes[loss.0].value.numel()
             )));
         }
+        // Parents precede their children on the tape, so one forward sweep
+        // marks every node that a node of `wrt` reaches (`needed`) and the
+        // nodes with a parent that does (`routes`; a node of `wrt` may have
+        // none).
+        let mut needed = vec![false; loss.0 + 1];
+        for v in wrt.iter().filter(|v| v.0 <= loss.0) {
+            needed[v.0] = true;
+        }
+        let mut routes = vec![false; loss.0 + 1];
+        for i in 0..=loss.0 {
+            routes[i] = self.nodes[i].op.parents().iter().any(|&p| needed[p]);
+            needed[i] |= routes[i];
+        }
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::full(self.nodes[loss.0].value.shape().clone(), 1.0));
-
+        if needed[loss.0] {
+            grads[loss.0] = Some(Tensor::full(self.nodes[loss.0].value.shape().clone(), 1.0));
+        }
         for i in (0..=loss.0).rev() {
             let Some(grad) = grads[i].take() else {
                 continue;
             };
-            self.accumulate_parents(i, &grad, &mut grads)?;
+            if routes[i] {
+                let mut adj = Adjoints {
+                    grads: &mut grads,
+                    needed: &needed,
+                };
+                self.accumulate_parents(i, &grad, &mut adj)?;
+            }
             grads[i] = Some(grad);
         }
         Ok(Gradients { grads })
     }
 
     /// Routes `grad` (the adjoint of node `i`) to node `i`'s parents.
-    fn accumulate_parents(
-        &self,
-        i: usize,
-        grad: &Tensor,
-        grads: &mut [Option<Tensor>],
-    ) -> Result<()> {
-        let add_grad = |idx: usize, g: Tensor, grads: &mut [Option<Tensor>]| -> Result<()> {
-            match &mut grads[idx] {
-                Some(acc) => acc.axpy(1.0, &g)?,
-                slot @ None => *slot = Some(g),
-            }
-            Ok(())
-        };
+    fn accumulate_parents(&self, i: usize, grad: &Tensor, adj: &mut Adjoints) -> Result<()> {
+        let value = |idx: usize| &self.nodes[idx].value;
         match &self.nodes[i].op {
             Op::Input => {}
             Op::Add(a, b) => {
-                let ga = grad.reduce_to_shape(self.nodes[*a].value.shape())?;
-                let gb = grad.reduce_to_shape(self.nodes[*b].value.shape())?;
-                add_grad(*a, ga, grads)?;
-                add_grad(*b, gb, grads)?;
+                adj.add(*a, || grad.reduce_to_shape(value(*a).shape()))?;
+                adj.add(*b, || grad.reduce_to_shape(value(*b).shape()))?;
             }
             Op::Sub(a, b) => {
-                let ga = grad.reduce_to_shape(self.nodes[*a].value.shape())?;
-                let gb = grad.neg().reduce_to_shape(self.nodes[*b].value.shape())?;
-                add_grad(*a, ga, grads)?;
-                add_grad(*b, gb, grads)?;
+                adj.add(*a, || grad.reduce_to_shape(value(*a).shape()))?;
+                adj.add(*b, || grad.neg().reduce_to_shape(value(*b).shape()))?;
             }
             Op::Mul(a, b) => {
-                let ga = grad
-                    .bmul(&self.nodes[*b].value)?
-                    .reduce_to_shape(self.nodes[*a].value.shape())?;
-                let gb = grad
-                    .bmul(&self.nodes[*a].value)?
-                    .reduce_to_shape(self.nodes[*b].value.shape())?;
-                add_grad(*a, ga, grads)?;
-                add_grad(*b, gb, grads)?;
+                adj.add(*a, || {
+                    grad.bmul(value(*b))?.reduce_to_shape(value(*a).shape())
+                })?;
+                adj.add(*b, || {
+                    grad.bmul(value(*a))?.reduce_to_shape(value(*b).shape())
+                })?;
             }
-            Op::Scale(a, c) => add_grad(*a, grad.scale(*c), grads)?,
-            Op::AddScalar(a, _) => add_grad(*a, grad.clone(), grads)?,
+            Op::Scale(a, c) => adj.add(*a, || Ok(grad.scale(*c)))?,
+            Op::AddScalar(a, _) => adj.add(*a, || Ok(grad.clone()))?,
             Op::Matmul(a, b) => {
                 // dA = dC B^T ; dB = A^T dC
-                let ga = grad.matmul_nt(&self.nodes[*b].value)?;
-                let gb = self.nodes[*a].value.matmul_tn(grad)?;
-                add_grad(*a, ga, grads)?;
-                add_grad(*b, gb, grads)?;
+                adj.add(*a, || grad.matmul_nt(value(*b)))?;
+                adj.add(*b, || value(*a).matmul_tn(grad))?;
             }
-            Op::Relu(a) => {
-                let mask = self.nodes[*a]
-                    .value
-                    .map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                add_grad(*a, grad.mul(&mask)?, grads)?;
-            }
-            Op::Relu6(a) => {
-                let mask = self.nodes[*a]
-                    .value
-                    .map(|v| if v > 0.0 && v < 6.0 { 1.0 } else { 0.0 });
-                add_grad(*a, grad.mul(&mask)?, grads)?;
-            }
-            Op::Square(a) => {
-                let g = grad.mul(&self.nodes[*a].value.scale(2.0))?;
-                add_grad(*a, g, grads)?;
-            }
-            Op::Reshape(a, old_shape) => {
-                add_grad(*a, grad.reshape(old_shape.clone())?, grads)?;
-            }
-            Op::Sum(a) => {
-                let g = Tensor::full(self.nodes[*a].value.shape().clone(), grad.data()[0]);
-                add_grad(*a, g, grads)?;
-            }
-            Op::Mean(a) => {
-                let n = self.nodes[*a].value.numel() as f32;
-                let g = Tensor::full(self.nodes[*a].value.shape().clone(), grad.data()[0] / n);
-                add_grad(*a, g, grads)?;
-            }
+            // `g · 1` and `g · 0` per element, as a product with a 0/1 mask
+            // rounds, without building the mask.
+            Op::Relu(a) => adj.add(*a, || {
+                grad.zip(value(*a), |g, v| g * if v > 0.0 { 1.0 } else { 0.0 })
+            })?,
+            Op::Relu6(a) => adj.add(*a, || {
+                grad.zip(value(*a), |g, v| {
+                    g * if v > 0.0 && v < 6.0 { 1.0 } else { 0.0 }
+                })
+            })?,
+            Op::Square(a) => adj.add(*a, || grad.mul(&value(*a).scale(2.0)))?,
+            Op::Reshape(a, old_shape) => adj.add(*a, || grad.reshape(old_shape.clone()))?,
+            Op::Sum(a) => adj.add(*a, || {
+                Ok(Tensor::full(value(*a).shape().clone(), grad.data()[0]))
+            })?,
+            Op::Mean(a) => adj.add(*a, || {
+                let n = value(*a).numel() as f32;
+                Ok(Tensor::full(value(*a).shape().clone(), grad.data()[0] / n))
+            })?,
             // Ops with bespoke backward rules live in ops_nn.rs / ops_ext.rs.
             other => match other {
                 Op::Sigmoid(..)
@@ -500,10 +511,32 @@ impl Graph {
                 | Op::Dropout { .. }
                 | Op::MseLoss { .. }
                 | Op::CrossEntropySmoothed { .. } => {
-                    self.accumulate_ext_parents(other, grad, grads)?
+                    self.accumulate_ext_parents(other, grad, adj)?
                 }
-                _ => self.accumulate_nn_parents(other, grad, grads)?,
+                _ => self.accumulate_nn_parents(other, grad, adj)?,
             },
+        }
+        Ok(())
+    }
+}
+
+/// The adjoints a backward pass accumulates, and which nodes need one.
+pub(crate) struct Adjoints<'a> {
+    grads: &'a mut [Option<Tensor>],
+    needed: &'a [bool],
+}
+
+impl Adjoints<'_> {
+    /// Adds the contribution `g()` into node `idx`'s adjoint. For a node
+    /// that needs none, `g` is not run.
+    pub(crate) fn add(&mut self, idx: usize, g: impl FnOnce() -> Result<Tensor>) -> Result<()> {
+        if !self.needed[idx] {
+            return Ok(());
+        }
+        let g = g()?;
+        match &mut self.grads[idx] {
+            Some(acc) => acc.axpy(1.0, &g)?,
+            slot @ None => *slot = Some(g),
         }
         Ok(())
     }
@@ -528,7 +561,7 @@ mod tests {
     fn backward_requires_scalar_loss() {
         let mut g = Graph::new();
         let x = g.input(Tensor::arange(3));
-        assert!(g.backward(x).is_err());
+        assert!(g.backward(x, &[x]).is_err());
     }
 
     #[test]
@@ -536,7 +569,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::arange(4));
         let s = g.sum(x);
-        let grads = g.backward(s).unwrap();
+        let grads = g.backward(s, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[1.0; 4]);
     }
 
@@ -545,7 +578,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::arange(4));
         let s = g.mean(x);
-        let grads = g.backward(s).unwrap();
+        let grads = g.backward(s, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[0.25; 4]);
     }
 
@@ -556,7 +589,7 @@ mod tests {
         let x = g.input(Tensor::arange(3));
         let y = g.add(x, x).unwrap();
         let s = g.sum(y);
-        let grads = g.backward(s).unwrap();
+        let grads = g.backward(s, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[2.0; 3]);
     }
 
@@ -566,10 +599,53 @@ mod tests {
         let x = g.input(Tensor::arange(3));
         let unused = g.input(Tensor::arange(2));
         let s = g.sum(x);
-        let mut grads = g.backward(s).unwrap();
+        let mut grads = g.backward(s, &[unused, x]).unwrap();
         assert!(grads.get(unused).is_none());
         assert!(grads.take(x).is_some());
         assert!(grads.take(x).is_none()); // second take is empty
+    }
+
+    #[test]
+    fn backward_computes_only_what_wrt_reaches() {
+        // loss = sum(relu(a·b) ⊙ c) + sum(d)
+        let mut g = Graph::new();
+        let a = g.input(Tensor::from_fn([2, 3], |i| {
+            0.3 * i[1] as f32 - 0.2 * i[0] as f32
+        }));
+        let b = g.input(Tensor::from_fn([3, 2], |i| {
+            0.1 * i[0] as f32 - 0.25 * i[1] as f32
+        }));
+        let c = g.input(Tensor::from_fn([2, 2], |i| {
+            1.0 + i[0] as f32 - 0.5 * i[1] as f32
+        }));
+        let d = g.input(Tensor::arange(2));
+        let p = g.matmul(a, b).unwrap();
+        let r = g.relu(p);
+        let m = g.mul(r, c).unwrap();
+        let s1 = g.sum(m);
+        let s2 = g.sum(d);
+        let loss = g.add(s1, s2).unwrap();
+        assert_eq!(g.leaves(), vec![a, b, c, d]);
+        let full = g.backward(loss, &g.leaves()).unwrap();
+        let part = g.backward(loss, &[a]).unwrap();
+        // Adjoints on the path from `a` are bitwise those of a full pass;
+        // the other leaves and the nodes only they reach get none.
+        for v in [a, p, r, m, s1, loss] {
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(part.get(v).unwrap()), bits(full.get(v).unwrap()));
+        }
+        for v in [b, c, d, s2] {
+            assert!(full.get(v).is_some());
+            assert!(part.get(v).is_none());
+        }
+        // An intermediate node alone gets its own adjoint and routes
+        // nothing further.
+        let mid = g.backward(loss, &[m]).unwrap();
+        assert_eq!(mid.get(m).unwrap().data(), &[1.0; 4]);
+        assert!(mid.get(r).is_none() && mid.get(a).is_none());
+        // No path from `wrt` to the loss: no gradients at all.
+        let e = g.input(Tensor::arange(2));
+        assert!(g.backward(loss, &[e]).unwrap().get(loss).is_none());
     }
 
     #[test]
@@ -583,7 +659,7 @@ mod tests {
             let bv = g.input(b0.clone());
             let c = g.matmul(av, bv).unwrap();
             let loss = g.sum(c);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[av]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(av).unwrap().clone(),
@@ -596,7 +672,7 @@ mod tests {
             let bv = g.input(b.clone());
             let c = g.matmul(av, bv).unwrap();
             let loss = g.sum(c);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[bv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(bv).unwrap().clone(),
@@ -614,7 +690,7 @@ mod tests {
             let wv = g.input(w.clone());
             let y = g.mul(xv, wv).unwrap(); // broadcasts w over rows
             let loss = g.sum(y);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[wv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(wv).unwrap().clone(),
@@ -632,7 +708,7 @@ mod tests {
             let y = g.relu(xv);
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -644,7 +720,7 @@ mod tests {
             let y = g.relu6(xv);
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -672,7 +748,7 @@ mod tests {
             let sq = g.square(shifted);
             let diff = g.sub(sq, xv).unwrap();
             let loss = g.mean(diff);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -696,7 +772,7 @@ mod tests {
         let m = g.reshape(x, [2, 3]).unwrap();
         let sq = g.square(m);
         let loss = g.sum(sq);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &[x]).unwrap();
         let gx = grads.get(x).unwrap();
         assert_eq!(gx.dims(), &[6]);
         assert_eq!(gx.data(), &[0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);

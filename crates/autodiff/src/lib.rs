@@ -4,8 +4,8 @@
 //! [`hero_tensor::Tensor`], built for the HERO (DAC 2022) reproduction.
 //!
 //! A [`Graph`] records operations define-by-run style; [`Graph::backward`]
-//! walks the tape in reverse and returns [`Gradients`] for every node that
-//! influenced the scalar loss. The op set covers what the paper's models
+//! walks the tape in reverse and returns [`Gradients`] for every node on a
+//! path from the nodes it is asked about to the scalar loss. The op set covers what the paper's models
 //! need: dense and convolutional layers (regular + depthwise), batch
 //! normalization, pooling, ReLU/ReLU6 and softmax cross-entropy.
 //!
@@ -24,7 +24,7 @@
 //! let x = g.input(Tensor::from_vec(vec![1.0, 2.0], [2, 1])?);
 //! let y = g.matmul(w, x)?;              // (1,1)
 //! let loss = g.sum(y);
-//! let grads = g.backward(loss)?;
+//! let grads = g.backward(loss, &[w])?;
 //! assert_eq!(grads.get(w).unwrap().data(), &[1.0, 2.0]);
 //! # Ok(())
 //! # }

@@ -2,7 +2,7 @@
 //! regression losses. Each op carries a hand-written backward rule and a
 //! finite-difference gradcheck.
 
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{Adjoints, Graph, Op, Var};
 use hero_tensor::{Result, Tensor, TensorError};
 
 impl Graph {
@@ -164,49 +164,38 @@ impl Graph {
         &self,
         op: &Op,
         grad: &Tensor,
-        grads: &mut [Option<Tensor>],
+        adj: &mut Adjoints,
     ) -> Result<()> {
-        let add_grad = |idx: usize, g: Tensor, grads: &mut [Option<Tensor>]| -> Result<()> {
-            match &mut grads[idx] {
-                Some(acc) => acc.axpy(1.0, &g)?,
-                slot @ None => *slot = Some(g),
-            }
-            Ok(())
-        };
+        let value = |idx: usize| &self.nodes[idx].value;
         match op {
-            Op::Sigmoid(a) => {
+            Op::Sigmoid(a) => adj.add(*a, || {
                 // dy/dx = y (1 - y), where y is this node's value. We
                 // recompute from the input to avoid storing a self-index.
-                let y = self.nodes[*a].value.map(|v| 1.0 / (1.0 + (-v).exp()));
+                let y = value(*a).map(|v| 1.0 / (1.0 + (-v).exp()));
                 let local = y.map(|s| s * (1.0 - s));
-                add_grad(*a, grad.mul(&local)?, grads)?;
-            }
-            Op::Tanh(a) => {
-                let local = self.nodes[*a].value.map(|v| 1.0 - v.tanh() * v.tanh());
-                add_grad(*a, grad.mul(&local)?, grads)?;
-            }
-            Op::LeakyRelu(a, slope) => {
+                grad.mul(&local)
+            })?,
+            Op::Tanh(a) => adj.add(*a, || {
+                let local = value(*a).map(|v| 1.0 - v.tanh() * v.tanh());
+                grad.mul(&local)
+            })?,
+            Op::LeakyRelu(a, slope) => adj.add(*a, || {
                 let s = *slope;
-                let local = self.nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { s });
-                add_grad(*a, grad.mul(&local)?, grads)?;
-            }
-            Op::Ln(a) => {
-                let local = self.nodes[*a].value.recip();
-                add_grad(*a, grad.mul(&local)?, grads)?;
-            }
-            Op::Dropout { x, scaled_mask } => {
-                add_grad(*x, grad.mul(scaled_mask)?, grads)?;
-            }
-            Op::MseLoss { x, diff, .. } => {
+                let local = value(*a).map(|v| if v > 0.0 { 1.0 } else { s });
+                grad.mul(&local)
+            })?,
+            Op::Ln(a) => adj.add(*a, || grad.mul(&value(*a).recip()))?,
+            Op::Dropout { x, scaled_mask } => adj.add(*x, || grad.mul(scaled_mask))?,
+            Op::MseLoss { x, diff, .. } => adj.add(*x, || {
                 let scale = 2.0 * grad.data()[0] / diff.numel().max(1) as f32;
-                add_grad(*x, diff.scale(scale), grads)?;
-            }
+                Ok(diff.scale(scale))
+            })?,
             Op::CrossEntropySmoothed {
                 logits,
                 softmax,
                 labels,
                 eps,
-            } => {
+            } => adj.add(*logits, || {
                 let batch = labels.len();
                 let classes = softmax.dims()[1];
                 let upstream = grad.data()[0] / batch as f32;
@@ -223,8 +212,8 @@ impl Graph {
                         dl.data_mut()[row * classes + k] -= upstream * q;
                     }
                 }
-                add_grad(*logits, dl, grads)?;
-            }
+                Ok(dl)
+            })?,
             _ => unreachable!("non-extended op routed to accumulate_ext_parents"),
         }
         Ok(())
@@ -260,7 +249,7 @@ mod tests {
             let y = g.sigmoid(xv);
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -277,7 +266,7 @@ mod tests {
             let y = g.tanh(xv);
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -299,7 +288,7 @@ mod tests {
             let y = g.leaky_relu(xv, 0.1);
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -315,7 +304,7 @@ mod tests {
             let xv = g.input(x.clone());
             let y = g.ln(xv);
             let loss = g.sum(y);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -332,7 +321,7 @@ mod tests {
         assert_eq!(g.value(y).data(), &[2.0, 0.0, 6.0, 0.0]);
         // Gradient is routed only through kept elements.
         let loss = g.sum(y);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[2.0, 0.0, 2.0, 0.0]);
     }
 
@@ -359,7 +348,7 @@ mod tests {
             let mut g = Graph::new();
             let xv = g.input(x.clone());
             let loss = g.mse_loss(xv, &tgt).unwrap();
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -393,7 +382,7 @@ mod tests {
             let mut g = Graph::new();
             let lv = g.input(l.clone());
             let loss = g.cross_entropy_smoothed(lv, &labels, 0.1).unwrap();
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[lv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(lv).unwrap().clone(),
@@ -417,7 +406,7 @@ mod tests {
         let loss = g
             .cross_entropy_smoothed(logits, &[0, 1, 2, 3], 0.2)
             .unwrap();
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &[logits]).unwrap();
         let gl = grads.get(logits).unwrap();
         for row in 0..4 {
             let s: f32 = gl.data()[row * 6..(row + 1) * 6].iter().sum();

@@ -1,7 +1,7 @@
 //! Neural-network operations: convolution, batch norm, pooling and
 //! softmax cross-entropy, each with a hand-written backward rule.
 
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{Adjoints, Graph, Op, Var};
 use hero_tensor::{ConvGeometry, Result, Tensor, TensorError};
 
 /// Per-channel batch statistics produced by a training-mode batch norm,
@@ -184,27 +184,18 @@ impl Graph {
         &self,
         op: &Op,
         grad: &Tensor,
-        grads: &mut [Option<Tensor>],
+        adj: &mut Adjoints,
     ) -> Result<()> {
-        let add_grad = |idx: usize, g: Tensor, grads: &mut [Option<Tensor>]| -> Result<()> {
-            match &mut grads[idx] {
-                Some(acc) => acc.axpy(1.0, &g)?,
-                slot @ None => *slot = Some(g),
-            }
-            Ok(())
-        };
+        let value = |idx: usize| &self.nodes[idx].value;
         match op {
             Op::Conv2d { x, w, geom } => {
-                let dw = grad.conv2d_grad_weight(&self.nodes[*x].value, geom)?;
-                let dx = grad.conv2d_grad_input(&self.nodes[*w].value, geom)?;
-                add_grad(*w, dw, grads)?;
-                add_grad(*x, dx, grads)?;
+                adj.add(*w, || grad.conv2d_grad_weight(value(*x), geom))?;
+                adj.add(*x, || grad.conv2d_grad_input(value(*w), geom))?;
             }
             Op::DepthwiseConv2d { x, w, geom } => {
-                let (dx, dw) =
-                    depthwise_backward(&self.nodes[*x].value, &self.nodes[*w].value, geom, grad)?;
-                add_grad(*x, dx, grads)?;
-                add_grad(*w, dw, grads)?;
+                let (dx, dw) = depthwise_backward(value(*x), value(*w), geom, grad)?;
+                adj.add(*x, || Ok(dx))?;
+                adj.add(*w, || Ok(dw))?;
             }
             Op::BatchNorm {
                 x,
@@ -213,26 +204,24 @@ impl Graph {
                 xhat,
                 inv_std,
             } => {
-                let (dx, dgamma, dbeta) =
-                    grad.batch_norm_backward(xhat, &self.nodes[*gamma].value, inv_std)?;
-                add_grad(*x, dx, grads)?;
-                add_grad(*gamma, dgamma, grads)?;
-                add_grad(*beta, dbeta, grads)?;
+                let (dx, dgamma, dbeta) = grad.batch_norm_backward(xhat, value(*gamma), inv_std)?;
+                adj.add(*x, || Ok(dx))?;
+                adj.add(*gamma, || Ok(dgamma))?;
+                adj.add(*beta, || Ok(dbeta))?;
             }
-            Op::MaxPool { x, arg } => {
-                let mut dx = Tensor::zeros(self.nodes[*x].value.shape().clone());
+            Op::MaxPool { x, arg } => adj.add(*x, || {
+                let mut dx = Tensor::zeros(value(*x).shape().clone());
                 for (out_off, &src) in arg.iter().enumerate() {
                     dx.data_mut()[src] += grad.data()[out_off];
                 }
-                add_grad(*x, dx, grads)?;
-            }
-            Op::AvgPool { x, k } => {
-                let xs = self.nodes[*x].value.dims();
-                let dx = grad.avg_unpool2d(*k, xs[2], xs[3])?;
-                add_grad(*x, dx, grads)?;
-            }
-            Op::GlobalAvgPool(x) => {
-                let xs = self.nodes[*x].value.dims();
+                Ok(dx)
+            })?,
+            Op::AvgPool { x, k } => adj.add(*x, || {
+                let xs = value(*x).dims();
+                grad.avg_unpool2d(*k, xs[2], xs[3])
+            })?,
+            Op::GlobalAvgPool(x) => adj.add(*x, || {
+                let xs = value(*x).dims();
                 let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
                 let inv = 1.0 / (h * w) as f32;
                 let mut dx = Tensor::zeros([n, c, h, w]);
@@ -245,13 +234,13 @@ impl Graph {
                         }
                     }
                 }
-                add_grad(*x, dx, grads)?;
-            }
+                Ok(dx)
+            })?,
             Op::CrossEntropy {
                 logits,
                 softmax,
                 labels,
-            } => {
+            } => adj.add(*logits, || {
                 let batch = labels.len();
                 let classes = softmax.dims()[1];
                 let upstream = grad.data()[0] / batch as f32;
@@ -259,8 +248,8 @@ impl Graph {
                 for (row, &label) in labels.iter().enumerate() {
                     dl.data_mut()[row * classes + label] -= upstream;
                 }
-                add_grad(*logits, dl, grads)?;
-            }
+                Ok(dl)
+            })?,
             _ => unreachable!("non-NN op routed to accumulate_nn_parents"),
         }
         Ok(())
@@ -485,7 +474,7 @@ mod tests {
             let y = g.conv2d(xv, wv, geom).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[wv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(wv).unwrap().clone(),
@@ -498,7 +487,7 @@ mod tests {
             let y = g.conv2d(xv, wv, geom).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -518,7 +507,7 @@ mod tests {
             let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[wv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(wv).unwrap().clone(),
@@ -531,7 +520,7 @@ mod tests {
             let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -665,7 +654,7 @@ mod tests {
             }));
             let weighted = g.mul(sq, weights).unwrap();
             let loss = g.sum(weighted);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv, gv, bv]).unwrap();
             (g.value(loss).item().unwrap(), grads, xv, gv, bv)
         };
         check_scalar_fn(&x0, 1e-2, 5e-2, |x| {
@@ -700,7 +689,7 @@ mod tests {
         let x = g.input(Tensor::from_vec(vec![1.0, 5.0, 2.0, 3.0], [1, 1, 2, 2]).unwrap());
         let y = g.max_pool2d(x, 2).unwrap();
         let loss = g.sum(y);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[0.0, 1.0, 0.0, 0.0]);
     }
 
@@ -713,7 +702,7 @@ mod tests {
             let y = g.avg_pool2d(xv, 2).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -730,7 +719,7 @@ mod tests {
             let y = g.global_avg_pool2d(xv).unwrap();
             let sq = g.square(y);
             let loss = g.sum(sq);
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[xv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(xv).unwrap().clone(),
@@ -755,7 +744,7 @@ mod tests {
             let mut g = Graph::new();
             let lv = g.input(l.clone());
             let loss = g.cross_entropy(lv, &labels).unwrap();
-            let grads = g.backward(loss).unwrap();
+            let grads = g.backward(loss, &[lv]).unwrap();
             (
                 g.value(loss).item().unwrap(),
                 grads.get(lv).unwrap().clone(),
@@ -779,7 +768,7 @@ mod tests {
         let mut g = Graph::new();
         let logits = g.input(seeded(&[4, 6], 3.0, 41));
         let loss = g.cross_entropy(logits, &[0, 1, 2, 3]).unwrap();
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &[logits]).unwrap();
         let gl = grads.get(logits).unwrap();
         for row in 0..4 {
             let s: f32 = gl.data()[row * 6..(row + 1) * 6].iter().sum();

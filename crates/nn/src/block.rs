@@ -338,7 +338,7 @@ mod tests {
         let y = b.forward(&mut g, x, true, &mut vars).unwrap();
         let sq = g.square(y);
         let loss = g.sum(sq);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &vars).unwrap();
         for (i, v) in vars.iter().enumerate() {
             assert!(grads.get(*v).is_some(), "param {i} received no gradient");
         }

@@ -138,7 +138,7 @@ mod tests {
         let mut vars = Vec::new();
         let y = l.forward(&mut g, x, true, &mut vars).unwrap();
         let loss = g.sum(y);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &vars).unwrap();
         assert_eq!(grads.get(vars[0]).unwrap().dims(), &[3, 2]);
         assert_eq!(grads.get(vars[1]).unwrap().dims(), &[2]);
         // Bias gradient of sum loss is the batch size per output.

@@ -18,10 +18,12 @@ pub struct LossAndGrads {
 ///
 /// This is the single gradient-evaluation primitive all training methods
 /// (SGD, SAM, GRAD-L1, HERO) are built from; HERO calls it up to three
-/// times per step. The graph and every intermediate adjoint are recycled
-/// into the thread-local scratch pool before returning, so repeated calls
-/// re-lease the same buffers instead of allocating (the zero-allocation
-/// hot path — see `hero_tensor::pool`).
+/// times per step. Backward asks for the parameters only, so the input
+/// batch's gradient (the first conv's dX) is never computed. The graph and
+/// every intermediate adjoint are recycled into the thread-local scratch
+/// pool before returning, so repeated calls re-lease the same buffers
+/// instead of allocating (the zero-allocation hot path — see
+/// `hero_tensor::pool`).
 ///
 /// # Errors
 ///
@@ -35,7 +37,7 @@ pub fn loss_and_grads(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result
     let loss_value = g.value(loss).item()?;
     drop(fwd);
     let _bwd = hero_obs::span("backward");
-    let mut grads = g.backward(loss)?;
+    let mut grads = g.backward(loss, &vars)?;
     let grad_tensors = vars
         .iter()
         .map(|&v| {
@@ -73,7 +75,7 @@ pub fn loss_and_grads_smoothed(
     let loss_value = g.value(loss).item()?;
     drop(fwd);
     let _bwd = hero_obs::span("backward");
-    let mut grads = g.backward(loss)?;
+    let mut grads = g.backward(loss, &vars)?;
     let grad_tensors = vars
         .iter()
         .map(|&v| {

@@ -198,7 +198,7 @@ mod tests {
         let (logits, vars) = net.forward(&mut g, &x, true).unwrap();
         assert_eq!(g.value(logits).dims(), &[2, cfg.classes]);
         let loss = g.cross_entropy(logits, &[0, 1]).unwrap();
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &vars).unwrap();
         for (i, v) in vars.iter().enumerate() {
             assert!(grads.get(*v).is_some(), "param {i} got no gradient");
         }

@@ -565,7 +565,7 @@ mod tests {
         let mut g = Graph::new();
         let (out, vars) = net.forward(&mut g, &x, true).unwrap();
         let loss = g.sum(out);
-        let grads = g.backward(loss).unwrap();
+        let grads = g.backward(loss, &vars).unwrap();
         // d loss / d w_a = x * w_b = [0.5, 1.0, 1.5]
         assert_eq!(grads.get(vars[0]).unwrap().data(), &[0.5, 1.0, 1.5]);
         // d loss / d w_b = x * w_a = [2, 4, 6]
