@@ -8,9 +8,11 @@
 //! threads. Seeded geometries cover kernels 1/3/5, strides 1–3, padding
 //! 0–2, 1–40 channels, spatial sizes 1–9 and batches 1–5; fixed cases add
 //! the preset layer shapes, every ResNet training layer at batch 32 (some
-//! large enough to engage the worker pool), `C·k·k` and `N·oh·ow` beyond
-//! the GEMM's 256-deep reduction block, more than 256 output channels, a
-//! folded site grid that ends inside a tile, and an empty batch.
+//! large enough to engage the worker pool), the spectrum probe's batch 64
+//! (two fold chunks), `C·k·k` and `N·oh·ow` beyond the GEMM's 256-deep
+//! reduction block, more than 256 output channels, a channel count that
+//! leaves dX's last channel block part empty, a folded site grid that ends
+//! inside a tile, and an empty batch.
 //! Non-finite cases put infinities where padding or a neighbouring image
 //! meets them. A release-only sweep (`#[ignore]`d; run with
 //! `cargo test --release -p hero-tensor --test conv_kernels --
@@ -203,7 +205,9 @@ fn layer_shapes_match_the_im2col_lowering_bitwise() {
     };
     let cases = [
         // ResNet stem, stride-1 stage conv (over the parallel threshold,
-        // 4096 dW sites) and stride-2 transition with its 1×1 shortcut.
+        // 4096 dW sites) and stride-2 transition with its 1×1 shortcut. At
+        // batch 64, the spectrum probe's, the stage conv folds two chunks
+        // of 32 images.
         case(2, 3, 8, 8, 3, 1, 1),
         case(64, 8, 8, 8, 3, 1, 1),
         case(4, 8, 16, 8, 3, 2, 1),
@@ -223,6 +227,10 @@ fn layer_shapes_match_the_im2col_lowering_bitwise() {
         // A folded grid of 2·36 + 4·6 + 5 = 101 sites: the last tile is
         // part junk, past the end of the batch.
         case(3, 5, 6, 5, 3, 1, 1),
+        // Five input channels: dX's last block of four holds one real
+        // channel, at stride 1 over a chunk boundary and at stride 2.
+        case(40, 5, 6, 6, 3, 1, 1),
+        case(3, 5, 7, 7, 3, 2, 1),
         // The ResNet training layers at batch 32: stage 1's stride-2 conv
         // and 1×1 shortcut on 8×8, its 8→8 conv on 4×4; stage 2's 8→16
         // stride-2 conv and shortcut on 4×4, its 16→16 conv on 2×2.
