@@ -41,22 +41,7 @@ impl Graph {
     ///
     /// Returns shape/geometry errors analogous to [`Graph::conv2d`].
     pub fn depthwise_conv2d(&mut self, x: Var, w: Var, geom: ConvGeometry) -> Result<Var> {
-        let xv = self.value(x);
-        if xv.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: xv.rank(),
-            });
-        }
-        let c = xv.dims()[1];
-        let wv = self.value(w);
-        if wv.dims() != [c, geom.kernel, geom.kernel] {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![c, geom.kernel, geom.kernel],
-                right: wv.dims().to_vec(),
-            });
-        }
-        let out = depthwise_forward(xv, wv, &geom)?;
+        let out = self.value(x).depthwise_conv2d(self.value(w), &geom)?;
         Ok(self.push(
             out,
             Op::DepthwiseConv2d {
@@ -193,9 +178,8 @@ impl Graph {
                 adj.add(*x, || grad.conv2d_grad_input(value(*w), geom))?;
             }
             Op::DepthwiseConv2d { x, w, geom } => {
-                let (dx, dw) = depthwise_backward(value(*x), value(*w), geom, grad)?;
-                adj.add(*x, || Ok(dx))?;
-                adj.add(*w, || Ok(dw))?;
+                adj.add(*x, || grad.depthwise_conv2d_grad_input(value(*w), geom))?;
+                adj.add(*w, || grad.depthwise_conv2d_grad_weight(value(*x), geom))?;
             }
             Op::BatchNorm {
                 x,
@@ -254,164 +238,6 @@ impl Graph {
         }
         Ok(())
     }
-}
-
-/// Output positions `[lo, hi)` along one axis whose kernel window lies
-/// entirely inside an input axis of length `len`: `o·stride ≥ pad` and
-/// `o·stride − pad + kernel ≤ len`.
-fn interior_range(len: usize, out_len: usize, geom: &ConvGeometry) -> (usize, usize) {
-    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let lo = p.div_ceil(s).min(out_len);
-    let hi = if len + p >= k {
-        ((len + p - k) / s + 1).min(out_len)
-    } else {
-        0
-    };
-    (lo, hi.max(lo))
-}
-
-/// Window origin `(y, x)` of output `(oy, ox)`, possibly in the padding.
-fn window_origin(oy: usize, ox: usize, geom: &ConvGeometry) -> (isize, isize) {
-    let pad = geom.pad as isize;
-    (
-        (oy * geom.stride) as isize - pad,
-        (ox * geom.stride) as isize - pad,
-    )
-}
-
-/// Calls `tap(w_index, x_index)` for every tap of the window at `(by, bx)`
-/// that falls inside an `h × w` plane, in `ky`-major, `kx` order.
-fn for_each_border_tap(
-    (by, bx): (isize, isize),
-    k: usize,
-    (h, w): (usize, usize),
-    mut tap: impl FnMut(usize, usize),
-) {
-    for ky in 0..k {
-        let y = by + ky as isize;
-        if y < 0 || y >= h as isize {
-            continue;
-        }
-        for kx in 0..k {
-            let x = bx + kx as isize;
-            if x < 0 || x >= w as isize {
-                continue;
-            }
-            tap(ky * k + kx, y as usize * w + x as usize);
-        }
-    }
-}
-
-/// Direct (loop) depthwise convolution forward.
-///
-/// Windows inside the input run as bounds-check-free row slices; border
-/// windows skip their padding taps. Both accumulate in `ky`-major, `kx`
-/// order, so the split does not change a single bit.
-fn depthwise_forward(x: &Tensor, w: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
-    let (n, c, h, ww) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    if h != geom.in_h || ww != geom.in_w {
-        return Err(TensorError::InvalidGeometry(format!(
-            "geometry expects {}x{}, input is {h}x{ww}",
-            geom.in_h, geom.in_w
-        )));
-    }
-    let k = geom.kernel;
-    let (oh, ow) = geom.out_hw();
-    let (y_lo, y_hi) = interior_range(h, oh, geom);
-    let (x_lo, x_hi) = interior_range(ww, ow, geom);
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    if h * ww == 0 {
-        return Ok(out); // every tap is padding
-    }
-    let planes = x.data().chunks_exact(h * ww);
-    for (plane, (xp, op)) in planes
-        .zip(out.data_mut().chunks_exact_mut(oh * ow))
-        .enumerate()
-    {
-        let wk = &w.data()[(plane % c) * k * k..][..k * k];
-        for (oy, orow) in op.chunks_exact_mut(ow).enumerate() {
-            for (ox, o) in orow.iter_mut().enumerate() {
-                let (by, bx) = window_origin(oy, ox, geom);
-                let mut acc = 0.0;
-                if (y_lo..y_hi).contains(&oy) && (x_lo..x_hi).contains(&ox) {
-                    let (y0, x0) = (by as usize, bx as usize);
-                    for (ky, wrow) in wk.chunks_exact(k).enumerate() {
-                        let xrow = &xp[(y0 + ky) * ww + x0..][..k];
-                        for (&xv, &wv) in xrow.iter().zip(wrow) {
-                            acc += xv * wv;
-                        }
-                    }
-                } else {
-                    for_each_border_tap((by, bx), k, (h, ww), |wi, xi| acc += xp[xi] * wk[wi]);
-                }
-                *o = acc;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Direct depthwise convolution backward: returns `(dx, dw)`.
-///
-/// Same interior/border split and tap order as [`depthwise_forward`], so
-/// every `dx` and `dw` element accumulates its terms in the original order.
-fn depthwise_backward(
-    x: &Tensor,
-    w: &Tensor,
-    geom: &ConvGeometry,
-    dy: &Tensor,
-) -> Result<(Tensor, Tensor)> {
-    let (n, c, h, ww) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-    let k = geom.kernel;
-    let (oh, ow) = geom.out_hw();
-    let (y_lo, y_hi) = interior_range(h, oh, geom);
-    let (x_lo, x_hi) = interior_range(ww, ow, geom);
-    let mut dx = Tensor::zeros([n, c, h, ww]);
-    let mut dw = Tensor::zeros([c, k, k]);
-    if h * ww == 0 {
-        return Ok((dx, dw));
-    }
-    let planes = x
-        .data()
-        .chunks_exact(h * ww)
-        .zip(dy.data().chunks_exact(oh * ow));
-    for (plane, ((xp, gp), dxp)) in planes
-        .zip(dx.data_mut().chunks_exact_mut(h * ww))
-        .enumerate()
-    {
-        let ch = plane % c;
-        let wk = &w.data()[ch * k * k..][..k * k];
-        let dwk = &mut dw.data_mut()[ch * k * k..][..k * k];
-        for (oy, grow) in gp.chunks_exact(ow).enumerate() {
-            for (ox, &g) in grow.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                let (by, bx) = window_origin(oy, ox, geom);
-                if (y_lo..y_hi).contains(&oy) && (x_lo..x_hi).contains(&ox) {
-                    let (y0, x0) = (by as usize, bx as usize);
-                    let rows = wk.chunks_exact(k).zip(dwk.chunks_exact_mut(k));
-                    for (ky, (wrow, dwrow)) in rows.enumerate() {
-                        let start = (y0 + ky) * ww + x0;
-                        let xrow = &xp[start..][..k];
-                        let dxrow = &mut dxp[start..][..k];
-                        for (((dxv, dwv), &wv), &xv) in
-                            dxrow.iter_mut().zip(dwrow).zip(wrow).zip(xrow)
-                        {
-                            *dxv += g * wv;
-                            *dwv += g * xv;
-                        }
-                    }
-                } else {
-                    for_each_border_tap((by, bx), k, (h, ww), |wi, xi| {
-                        dxp[xi] += g * wk[wi];
-                        dwk[wi] += g * xp[xi];
-                    });
-                }
-            }
-        }
-    }
-    Ok((dx, dw))
 }
 
 /// Clamps a softmax probability away from zero before the loss takes
@@ -535,81 +361,6 @@ mod tests {
         let w = g.input(Tensor::zeros([2, 3, 3]));
         let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
         assert!(g.depthwise_conv2d(x, w, geom).is_err());
-    }
-
-    /// The plain bounds-checked loop nest: forward output and backward
-    /// `(dx, dw)`, every tap accumulated in `ky`-major, `kx` order.
-    fn depthwise_reference(
-        x: &Tensor,
-        w: &Tensor,
-        geom: &ConvGeometry,
-        dy: &Tensor,
-    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let (n, c, h, ww) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (k, (oh, ow)) = (geom.kernel, geom.out_hw());
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut dx = vec![0.0f32; x.numel()];
-        let mut dw = vec![0.0f32; w.numel()];
-        for plane in 0..n * c {
-            let ch = plane % c;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let oi = (plane * oh + oy) * ow + ox;
-                    let g = dy.data()[oi];
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let y = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                            let xx = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                            if y < 0 || y >= h as isize || xx < 0 || xx >= ww as isize {
-                                continue;
-                            }
-                            let xi = (plane * h + y as usize) * ww + xx as usize;
-                            let wi = (ch * k + ky) * k + kx;
-                            out[oi] += x.data()[xi] * w.data()[wi];
-                            if g != 0.0 {
-                                dx[xi] += g * w.data()[wi];
-                                dw[wi] += g * x.data()[xi];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (out, dx, dw)
-    }
-
-    #[test]
-    fn depthwise_interior_border_split_is_bitwise_exact() {
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        // (h, w, kernel, stride, pad): MobileNet's 8/4/2 planes, strided,
-        // unpadded, wide-padded, 1x1 and all-border shapes.
-        for (i, &(h, w, k, s, p)) in [
-            (8, 8, 3, 1, 1),
-            (8, 8, 3, 2, 1),
-            (4, 4, 3, 2, 1),
-            (2, 2, 3, 1, 1),
-            (5, 7, 3, 2, 0),
-            (6, 6, 5, 1, 2),
-            (3, 3, 1, 1, 0),
-            (4, 4, 1, 2, 1),
-            (1, 1, 3, 1, 2),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let geom = ConvGeometry::new(h, w, k, s, p).unwrap();
-            let (oh, ow) = geom.out_hw();
-            let x = seeded(&[2, 3, h, w], 1.7, 20 + i);
-            let wt = seeded(&[3, k, k], 0.9, 40 + i);
-            // Sparse upstream gradient: the backward skips zero entries.
-            let dy = seeded(&[2, 3, oh, ow], 1.3, 60 + i).map(|v| if v > 0.2 { 0.0 } else { v });
-            let (out, dx, dw) = depthwise_reference(&x, &wt, &geom, &dy);
-            let got = depthwise_forward(&x, &wt, &geom).unwrap();
-            let (got_dx, got_dw) = depthwise_backward(&x, &wt, &geom, &dy).unwrap();
-            assert_eq!(bits(got.data()), bits(&out), "forward, case {i}");
-            assert_eq!(bits(got_dx.data()), bits(&dx), "dx, case {i}");
-            assert_eq!(bits(got_dw.data()), bits(&dw), "dw, case {i}");
-        }
     }
 
     #[test]

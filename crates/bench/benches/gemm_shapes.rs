@@ -15,7 +15,10 @@
 //! layer is timed through the direct kernels — forward, weight gradient
 //! and input gradient (`*_fwd`, `*_dw`, `*_dx`), each credited with its
 //! layer's GEMM flops; the `count` extra says how many of the model's
-//! convs share the shape. The batch-norm rows come off the same tapes:
+//! convs share the shape. Each distinct depthwise layer is timed the same
+//! way (`*_depthwise_<c>ch_k<k>s<s>_<h>x<w>_{fwd,dw,dx}`), each pass
+//! credited with `2·n·c·oh·ow·k²` flops. The batch-norm rows come off the
+//! same tapes:
 //! each distinct train-mode batch norm's forward and backward kernels
 //! (`*_bn_fwd`, `*_bn_bwd`) with a GB/s figure that counts one read of
 //! each tensor-sized input and one write of each tensor-sized output
@@ -125,6 +128,18 @@ fn model_convs(tape: &[NodeTrace]) -> Vec<(ConvLayer, usize)> {
     layers
 }
 
+/// The distinct depthwise layers of a model tape, in tape order, with
+/// their counts: input shape `(n, c, h, w)` and window geometry.
+fn model_depthwise(tape: &[NodeTrace]) -> Vec<((Vec<usize>, ConvGeometry), usize)> {
+    let mut layers = Vec::new();
+    for node in tape {
+        if let TraceOp::DepthwiseConv2d { geom } = node.op {
+            tally(&mut layers, (tape[node.parents[0]].shape.clone(), geom));
+        }
+    }
+    layers
+}
+
 /// The distinct batch-norm input shapes `(n, c, h, w)` of a model tape,
 /// in tape order, with their counts.
 fn model_batch_norms(tape: &[NodeTrace]) -> Vec<(Vec<usize>, usize)> {
@@ -218,6 +233,39 @@ fn main() {
                     std::hint::black_box(run());
                 });
                 rows.push(with_gflops(row, m, sites, taps).with_extra("count", count as f64));
+            }
+        }
+        for ((dims, geom), count) in model_depthwise(&tape) {
+            let [n, c, h, w] = dims[..] else {
+                panic!("depthwise input {dims:?} is not NCHW");
+            };
+            let (k, (oh, ow)) = (geom.kernel, geom.out_hw());
+            let name = format!("{model}_depthwise_{c}ch_k{k}s{}_{h}x{w}", geom.stride);
+            let x = Tensor::from_fn([n, c, h, w], |i| {
+                ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
+            });
+            let wt = Tensor::from_fn([c, k, k], |i| {
+                ((i[0] * 3 + i[1] * 5 + i[2]) % 11) as f32 / 5.0 - 1.0
+            });
+            let dy = Tensor::from_fn([n, c, oh, ow], |i| {
+                ((i[0] * 5 + i[1] * 3 + i[2] * 7 + i[3]) % 13) as f32 / 6.0 - 1.0
+            });
+            let passes: [(&str, &dyn Fn() -> Tensor); 3] = [
+                ("fwd", &|| x.depthwise_conv2d(&wt, &geom).unwrap()),
+                ("dw", &|| {
+                    dy.depthwise_conv2d_grad_weight(&x, &geom).unwrap()
+                }),
+                ("dx", &|| {
+                    dy.depthwise_conv2d_grad_input(&wt, &geom).unwrap()
+                }),
+            ];
+            for (pass, run) in passes {
+                let row = time_op(&format!("{name}_{pass}"), budget, || {
+                    std::hint::black_box(run());
+                });
+                rows.push(
+                    with_gflops(row, c, n * oh * ow, k * k).with_extra("count", count as f64),
+                );
             }
         }
         for (dims, count) in model_batch_norms(&tape) {

@@ -451,3 +451,39 @@ fn eval_logits_are_pinned() {
     };
     assert_eq!(hashes, expected, "eval-mode logits changed bitwise");
 }
+
+/// Bit pin of MobileNet's parameter gradients: one `loss_and_grads` of a
+/// seeded C10 MobileNet on the golden recipe's training set, hashed over
+/// every parameter gradient in canonical order. The eval-logit pin reaches
+/// only the forward; this covers the depthwise backward (dX and dW) too.
+/// Each GEMM kernel rounds one way, so each has its own value.
+#[test]
+fn mobilenet_parameter_gradients_are_pinned() {
+    use hero_core::experiment::model_config;
+    use hero_data::Preset;
+    use hero_nn::models::ModelKind;
+    use hero_tensor::rng::StdRng;
+    use hero_tensor::GemmKernel;
+
+    let (train_set, _, _, _) = golden_recipe();
+    let mut net = ModelKind::Mobilenet.build(
+        model_config(Preset::C10),
+        &mut StdRng::seed_from_u64(0x3B11),
+    );
+    let grads = hero_nn::loss_and_grads(&mut net, &train_set.images, &train_set.labels)
+        .unwrap()
+        .grads;
+    let bytes: Vec<u8> = grads
+        .iter()
+        .flat_map(|g| g.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+        .collect();
+    let hash = hero_artifact::fnv1a64(&bytes);
+    let expected = match hero_tensor::active_gemm_kernel() {
+        GemmKernel::Scalar => 7_659_177_561_307_327_599u64,
+        GemmKernel::Avx2Fma => 339_917_683_618_484_760u64,
+    };
+    assert_eq!(
+        hash, expected,
+        "MobileNet parameter gradients changed bitwise"
+    );
+}

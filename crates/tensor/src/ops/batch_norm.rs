@@ -21,7 +21,11 @@
 //!   the channels past the last full group run one at a time.
 //! * **Element-wise passes** (`x̂`, the output, `dX`) keep the reference
 //!   expressions operation for operation: no fused multiply-add, no
-//!   reassociation.
+//!   reassociation. They write every element, so their outputs are leased
+//!   without the zero fill.
+//!
+//! The forward runs in a `batch_norm` span and the backward in a
+//! `batch_norm_backward` span.
 
 use crate::error::{Result, TensorError};
 use crate::pool;
@@ -60,6 +64,7 @@ impl Tensor {
         beta: &Tensor,
         eps: f32,
     ) -> Result<BatchNormForward> {
+        let _span = hero_obs::span("batch_norm");
         if self.rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -82,18 +87,15 @@ impl Tensor {
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
 
         let (g, b) = (gamma.data(), beta.data());
-        let mut xhat = pool::lease(x.len());
-        let mut out = pool::lease(x.len());
-        let slabs = x
-            .chunks_exact(hw.max(1))
-            .zip(xhat.chunks_exact_mut(hw.max(1)))
-            .zip(out.chunks_exact_mut(hw.max(1)));
-        for (((xs, zs), os), ch) in slabs.zip((0..c).cycle()) {
+        // Both outputs are written whole, slab by slab, so they are leased
+        // without the zero fill.
+        let mut xhat = pool::lease_raw(x.len());
+        let mut out = pool::lease_raw(x.len());
+        for (xs, ch) in x.chunks_exact(hw.max(1)).zip((0..c).cycle()) {
             let (mu, is, ga, be) = (mean[ch], inv_std[ch], g[ch], b[ch]);
-            for ((&v, z), o) in xs.iter().zip(zs).zip(os) {
-                *z = (v - mu) * is;
-                *o = ga * *z + be;
-            }
+            let z0 = xhat.len();
+            xhat.extend(xs.iter().map(|&v| (v - mu) * is));
+            out.extend(xhat[z0..].iter().map(|&z| ga * z + be));
         }
         Ok(BatchNormForward {
             out: Tensor::assemble(self.shape().clone(), out),
@@ -119,6 +121,7 @@ impl Tensor {
         gamma: &Tensor,
         inv_std: &[f32],
     ) -> Result<(Tensor, Tensor, Tensor)> {
+        let _span = hero_obs::span("batch_norm_backward");
         if self.rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -153,18 +156,16 @@ impl Tensor {
         }
         let [dbeta, dgamma, sum_dxhat, sum_dxhat_xhat] = sums;
 
-        let mut dx = pool::lease(dy.len());
-        let slabs = dy
-            .chunks_exact(hw.max(1))
-            .zip(xh.chunks_exact(hw.max(1)))
-            .zip(dx.chunks_exact_mut(hw.max(1)));
-        for (((dys, xhs), dxs), ch) in slabs.zip((0..c).cycle()) {
+        // Written whole, slab by slab: leased without the zero fill.
+        let mut dx = pool::lease_raw(dy.len());
+        let slabs = dy.chunks_exact(hw.max(1)).zip(xh.chunks_exact(hw.max(1)));
+        for ((dys, xhs), ch) in slabs.zip((0..c).cycle()) {
             let (ga, sd, sdx) = (g[ch], sum_dxhat[ch], sum_dxhat_xhat[ch]);
             let scale = inv_std[ch] / m;
-            for ((&d, &xh), o) in dys.iter().zip(xhs).zip(dxs) {
+            dx.extend(dys.iter().zip(xhs).map(|(&d, &xh)| {
                 let dxh = d * ga;
-                *o = scale * (m * dxh - sd - xh * sdx);
-            }
+                scale * (m * dxh - sd - xh * sdx)
+            }));
         }
         pool::recycle(sum_dxhat);
         pool::recycle(sum_dxhat_xhat);

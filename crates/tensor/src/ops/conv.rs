@@ -42,7 +42,9 @@
 //! offset in a front-padded `dY` grid, and a lane mask drops junk sites.
 //! Forward tiles hold 4 output channels × 2 site tiles, dW tiles put 8
 //! output channels in the lanes against 12 taps, and dX tiles hold 4 input
-//! channels × 2 position tiles, so each `dY` load feeds 4 chains.
+//! channels × 2 position tiles, so each `dY` load feeds 4 chains. The
+//! depthwise kernels (`ops::depthwise`) fold their operands into the same
+//! layout, with 8 channels side by side in the lanes.
 //!
 //! Each kernel runs inside its product's GEMM span and counters and splits
 //! its outer loop over the GEMM worker pool: forward tiles, dW channel ×
@@ -72,7 +74,7 @@ const FWD_SITES: usize = FWD_TILES * LANES;
 /// Images the forward and dX fold at a time: a training batch. Larger
 /// (evaluation, probe) batches run in chunks, so the folded copies and grid
 /// scratch stay the size a training step leases.
-const FOLD_IMAGES: usize = 32;
+pub(crate) const FOLD_IMAGES: usize = 32;
 /// Input channels × position tiles per dX item: each `dY` load feeds four
 /// channels' chains, for six loads per eight FMAs as in the forward.
 const DX_CHANNELS: usize = 4;
@@ -82,28 +84,28 @@ const DX_SITES: usize = DX_TILES * LANES;
 
 /// Shapes of one convolution over a batch and of its folded layout.
 #[derive(Debug, Clone, Copy)]
-struct Plan {
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
+pub(crate) struct Plan {
+    pub(crate) n: usize,
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
     oc: usize,
-    k: usize,
-    s: usize,
-    p: usize,
-    oh: usize,
-    ow: usize,
+    pub(crate) k: usize,
+    pub(crate) s: usize,
+    pub(crate) p: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
     /// Phase planes per axis, `min(s, k)`: phases no tap reads are not
     /// stored.
-    sp: usize,
+    pub(crate) sp: usize,
     /// Phase-plane width.
-    wq: usize,
+    pub(crate) wq: usize,
     /// Grid stride of one image, `hq·wq`.
-    ig: usize,
+    pub(crate) ig: usize,
     /// Phase-plane size, `n·ig`: every image's rows, one after another.
-    ps: usize,
+    pub(crate) ps: usize,
     /// Channel stride of the folded buffer.
-    cs: usize,
+    pub(crate) cs: usize,
     /// Sites of the folded grid up to the last real one,
     /// `(n − 1)·ig + (oh − 1)·wq + ow`.
     grid: usize,
@@ -113,11 +115,11 @@ struct Plan {
     /// Patch rows, `c·k·k`.
     taps: usize,
     /// Output channels rounded up to whole lane groups.
-    ocp: usize,
+    pub(crate) ocp: usize,
 }
 
 impl Plan {
-    fn new(geom: &ConvGeometry, n: usize, c: usize, oc: usize) -> Plan {
+    pub(crate) fn new(geom: &ConvGeometry, n: usize, c: usize, oc: usize) -> Plan {
         let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
         let (oh, ow) = geom.out_hw();
         let sp = s.min(k);
@@ -182,7 +184,7 @@ impl Plan {
     /// them. Tap `(ch, ky, kx)` lies in phase plane `(ky mod s, kx mod s)`
     /// at row `ky / s`, column `kx / s`; the quotients and remainders are
     /// stepped rather than divided per tap.
-    fn tap_offsets(&self, t0: usize, out: &mut [usize]) {
+    pub(crate) fn tap_offsets(&self, t0: usize, out: &mut [usize]) {
         let (k, s) = (self.k, self.s);
         let (mut ch, mut ky, mut kx) = (t0 / (k * k), t0 / k % k, t0 % k);
         let (mut qy, mut ry, mut qx, mut rx) = (ky / s, ky % s, kx / s, kx % s);
@@ -211,7 +213,7 @@ impl Plan {
     /// pixel + s, …` land on the `len` consecutive slots `slot, slot + 1, …`
     /// of the folded buffer. Pixels no tap reads (stride above kernel) are
     /// left out.
-    fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
         let (s, p) = (self.s, self.p);
         // Padded row `y + p` of input row `y` is row `a` of phase `ry`.
         let (a0, ry0) = (p / s, p % s);
@@ -625,7 +627,7 @@ unsafe fn grad_x_block<V: Lanes>(
 }
 
 /// Batch and channel count of an NCHW input that `geom` describes.
-fn input_dims(x: &Tensor, geom: &ConvGeometry) -> Result<(usize, usize)> {
+pub(crate) fn input_dims(x: &Tensor, geom: &ConvGeometry) -> Result<(usize, usize)> {
     if x.rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -643,7 +645,7 @@ fn input_dims(x: &Tensor, geom: &ConvGeometry) -> Result<(usize, usize)> {
 }
 
 /// Batch and channel count of an output gradient `(n, out_c, oh, ow)`.
-fn grad_dims(dy: &Tensor, geom: &ConvGeometry) -> Result<(usize, usize)> {
+pub(crate) fn grad_dims(dy: &Tensor, geom: &ConvGeometry) -> Result<(usize, usize)> {
     if dy.rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,

@@ -210,6 +210,18 @@ impl Product {
         })
     }
 
+    /// Starts a kernel of `flops` that is not a matrix product (the
+    /// depthwise convolution): it opens `span` and runs on the active
+    /// kernel's lanes and worker pool, but adds nothing to the GEMM
+    /// counters. Returns `None` for no flops.
+    pub(crate) fn begin_uncounted(span: &'static str, flops: u64) -> Option<Product> {
+        (flops > 0).then(|| Product {
+            kernel: active_gemm_kernel(),
+            flops,
+            _span: hero_obs::span(span),
+        })
+    }
+
     /// Runs `work(lo, hi)` over `0..items`: split into contiguous chunks
     /// across the worker pool when the product clears [`PAR_MIN_FLOPS`]
     /// and at least two workers are configured, otherwise as one serial

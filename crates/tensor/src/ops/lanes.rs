@@ -1,10 +1,12 @@
 //! The lane layer: the one place that encodes how each [`GemmKernel`]
 //! rounds.
 //!
-//! Every product kernel — the packed GEMM micro-kernel and the direct
-//! convolution passes — is written once, generically over [`Lanes`]:
-//! `LANES` accumulation chains side by side, stepped with the kernel's
-//! multiply-add. [`GemmKernel::Scalar`] runs the body on `[f32; LANES]`
+//! Every product kernel — the packed GEMM micro-kernel, the direct
+//! convolution passes and the depthwise passes — is written once,
+//! generically over [`Lanes`]: `LANES` accumulation chains side by side.
+//! The GEMM and convolution chains step with the kernel's multiply-add; the
+//! depthwise chains with an unfused [`Lanes::mul`] and [`Lanes::add`],
+//! which round alike on both lanes. [`GemmKernel::Scalar`] runs the body on `[f32; LANES]`
 //! (a rounded product, then a rounded sum) and [`GemmKernel::Avx2Fma`] on
 //! `__m256` (one fused multiply-add per step, `vfmadd231ps`), compiled
 //! for AVX2+FMA by [`run_fused`]. A kernel body is a [`Pass`];
@@ -28,6 +30,9 @@ pub(crate) trait Lanes: Copy {
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `self + b` in every lane.
     fn add(self, b: Self) -> Self;
+    /// `self·b` in every lane, rounded: with [`Lanes::add`] after it, the
+    /// same two roundings on either kernel.
+    fn mul(self, b: Self) -> Self;
     /// The bitwise AND of every lane with `mask`.
     fn and(self, mask: Self) -> Self;
 
@@ -75,6 +80,14 @@ impl Lanes for [f32; LANES] {
     fn add(mut self, b: Self) -> Self {
         for (s, b) in self.iter_mut().zip(b) {
             *s += b;
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn mul(mut self, b: Self) -> Self {
+        for (s, b) in self.iter_mut().zip(b) {
+            *s *= b;
         }
         self
     }
@@ -129,6 +142,12 @@ impl Lanes for std::arch::x86_64::__m256 {
     fn add(self, b: Self) -> Self {
         // SAFETY: as for `zero`.
         unsafe { std::arch::x86_64::_mm256_add_ps(self, b) }
+    }
+
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        // SAFETY: as for `zero`.
+        unsafe { std::arch::x86_64::_mm256_mul_ps(self, b) }
     }
 
     #[inline(always)]

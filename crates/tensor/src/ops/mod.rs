@@ -3,6 +3,7 @@
 pub(crate) mod batch_norm;
 pub(crate) mod broadcast;
 pub(crate) mod conv;
+pub(crate) mod depthwise;
 pub(crate) mod elementwise;
 pub(crate) mod gemm;
 pub(crate) mod im2col;

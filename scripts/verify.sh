@@ -29,6 +29,11 @@ echo "==> conv kernel sweep (release: seeded geometries up to batch 64)"
 # ignored sweep does, against the im2col lowering bit for bit.
 cargo test --release -p hero-tensor --test conv_kernels -- --include-ignored
 
+echo "==> depthwise kernel sweep (release: seeded geometries up to batch 70, 96 channels)"
+# The depthwise kernels against the plain loop nest, bit for bit, under
+# both GEMM kernels, including the ignored 120-geometry seeded sweep.
+cargo test --release -p hero-tensor --test depthwise_kernels -- --include-ignored
+
 echo "==> batch-norm kernel sweep (release: seeded shapes up to batch 64, 96 channels)"
 # The batch-norm kernels against the per-element reference loops, bit for
 # bit, including the ignored 300-shape seeded sweep.
