@@ -202,7 +202,12 @@ mod tests {
         for (i, v) in vars.iter().enumerate() {
             assert!(grads.get(*v).is_some(), "param {i} got no gradient");
         }
-        assert_eq!(vars.len(), net.params().len());
+        // The forward's parameter handles follow the canonical order.
+        let params = net.params();
+        assert_eq!(vars.len(), params.len());
+        for (i, (v, p)) in vars.iter().zip(&params).enumerate() {
+            assert_eq!(g.value(*v), p, "forward var {i} is not params()[{i}]");
+        }
         // Eval-mode predictions work and are finite.
         let pred = net.predict(&x).unwrap();
         assert_eq!(pred.dims(), &[2, cfg.classes]);
