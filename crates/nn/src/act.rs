@@ -1,8 +1,8 @@
 //! Parameter-free layers: activations, pooling, flatten.
 
-use crate::module::{Layer, ParamInfo, ParamSource};
+use crate::module::Layer;
 use hero_autodiff::{Graph, Var};
-use hero_tensor::{Result, Tensor};
+use hero_tensor::Result;
 
 /// Activation functions used by the paper's architectures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,18 +26,6 @@ impl Layer for Activation {
             Activation::Relu6 => g.relu6(x),
         })
     }
-
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
-    }
 }
 
 /// Non-overlapping max pooling with a square window.
@@ -56,18 +44,6 @@ impl Layer for MaxPool2d {
         _vars: &mut Vec<Var>,
     ) -> Result<Var> {
         g.max_pool2d(x, self.k)
-    }
-
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
     }
 }
 
@@ -88,18 +64,6 @@ impl Layer for AvgPool2d {
     ) -> Result<Var> {
         g.avg_pool2d(x, self.k)
     }
-
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
-    }
 }
 
 /// Global average pooling `(n, c, h, w) -> (n, c)`.
@@ -115,18 +79,6 @@ impl Layer for GlobalAvgPool2d {
         _vars: &mut Vec<Var>,
     ) -> Result<Var> {
         g.global_avg_pool2d(x)
-    }
-
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
     }
 }
 
@@ -147,23 +99,13 @@ impl Layer for Flatten {
         let rest: usize = dims[1..].iter().product();
         g.reshape(x, [n, rest])
     }
-
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(*self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::{Network, Sequential};
+    use hero_tensor::Tensor;
 
     #[test]
     fn relu_layers_apply_nonlinearity() {
@@ -209,13 +151,15 @@ mod tests {
 
     #[test]
     fn stateless_layers_have_no_params() {
-        let mut out = Vec::new();
-        Activation::Relu.collect_params(&mut out);
-        Flatten.collect_params(&mut out);
-        MaxPool2d { k: 2 }.collect_params(&mut out);
-        assert!(out.is_empty());
-        let mut infos = Vec::new();
-        GlobalAvgPool2d.param_infos("x", &mut infos);
-        assert!(infos.is_empty());
+        let body = Sequential::new()
+            .push("act", Activation::Relu)
+            .push("flatten", Flatten)
+            .push("max", MaxPool2d { k: 2 })
+            .push("avg", AvgPool2d { k: 2 })
+            .push("gap", GlobalAvgPool2d);
+        let net = Network::new("stateless", body);
+        assert!(net.params().is_empty());
+        assert!(net.param_infos().is_empty());
+        assert!(net.state().is_empty());
     }
 }

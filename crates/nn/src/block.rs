@@ -3,11 +3,11 @@
 
 use crate::act::Activation;
 use crate::conv::{Conv2d, DepthwiseConv2d};
-use crate::module::{Layer, ParamInfo, ParamSource, StateSource};
+use crate::module::{EntryMut, Layer, Walk};
 use crate::norm::BatchNorm2d;
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::Rng;
-use hero_tensor::{Result, Tensor};
+use hero_tensor::Result;
 
 /// ResNet "basic block": two 3×3 conv-BN pairs with an identity (or 1×1
 /// projection) shortcut, post-activation ReLU.
@@ -66,59 +66,26 @@ impl Layer for BasicBlock {
         Ok(g.relu(sum))
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
-        self.conv1.collect_params(out);
-        self.bn1.collect_params(out);
-        self.conv2.collect_params(out);
-        self.bn2.collect_params(out);
+    fn walk(&self, w: &mut Walk<'_>) {
+        w.child("conv1", &self.conv1);
+        w.child("bn1", &self.bn1);
+        w.child("conv2", &self.conv2);
+        w.child("bn2", &self.bn2);
         if let Some((conv, bn)) = &self.downsample {
-            conv.collect_params(out);
-            bn.collect_params(out);
+            w.child("down.conv", conv);
+            w.child("down.bn", bn);
         }
     }
 
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-        self.conv1.assign_params(src)?;
-        self.bn1.assign_params(src)?;
-        self.conv2.assign_params(src)?;
-        self.bn2.assign_params(src)?;
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+        self.conv1.walk_mut(f);
+        self.bn1.walk_mut(f);
+        self.conv2.walk_mut(f);
+        self.bn2.walk_mut(f);
         if let Some((conv, bn)) = &mut self.downsample {
-            conv.assign_params(src)?;
-            bn.assign_params(src)?;
+            conv.walk_mut(f);
+            bn.walk_mut(f);
         }
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-        self.conv1.param_infos(&format!("{prefix}.conv1"), out);
-        self.bn1.param_infos(&format!("{prefix}.bn1"), out);
-        self.conv2.param_infos(&format!("{prefix}.conv2"), out);
-        self.bn2.param_infos(&format!("{prefix}.bn2"), out);
-        if let Some((conv, bn)) = &self.downsample {
-            conv.param_infos(&format!("{prefix}.down.conv"), out);
-            bn.param_infos(&format!("{prefix}.down.bn"), out);
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn collect_state(&self, prefix: &str, out: &mut Vec<(String, Vec<f32>)>) {
-        self.bn1.collect_state(&format!("{prefix}.bn1"), out);
-        self.bn2.collect_state(&format!("{prefix}.bn2"), out);
-        if let Some((_, bn)) = &self.downsample {
-            bn.collect_state(&format!("{prefix}.down.bn"), out);
-        }
-    }
-
-    fn assign_state(&mut self, src: &mut StateSource<'_>) -> Result<()> {
-        self.bn1.assign_state(src)?;
-        self.bn2.assign_state(src)?;
-        if let Some((_, bn)) = &mut self.downsample {
-            bn.assign_state(src)?;
-        }
-        Ok(())
     }
 }
 
@@ -189,67 +156,35 @@ impl Layer for InvertedResidual {
         Ok(h)
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
+    fn walk(&self, w: &mut Walk<'_>) {
         if let Some((conv, bn)) = &self.expand {
-            conv.collect_params(out);
-            bn.collect_params(out);
+            w.child("expand.conv", conv);
+            w.child("expand.bn", bn);
         }
-        self.depthwise.collect_params(out);
-        self.bn_dw.collect_params(out);
-        self.project.collect_params(out);
-        self.bn_proj.collect_params(out);
+        w.child("dw", &self.depthwise);
+        w.child("dw.bn", &self.bn_dw);
+        w.child("proj", &self.project);
+        w.child("proj.bn", &self.bn_proj);
     }
 
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
         if let Some((conv, bn)) = &mut self.expand {
-            conv.assign_params(src)?;
-            bn.assign_params(src)?;
+            conv.walk_mut(f);
+            bn.walk_mut(f);
         }
-        self.depthwise.assign_params(src)?;
-        self.bn_dw.assign_params(src)?;
-        self.project.assign_params(src)?;
-        self.bn_proj.assign_params(src)?;
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-        if let Some((conv, bn)) = &self.expand {
-            conv.param_infos(&format!("{prefix}.expand.conv"), out);
-            bn.param_infos(&format!("{prefix}.expand.bn"), out);
-        }
-        self.depthwise.param_infos(&format!("{prefix}.dw"), out);
-        self.bn_dw.param_infos(&format!("{prefix}.dw.bn"), out);
-        self.project.param_infos(&format!("{prefix}.proj"), out);
-        self.bn_proj.param_infos(&format!("{prefix}.proj.bn"), out);
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn collect_state(&self, prefix: &str, out: &mut Vec<(String, Vec<f32>)>) {
-        if let Some((_, bn)) = &self.expand {
-            bn.collect_state(&format!("{prefix}.expand.bn"), out);
-        }
-        self.bn_dw.collect_state(&format!("{prefix}.dw.bn"), out);
-        self.bn_proj
-            .collect_state(&format!("{prefix}.proj.bn"), out);
-    }
-
-    fn assign_state(&mut self, src: &mut StateSource<'_>) -> Result<()> {
-        if let Some((_, bn)) = &mut self.expand {
-            bn.assign_state(src)?;
-        }
-        self.bn_dw.assign_state(src)?;
-        self.bn_proj.assign_state(src)?;
-        Ok(())
+        self.depthwise.walk_mut(f);
+        self.bn_dw.walk_mut(f);
+        self.project.walk_mut(f);
+        self.bn_proj.walk_mut(f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::{Network, Sequential};
     use hero_tensor::rng::StdRng;
+    use hero_tensor::Tensor;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)
@@ -282,14 +217,13 @@ mod tests {
 
     #[test]
     fn basic_block_params_round_trip() {
-        let mut b = BasicBlock::new(4, 8, 2, &mut rng());
-        let mut ps = Vec::new();
-        b.collect_params(&mut ps);
+        let b = BasicBlock::new(4, 8, 2, &mut rng());
+        let mut net = Network::new("block", Sequential::new().push("block", b));
+        let ps = net.params();
         let n = ps.len();
         assert_eq!(n, 9);
-        b.assign_params(&mut ParamSource::new(&ps)).unwrap();
-        let mut infos = Vec::new();
-        b.param_infos("block", &mut infos);
+        net.set_params(&ps).unwrap();
+        let infos = net.param_infos();
         assert_eq!(infos.len(), n);
         assert!(infos.iter().any(|i| i.name.contains("down.conv")));
     }
@@ -318,13 +252,13 @@ mod tests {
 
     #[test]
     fn expansion_one_skips_expand_conv() {
-        let b1 = InvertedResidual::new(8, 8, 1, 1, &mut rng());
-        let b4 = InvertedResidual::new(8, 8, 1, 4, &mut rng());
-        let mut p1 = Vec::new();
-        b1.collect_params(&mut p1);
-        let mut p4 = Vec::new();
-        b4.collect_params(&mut p4);
-        assert!(p1.len() < p4.len());
+        let count = |expansion| {
+            let b = InvertedResidual::new(8, 8, 1, expansion, &mut rng());
+            Network::new("ir", Sequential::new().push("ir", b))
+                .params()
+                .len()
+        };
+        assert!(count(1) < count(4));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Convolutional layers: standard and depthwise.
 
-use crate::module::{Layer, ParamInfo, ParamKind, ParamSource};
+use crate::module::{EntryMut, Layer, ParamKind, Walk};
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::Rng;
 use hero_tensor::{ConvGeometry, Init, Result, Tensor};
@@ -61,24 +61,12 @@ impl Layer for Conv2d {
         g.conv2d(x, w, geom)
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
-        out.push(self.w.clone());
+    fn walk(&self, w: &mut Walk<'_>) {
+        w.param("weight", ParamKind::Weight, &self.w);
     }
 
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-        src.copy_into(&mut self.w)?;
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-        out.push(ParamInfo {
-            name: format!("{prefix}.weight"),
-            kind: ParamKind::Weight,
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+        f(EntryMut::Param(&mut self.w));
     }
 }
 
@@ -127,30 +115,19 @@ impl Layer for DepthwiseConv2d {
         g.depthwise_conv2d(x, w, geom)
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
-        out.push(self.w.clone());
+    fn walk(&self, w: &mut Walk<'_>) {
+        w.param("weight", ParamKind::Weight, &self.w);
     }
 
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-        src.copy_into(&mut self.w)?;
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-        out.push(ParamInfo {
-            name: format!("{prefix}.weight"),
-            kind: ParamKind::Weight,
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+        f(EntryMut::Param(&mut self.w));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::{Network, Sequential};
     use hero_tensor::rng::StdRng;
 
     #[test]
@@ -198,12 +175,12 @@ mod tests {
     #[test]
     fn params_round_trip() {
         let c = Conv2d::new(2, 4, 3, 1, 1, &mut StdRng::seed_from_u64(4));
-        let mut ps = Vec::new();
-        c.collect_params(&mut ps);
+        let mut net = Network::new("conv", Sequential::new().push("stem", c));
+        let ps = net.params();
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].dims(), &[4, 18]);
-        let mut infos = Vec::new();
-        c.param_infos("stem", &mut infos);
+        net.set_params(&ps).unwrap();
+        let infos = net.param_infos();
         assert_eq!(infos[0].name, "stem.weight");
         assert_eq!(infos[0].kind, ParamKind::Weight);
     }
@@ -212,10 +189,6 @@ mod tests {
     fn kaiming_scale_shrinks_with_fan_in() {
         let small = Conv2d::new(1, 64, 3, 1, 1, &mut StdRng::seed_from_u64(5));
         let large = Conv2d::new(64, 64, 3, 1, 1, &mut StdRng::seed_from_u64(5));
-        let mut ps_s = Vec::new();
-        small.collect_params(&mut ps_s);
-        let mut ps_l = Vec::new();
-        large.collect_params(&mut ps_l);
-        assert!(ps_s[0].variance() > ps_l[0].variance());
+        assert!(small.w.variance() > large.w.variance());
     }
 }

@@ -1,7 +1,7 @@
 //! Dropout layer (the classic generalization baseline the paper's related
 //! work compares against).
 
-use crate::module::{Layer, ParamInfo, ParamSource};
+use crate::module::Layer;
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::Rng;
 use hero_tensor::rng::StdRng;
@@ -63,18 +63,6 @@ impl Layer for Dropout {
         g.dropout(x, &mask, self.keep_prob)
     }
 
-    fn collect_params(&self, _out: &mut Vec<Tensor>) {}
-
-    fn assign_params(&mut self, _src: &mut ParamSource<'_>) -> Result<()> {
-        Ok(())
-    }
-
-    fn param_infos(&self, _prefix: &str, _out: &mut Vec<ParamInfo>) {}
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
     fn rng_stateful(&self) -> bool {
         // keep_prob == 1.0 short-circuits forward before any RNG draw, so
         // only a masking configuration carries scheduling-sensitive state.
@@ -85,6 +73,7 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::{Network, Sequential};
 
     #[test]
     fn eval_mode_is_identity() {
@@ -140,9 +129,9 @@ mod tests {
     fn has_no_parameters() {
         let d = Dropout::new(0.5, 3);
         assert_eq!(d.keep_prob(), 0.5);
-        let mut ps = Vec::new();
-        d.collect_params(&mut ps);
-        assert!(ps.is_empty());
+        let net = Network::new("dropout", Sequential::new().push("drop", d));
+        assert!(net.params().is_empty());
+        assert!(net.rng_stateful());
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use linear::Linear;
 pub use loss::{
     accuracy, eval_loss, evaluate_accuracy, loss_and_grads, loss_and_grads_smoothed, LossAndGrads,
 };
-pub use module::{Layer, Network, ParamInfo, ParamKind, ParamSource, Sequential, StateSource};
+pub use module::{EntryMut, Layer, LayerClone, Network, ParamInfo, ParamKind, Sequential, Walk};
 pub use norm::BatchNorm2d;

@@ -44,18 +44,78 @@ pub struct ParamInfo {
     pub kind: ParamKind,
 }
 
+/// A parameter tensor or state buffer, as [`Layer::walk`] reports it.
+#[derive(Debug)]
+enum Entry<'a> {
+    /// A trainable parameter and its role.
+    Param(ParamKind, &'a Tensor),
+    /// A non-parameter state buffer (batch-norm running statistics).
+    State(&'a [f32]),
+}
+
+/// A parameter tensor or state buffer, as [`Layer::walk_mut`] reports it.
+#[derive(Debug)]
+pub enum EntryMut<'a> {
+    /// A trainable parameter.
+    Param(&'a mut Tensor),
+    /// A non-parameter state buffer.
+    State(&'a mut [f32]),
+}
+
+/// A shared-reference walk over a layer tree in canonical order. It keeps
+/// the dotted path of the current scope and hands each entry to a sink
+/// with that path and the entry's name suffix; only sinks that need names
+/// join them.
+pub struct Walk<'s> {
+    path: String,
+    sink: &'s mut dyn FnMut(&str, &str, Entry<'_>),
+}
+
+impl Walk<'_> {
+    /// Walks `layer` from the root scope, handing every entry to `sink`.
+    fn run(layer: &dyn Layer, sink: &mut dyn FnMut(&str, &str, Entry<'_>)) {
+        layer.walk(&mut Walk {
+            path: String::new(),
+            sink,
+        });
+    }
+
+    /// Reports parameter `t` under name suffix `suffix`.
+    pub fn param(&mut self, suffix: &str, kind: ParamKind, t: &Tensor) {
+        (self.sink)(&self.path, suffix, Entry::Param(kind, t));
+    }
+
+    /// Reports state buffer `buf` under name suffix `suffix`.
+    pub fn state(&mut self, suffix: &str, buf: &[f32]) {
+        (self.sink)(&self.path, suffix, Entry::State(buf));
+    }
+
+    /// Walks child `layer` in the scope `name` below the current one.
+    pub fn child(&mut self, name: &str, layer: &dyn Layer) {
+        let len = self.path.len();
+        if len > 0 {
+            self.path.push('.');
+        }
+        self.path.push_str(name);
+        layer.walk(self);
+        self.path.truncate(len);
+    }
+}
+
 /// A neural-network building block with owned parameters.
 ///
 /// A layer contributes its parameters to a fresh [`Graph`] on every forward
 /// call (define-by-run); the `vars` list receives the graph handle of each
-/// parameter in the same canonical order that [`Layer::collect_params`]
-/// emits tensors, which is what lets optimizers map gradients back onto
-/// parameters.
+/// parameter in canonical order. The two walks report the same order, once
+/// by shared reference with names and kinds ([`Layer::walk`]) and once
+/// mutably without names ([`Layer::walk_mut`]); that order is what lets
+/// optimizers map gradients back onto parameters and [`Network`] derive
+/// its flat parameter and state views.
 ///
-/// Layers are `Send` and cloneable through [`Layer::clone_box`] so a
+/// Layers are `Send` and cloneable through [`LayerClone`] so a
 /// [`Network`] can be replicated into per-thread workers by the
 /// data-parallel executor (`hero-parallel`).
-pub trait Layer: std::fmt::Debug + Send {
+pub trait Layer: std::fmt::Debug + Send + LayerClone {
     /// Builds this layer's forward computation.
     ///
     /// `train` selects training behaviour (e.g. batch-norm batch
@@ -66,29 +126,14 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns shape errors when `x` is incompatible with the layer.
     fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var>;
 
-    /// Appends snapshot clones of the parameter tensors in canonical order.
-    fn collect_params(&self, out: &mut Vec<Tensor>);
+    /// Reports each parameter (name suffix, kind, tensor) and state buffer
+    /// in canonical order, and walks children through [`Walk::child`].
+    /// Layers without parameters or state keep the empty default.
+    fn walk(&self, _w: &mut Walk<'_>) {}
 
-    /// Overwrites parameters from `src` in canonical order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` runs dry or a tensor has the wrong shape.
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()>;
-
-    /// Appends metadata for each parameter; `prefix` is the dotted path of
-    /// the enclosing scope.
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>);
-
-    /// Deep-copies this layer behind a fresh box (object-safe `Clone`).
-    ///
-    /// Replicas carry independent parameter storage and layer state
-    /// (batch-norm running statistics), which is what per-worker model
-    /// replicas need. Layers whose state includes a forward-advancing RNG
-    /// (see [`Layer::rng_stateful`]) are rejected by the data-parallel
-    /// executor: each replica's RNG copy would advance on whichever worker
-    /// happens to run it, making results scheduling-dependent.
-    fn clone_box(&self) -> Box<dyn Layer>;
+    /// Reports the entries of [`Layer::walk`] in the same order, mutably
+    /// and without names.
+    fn walk_mut(&mut self, _f: &mut dyn FnMut(EntryMut<'_>)) {}
 
     /// True when this layer (or any child) owns RNG state that advances
     /// during training-mode forward passes — e.g. [`crate::Dropout`].
@@ -98,136 +143,30 @@ pub trait Layer: std::fmt::Debug + Send {
     fn rng_stateful(&self) -> bool {
         false
     }
+}
 
-    /// Appends named non-parameter state buffers (batch-norm running
-    /// statistics) as `(dotted_path, values)` pairs. `prefix` is the
-    /// dotted path of the enclosing scope, exactly as in
-    /// [`Layer::param_infos`]. Stateless layers keep the default no-op.
-    fn collect_state(&self, _prefix: &str, _out: &mut Vec<(String, Vec<f32>)>) {}
+/// Object-safe `Clone` for layers, implemented for every `Layer + Clone`.
+pub trait LayerClone {
+    /// Deep-copies this layer behind a fresh box.
+    ///
+    /// Replicas carry independent parameter storage and layer state
+    /// (batch-norm running statistics), which is what per-worker model
+    /// replicas need. Layers whose state includes a forward-advancing RNG
+    /// (see [`Layer::rng_stateful`]) are rejected by the data-parallel
+    /// executor: each replica's RNG copy would advance on whichever worker
+    /// happens to run it, making results scheduling-dependent.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
 
-    /// Overwrites non-parameter state buffers from `src` in the same
-    /// canonical order that [`Layer::collect_state`] emits them.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `src` runs dry or a buffer length differs.
-    fn assign_state(&mut self, _src: &mut StateSource<'_>) -> Result<()> {
-        Ok(())
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
 
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.as_ref().clone_box()
-    }
-}
-
-/// Cursor over a flat list of replacement parameter tensors.
-#[derive(Debug)]
-pub struct ParamSource<'a> {
-    tensors: &'a [Tensor],
-    cursor: usize,
-}
-
-impl<'a> ParamSource<'a> {
-    /// Creates a source reading `tensors` front to back.
-    pub fn new(tensors: &'a [Tensor]) -> Self {
-        ParamSource { tensors, cursor: 0 }
-    }
-
-    /// Takes the next tensor, checking it matches `expected`'s shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when exhausted or on a shape mismatch.
-    pub fn next_like(&mut self, expected: &Tensor) -> Result<Tensor> {
-        let t = self.tensors.get(self.cursor).ok_or_else(|| {
-            TensorError::InvalidArgument(format!(
-                "parameter source exhausted at index {}",
-                self.cursor
-            ))
-        })?;
-        if t.shape() != expected.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: expected.dims().to_vec(),
-                right: t.dims().to_vec(),
-            });
-        }
-        self.cursor += 1;
-        Ok(t.clone())
-    }
-
-    /// Copies the next tensor into `dst` in place (no allocation) — the
-    /// hot-path counterpart of [`ParamSource::next_like`], used so
-    /// `set_params` inside the training loop reuses layer storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when exhausted or on a shape mismatch.
-    pub fn copy_into(&mut self, dst: &mut Tensor) -> Result<()> {
-        let t = self.tensors.get(self.cursor).ok_or_else(|| {
-            TensorError::InvalidArgument(format!(
-                "parameter source exhausted at index {}",
-                self.cursor
-            ))
-        })?;
-        dst.copy_from(t)?;
-        self.cursor += 1;
-        Ok(())
-    }
-
-    /// Number of tensors consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.cursor
-    }
-
-    /// True when every tensor has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor == self.tensors.len()
-    }
-}
-
-/// Cursor over a flat list of replacement state buffers, the
-/// [`ParamSource`] counterpart for [`Layer::assign_state`].
-#[derive(Debug)]
-pub struct StateSource<'a> {
-    buffers: &'a [(String, Vec<f32>)],
-    cursor: usize,
-}
-
-impl<'a> StateSource<'a> {
-    /// Creates a source reading `buffers` front to back.
-    pub fn new(buffers: &'a [(String, Vec<f32>)]) -> Self {
-        StateSource { buffers, cursor: 0 }
-    }
-
-    /// Takes the next buffer, checking its length matches `expected_len`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when exhausted or on a length mismatch.
-    pub fn next_buffer(&mut self, expected_len: usize) -> Result<&'a [f32]> {
-        let (name, data) = self.buffers.get(self.cursor).ok_or_else(|| {
-            TensorError::InvalidArgument(format!("state source exhausted at index {}", self.cursor))
-        })?;
-        if data.len() != expected_len {
-            return Err(TensorError::InvalidArgument(format!(
-                "state buffer `{name}` has {} values, layer expects {expected_len}",
-                data.len()
-            )));
-        }
-        self.cursor += 1;
-        Ok(data)
-    }
-
-    /// Number of buffers consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.cursor
-    }
-
-    /// True when every buffer has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor == self.buffers.len()
     }
 }
 
@@ -278,55 +217,26 @@ impl Layer for Sequential {
         Ok(cur)
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
-        for layer in &self.layers {
-            layer.collect_params(out);
-        }
-    }
-
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-        for layer in &mut self.layers {
-            layer.assign_params(src)?;
-        }
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
+    fn walk(&self, w: &mut Walk<'_>) {
         for (layer, name) in self.layers.iter().zip(&self.names) {
-            let child = if prefix.is_empty() {
-                name.clone()
-            } else {
-                format!("{prefix}.{name}")
-            };
-            layer.param_infos(&child, out);
+            w.child(name, layer.as_ref());
         }
     }
 
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+        for layer in &mut self.layers {
+            layer.walk_mut(f);
+        }
     }
 
     fn rng_stateful(&self) -> bool {
         self.layers.iter().any(|l| l.rng_stateful())
     }
+}
 
-    fn collect_state(&self, prefix: &str, out: &mut Vec<(String, Vec<f32>)>) {
-        for (layer, name) in self.layers.iter().zip(&self.names) {
-            let child = if prefix.is_empty() {
-                name.clone()
-            } else {
-                format!("{prefix}.{name}")
-            };
-            layer.collect_state(&child, out);
-        }
-    }
-
-    fn assign_state(&mut self, src: &mut StateSource<'_>) -> Result<()> {
-        for layer in &mut self.layers {
-            layer.assign_state(src)?;
-        }
-        Ok(())
-    }
+/// The error for a walk that finds more entries than were supplied.
+fn exhausted(what: &str, index: usize) -> TensorError {
+    TensorError::InvalidArgument(format!("{what} source exhausted at index {index}"))
 }
 
 /// A complete trainable network: a [`Sequential`] body whose output is the
@@ -374,7 +284,11 @@ impl Network {
     /// Snapshot clones of all parameters in canonical order.
     pub fn params(&self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.body.collect_params(&mut out);
+        Walk::run(&self.body, &mut |_, _, e| {
+            if let Entry::Param(_, t) = e {
+                out.push(t.clone());
+            }
+        });
         out
     }
 
@@ -384,28 +298,36 @@ impl Network {
     ///
     /// Returns an error if the count or any shape differs.
     pub fn set_params(&mut self, params: &[Tensor]) -> Result<()> {
-        let mut src = ParamSource::new(params);
-        self.body.assign_params(&mut src)?;
-        if !src.is_exhausted() {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} parameter tensors supplied, {} consumed",
-                params.len(),
-                src.consumed()
-            )));
-        }
-        Ok(())
+        self.assign("parameter tensors", params.len(), |e, i| match e {
+            EntryMut::Param(dst) => Some(match params.get(i) {
+                Some(t) => dst.copy_from(t),
+                None => Err(exhausted("parameter", i)),
+            }),
+            EntryMut::State(_) => None,
+        })
     }
 
     /// Metadata for every parameter, aligned with [`Network::params`].
     pub fn param_infos(&self) -> Vec<ParamInfo> {
         let mut out = Vec::new();
-        self.body.param_infos("", &mut out);
+        Walk::run(&self.body, &mut |path, suffix, e| {
+            if let Entry::Param(kind, _) = e {
+                let name = format!("{path}.{suffix}");
+                out.push(ParamInfo { name, kind });
+            }
+        });
         out
     }
 
     /// Total scalar parameter count.
     pub fn num_scalars(&self) -> usize {
-        self.params().iter().map(Tensor::numel).sum()
+        let mut n = 0;
+        Walk::run(&self.body, &mut |_, _, e| {
+            if let Entry::Param(_, t) = e {
+                n += t.numel();
+            }
+        });
+        n
     }
 
     /// True when any layer owns RNG state that advances during training
@@ -420,7 +342,11 @@ impl Network {
     /// serialized model needs for exact inference reconstruction.
     pub fn state(&self) -> Vec<(String, Vec<f32>)> {
         let mut out = Vec::new();
-        self.body.collect_state("", &mut out);
+        Walk::run(&self.body, &mut |path, suffix, e| {
+            if let Entry::State(buf) = e {
+                out.push((format!("{path}.{suffix}"), buf.to_vec()));
+            }
+        });
         out
     }
 
@@ -430,13 +356,45 @@ impl Network {
     ///
     /// Returns an error if the count or any buffer length differs.
     pub fn set_state(&mut self, state: &[(String, Vec<f32>)]) -> Result<()> {
-        let mut src = StateSource::new(state);
-        self.body.assign_state(&mut src)?;
-        if !src.is_exhausted() {
+        self.assign("state buffers", state.len(), |e, i| match e {
+            EntryMut::State(dst) => Some(match state.get(i) {
+                Some((_, data)) if data.len() == dst.len() => {
+                    dst.copy_from_slice(data);
+                    Ok(())
+                }
+                Some((name, data)) => Err(TensorError::InvalidArgument(format!(
+                    "state buffer `{name}` has {} values, layer expects {}",
+                    data.len(),
+                    dst.len()
+                ))),
+                None => Err(exhausted("state", i)),
+            }),
+            EntryMut::Param(_) => None,
+        })
+    }
+
+    /// Feeds the mutable walk's entries to `copy` with the index of the
+    /// next supplied item; `copy` returns `None` for entries of the other
+    /// kind. Stops copying at the first error and checks that all
+    /// `supplied` items were used.
+    fn assign(
+        &mut self,
+        what: &str,
+        supplied: usize,
+        mut copy: impl FnMut(EntryMut<'_>, usize) -> Option<Result<()>>,
+    ) -> Result<()> {
+        let (mut used, mut res) = (0, Ok(()));
+        self.body.walk_mut(&mut |e| {
+            if res.is_ok() {
+                if let Some(r) = copy(e, used) {
+                    (used, res) = (used + 1, r);
+                }
+            }
+        });
+        res?;
+        if used != supplied {
             return Err(TensorError::InvalidArgument(format!(
-                "{} state buffers supplied, {} consumed",
-                state.len(),
-                src.consumed()
+                "{supplied} {what} supplied, {used} consumed"
             )));
         }
         Ok(())
@@ -479,24 +437,12 @@ mod tests {
             g.mul(x, w)
         }
 
-        fn collect_params(&self, out: &mut Vec<Tensor>) {
-            out.push(self.w.clone());
+        fn walk(&self, w: &mut Walk<'_>) {
+            w.param("weight", ParamKind::Weight, &self.w);
         }
 
-        fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-            self.w = src.next_like(&self.w)?;
-            Ok(())
-        }
-
-        fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-            out.push(ParamInfo {
-                name: format!("{prefix}.weight"),
-                kind: ParamKind::Weight,
-            });
-        }
-
-        fn clone_box(&self) -> Box<dyn Layer> {
-            Box::new(self.clone())
+        fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+            f(EntryMut::Param(&mut self.w));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Batch normalization with running statistics.
 
-use crate::module::{Layer, ParamInfo, ParamKind, ParamSource, StateSource};
+use crate::module::{EntryMut, Layer, ParamKind, Walk};
 use hero_autodiff::{Graph, Var};
 use hero_tensor::{Result, Tensor};
 use std::cell::Cell;
@@ -115,49 +115,29 @@ impl Layer for BatchNorm2d {
         }
     }
 
-    fn collect_params(&self, out: &mut Vec<Tensor>) {
-        out.push(self.gamma.clone());
-        out.push(self.beta.clone());
+    fn walk(&self, w: &mut Walk<'_>) {
+        w.param("gamma", ParamKind::BnGamma, &self.gamma);
+        w.param("beta", ParamKind::BnBeta, &self.beta);
+        w.state("running_mean", &self.running_mean);
+        w.state("running_var", &self.running_var);
     }
 
-    fn assign_params(&mut self, src: &mut ParamSource<'_>) -> Result<()> {
-        src.copy_into(&mut self.gamma)?;
-        src.copy_into(&mut self.beta)?;
-        Ok(())
-    }
-
-    fn param_infos(&self, prefix: &str, out: &mut Vec<ParamInfo>) {
-        out.push(ParamInfo {
-            name: format!("{prefix}.gamma"),
-            kind: ParamKind::BnGamma,
-        });
-        out.push(ParamInfo {
-            name: format!("{prefix}.beta"),
-            kind: ParamKind::BnBeta,
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn collect_state(&self, prefix: &str, out: &mut Vec<(String, Vec<f32>)>) {
-        out.push((format!("{prefix}.running_mean"), self.running_mean.clone()));
-        out.push((format!("{prefix}.running_var"), self.running_var.clone()));
-    }
-
-    fn assign_state(&mut self, src: &mut StateSource<'_>) -> Result<()> {
-        let mean = src.next_buffer(self.running_mean.len())?;
-        self.running_mean.copy_from_slice(mean);
-        let var = src.next_buffer(self.running_var.len())?;
-        self.running_var.copy_from_slice(var);
-        Ok(())
+    fn walk_mut(&mut self, f: &mut dyn FnMut(EntryMut<'_>)) {
+        f(EntryMut::Param(&mut self.gamma));
+        f(EntryMut::Param(&mut self.beta));
+        f(EntryMut::State(&mut self.running_mean));
+        f(EntryMut::State(&mut self.running_var));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::{Network, Sequential};
+
+    fn wrap(bn: BatchNorm2d) -> Network {
+        Network::new("bn", Sequential::new().push("bn1", bn))
+    }
 
     fn sample_input() -> Tensor {
         Tensor::from_fn([4, 2, 3, 3], |i| {
@@ -219,30 +199,42 @@ mod tests {
 
     #[test]
     fn params_round_trip_with_kinds() {
-        let bn = BatchNorm2d::new(3);
-        let mut ps = Vec::new();
-        bn.collect_params(&mut ps);
+        let net = wrap(BatchNorm2d::new(3));
+        let ps = net.params();
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].data(), &[1.0, 1.0, 1.0]);
         assert_eq!(ps[1].data(), &[0.0, 0.0, 0.0]);
-        let mut infos = Vec::new();
-        bn.param_infos("bn1", &mut infos);
+        let infos = net.param_infos();
         assert_eq!(infos[0].kind, ParamKind::BnGamma);
         assert_eq!(infos[1].kind, ParamKind::BnBeta);
         assert!(infos[0].name.ends_with("gamma"));
-        assert_eq!(bn.channels(), 3);
+        assert_eq!(BatchNorm2d::new(3).channels(), 3);
     }
 
     #[test]
     fn assign_params_validates_shape() {
-        let mut bn = BatchNorm2d::new(3);
+        let mut net = wrap(BatchNorm2d::new(3));
         let bad = [Tensor::ones([4]), Tensor::zeros([3])];
-        assert!(bn.assign_params(&mut ParamSource::new(&bad)).is_err());
+        assert!(net.set_params(&bad).is_err());
         let good = [Tensor::full([3], 2.0), Tensor::full([3], 0.5)];
-        bn.assign_params(&mut ParamSource::new(&good)).unwrap();
-        let mut ps = Vec::new();
-        bn.collect_params(&mut ps);
-        assert_eq!(ps[0].data(), &[2.0, 2.0, 2.0]);
+        net.set_params(&good).unwrap();
+        assert_eq!(net.params()[0].data(), &[2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn state_round_trip_validates_lengths() {
+        let mut net = wrap(BatchNorm2d::new(2));
+        let names: Vec<String> = net.state().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["bn1.running_mean", "bn1.running_var"]);
+        let good = vec![
+            ("m".to_string(), vec![0.5, -0.5]),
+            ("v".to_string(), vec![2.0, 3.0]),
+        ];
+        net.set_state(&good).unwrap();
+        assert_eq!(net.state()[1].1, [2.0, 3.0]);
+        let short = vec![("m".to_string(), vec![0.5])];
+        assert!(net.set_state(&short).is_err());
+        assert!(net.set_state(&good[..1]).is_err());
     }
 }
 

@@ -110,8 +110,6 @@ pub static GEMM_SIMD_HITS: Counter = Counter::new("gemm_simd_hits");
 /// Chunks of GEMM and convolution products executed on the GEMM worker
 /// pool (one per worker job; stays zero when every product runs serially).
 pub static GEMM_PANELS_PARALLEL: Counter = Counter::new("gemm_panels_parallel");
-/// `im2col`/`col2im` lowerings performed.
-pub static IM2COL_CALLS: Counter = Counter::new("im2col_calls");
 /// Non-finite forward values caught by the `sanitize` NaN-taint checker.
 pub static NAN_TAINT_TRIPS: Counter = Counter::new("nan_taint_trips");
 /// Parameter tensors passed through the post-training quantizer.
@@ -135,7 +133,7 @@ pub static ARTIFACT_SAVES: Counter = Counter::new("artifact_saves");
 /// Model artifacts successfully decoded from disk.
 pub static ARTIFACT_LOADS: Counter = Counter::new("artifact_loads");
 
-const BUILTINS: [&Counter; 19] = [
+const BUILTINS: [&Counter; 18] = [
     &GRAD_EVALS,
     &POOL_HITS,
     &POOL_FRESH_ALLOCS,
@@ -144,7 +142,6 @@ const BUILTINS: [&Counter; 19] = [
     &GEMM_FLOPS,
     &GEMM_SIMD_HITS,
     &GEMM_PANELS_PARALLEL,
-    &IM2COL_CALLS,
     &NAN_TAINT_TRIPS,
     &QUANT_TENSORS,
     &WORKERS_BUSY,

@@ -706,9 +706,12 @@ impl Tensor {
                     wt[t * plan.ocp + o] = v;
                 }
             }
-            let images = self.data().chunks(FOLD_IMAGES * chw);
-            for (x, out) in images.zip(out.chunks_mut(FOLD_IMAGES * slab)) {
-                let plan = Plan::new(geom, x.len() / chw, c, oc);
+            // Chunk by image count: an empty input plane (`chw == 0`)
+            // still has padding-only output sites.
+            for img0 in (0..n).step_by(FOLD_IMAGES) {
+                let plan = Plan::new(geom, FOLD_IMAGES.min(n - img0), c, oc);
+                let x = &self.data()[img0 * chw..][..plan.n * chw];
+                let out = &mut out[img0 * slab..][..plan.n * slab];
                 let mut xs = pool::lease(plan.split_len());
                 plan.split(x, &mut xs);
                 let mut grid = pool::lease(oc * plan.gp);
@@ -834,9 +837,10 @@ impl Tensor {
                     }
                 }
             }
-            let dys = self.data().chunks(FOLD_IMAGES * slab);
-            for (dy, out) in dys.zip(out.chunks_mut(FOLD_IMAGES * chw)) {
-                let chunk = Plan::new(geom, dy.len() / slab, plan.c, oc);
+            for img0 in (0..n).step_by(FOLD_IMAGES) {
+                let chunk = Plan::new(geom, FOLD_IMAGES.min(n - img0), plan.c, oc);
+                let dy = &self.data()[img0 * slab..][..chunk.n * slab];
+                let out = &mut out[img0 * chw..][..chunk.n * chw];
                 let plan = chunk.with_plane_len((chunk.n * chunk.ig).div_ceil(DX_SITES) * DX_SITES);
                 // Sites reach positions up to `front` past them, so `dY`
                 // rows start that many zero sites late and every read

@@ -101,8 +101,6 @@ impl Tensor {
                 geom.in_h, geom.in_w
             )));
         }
-        let _obs = hero_obs::span("im2col");
-        hero_obs::counters::IM2COL_CALLS.incr();
         let k = geom.kernel;
         let (oh, ow) = geom.out_hw();
         let rows = c * k * k;
@@ -171,8 +169,6 @@ impl Tensor {
                 right: self.dims().to_vec(),
             });
         }
-        let _obs = hero_obs::span("col2im");
-        hero_obs::counters::IM2COL_CALLS.incr();
         let (h, w) = (geom.in_h, geom.in_w);
         let mut out_vec = pool::lease(n * c * h * w);
         // Mirror of im2col's loop order: each (ch, ky, kx) row of the column

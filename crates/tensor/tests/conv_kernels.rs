@@ -327,6 +327,38 @@ fn non_finite_values_stay_inside_their_image() {
 }
 
 #[test]
+fn empty_planes_see_only_padding() {
+    // A 0×0 input padded by 1 has a 2×2 output of padding-only sites: the
+    // forward multiplies zeros in (NaN rows for an infinite weight, as in
+    // the lowering), and dX is the empty `(N, C, 0, 0)`.
+    let _g = lock_overrides();
+    let case = Case {
+        n: 2,
+        c: 3,
+        oc: 2,
+        h: 0,
+        w: 0,
+        k: 1,
+        s: 1,
+        p: 1,
+    };
+    let mut rng = StdRng::seed_from_u64(13);
+    let x = Tensor::zeros([2, 3, 0, 0]);
+    let mut w = seeded(&[2, 3], &mut rng);
+    let dy = seeded(&[2, 2, 2, 2], &mut rng);
+    check(&case, &x, &w, &dy);
+    w.data_mut()[0] = f32::INFINITY;
+    check(&case, &x, &w, &dy);
+    let geom = case.geom();
+    let fwd = x.conv2d(&w, &geom).unwrap();
+    assert_eq!(fwd.dims(), &[2, 2, 2, 2]);
+    assert!(fwd.data()[..4].iter().all(|v| v.is_nan()));
+    assert!(fwd.data()[4..8].iter().all(|&v| v == 0.0));
+    let dx = dy.conv2d_grad_input(&w, &geom).unwrap();
+    assert_eq!(dx.dims(), &[2, 3, 0, 0]);
+}
+
+#[test]
 fn kernels_validate_shapes() {
     let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
     let x = Tensor::zeros([1, 2, 4, 4]);
