@@ -64,8 +64,8 @@ pub enum DiagCode {
     /// bit widths — post-training quantization would clip it.
     QuantClipRisk,
     /// The node's input interval lies entirely inside a zero-gradient
-    /// region of its activation (ReLU/ReLU6/sigmoid/tanh), so the backward
-    /// pass through it is statically dead.
+    /// region of its activation (ReLU/ReLU6), so the backward pass through
+    /// it is statically dead.
     SaturationDeadZone,
     /// The accumulated gradient-magnitude bound crosses the configured
     /// explosion threshold at this node.

@@ -17,7 +17,6 @@ use crate::diag::{DiagCode, Diagnostic};
 use crate::verify::{numel, Operands};
 use crate::ValueOptions;
 use hero_autodiff::{NodeTrace, TraceOp};
-use std::num::FpCategory;
 
 /// Relative outward-widening margin applied per transfer (one op's worth
 /// of `f32` rounding is ~6e-8 relative; 1e-6 leaves headroom).
@@ -112,15 +111,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Smallest interval containing both operands.
-    pub fn hull(self, o: Self) -> Self {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-            maybe_nan: self.maybe_nan || o.maybe_nan,
-        }
-    }
-
     pub(crate) fn add(self, o: Self) -> Self {
         from64(
             self.lo as f64 + o.lo as f64,
@@ -164,18 +154,6 @@ impl Interval {
             (l * l).min(h * h)
         };
         from64(lo, hi, self.maybe_nan)
-    }
-
-    /// Transfer through a monotonically increasing `f`, optionally
-    /// intersected with `f`'s exact codomain (sound because concrete
-    /// outputs cannot leave the codomain regardless of rounding).
-    fn monotone(self, f: impl Fn(f64) -> f64, codomain: Option<(f32, f32)>) -> Self {
-        let mut out = from64(f(self.lo as f64), f(self.hi as f64), self.maybe_nan);
-        if let Some((clo, chi)) = codomain {
-            out.lo = out.lo.max(clo);
-            out.hi = out.hi.min(chi);
-        }
-        out
     }
 
     /// Widens both bounds outward by `count` terms' worth of accumulation
@@ -271,7 +249,6 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     xhat.mul(p(1)).add(p(2))
                 }
             }
-            TraceOp::AvgPool { k } => p(0).widen_by(k * k),
             TraceOp::GlobalAvgPool => {
                 let xs = ops.shape(0);
                 if xs.len() != 4 {
@@ -280,7 +257,7 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     p(0).widen_by(xs[2] * xs[3])
                 }
             }
-            TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
+            TraceOp::CrossEntropy { .. } => {
                 // -log p_y = logsumexp(z) - z_y <= ln(C) + (hi - lo); the
                 // implementation also clamps p at 1e-12, capping each term
                 // at -ln(1e-12) even for non-finite logits. The lower
@@ -295,49 +272,6 @@ pub fn interval_pass(tape: &[NodeTrace], seeds: &[RangeSeed]) -> Vec<Interval> {
                     clamp_cap
                 };
                 Interval::of(-1e-4, hi as f32).widen_by(batch * classes)
-            }
-            TraceOp::Sigmoid => p(0).monotone(|x| 1.0 / (1.0 + (-x).exp()), Some((0.0, 1.0))),
-            TraceOp::Tanh => p(0).monotone(f64::tanh, Some((-1.0, 1.0))),
-            TraceOp::LeakyRelu { slope } => {
-                let f = |x: f64| if x > 0.0 { x } else { slope as f64 * x };
-                let x = p(0);
-                let (a, b) = (f(x.lo as f64), f(x.hi as f64));
-                let mut lo = a.min(b);
-                let mut hi = a.max(b);
-                if x.lo < 0.0 && x.hi > 0.0 {
-                    lo = lo.min(0.0);
-                    hi = hi.max(0.0);
-                }
-                from64(lo, hi, x.maybe_nan)
-            }
-            TraceOp::Ln => {
-                let x = p(0);
-                if x.hi <= 0.0 {
-                    // Only -inf (at exactly 0) or NaN (below 0) possible.
-                    Interval {
-                        lo: f32::NEG_INFINITY,
-                        hi: f32::NEG_INFINITY,
-                        maybe_nan: x.lo < 0.0 || x.maybe_nan,
-                    }
-                } else {
-                    let lo = if x.lo <= 0.0 {
-                        f64::NEG_INFINITY
-                    } else {
-                        (x.lo as f64).ln()
-                    };
-                    from64(lo, (x.hi as f64).ln(), x.lo < 0.0 || x.maybe_nan)
-                }
-            }
-            TraceOp::Dropout { max_scale } => p(0).mul(Interval::of(0.0, max_scale)),
-            TraceOp::MseLoss {
-                target_lo,
-                target_hi,
-            } => {
-                let d = p(0).sub(Interval::of(target_lo, target_hi));
-                let mut m = d.square().widen_by(numel(ops.shape(0)));
-                // mean of f32 squares is exactly nonnegative.
-                m.lo = m.lo.max(0.0);
-                m
             }
         };
         out.push(iv);
@@ -358,11 +292,9 @@ pub fn quant_clip_risk(iv: Interval, bits: u8, max_abs: f32) -> bool {
 }
 
 /// Dead-zone test for an activation op: true when every value the parent
-/// interval admits has an exactly-zero `f32` local gradient. The
-/// constants are conservative for the backward rules in `hero-autodiff`:
-/// sigmoid recomputes `y = 1/(1+e^-x)` and `y(1-y)` in `f32` (`y == 1`
-/// for `x >= 17`, `y == 0` for `x <= -89`); `tanh(x) == ±1` in `f32`
-/// well before `|x| = 10`.
+/// interval admits has an exactly-zero local gradient under the backward
+/// rules in `hero-autodiff` (ReLU passes only `x > 0`, ReLU6 only
+/// `0 < x < 6`).
 pub(crate) fn saturation_dead(op: &TraceOp, x: Interval) -> bool {
     if x.maybe_nan {
         return false;
@@ -370,9 +302,6 @@ pub(crate) fn saturation_dead(op: &TraceOp, x: Interval) -> bool {
     match *op {
         TraceOp::Relu => x.hi <= 0.0,
         TraceOp::Relu6 => x.hi <= 0.0 || x.lo >= 6.0,
-        TraceOp::Sigmoid => x.lo >= 17.0 || x.hi <= -89.0,
-        TraceOp::Tanh => x.lo >= 10.0 || x.hi <= -10.0,
-        TraceOp::LeakyRelu { slope } => slope.classify() == FpCategory::Zero && x.hi <= 0.0,
         // Not an activation: no dead zone to report.
         _ => false,
     }

@@ -328,8 +328,7 @@ mod tests {
         let y = g.conv2d(x, w, geom).unwrap();
         let r = g.relu6(y);
         let p = g.max_pool2d(r, 2).unwrap();
-        let q = g.avg_pool2d(p, 2).unwrap();
-        let gap = g.global_avg_pool2d(q).unwrap();
+        let gap = g.global_avg_pool2d(p).unwrap();
         let loss = g.cross_entropy(gap, &[1, 3]).unwrap();
         let report = verify_graph(&g, &[loss]);
         assert!(report.is_clean(), "{report}");

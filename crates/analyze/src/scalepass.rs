@@ -43,17 +43,6 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
         let dim = |axis: usize| node.shape.get(axis).copied().unwrap_or(1) as f64;
         dim(0) * dim(2) * dim(3)
     };
-    // Largest slope of a bell-shaped derivative (sigmoid, tanh) over
-    // parent 0: `peak` when the range straddles 0, else `slope` at the
-    // endpoint nearest 0.
-    let bell = |peak: f64, slope: fn(f64) -> f64| -> f64 {
-        let x = iv(0);
-        if x.maybe_nan || (x.lo <= 0.0 && x.hi >= 0.0) {
-            peak
-        } else {
-            slope(if x.lo > 0.0 { x.lo } else { x.hi } as f64)
-        }
-    };
     let raw: Vec<f64> = match node.op {
         TraceOp::Input => vec![],
         TraceOp::Add | TraceOp::Sub => vec![fan(0), fan(1)],
@@ -109,63 +98,15 @@ fn parent_multipliers(tape: &[NodeTrace], i: usize, intervals: &[Interval]) -> V
             let gmax = iv(1).abs_max() as f64;
             vec![gmax * inv_std_max as f64 * (2.0 + m.sqrt()), m, m]
         }
-        TraceOp::AvgPool { k } => vec![1.0 / ((k * k).max(1) as f64)],
         TraceOp::GlobalAvgPool => {
             let xs = ops.shape(0);
             let hw = if xs.len() == 4 { xs[2] * xs[3] } else { 1 };
             vec![1.0 / hw.max(1) as f64]
         }
-        TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
+        TraceOp::CrossEntropy { .. } => {
             // dlogits = (softmax − target)/batch; |softmax − target| <= 1.
             let batch = ops.shape(0).first().copied().unwrap_or(1).max(1) as f64;
             vec![1.0 / batch]
-        }
-        TraceOp::Sigmoid => vec![bell(0.25, |at| {
-            let s = 1.0 / (1.0 + (-at).exp());
-            s * (1.0 - s)
-        })],
-        TraceOp::Tanh => vec![bell(1.0, |at| {
-            let t = at.tanh();
-            1.0 - t * t
-        })],
-        TraceOp::LeakyRelu { slope } => {
-            let s = (slope as f64).abs();
-            let x = iv(0);
-            if x.maybe_nan {
-                vec![s.max(1.0)]
-            } else if x.hi <= 0.0 {
-                vec![s]
-            } else if x.lo >= 0.0 {
-                vec![1.0]
-            } else {
-                vec![s.max(1.0)]
-            }
-        }
-        TraceOp::Ln => {
-            let x = iv(0);
-            let d = if x.lo > 0.0 {
-                1.0 / x.lo as f64
-            } else if x.hi < 0.0 {
-                1.0 / x.hi.abs() as f64
-            } else {
-                f64::INFINITY
-            };
-            vec![d]
-        }
-        TraceOp::Dropout { max_scale } => vec![max_scale as f64],
-        TraceOp::MseLoss {
-            target_lo,
-            target_hi,
-        } => {
-            let t = Interval::of(target_lo, target_hi);
-            let lo = iv(0).lo - t.hi;
-            let hi = iv(0).hi - t.lo;
-            let d = if iv(0).maybe_nan {
-                f64::INFINITY
-            } else {
-                lo.abs().max(hi.abs()) as f64
-            };
-            vec![2.0 * d / numel(ops.shape(0)).max(1) as f64]
         }
     };
     raw.into_iter().map(|m| m * HEADROOM).collect()

@@ -167,18 +167,11 @@ fn check_shapes(ops: &Operands, out: &mut Vec<Diagnostic>) {
         | TraceOp::AddScalar { .. }
         | TraceOp::Relu
         | TraceOp::Relu6
-        | TraceOp::Square
-        | TraceOp::Sigmoid
-        | TraceOp::Tanh
-        | TraceOp::LeakyRelu { .. }
-        | TraceOp::Ln
-        | TraceOp::Dropout { .. } => Some(ops.shape(0).to_vec()),
+        | TraceOp::Square => Some(ops.shape(0).to_vec()),
         TraceOp::Matmul => check_matmul(ops, out),
         TraceOp::Reshape { from } => check_reshape(ops, from, out),
-        TraceOp::Sum | TraceOp::Mean | TraceOp::MseLoss { .. } => Some(vec![]),
-        TraceOp::CrossEntropy { labels } | TraceOp::CrossEntropySmoothed { labels } => {
-            check_loss(ops, *labels, out)
-        }
+        TraceOp::Sum | TraceOp::Mean => Some(vec![]),
+        TraceOp::CrossEntropy { labels } => check_loss(ops, *labels, out),
         TraceOp::Conv2d { geom } => check_conv2d(ops, geom, out),
         TraceOp::DepthwiseConv2d { geom } => check_depthwise(ops, geom, out),
         TraceOp::BatchNorm { .. } => check_batch_norm(ops, out),
@@ -186,7 +179,6 @@ fn check_shapes(ops: &Operands, out: &mut Vec<Diagnostic>) {
             outputs,
             max_source,
         } => check_max_pool(ops, *outputs, *max_source, out),
-        TraceOp::AvgPool { k } => check_avg_pool(ops, *k, out),
         TraceOp::GlobalAvgPool => {
             let x = ops.shape(0);
             check_rank(ops, x, 4, "global-avg-pool input", out).then(|| vec![x[0], x[1]])
@@ -420,19 +412,4 @@ fn check_max_pool(
         ));
     }
     None // geometry checks above already compared the recorded shape
-}
-
-fn check_avg_pool(ops: &Operands, k: usize, out: &mut Vec<Diagnostic>) -> Option<Vec<usize>> {
-    let x = ops.shape(0);
-    if !check_rank(ops, x, 4, "avg-pool input", out) {
-        return None;
-    }
-    if k == 0 || !x[2].is_multiple_of(k) || !x[3].is_multiple_of(k) {
-        out.push(ops.diag(
-            DiagCode::PoolGeometryMismatch,
-            format!("window side {k} does not evenly tile input {x:?}"),
-        ));
-        return None;
-    }
-    Some(vec![x[0], x[1], x[2] / k, x[3] / k])
 }

@@ -6,10 +6,10 @@
 //! at `b` bits satisfies `m = Δ(b)/2`) — the pass derives, per tape node,
 //! a sound enclosure of the element-wise difference between the perturbed
 //! and the unperturbed `f32` forward run, `f(x + δ) − f(x)`. Both runs
-//! share all non-seeded state: same batch, labels, dropout masks and
-//! batch-norm mode. At the loss root the enclosure is a *certified*
-//! end-to-end quantization-error bound, which `hero-quant` consumes as
-//! the static sensitivity matrix `err[layer][bits]`.
+//! share all non-seeded state: same batch, labels and batch-norm mode. At
+//! the loss root the enclosure is a *certified* end-to-end
+//! quantization-error bound, which `hero-quant` consumes as the static
+//! sensitivity matrix `err[layer][bits]`.
 //!
 //! Each node carries *shared noise symbols* in an affine form
 //!
@@ -625,7 +625,6 @@ pub fn relational_noise_pass(
                 AffineNoise::from_interval(contract_err(et(0), numel(ops.shape(0)), term))
             }
             TraceOp::Mean => mean_of(numel(ops.shape(0))),
-            TraceOp::AvgPool { k } => mean_of(k * k),
             TraceOp::GlobalAvgPool => {
                 let xs = ops.shape(0);
                 if xs.len() != 4 {
@@ -661,7 +660,7 @@ pub fn relational_noise_pass(
                     AffineNoise::from_interval(elem(core, magc(core)))
                 }
             }
-            TraceOp::CrossEntropy { .. } | TraceOp::CrossEntropySmoothed { .. } => {
+            TraceOp::CrossEntropy { .. } => {
                 let ez = et(0);
                 let z_pert = vc(0).add(ez);
                 if ez.maybe_nan || !z_pert.is_finite() {
@@ -672,40 +671,6 @@ pub fn relational_noise_pass(
                     let b = (2.0 * f64::from(ez.abs_max())).min(CE_CAP);
                     AffineNoise::from_interval(mean_err(span(-b, b), batch * classes, CE_CAP))
                 }
-            }
-            TraceOp::Sigmoid => {
-                with_elem_slack(aligned(0).mul_by_range_fresh(Interval::of(0.0, 0.25), &mut fresh))
-            }
-            TraceOp::Tanh => {
-                with_elem_slack(aligned(0).mul_by_range_fresh(Interval::of(0.0, 1.0), &mut fresh))
-            }
-            TraceOp::LeakyRelu { slope } => with_elem_slack(
-                aligned(0)
-                    .mul_by_range_fresh(Interval::of(slope.min(1.0), slope.max(1.0)), &mut fresh),
-            ),
-            TraceOp::Ln => {
-                let u = vc(0).hull(vc(0).add(et(0)));
-                if u.lo <= 0.0 || !u.is_finite() {
-                    AffineNoise::top()
-                } else {
-                    let d = Interval::of(
-                        (1.0 / f64::from(u.hi)) as f32,
-                        (1.0 / f64::from(u.lo)) as f32,
-                    );
-                    with_elem_slack(aligned(0).mul_by_range_fresh(d, &mut fresh))
-                }
-            }
-            TraceOp::Dropout { max_scale } => with_elem_slack(
-                aligned(0).mul_by_range_fresh(Interval::of(0.0, max_scale), &mut fresh),
-            ),
-            TraceOp::MseLoss {
-                target_lo,
-                target_hi,
-            } => {
-                let d = vc(0).sub(Interval::of(target_lo, target_hi));
-                let ee = Interval::point(2.0).mul(d).mul(et(0)).add(et(0).square());
-                let term = f64::from(d.add(et(0)).square().abs_max());
-                AffineNoise::from_interval(mean_err(ee, numel(ops.shape(0)), term))
             }
         };
         tightened.push(form.concretize());

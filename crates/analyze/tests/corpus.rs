@@ -143,10 +143,19 @@ fn conv_weight_patch_width_mismatch() {
 }
 
 #[test]
-fn avg_pool_window_does_not_tile_input() {
+fn max_pool_output_does_not_tile_input() {
+    // 8 rows do not split into 3 windows of one whole side.
     let tape = vec![
         input(0, &[1, 2, 8, 8]),
-        node(1, TraceOp::AvgPool { k: 3 }, &[0], &[1, 2, 2, 2]),
+        node(
+            1,
+            TraceOp::MaxPool {
+                outputs: 18,
+                max_source: Some(0),
+            },
+            &[0],
+            &[1, 2, 3, 3],
+        ),
     ];
     let report = run(&tape);
     assert!(report.flags(1, DiagCode::PoolGeometryMismatch), "{report}");
@@ -305,13 +314,13 @@ fn quant_clip_risk_stays_silent_inside_the_grid() {
 }
 
 #[test]
-fn saturated_sigmoid_is_a_dead_zone() {
+fn relu6_input_above_six_is_a_dead_zone() {
     let tape = vec![
         input(0, &[4]),
-        node(1, TraceOp::Sigmoid, &[0], &[4]),
+        node(1, TraceOp::Relu6, &[0], &[4]),
         node(2, TraceOp::Sum, &[1], &[]),
     ];
-    let report = run_value(&tape, seeded(&[(0, 20.0, 30.0)]));
+    let report = run_value(&tape, seeded(&[(0, 6.5, 30.0)]));
     assert!(report.flags(1, DiagCode::SaturationDeadZone), "{report}");
 }
 
@@ -327,13 +336,13 @@ fn always_negative_relu_input_is_a_dead_zone() {
 }
 
 #[test]
-fn moderate_sigmoid_input_is_not_a_dead_zone() {
+fn relu6_input_straddling_its_linear_range_is_not_a_dead_zone() {
     let tape = vec![
         input(0, &[4]),
-        node(1, TraceOp::Sigmoid, &[0], &[4]),
+        node(1, TraceOp::Relu6, &[0], &[4]),
         node(2, TraceOp::Sum, &[1], &[]),
     ];
-    let report = run_value(&tape, seeded(&[(0, -2.0, 2.0)]));
+    let report = run_value(&tape, seeded(&[(0, -2.0, 8.0)]));
     assert!(
         report
             .diagnostics
@@ -411,13 +420,13 @@ fn nan_seed_flags_the_input() {
 }
 
 #[test]
-fn ln_of_a_sign_straddling_range_goes_non_finite_at_the_ln() {
+fn overflowing_scale_goes_non_finite_at_the_scale() {
     let tape = vec![
         input(0, &[3]),
-        node(1, TraceOp::Ln, &[0], &[3]),
+        node(1, TraceOp::Scale { c: 1e30 }, &[0], &[3]),
         node(2, TraceOp::Sum, &[1], &[]),
     ];
-    let report = run_value(&tape, seeded(&[(0, -1.0, 2.0)]));
+    let report = run_value(&tape, seeded(&[(0, -1e10, 2e10)]));
     assert!(report.flags(1, DiagCode::NonFiniteRange), "{report}");
     // Origin-only: downstream nodes inherit the flag silently.
     assert!(!report.flags(2, DiagCode::NonFiniteRange), "{report}");

@@ -14,13 +14,7 @@ const VALID_CASES: u64 = 250;
 const CORRUPT_CASES: u64 = 250;
 
 /// Ops producing a tensor of the same shape as their single operand.
-const UNARY_ELEMENTWISE: &[TraceOp] = &[
-    TraceOp::Relu,
-    TraceOp::Relu6,
-    TraceOp::Square,
-    TraceOp::Sigmoid,
-    TraceOp::Tanh,
-];
+const UNARY_ELEMENTWISE: &[TraceOp] = &[TraceOp::Relu, TraceOp::Relu6, TraceOp::Square];
 
 fn push(tape: &mut Vec<NodeTrace>, op: TraceOp, parents: &[usize], shape: &[usize]) {
     let index = tape.len();

@@ -162,39 +162,6 @@ fn clamping_activations_respect_their_noise_bounds() {
         c.track(r);
         let r6 = c.g.relu6(x);
         c.track(r6);
-        let lk = c.g.leaky_relu(x, 0.01);
-        c.track(lk);
-        let lk_neg = c.g.leaky_relu(x, -0.5);
-        c.track(lk_neg);
-    });
-}
-
-#[test]
-fn smooth_activations_respect_their_noise_bounds() {
-    run_case("smooth", |c| {
-        let x = c.input([4, 4], -6.0, 6.0, 0.2);
-        let sg = c.g.sigmoid(x);
-        c.track(sg);
-        let th = c.g.tanh(x);
-        c.track(th);
-        let pos = c.input([4, 4], 0.5, 3.0, 0.05);
-        let l = c.g.ln(pos);
-        c.track(l);
-    });
-}
-
-#[test]
-fn dropout_and_mse_respect_their_noise_bounds() {
-    run_case("dropout_mse", |c| {
-        let x = c.input([3, 5], -2.0, 2.0, 0.03);
-        let rng = &mut *c.rng;
-        let mask = Tensor::from_fn([3, 5], |_| if rng.gen::<bool>() { 1.0 } else { 0.0 });
-        let dr = c.g.dropout(x, &mask, 0.8).unwrap();
-        c.track(dr);
-        let rng = &mut *c.rng;
-        let target = Tensor::from_fn([3, 5], |_| rng.gen_range(-1.0f32..=1.0));
-        let loss = c.g.mse_loss(x, &target).unwrap();
-        c.track(loss);
     });
 }
 
@@ -223,9 +190,7 @@ fn conv_and_pool_stack_respects_its_noise_bounds() {
         c.track(y);
         let mp = c.g.max_pool2d(y, 2).unwrap();
         c.track(mp);
-        let ap = c.g.avg_pool2d(mp, 2).unwrap();
-        c.track(ap);
-        let gap = c.g.global_avg_pool2d(ap).unwrap();
+        let gap = c.g.global_avg_pool2d(mp).unwrap();
         c.track(gap);
     });
 }
@@ -260,8 +225,6 @@ fn losses_respect_their_noise_bounds() {
         let labels: Vec<usize> = (0..4).map(|_| rng.gen_range(0..6usize)).collect();
         let ce = c.g.cross_entropy(logits, &labels).unwrap();
         c.track(ce);
-        let ces = c.g.cross_entropy_smoothed(logits, &labels, 0.1).unwrap();
-        c.track(ces);
     });
 }
 
@@ -310,7 +273,7 @@ fn build_random_tape(c: &mut Ctx, op_seed: u64) {
     for _ in 0..n_ops {
         let a = pool[op_rng.gen_range(0..pool.len())];
         let b = pool[op_rng.gen_range(0..pool.len())];
-        let v = match op_rng.gen_range(0..11usize) {
+        let v = match op_rng.gen_range(0..8usize) {
             0 => c.g.add(a, b).unwrap(),
             1 => c.g.sub(a, b).unwrap(),
             2 => c.g.sub(a, a).unwrap(),
@@ -318,10 +281,7 @@ fn build_random_tape(c: &mut Ctx, op_seed: u64) {
             4 => c.g.scale(a, -0.6),
             5 => c.g.add_scalar(a, 0.25),
             6 => c.g.relu(a),
-            7 => c.g.relu6(a),
-            8 => c.g.leaky_relu(a, 0.1),
-            9 => c.g.sigmoid(a),
-            _ => c.g.tanh(a),
+            _ => c.g.relu6(a),
         };
         pool.push(c.track(v));
     }
@@ -411,9 +371,7 @@ fn conv_bn_relu_head_respects_its_noise_bounds() {
         c.track(bn);
         let r = c.g.relu(bn);
         c.track(r);
-        let p = c.g.avg_pool2d(r, 2).unwrap();
-        c.track(p);
-        let gap = c.g.global_avg_pool2d(p).unwrap();
+        let gap = c.g.global_avg_pool2d(r).unwrap();
         c.track(gap);
         let wl = c.input([4, 5], -0.5, 0.5, 0.5 / 7.0 * 0.5);
         let logits = c.g.matmul(gap, wl).unwrap();

@@ -112,39 +112,6 @@ fn clamping_activations_stay_inside_their_intervals() {
         c.track(r);
         let r6 = c.g.relu6(x);
         c.track(r6);
-        let lk = c.g.leaky_relu(x, 0.01);
-        c.track(lk);
-        let lk_neg = c.g.leaky_relu(x, -0.5);
-        c.track(lk_neg);
-    });
-}
-
-#[test]
-fn smooth_activations_stay_inside_their_intervals() {
-    run_case("smooth", |c| {
-        let x = c.input([4, 4], -6.0, 6.0);
-        let sg = c.g.sigmoid(x);
-        c.track(sg);
-        let th = c.g.tanh(x);
-        c.track(th);
-        let pos = c.input([4, 4], 0.5, 3.0);
-        let l = c.g.ln(pos);
-        c.track(l);
-    });
-}
-
-#[test]
-fn dropout_and_mse_stay_inside_their_intervals() {
-    run_case("dropout_mse", |c| {
-        let x = c.input([3, 5], -2.0, 2.0);
-        let rng = &mut *c.rng;
-        let mask = Tensor::from_fn([3, 5], |_| if rng.gen::<bool>() { 1.0 } else { 0.0 });
-        let dr = c.g.dropout(x, &mask, 0.8).unwrap();
-        c.track(dr);
-        let rng = &mut *c.rng;
-        let target = Tensor::from_fn([3, 5], |_| rng.gen_range(-1.0f32..=1.0));
-        let loss = c.g.mse_loss(x, &target).unwrap();
-        c.track(loss);
     });
 }
 
@@ -168,9 +135,7 @@ fn conv_and_pool_stack_stays_inside_its_intervals() {
         c.track(y);
         let mp = c.g.max_pool2d(y, 2).unwrap();
         c.track(mp);
-        let ap = c.g.avg_pool2d(mp, 2).unwrap();
-        c.track(ap);
-        let gap = c.g.global_avg_pool2d(ap).unwrap();
+        let gap = c.g.global_avg_pool2d(mp).unwrap();
         c.track(gap);
     });
 }
@@ -205,8 +170,6 @@ fn losses_stay_inside_their_intervals() {
         let labels: Vec<usize> = (0..4).map(|_| rng.gen_range(0..6usize)).collect();
         let ce = c.g.cross_entropy(logits, &labels).unwrap();
         c.track(ce);
-        let ces = c.g.cross_entropy_smoothed(logits, &labels, 0.1).unwrap();
-        c.track(ces);
     });
 }
 

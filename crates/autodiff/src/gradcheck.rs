@@ -61,7 +61,7 @@ pub fn seeded_uniform(shape: impl Into<Shape>, seed: u64, lo: f32, hi: f32) -> T
 
 /// A reproducible random tensor whose entries lie in
 /// `±[gap, gap + span)` — bounded away from zero on both sides. Use for
-/// inputs to kinked ops (`relu`, `leaky_relu`, `abs`-like paths) where a
+/// inputs to kinked ops (`relu`, `relu6`, `abs`-like paths) where a
 /// finite-difference probe must not straddle the non-differentiable point.
 pub fn seeded_signed(shape: impl Into<Shape>, seed: u64, gap: f32, span: f32) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -156,33 +156,9 @@ pub fn check_graph_fn(
     }
 }
 
-/// Computes the full numeric gradient of a scalar function by central
-/// differences (useful when only the value is available).
-pub fn numeric_gradient(x0: &Tensor, eps: f32, f: impl Fn(&Tensor) -> f32) -> Tensor {
-    let mut grad = Tensor::zeros(x0.shape().clone());
-    for i in 0..x0.numel() {
-        let mut plus = x0.clone();
-        plus.data_mut()[i] += eps;
-        let mut minus = x0.clone();
-        minus.data_mut()[i] -= eps;
-        grad.data_mut()[i] = (f(&plus) - f(&minus)) / (2.0 * eps);
-    }
-    grad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn numeric_gradient_of_quadratic() {
-        // f(x) = sum(x^2) -> grad = 2x
-        let x = Tensor::from_vec(vec![1.0, -2.0, 0.5], [3]).unwrap();
-        let g = numeric_gradient(&x, 1e-2, |t| t.norm_l2_sq());
-        for (gi, xi) in g.data().iter().zip(x.data()) {
-            assert!((gi - 2.0 * xi).abs() < 1e-2);
-        }
-    }
 
     #[test]
     fn check_scalar_fn_accepts_correct_gradient() {

@@ -86,13 +86,6 @@ pub(crate) enum Op {
         /// Saved flat source index per output element.
         arg: Vec<usize>,
     },
-    /// Non-overlapping average pooling with window side `k`.
-    AvgPool {
-        /// Input node (NCHW).
-        x: usize,
-        /// Window side.
-        k: usize,
-    },
     /// Global average pooling `(n,c,h,w) -> (n,c)`.
     GlobalAvgPool(usize),
     /// Softmax cross-entropy against integer labels, averaged over the batch.
@@ -103,44 +96,6 @@ pub(crate) enum Op {
         softmax: Tensor,
         /// Target class per row.
         labels: Vec<usize>,
-    },
-    /// Logistic sigmoid.
-    Sigmoid(usize),
-    /// Hyperbolic tangent.
-    Tanh(usize),
-    /// Leaky ReLU with the given negative-side slope.
-    LeakyRelu(usize, f32),
-    /// Natural logarithm.
-    Ln(usize),
-    /// Inverted dropout; saves the mask already divided by the keep
-    /// probability.
-    Dropout {
-        /// Input node.
-        x: usize,
-        /// Saved `mask / keep_prob`.
-        scaled_mask: Tensor,
-    },
-    /// Mean-squared-error against a constant target; saves `x - target`.
-    MseLoss {
-        /// Prediction node.
-        x: usize,
-        /// Saved residual.
-        diff: Tensor,
-        /// Smallest target element (range metadata for static analysis).
-        target_lo: f32,
-        /// Largest target element (range metadata for static analysis).
-        target_hi: f32,
-    },
-    /// Label-smoothed softmax cross-entropy.
-    CrossEntropySmoothed {
-        /// Logits node `(batch, classes)`.
-        logits: usize,
-        /// Saved softmax probabilities.
-        softmax: Tensor,
-        /// Target class per row.
-        labels: Vec<usize>,
-        /// Smoothing coefficient.
-        eps: f32,
     },
 }
 
@@ -238,8 +193,8 @@ impl Graph {
     }
 
     /// Clears the tape, recycling every node's forward value and the
-    /// op-saved context tensors (im2col columns, softmax, dropout masks…)
-    /// into the thread-local scratch pool so the next step's forward pass
+    /// op-saved context tensors (batch-norm `x̂`, softmax) into the
+    /// thread-local scratch pool so the next step's forward pass
     /// re-leases the same buffers.
     ///
     /// Invalidates every [`Var`] previously issued by this graph.
@@ -248,11 +203,7 @@ impl Graph {
             pool::recycle_tensor(node.value);
             match node.op {
                 Op::BatchNorm { xhat, .. } => pool::recycle_tensor(xhat),
-                Op::CrossEntropy { softmax, .. } | Op::CrossEntropySmoothed { softmax, .. } => {
-                    pool::recycle_tensor(softmax)
-                }
-                Op::Dropout { scaled_mask, .. } => pool::recycle_tensor(scaled_mask),
-                Op::MseLoss { diff, .. } => pool::recycle_tensor(diff),
+                Op::CrossEntropy { softmax, .. } => pool::recycle_tensor(softmax),
                 _ => {}
             }
         }
@@ -502,19 +453,8 @@ impl Graph {
                 let n = value(*a).numel() as f32;
                 Ok(Tensor::full(value(*a).shape().clone(), grad.data()[0] / n))
             })?,
-            // Ops with bespoke backward rules live in ops_nn.rs / ops_ext.rs.
-            other => match other {
-                Op::Sigmoid(..)
-                | Op::Tanh(..)
-                | Op::LeakyRelu(..)
-                | Op::Ln(..)
-                | Op::Dropout { .. }
-                | Op::MseLoss { .. }
-                | Op::CrossEntropySmoothed { .. } => {
-                    self.accumulate_ext_parents(other, grad, adj)?
-                }
-                _ => self.accumulate_nn_parents(other, grad, adj)?,
-            },
+            // Ops with bespoke backward rules live in ops_nn.rs.
+            other => self.accumulate_nn_parents(other, grad, adj)?,
         }
         Ok(())
     }
@@ -758,11 +698,11 @@ mod tests {
 
     #[cfg(feature = "sanitize")]
     #[test]
-    #[should_panic(expected = "non-finite")]
+    #[should_panic(expected = "non-finite value NaN at flat index 0 produced by op `scale`")]
     fn taint_checker_pins_nan_to_originating_op() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![-1.0, 2.0], [2]).unwrap());
-        let _ = g.ln(x); // ln(-1) = NaN — flagged at push time
+        let x = g.input(Tensor::from_vec(vec![0.0, 2.0], [2]).unwrap());
+        let _ = g.scale(x, f32::INFINITY); // 0 · inf = NaN — flagged at push time
     }
 
     #[test]

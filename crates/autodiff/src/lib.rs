@@ -34,7 +34,6 @@
 
 pub mod gradcheck;
 mod graph;
-mod ops_ext;
 mod ops_nn;
 pub mod trace;
 

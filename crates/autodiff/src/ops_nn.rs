@@ -98,16 +98,6 @@ impl Graph {
         Ok(self.push(out, Op::MaxPool { x: x.0, arg }))
     }
 
-    /// Non-overlapping average pooling with window side `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns geometry errors from [`Tensor::avg_pool2d`].
-    pub fn avg_pool2d(&mut self, x: Var, k: usize) -> Result<Var> {
-        let out = self.value(x).avg_pool2d(k)?;
-        Ok(self.push(out, Op::AvgPool { x: x.0, k }))
-    }
-
     /// Global average pooling `(n, c, h, w) -> (n, c)`.
     ///
     /// # Errors
@@ -200,10 +190,6 @@ impl Graph {
                 }
                 Ok(dx)
             })?,
-            Op::AvgPool { x, k } => adj.add(*x, || {
-                let xs = value(*x).dims();
-                grad.avg_unpool2d(*k, xs[2], xs[3])
-            })?,
             Op::GlobalAvgPool(x) => adj.add(*x, || {
                 let xs = value(*x).dims();
                 let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
@@ -244,7 +230,7 @@ impl Graph {
 /// its log. NaN passes through: a diverged forward must surface as a
 /// non-finite loss, not as the clamp's finite ceiling (`f32::max` would
 /// otherwise return the `1e-12` floor for a NaN probability).
-pub(crate) fn clamp_prob(p: f32) -> f32 {
+fn clamp_prob(p: f32) -> f32 {
     if p.is_nan() {
         p
     } else {
@@ -442,23 +428,6 @@ mod tests {
         let loss = g.sum(y);
         let grads = g.backward(loss, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[0.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avg_pool_gradcheck() {
-        let x0 = seeded(&[1, 2, 4, 4], 1.5, 29);
-        check_scalar_fn(&x0, 1e-2, 2e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let y = g.avg_pool2d(xv, 2).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
     }
 
     #[test]

@@ -96,46 +96,12 @@ pub enum TraceOp {
         /// Largest saved flat source index, if any entries exist.
         max_source: Option<usize>,
     },
-    /// Non-overlapping average pooling.
-    AvgPool {
-        /// Window side length.
-        k: usize,
-    },
     /// Global average pooling `(n,c,h,w) -> (n,c)`.
     GlobalAvgPool,
     /// Softmax cross-entropy against integer labels.
     CrossEntropy {
         /// Length of the recorded label vector.
         labels: usize,
-    },
-    /// Label-smoothed softmax cross-entropy.
-    CrossEntropySmoothed {
-        /// Length of the recorded label vector.
-        labels: usize,
-    },
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Leaky ReLU.
-    LeakyRelu {
-        /// Negative-side slope.
-        slope: f32,
-    },
-    /// Natural logarithm.
-    Ln,
-    /// Inverted dropout.
-    Dropout {
-        /// Largest entry of the saved `mask / keep_prob` (0 when everything
-        /// dropped).
-        max_scale: f32,
-    },
-    /// Mean-squared error against a constant target.
-    MseLoss {
-        /// Smallest target element.
-        target_lo: f32,
-        /// Largest target element.
-        target_hi: f32,
     },
 }
 
@@ -160,16 +126,8 @@ impl TraceOp {
             TraceOp::DepthwiseConv2d { .. } => "depthwise_conv2d",
             TraceOp::BatchNorm { .. } => "batch_norm",
             TraceOp::MaxPool { .. } => "max_pool2d",
-            TraceOp::AvgPool { .. } => "avg_pool2d",
             TraceOp::GlobalAvgPool => "global_avg_pool2d",
             TraceOp::CrossEntropy { .. } => "cross_entropy",
-            TraceOp::CrossEntropySmoothed { .. } => "cross_entropy_smoothed",
-            TraceOp::Sigmoid => "sigmoid",
-            TraceOp::Tanh => "tanh",
-            TraceOp::LeakyRelu { .. } => "leaky_relu",
-            TraceOp::Ln => "ln",
-            TraceOp::Dropout { .. } => "dropout",
-            TraceOp::MseLoss { .. } => "mse_loss",
         }
     }
 
@@ -193,16 +151,8 @@ impl TraceOp {
             | TraceOp::Sum
             | TraceOp::Mean
             | TraceOp::MaxPool { .. }
-            | TraceOp::AvgPool { .. }
             | TraceOp::GlobalAvgPool
-            | TraceOp::CrossEntropy { .. }
-            | TraceOp::CrossEntropySmoothed { .. }
-            | TraceOp::Sigmoid
-            | TraceOp::Tanh
-            | TraceOp::LeakyRelu { .. }
-            | TraceOp::Ln
-            | TraceOp::Dropout { .. }
-            | TraceOp::MseLoss { .. } => 1,
+            | TraceOp::CrossEntropy { .. } => 1,
         }
     }
 }
@@ -255,28 +205,9 @@ impl Op {
                 outputs: arg.len(),
                 max_source: arg.iter().copied().max(),
             },
-            Op::AvgPool { k, .. } => TraceOp::AvgPool { k: *k },
             Op::GlobalAvgPool(..) => TraceOp::GlobalAvgPool,
             Op::CrossEntropy { labels, .. } => TraceOp::CrossEntropy {
                 labels: labels.len(),
-            },
-            Op::CrossEntropySmoothed { labels, .. } => TraceOp::CrossEntropySmoothed {
-                labels: labels.len(),
-            },
-            Op::Sigmoid(..) => TraceOp::Sigmoid,
-            Op::Tanh(..) => TraceOp::Tanh,
-            Op::LeakyRelu(_, slope) => TraceOp::LeakyRelu { slope: *slope },
-            Op::Ln(..) => TraceOp::Ln,
-            Op::Dropout { scaled_mask, .. } => TraceOp::Dropout {
-                max_scale: scaled_mask.data().iter().copied().fold(0.0, f32::max),
-            },
-            Op::MseLoss {
-                target_lo,
-                target_hi,
-                ..
-            } => TraceOp::MseLoss {
-                target_lo: *target_lo,
-                target_hi: *target_hi,
             },
         }
     }
@@ -294,20 +225,11 @@ impl Op {
             | Op::Reshape(a, _)
             | Op::Sum(a)
             | Op::Mean(a)
-            | Op::GlobalAvgPool(a)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Ln(a) => vec![*a],
+            | Op::GlobalAvgPool(a) => vec![*a],
             Op::Conv2d { x, w, .. } | Op::DepthwiseConv2d { x, w, .. } => vec![*x, *w],
             Op::BatchNorm { x, gamma, beta, .. } => vec![*x, *gamma, *beta],
-            Op::MaxPool { x, .. }
-            | Op::AvgPool { x, .. }
-            | Op::Dropout { x, .. }
-            | Op::MseLoss { x, .. } => vec![*x],
-            Op::CrossEntropy { logits, .. } | Op::CrossEntropySmoothed { logits, .. } => {
-                vec![*logits]
-            }
+            Op::MaxPool { x, .. } => vec![*x],
+            Op::CrossEntropy { logits, .. } => vec![*logits],
         }
     }
 }
@@ -434,28 +356,14 @@ mod tests {
         let (v, _) = g.batch_norm(v, gamma, beta, 1e-5).unwrap();
         let v = g.relu(v);
         let v = g.relu6(v);
-        let v = g.leaky_relu(v, 0.1);
-        let v = g.sigmoid(v);
-        let v = g.tanh(v);
         let v = g.scale(v, 2.0);
         let v = g.add_scalar(v, 3.0);
-        let v = g.ln(v);
         let v = g.square(v);
-        let v = g
-            .dropout(
-                v,
-                &Tensor::from_fn([2, 2, 4, 4], |i| (i[3] % 2) as f32),
-                0.5,
-            )
-            .unwrap();
         let v = g.max_pool2d(v, 2).unwrap();
-        let v = g.avg_pool2d(v, 2).unwrap();
         let v = g.global_avg_pool2d(v).unwrap();
         let logits = g.matmul(v, head).unwrap();
         g.cross_entropy(logits, &[0, 2]).unwrap();
-        g.cross_entropy_smoothed(logits, &[1, 0], 0.1).unwrap();
         let flat = g.reshape(logits, [6]).unwrap();
-        g.mse_loss(flat, &Tensor::arange(6)).unwrap();
         g.sum(flat);
         g.mean(flat);
 
@@ -485,22 +393,14 @@ mod tests {
             "batch_norm",
             "relu",
             "relu6",
-            "leaky_relu",
-            "sigmoid",
-            "tanh",
             "scale",
             "add_scalar",
-            "ln",
             "square",
-            "dropout",
             "max_pool2d",
-            "avg_pool2d",
             "global_avg_pool2d",
             "matmul",
             "cross_entropy",
-            "cross_entropy_smoothed",
             "reshape",
-            "mse_loss",
             "sum",
             "mean",
         ];

@@ -113,23 +113,12 @@ fn corpus_kinked_activations() {
     let mk = |s: u64, sh: &[usize]| seeded_signed(sh, s, 0.15, 1.0);
     sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| Ok(g.relu(v)));
     sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| Ok(g.relu6(v)));
-    sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| {
-        Ok(g.leaky_relu(v, 0.1))
-    });
 }
 
 #[test]
-fn corpus_smooth_activations_and_square() {
+fn corpus_square() {
     let mk = |s: u64, sh: &[usize]| seeded_uniform(sh, s, -1.5, 1.5);
-    sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| Ok(g.sigmoid(v)));
-    sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| Ok(g.tanh(v)));
     sweep_unary([&[5], &[2, 3], &[2, 2, 2]], mk, |g, v| Ok(g.square(v)));
-    // ln needs strictly positive inputs with headroom for the ±eps probe.
-    sweep_unary(
-        [&[5], &[2, 3], &[2, 2, 2]],
-        |s, sh| seeded_uniform(sh, s, 0.5, 2.0),
-        |g, v| Ok(g.ln(v)),
-    );
 }
 
 #[test]
@@ -231,10 +220,6 @@ fn corpus_pooling() {
             let y = g.max_pool2d(v[0], 2)?;
             Ok(scalarize(g, y))
         });
-        check_graph_fn(std::slice::from_ref(&x), EPS, TOL, |g, v| {
-            let y = g.avg_pool2d(v[0], 2)?;
-            Ok(scalarize(g, y))
-        });
         check_graph_fn(&[x], EPS, TOL, |g, v| {
             let y = g.global_avg_pool2d(v[0])?;
             Ok(scalarize(g, y))
@@ -248,33 +233,8 @@ fn corpus_losses() {
     for (seed, (batch, classes)) in cases.into_iter().enumerate() {
         let logits = seeded_uniform([batch, classes], seed as u64 + 110, -1.0, 1.0);
         let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
-        let l1 = labels.clone();
-        check_graph_fn(std::slice::from_ref(&logits), EPS, TOL, move |g, v| {
-            g.cross_entropy(v[0], &l1)
-        });
-        let l2 = labels.clone();
         check_graph_fn(&[logits], EPS, TOL, move |g, v| {
-            g.cross_entropy_smoothed(v[0], &l2, 0.1)
-        });
-        let x = seeded_uniform([batch, classes], seed as u64 + 120, -1.0, 1.0);
-        let target = seeded_uniform([batch, classes], seed as u64 + 130, -1.0, 1.0);
-        check_graph_fn(&[x], EPS, TOL, move |g, v| g.mse_loss(v[0], &target));
-    }
-}
-
-#[test]
-fn corpus_dropout() {
-    let shapes: [&[usize]; 3] = [&[4], &[2, 3], &[2, 2, 2]];
-    for (seed, shape) in shapes.into_iter().enumerate() {
-        let x = seeded_uniform(shape, seed as u64 + 140, -1.0, 1.0);
-        // A fixed 0/1 keep mask derived from the same in-tree rng.
-        let mut mask = seeded_uniform(shape, seed as u64 + 150, 0.0, 1.0);
-        for v in mask.data_mut() {
-            *v = if *v < 0.75 { 1.0 } else { 0.0 };
-        }
-        check_graph_fn(&[x], EPS, TOL, move |g, v| {
-            let y = g.dropout(v[0], &mask, 0.75)?;
-            Ok(scalarize(g, y))
+            g.cross_entropy(v[0], &labels)
         });
     }
 }

@@ -32,20 +32,9 @@ where
     }
 }
 
-/// Adds `scale * v` to a copy of `params`.
-///
-/// # Errors
-///
-/// Returns a shape error if the lists are misaligned.
-pub fn perturbed(params: &[Tensor], v: &[Tensor], scale: f32) -> Result<Vec<Tensor>> {
-    let mut out = Vec::with_capacity(params.len());
-    perturbed_into(params, v, scale, &mut out)?;
-    Ok(out)
-}
-
-/// In-place [`perturbed`]: writes `params + scale * v` into `out`, reusing
-/// `out`'s buffers when its shapes already match (the steady-state case in
-/// HERO's step loop, where the same workspace is passed every step).
+/// Writes `params + scale * v` into `out`, reusing `out`'s buffers when
+/// its shapes already match (the steady-state case in HERO's step loop,
+/// where the same workspace is passed every step).
 ///
 /// # Errors
 ///
@@ -160,10 +149,11 @@ mod tests {
     fn perturbed_adds_scaled_direction() {
         let p = vec![Tensor::ones([2]), Tensor::zeros([3])];
         let v = vec![Tensor::full([2], 2.0), Tensor::ones([3])];
-        let out = perturbed(&p, &v, 0.5).unwrap();
+        let mut out = Vec::new();
+        perturbed_into(&p, &v, 0.5, &mut out).unwrap();
         assert_eq!(out[0].data(), &[2.0, 2.0]);
         assert_eq!(out[1].data(), &[0.5, 0.5, 0.5]);
-        assert!(perturbed(&p, &v[..1], 1.0).is_err());
+        assert!(perturbed_into(&p, &v[..1], 1.0, &mut out).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod slq;
 mod stats;
 
 pub use bounds::BoundInputs;
-pub use hvp::{fd_hvp, fd_hvp_into, perturbed, perturbed_into, GradOracle};
+pub use hvp::{fd_hvp, fd_hvp_into, perturbed_into, GradOracle};
 pub use lanczos::{lanczos_spectrum, lanczos_spectrum_from, LanczosResult};
 pub use norm::{
     eigen_sq_sum_estimate, hessian_norm_probe, hutchinson_trace, layer_scaled_direction,

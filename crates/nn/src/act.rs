@@ -47,25 +47,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Non-overlapping average pooling with a square window.
-#[derive(Debug, Clone, Copy)]
-pub struct AvgPool2d {
-    /// Window side length.
-    pub k: usize,
-}
-
-impl Layer for AvgPool2d {
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        x: Var,
-        _train: bool,
-        _vars: &mut Vec<Var>,
-    ) -> Result<Var> {
-        g.avg_pool2d(x, self.k)
-    }
-}
-
 /// Global average pooling `(n, c, h, w) -> (n, c)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GlobalAvgPool2d;
@@ -132,10 +113,6 @@ mod tests {
             .forward(&mut g, x, true, &mut vars)
             .unwrap();
         assert_eq!(g.value(m).dims(), &[1, 1, 2, 2]);
-        let a = AvgPool2d { k: 2 }
-            .forward(&mut g, x, true, &mut vars)
-            .unwrap();
-        assert_eq!(g.value(a).data(), &[2.5, 4.5, 10.5, 12.5]);
         let gp = GlobalAvgPool2d.forward(&mut g, x, true, &mut vars).unwrap();
         assert_eq!(g.value(gp).dims(), &[1, 1]);
     }
@@ -155,7 +132,6 @@ mod tests {
             .push("act", Activation::Relu)
             .push("flatten", Flatten)
             .push("max", MaxPool2d { k: 2 })
-            .push("avg", AvgPool2d { k: 2 })
             .push("gap", GlobalAvgPool2d);
         let net = Network::new("stateless", body);
         assert!(net.params().is_empty());

@@ -34,20 +34,16 @@
 pub mod act;
 pub mod block;
 pub mod conv;
-pub mod dropout;
 pub mod linear;
 pub mod loss;
 pub mod models;
 pub mod module;
 pub mod norm;
 
-pub use act::{Activation, AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d};
+pub use act::{Activation, Flatten, GlobalAvgPool2d, MaxPool2d};
 pub use block::{BasicBlock, InvertedResidual};
 pub use conv::{Conv2d, DepthwiseConv2d};
-pub use dropout::Dropout;
 pub use linear::Linear;
-pub use loss::{
-    accuracy, eval_loss, evaluate_accuracy, loss_and_grads, loss_and_grads_smoothed, LossAndGrads,
-};
+pub use loss::{accuracy, eval_loss, evaluate_accuracy, loss_and_grads, LossAndGrads};
 pub use module::{EntryMut, Layer, LayerClone, Network, ParamInfo, ParamKind, Sequential, Walk};
 pub use norm::BatchNorm2d;

@@ -54,44 +54,6 @@ pub fn loss_and_grads(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result
     })
 }
 
-/// Like [`loss_and_grads`] but with label smoothing `eps` (the target mixes
-/// `1 - eps` on the true class with uniform mass) — a classic
-/// generalization baseline kept alongside HERO for comparisons.
-///
-/// # Errors
-///
-/// Returns shape errors if the batch is incompatible with the network or
-/// `eps` is outside `[0, 1)`.
-pub fn loss_and_grads_smoothed(
-    net: &mut Network,
-    x: &Tensor,
-    labels: &[usize],
-    eps: f32,
-) -> Result<LossAndGrads> {
-    let mut g = Graph::new();
-    let fwd = hero_obs::span("forward");
-    let (logits, vars) = net.forward(&mut g, x, true)?;
-    let loss = g.cross_entropy_smoothed(logits, labels, eps)?;
-    let loss_value = g.value(loss).item()?;
-    drop(fwd);
-    let _bwd = hero_obs::span("backward");
-    let mut grads = g.backward(loss, &vars)?;
-    let grad_tensors = vars
-        .iter()
-        .map(|&v| {
-            grads
-                .take(v)
-                .unwrap_or_else(|| Tensor::zeros(g.value(v).shape().clone()))
-        })
-        .collect();
-    grads.recycle();
-    g.reset();
-    Ok(LossAndGrads {
-        loss: loss_value,
-        grads: grad_tensors,
-    })
-}
-
 /// Computes the mean cross-entropy loss in eval mode (no gradients).
 ///
 /// # Errors
@@ -270,54 +232,5 @@ mod tests {
             matches!(err, hero_tensor::TensorError::InvalidArgument(_)),
             "{err}"
         );
-    }
-}
-
-#[cfg(test)]
-mod smoothing_tests {
-    use super::*;
-    use crate::models::{mlp, ModelConfig};
-    use hero_tensor::rng::StdRng;
-
-    #[test]
-    fn smoothed_loss_matches_plain_at_zero_eps() {
-        let cfg = ModelConfig {
-            classes: 3,
-            in_channels: 1,
-            input_hw: 2,
-            width: 4,
-        };
-        let mut net = mlp(cfg, &[8], &mut StdRng::seed_from_u64(3));
-        let x = Tensor::from_fn([4, 1, 2, 2], |i| (i.iter().sum::<usize>() % 3) as f32 - 1.0);
-        let y = vec![0, 1, 2, 0];
-        let plain = loss_and_grads(&mut net, &x, &y).unwrap();
-        let smoothed = loss_and_grads_smoothed(&mut net, &x, &y, 0.0).unwrap();
-        assert!((plain.loss - smoothed.loss).abs() < 1e-5);
-    }
-
-    #[test]
-    fn smoothing_raises_loss_on_confident_predictions() {
-        // Train briefly, then the smoothed loss exceeds the plain loss
-        // (confident correct predictions pay the uniform-mass penalty).
-        let cfg = ModelConfig {
-            classes: 3,
-            in_channels: 1,
-            input_hw: 2,
-            width: 4,
-        };
-        let mut net = mlp(cfg, &[12], &mut StdRng::seed_from_u64(4));
-        let x = Tensor::from_fn([6, 1, 2, 2], |i| (i[0] % 3) as f32 - 1.0);
-        let y: Vec<usize> = (0..6).map(|i| i % 3).collect();
-        for _ in 0..40 {
-            let out = loss_and_grads(&mut net, &x, &y).unwrap();
-            let mut ps = net.params();
-            for (p, g) in ps.iter_mut().zip(&out.grads) {
-                p.axpy(-0.3, g).unwrap();
-            }
-            net.set_params(&ps).unwrap();
-        }
-        let plain = loss_and_grads(&mut net, &x, &y).unwrap();
-        let smoothed = loss_and_grads_smoothed(&mut net, &x, &y, 0.2).unwrap();
-        assert!(smoothed.loss > plain.loss);
     }
 }

@@ -134,15 +134,6 @@ pub trait Layer: std::fmt::Debug + Send + LayerClone {
     /// Reports the entries of [`Layer::walk`] in the same order, mutably
     /// and without names.
     fn walk_mut(&mut self, _f: &mut dyn FnMut(EntryMut<'_>)) {}
-
-    /// True when this layer (or any child) owns RNG state that advances
-    /// during training-mode forward passes — e.g. [`crate::Dropout`].
-    /// Such layers break the data-parallel executor's bitwise-determinism
-    /// contract, so `hero-parallel` refuses to replicate networks
-    /// containing them. Defaults to `false`.
-    fn rng_stateful(&self) -> bool {
-        false
-    }
 }
 
 /// Object-safe `Clone` for layers, implemented for every `Layer + Clone`.
@@ -151,10 +142,7 @@ pub trait LayerClone {
     ///
     /// Replicas carry independent parameter storage and layer state
     /// (batch-norm running statistics), which is what per-worker model
-    /// replicas need. Layers whose state includes a forward-advancing RNG
-    /// (see [`Layer::rng_stateful`]) are rejected by the data-parallel
-    /// executor: each replica's RNG copy would advance on whichever worker
-    /// happens to run it, making results scheduling-dependent.
+    /// replicas need.
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
@@ -227,10 +215,6 @@ impl Layer for Sequential {
         for layer in &mut self.layers {
             layer.walk_mut(f);
         }
-    }
-
-    fn rng_stateful(&self) -> bool {
-        self.layers.iter().any(|l| l.rng_stateful())
     }
 }
 
@@ -328,13 +312,6 @@ impl Network {
             }
         });
         n
-    }
-
-    /// True when any layer owns RNG state that advances during training
-    /// forwards (see [`Layer::rng_stateful`]); such networks cannot be
-    /// replicated by the data-parallel executor.
-    pub fn rng_stateful(&self) -> bool {
-        self.body.rng_stateful()
     }
 
     /// Named non-parameter state buffers (batch-norm running statistics)

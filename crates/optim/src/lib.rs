@@ -32,13 +32,11 @@
 
 #![warn(missing_docs)]
 
-mod extras;
 mod method;
 mod oracle;
 mod schedule;
 mod sgd;
 
-pub use extras::{clip_global_norm, NesterovState, Warmup};
 pub use method::{Method, Optimizer, StepStats};
 pub use oracle::{train_step, BatchOracle};
 pub use schedule::LrSchedule;

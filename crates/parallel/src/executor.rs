@@ -62,23 +62,15 @@ impl ParallelCtx {
     ///
     /// # Errors
     ///
-    /// Returns an error when the network contains a stateful-RNG layer
-    /// (e.g. masking dropout): replica RNG copies would advance on
-    /// whichever worker runs each shard job, making the trajectory depend
-    /// on scheduling and breaking the bitwise-determinism contract.
+    /// Does not fail: every layer replicates bitwise (parameters and
+    /// batch-norm statistics are plain tensors). The `Result` keeps the
+    /// signature that callers already propagate with `?`.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(net: &Network, threads: usize) -> Result<Self> {
         assert!(threads > 0, "parallel context needs at least one worker");
-        if net.rng_stateful() {
-            return Err(TensorError::InvalidArgument(format!(
-                "network '{}' contains a stateful-RNG layer (e.g. dropout); \
-                 the data-parallel executor cannot replicate it deterministically",
-                net.name()
-            )));
-        }
         let states = (0..threads)
             .map(|_| WorkerState { net: net.clone() })
             .collect();

@@ -21,8 +21,7 @@
 //! [`DEFAULT_SHARDS`]), running the same seeded training under
 //! `HERO_THREADS=1..=N` produces **bitwise identical** weight
 //! trajectories — proven by the `parallel_equiv` test suites here and in
-//! `hero-core`. Models with dropout layers are excluded from the contract
-//! (per-replica RNG state depends on job scheduling). Batch-norm running
+//! `hero-core`, for every network `hero-nn` builds. Batch-norm running
 //! statistics are frozen inside workers; after each step the canonical
 //! network refreshes them with one deterministic full-batch forward on
 //! the calling thread, see DESIGN.md §11.

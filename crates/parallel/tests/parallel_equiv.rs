@@ -3,26 +3,43 @@
 //! shard decomposition and reduction tree are fixed independently of the
 //! thread count. Also exercises the executor's clean-error paths.
 
-use hero_nn::models::{mlp, ModelConfig};
-use hero_nn::{Dropout, Flatten, Linear, Network, Sequential};
+use hero_nn::models::{mini_mobilenet, mini_vgg, mlp, ModelConfig};
+use hero_nn::Network;
 use hero_optim::{Method, Optimizer};
 use hero_parallel::{train_step_parallel, ParallelCtx, ShardedOracle};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::Tensor;
 
-fn toy() -> (Network, Tensor, Vec<usize>) {
-    let cfg = ModelConfig {
-        classes: 4,
-        in_channels: 3,
-        input_hw: 4,
-        width: 4,
-    };
-    let net = mlp(cfg, &[16, 8], &mut StdRng::seed_from_u64(7));
+const CFG: ModelConfig = ModelConfig {
+    classes: 4,
+    in_channels: 3,
+    input_hw: 4,
+    width: 4,
+};
+
+fn mlp_net() -> Network {
+    mlp(CFG, &[16, 8], &mut StdRng::seed_from_u64(7))
+}
+
+fn mobilenet_net() -> Network {
+    mini_mobilenet(CFG, &mut StdRng::seed_from_u64(7))
+}
+
+fn vgg_net() -> Network {
+    mini_vgg(CFG, &mut StdRng::seed_from_u64(7))
+}
+
+fn batch() -> (Tensor, Vec<usize>) {
     let n = 22; // deliberately not divisible by the shard count
     let mut rng = StdRng::seed_from_u64(11);
     let x = Tensor::from_fn([n, 3, 4, 4], |_| rng.gen::<f32>() - 0.5);
     let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
-    (net, x, labels)
+    (x, labels)
+}
+
+fn toy() -> (Network, Tensor, Vec<usize>) {
+    let (x, labels) = batch();
+    (mlp_net(), x, labels)
 }
 
 /// Flattens every parameter to its exact bit pattern.
@@ -33,8 +50,14 @@ fn param_bits(net: &Network) -> Vec<u32> {
         .collect()
 }
 
-fn run_steps(method: Method, threads: usize, steps: usize) -> (Vec<u32>, Vec<u32>) {
-    let (mut net, x, labels) = toy();
+fn run_steps(
+    build: fn() -> Network,
+    method: Method,
+    threads: usize,
+    steps: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let (x, labels) = batch();
+    let mut net = build();
     let mut ctx = ParallelCtx::new(&net, threads).unwrap();
     let mut opt = Optimizer::new(method)
         .with_momentum(0.9)
@@ -47,31 +70,40 @@ fn run_steps(method: Method, threads: usize, steps: usize) -> (Vec<u32>, Vec<u32
     (param_bits(&net), losses)
 }
 
+/// Every network family the executor replicates: dense layers, and tiny
+/// MobileNet and VGG (conv, depthwise conv, batch norm, ReLU/ReLU6,
+/// max-pool, global average pool).
 #[test]
 fn weight_trajectories_are_bitwise_identical_across_thread_counts() {
-    for method in [
-        Method::Sgd,
-        Method::FirstOrderOnly { h: 0.05 },
-        Method::Hero {
-            h: 0.05,
-            gamma: 0.1,
-        },
+    for (name, build) in [
+        ("mlp", mlp_net as fn() -> Network),
+        ("mini_mobilenet", mobilenet_net),
+        ("mini_vgg", vgg_net),
     ] {
-        let (ref_bits, ref_losses) = run_steps(method, 1, 6);
-        for threads in 2..=4 {
-            let (bits, losses) = run_steps(method, threads, 6);
-            assert_eq!(
-                losses,
-                ref_losses,
-                "{}: loss trajectory diverged at {threads} threads",
-                method.name()
-            );
-            assert_eq!(
-                bits,
-                ref_bits,
-                "{}: weights diverged at {threads} threads",
-                method.name()
-            );
+        for method in [
+            Method::Sgd,
+            Method::FirstOrderOnly { h: 0.05 },
+            Method::Hero {
+                h: 0.05,
+                gamma: 0.1,
+            },
+        ] {
+            let (ref_bits, ref_losses) = run_steps(build, method, 1, 6);
+            for threads in 2..=4 {
+                let (bits, losses) = run_steps(build, method, threads, 6);
+                assert_eq!(
+                    losses,
+                    ref_losses,
+                    "{name} {}: loss trajectory diverged at {threads} threads",
+                    method.name()
+                );
+                assert_eq!(
+                    bits,
+                    ref_bits,
+                    "{name} {}: weights diverged at {threads} threads",
+                    method.name()
+                );
+            }
         }
     }
 }
@@ -135,27 +167,4 @@ fn empty_batch_is_rejected() {
     let x = Tensor::zeros([0, 3, 4, 4]);
     assert!(ShardedOracle::new(&mut ctx, &x, &[]).is_err());
     let _ = &mut net;
-}
-
-#[test]
-fn stateful_rng_network_is_rejected() {
-    // A masking dropout layer owns an RNG that advances per forward pass;
-    // replicas would advance their copies on whichever worker runs them,
-    // so the executor must refuse to build a context for such a network.
-    let body = Sequential::new()
-        .push("flatten", Flatten)
-        .push("fc", Linear::new(48, 4, &mut StdRng::seed_from_u64(3)))
-        .push("drop", Dropout::new(0.5, 9));
-    let net = Network::new("dropout-net", body);
-    let err = ParallelCtx::new(&net, 2).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("stateful-RNG"), "{msg}");
-
-    // keep_prob == 1.0 never draws from the RNG, so it stays eligible.
-    let inert = Sequential::new()
-        .push("flatten", Flatten)
-        .push("fc", Linear::new(48, 4, &mut StdRng::seed_from_u64(3)))
-        .push("drop", Dropout::new(1.0, 9));
-    let net = Network::new("inert-dropout-net", inert);
-    assert!(ParallelCtx::new(&net, 2).is_ok());
 }

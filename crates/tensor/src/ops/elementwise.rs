@@ -128,11 +128,6 @@ impl Tensor {
         self.map(f32::exp)
     }
 
-    /// Element-wise natural logarithm.
-    pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
-    }
-
     /// Element-wise square root.
     pub fn sqrt(&self) -> Tensor {
         self.map(f32::sqrt)
@@ -141,11 +136,6 @@ impl Tensor {
     /// Element-wise square.
     pub fn square(&self) -> Tensor {
         self.map(|v| v * v)
-    }
-
-    /// Element-wise reciprocal.
-    pub fn recip(&self) -> Tensor {
-        self.map(f32::recip)
     }
 
     /// Element-wise integer power.
@@ -244,10 +234,8 @@ mod tests {
     fn transcendental_ops_work() {
         let a = t(&[0.0, 1.0]);
         assert!((a.exp().data()[1] - std::f32::consts::E).abs() < 1e-6);
-        assert_eq!(t(&[1.0]).ln().data(), &[0.0]);
         assert_eq!(t(&[4.0]).sqrt().data(), &[2.0]);
         assert_eq!(t(&[3.0]).square().data(), &[9.0]);
-        assert_eq!(t(&[2.0]).recip().data(), &[0.5]);
         assert_eq!(t(&[2.0]).powi(3).data(), &[8.0]);
     }
 

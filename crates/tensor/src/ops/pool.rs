@@ -4,97 +4,6 @@ use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
 impl Tensor {
-    /// Non-overlapping average pooling with a square window of side `k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank/geometry errors if the input is not 4-D or not evenly
-    /// divisible by `k`.
-    pub fn avg_pool2d(&self, k: usize) -> Result<Tensor> {
-        if self.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: self.rank(),
-            });
-        }
-        let (n, c, h, w) = (
-            self.dims()[0],
-            self.dims()[1],
-            self.dims()[2],
-            self.dims()[3],
-        );
-        if k == 0 || h % k != 0 || w % k != 0 {
-            return Err(TensorError::InvalidGeometry(format!(
-                "pool window {k} does not divide {h}x{w}"
-            )));
-        }
-        let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros([n, c, oh, ow]);
-        let inv = 1.0 / (k * k) as f32;
-        for in_ in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let src = (((in_ * c) + ch) * h + oy * k + ky) * w + ox * k + kx;
-                                acc += self.data()[src];
-                            }
-                        }
-                        let dst = (((in_ * c) + ch) * oh + oy) * ow + ox;
-                        out.data_mut()[dst] = acc * inv;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Adjoint of [`Tensor::avg_pool2d`]: spreads each pooled gradient
-    /// uniformly back over its window. `h` and `w` are the pre-pool extents.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape/geometry errors mirroring the forward op.
-    pub fn avg_unpool2d(&self, k: usize, h: usize, w: usize) -> Result<Tensor> {
-        if self.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: self.rank(),
-            });
-        }
-        let (n, c, oh, ow) = (
-            self.dims()[0],
-            self.dims()[1],
-            self.dims()[2],
-            self.dims()[3],
-        );
-        if k == 0 || oh * k != h || ow * k != w {
-            return Err(TensorError::InvalidGeometry(format!(
-                "unpool target {h}x{w} is not {oh}x{ow} scaled by {k}"
-            )));
-        }
-        let mut out = Tensor::zeros([n, c, h, w]);
-        let inv = 1.0 / (k * k) as f32;
-        for in_ in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = self.data()[(((in_ * c) + ch) * oh + oy) * ow + ox] * inv;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let dst = (((in_ * c) + ch) * h + oy * k + ky) * w + ox * k + kx;
-                                out.data_mut()[dst] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Non-overlapping max pooling with a square window of side `k`.
     /// Returns the pooled tensor and the flat argmax index of every window
     /// (for routing gradients in the backward pass).
@@ -183,27 +92,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avg_pool_halves_resolution() {
-        let t = Tensor::arange(16).reshape([1, 1, 4, 4]).unwrap();
-        let p = t.avg_pool2d(2).unwrap();
-        assert_eq!(p.dims(), &[1, 1, 2, 2]);
-        // window [0,1,4,5] -> 2.5
-        assert_eq!(p.data(), &[2.5, 4.5, 10.5, 12.5]);
-        assert!(t.avg_pool2d(3).is_err());
-        assert!(t.avg_pool2d(0).is_err());
-    }
-
-    #[test]
-    fn avg_unpool_is_adjoint() {
-        let x = Tensor::from_fn([1, 2, 4, 4], |i| (i.iter().sum::<usize>() % 5) as f32);
-        let y = Tensor::from_fn([1, 2, 2, 2], |i| (i.iter().sum::<usize>() % 3) as f32 - 1.0);
-        let lhs = x.avg_pool2d(2).unwrap().dot(&y).unwrap();
-        let rhs = x.dot(&y.avg_unpool2d(2, 4, 4).unwrap()).unwrap();
-        assert!((lhs - rhs).abs() < 1e-4);
-        assert!(y.avg_unpool2d(2, 5, 4).is_err());
-    }
 
     #[test]
     fn max_pool_returns_max_and_indices() {

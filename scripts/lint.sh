@@ -11,7 +11,9 @@
 # ...))]` line to end of file — the repo convention is tail-positioned test
 # modules) and comment lines are exempt. The allowlist is tab-separated
 # `file<TAB>substring`; a flagged line is waived when an entry's file matches
-# and the line contains the substring.
+# and the line contains the substring. An entry whose file is missing, or
+# whose substring is on no program line of that file, is stale and fails
+# the lint, so waivers leave with the code they waived.
 #
 # Usage: scripts/lint.sh  (invoked by scripts/verify.sh)
 set -euo pipefail
@@ -44,19 +46,24 @@ allowed() { # $1 = file, $2 = offending line
   return 1
 }
 
+# program_text <file> — the file's lines up to its first test-module line.
+program_text() {
+  local cut
+  cut=$(grep -n -m1 '^#\[cfg(.*test' "$1" | cut -d: -f1 || true)
+  if [[ -n "$cut" ]]; then
+    head -n $((cut - 1)) "$1"
+  else
+    cat "$1"
+  fi
+}
+
 # scan <regex> <description> — greps non-test library code, honouring the
 # allowlist. Prints violations and returns nonzero if any survive.
 scan() {
-  local re="$1" desc="$2" bad=0 file cut content hits hit line
+  local re="$1" desc="$2" bad=0 file hits hit line
   for file in crates/*/src/*.rs crates/*/src/**/*.rs; do
     [[ -e "$file" ]] || continue
-    cut=$(grep -n -m1 '^#\[cfg(.*test' "$file" | cut -d: -f1 || true)
-    if [[ -n "$cut" ]]; then
-      content=$(head -n $((cut - 1)) "$file")
-    else
-      content=$(cat "$file")
-    fi
-    hits=$(printf '%s\n' "$content" | grep -nE "$re" |
+    hits=$(program_text "$file" | grep -nE "$re" |
       grep -vE '^[0-9]+:[[:space:]]*//' || true)
     [[ -z "$hits" ]] && continue
     while IFS= read -r hit; do
@@ -78,9 +85,34 @@ echo "==> grep lint: no float literal == / != comparisons"
 scan '(==|!=)[[:space:]]*-?[0-9]+\.[0-9]|[0-9]+\.[0-9]*[[:space:]]*(==|!=)' \
   'float equality against a literal' || fail=1
 
+# stale_entries — every allowlist entry must name an existing file and a
+# substring found on one of its non-comment program lines.
+stale_entries() {
+  local f pat bad=0
+  while IFS=$'\t' read -r f pat; do
+    [[ -z "$f" || "$f" == \#* ]] && continue
+    if [[ -z "$pat" ]]; then
+      echo "lint.sh: allowlist entry without a substring: $f"
+      bad=1
+    elif [[ ! -e "$f" ]]; then
+      echo "lint.sh: stale allowlist entry, no such file: $f"
+      bad=1
+    # Not `grep -q`: quitting at the first match would SIGPIPE the
+    # producers, which pipefail reports as a miss.
+    elif ! program_text "$f" | grep -vE '^[[:space:]]*//' | grep -F -- "$pat" >/dev/null; then
+      echo "lint.sh: stale allowlist entry, on no program line of $f: $pat"
+      bad=1
+    fi
+  done <"$ALLOW"
+  return $bad
+}
+
+echo "==> grep lint: no stale allowlist entries"
+stale_entries || fail=1
+
 if [[ $fail -ne 0 ]]; then
   echo "lint.sh: grep lints FAILED (add a scripts/lint-allow.txt entry only" \
-    "for intentional exact comparisons)"
+    "for intentional exact comparisons, and drop entries whose code is gone)"
   exit 1
 fi
 
