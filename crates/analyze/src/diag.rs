@@ -254,11 +254,6 @@ impl Report {
         self.errors().next().is_some()
     }
 
-    /// True if nothing at all was flagged.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// True if a finding with the given code exists on the given node.
     pub fn flags(&self, node: usize, code: DiagCode) -> bool {
         self.diagnostics

@@ -36,7 +36,7 @@
 //! # Examples
 //!
 //! ```
-//! use hero_analyze::{verify_graph, AnalyzeOptions};
+//! use hero_analyze::{verify_graph_with, VerifyOptions};
 //! use hero_autodiff::Graph;
 //! use hero_tensor::Tensor;
 //!
@@ -44,8 +44,8 @@
 //! let x = g.input(Tensor::arange(4));
 //! let y = g.square(x);
 //! let loss = g.sum(y);
-//! let report = verify_graph(&g, &[loss]);
-//! assert!(report.is_clean(), "{report}");
+//! let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
+//! assert!(report.diagnostics.is_empty(), "{report}");
 //! ```
 
 #![warn(missing_docs)]
@@ -131,17 +131,6 @@ pub struct AnalyzeOptions {
     /// [`Report::value`] stays `None`) if structural/shape errors exist,
     /// since value transfer functions assume a well-formed tape.
     pub value: Option<ValueOptions>,
-}
-
-impl AnalyzeOptions {
-    /// Options with the given output nodes and all inputs variable.
-    pub fn with_roots(roots: Vec<usize>) -> Self {
-        AnalyzeOptions {
-            roots,
-            variable_inputs: None,
-            value: None,
-        }
-    }
 }
 
 /// Options for [`verify_graph_with`]: the value-lint knobs, with seeds
@@ -233,14 +222,10 @@ pub fn analyze(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Report {
 
 /// Verifies a live [`Graph`] with the given output variables as roots,
 /// including the value-level passes seeded from the graph's recorded
-/// input min/max statistics (default lint thresholds; quantization lint
-/// off).
-pub fn verify_graph(g: &Graph, roots: &[Var]) -> Report {
-    verify_graph_with(g, roots, &VerifyOptions::default())
-}
-
-/// [`verify_graph`] with explicit value-lint options (e.g. the bit widths
-/// an upcoming quantization sweep will use).
+/// input min/max statistics, with explicit value-lint options (e.g. the
+/// bit widths an upcoming quantization sweep will use;
+/// [`VerifyOptions::default`] keeps the default lint thresholds and turns
+/// the quantization lint off).
 pub fn verify_graph_with(g: &Graph, roots: &[Var], opts: &VerifyOptions) -> Report {
     let seeds = g
         .input_ranges()
@@ -312,8 +297,8 @@ mod tests {
         let z = g.add(h, b).unwrap();
         let a = g.relu(z);
         let loss = g.cross_entropy(a, &[0, 1, 2, 0]).unwrap();
-        let report = verify_graph(&g, &[loss]);
-        assert!(report.is_clean(), "{report}");
+        let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
+        assert!(report.diagnostics.is_empty(), "{report}");
         assert_eq!(report.nodes, 7);
     }
 
@@ -330,8 +315,8 @@ mod tests {
         let p = g.max_pool2d(r, 2).unwrap();
         let gap = g.global_avg_pool2d(p).unwrap();
         let loss = g.cross_entropy(gap, &[1, 3]).unwrap();
-        let report = verify_graph(&g, &[loss]);
-        assert!(report.is_clean(), "{report}");
+        let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
+        assert!(report.diagnostics.is_empty(), "{report}");
     }
 
     #[test]
@@ -342,7 +327,7 @@ mod tests {
         let y = g.square(x);
         let dead = g.scale(y, 2.0); // computed, never used by the loss
         let loss = g.sum(y);
-        let report = verify_graph(&g, &[loss]);
+        let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
         assert!(!report.has_errors(), "{report}");
         assert!(report.flags(unused.index(), DiagCode::UnusedParameter));
         assert!(report.flags(dead.index(), DiagCode::DeadNode));
@@ -375,8 +360,8 @@ mod tests {
         let x = g.input(Tensor::arange(4));
         let y = g.square(x);
         let loss = g.sum(y);
-        let report = verify_graph(&g, &[loss]);
-        assert!(report.is_clean(), "{report}");
+        let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
+        assert!(report.diagnostics.is_empty(), "{report}");
     }
 
     #[test]
@@ -386,7 +371,7 @@ mod tests {
         let y = g.square(x);
         let dead = g.scale(y, 3.0);
         let loss = g.sum(y);
-        let report = verify_graph(&g, &[loss]);
+        let report = verify_graph_with(&g, &[loss], &VerifyOptions::default());
         let text = report.to_string();
         assert!(text.contains("dead-node"), "{text}");
         assert!(text.contains(&format!("#{}", dead.index())), "{text}");

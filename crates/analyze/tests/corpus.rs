@@ -199,7 +199,13 @@ fn dead_subgraph_behind_explicit_root() {
         node(3, TraceOp::Scale { c: 2.0 }, &[1], &[4]),
         node(4, TraceOp::Add, &[3, 0], &[4]),
     ];
-    let report = analyze(&tape, &AnalyzeOptions::with_roots(vec![2]));
+    let report = analyze(
+        &tape,
+        &AnalyzeOptions {
+            roots: vec![2],
+            ..AnalyzeOptions::default()
+        },
+    );
     assert!(!report.has_errors(), "{report}");
     assert!(report.flags(3, DiagCode::DeadNode), "{report}");
     assert!(report.flags(4, DiagCode::DeadNode), "{report}");
@@ -236,7 +242,7 @@ fn diagnostics_carry_provenance_chains() {
 #[test]
 fn empty_tape_is_clean() {
     let report = run(&[]);
-    assert!(report.is_clean());
+    assert!(report.diagnostics.is_empty());
     assert_eq!(report.nodes, 0);
 }
 

@@ -109,7 +109,7 @@ fn static_clip_set_covers_empirical_clip_set_at_4_bits() {
             continue;
         }
         let q = quantize_tensor(t, &scheme).unwrap();
-        let delta = q.max_bin_width();
+        let delta = q.bin_width;
         if delta <= 0.0 {
             continue;
         }

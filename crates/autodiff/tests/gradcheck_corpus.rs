@@ -1,7 +1,8 @@
 //! Seeded randomized gradcheck corpus: every registered graph op is
 //! checked against central finite differences at three reproducible
 //! random test points each, including broadcast shapes for the
-//! element-wise ops and the im2col (conv) paths. Runs as a tier-1 test.
+//! element-wise ops and three geometries of the direct convolution
+//! kernels. Runs as a tier-1 test.
 //!
 //! Non-scalar ops are scalarized as `sum(square(op(..)))` so every output
 //! coordinate contributes a distinct, input-dependent weight to the loss
@@ -154,7 +155,8 @@ fn corpus_shape_and_reductions() {
 #[test]
 fn corpus_conv2d_im2col_paths() {
     // (input shape, kernel, stride, pad): unit geometry, padded 3x3, and a
-    // strided+padded case — all three exercise distinct im2col layouts.
+    // strided+padded case — each takes the direct conv kernels through a
+    // different padding and stride.
     let cases: [(&[usize], usize, usize, usize); 3] = [
         (&[1, 2, 3, 3], 2, 1, 0),
         (&[2, 1, 4, 4], 3, 1, 1),

@@ -593,7 +593,7 @@ pub fn attach_quant(art: &mut Artifact, net: &Network, bits: u8) -> Result<()> {
                 name: info.name,
                 bits,
                 per_channel: false,
-                bin_widths: q.bin_widths,
+                bin_widths: vec![q.bin_width],
             });
             q.values
         } else {

@@ -112,13 +112,6 @@ impl TrainConfig {
         self
     }
 
-    /// Builder: disables augmentation (used by the quadratic-style tests).
-    #[must_use]
-    pub fn without_augment(mut self) -> Self {
-        self.augment = Augment::none();
-        self
-    }
-
     /// The cosine schedule over the whole run given the number of batches
     /// per epoch.
     pub fn schedule(&self, batches_per_epoch: usize) -> LrSchedule {
@@ -152,14 +145,12 @@ mod tests {
             .with_probe_every(2)
             .with_spectrum_every(3)
             .with_lr(0.05)
-            .with_batch_size(16)
-            .without_augment();
+            .with_batch_size(16);
         assert_eq!(c.seed, 9);
         assert_eq!(c.probe_every, 2);
         assert_eq!(c.spectrum_every, 3);
         assert_eq!(c.lr, 0.05);
         assert_eq!(c.batch_size, 16);
-        assert_eq!(c.augment, Augment::none());
     }
 
     #[test]

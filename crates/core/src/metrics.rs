@@ -251,7 +251,7 @@ mod tests {
         use hero_obs::json::Value;
         assert_eq!(v.get("ev").and_then(Value::as_str), Some("epoch"));
         assert_eq!(v.get("epoch").and_then(Value::as_f64), Some(3.0));
-        assert!(v.get("test_acc").is_some_and(Value::is_null));
+        assert_eq!(v.get("test_acc"), Some(&Value::Null));
         let hz = v.get("hessian_norm").and_then(Value::as_f64).expect("hz");
         assert!((hz - 1.5).abs() < 1e-9);
     }

@@ -372,7 +372,7 @@ pub fn probe_batch(set: &Dataset, n: usize) -> Result<(Tensor, &[usize])> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hero_data::{SynthGenerator, SynthSpec};
+    use hero_data::{Augment, SynthGenerator, SynthSpec};
     use hero_nn::models::{mlp, ModelConfig};
     use hero_optim::Method;
     use hero_tensor::rng::StdRng;
@@ -399,10 +399,13 @@ mod tests {
     #[test]
     fn training_improves_over_initialization() {
         let (mut net, train_set, test_set) = setup();
-        let config = TrainConfig::new(Method::Sgd, 8)
+        let mut config = TrainConfig::new(Method::Sgd, 8)
             .with_batch_size(16)
-            .with_lr(0.05)
-            .without_augment();
+            .with_lr(0.05);
+        config.augment = Augment {
+            pad: 0,
+            hflip: false,
+        };
         let rec = train(&mut net, &train_set, &test_set, &config).unwrap();
         assert_eq!(rec.epochs.len(), 8);
         assert!(rec.final_test_acc > 0.5, "test acc {}", rec.final_test_acc);
@@ -415,7 +418,7 @@ mod tests {
     #[test]
     fn hero_training_works_and_costs_three_evals() {
         let (mut net, train_set, test_set) = setup();
-        let config = TrainConfig::new(
+        let mut config = TrainConfig::new(
             Method::Hero {
                 h: 0.2,
                 gamma: 0.01,
@@ -423,8 +426,11 @@ mod tests {
             3,
         )
         .with_batch_size(16)
-        .with_lr(0.05)
-        .without_augment();
+        .with_lr(0.05);
+        config.augment = Augment {
+            pad: 0,
+            hflip: false,
+        };
         let rec = train(&mut net, &train_set, &test_set, &config).unwrap();
         assert_eq!(rec.grad_evals, 3 * 4 * 3);
         assert!(rec.final_test_acc > 0.25);
@@ -482,7 +488,7 @@ mod tests {
         let labels = &train_set.labels[..8];
         let images = train_set.images.narrow(0, 8).unwrap();
         let report = verify_network_tape(&mut net, &images, labels).unwrap();
-        assert!(report.is_clean(), "{report}");
+        assert!(report.diagnostics.is_empty(), "{report}");
         assert!(report.nodes > 0);
     }
 
@@ -520,7 +526,7 @@ mod tests {
                 .any(|d| d.code == hero_analyze::DiagCode::UnusedParameter),
             "{report}"
         );
-        assert!(report.is_clean(), "{report}");
+        assert!(report.diagnostics.is_empty(), "{report}");
         assert_eq!(net.params(), params_before);
     }
 

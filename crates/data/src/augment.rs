@@ -24,14 +24,6 @@ impl Augment {
         }
     }
 
-    /// No augmentation.
-    pub fn none() -> Self {
-        Augment {
-            pad: 0,
-            hflip: false,
-        }
-    }
-
     /// Applies the policy to an NCHW batch, randomizing per batch.
     ///
     /// # Errors
@@ -72,9 +64,12 @@ mod tests {
     #[test]
     fn none_policy_is_identity() {
         let b = batch();
-        let out = Augment::none()
-            .apply(&b, &mut StdRng::seed_from_u64(0))
-            .unwrap();
+        let out = Augment {
+            pad: 0,
+            hflip: false,
+        }
+        .apply(&b, &mut StdRng::seed_from_u64(0))
+        .unwrap();
         assert_eq!(out, b);
     }
 

@@ -14,20 +14,10 @@ use hero_tensor::rng::StdRng;
 pub enum Corruption {
     /// Additive Gaussian pixel noise with the given standard deviation.
     GaussianNoise(f32),
-    /// Sets each pixel to zero independently with the given probability.
-    PixelDropout(f32),
-    /// Scales global contrast by the given factor (1.0 = identity).
-    Contrast(f32),
 }
 
 impl Corruption {
     /// Returns a corrupted copy of the dataset (labels untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability parameter is outside `[0, 1]` — corruption
-    /// severities come from a fixed sweep, so an invalid value is a
-    /// programming error.
     pub fn apply(&self, data: &Dataset, seed: u64) -> Dataset {
         let mut out = data.clone();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -35,23 +25,6 @@ impl Corruption {
             Corruption::GaussianNoise(std) => {
                 for v in out.images.data_mut() {
                     *v += std * standard_normal(&mut rng);
-                }
-            }
-            Corruption::PixelDropout(p) => {
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "dropout probability {p} out of range"
-                );
-                for v in out.images.data_mut() {
-                    if rng.gen::<f32>() < p {
-                        *v = 0.0;
-                    }
-                }
-            }
-            Corruption::Contrast(factor) => {
-                let mean = out.images.mean();
-                for v in out.images.data_mut() {
-                    *v = mean + factor * (*v - mean);
                 }
             }
         }
@@ -77,16 +50,10 @@ mod tests {
     #[test]
     fn corruptions_preserve_shape_and_labels() {
         let d = data();
-        for c in [
-            Corruption::GaussianNoise(0.5),
-            Corruption::PixelDropout(0.3),
-            Corruption::Contrast(0.5),
-        ] {
-            let out = c.apply(&d, 1);
-            assert_eq!(out.images.dims(), d.images.dims());
-            assert_eq!(out.labels, d.labels);
-            assert!(out.images.is_finite());
-        }
+        let out = Corruption::GaussianNoise(0.5).apply(&d, 1);
+        assert_eq!(out.images.dims(), d.images.dims());
+        assert_eq!(out.labels, d.labels);
+        assert!(out.images.is_finite());
     }
 
     #[test]
@@ -102,28 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn pixel_dropout_zeroes_expected_fraction() {
-        let d = data();
-        let out = Corruption::PixelDropout(0.25).apply(&d, 3);
-        let zeros = out.images.data().iter().filter(|&&v| v == 0.0).count();
-        let total = out.images.numel();
-        let frac = zeros as f32 / total as f32;
-        assert!((frac - 0.25).abs() < 0.03, "dropout fraction {frac}");
-    }
-
-    #[test]
-    fn contrast_one_is_identity() {
-        let d = data();
-        let out = Corruption::Contrast(1.0).apply(&d, 4);
-        for (a, b) in out.images.data().iter().zip(d.images.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        // Zero contrast collapses to the mean.
-        let flat = Corruption::Contrast(0.0).apply(&d, 4);
-        assert!(flat.images.variance() < 1e-8);
-    }
-
-    #[test]
     fn corruption_is_deterministic_in_seed() {
         let d = data();
         let a = Corruption::GaussianNoise(0.3).apply(&d, 7);
@@ -131,11 +76,5 @@ mod tests {
         assert_eq!(a.images, b.images);
         let c = Corruption::GaussianNoise(0.3).apply(&d, 8);
         assert_ne!(a.images, c.images);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dropout_rejects_invalid_probability() {
-        Corruption::PixelDropout(1.5).apply(&data(), 0);
     }
 }

@@ -24,41 +24,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Copies out the contiguous sub-batch `[start, start + len)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range exceeds the batch.
-    pub fn shard(&self, start: usize, len: usize) -> hero_tensor::Result<Batch> {
-        if start + len > self.len() {
-            return Err(hero_tensor::TensorError::InvalidArgument(format!(
-                "shard [{start}, {}) exceeds batch of {} samples",
-                start + len,
-                self.len()
-            )));
-        }
-        Ok(Batch {
-            images: self.images.narrow(start, len)?,
-            labels: self.labels[start..start + len].to_vec(),
-        })
-    }
-
-    /// Splits the batch into at most `shards` balanced contiguous
-    /// sub-batches (see [`shard_bounds`]). The decomposition depends only
-    /// on the batch length and `shards` — never on how many worker threads
-    /// will consume the pieces — which is what keeps the data-parallel
-    /// reduction bitwise reproducible across thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only on internal shape mismatches.
-    pub fn shards(&self, shards: usize) -> hero_tensor::Result<Vec<Batch>> {
-        shard_bounds(self.len(), shards)
-            .into_iter()
-            .map(|(s, l)| self.shard(s, l))
-            .collect()
-    }
 }
 
 /// Balanced contiguous shard ranges `(start, len)` covering `0..n`.
@@ -107,11 +72,6 @@ impl Loader {
             batch_size,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// Current shuffle-RNG state, for checkpointing mid-training.
@@ -266,35 +226,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_shards_preserve_samples() {
-        let d = data(10);
-        let mut loader = Loader::new(10, 3);
-        let batch = loader.epoch(&d).remove(0);
-        let shards = batch.shards(4).unwrap();
-        assert_eq!(shards.len(), 4);
-        let labels: Vec<usize> = shards.iter().flat_map(|b| b.labels.clone()).collect();
-        assert_eq!(labels, batch.labels);
-        let pix: usize = batch.images.dims()[1..].iter().product();
-        let mut row = 0;
-        for s in &shards {
-            for r in 0..s.len() {
-                assert_eq!(
-                    s.images.data()[r * pix..(r + 1) * pix],
-                    batch.images.data()[(row) * pix..(row + 1) * pix]
-                );
-                row += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn shard_out_of_range_errors() {
-        let d = data(6);
-        let batch = Loader::new(6, 0).epoch(&d).remove(0);
-        assert!(batch.shard(4, 3).is_err());
-        assert!(batch.shard(0, 6).is_ok());
     }
 }

@@ -255,7 +255,7 @@ mod tests {
         };
         let g = SynthGenerator::new(spec);
         let d = g.generate(40, 1);
-        let img = |i: usize| d.images.select(0, i).unwrap();
+        let img = |i: usize| d.images.narrow(i, 1).unwrap();
         // Samples i and i+10 share a class; i and i+1 do not.
         let mut same = 0.0;
         let mut cross = 0.0;
@@ -280,7 +280,7 @@ mod tests {
         };
         let g = SynthGenerator::new(spec);
         let d = g.generate(10, 1);
-        let img = |i: usize| d.images.select(0, i).unwrap();
+        let img = |i: usize| d.images.narrow(i, 1).unwrap();
         // Classes 0 and 2 share superclass 0; classes 0 and 1 do not.
         let same_super = img(0).sub(&img(2)).unwrap().norm_l2();
         let cross_super = img(0).sub(&img(1)).unwrap().norm_l2();
@@ -302,9 +302,9 @@ mod tests {
         let dl = loud.generate(20, 1);
         let spread = |d: &Dataset| {
             d.images
-                .select(0, 0)
+                .narrow(0, 1)
                 .unwrap()
-                .sub(&d.images.select(0, 10).unwrap())
+                .sub(&d.images.narrow(10, 1).unwrap())
                 .unwrap()
                 .norm_l2()
         };

@@ -46,8 +46,8 @@ pub use bounds::BoundInputs;
 pub use hvp::{fd_hvp, fd_hvp_into, perturbed_into, GradOracle};
 pub use lanczos::{lanczos_spectrum, lanczos_spectrum_from, LanczosResult};
 pub use norm::{
-    eigen_sq_sum_estimate, hessian_norm_probe, hutchinson_trace, layer_scaled_direction,
-    layer_scaled_direction_into, layer_traces,
+    hessian_norm_probe, hutchinson_trace, layer_scaled_direction, layer_scaled_direction_into,
+    layer_traces,
 };
 pub use quadratic::Quadratic;
 pub use slq::{slq_density, SlqConfig, SlqDensity};

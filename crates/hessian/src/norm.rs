@@ -1,12 +1,10 @@
-//! The paper's curvature probe ‖Hz‖ (Fig. 2a), the Hutchinson trace
-//! estimator (global and per-layer) and the regularizer estimate.
+//! The paper's curvature probe ‖Hz‖ (Fig. 2a) and the Hutchinson trace
+//! estimator (global and per-layer).
 
 use crate::hvp::{fd_hvp, fd_hvp_into, GradOracle};
 use crate::stats::{probe_seed, Estimate};
 use hero_tensor::rng::{Rng, StdRng};
-use hero_tensor::{
-    fill_standard_normal, global_dot, global_norm_l2, pool, Result, Tensor, TensorError,
-};
+use hero_tensor::{global_dot, global_norm_l2, pool, Result, Tensor, TensorError};
 
 /// Computes the paper's layer-scaled perturbation direction (Eq. 15):
 /// `z_i = (W_i ⊙ W_i ⊙ g_i) / (‖W_i‖₂ · ‖g_i‖₂)` per parameter tensor,
@@ -193,41 +191,10 @@ pub fn layer_traces(
     Ok(out)
 }
 
-/// Monte-Carlo estimate of the regularizer `L_r = E_z‖Hz‖²` of Eq. 13 with
-/// Gaussian probes (the quantity HERO minimizes, equal to Σλᵢ²).
-///
-/// # Errors
-///
-/// Propagates oracle and shape errors.
-pub fn eigen_sq_sum_estimate(
-    oracle: &mut dyn GradOracle,
-    params: &[Tensor],
-    probes: usize,
-    eps: f32,
-    rng: &mut impl Rng,
-) -> Result<f32> {
-    let (_, grads) = oracle.grad(params)?;
-    let mut acc = 0.0;
-    for _ in 0..probes {
-        let z: Vec<Tensor> = params
-            .iter()
-            .map(|p| {
-                let mut t = Tensor::zeros(p.shape().clone());
-                fill_standard_normal(&mut t, rng);
-                t
-            })
-            .collect();
-        let hz = fd_hvp(oracle, params, &grads, &z, eps)?;
-        acc += global_norm_l2(&hz).powi(2);
-    }
-    Ok(acc / probes.max(1) as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quadratic::Quadratic;
-    use hero_tensor::rng::StdRng;
 
     #[test]
     fn layer_scaled_direction_matches_eq15() {
@@ -359,23 +326,6 @@ mod tests {
         let mut oracle = q.oracle();
         let (_, base) = oracle(&params).unwrap();
         assert!(layer_traces(&mut oracle, &params, &base, 0, 1e-3, 0).is_err());
-    }
-
-    #[test]
-    fn eigen_sq_sum_of_diagonal() {
-        // sum λ² = 1 + 4 + 9 = 14.
-        let q = Quadratic::diag(&[1.0, 2.0, 3.0]);
-        let mut oracle = q.oracle();
-        let params = vec![Tensor::zeros([3])];
-        let est = eigen_sq_sum_estimate(
-            &mut oracle,
-            &params,
-            256,
-            1e-3,
-            &mut StdRng::seed_from_u64(6),
-        )
-        .unwrap();
-        assert!((est - 14.0).abs() < 3.0, "estimate={est}");
     }
 
     #[test]

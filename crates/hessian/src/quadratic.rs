@@ -47,20 +47,6 @@ impl Quadratic {
         }
     }
 
-    /// Problem dimension.
-    pub fn dim(&self) -> usize {
-        self.b.numel()
-    }
-
-    /// The exact largest eigenvalue — only meaningful for diagonal `A`
-    /// (returns the largest diagonal entry).
-    pub fn max_diag(&self) -> f32 {
-        let n = self.dim();
-        (0..n)
-            .map(|i| self.a.data()[i * n + i])
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
     /// Loss at `x`.
     ///
     /// # Errors
@@ -112,8 +98,6 @@ mod tests {
         // loss = 0.5*(2*1 + 8*0.25) = 2.0
         assert!((q.loss(&x).unwrap() - 2.0).abs() < 1e-6);
         assert_eq!(q.grad(&x).unwrap().data(), &[2.0, 4.0]);
-        assert_eq!(q.dim(), 2);
-        assert_eq!(q.max_diag(), 8.0);
     }
 
     #[test]

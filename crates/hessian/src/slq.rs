@@ -59,20 +59,6 @@ impl SlqConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder: sets the Lanczos step count per probe.
-    #[must_use]
-    pub fn with_steps(mut self, steps: usize) -> Self {
-        self.steps = steps;
-        self
-    }
-
-    /// Builder: sets the number of probe vectors.
-    #[must_use]
-    pub fn with_probes(mut self, probes: usize) -> Self {
-        self.probes = probes;
-        self
-    }
 }
 
 /// Spectral density estimate from stochastic Lanczos quadrature.
@@ -227,7 +213,11 @@ mod tests {
         // Exact spectrum {1, 2, 5, 9}: tr/n = 4.25, Σλ²/n = 111/4 = 27.75.
         let q = Quadratic::diag(&[1.0, 2.0, 5.0, 9.0]);
         let params = vec![Tensor::zeros([4])];
-        let cfg = SlqConfig::default().with_steps(4).with_probes(16);
+        let cfg = SlqConfig {
+            steps: 4,
+            probes: 16,
+            ..SlqConfig::default()
+        };
         let d = density(&q, &params, cfg).unwrap();
         assert!(
             (d.lambda_max.mean - 9.0).abs() < 0.2,
@@ -281,10 +271,12 @@ mod tests {
     fn seeded_runs_reproduce() {
         let q = Quadratic::diag(&[2.0, 4.0]);
         let params = vec![Tensor::zeros([2])];
-        let cfg = SlqConfig::default()
-            .with_steps(2)
-            .with_probes(3)
-            .with_seed(7);
+        let cfg = SlqConfig {
+            steps: 2,
+            probes: 3,
+            seed: 7,
+            ..SlqConfig::default()
+        };
         let a = density(&q, &params, cfg).unwrap();
         let b = density(&q, &params, cfg).unwrap();
         assert_eq!(a.density, b.density);
@@ -295,7 +287,10 @@ mod tests {
     fn zero_probes_is_an_error() {
         let q = Quadratic::diag(&[1.0]);
         let params = vec![Tensor::zeros([1])];
-        let cfg = SlqConfig::default().with_probes(0);
+        let cfg = SlqConfig {
+            probes: 0,
+            ..SlqConfig::default()
+        };
         assert!(density(&q, &params, cfg).is_err());
     }
 
@@ -304,7 +299,11 @@ mod tests {
         // All eigenvalues equal: zero spectral width must not divide by 0.
         let q = Quadratic::diag(&[2.0, 2.0, 2.0]);
         let params = vec![Tensor::zeros([3])];
-        let cfg = SlqConfig::default().with_steps(3).with_probes(4);
+        let cfg = SlqConfig {
+            steps: 3,
+            probes: 4,
+            ..SlqConfig::default()
+        };
         let d = density(&q, &params, cfg).unwrap();
         assert!(d.sigma > 0.0);
         assert!(d.density.iter().all(|r| r.is_finite()));

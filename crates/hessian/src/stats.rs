@@ -20,15 +20,6 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// An estimate pinned to an exactly known value (zero uncertainty).
-    pub fn exact(value: f32) -> Self {
-        Estimate {
-            mean: value,
-            std_error: 0.0,
-            samples: 1,
-        }
-    }
-
     /// Mean and standard error of `samples`. Empty input yields a NaN
     /// mean; a single sample yields a NaN standard error.
     pub fn from_samples(samples: &[f32]) -> Self {
@@ -175,9 +166,6 @@ mod tests {
         let one = Estimate::from_samples(&[7.0]);
         assert_eq!(one.mean, 7.0);
         assert!(one.std_error.is_nan());
-        let exact = Estimate::exact(3.0);
-        assert_eq!(exact.mean, 3.0);
-        assert_eq!(exact.std_error, 0.0);
     }
 
     #[test]

@@ -21,10 +21,12 @@ fn slq_moments_match_exact_eigenvalues() {
     let eigs = [0.5f32, 1.0, 2.0, 4.0, 8.0, 16.0];
     let q = Quadratic::diag(&eigs);
     let params = vec![Tensor::zeros([6])];
-    let cfg = SlqConfig::default()
-        .with_steps(6)
-        .with_probes(24)
-        .with_seed(3);
+    let cfg = SlqConfig {
+        steps: 6,
+        probes: 24,
+        seed: 3,
+        ..SlqConfig::default()
+    };
     let mut oracle = q.oracle();
     let g = base(&mut oracle, &params);
     let d = slq_density(&mut oracle, &params, &g, cfg).unwrap();

@@ -31,6 +31,6 @@ mod sharpness;
 mod surface;
 
 pub use directions::{filter_normalize, filter_normalized_direction, random_direction};
-pub use robustness::{probe_robustness, robustness_curve, PerturbNorm, RobustnessProbe};
+pub use robustness::{probe_robustness, PerturbNorm, RobustnessProbe};
 pub use sharpness::{epsilon_sharpness, sam_sharpness};
-pub use surface::{scan_1d, scan_2d, LossOracle, SurfaceScan};
+pub use surface::{scan_2d, LossOracle, SurfaceScan};

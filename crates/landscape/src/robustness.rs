@@ -36,11 +36,6 @@ impl RobustnessProbe {
     pub fn mean_increase(&self) -> f32 {
         self.mean_loss - self.base_loss
     }
-
-    /// Worst sampled loss increase.
-    pub fn max_increase(&self) -> f32 {
-        self.max_loss - self.base_loss
-    }
 }
 
 /// Samples `samples` random perturbations of the given radius and norm and
@@ -103,25 +98,6 @@ pub fn probe_robustness(
     })
 }
 
-/// Sweeps the probe over several radii, returning one probe per radius.
-///
-/// # Errors
-///
-/// Propagates oracle and shape errors.
-pub fn robustness_curve(
-    oracle: &mut dyn LossOracle,
-    params: &[Tensor],
-    norm: PerturbNorm,
-    radii: &[f32],
-    samples: usize,
-    rng: &mut impl Rng,
-) -> Result<Vec<RobustnessProbe>> {
-    radii
-        .iter()
-        .map(|&r| probe_robustness(oracle, params, norm, r, samples, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +121,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.base_loss, 0.0);
         assert!(p.mean_increase().abs() < 1e-7);
-        assert!(p.max_increase().abs() < 1e-7);
+        assert!((p.max_loss - p.base_loss).abs() < 1e-7);
     }
 
     #[test]
@@ -163,7 +139,7 @@ mod tests {
         )
         .unwrap();
         assert!((p.mean_increase() - 0.25).abs() < 1e-4);
-        assert!((p.max_increase() - 0.25).abs() < 1e-4);
+        assert!(((p.max_loss - p.base_loss) - 0.25).abs() < 1e-4);
     }
 
     #[test]
@@ -212,23 +188,5 @@ mod tests {
         .unwrap();
         assert!(max_seen.get() <= 0.25 + 1e-6);
         assert!(max_seen.get() > 0.2); // and the box is actually explored
-    }
-
-    #[test]
-    fn curve_grows_with_radius() {
-        let params = vec![Tensor::zeros([8])];
-        let curve = robustness_curve(
-            &mut bowl(4.0),
-            &params,
-            PerturbNorm::L2,
-            &[0.1, 0.2, 0.4, 0.8],
-            8,
-            &mut StdRng::seed_from_u64(4),
-        )
-        .unwrap();
-        assert_eq!(curve.len(), 4);
-        for pair in curve.windows(2) {
-            assert!(pair[1].mean_increase() > pair[0].mean_increase());
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! 1-D and 2-D loss-surface scans around a weight configuration (Fig. 3).
+//! 2-D loss-surface scans around a weight configuration (Fig. 3).
 
 use hero_tensor::{Result, Tensor, TensorError};
 
@@ -154,29 +154,6 @@ pub fn scan_2d(
     })
 }
 
-/// Evaluates the loss along a single direction at the given coefficients.
-///
-/// # Errors
-///
-/// Propagates oracle and shape errors.
-pub fn scan_1d(
-    oracle: &mut dyn LossOracle,
-    params: &[Tensor],
-    d: &[Tensor],
-    coeffs: &[f32],
-) -> Result<Vec<f32>> {
-    let mut out = Vec::with_capacity(coeffs.len());
-    let mut shifted: Vec<Tensor> = params.to_vec();
-    for &a in coeffs {
-        for ((s, p), v) in shifted.iter_mut().zip(params).zip(d) {
-            *s = p.clone();
-            s.axpy(a, v)?;
-        }
-        out.push(oracle.loss(&shifted)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +210,6 @@ mod tests {
         let scan = scan_2d(&mut bowl(vec![2.0, 2.0]), &params, &d1, &d2, 1.0, 21).unwrap();
         let r = scan.flat_radius(0.5);
         assert!((r - 0.5).abs() <= 0.1, "flat radius {r}");
-    }
-
-    #[test]
-    fn scan_1d_traces_parabola() {
-        let params = vec![Tensor::zeros([1])];
-        let d = vec![Tensor::ones([1])];
-        let coeffs = [-1.0, 0.0, 1.0];
-        let vals = scan_1d(&mut bowl(vec![4.0]), &params, &d, &coeffs).unwrap();
-        assert_eq!(vals, vec![2.0, 0.0, 2.0]);
     }
 
     #[test]

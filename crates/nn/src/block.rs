@@ -41,11 +41,6 @@ impl BasicBlock {
             downsample,
         }
     }
-
-    /// Whether the block carries a projection shortcut.
-    pub fn has_projection(&self) -> bool {
-        self.downsample.is_some()
-    }
 }
 
 impl Layer for BasicBlock {
@@ -130,11 +125,6 @@ impl InvertedResidual {
             use_skip: stride == 1 && in_c == out_c,
         }
     }
-
-    /// Whether the block adds an identity skip connection.
-    pub fn has_skip(&self) -> bool {
-        self.use_skip
-    }
 }
 
 impl Layer for InvertedResidual {
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn identity_block_preserves_shape() {
         let mut b = BasicBlock::new(8, 8, 1, &mut rng());
-        assert!(!b.has_projection());
+        assert!(b.downsample.is_none());
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 8, 4, 4]));
         let mut vars = Vec::new();
@@ -206,7 +196,7 @@ mod tests {
     #[test]
     fn strided_block_downsamples_with_projection() {
         let mut b = BasicBlock::new(8, 16, 2, &mut rng());
-        assert!(b.has_projection());
+        assert!(b.downsample.is_some());
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 8, 8, 8]));
         let mut vars = Vec::new();
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn inverted_residual_with_skip() {
         let mut b = InvertedResidual::new(8, 8, 1, 4, &mut rng());
-        assert!(b.has_skip());
+        assert!(b.use_skip);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 8, 4, 4]));
         let mut vars = Vec::new();
@@ -242,7 +232,7 @@ mod tests {
     #[test]
     fn inverted_residual_stride_two_no_skip() {
         let mut b = InvertedResidual::new(8, 16, 2, 4, &mut rng());
-        assert!(!b.has_skip());
+        assert!(!b.use_skip);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 8, 8, 8]));
         let mut vars = Vec::new();

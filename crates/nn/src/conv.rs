@@ -13,8 +13,6 @@ use hero_tensor::{ConvGeometry, Init, Result, Tensor};
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     w: Tensor,
-    in_c: usize,
-    out_c: usize,
     kernel: usize,
     stride: usize,
     pad: usize,
@@ -33,22 +31,10 @@ impl Conv2d {
         let fan_in = in_c * kernel * kernel;
         Conv2d {
             w: Init::KaimingNormal { fan_in }.tensor([out_c, fan_in], rng),
-            in_c,
-            out_c,
             kernel,
             stride,
             pad,
         }
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_c
-    }
-
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_c
     }
 }
 
@@ -138,8 +124,7 @@ mod tests {
         let mut vars = Vec::new();
         let y = c.forward(&mut g, x, true, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 8, 8, 8]);
-        assert_eq!(c.out_channels(), 8);
-        assert_eq!(c.in_channels(), 3);
+        assert_eq!(c.w.dims(), &[8, 27]);
     }
 
     #[test]

@@ -23,16 +23,6 @@ impl Linear {
             b: Tensor::zeros([out_dim]),
         }
     }
-
-    /// Input feature count.
-    pub fn in_dim(&self) -> usize {
-        self.w.dims()[0]
-    }
-
-    /// Output feature count.
-    pub fn out_dim(&self) -> usize {
-        self.w.dims()[1]
-    }
 }
 
 impl Layer for Linear {
@@ -75,13 +65,6 @@ mod tests {
         // y = [1*1 + 2*0 + 3*1 + 10, 1*0 + 2*1 + 3*1 + 20] = [14, 25]
         assert_eq!(g.value(y).data(), &[14.0, 25.0]);
         assert_eq!(vars.len(), 2);
-    }
-
-    #[test]
-    fn dims_accessors() {
-        let l = Linear::new(5, 7, &mut StdRng::seed_from_u64(2));
-        assert_eq!(l.in_dim(), 5);
-        assert_eq!(l.out_dim(), 7);
     }
 
     #[test]

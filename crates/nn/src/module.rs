@@ -303,17 +303,6 @@ impl Network {
         out
     }
 
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        let mut n = 0;
-        Walk::run(&self.body, &mut |_, _, e| {
-            if let Entry::Param(_, t) = e {
-                n += t.numel();
-            }
-        });
-        n
-    }
-
     /// Named non-parameter state buffers (batch-norm running statistics)
     /// in canonical order — the complement of [`Network::params`] that a
     /// serialized model needs for exact inference reconstruction.
@@ -507,7 +496,7 @@ mod tests {
     #[test]
     fn num_scalars_counts_elements() {
         let net = two_layer_network();
-        assert_eq!(net.num_scalars(), 6);
+        assert_eq!(net.params().iter().map(Tensor::numel).sum::<usize>(), 6);
         assert_eq!(net.name(), "test");
     }
 }

@@ -61,16 +61,6 @@ impl BatchNorm2d {
     pub fn channels(&self) -> usize {
         self.gamma.numel()
     }
-
-    /// Current running mean estimate.
-    pub fn running_mean(&self) -> &[f32] {
-        &self.running_mean
-    }
-
-    /// Current running variance estimate.
-    pub fn running_var(&self) -> &[f32] {
-        &self.running_var
-    }
 }
 
 impl Layer for BatchNorm2d {
@@ -148,13 +138,13 @@ mod tests {
     #[test]
     fn train_mode_normalizes_and_updates_running_stats() {
         let mut bn = BatchNorm2d::new(2);
-        let before_mean = bn.running_mean().to_vec();
+        let before_mean = bn.running_mean.clone();
         let mut g = Graph::new();
         let x = g.input(sample_input());
         let mut vars = Vec::new();
         let y = bn.forward(&mut g, x, true, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[4, 2, 3, 3]);
-        assert_ne!(bn.running_mean(), before_mean.as_slice());
+        assert_ne!(bn.running_mean, before_mean);
         assert_eq!(vars.len(), 2);
     }
 
@@ -246,7 +236,7 @@ mod stat_freeze_tests {
     fn frozen_stats_do_not_move() {
         let mut bn = BatchNorm2d::new(2);
         let x_data = Tensor::from_fn([4, 2, 3, 3], |i| (i.iter().sum::<usize>() % 7) as f32);
-        let before = bn.running_mean().to_vec();
+        let before = bn.running_mean.clone();
         let prev = set_bn_running_stat_updates(false);
         {
             let mut g = hero_autodiff::Graph::new();
@@ -255,13 +245,13 @@ mod stat_freeze_tests {
             bn.forward(&mut g, x, true, &mut vars).unwrap();
         }
         set_bn_running_stat_updates(prev);
-        assert_eq!(bn.running_mean(), before.as_slice());
+        assert_eq!(bn.running_mean, before);
         // With updates re-enabled, stats move again.
         assert!(bn_running_stat_updates());
         let mut g = hero_autodiff::Graph::new();
         let x = g.input(x_data);
         let mut vars = Vec::new();
         bn.forward(&mut g, x, true, &mut vars).unwrap();
-        assert_ne!(bn.running_mean(), before.as_slice());
+        assert_ne!(bn.running_mean, before);
     }
 }

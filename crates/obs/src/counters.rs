@@ -1,20 +1,18 @@
-//! Lock-free hot-path counters and the global counter registry.
+//! Lock-free hot-path counters and the fixed set the snapshot reads.
 //!
 //! A [`Counter`] is a named `AtomicU64` declared as a `static`. The hot
 //! paths of the workspace increment the built-in counters below (gradient
 //! evaluations, scratch-pool hits vs. fresh allocations, packed-GEMM
-//! flops, NaN-taint trips from the `sanitize` feature); downstream crates
-//! can add their own with [`register`]. Increments are relaxed atomic
-//! adds, gated on the tracer's enable flag so a disabled build pays one
-//! relaxed load per site; under `obs-off` the increment compiles away
-//! entirely.
+//! flops, NaN-taint trips from the `sanitize` feature). Increments are
+//! relaxed atomic adds, gated on the tracer's enable flag so a disabled
+//! build pays one relaxed load per site; under `obs-off` the increment
+//! compiles away entirely.
 
 #[cfg(not(feature = "obs-off"))]
 use crate::span::is_enabled;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// A named monotonic counter (or gauge, via [`Counter::set`]).
+/// A named monotonic counter (or gauge, via [`Counter::sub`]).
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
@@ -22,8 +20,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Declares a counter. Use in a `static`, then [`register`] it (the
-    /// built-ins below are pre-registered).
+    /// Declares a counter. Use in a `static`; [`snapshot`] reads the
+    /// built-ins below.
     pub const fn new(name: &'static str) -> Self {
         Counter {
             name,
@@ -31,7 +29,7 @@ impl Counter {
         }
     }
 
-    /// The counter's registry name.
+    /// The counter's name in snapshots and trace events.
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -67,17 +65,6 @@ impl Counter {
         }
         #[cfg(feature = "obs-off")]
         let _ = n;
-    }
-
-    /// Overwrites the value (gauge semantics) when tracing is enabled.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        if is_enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = v;
     }
 
     /// Current value.
@@ -154,39 +141,15 @@ const BUILTINS: [&Counter; 18] = [
     &ARTIFACT_LOADS,
 ];
 
-fn registry() -> &'static Mutex<Vec<&'static Counter>> {
-    static REGISTRY: OnceLock<Mutex<Vec<&'static Counter>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BUILTINS.to_vec()))
-}
-
-/// Registers an additional counter so it appears in [`snapshot`] (and thus
-/// in every emitted `counters` event). Registering the same counter twice
-/// is a no-op.
-pub fn register(c: &'static Counter) {
-    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    if !reg.iter().any(|r| std::ptr::eq(*r, c)) {
-        reg.push(c);
-    }
-}
-
-/// A point-in-time reading of every registered counter.
+/// A point-in-time reading of every built-in counter.
 pub fn snapshot() -> Vec<(&'static str, u64)> {
-    registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .map(|c| (c.name(), c.get()))
-        .collect()
+    BUILTINS.iter().map(|c| (c.name(), c.get())).collect()
 }
 
-/// Resets every registered counter to zero (start of a measurement
+/// Resets every built-in counter to zero (start of a measurement
 /// window).
 pub fn reset_all() {
-    for c in registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-    {
+    for c in BUILTINS {
         c.reset();
     }
 }
@@ -203,18 +166,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn register_is_idempotent() {
-        static EXTRA: Counter = Counter::new("test_extra_counter");
-        register(&EXTRA);
-        register(&EXTRA);
-        let hits = snapshot()
-            .iter()
-            .filter(|(n, _)| *n == "test_extra_counter")
-            .count();
-        assert_eq!(hits, 1);
-    }
-
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn add_is_gated_on_enable() {
@@ -227,8 +178,6 @@ mod tests {
         GATED.add(5);
         GATED.incr();
         assert_eq!(GATED.get(), 6);
-        GATED.set(2);
-        assert_eq!(GATED.get(), 2);
         GATED.reset();
         crate::span::disable();
         assert_eq!(GATED.get(), 0);
@@ -241,7 +190,6 @@ mod tests {
         crate::span::enable();
         OFF.add(5);
         OFF.incr();
-        OFF.set(9);
         assert_eq!(OFF.get(), 0);
     }
 }

@@ -194,11 +194,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// True when the value is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// Parses one JSON document.
@@ -406,7 +401,7 @@ mod tests {
         assert_eq!(v.get("ev").and_then(Value::as_str), Some("epoch"));
         assert_eq!(v.get("epoch").and_then(Value::as_f64), Some(12.0));
         assert_eq!(v.get("loss").and_then(Value::as_f64), Some(0.125));
-        assert!(v.get("test_acc").is_some_and(Value::is_null));
+        assert_eq!(v.get("test_acc"), Some(&Value::Null));
     }
 
     #[test]

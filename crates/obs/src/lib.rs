@@ -6,12 +6,12 @@
 //! 1. **Span tracer** ([`span`], [`obs_span!`]): RAII scope guards over
 //!    thread-local span stacks with a global self/total-time aggregation
 //!    tree and an optional bounded raw-event buffer.
-//! 2. **Counters** ([`counters`]): named relaxed `AtomicU64`s in a global
-//!    registry — gradient evaluations, scratch-pool hit/miss, packed-GEMM
-//!    flops, NaN-taint trips.
+//! 2. **Counters** ([`counters`]): a fixed set of named relaxed
+//!    `AtomicU64` statics — gradient evaluations, scratch-pool hit/miss,
+//!    packed-GEMM flops, NaN-taint trips.
 //! 3. **Series** ([`series`]): named `(step, value)` time-series samples
-//!    and fixed-bin [`Histogram`]s — the spectrum observatory's training
-//!    telemetry, rolled into the run summary.
+//!    — the spectrum observatory's training telemetry, rolled into the run
+//!    summary.
 //! 4. **Sinks** ([`sink`]): a per-run JSONL event stream
 //!    (`results/TRACE_<run>.jsonl`), a run-summary table and a
 //!    Chrome-trace export, all sharing the one JSON writer in [`json`].
@@ -44,7 +44,7 @@ pub mod sink;
 pub mod span;
 pub mod summary;
 
-pub use series::{ascii_bars, record, series_snapshot, take_series, Histogram, SeriesSnapshot};
+pub use series::{ascii_bars, record, take_series, SeriesSnapshot};
 pub use sink::{finish, init_from_env, init_run, run_active, Event, RunArtifacts};
 pub use span::{
     disable, enable, enable_events, is_enabled, span, summary_rows, SpanEvent, SpanGuard,

@@ -1,19 +1,18 @@
-//! Time-series metrics and fixed-bin histograms — the data model behind
-//! the spectrum observatory's training telemetry.
+//! Time-series metrics and ASCII bar plots — the data model behind the
+//! spectrum observatory's training telemetry.
 //!
 //! A *series* is a named stream of `(step, value)` samples recorded with
 //! [`record`] — per-epoch λ_max, per-layer Hessian traces, density
-//! moments. Samples accumulate in a global registry (like the counter
-//! registry: always available, no handles to thread through call sites)
+//! moments. Samples accumulate in a global registry (like the counters:
+//! always available, no handles to thread through call sites)
 //! and are rolled up into `SUMMARY_<run>.json` when [`crate::finish`]
 //! closes the run, each series contributing one summary row alongside the
-//! span rows. A [`Histogram`] is a fixed-bin counting sink with an ASCII
-//! rendering used for spectral-density plots.
+//! span rows. [`ascii_bars`] renders the spectral-density plot.
 //!
 //! Under the `obs-off` feature [`record`] compiles to an inline no-op and
 //! snapshots are empty, matching the tracer's zero-cost contract.
 
-use crate::json::{list, JsonObj};
+use crate::json::JsonObj;
 
 /// Per-series sample cap: recording is epoch-cadenced, so this is far
 /// above any real run; it bounds memory if a hot loop misuses the sink.
@@ -136,24 +135,6 @@ impl SeriesSnapshot {
     }
 }
 
-/// Snapshots every recorded series without clearing the registry.
-pub fn series_snapshot() -> Vec<SeriesSnapshot> {
-    #[cfg(feature = "obs-off")]
-    {
-        Vec::new()
-    }
-    #[cfg(not(feature = "obs-off"))]
-    store::with(|all| {
-        all.iter()
-            .map(|s| SeriesSnapshot {
-                name: s.name.clone(),
-                samples: s.samples.clone(),
-                dropped: s.dropped,
-            })
-            .collect()
-    })
-}
-
 /// Drains every recorded series, leaving the registry empty (what
 /// [`crate::finish`] calls so the next run starts clean).
 pub fn take_series() -> Vec<SeriesSnapshot> {
@@ -172,96 +153,6 @@ pub fn take_series() -> Vec<SeriesSnapshot> {
             })
             .collect()
     })
-}
-
-/// A fixed-bin counting histogram over `[lo, hi)` with explicit under- and
-/// overflow bins; non-finite samples are counted separately and never
-/// poison the bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    non_finite: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    /// Degenerate ranges are widened symmetrically so every histogram has
-    /// positive bin width; `bins` is clamped to at least 1.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        let (mut lo, mut hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        if !(hi - lo).is_normal() {
-            let pad = lo.abs().max(1.0) * 0.5;
-            lo -= pad;
-            hi += pad;
-        }
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins.max(1)],
-            underflow: 0,
-            overflow: 0,
-            non_finite: 0,
-        }
-    }
-
-    /// Width of each bin.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.bin_width()
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            self.non_finite += 1;
-        } else if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let last = self.counts.len() - 1;
-            let i = ((v - self.lo) / self.bin_width()) as usize;
-            self.counts[i.min(last)] += 1;
-        }
-    }
-
-    /// Adds every sample from the iterator.
-    pub fn record_all(&mut self, values: impl IntoIterator<Item = f64>) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples recorded, including under/overflow and non-finite.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow + self.non_finite
-    }
-
-    /// Serializes the histogram as one JSON object (bins, edges, counts).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.f64("lo", self.lo)
-            .f64("hi", self.hi)
-            .u64("bins", self.counts.len() as u64)
-            .u64("underflow", self.underflow)
-            .u64("overflow", self.overflow)
-            .u64("non_finite", self.non_finite)
-            .raw("counts", &list(&self.counts));
-        o.finish()
-    }
 }
 
 /// Renders `values` as horizontal ASCII bars of at most `width` cells,
@@ -304,7 +195,7 @@ mod tests {
         record("trace/layer0", 2, 4.0);
         record("lambda_max", 1, 9.0);
         record("lambda_max", 2, f64::NAN);
-        let snap = series_snapshot();
+        let snap = take_series();
         assert_eq!(snap.len(), 2);
         let s0 = snap.iter().find(|s| s.name == "trace/layer0").unwrap();
         assert_eq!(s0.samples, vec![(1, 2.0), (2, 4.0)]);
@@ -318,8 +209,7 @@ mod tests {
         assert_eq!(lm.mean(), 9.0);
         assert!(lm.last().is_nan());
         // Draining empties the registry.
-        assert_eq!(take_series().len(), 2);
-        assert!(series_snapshot().is_empty());
+        assert!(take_series().is_empty());
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -347,38 +237,7 @@ mod tests {
     #[test]
     fn obs_off_series_is_a_no_op() {
         record("x", 1, 1.0);
-        assert!(series_snapshot().is_empty());
         assert!(take_series().is_empty());
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all([0.0, 1.9, 2.0, 9.99, -1.0, 10.0, f64::NAN]);
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-        assert!((h.bin_width() - 2.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        let v = crate::json::parse(&h.to_json()).expect("json");
-        use crate::json::Value;
-        assert_eq!(v.get("underflow").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(v.get("overflow").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(v.get("non_finite").and_then(Value::as_f64), Some(1.0));
-        let counts = v.get("counts").and_then(Value::as_arr).expect("counts");
-        assert_eq!(counts.len(), 5);
-        assert_eq!(counts[0].as_f64(), Some(2.0));
-    }
-
-    #[test]
-    fn histogram_degenerate_range_is_widened() {
-        let mut h = Histogram::new(3.0, 3.0, 4);
-        assert!(h.bin_width() > 0.0);
-        h.record(3.0); // must land in a bin, not a flow counter
-        assert_eq!(h.counts().iter().sum::<u64>(), 1);
-        // Reversed bounds are swapped, zero bins clamped to one.
-        let h2 = Histogram::new(5.0, -5.0, 0);
-        assert_eq!(h2.counts().len(), 1);
-        assert!(h2.bin_width() > 0.0);
     }
 
     #[test]

@@ -366,7 +366,7 @@ mod tests {
         let v = parse(epoch_line).expect("valid json line");
         assert_eq!(v.get("epoch").and_then(Value::as_f64), Some(7.0));
         assert_eq!(v.get("train_loss").and_then(Value::as_f64), Some(0.5));
-        assert!(v.get("test_acc").is_some_and(Value::is_null));
+        assert_eq!(v.get("test_acc"), Some(&Value::Null));
         // Summary + counters land in the stream too.
         assert!(text.contains("\"ev\": \"span_summary\""));
         assert!(text.contains("\"ev\": \"counters\""));
@@ -409,7 +409,7 @@ mod tests {
         assert_eq!(row.get("count").and_then(Value::as_f64), Some(2.0));
         assert_eq!(row.get("last").and_then(Value::as_f64), Some(4.0));
         // finish() drained the registry for the next run.
-        assert!(crate::series::series_snapshot().is_empty());
+        assert!(crate::series::take_series().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,11 +17,6 @@ pub struct BatchOracle<'a> {
     net: &'a mut Network,
     x: &'a Tensor,
     labels: &'a [usize],
-    /// When set, gradients are evaluated over this contiguous sample
-    /// range only. Note: the data-parallel executor does NOT use this —
-    /// its `ShardedOracle` precomputes per-shard tensor views instead;
-    /// see [`BatchOracle::with_range`].
-    range: Option<(usize, usize)>,
     calls: usize,
 }
 
@@ -32,32 +27,8 @@ impl<'a> BatchOracle<'a> {
             net,
             x,
             labels,
-            range: None,
             calls: 0,
         }
-    }
-
-    /// Builder: restricts the oracle to the shard `[start, start + len)`
-    /// of the batch. Loss and gradients become the *shard* means.
-    ///
-    /// This is a serial reference implementation of shard-mean math, kept
-    /// for unit tests and experiments. The data-parallel executor
-    /// (`hero_parallel::ShardedOracle`) does not call it: workers there
-    /// receive precomputed per-shard tensor views instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the range exceeds the batch.
-    pub fn with_range(mut self, start: usize, len: usize) -> Result<Self> {
-        let n = self.labels.len();
-        if len == 0 || start + len > n {
-            return Err(hero_tensor::TensorError::InvalidArgument(format!(
-                "shard range [{start}, {}) invalid for batch of {n} samples",
-                start + len
-            )));
-        }
-        self.range = Some((start, len));
-        Ok(self)
     }
 
     /// Number of gradient evaluations performed so far.
@@ -77,13 +48,7 @@ impl GradOracle for BatchOracle<'_> {
         // weights, which must not contaminate the batch-norm running
         // statistics used at eval time.
         let prev = hero_nn::norm::set_bn_running_stat_updates(self.calls == 0);
-        let out = match self.range {
-            Some((start, len)) => self
-                .x
-                .narrow(start, len)
-                .and_then(|x| loss_and_grads(self.net, &x, &self.labels[start..start + len])),
-            None => loss_and_grads(self.net, self.x, self.labels),
-        };
+        let out = loss_and_grads(self.net, self.x, self.labels);
         hero_nn::norm::set_bn_running_stat_updates(prev);
         self.calls += 1;
         let out = out?;
@@ -159,34 +124,6 @@ mod tests {
         let (loss, grads) = oracle.grad(&params).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
         assert_eq!(grads.len(), params.len());
-    }
-
-    #[test]
-    fn shard_range_view_matches_manual_narrow() {
-        let (mut net, x, y) = toy_problem();
-        let params = net.params();
-        let (loss_view, grads_view) = {
-            let mut oracle = BatchOracle::new(&mut net, &x, &y).with_range(4, 8).unwrap();
-            oracle.grad(&params).unwrap()
-        };
-        let shard_x = x.narrow(4, 8).unwrap();
-        let shard_y = &y[4..12];
-        let mut oracle = BatchOracle::new(&mut net, &shard_x, shard_y);
-        let (loss_manual, grads_manual) = oracle.grad(&params).unwrap();
-        assert_eq!(loss_view.to_bits(), loss_manual.to_bits());
-        for (a, b) in grads_view.iter().zip(&grads_manual) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn shard_range_rejects_bad_bounds() {
-        let (mut net, x, y) = toy_problem();
-        assert!(BatchOracle::new(&mut net, &x, &y)
-            .with_range(10, 10)
-            .is_err());
-        let (mut net, x, y) = toy_problem();
-        assert!(BatchOracle::new(&mut net, &x, &y).with_range(0, 0).is_err());
     }
 
     #[test]

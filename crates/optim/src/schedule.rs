@@ -1,17 +1,11 @@
 //! Learning-rate schedules.
 //!
 //! The paper trains every method with a cosine schedule from an initial
-//! learning rate of 0.1 (§5.1); constant and step schedules are provided
-//! for tests and ablations.
+//! learning rate of 0.1 (§5.1).
 
 /// A learning-rate schedule mapping a step index to a learning rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
-    /// Fixed learning rate.
-    Constant {
-        /// The learning rate.
-        lr: f32,
-    },
     /// Cosine annealing from `lr` to `min_lr` over `total_steps` (the
     /// paper's setting with `min_lr = 0`).
     Cosine {
@@ -22,32 +16,13 @@ pub enum LrSchedule {
         /// Horizon over which to anneal.
         total_steps: usize,
     },
-    /// Multiply by `gamma` every `period` steps.
-    Step {
-        /// Initial learning rate.
-        lr: f32,
-        /// Decay factor per period.
-        gamma: f32,
-        /// Steps between decays.
-        period: usize,
-    },
 }
 
 impl LrSchedule {
-    /// The paper's default: cosine from 0.1 to 0 over the training run.
-    pub fn paper_default(total_steps: usize) -> Self {
-        LrSchedule::Cosine {
-            lr: 0.1,
-            min_lr: 0.0,
-            total_steps,
-        }
-    }
-
     /// Learning rate at `step` (0-based). Steps past the horizon clamp to
     /// the final value.
     pub fn at(&self, step: usize) -> f32 {
         match *self {
-            LrSchedule::Constant { lr } => lr,
             LrSchedule::Cosine {
                 lr,
                 min_lr,
@@ -59,10 +34,6 @@ impl LrSchedule {
                 let t = (step.min(total_steps)) as f32 / total_steps as f32;
                 min_lr + 0.5 * (lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
             }
-            LrSchedule::Step { lr, gamma, period } => {
-                let k = step.checked_div(period).unwrap_or(0);
-                lr * gamma.powi(k as i32)
-            }
         }
     }
 }
@@ -70,13 +41,6 @@ impl LrSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_never_changes() {
-        let s = LrSchedule::Constant { lr: 0.05 };
-        assert_eq!(s.at(0), 0.05);
-        assert_eq!(s.at(10_000), 0.05);
-    }
 
     #[test]
     fn cosine_starts_high_ends_low() {
@@ -93,7 +57,11 @@ mod tests {
 
     #[test]
     fn cosine_is_monotone_decreasing() {
-        let s = LrSchedule::paper_default(200);
+        let s = LrSchedule::Cosine {
+            lr: 0.1,
+            min_lr: 0.0,
+            total_steps: 200,
+        };
         let mut prev = f32::INFINITY;
         for step in 0..=200 {
             let lr = s.at(step);
@@ -110,32 +78,5 @@ mod tests {
             total_steps: 0,
         };
         assert_eq!(s.at(0), 0.01);
-    }
-
-    #[test]
-    fn step_decays_by_gamma() {
-        let s = LrSchedule::Step {
-            lr: 1.0,
-            gamma: 0.1,
-            period: 10,
-        };
-        assert_eq!(s.at(0), 1.0);
-        assert_eq!(s.at(9), 1.0);
-        assert!((s.at(10) - 0.1).abs() < 1e-7);
-        assert!((s.at(25) - 0.01).abs() < 1e-7);
-        // Zero period never decays rather than dividing by zero.
-        let s0 = LrSchedule::Step {
-            lr: 1.0,
-            gamma: 0.1,
-            period: 0,
-        };
-        assert_eq!(s0.at(100), 1.0);
-    }
-
-    #[test]
-    fn paper_default_matches_section_5_1() {
-        let s = LrSchedule::paper_default(100);
-        assert!((s.at(0) - 0.1).abs() < 1e-6);
-        assert!(s.at(100).abs() < 1e-6);
     }
 }

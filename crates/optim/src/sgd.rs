@@ -22,11 +22,6 @@ impl SgdState {
         }
     }
 
-    /// The momentum coefficient.
-    pub fn momentum(&self) -> f32 {
-        self.momentum
-    }
-
     /// Applies one update in place: `v ← μv + g`, `p ← p − η·v` for every
     /// (parameter, gradient) pair.
     ///
@@ -129,7 +124,7 @@ mod tests {
         let mut p2 = vec![Tensor::zeros([1])];
         s.update(&mut p2, &g, 1.0).unwrap();
         assert_eq!(p2[0].data(), &[-1.0]); // no residual velocity
-        assert_eq!(s.momentum(), 0.9);
+        assert_eq!(s.momentum, 0.9);
     }
 
     #[test]

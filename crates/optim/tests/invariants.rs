@@ -47,21 +47,6 @@ fn cosine_is_monotone_nonincreasing() {
     }
 }
 
-#[test]
-fn step_schedule_decays_geometrically() {
-    let mut rng = StdRng::seed_from_u64(0x0973);
-    for _ in 0..64 {
-        let lr = rng.gen_range(0.01f32..1.0);
-        let gamma = rng.gen_range(0.1f32..0.9);
-        let period = rng.gen_range(1..50usize);
-        let k = rng.gen_range(0..5usize);
-        let s = LrSchedule::Step { lr, gamma, period };
-        let expected = lr * gamma.powi(k as i32);
-        let v = s.at(k * period);
-        assert!((v - expected).abs() <= 1e-4 * expected.max(1e-9));
-    }
-}
-
 /// Gradient descent with a stable learning rate contracts toward the
 /// minimizer of any well-conditioned diagonal quadratic.
 #[test]

@@ -1,7 +1,7 @@
 //! Steady-state allocation test for the training hot path.
 //!
 //! After a warm-up step has populated the scratch pool (pack panels, matmul
-//! outputs, im2col column matrices, graph values, gradients, optimizer
+//! and convolution outputs, graph values, gradients, optimizer
 //! workspaces), every subsequent step must be served entirely from recycled
 //! buffers: `pool::stats().fresh_allocs` stays at zero across the
 //! measurement window. This is the pool-counter proof of the "O(1) new

@@ -54,7 +54,6 @@ pub fn threads_from_env() -> usize {
 #[derive(Debug)]
 pub struct ParallelCtx {
     pool: WorkerPool<WorkerState, Result<ShardGrad>>,
-    shards: usize,
 }
 
 impl ParallelCtx {
@@ -76,32 +75,12 @@ impl ParallelCtx {
             .collect();
         Ok(ParallelCtx {
             pool: WorkerPool::new(states),
-            shards: DEFAULT_SHARDS,
         })
-    }
-
-    /// Builder: overrides the shard count. Changing it changes the f32
-    /// result (a different reduction tree), so every run being compared
-    /// must use the same value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards = shards;
-        self
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// Number of shards each batch is split into.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 }
 
@@ -140,7 +119,7 @@ impl<'a> ShardedOracle<'a> {
                 labels.len()
             )));
         }
-        let shards = hero_data::shard_bounds(n, ctx.shards)
+        let shards = hero_data::shard_bounds(n, DEFAULT_SHARDS)
             .into_iter()
             .map(|(start, len)| {
                 Ok(ShardTask {

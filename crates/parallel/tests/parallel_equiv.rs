@@ -130,23 +130,6 @@ fn parallel_training_reduces_loss() {
 }
 
 #[test]
-fn shard_count_override_changes_plan_but_stays_deterministic() {
-    let (net, x, labels) = toy();
-    let run = |threads: usize| {
-        let (mut net, x, labels) = (net.clone(), x.clone(), labels.clone());
-        let mut ctx = ParallelCtx::new(&net, threads).unwrap().with_shards(3);
-        assert_eq!(ctx.shards(), 3);
-        let mut opt = Optimizer::new(Method::Sgd);
-        for _ in 0..4 {
-            train_step_parallel(&mut ctx, &mut net, &mut opt, &x, &labels, 0.1).unwrap();
-        }
-        param_bits(&net)
-    };
-    assert_eq!(run(1), run(4));
-    let _ = (x, labels);
-}
-
-#[test]
 fn mismatched_labels_surface_as_clean_error() {
     let (mut net, x, _) = toy();
     let mut ctx = ParallelCtx::new(&net, 2).unwrap();

@@ -1,9 +1,10 @@
 //! # hero-quant
 //!
 //! Post-training linear uniform weight quantization for the HERO (DAC 2022)
-//! reproduction: symmetric/asymmetric grids, per-tensor (per-layer) or
-//! per-channel ranges, min-max or percentile calibration, and whole-network
-//! fake quantization that touches weight tensors only.
+//! reproduction on the paper's grid: symmetric, one range per weight tensor
+//! (per layer), min-max calibration (percentile clipping is kept to produce
+//! real clipping in the analyzer's crosscheck), and whole-network fake
+//! quantization that touches weight tensors only.
 //!
 //! The implementation is property-tested against the premise of the paper's
 //! Theorem 2: with min-max calibration, `‖W_q − W‖∞ ≤ Δ/2`.
@@ -18,7 +19,7 @@
 //! let w = Tensor::from_vec(vec![-0.9, -0.2, 0.3, 0.8], [4])?;
 //! let q = quantize_tensor(&w, &QuantScheme::symmetric(4)?)?;
 //! let worst = q.values.sub(&w)?.norm_linf();
-//! assert!(worst <= q.max_bin_width() / 2.0 + 1e-6);
+//! assert!(worst <= q.bin_width / 2.0 + 1e-6);
 //! # Ok(())
 //! # }
 //! ```
@@ -32,7 +33,7 @@ mod scheme;
 mod sensitivity;
 
 pub use mixed::{allocate_bits, network_sensitivities, quantize_params_mixed, LayerSensitivity};
-pub use model::{quantize_network, quantize_params, ModelQuantReport};
+pub use model::{quantize_params, ModelQuantReport};
 pub use quantizer::{quant_error, quantize_tensor, QuantError, QuantizedTensor};
-pub use scheme::{Calibration, Granularity, QuantMode, QuantScheme};
+pub use scheme::{Calibration, QuantScheme};
 pub use sensitivity::{SensitivityMatrix, StaticSensitivity};

@@ -206,7 +206,7 @@ pub fn network_sensitivities(net: &Network) -> Vec<LayerSensitivity> {
 /// # Errors
 ///
 /// Returns an error if `bits` does not match the number of quantizable
-/// tensors.
+/// tensors or holds a width outside `1..=16`.
 pub fn quantize_params_mixed(
     net: &Network,
     bits: &[u8],
@@ -219,8 +219,7 @@ pub fn quantize_params_mixed(
             bits.len()
         )));
     }
-    let widest = QuantScheme::symmetric(bits.iter().copied().max().unwrap_or(8))?;
-    quantize_each(net, widest, |i| QuantScheme::symmetric(bits[i]))
+    quantize_each(net, |i| QuantScheme::symmetric(bits[i]))
 }
 
 #[cfg(test)]

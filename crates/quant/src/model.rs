@@ -8,8 +8,6 @@ use hero_tensor::{Result, Tensor};
 /// Summary of quantizing one network snapshot.
 #[derive(Debug, Clone)]
 pub struct ModelQuantReport {
-    /// The scheme applied.
-    pub scheme: QuantScheme,
     /// Number of weight tensors quantized.
     pub quantized_tensors: usize,
     /// Number of tensors left full-precision (biases, batch-norm params).
@@ -35,21 +33,19 @@ pub fn quantize_params(
     net: &Network,
     scheme: &QuantScheme,
 ) -> Result<(Vec<Tensor>, ModelQuantReport)> {
-    quantize_each(net, *scheme, |_| Ok(*scheme))
+    quantize_each(net, |_| Ok(*scheme))
 }
 
 /// Fake-quantizes the `i`-th quantizable tensor under `scheme_of(i)` and
-/// passes every other parameter through; `scheme` labels the report.
+/// passes every other parameter through.
 pub(crate) fn quantize_each(
     net: &Network,
-    scheme: QuantScheme,
     mut scheme_of: impl FnMut(usize) -> Result<QuantScheme>,
 ) -> Result<(Vec<Tensor>, ModelQuantReport)> {
     let _obs = hero_obs::span("quantize");
     let params = net.params();
     let mut out = Vec::with_capacity(params.len());
     let mut report = ModelQuantReport {
-        scheme,
         quantized_tensors: 0,
         skipped_tensors: 0,
         worst_linf: 0.0,
@@ -64,7 +60,7 @@ pub(crate) fn quantize_each(
             hero_obs::counters::QUANT_TENSORS.incr();
             report.quantized_tensors += 1;
             report.worst_linf = report.worst_linf.max(err.linf);
-            report.max_bin_width = report.max_bin_width.max(q.max_bin_width());
+            report.max_bin_width = report.max_bin_width.max(q.bin_width);
             mse_acc += err.mse;
             out.push(q.values);
         } else {
@@ -76,19 +72,6 @@ pub(crate) fn quantize_each(
         report.mean_mse = mse_acc / report.quantized_tensors as f32;
     }
     Ok((out, report))
-}
-
-/// Applies post-training quantization to the network in place and returns
-/// the report. Use [`quantize_params`] plus [`Network::set_params`] to keep
-/// the original weights around.
-///
-/// # Errors
-///
-/// Propagates quantizer and shape errors.
-pub fn quantize_network(net: &mut Network, scheme: &QuantScheme) -> Result<ModelQuantReport> {
-    let (params, report) = quantize_params(net, scheme)?;
-    net.set_params(&params)?;
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -150,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn quantize_network_installs_quantized_weights() {
+    fn quantized_params_install_into_the_network() {
         let cfg = ModelConfig {
             classes: 3,
             in_channels: 1,
@@ -158,13 +141,15 @@ mod tests {
             width: 4,
         };
         let mut net = mlp(cfg, &[8], &mut rng());
+        let scheme = QuantScheme::symmetric(3).unwrap();
         let before = net.params();
-        let report = quantize_network(&mut net, &QuantScheme::symmetric(3).unwrap()).unwrap();
+        let (params, report) = quantize_params(&net, &scheme).unwrap();
+        net.set_params(&params).unwrap();
         let after = net.params();
         assert_ne!(before, after);
         assert!(report.worst_linf > 0.0);
         // Quantizing again is a no-op (idempotence at network level).
-        let again = quantize_network(&mut net, &QuantScheme::symmetric(3).unwrap()).unwrap();
+        let (_, again) = quantize_params(&net, &scheme).unwrap();
         assert!(again.worst_linf < 1e-5);
     }
 
@@ -179,7 +164,8 @@ mod tests {
         let mut net = mlp(cfg, &[16], &mut StdRng::seed_from_u64(12));
         let x = Tensor::from_fn([6, 1, 4, 4], |i| (i.iter().sum::<usize>() % 5) as f32 - 2.0);
         let before = net.predict(&x).unwrap();
-        quantize_network(&mut net, &QuantScheme::symmetric(8).unwrap()).unwrap();
+        let (params, _) = quantize_params(&net, &QuantScheme::symmetric(8).unwrap()).unwrap();
+        net.set_params(&params).unwrap();
         let after = net.predict(&x).unwrap();
         let drift = before.sub(&after).unwrap().norm_linf();
         assert!(drift < 0.05, "8-bit drift {drift}");

@@ -1,6 +1,6 @@
 //! Fake-quantization (quantize→dequantize) of weight tensors.
 
-use crate::scheme::{Calibration, Granularity, QuantMode, QuantScheme};
+use crate::scheme::{Calibration, QuantScheme};
 use hero_tensor::{Result, Tensor, TensorError};
 
 /// Result of quantizing one tensor: the dequantized values plus the grid
@@ -9,17 +9,8 @@ use hero_tensor::{Result, Tensor, TensorError};
 pub struct QuantizedTensor {
     /// Dequantized (fake-quantized) values, same shape as the input.
     pub values: Tensor,
-    /// Bin width Δ per range group (one entry per tensor, or per channel).
-    pub bin_widths: Vec<f32>,
-    /// The scheme used.
-    pub scheme: QuantScheme,
-}
-
-impl QuantizedTensor {
-    /// The largest bin width Δ across groups — the `2ρ` of Theorem 2.
-    pub fn max_bin_width(&self) -> f32 {
-        self.bin_widths.iter().copied().fold(0.0, f32::max)
-    }
+    /// Bin width Δ of the tensor's grid — the `2ρ` of Theorem 2.
+    pub bin_width: f32,
 }
 
 /// Calibrated clipping range for a slice of values.
@@ -44,61 +35,14 @@ fn calibrate_range(values: &[f32], calibration: Calibration) -> (f32, f32) {
     }
 }
 
-/// Quantizes one contiguous group of values in place into `out`.
-/// Returns the bin width Δ.
-fn quantize_group(values: &[f32], out: &mut [f32], scheme: &QuantScheme) -> f32 {
-    let (lo, hi) = calibrate_range(values, scheme.calibration);
-    match scheme.mode {
-        QuantMode::Symmetric => {
-            let max_abs = lo.abs().max(hi.abs());
-            let half_levels = QuantScheme::half_levels(scheme.bits) as f32; // 2^(n-1) - 1
-            if max_abs <= f32::MIN_POSITIVE {
-                out.fill(0.0);
-                return 0.0;
-            }
-            let scale = max_abs / half_levels;
-            for (o, &v) in out.iter_mut().zip(values) {
-                let q = (v / scale).round().clamp(-half_levels, half_levels);
-                *o = q * scale;
-            }
-            scale
-        }
-        QuantMode::Asymmetric => {
-            let levels = (scheme.levels() - 1).max(1) as f32;
-            let span = hi - lo;
-            if span <= f32::MIN_POSITIVE {
-                out.fill(lo);
-                return 0.0;
-            }
-            let scale = span / levels;
-            let zp = (-lo / scale).round();
-            for (o, &v) in out.iter_mut().zip(values) {
-                let q = ((v / scale) + zp).round().clamp(0.0, levels) - zp;
-                *o = q * scale;
-            }
-            scale
-        }
-    }
-}
-
-/// Fake-quantizes a weight tensor under `scheme`.
-///
-/// Per-channel granularity treats the leading axis as the channel axis
-/// (rows of a flattened convolution weight, rows of `(out,in)` layouts are
-/// columns — for the `(in, out)` dense layout the per-tensor path is the
-/// sensible choice; per-channel is primarily for conv weights).
+/// Fake-quantizes a weight tensor under `scheme`: one symmetric range for
+/// the whole tensor.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for a zero bit width or a
-/// per-channel request on a rank-0 tensor.
+/// Returns [`TensorError::InvalidArgument`] for a percentile outside
+/// `[0.5, 1.0]`.
 pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> Result<QuantizedTensor> {
-    if scheme.bits == 0 || scheme.bits > 16 {
-        return Err(TensorError::InvalidArgument(format!(
-            "bit width {} out of supported range 1..=16",
-            scheme.bits
-        )));
-    }
     if let Calibration::Percentile(q) = scheme.calibration {
         if !(0.5..=1.0).contains(&q) {
             return Err(TensorError::InvalidArgument(format!(
@@ -106,32 +50,24 @@ pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> Result<QuantizedTens
             )));
         }
     }
+    let values = t.data();
+    let (lo, hi) = calibrate_range(values, scheme.calibration);
+    let max_abs = lo.abs().max(hi.abs());
+    let half_levels = QuantScheme::half_levels(scheme.bits) as f32; // 2^(n-1) - 1
     let mut out = vec![0.0f32; t.numel()];
-    let mut bin_widths = Vec::new();
-    match scheme.granularity {
-        Granularity::PerTensor => {
-            let delta = quantize_group(t.data(), &mut out, scheme);
-            bin_widths.push(delta);
+    let bin_width = if max_abs <= f32::MIN_POSITIVE {
+        0.0
+    } else {
+        let scale = max_abs / half_levels;
+        for (o, &v) in out.iter_mut().zip(values) {
+            let q = (v / scale).round().clamp(-half_levels, half_levels);
+            *o = q * scale;
         }
-        Granularity::PerChannel => {
-            if t.rank() == 0 {
-                return Err(TensorError::InvalidArgument(
-                    "per-channel quantization needs rank >= 1".into(),
-                ));
-            }
-            let channels = t.dims()[0];
-            let chunk = t.numel() / channels.max(1);
-            for c in 0..channels {
-                let range = c * chunk..(c + 1) * chunk;
-                let delta = quantize_group(&t.data()[range.clone()], &mut out[range], scheme);
-                bin_widths.push(delta);
-            }
-        }
-    }
+        scale
+    };
     Ok(QuantizedTensor {
         values: Tensor::from_vec(out, t.shape().clone())?,
-        bin_widths,
-        scheme: *scheme,
+        bin_width,
     })
 }
 
@@ -178,21 +114,11 @@ mod tests {
             let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap()).unwrap();
             let err = quant_error(&w, &q.values).unwrap();
             assert!(
-                err.linf <= q.max_bin_width() / 2.0 + 1e-6,
+                err.linf <= q.bin_width / 2.0 + 1e-6,
                 "{bits}-bit: linf {} > Δ/2 {}",
                 err.linf,
-                q.max_bin_width() / 2.0
+                q.bin_width / 2.0
             );
-        }
-    }
-
-    #[test]
-    fn asymmetric_error_bounded_by_half_bin() {
-        let w = t(&[0.1, 0.5, 0.9, 1.3, 2.0]); // strictly positive range
-        for bits in 2..=8 {
-            let q = quantize_tensor(&w, &QuantScheme::asymmetric(bits).unwrap()).unwrap();
-            let err = quant_error(&w, &q.values).unwrap();
-            assert!(err.linf <= q.max_bin_width() / 2.0 + 1e-6);
         }
     }
 
@@ -242,7 +168,7 @@ mod tests {
     fn values_lie_on_the_grid() {
         let w = Tensor::from_fn([30], |i| (i[0] as f32 * 0.21).cos() * 2.0);
         let q = quantize_tensor(&w, &QuantScheme::symmetric(3).unwrap()).unwrap();
-        let delta = q.bin_widths[0];
+        let delta = q.bin_width;
         for &v in q.values.data() {
             let steps = v / delta;
             assert!(
@@ -257,26 +183,7 @@ mod tests {
         let w = Tensor::zeros([8]);
         let q = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap()).unwrap();
         assert_eq!(q.values.data(), w.data());
-        assert_eq!(q.max_bin_width(), 0.0);
-        let c = Tensor::full([8], 3.0);
-        let qa = quantize_tensor(&c, &QuantScheme::asymmetric(4).unwrap()).unwrap();
-        // Range [0, 3]: representable, error within Δ/2.
-        let err = quant_error(&c, &qa.values).unwrap();
-        assert!(err.linf <= qa.max_bin_width() / 2.0 + 1e-6);
-    }
-
-    #[test]
-    fn per_channel_gives_one_bin_per_row() {
-        let w = Tensor::from_vec(vec![0.1, -0.1, 10.0, -10.0], [2, 2]).unwrap();
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap().per_channel()).unwrap();
-        assert_eq!(q.bin_widths.len(), 2);
-        // Small-range channel gets a much finer grid.
-        assert!(q.bin_widths[0] < q.bin_widths[1] / 50.0);
-        // Per-channel is at least as accurate as per-tensor here.
-        let qt = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap()).unwrap();
-        let err_c = quant_error(&w, &q.values).unwrap();
-        let err_t = quant_error(&w, &qt.values).unwrap();
-        assert!(err_c.mse <= err_t.mse + 1e-9);
+        assert_eq!(q.bin_width, 0.0);
     }
 
     #[test]
@@ -294,7 +201,7 @@ mod tests {
         .unwrap();
         let minmax = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap()).unwrap();
         // The percentile grid is far finer than the outlier-dominated one.
-        assert!(clipped.bin_widths[0] < minmax.bin_widths[0] / 10.0);
+        assert!(clipped.bin_width < minmax.bin_width / 10.0);
         // But the outlier itself is clipped hard.
         let outlier_err = (clipped.values.data()[99] - 100.0).abs();
         assert!(outlier_err > 50.0);
@@ -303,24 +210,13 @@ mod tests {
     #[test]
     fn validates_arguments() {
         let w = t(&[1.0]);
-        // Out-of-range widths are rejected at construction now…
+        // Out-of-range widths are rejected at construction.
         assert!(QuantScheme::symmetric(0).is_err());
         assert!(QuantScheme::symmetric(17).is_err());
-        assert!(QuantScheme::asymmetric(32).is_err());
-        // …but quantize_tensor still validates a hand-built scheme.
-        let zero_bits = QuantScheme {
-            bits: 0,
-            ..QuantScheme::symmetric(4).unwrap()
-        };
-        assert!(quantize_tensor(&w, &zero_bits).is_err());
+        assert!(QuantScheme::symmetric(32).is_err());
         assert!(
             quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap().with_percentile(0.3)).is_err()
         );
-        assert!(quantize_tensor(
-            &Tensor::scalar(1.0),
-            &QuantScheme::symmetric(4).unwrap().per_channel()
-        )
-        .is_err());
         assert!(quant_error(&w, &t(&[1.0, 2.0])).is_err());
     }
 }

@@ -1,28 +1,8 @@
-//! Quantization scheme description: precision, symmetry, granularity and
-//! range calibration.
+//! Quantization scheme description: precision and range calibration on the
+//! paper's grid (symmetric, one range per weight tensor).
 
 use hero_tensor::{Result, TensorError};
 use std::fmt;
-
-/// Whether the quantization grid is centred on zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuantMode {
-    /// Zero-centred grid `[-A, A]`; zero is exactly representable. The
-    /// common choice for weights and the paper's setting.
-    Symmetric,
-    /// Affine grid `[min, max]` with a zero point.
-    Asymmetric,
-}
-
-/// At what granularity ranges are calibrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Granularity {
-    /// One range per weight tensor (the paper's per-layer setting).
-    PerTensor,
-    /// One range per output channel (row of the flattened weight) — the
-    /// scheme-design extension discussed in §2.2's related work.
-    PerChannel,
-}
 
 /// How the clipping range is chosen from the data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,12 +15,13 @@ pub enum Calibration {
     Percentile(f32),
 }
 
-/// A complete linear uniform quantization scheme.
+/// A linear uniform quantization scheme: a zero-centred grid `[-A, A]`
+/// (zero is exactly representable) with one range per weight tensor — the
+/// paper's per-layer setting.
 ///
-/// Constructed via [`QuantScheme::symmetric`] / [`QuantScheme::asymmetric`],
-/// which validate `1 ≤ bits ≤ 16` up front — a `bits ≥ 32` scheme used to
-/// reach [`QuantScheme::levels`]' `1 << bits` and die with a debug-build
-/// shift overflow instead of a typed error.
+/// Constructed via [`QuantScheme::symmetric`], which validates
+/// `1 ≤ bits ≤ 16` up front; the fields are private, so no scheme with
+/// another width exists.
 ///
 /// # Examples
 ///
@@ -48,36 +29,22 @@ pub enum Calibration {
 /// use hero_quant::QuantScheme;
 ///
 /// let s = QuantScheme::symmetric(4).unwrap();
-/// assert_eq!(s.bits, 4);
-/// assert_eq!(s.levels(), 15); // symmetric grid uses 2^n - 1 levels
+/// assert_eq!(s.to_string(), "4-bit sym per-tensor");
+/// assert_eq!(QuantScheme::half_levels(4), 7); // levels -7..=7
 /// assert!(QuantScheme::symmetric(32).is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantScheme {
-    /// Bit width `n`; the grid has at most `2^n` levels.
-    pub bits: u8,
-    /// Symmetric or asymmetric grid.
-    pub mode: QuantMode,
-    /// Per-tensor or per-channel ranges.
-    pub granularity: Granularity,
+    /// Bit width `n`; the grid has `2^n − 1` levels.
+    pub(crate) bits: u8,
     /// Range calibration rule.
-    pub calibration: Calibration,
+    pub(crate) calibration: Calibration,
 }
 
 impl QuantScheme {
     /// Largest supported bit width. Wider grids gain nothing over `f32`
     /// weights and would overflow the `u32` level arithmetic.
     pub const MAX_BITS: u8 = 16;
-
-    fn validate_bits(bits: u8) -> Result<()> {
-        if bits == 0 || bits > Self::MAX_BITS {
-            return Err(TensorError::InvalidArgument(format!(
-                "quantization bit width {bits} outside the supported 1..={} range",
-                Self::MAX_BITS
-            )));
-        }
-        Ok(())
-    }
 
     /// Symmetric per-tensor min-max scheme at `bits` — the paper's
     /// post-training quantization setting.
@@ -86,32 +53,16 @@ impl QuantScheme {
     ///
     /// Returns [`TensorError::InvalidArgument`] unless `1 ≤ bits ≤ 16`.
     pub fn symmetric(bits: u8) -> Result<Self> {
-        Self::validate_bits(bits)?;
+        if bits == 0 || bits > Self::MAX_BITS {
+            return Err(TensorError::InvalidArgument(format!(
+                "quantization bit width {bits} outside the supported 1..={} range",
+                Self::MAX_BITS
+            )));
+        }
         Ok(QuantScheme {
             bits,
-            mode: QuantMode::Symmetric,
-            granularity: Granularity::PerTensor,
             calibration: Calibration::MinMax,
         })
-    }
-
-    /// Asymmetric per-tensor min-max scheme at `bits`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] unless `1 ≤ bits ≤ 16`.
-    pub fn asymmetric(bits: u8) -> Result<Self> {
-        Ok(QuantScheme {
-            mode: QuantMode::Asymmetric,
-            ..QuantScheme::symmetric(bits)?
-        })
-    }
-
-    /// Switches to per-channel granularity.
-    #[must_use]
-    pub fn per_channel(mut self) -> Self {
-        self.granularity = Granularity::PerChannel;
-        self
     }
 
     /// Switches to percentile calibration at quantile `q` (0.5 < q ≤ 1).
@@ -119,18 +70,6 @@ impl QuantScheme {
     pub fn with_percentile(mut self, q: f32) -> Self {
         self.calibration = Calibration::Percentile(q);
         self
-    }
-
-    /// Number of representable levels: `2^n - 1` for symmetric grids
-    /// (levels are mirrored around an exact zero), `2^n` for asymmetric.
-    /// Shift-safe even for a hand-built scheme with out-of-range `bits`
-    /// (the constructors reject those).
-    pub fn levels(&self) -> u32 {
-        let b = u32::from(self.bits.min(31));
-        match self.mode {
-            QuantMode::Symmetric => (1u32 << b) - 1,
-            QuantMode::Asymmetric => 1u32 << b,
-        }
     }
 
     /// Number of levels on each side of zero for a symmetric grid at
@@ -143,15 +82,7 @@ impl QuantScheme {
 
 impl fmt::Display for QuantScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mode = match self.mode {
-            QuantMode::Symmetric => "sym",
-            QuantMode::Asymmetric => "asym",
-        };
-        let gran = match self.granularity {
-            Granularity::PerTensor => "per-tensor",
-            Granularity::PerChannel => "per-channel",
-        };
-        write!(f, "{}-bit {mode} {gran}", self.bits)
+        write!(f, "{}-bit sym per-tensor", self.bits)
     }
 }
 
@@ -163,28 +94,13 @@ mod tests {
     fn constructors_set_fields() {
         let s = QuantScheme::symmetric(8).unwrap();
         assert_eq!(s.bits, 8);
-        assert_eq!(s.mode, QuantMode::Symmetric);
-        assert_eq!(s.granularity, Granularity::PerTensor);
         assert_eq!(s.calibration, Calibration::MinMax);
-        let a = QuantScheme::asymmetric(4).unwrap();
-        assert_eq!(a.mode, QuantMode::Asymmetric);
-    }
-
-    #[test]
-    fn levels_match_mode() {
-        assert_eq!(QuantScheme::symmetric(8).unwrap().levels(), 255);
-        assert_eq!(QuantScheme::asymmetric(8).unwrap().levels(), 256);
-        assert_eq!(QuantScheme::symmetric(2).unwrap().levels(), 3);
-        assert_eq!(QuantScheme::asymmetric(1).unwrap().levels(), 2);
     }
 
     #[test]
     fn builders_compose() {
-        let s = QuantScheme::symmetric(4)
-            .unwrap()
-            .per_channel()
-            .with_percentile(0.99);
-        assert_eq!(s.granularity, Granularity::PerChannel);
+        let s = QuantScheme::symmetric(4).unwrap().with_percentile(0.99);
+        assert_eq!(s.bits, 4);
         assert_eq!(s.calibration, Calibration::Percentile(0.99));
     }
 
@@ -193,13 +109,6 @@ mod tests {
         assert_eq!(
             QuantScheme::symmetric(4).unwrap().to_string(),
             "4-bit sym per-tensor"
-        );
-        assert_eq!(
-            QuantScheme::asymmetric(8)
-                .unwrap()
-                .per_channel()
-                .to_string(),
-            "8-bit asym per-channel"
         );
     }
 }

@@ -34,13 +34,6 @@ pub enum TensorError {
         /// Right-hand shape.
         right: Vec<usize>,
     },
-    /// An axis argument is out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor's rank.
-        rank: usize,
-    },
     /// An index is out of range along some axis.
     IndexOutOfRange {
         /// The offending index.
@@ -97,9 +90,6 @@ impl fmt::Display for TensorError {
                     "shapes {left:?} and {right:?} cannot be broadcast together"
                 )
             }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
-            }
             TensorError::IndexOutOfRange { index, size } => {
                 write!(f, "index {index} out of range for dimension of size {size}")
             }
@@ -145,8 +135,6 @@ mod tests {
             right_rows: 4,
         };
         assert!(e.to_string().contains("3 vs 4"));
-        let e = TensorError::AxisOutOfRange { axis: 2, rank: 2 };
-        assert!(e.to_string().contains("axis 2"));
     }
 
     #[test]

@@ -10,34 +10,11 @@ use crate::tensor::Tensor;
 /// Weight initialization schemes for network parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Init {
-    /// All elements set to the given constant.
-    Constant(f32),
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Lower bound (inclusive).
-        lo: f32,
-        /// Upper bound (exclusive).
-        hi: f32,
-    },
-    /// Gaussian with the given mean and standard deviation.
-    Normal {
-        /// Mean of the distribution.
-        mean: f32,
-        /// Standard deviation of the distribution.
-        std: f32,
-    },
     /// Kaiming (He) normal: `std = sqrt(2 / fan_in)` — the standard choice
     /// for ReLU networks like the paper's ResNet/VGG/MobileNet models.
     KaimingNormal {
         /// Number of input connections per output unit.
         fan_in: usize,
-    },
-    /// Xavier (Glorot) uniform: `bound = sqrt(6 / (fan_in + fan_out))`.
-    XavierUniform {
-        /// Number of input connections.
-        fan_in: usize,
-        /// Number of output connections.
-        fan_out: usize,
     },
 }
 
@@ -47,18 +24,9 @@ impl Init {
         let shape = shape.into();
         let n = shape.numel();
         let data: Vec<f32> = match *self {
-            Init::Constant(c) => vec![c; n],
-            Init::Uniform { lo, hi } => (0..n).map(|_| rng.gen_range(lo..hi)).collect(),
-            Init::Normal { mean, std } => (0..n)
-                .map(|_| mean + std * sample_standard_normal(rng))
-                .collect(),
             Init::KaimingNormal { fan_in } => {
                 let std = (2.0 / fan_in.max(1) as f32).sqrt();
                 (0..n).map(|_| std * sample_standard_normal(rng)).collect()
-            }
-            Init::XavierUniform { fan_in, fan_out } => {
-                let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-                (0..n).map(|_| rng.gen_range(-bound..bound)).collect()
             }
         };
         Tensor::from_vec(data, shape).expect("volume matches by construction")
@@ -89,13 +57,6 @@ pub fn fill_standard_normal(t: &mut Tensor, rng: &mut impl Rng) {
     }
 }
 
-/// Samples a random unit vector (ℓ2) of the given shape.
-pub fn random_unit_vector(shape: impl Into<Shape>, rng: &mut impl Rng) -> Tensor {
-    let mut t = Tensor::zeros(shape);
-    fill_standard_normal(&mut t, rng);
-    t.normalized_l2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,31 +67,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_fills() {
-        let t = Init::Constant(3.0).tensor([4], &mut rng());
-        assert_eq!(t.data(), &[3.0; 4]);
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let t = Init::Uniform { lo: -1.0, hi: 1.0 }.tensor([1000], &mut rng());
-        assert!(t.data().iter().all(|&v| (-1.0..1.0).contains(&v)));
-        // Mean should be near 0 for a large sample.
-        assert!(t.mean().abs() < 0.1);
-    }
-
-    #[test]
-    fn normal_has_requested_moments() {
-        let t = Init::Normal {
-            mean: 2.0,
-            std: 0.5,
-        }
-        .tensor([4000], &mut rng());
-        assert!((t.mean() - 2.0).abs() < 0.05);
-        assert!((t.variance().sqrt() - 0.5).abs() < 0.05);
-    }
-
-    #[test]
     fn kaiming_std_scales_with_fan_in() {
         let t = Init::KaimingNormal { fan_in: 8 }.tensor([4000], &mut rng());
         let expected = (2.0f32 / 8.0).sqrt();
@@ -138,33 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn xavier_respects_bound() {
-        let fan_in = 10;
-        let fan_out = 20;
-        let bound = (6.0f32 / 30.0).sqrt();
-        let t = Init::XavierUniform { fan_in, fan_out }.tensor([1000], &mut rng());
-        assert!(t.norm_linf() <= bound);
-    }
-
-    #[test]
     fn seeded_init_is_deterministic() {
-        let a = Init::Normal {
-            mean: 0.0,
-            std: 1.0,
-        }
-        .tensor([16], &mut rng());
-        let b = Init::Normal {
-            mean: 0.0,
-            std: 1.0,
-        }
-        .tensor([16], &mut rng());
+        let a = Init::KaimingNormal { fan_in: 4 }.tensor([16], &mut rng());
+        let b = Init::KaimingNormal { fan_in: 4 }.tensor([16], &mut rng());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn random_unit_vector_has_unit_norm() {
-        let v = random_unit_vector([32], &mut rng());
-        assert!((v.norm_l2() - 1.0).abs() < 1e-5);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod tensor;
 pub mod workers;
 
 pub use error::{Result, TensorError};
-pub use init::{fill_standard_normal, random_unit_vector, Init};
+pub use init::{fill_standard_normal, Init};
 pub use ops::batch_norm::BatchNormForward;
 pub use ops::gemm::{
     active_gemm_kernel, force_gemm_kernel, gemm_pool_reset_stats, gemm_pool_stats,
@@ -60,7 +60,7 @@ pub use ops::gemm::{
 };
 pub use ops::im2col::ConvGeometry;
 pub use ops::matmul::matmul_reference;
-pub use ops::norm::{global_dot, global_norm_l1, global_norm_l2, global_norm_linf};
+pub use ops::norm::{global_dot, global_norm_l1, global_norm_l2};
 pub use pool::{PoolStats, ScratchPool};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -90,15 +90,6 @@ impl Tensor {
         self.broadcast_op(other, |a, b| a * b)
     }
 
-    /// Broadcast division.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tensor::broadcast_op`].
-    pub fn bdiv(&self, other: &Tensor) -> Result<Tensor> {
-        self.broadcast_op(other, |a, b| a / b)
-    }
-
     /// Reduces (sums) a broadcast-shaped gradient back down to `target`,
     /// the adjoint of broadcasting. Axes that were stretched from size 1
     /// are summed; leading axes that were added are summed away.
@@ -241,7 +232,6 @@ mod tests {
         let m = Tensor::arange(4).reshape([2, 2]).unwrap();
         let s = Tensor::scalar(2.0);
         assert_eq!(m.bmul(&s).unwrap().data(), &[0.0, 2.0, 4.0, 6.0]);
-        assert_eq!(m.bdiv(&s).unwrap().data(), &[0.0, 0.5, 1.0, 1.5]);
         assert_eq!(m.bsub(&s).unwrap().data(), &[-2.0, -1.0, 0.0, 1.0]);
     }
 

@@ -65,15 +65,6 @@ impl Tensor {
         self.zip(other, |a, b| a * b)
     }
 
-    /// Element-wise quotient of two same-shape tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip(other, |a, b| a / b)
-    }
-
     /// Adds `other * scale` into `self` in place (the BLAS `axpy` pattern,
     /// used heavily by optimizers).
     ///
@@ -153,24 +144,6 @@ impl Tensor {
         self.map(|v| v.clamp(lo, hi))
     }
 
-    /// Element-wise maximum of two same-shape tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn maximum(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip(other, f32::max)
-    }
-
-    /// Element-wise minimum of two same-shape tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn minimum(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip(other, f32::min)
-    }
-
     /// Dot product of two same-shape tensors viewed as flat vectors.
     ///
     /// # Errors
@@ -207,7 +180,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).unwrap().data(), &[4.0, 2.5, 2.0]);
         assert!(a.add(&Tensor::zeros([2])).is_err());
     }
 
@@ -244,9 +216,6 @@ mod tests {
         let a = t(&[-1.0, 0.5, 2.0]);
         assert_eq!(a.clamp_min(0.0).data(), &[0.0, 0.5, 2.0]);
         assert_eq!(a.clamp(0.0, 1.0).data(), &[0.0, 0.5, 1.0]);
-        let b = t(&[0.0, 1.0, 1.0]);
-        assert_eq!(a.maximum(&b).unwrap().data(), &[0.0, 1.0, 2.0]);
-        assert_eq!(a.minimum(&b).unwrap().data(), &[-1.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -171,32 +171,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, [m])
     }
-
-    /// Outer product of two vectors: `(m,) x (n,) -> (m, n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are 1-D.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: if self.rank() != 1 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-            });
-        }
-        let (m, n) = (self.numel(), other.numel());
-        let mut out = pool::lease_raw(m * n);
-        for &a in self.data() {
-            for &b in other.data() {
-                out.push(a * b);
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
 }
 
 #[cfg(test)]
@@ -300,15 +274,5 @@ mod tests {
         let expected = a.matmul(&v.reshape([4, 1]).unwrap()).unwrap();
         assert_eq!(got.data(), expected.data());
         assert!(a.matvec(&Tensor::arange(3)).is_err());
-    }
-
-    #[test]
-    fn outer_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 4.0, 5.0], [3]).unwrap();
-        let o = a.outer(&b).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-        assert!(a.outer(&Tensor::zeros([2, 2])).is_err());
     }
 }

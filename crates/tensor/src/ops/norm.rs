@@ -32,17 +32,6 @@ impl Tensor {
     pub fn norm_l0(&self) -> usize {
         self.data().iter().filter(|&&v| v != 0.0).count()
     }
-
-    /// Normalizes to unit ℓ2 norm. Returns a zero tensor unchanged (rather
-    /// than dividing by zero) when the norm underflows.
-    pub fn normalized_l2(&self) -> Tensor {
-        let n = self.norm_l2();
-        if n <= f32::MIN_POSITIVE {
-            self.clone()
-        } else {
-            self.scale(1.0 / n)
-        }
-    }
 }
 
 /// ℓ2 norm across a list of tensors viewed as one concatenated vector.
@@ -56,11 +45,6 @@ pub fn global_norm_l2(tensors: &[Tensor]) -> f32 {
 /// ℓ1 norm across a list of tensors viewed as one concatenated vector.
 pub fn global_norm_l1(tensors: &[Tensor]) -> f32 {
     tensors.iter().map(Tensor::norm_l1).sum()
-}
-
-/// ℓ∞ norm across a list of tensors viewed as one concatenated vector.
-pub fn global_norm_linf(tensors: &[Tensor]) -> f32 {
-    tensors.iter().map(Tensor::norm_linf).fold(0.0, f32::max)
 }
 
 /// Dot product across two equally-shaped lists of tensors.
@@ -107,21 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn normalized_l2_has_unit_norm() {
-        let v = t(&[3.0, 4.0]);
-        assert!((v.normalized_l2().norm_l2() - 1.0).abs() < 1e-6);
-        // Zero vector stays zero instead of becoming NaN.
-        let z = Tensor::zeros([3]);
-        assert_eq!(z.normalized_l2(), z);
-    }
-
-    #[test]
     fn global_norms_match_concatenation() {
         let a = t(&[3.0, 0.0]);
         let b = t(&[0.0, 4.0]);
         assert_eq!(global_norm_l2(&[a.clone(), b.clone()]), 5.0);
         assert_eq!(global_norm_l1(&[a.clone(), b.clone()]), 7.0);
-        assert_eq!(global_norm_linf(&[a.clone(), b.clone()]), 4.0);
         assert_eq!(global_dot(&[a.clone(), b.clone()], &[a, b]), 25.0);
     }
 

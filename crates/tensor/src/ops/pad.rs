@@ -40,48 +40,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Adjoint of [`Tensor::pad2d`]: crops `pad` pixels from every side of
-    /// the two trailing axes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless the rank is 4, or
-    /// [`TensorError::InvalidGeometry`] if the crop exceeds the extent.
-    pub fn crop2d(&self, pad: usize) -> Result<Tensor> {
-        if self.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: self.rank(),
-            });
-        }
-        if pad == 0 {
-            return Ok(self.clone());
-        }
-        let (n, c, h, w) = (
-            self.dims()[0],
-            self.dims()[1],
-            self.dims()[2],
-            self.dims()[3],
-        );
-        if 2 * pad >= h || 2 * pad >= w {
-            return Err(TensorError::InvalidGeometry(format!(
-                "crop of {pad} exceeds spatial extent {h}x{w}"
-            )));
-        }
-        let (ho, wo) = (h - 2 * pad, w - 2 * pad);
-        let mut out = Tensor::zeros([n, c, ho, wo]);
-        for in_ in 0..n {
-            for ch in 0..c {
-                for y in 0..ho {
-                    let src = (((in_ * c) + ch) * h + y + pad) * w + pad;
-                    let dst = (((in_ * c) + ch) * ho + y) * wo;
-                    out.data_mut()[dst..dst + wo].copy_from_slice(&self.data()[src..src + wo]);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Extracts the window starting at `(top, left)` with size `(h, w)` from
     /// the spatial axes of an NCHW tensor (used for random-crop
     /// augmentation).
@@ -162,14 +120,13 @@ mod tests {
         let t = Tensor::arange(2 * 3 * 4 * 4).reshape([2, 3, 4, 4]).unwrap();
         let padded = t.pad2d(2).unwrap();
         assert_eq!(padded.dims(), &[2, 3, 8, 8]);
-        assert_eq!(padded.crop2d(2).unwrap(), t);
+        assert_eq!(padded.crop_window2d(2, 2, 4, 4).unwrap(), t);
     }
 
     #[test]
     fn pad_zero_is_identity() {
         let t = Tensor::arange(2 * 2).reshape([1, 1, 2, 2]).unwrap();
         assert_eq!(t.pad2d(0).unwrap(), t);
-        assert_eq!(t.crop2d(0).unwrap(), t);
     }
 
     #[test]
@@ -203,11 +160,7 @@ mod tests {
     fn rank_validation() {
         let t = Tensor::zeros([2, 2]);
         assert!(t.pad2d(1).is_err());
-        assert!(t.crop2d(1).is_err());
         assert!(t.flip_horizontal().is_err());
         assert!(t.crop_window2d(0, 0, 1, 1).is_err());
-        // crop larger than extent
-        let img = Tensor::zeros([1, 1, 2, 2]);
-        assert!(img.crop2d(1).is_err());
     }
 }

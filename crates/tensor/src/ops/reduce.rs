@@ -45,46 +45,6 @@ impl Tensor {
         best
     }
 
-    /// Sums along `axis`, dropping that axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn sum_axis(&self, axis: usize) -> Result<Tensor> {
-        let out_shape = self.shape().remove_axis(axis)?;
-        let mut out = pool::lease_raw(out_shape.numel());
-        // Row-major: elements split into `outer` blocks of `dim * inner`,
-        // with the reduced axis striding by `inner` inside each block.
-        let dim = self.dims()[axis];
-        let inner: usize = self.dims()[axis + 1..].iter().product();
-        let outer = if self.numel() == 0 {
-            0
-        } else {
-            self.numel() / (dim * inner)
-        };
-        for o in 0..outer {
-            let block = &self.data()[o * dim * inner..][..dim * inner];
-            for i in 0..inner {
-                let mut acc = 0.0;
-                for j in 0..dim {
-                    acc += block[j * inner + i];
-                }
-                out.push(acc);
-            }
-        }
-        Tensor::from_vec(out, out_shape)
-    }
-
-    /// Means along `axis`, dropping that axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor> {
-        let dim = self.shape().dim(axis)? as f32;
-        Ok(self.sum_axis(axis)?.scale(1.0 / dim))
-    }
-
     /// Row-wise argmax of a 2-D tensor: returns the class index per row.
     ///
     /// # Errors
@@ -167,34 +127,6 @@ mod tests {
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
         assert_eq!(t.argmax(), 2);
-    }
-
-    #[test]
-    fn sum_axis_matches_manual() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
-        let s0 = t.sum_axis(0).unwrap();
-        assert_eq!(s0.dims(), &[3]);
-        assert_eq!(s0.data(), &[3.0, 5.0, 7.0]);
-        let s1 = t.sum_axis(1).unwrap();
-        assert_eq!(s1.dims(), &[2]);
-        assert_eq!(s1.data(), &[3.0, 12.0]);
-        assert!(t.sum_axis(2).is_err());
-    }
-
-    #[test]
-    fn sum_axis_rank3_middle() {
-        let t = Tensor::arange(24).reshape([2, 3, 4]).unwrap();
-        let s = t.sum_axis(1).unwrap();
-        assert_eq!(s.dims(), &[2, 4]);
-        // s[0,0] = t[0,0,0]+t[0,1,0]+t[0,2,0] = 0+4+8
-        assert_eq!(s.get(&[0, 0]).unwrap(), 12.0);
-        assert_eq!(s.get(&[1, 3]).unwrap(), (15 + 19 + 23) as f32);
-    }
-
-    #[test]
-    fn mean_axis_scales() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
-        assert_eq!(t.mean_axis(0).unwrap().data(), &[1.5, 2.5, 3.5]);
     }
 
     #[test]

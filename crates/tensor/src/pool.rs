@@ -1,9 +1,8 @@
 //! Scratch-buffer pooling for the training hot path.
 //!
 //! Every HERO step costs three gradient evaluations, and the naive
-//! implementation re-`vec![0.0; …]`-allocated every matmul output, packed
-//! GEMM panel, im2col column matrix and gradient tensor on every one of
-//! them. [`ScratchPool`] is a free-list of `Vec<f32>` buffers that lets
+//! implementation re-`vec![0.0; …]`-allocated every matmul and convolution
+//! output, packed GEMM panel and gradient tensor on every one of them. [`ScratchPool`] is a free-list of `Vec<f32>` buffers that lets
 //! those allocations be *leased* and *recycled* instead: after one warm-up
 //! step the same buffers cycle through the graph forever and the pool
 //! performs zero new heap allocations ([`PoolStats::fresh_allocs`] is the
@@ -174,11 +173,6 @@ impl ScratchPool {
     /// Creates an empty pool owned by the calling thread.
     pub fn new() -> Self {
         ScratchPool::default()
-    }
-
-    /// The thread this pool accepts recycles from.
-    pub fn owner(&self) -> std::thread::ThreadId {
-        self.owner
     }
 
     /// Leases a zeroed buffer of exactly `len` elements.

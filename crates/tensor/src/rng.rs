@@ -34,9 +34,6 @@ pub struct StdRng {
     state: u64,
 }
 
-/// Alias making the algorithm explicit at sites that care.
-pub type SplitMix64 = StdRng;
-
 impl StdRng {
     /// Creates a generator whose stream is fully determined by `seed`.
     pub fn seed_from_u64(seed: u64) -> Self {

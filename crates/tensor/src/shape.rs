@@ -48,21 +48,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Size of axis `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.0
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
-    }
-
     /// Row-major strides, in elements.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.rank()];
@@ -151,23 +136,6 @@ impl Shape {
         }
         Ok(Shape(dims))
     }
-
-    /// Returns a new shape with `axis` removed (used by reductions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
-    pub fn remove_axis(&self, axis: usize) -> Result<Shape> {
-        if axis >= self.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            });
-        }
-        let mut dims = self.0.clone();
-        dims.remove(axis);
-        Ok(Shape(dims))
-    }
 }
 
 impl From<Vec<usize>> for Shape {
@@ -251,13 +219,6 @@ mod tests {
         assert!(a.broadcast_with(&bad).is_err()); // leading 3-vs-2 clash
         let stretched = Shape::from([3, 2, 5]);
         assert_eq!(a.broadcast_with(&stretched).unwrap(), stretched); // 1 stretches to 2
-    }
-
-    #[test]
-    fn remove_axis_shrinks_rank() {
-        let s = Shape::from([2, 3, 4]);
-        assert_eq!(s.remove_axis(1).unwrap(), Shape::from([2, 4]));
-        assert!(s.remove_axis(3).is_err());
     }
 
     #[test]

@@ -244,23 +244,6 @@ impl Tensor {
         Ok(Tensor::assemble(shape, crate::pool::lease_copy(&self.data)))
     }
 
-    /// In-place variant of [`reshape`](Tensor::reshape); avoids the copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DataLength`] if the volumes differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        if shape.numel() != self.numel() {
-            return Err(TensorError::DataLength {
-                expected: shape.numel(),
-                actual: self.numel(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Flattens to a 1-D tensor without copying semantics changes.
     pub fn flatten(&self) -> Tensor {
         Tensor::assemble(
@@ -291,80 +274,6 @@ impl Tensor {
         Tensor::from_vec(out, [c, r])
     }
 
-    /// Permutes the axes according to `perm` (a permutation of `0..rank`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `perm` is not a valid permutation of the axes.
-    pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
-        if perm.len() != self.rank() {
-            return Err(TensorError::RankMismatch {
-                expected: self.rank(),
-                actual: perm.len(),
-            });
-        }
-        let mut seen = vec![false; self.rank()];
-        for &p in perm {
-            if p >= self.rank() || seen[p] {
-                return Err(TensorError::InvalidArgument(format!(
-                    "perm {perm:?} is not a permutation of 0..{}",
-                    self.rank()
-                )));
-            }
-            seen[p] = true;
-        }
-        let new_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
-        let new_shape = Shape::new(new_dims);
-        let old_strides = self.shape.strides();
-        // Source stride for each output axis; walk the output row-major with
-        // an odometer so the source offset updates incrementally.
-        let strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        let dims = new_shape.dims().to_vec();
-        let rank = dims.len();
-        let mut out = crate::pool::lease_raw(self.numel());
-        let mut idx = vec![0usize; rank];
-        let mut off = 0usize;
-        for _ in 0..self.numel() {
-            out.push(self.data[off]);
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off += strides[ax];
-                if idx[ax] < dims[ax] {
-                    break;
-                }
-                off -= dims[ax] * strides[ax];
-                idx[ax] = 0;
-            }
-        }
-        Ok(Tensor::assemble(new_shape, out))
-    }
-
-    /// Extracts the `index`-th slice along `axis`, dropping that axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid axis or index.
-    pub fn select(&self, axis: usize, index: usize) -> Result<Tensor> {
-        let dim = self.shape.dim(axis)?;
-        if index >= dim {
-            return Err(TensorError::IndexOutOfRange { index, size: dim });
-        }
-        let out_shape = self.shape.remove_axis(axis)?;
-        // Row-major: the slice is `outer` runs of `inner` contiguous
-        // elements, one run per block of the leading axes.
-        let inner: usize = self.dims()[axis + 1..].iter().product();
-        let outer = if self.numel() == 0 {
-            0
-        } else {
-            self.numel() / (dim * inner)
-        };
-        let mut out = crate::pool::lease_raw(out_shape.numel());
-        for o in 0..outer {
-            out.extend_from_slice(&self.data[(o * dim + index) * inner..][..inner]);
-        }
-        Ok(Tensor::assemble(out_shape, out))
-    }
-
     /// Returns the contiguous sub-tensor `[start, start+len)` along axis 0.
     ///
     /// # Errors
@@ -391,62 +300,6 @@ impl Tensor {
             crate::pool::lease_copy(&self.data[start * row..(start + len) * row]),
             dims,
         )
-    }
-
-    /// Stacks tensors of identical shape along a new leading axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `parts` is empty or shapes disagree.
-    pub fn stack(parts: &[Tensor]) -> Result<Tensor> {
-        let first = parts
-            .first()
-            .ok_or_else(|| TensorError::InvalidArgument("stack of zero tensors".into()))?;
-        let mut data = Vec::with_capacity(first.numel() * parts.len());
-        for p in parts {
-            if p.shape != first.shape {
-                return Err(TensorError::ShapeMismatch {
-                    left: first.dims().to_vec(),
-                    right: p.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(&p.data);
-        }
-        let mut dims = vec![parts.len()];
-        dims.extend_from_slice(first.dims());
-        Tensor::from_vec(data, dims)
-    }
-
-    /// Concatenates tensors along axis 0 (shapes must agree on other axes).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `parts` is empty or trailing shapes disagree.
-    pub fn concat(parts: &[Tensor]) -> Result<Tensor> {
-        let first = parts
-            .first()
-            .ok_or_else(|| TensorError::InvalidArgument("concat of zero tensors".into()))?;
-        if first.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let mut total0 = 0;
-        let mut data = Vec::new();
-        for p in parts {
-            if p.rank() != first.rank() || p.dims()[1..] != first.dims()[1..] {
-                return Err(TensorError::ShapeMismatch {
-                    left: first.dims().to_vec(),
-                    right: p.dims().to_vec(),
-                });
-            }
-            total0 += p.dims()[0];
-            data.extend_from_slice(&p.data);
-        }
-        let mut dims = first.dims().to_vec();
-        dims[0] = total0;
-        Tensor::from_vec(data, dims)
     }
 
     /// True when every element is finite (no NaN or infinity).
@@ -523,9 +376,6 @@ mod tests {
         let t = Tensor::arange(6).reshape([2, 3]).unwrap();
         assert_eq!(t.get(&[1, 0]).unwrap(), 3.0);
         assert!(t.reshape([4]).is_err());
-        let mut t2 = t.clone();
-        t2.reshape_in_place([3, 2]).unwrap();
-        assert_eq!(t2.dims(), &[3, 2]);
     }
 
     #[test]
@@ -539,54 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn permute_matches_transpose_for_rank2() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
-        assert_eq!(t.permute(&[1, 0]).unwrap(), t.transpose().unwrap());
-        assert_eq!(t.permute(&[0, 1]).unwrap(), t);
-        assert!(t.permute(&[0, 0]).is_err());
-        assert!(t.permute(&[0]).is_err());
-    }
-
-    #[test]
-    fn permute_rank3_moves_channels() {
-        // NCHW -> NHWC style permutation on a (1,2,2,2) tensor.
-        let t = Tensor::arange(8).reshape([1, 2, 2, 2]).unwrap();
-        let p = t.permute(&[0, 2, 3, 1]).unwrap();
-        assert_eq!(p.dims(), &[1, 2, 2, 2]);
-        assert_eq!(p.get(&[0, 1, 1, 0]).unwrap(), t.get(&[0, 0, 1, 1]).unwrap());
-    }
-
-    #[test]
-    fn select_drops_axis() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
-        let row = t.select(0, 1).unwrap();
-        assert_eq!(row.data(), &[3.0, 4.0, 5.0]);
-        let col = t.select(1, 2).unwrap();
-        assert_eq!(col.data(), &[2.0, 5.0]);
-        assert!(t.select(1, 3).is_err());
-        assert!(t.select(2, 0).is_err());
-    }
-
-    #[test]
     fn narrow_takes_row_ranges() {
         let t = Tensor::arange(6).reshape([3, 2]).unwrap();
         let mid = t.narrow(1, 2).unwrap();
         assert_eq!(mid.dims(), &[2, 2]);
         assert_eq!(mid.data(), &[2.0, 3.0, 4.0, 5.0]);
         assert!(t.narrow(2, 2).is_err());
-    }
-
-    #[test]
-    fn stack_and_concat() {
-        let a = Tensor::arange(2);
-        let b = Tensor::full([2], 9.0);
-        let s = Tensor::stack(&[a.clone(), b.clone()]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.data(), &[0.0, 1.0, 9.0, 9.0]);
-        let c = Tensor::concat(&[a.clone(), b]).unwrap();
-        assert_eq!(c.dims(), &[4]);
-        assert!(Tensor::stack(&[]).is_err());
-        assert!(Tensor::stack(&[a, Tensor::zeros([3])]).is_err());
     }
 
     #[test]

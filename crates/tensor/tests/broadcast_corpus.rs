@@ -1,4 +1,4 @@
-//! Equivalence corpus for the broadcast walker: `badd`/`bsub`/`bmul`/`bdiv`
+//! Equivalence corpus for the broadcast walker: `badd`/`bsub`/`bmul`
 //! and `reduce_to_shape` must match, bit for bit, a naive reference that
 //! unravels every flat output index into a multi-index and reads each
 //! operand through it. Shapes are seeded random pairs of rank 0–5 (size-1
@@ -10,19 +10,17 @@ use hero_tensor::{Shape, Tensor};
 
 type BinOp = fn(f32, f32) -> f32;
 
-const OPS: [(&str, BinOp); 4] = [
+const OPS: [(&str, BinOp); 3] = [
     ("badd", |a, b| a + b),
     ("bsub", |a, b| a - b),
     ("bmul", |a, b| a * b),
-    ("bdiv", |a, b| a / b),
 ];
 
 fn apply(name: &str, a: &Tensor, b: &Tensor) -> Tensor {
     match name {
         "badd" => a.badd(b),
         "bsub" => a.bsub(b),
-        "bmul" => a.bmul(b),
-        _ => a.bdiv(b),
+        _ => a.bmul(b),
     }
     .unwrap()
 }

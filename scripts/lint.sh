@@ -1,16 +1,27 @@
 #!/usr/bin/env bash
 # Lint gate for the workspace: clippy at -D warnings (default and `sanitize`
-# feature builds) plus two repo-specific grep lints over library code:
+# feature builds) plus three repo-specific grep lints over program code:
 #
-#   1. no `.unwrap()` in non-test library code — fallible paths must use
+#   1. no `.unwrap()` in library code — fallible paths must use
 #      `?`/`expect` with context or handle the error;
 #   2. no float `==` / `!=` against literals — exact-zero fast paths that
-#      are genuinely intended go in scripts/lint-allow.txt.
+#      are genuinely intended need a waiver;
+#   3. no public item without a program caller — every `pub fn`, `pub
+#      struct`, `pub enum`, `pub trait`, `pub type`, `pub const` and `pub
+#      static` in crates/*/src must be named, as a whole word, on some
+#      program line other than its own definition. Program lines are the
+#      library sources, crates/*/benches, examples/ and benchmark/src;
+#      `use` / `pub use` statements do not count (rustc already flags an
+#      import nothing uses). rustc's dead_code lint covers private items.
+#      The check matches names, not paths: two items that share a name
+#      both count as used, so it can miss a dead item; it flags a live
+#      one only when every use goes through a `use ... as` rename.
 #
-# Test modules (everything from the first `#[cfg(test)]` / `#[cfg(all(test,
-# ...))]` line to end of file — the repo convention is tail-positioned test
-# modules) and comment lines are exempt. The allowlist is tab-separated
-# `file<TAB>substring`; a flagged line is waived when an entry's file matches
+# Program code is each file up to its first `#[cfg(test)]` /
+# `#[cfg(all(test, ...))]` line (the repo convention is tail-positioned
+# test modules), minus comment lines. Waivers live in scripts/lint-allow.txt
+# as tab-separated `file<TAB>substring` lines, each under a `#` comment that
+# gives its reason; a flagged line is waived when an entry's file matches
 # and the line contains the substring. An entry whose file is missing, or
 # whose substring is on no program line of that file, is stale and fails
 # the lint, so waivers leave with the code they waived.
@@ -61,7 +72,7 @@ program_text() {
 # allowlist. Prints violations and returns nonzero if any survive.
 scan() {
   local re="$1" desc="$2" bad=0 file hits hit line
-  for file in crates/*/src/*.rs crates/*/src/**/*.rs; do
+  for file in crates/*/src/*.rs crates/*/src/*/*.rs; do
     [[ -e "$file" ]] || continue
     hits=$(program_text "$file" | grep -nE "$re" |
       grep -vE '^[0-9]+:[[:space:]]*//' || true)
@@ -84,6 +95,64 @@ scan '\.unwrap\(\)' 'forbidden .unwrap() in library code' || fail=1
 echo "==> grep lint: no float literal == / != comparisons"
 scan '(==|!=)[[:space:]]*-?[0-9]+\.[0-9]|[0-9]+\.[0-9]*[[:space:]]*(==|!=)' \
   'float equality against a literal' || fail=1
+
+# unreferenced_items — prints each public item of crates/*/src whose name
+# is on no program line but its own definition, honouring the allowlist,
+# and returns nonzero if any survive.
+unreferenced_items() {
+  local bad=0 file line def
+  local defs
+  defs=$(
+    for file in crates/*/src/*.rs crates/*/src/*/*.rs crates/*/benches/*.rs \
+      examples/*.rs benchmark/src/*.rs; do
+      [[ -e "$file" ]] || continue
+      program_text "$file" | awk -v f="$file" '{ print f "\t" NR "\t" $0 }'
+    done | awk -F'\t' '
+      { line = substr($0, length($1) + length($2) + 3) }
+      line ~ /^[[:space:]]*\/\// { next }
+      in_use { if (line ~ /;[[:space:]]*$/) in_use = 0; next }
+      line ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ {
+        if (line !~ /;[[:space:]]*$/) in_use = 1
+        next
+      }
+      {
+        name = ""
+        if ($1 ~ /^crates\/[^\/]+\/src\// && match(line, /^[[:space:]]*pub[[:space:]]+((const|unsafe|async)[[:space:]]+)*(fn|struct|enum|trait|type|const|static)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
+          name = substr(line, RSTART, RLENGTH)
+          sub(/.*[[:space:]]/, "", name)
+        }
+        words = line
+        gsub(/[^A-Za-z0-9_]+/, " ", words)
+        n = split(words, w, " ")
+        own = 0
+        for (i = 1; i <= n; i++) {
+          count[w[i]]++
+          if (w[i] == name) own++
+        }
+        if (name != "") {
+          nd++
+          def_name[nd] = name
+          def_own[nd] = own
+          def_at[nd] = $1 "\t" $2 "\t" line
+        }
+      }
+      END {
+        for (i = 1; i <= nd; i++)
+          if (count[def_name[i]] == def_own[i]) print def_at[i]
+      }'
+  )
+  [[ -z "$defs" ]] && return 0
+  while IFS=$'\t' read -r file line def; do
+    if ! allowed "$file" "$def"; then
+      echo "lint.sh: public item with no program caller: $file:$line:$def"
+      bad=1
+    fi
+  done <<<"$defs"
+  return $bad
+}
+
+echo "==> grep lint: no public item without a program caller"
+unreferenced_items || fail=1
 
 # stale_entries — every allowlist entry must name an existing file and a
 # substring found on one of its non-comment program lines.
@@ -111,8 +180,9 @@ echo "==> grep lint: no stale allowlist entries"
 stale_entries || fail=1
 
 if [[ $fail -ne 0 ]]; then
-  echo "lint.sh: grep lints FAILED (add a scripts/lint-allow.txt entry only" \
-    "for intentional exact comparisons, and drop entries whose code is gone)"
+  echo "lint.sh: grep lints FAILED (add a scripts/lint-allow.txt entry, with" \
+    "its reason, only for an intentional exact comparison or a test-support" \
+    "item; delete code nothing calls; drop entries whose code is gone)"
   exit 1
 fi
 

@@ -9,7 +9,7 @@ use hero_data::{inject_symmetric_noise, Preset, SynthGenerator, SynthSpec};
 use hero_nn::evaluate_accuracy;
 use hero_nn::models::{ModelConfig, ModelKind};
 use hero_optim::Method;
-use hero_quant::{quantize_network, QuantScheme};
+use hero_quant::{quantize_params, QuantScheme};
 use hero_tensor::rng::StdRng;
 
 /// A tiny-but-real task every integration test shares.
@@ -70,7 +70,8 @@ fn trained_model_beats_chance_and_survives_8bit_quantization() {
         acc_fp > 0.5,
         "full-precision acc {acc_fp} barely above 4-class chance"
     );
-    let report = quantize_network(&mut net, &QuantScheme::symmetric(8).unwrap()).unwrap();
+    let (params, report) = quantize_params(&net, &QuantScheme::symmetric(8).unwrap()).unwrap();
+    net.set_params(&params).unwrap();
     assert!(report.worst_linf <= report.max_bin_width / 2.0 + 1e-6);
     let acc_q8 = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 32).unwrap();
     assert!(
