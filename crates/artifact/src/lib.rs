@@ -161,6 +161,18 @@ pub enum MetaValue {
     Bool(bool),
 }
 
+/// Renders a string quoted and every other value plainly.
+impl fmt::Display for MetaValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MetaValue::Str(s) => write!(f, "\"{s}\""),
+            MetaValue::U64(n) => write!(f, "{n}"),
+            MetaValue::F64(x) => write!(f, "{x}"),
+            MetaValue::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
 /// One named parameter tensor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TensorEntry {
@@ -678,13 +690,7 @@ impl Artifact {
         let _ = writeln!(out, "  body hash (fnv1a64): {:016x}", fnv1a64(&bytes[28..]));
         let _ = writeln!(out, "  meta ({} entries):", self.meta.len());
         for (k, v) in &self.meta {
-            let rendered = match v {
-                MetaValue::Str(s) => format!("\"{s}\""),
-                MetaValue::U64(n) => format!("{n}"),
-                MetaValue::F64(x) => format!("{x}"),
-                MetaValue::Bool(b) => format!("{b}"),
-            };
-            let _ = writeln!(out, "    {k} = {rendered}");
+            let _ = writeln!(out, "    {k} = {v}");
         }
         let _ = writeln!(
             out,

@@ -19,8 +19,8 @@
 use hero_bench::cli::{self, write_file, CliResult, Command, Opts};
 use hero_core::experiment::{
     curvature_report, fig1_bits, quant_sweep, quantize_report, report_trained, run_fig2, run_fig3,
-    run_table1, run_table2, run_table3, slug, table1_matrix, train_fresh, FreshRun, MethodKind,
-    ModelSource, Scale, Sensitivity,
+    run_table1, run_table2, run_table3, slug, table1_matrix, MethodKind, ModelSource, Recipe,
+    Scale, Sensitivity,
 };
 use hero_core::report::{
     render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
@@ -28,7 +28,6 @@ use hero_core::report::{
 use hero_core::{
     golden_recipe, load_artifact, resume_from_artifact, run_crosscheck, run_preflight,
     save_artifact, spectrum_report, train_to_artifact, CrosscheckGrid, NoisePlan, SpectrumOptions,
-    SpectrumSource,
 };
 use hero_data::Preset;
 use hero_nn::models::ModelKind;
@@ -197,23 +196,21 @@ const SENS: &[(&str, Sensitivity)] = &[
 
 // --- model sources --------------------------------------------------------
 
-/// The fresh run `--model`, `--method`, `--epochs` and `--seed` name.
-fn fresh_run(o: &Opts) -> CliResult<FreshRun> {
-    Ok(FreshRun {
-        model: o.one("model", MODELS)?,
-        method: o.one("method", METHODS)?,
-        epochs: o.num("epochs")?,
-        seed: o.num("seed")?,
-    })
+/// The fresh run of `--model` that `method` names, for `--epochs` from
+/// `--seed`.
+fn recipe(o: &Opts, method: MethodKind) -> CliResult<Recipe> {
+    let (preset, model) = (o.one("preset", PRESETS)?, o.one("model", MODELS)?);
+    let (epochs, seed) = (o.num("epochs")?, o.num("seed")?);
+    Ok(Recipe::seeded(preset, model, method, epochs, seed))
 }
 
 /// The model `quantize`, `analyze` and `preflight` work on: the saved
-/// `--artifact`, or else a fresh `--model` from `--seed`, trained by
-/// [`fresh_run`] when `trained`.
+/// `--artifact`, or else a fresh `--model` from `--seed`, trained per
+/// [`recipe`] when `trained`.
 fn model_source(o: &Opts, trained: bool) -> CliResult<ModelSource> {
     Ok(match o.path("artifact") {
         Some(path) => ModelSource::Artifact(path),
-        None if trained => ModelSource::Train(fresh_run(o)?),
+        None if trained => ModelSource::Train(recipe(o, o.one("method", METHODS)?)?),
         None => ModelSource::Init(o.one("model", MODELS)?, o.num("seed")?),
     })
 }
@@ -254,12 +251,13 @@ fn cmd_train(o: &Opts) -> CliResult {
         report_trained(&format!("resumed {resume}"), &rec);
         art
     } else {
-        let (run, git_rev) = (fresh_run(o)?, o.get("git-rev").unwrap_or("unknown"));
-        let ckpt = ckpt_path.as_deref();
-        train_fresh(
-            &run, preset, &train_set, &test_set, git_rev, ckpt_every, ckpt,
-        )?
-        .1
+        let recipe = recipe(o, o.one("method", METHODS)?)?;
+        let git_rev = o.get("git-rev").unwrap_or("unknown");
+        let ckpt = ckpt_path.as_deref().map(|p| (p, ckpt_every));
+        recipe.announce();
+        let (_, rec, art) = recipe.train(&train_set, &test_set, git_rev, ckpt)?;
+        report_trained("trained", &rec);
+        art
     };
     if let Some(out) = o.get("save") {
         save_artifact(&art, out)?;
@@ -360,14 +358,15 @@ fn cmd_noise_crosscheck(o: &Opts) -> CliResult {
 /// labelled by the artifact's own `model.kind`; the flags that pick or
 /// train a model are rejected there (`--seed` still seeds the probes).
 fn cmd_spectrum(o: &Opts) -> CliResult {
-    let source = match o.path("artifact") {
-        Some(path) => SpectrumSource::Artifact(path),
-        None => SpectrumSource::Train {
-            model: o.one("model", MODELS)?,
-            methods: o.names("methods", METHODS)?,
-            epochs: o.num("epochs")?,
-            every: o.num("spectrum-every")?,
-        },
+    let models = match o.path("artifact") {
+        Some(path) => vec![ModelSource::Artifact(path)],
+        None => (o.names("methods", METHODS)?.into_iter())
+            .map(|method| {
+                let mut recipe = recipe(o, method)?;
+                recipe.config.spectrum_every = o.num("spectrum-every")?;
+                Ok(ModelSource::Train(recipe))
+            })
+            .collect::<CliResult<_>>()?,
     };
     let probes = o.num("probes")?;
     let opts = SpectrumOptions {
@@ -377,7 +376,7 @@ fn cmd_spectrum(o: &Opts) -> CliResult {
         ..SpectrumOptions::default()
     };
     let (preset, scale, seed) = (o.one("preset", PRESETS)?, o.num("scale")?, o.num("seed")?);
-    let report = spectrum_report(preset, scale, &source, opts.with_seed(seed), o.num("bits")?)?;
+    let report = spectrum_report(preset, scale, &models, opts.with_seed(seed), o.num("bits")?)?;
     report.emit();
     let out = o.path("out").unwrap_or_else(|| report.default_path());
     write_file(&out, &report.to_json())?;
@@ -389,7 +388,7 @@ fn cmd_analyze(o: &Opts) -> CliResult {
     let source = model_source(o, true)?;
     let preset = o.one("preset", PRESETS)?;
     let (train_set, test_set) = preset.load(o.num("scale")?);
-    let (mut net, ..) = source.load(preset, &train_set, &test_set)?;
+    let (mut net, ..) = source.load(preset, &train_set, &test_set, true)?;
     curvature_report(&mut net, &train_set)?.emit();
     Ok(())
 }

@@ -109,6 +109,14 @@ fn quantize_transcript() {
 }
 
 #[test]
+fn quantize_fresh_model_transcript() {
+    transcript(
+        "quantize_train",
+        "quantize --model resnet --method hero --epochs 1 --scale 0.05 --bits 4",
+    );
+}
+
+#[test]
 fn preflight_transcript() {
     transcript(
         "preflight",

@@ -284,6 +284,35 @@ pub fn run_meta_from_artifact(art: &Artifact) -> Result<RunMeta> {
     })
 }
 
+/// Refuses the model stored at `path` unless its run identity matches the
+/// `requested` one, naming the first differing meta key. Provenance keys
+/// (`git_rev`, preflight hash) are skipped, and the worker count compares
+/// only as serial vs sharded (`train.sharded`), which is all an artifact
+/// records.
+///
+/// # Errors
+///
+/// [`TensorError::RecipeMismatch`] on the first difference.
+pub(crate) fn check_run_meta(path: &Path, cached: &RunMeta, requested: &RunMeta) -> Result<()> {
+    let (mut have, mut want) = (Artifact::new(), Artifact::new());
+    write_meta(&mut have, cached);
+    write_meta(&mut want, requested);
+    // Both lists are in the one writer order, so they pair up key by key
+    // until the model kinds differ, which the pairing reports first.
+    let differs = (have.meta.iter().zip(&want.meta))
+        .filter(|(_, (key, _))| !key.starts_with("provenance."))
+        .find(|(h, w)| h != w);
+    match differs {
+        None => Ok(()),
+        Some(((_, cached), (field, requested))) => Err(TensorError::RecipeMismatch {
+            path: path.display().to_string(),
+            field: field.clone(),
+            cached: cached.to_string(),
+            requested: requested.to_string(),
+        }),
+    }
+}
+
 // --- tensor/state sections ------------------------------------------------
 
 fn param_kind_tag(kind: ParamKind) -> u8 {
@@ -728,8 +757,6 @@ fn train_or_resume(
 pub fn golden_recipe() -> (Dataset, Dataset, Network, RunMeta) {
     let preset = hero_data::Preset::C10;
     let (train_set, test_set) = preset.load(0.05);
-    let model_cfg = crate::experiment::model_config(preset);
-    let model = ModelSpec::Kind(ModelKind::Resnet);
     // Honor `HERO_THREADS` but never drop to the serial path: every
     // worker count ≥ 1 runs the same sharded math, so the recipe's bytes
     // are invariant under the env var — which is exactly what the
@@ -745,16 +772,13 @@ pub fn golden_recipe() -> (Dataset, Dataset, Network, RunMeta) {
     .with_lr(0.05)
     .with_seed(0x601D)
     .with_threads(hero_parallel::threads_from_env().max(1));
-    let mut rng = StdRng::seed_from_u64(0x601D);
-    let net = ModelKind::Resnet.build(model_cfg, &mut rng);
-    let meta = RunMeta {
-        model,
-        model_cfg,
+    let recipe = crate::experiment::Recipe {
+        preset,
+        model: ModelKind::Resnet,
+        init_seed: 0x601D,
         config,
-        git_rev: "golden".to_string(),
-        preflight_hash: None,
     };
-    (train_set, test_set, net, meta)
+    (train_set, test_set, recipe.network(), recipe.meta("golden"))
 }
 
 #[cfg(test)]

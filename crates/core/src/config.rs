@@ -84,20 +84,6 @@ impl TrainConfig {
         self
     }
 
-    /// Builder: enables the curvature probe at the given epoch interval.
-    #[must_use]
-    pub fn with_probe_every(mut self, every: usize) -> Self {
-        self.probe_every = every;
-        self
-    }
-
-    /// Builder: enables the spectrum probe at the given epoch interval.
-    #[must_use]
-    pub fn with_spectrum_every(mut self, every: usize) -> Self {
-        self.spectrum_every = every;
-        self
-    }
-
     /// Builder: sets the initial learning rate.
     #[must_use]
     pub fn with_lr(mut self, lr: f32) -> Self {
@@ -142,13 +128,9 @@ mod tests {
     fn builders_set_fields() {
         let c = TrainConfig::new(Method::Sgd, 5)
             .with_seed(9)
-            .with_probe_every(2)
-            .with_spectrum_every(3)
             .with_lr(0.05)
             .with_batch_size(16);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.probe_every, 2);
-        assert_eq!(c.spectrum_every, 3);
         assert_eq!(c.lr, 0.05);
         assert_eq!(c.batch_size, 16);
     }

@@ -7,13 +7,13 @@
 //! substrate).
 
 use crate::artifact_io::{
-    attach_quant, load_artifact, network_from_artifact, record_from_artifact,
+    attach_quant, check_run_meta, load_artifact, network_from_artifact, record_from_artifact,
     run_meta_from_artifact, save_artifact, train_to_artifact, ModelSpec, RunMeta,
 };
 use crate::config::TrainConfig;
 use crate::metrics::TrainRecord;
 use crate::preflight::{static_sensitivity_matrix, NoiseBits};
-use crate::trainer::{probe_batch, train};
+use crate::trainer::probe_batch;
 use hero_artifact::Artifact;
 use hero_data::{inject_symmetric_noise, Dataset, Preset};
 use hero_hessian::{hessian_norm_probe, lanczos_spectrum, BoundInputs, GradOracle};
@@ -154,71 +154,135 @@ pub struct TrainedModel {
     pub method: MethodKind,
 }
 
-/// Trains one (preset, model, method) cell of the experiment matrix.
+/// How to build and train one fresh model: the preset it is sized for,
+/// the architecture, the seed of its initialization and the configuration
+/// it trains under (whose `seed` drives the training streams). Every fresh
+/// model of the experiments and the CLI comes from one of these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Recipe {
+    /// Dataset preset the model is sized for.
+    pub preset: Preset,
+    /// Architecture.
+    pub model: ModelKind,
+    /// Seed of the initialization.
+    pub init_seed: u64,
+    /// Training configuration.
+    pub config: TrainConfig,
+}
+
+impl Recipe {
+    /// One cell of the experiment matrix: the (preset, model) tuned
+    /// hyper-parameters, initialized from the cell's fixed seed so every
+    /// method starts from the same weights, as in the paper.
+    pub fn cell(preset: Preset, model: ModelKind, method: MethodKind, epochs: usize) -> Recipe {
+        let seed = model_seed(preset, model);
+        Recipe {
+            preset,
+            model,
+            init_seed: seed,
+            config: TrainConfig::new(method.tuned_for(preset, model), epochs)
+                .with_seed(seed ^ 0x7EA7),
+        }
+    }
+
+    /// A run from one `seed` for the initialization and the training
+    /// streams, with the method's default tuned hyper-parameters.
+    pub fn seeded(
+        preset: Preset,
+        model: ModelKind,
+        method: MethodKind,
+        epochs: usize,
+        seed: u64,
+    ) -> Recipe {
+        Recipe {
+            preset,
+            model,
+            init_seed: seed,
+            config: TrainConfig::new(method.tuned(), epochs).with_seed(seed),
+        }
+    }
+
+    /// The seeded, untrained network.
+    pub fn network(&self) -> Network {
+        let mut rng = StdRng::seed_from_u64(self.init_seed);
+        self.model.build(model_config(self.preset), &mut rng)
+    }
+
+    /// The run identity an artifact of this recipe carries.
+    pub fn meta(&self, git_rev: &str) -> RunMeta {
+        RunMeta {
+            model: ModelSpec::Kind(self.model),
+            model_cfg: model_config(self.preset),
+            config: self.config,
+            git_rev: git_rev.to_string(),
+            preflight_hash: None,
+        }
+    }
+
+    /// Trains [`Recipe::network`] through [`train_to_artifact`] (provenance
+    /// `git_rev`, a resumable checkpoint at `(path, every)` epochs when
+    /// given): the trained network, its record and its final artifact.
+    pub fn train(
+        &self,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        git_rev: &str,
+        checkpoint: Option<(&Path, usize)>,
+    ) -> Result<(Network, TrainRecord, Artifact)> {
+        let mut net = self.network();
+        let (path, every) = checkpoint.map_or((None, 0), |(p, every)| (Some(p), every));
+        let meta = self.meta(git_rev);
+        let (record, art) = train_to_artifact(&mut net, train_set, test_set, &meta, every, path)?;
+        Ok((net, record, art))
+    }
+
+    /// Emits a `train_start` event: `training <model> with <method> ...`.
+    pub fn announce(&self) {
+        let (model, method) = (self.model.paper_name(), self.config.method.name());
+        let (epochs, preset) = (self.config.epochs, self.preset.paper_name());
+        hero_obs::Event::new("train_start")
+            .str("model", model)
+            .str("method", method)
+            .str("preset", preset)
+            .u64("epochs", epochs as u64)
+            .human(format!(
+                "training {model} with {method} for {epochs} epochs on {preset} ..."
+            ))
+            .emit();
+    }
+}
+
+/// Trains one (preset, model, method) cell of the experiment matrix
+/// ([`Recipe::cell`]), backed by a directory of model artifacts when
+/// `cache` is given: a cache hit reconstructs the trained model (weights,
+/// batch-norm state and full training record, all bitwise equal to the
+/// fresh run) from disk instead of retraining; a miss trains and saves
+/// the artifact for the next invocation.
 ///
 /// `probe_every` enables the Fig. 2 ‖Hz‖ probe at that epoch interval
-/// (0 = off). The model seed is fixed per (preset, model) so methods start
-/// from identical initializations, as in the paper.
+/// (0 = off).
 ///
 /// # Errors
 ///
-/// Propagates training errors.
+/// Propagates training, artifact-decode and I/O errors. A corrupt cache
+/// file is an error, and so is one trained under another recipe
+/// ([`TensorError::RecipeMismatch`]) rather than a silent retrain or reuse,
+/// so a stale cache never masquerades as a reproduction.
 pub fn train_cell(
     preset: Preset,
     model: ModelKind,
     method: MethodKind,
     scale: Scale,
     probe_every: usize,
+    cache: Option<&Path>,
 ) -> Result<TrainedModel> {
-    let (train_set, test_set) = preset.load(scale.data);
-    let (mut net, config) = cell_setup(preset, model, method, scale, probe_every);
-    let record = train(&mut net, &train_set, &test_set, &config)?;
-    Ok(TrainedModel {
-        net,
-        record,
-        method,
-    })
-}
-
-/// The seeded network and training configuration of one cell.
-fn cell_setup(
-    preset: Preset,
-    model: ModelKind,
-    method: MethodKind,
-    scale: Scale,
-    probe_every: usize,
-) -> (Network, TrainConfig) {
-    let seed = model_seed(preset, model);
-    let net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-    let config = TrainConfig::new(method.tuned_for(preset, model), scale.epochs(preset))
-        .with_probe_every(probe_every)
-        .with_seed(seed ^ 0x7EA7);
-    (net, config)
-}
-
-/// Like [`train_cell`] but backed by a directory of model artifacts: a
-/// cache hit reconstructs the trained model (weights, batch-norm state
-/// and full training record, all bitwise equal to the fresh run) from
-/// disk instead of retraining; a miss trains and saves the artifact for
-/// the next invocation.
-///
-/// # Errors
-///
-/// Propagates training, artifact-decode and I/O errors. A corrupt or
-/// mismatched cache file is an error rather than a silent retrain, so a
-/// stale cache never masquerades as a reproduction.
-pub fn train_cell_cached(
-    preset: Preset,
-    model: ModelKind,
-    method: MethodKind,
-    scale: Scale,
-    probe_every: usize,
-    cache_dir: &Path,
-) -> Result<TrainedModel> {
+    let mut recipe = Recipe::cell(preset, model, method, scale.epochs(preset));
+    recipe.config.probe_every = probe_every;
     let slug = slug(&[preset.paper_name(), model.paper_name(), method.paper_name()]);
-    let path = cache_dir.join(format!("{slug}.ha"));
-    if path.is_file() {
-        let art = load_artifact(&path)?;
+    let path = cache.map(|dir| dir.join(format!("{slug}.ha")));
+    if let Some(path) = path.as_ref().filter(|p| p.is_file()) {
+        let art = load_artifact(path)?;
+        check_run_meta(path, &run_meta_from_artifact(&art)?, &recipe.meta("cache"))?;
         let net = network_from_artifact(&art)?;
         let record = record_from_artifact(&art)?;
         hero_obs::Event::new("artifact_cache_hit")
@@ -232,24 +296,29 @@ pub fn train_cell_cached(
         });
     }
     let (train_set, test_set) = preset.load(scale.data);
-    let (mut net, config) = cell_setup(preset, model, method, scale, probe_every);
-    let meta = RunMeta {
-        model: ModelSpec::Kind(model),
-        model_cfg: model_config(preset),
-        config,
-        git_rev: "cache".to_string(),
-        preflight_hash: None,
-    };
-    let (record, art) = train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)?;
-    std::fs::create_dir_all(cache_dir).map_err(|e| {
-        TensorError::InvalidArgument(format!("create {}: {e}", cache_dir.display()))
-    })?;
-    save_artifact(&art, &path)?;
+    let (net, record, art) = recipe.train(&train_set, &test_set, "cache", None)?;
+    if let (Some(path), Some(dir)) = (path, cache) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| TensorError::InvalidArgument(format!("create {}: {e}", dir.display())))?;
+        save_artifact(&art, path)?;
+    }
     Ok(TrainedModel {
         net,
         record,
         method,
     })
+}
+
+/// [`train_cell`] backed by the artifact cache in `cache_dir`.
+pub fn train_cell_cached(
+    preset: Preset,
+    model: ModelKind,
+    method: MethodKind,
+    scale: Scale,
+    probe_every: usize,
+    cache_dir: &Path,
+) -> Result<TrainedModel> {
+    train_cell(preset, model, method, scale, probe_every, Some(cache_dir))
 }
 
 fn model_seed(preset: Preset, model: ModelKind) -> u64 {
@@ -278,19 +347,6 @@ pub fn slug(parts: &[&str]) -> String {
 // quantization and its curvature
 // ---------------------------------------------------------------------------
 
-/// A fresh training run of one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FreshRun {
-    /// Architecture.
-    pub model: ModelKind,
-    /// Method, with its default tuned hyper-parameters.
-    pub method: MethodKind,
-    /// Epoch budget.
-    pub epochs: usize,
-    /// Seed of the initialization and of the training streams.
-    pub seed: u64,
-}
-
 /// Where an experiment's model comes from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSource {
@@ -298,19 +354,22 @@ pub enum ModelSource {
     Artifact(PathBuf),
     /// A fresh, untrained model initialized from a seed.
     Init(ModelKind, u64),
-    /// A fresh model trained by [`train_fresh`].
-    Train(FreshRun),
+    /// A fresh model trained by [`Recipe::train`].
+    Train(Recipe),
 }
 
 impl ModelSource {
     /// The network, the artifact it was loaded from or trained into (none
     /// for [`ModelSource::Init`]) and the model's paper name (an artifact's
-    /// own `model.kind`). A loaded artifact emits `artifact_loaded`.
+    /// own `model.kind`). With `announce`, a loaded artifact emits
+    /// `artifact_loaded` and a trained model `train_start` and
+    /// `train_result`.
     pub fn load(
         &self,
         preset: Preset,
         train_set: &Dataset,
         test_set: &Dataset,
+        announce: bool,
     ) -> Result<(Network, Option<Artifact>, &'static str)> {
         Ok(match self {
             ModelSource::Artifact(path) => {
@@ -318,62 +377,30 @@ impl ModelSource {
                 let model = run_meta_from_artifact(&art)?.model.paper_name();
                 let path = path.to_string_lossy();
                 let net = network_from_artifact(&art)?;
-                hero_obs::Event::new("artifact_loaded")
-                    .str("path", &path)
-                    .human(format!("loaded artifact {path}"))
-                    .emit();
+                if announce {
+                    hero_obs::Event::new("artifact_loaded")
+                        .str("path", &path)
+                        .human(format!("loaded artifact {path}"))
+                        .emit();
+                }
                 (net, Some(art), model)
             }
             ModelSource::Init(model, seed) => {
                 let net = model.build(model_config(preset), &mut StdRng::seed_from_u64(*seed));
                 (net, None, model.paper_name())
             }
-            ModelSource::Train(run) => {
-                let (net, art) = train_fresh(run, preset, train_set, test_set, "unknown", 0, None)?;
-                (net, Some(art), run.model.paper_name())
+            ModelSource::Train(recipe) => {
+                if announce {
+                    recipe.announce();
+                }
+                let (net, record, art) = recipe.train(train_set, test_set, "unknown", None)?;
+                if announce {
+                    report_trained("trained", &record);
+                }
+                (net, Some(art), recipe.model.paper_name())
             }
         })
     }
-}
-
-/// Trains `run` through the artifact pipeline (provenance `git_rev`),
-/// checkpointing to `ckpt_path` every `ckpt_every` epochs when a path is
-/// given, and emits `train_start` and `train_result`.
-pub fn train_fresh(
-    run: &FreshRun,
-    preset: Preset,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    git_rev: &str,
-    ckpt_every: usize,
-    ckpt_path: Option<&Path>,
-) -> Result<(Network, Artifact)> {
-    let (model, method) = (run.model.paper_name(), run.method.paper_name());
-    hero_obs::Event::new("train_start")
-        .str("model", model)
-        .str("method", method)
-        .str("preset", preset.paper_name())
-        .u64("epochs", run.epochs as u64)
-        .human(format!(
-            "training {model} with {method} for {} epochs on {} ...",
-            run.epochs,
-            preset.paper_name()
-        ))
-        .emit();
-    let mut net = run
-        .model
-        .build(model_config(preset), &mut StdRng::seed_from_u64(run.seed));
-    let meta = RunMeta {
-        model: ModelSpec::Kind(run.model),
-        model_cfg: model_config(preset),
-        config: TrainConfig::new(run.method.tuned(), run.epochs).with_seed(run.seed),
-        git_rev: git_rev.to_string(),
-        preflight_hash: None,
-    };
-    let (rec, art) =
-        train_to_artifact(&mut net, train_set, test_set, &meta, ckpt_every, ckpt_path)?;
-    report_trained("trained", &rec);
-    Ok((net, art))
 }
 
 /// Emits a `train_result` event: `<what>: train acc …, test acc …`.
@@ -458,7 +485,7 @@ pub fn quantize_report(
         QuantScheme::symmetric(b)?;
     }
     let (train_set, test_set) = preset.load(scale);
-    let (mut net, artifact, _) = source.load(preset, &train_set, &test_set)?;
+    let (mut net, artifact, _) = source.load(preset, &train_set, &test_set, true)?;
     let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
     let mut mixed_eval = None;
     if let Some((avg, sens)) = mixed {
@@ -681,7 +708,7 @@ pub fn table1_matrix() -> Vec<(Preset, ModelKind)> {
 /// Runs Table 1 over the given matrix, returning the table and the trained
 /// models (reused by Fig. 1, which quantizes exactly these checkpoints).
 ///
-/// With a `cache` directory every cell goes through [`train_cell_cached`]:
+/// With a `cache` directory every cell goes through the artifact cache:
 /// a fully warm cache reproduces the table (and the Fig. 1 sweeps over
 /// exactly these checkpoints) without a single training step.
 ///
@@ -700,10 +727,7 @@ pub fn run_table1(
         let mut accs = Vec::new();
         let mut cell_models = Vec::new();
         for &method in &methods {
-            let trained = match cache {
-                Some(dir) => train_cell_cached(preset, model, method, scale, 0, dir)?,
-                None => train_cell(preset, model, method, scale, 0)?,
-            };
+            let trained = train_cell(preset, model, method, scale, 0, cache)?;
             accs.push(trained.record.final_test_acc);
             cell_models.push(trained);
         }
@@ -770,12 +794,9 @@ pub fn run_table2(model: ModelKind, ratios: &[f32], scale: Scale) -> Result<Tabl
         let mut noisy = clean_train.clone();
         inject_symmetric_noise(&mut noisy, ratio, 0xBAD_1ABE1);
         for (mi, &method) in methods.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(model_seed(preset, model));
-            let mut net = model.build(model_config(preset), &mut rng);
-            let config = TrainConfig::new(method.tuned_for(preset, model), epochs)
-                .with_batch_size(8)
-                .with_seed(model_seed(preset, model) ^ 0x7EA7);
-            let record = train(&mut net, &noisy, &test_set, &config)?;
+            let mut recipe = Recipe::cell(preset, model, method, epochs);
+            recipe.config.batch_size = 8;
+            let (_, record, _) = recipe.train(&noisy, &test_set, "unknown", None)?;
             accs[mi].push(record.final_test_acc);
         }
     }
@@ -912,7 +933,7 @@ pub fn run_table3(scale: Scale) -> Result<Table3> {
     let (_, test_set) = preset.load(scale.data);
     let mut accs = Vec::new();
     for &method in &methods {
-        let mut trained = train_cell(preset, ModelKind::Mobilenet, method, scale, 0)?;
+        let mut trained = train_cell(preset, ModelKind::Mobilenet, method, scale, 0, None)?;
         let curve = quant_sweep(&mut trained, &test_set, &bits)?;
         let mut row: Vec<f32> = curve.points.iter().map(|&(_, a)| a).collect();
         row.push(curve.full_acc);
@@ -953,7 +974,14 @@ pub fn run_fig2(scale: Scale) -> Result<Fig2> {
     let mut series = Vec::new();
     let mut gaps = Vec::new();
     for &method in &methods {
-        let trained = train_cell(Preset::C10, ModelKind::Resnet, method, scale, probe_every)?;
+        let trained = train_cell(
+            Preset::C10,
+            ModelKind::Resnet,
+            method,
+            scale,
+            probe_every,
+            None,
+        )?;
         series.push(trained.record.hessian_series());
         gaps.push(
             trained
@@ -1021,8 +1049,8 @@ pub fn landscape_scan(
 /// Propagates training/evaluation errors.
 pub fn run_fig3(scale: Scale, radius: f32, steps: usize) -> Result<Fig3> {
     let (train_set, _) = Preset::C10.load(scale.data);
-    let mut hero = train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Hero, scale, 0)?;
-    let mut sgd = train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Sgd, scale, 0)?;
+    let cell = |method| train_cell(Preset::C10, ModelKind::Resnet, method, scale, 0, None);
+    let (mut hero, mut sgd) = (cell(MethodKind::Hero)?, cell(MethodKind::Sgd)?);
     let hero_scan = landscape_scan(&mut hero, &train_set, radius, steps, 0xF163)?;
     let sgd_scan = landscape_scan(&mut sgd, &train_set, radius, steps, 0xF163)?;
     Ok(Fig3 {
@@ -1067,8 +1095,15 @@ mod tests {
             epochs_small: 2,
             epochs_large: 1,
         };
-        let mut trained =
-            train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Sgd, scale, 0).unwrap();
+        let mut trained = train_cell(
+            Preset::C10,
+            ModelKind::Resnet,
+            MethodKind::Sgd,
+            scale,
+            0,
+            None,
+        )
+        .unwrap();
         assert!(trained.record.final_test_acc.is_finite());
         let (_, test_set) = Preset::C10.load(scale.data);
         let before = trained.net.params();

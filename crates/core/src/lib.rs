@@ -24,7 +24,7 @@
 //! # fn main() -> Result<(), hero_tensor::TensorError> {
 //! let scale = Scale::fast();
 //! let mut trained =
-//!     train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Hero, scale, 0)?;
+//!     train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Hero, scale, 0, None)?;
 //! let (_, test) = Preset::C10.load(scale.data);
 //! let curve = quant_sweep(&mut trained, &test, &[4, 8])?;
 //! println!("4-bit accuracy: {:.3}", curve.points[0].1);
@@ -57,7 +57,7 @@ pub use preflight::{
 };
 pub use spectrum::{
     probe_density, probe_spectrum, spectrum_report, LayerTrace, MethodSpectrum, SpectrumOptions,
-    SpectrumProbe, SpectrumReport, SpectrumSource,
+    SpectrumProbe, SpectrumReport,
 };
 pub use trainer::{
     probe_batch, probe_hessian_norm, train, train_resumable, verify_network_tape,

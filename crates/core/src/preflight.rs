@@ -20,9 +20,8 @@
 //!   static bound dominates every measured error and that the static
 //!   sensitivity *ranking* agrees with the empirical one.
 
-use crate::experiment::{eval_quantized, model_config, MethodKind, ModelSource};
-use crate::trainer::{probe_batch, train};
-use crate::TrainConfig;
+use crate::experiment::{eval_quantized, MethodKind, ModelSource, Recipe};
+use crate::trainer::probe_batch;
 use hero_analyze::{relational_noise_pass, NoiseSeed, Report, ValueAnalysis, VerifyOptions};
 use hero_artifact::{Artifact, MetaValue};
 use hero_autodiff::{Graph, NodeTrace, Var};
@@ -541,7 +540,7 @@ pub fn run_preflight(
         validate_grid(&grid)?;
     }
     let (train_set, test_set) = preset.load(scale);
-    let (mut net, artifact, model) = source.load(preset, &train_set, &test_set)?;
+    let (mut net, artifact, model) = source.load(preset, &train_set, &test_set, true)?;
     let (images, labels) = probe_batch(&train_set, 64)?;
     let mut cfg = None;
     let noise = match noise {
@@ -646,9 +645,9 @@ pub fn run_crosscheck(
     let (images, labels) = probe_batch(&train_set, 64)?;
     let mut checks = Vec::with_capacity(models.len());
     for model in models {
-        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(grid.seed));
-        let config = TrainConfig::new(MethodKind::Sgd.tuned(), epochs).with_seed(grid.seed);
-        let acc = train(&mut net, &train_set, &test_set, &config)?.final_test_acc;
+        let recipe = Recipe::seeded(preset, *model, MethodKind::Sgd, epochs, grid.seed);
+        let (mut net, record, _) = recipe.train(&train_set, &test_set, "unknown", None)?;
+        let acc = record.final_test_acc;
         let report = noise_crosscheck(&mut net, &images, labels, &test_set, &grid)?;
         checks.push((model.paper_name(), acc, report));
     }

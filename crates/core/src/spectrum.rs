@@ -15,22 +15,18 @@
 //! estimator on each model's final weights, keeping the density grid
 //! ([`probe_density`]), ranked against the certified static sensitivity.
 
-use crate::artifact_io::{
-    load_artifact, network_from_artifact, record_from_artifact, run_meta_from_artifact,
-};
-use crate::experiment::{model_config, slug, MethodKind};
+use crate::artifact_io::record_from_artifact;
+use crate::experiment::{slug, ModelSource};
 use crate::preflight::{static_sensitivity_matrix, validate_grid};
-use crate::trainer::{probe_batch, train};
-use crate::{TrainConfig, TrainRecord};
+use crate::trainer::probe_batch;
+use crate::TrainRecord;
 use hero_data::{Dataset, Preset};
 use hero_hessian::{
     layer_traces, slq_density, spearman_rank_checked, Estimate, GradOracle, SlqConfig, SlqDensity,
 };
-use hero_nn::models::ModelKind;
 use hero_nn::Network;
 use hero_obs::json::{self, JsonObj};
 use hero_optim::BatchOracle;
-use hero_tensor::rng::StdRng;
 use hero_tensor::{Result, Tensor, TensorError};
 use std::path::PathBuf;
 
@@ -245,25 +241,6 @@ fn estimate(
 // The spectrum observatory (`hero spectrum`)
 // ---------------------------------------------------------------------------
 
-/// Where the observatory's models come from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpectrumSource {
-    /// One saved artifact: its weights and recorded spectrum trajectory,
-    /// labelled by its training method.
-    Artifact(PathBuf),
-    /// A fresh model trained with each method from the probe seed.
-    Train {
-        /// Architecture.
-        model: ModelKind,
-        /// One run per method.
-        methods: Vec<MethodKind>,
-        /// Epoch budget of each run.
-        epochs: usize,
-        /// Epoch cadence of the trajectory probes.
-        every: usize,
-    },
-}
-
 /// One model's final probe and its trace-vs-certificate ranking.
 #[derive(Debug, Clone)]
 pub struct MethodSpectrum {
@@ -301,15 +278,17 @@ pub struct SpectrumReport {
     pub methods: Vec<MethodSpectrum>,
 }
 
-/// The spectrum observatory: trains each requested method with per-epoch
-/// spectrum telemetry (or loads one artifact), probes the final weights
-/// with [`probe_density`], and ranks the quantizable layers' traces
-/// against the certified static sensitivity at `sens_bits` (Spearman).
-/// The probe counts and the width are checked before any data is loaded.
+/// The spectrum observatory: loads or trains each model of `sources`
+/// (fresh ones with per-epoch spectrum telemetry when their recipe asks
+/// for it), probes the final weights with [`probe_density`], and ranks the
+/// quantizable layers' traces against the certified static sensitivity at
+/// `sens_bits` (Spearman). A saved model is labelled by its artifact's
+/// `train.method.kind`, a fresh one by its method's paper name. The probe
+/// counts and the width are checked before any data is loaded.
 pub fn spectrum_report(
     preset: Preset,
     scale: f32,
-    source: &SpectrumSource,
+    sources: &[ModelSource],
     opts: SpectrumOptions,
     sens_bits: u8,
 ) -> Result<SpectrumReport> {
@@ -318,39 +297,27 @@ pub fn spectrum_report(
             "spectrum needs at least one Lanczos step and one probe".into(),
         ));
     }
+    if sources.is_empty() {
+        return Err(TensorError::InvalidArgument(
+            "spectrum needs a model".into(),
+        ));
+    }
     validate_grid(&[sens_bits])?;
     let (train_set, test_set) = preset.load(scale);
-    let mut runs: Vec<(String, Network, TrainRecord)> = Vec::new();
-    let model = match source {
-        SpectrumSource::Artifact(path) => {
-            let art = load_artifact(path)?;
-            let record = record_from_artifact(&art)?;
-            let epochs = record.epochs.len();
-            let method = art.meta_str("train.method.kind").unwrap_or("artifact");
-            runs.push((method.to_string(), network_from_artifact(&art)?, record));
-            (run_meta_from_artifact(&art)?.model.paper_name(), epochs)
-        }
-        SpectrumSource::Train {
-            model,
-            methods,
-            epochs,
-            every,
-        } => {
-            for method in methods {
-                let mut net =
-                    model.build(model_config(preset), &mut StdRng::seed_from_u64(opts.seed));
-                let config = TrainConfig::new(method.tuned(), *epochs).with_seed(opts.seed);
-                let record = train(
-                    &mut net,
-                    &train_set,
-                    &test_set,
-                    &config.with_spectrum_every(*every),
-                )?;
-                runs.push((method.paper_name().to_string(), net, record));
-            }
-            (model.paper_name(), *epochs)
-        }
-    };
+    let mut runs = Vec::with_capacity(sources.len());
+    let mut model = ("", 0);
+    for source in sources {
+        let (net, art, name) = source.load(preset, &train_set, &test_set, false)?;
+        let art = art
+            .ok_or_else(|| TensorError::InvalidArgument("spectrum needs a trained model".into()))?;
+        let record = record_from_artifact(&art)?;
+        let method = match source {
+            ModelSource::Artifact(_) => art.meta_str("train.method.kind").unwrap_or("artifact"),
+            _ => &record.method,
+        };
+        model = (name, record.epochs.len());
+        runs.push((method.to_string(), net, record));
+    }
     let (images, labels) = probe_batch(&train_set, opts.samples)?;
     let mut methods = Vec::with_capacity(runs.len());
     for (method, mut net, record) in runs {

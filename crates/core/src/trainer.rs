@@ -440,9 +440,10 @@ mod tests {
     #[test]
     fn probe_interval_fills_hessian_series() {
         let (mut net, train_set, test_set) = setup();
-        let config = TrainConfig::new(Method::Sgd, 4)
-            .with_batch_size(16)
-            .with_probe_every(2);
+        let config = TrainConfig {
+            probe_every: 2,
+            ..TrainConfig::new(Method::Sgd, 4).with_batch_size(16)
+        };
         let rec = train(&mut net, &train_set, &test_set, &config).unwrap();
         let series = rec.hessian_series();
         // Epochs 0, 2 and the final epoch 3.
@@ -453,9 +454,10 @@ mod tests {
     #[test]
     fn spectrum_interval_collects_probes() {
         let (mut net, train_set, test_set) = setup();
-        let config = TrainConfig::new(Method::Sgd, 4)
-            .with_batch_size(16)
-            .with_spectrum_every(2);
+        let config = TrainConfig {
+            spectrum_every: 2,
+            ..TrainConfig::new(Method::Sgd, 4).with_batch_size(16)
+        };
         let rec = train(&mut net, &train_set, &test_set, &config).unwrap();
         // Epochs 0, 2 and the final epoch 3.
         assert_eq!(

@@ -357,6 +357,51 @@ fn train_cell_cache_hit_is_bitwise_equal_to_the_fresh_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn train_cell_cache_refuses_a_model_of_another_recipe() {
+    use hero_core::experiment::{train_cell_cached, Scale};
+    use hero_data::Preset;
+    use hero_nn::models::ModelKind;
+    use hero_tensor::TensorError;
+
+    let scale = |epochs| Scale {
+        data: 0.05,
+        epochs_small: epochs,
+        epochs_large: 1,
+    };
+    let cell = |epochs, dir: &std::path::Path| {
+        let (model, method) = (ModelKind::Resnet, MethodKind::Sgd);
+        train_cell_cached(Preset::C10, model, method, scale(epochs), 0, dir)
+    };
+    let dir = temp_path("cell_cache_mismatch");
+    std::fs::remove_dir_all(&dir).ok();
+    cell(1, &dir).expect("cold cache trains and saves");
+    let path = dir.join("cifar_10_resnet20_sgd.ha");
+    let before = std::fs::read(&path).expect("the cell's artifact");
+    let err = cell(2, &dir).expect_err("a 2-epoch request must not reuse the 1-epoch model");
+    assert_eq!(
+        err,
+        TensorError::RecipeMismatch {
+            path: path.display().to_string(),
+            field: "train.epochs".to_string(),
+            cached: "1".to_string(),
+            requested: "2".to_string(),
+        },
+        "{err}"
+    );
+    assert!(
+        err.to_string()
+            .ends_with("train.epochs: cached 1, requested 2"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        before,
+        "the cached file moved"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // --- the committed golden artifact ----------------------------------------
 
 /// Byte-pin of the committed golden artifact. The golden file is

@@ -8,7 +8,7 @@ use hero_core::experiment::{
 };
 use hero_core::{
     network_from_artifact, run_preflight, save_artifact, spectrum_report, train_to_artifact,
-    ModelSpec, NoisePlan, RunMeta, SpectrumOptions, SpectrumSource, TrainConfig,
+    ModelSpec, NoisePlan, RunMeta, SpectrumOptions, TrainConfig,
 };
 use hero_data::Preset;
 use hero_optim::Method;
@@ -96,7 +96,7 @@ fn preflight_run_certifies_the_mixed_plan_and_stamps_its_hash() {
 #[test]
 fn spectrum_report_keeps_the_density_grid_of_its_one_estimator() {
     let path = mlp_artifact("spectrum.ha");
-    let source = SpectrumSource::Artifact(path.clone());
+    let source = [ModelSource::Artifact(path.clone())];
     let opts = SpectrumOptions {
         steps: 3,
         slq_probes: 1,
@@ -122,8 +122,7 @@ fn spectrum_report_keeps_the_density_grid_of_its_one_estimator() {
         slq_probes: 0,
         ..opts
     };
-    let missing = SpectrumSource::Artifact(PathBuf::from("missing.ha"));
-    let err = spectrum_report(Preset::C10, SCALE, &missing, zero, 4).unwrap_err();
+    let err = spectrum_report(Preset::C10, SCALE, &[missing()], zero, 4).unwrap_err();
     assert!(err.to_string().contains("at least one"), "{err}");
     std::fs::remove_file(path).ok();
 }
@@ -133,7 +132,9 @@ fn curvature_report_restores_the_network() {
     let path = mlp_artifact("analyze.ha");
     let (train_set, test_set) = Preset::C10.load(SCALE);
     let source = ModelSource::Artifact(path.clone());
-    let (mut net, ..) = source.load(Preset::C10, &train_set, &test_set).unwrap();
+    let (mut net, ..) = source
+        .load(Preset::C10, &train_set, &test_set, true)
+        .unwrap();
     let (params, state) = (net.params(), net.state());
     let report = curvature_report(&mut net, &train_set).unwrap();
     assert_eq!(report.samples, train_set.len().min(128));

@@ -127,7 +127,7 @@ mod tests {
         for _ in 0..16 {
             let out = aug.apply(&b, &mut rng).unwrap();
             assert_eq!(out.sum(), 1.0);
-            let idx = out.argmax();
+            let idx = out.data().iter().position(|&v| v == 1.0).unwrap();
             let (y, x) = (idx / 5 % 5, idx % 5);
             assert!(
                 (1..=3).contains(&y) && (1..=3).contains(&x),

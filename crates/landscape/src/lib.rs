@@ -32,5 +32,5 @@ mod surface;
 
 pub use directions::{filter_normalize, filter_normalized_direction, random_direction};
 pub use robustness::{probe_robustness, PerturbNorm, RobustnessProbe};
-pub use sharpness::{epsilon_sharpness, sam_sharpness};
+pub use sharpness::epsilon_sharpness;
 pub use surface::{scan_2d, LossOracle, SurfaceScan};

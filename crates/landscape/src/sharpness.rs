@@ -1,9 +1,7 @@
-//! Scalar sharpness metrics.
+//! Scalar sharpness metric.
 //!
-//! Complements the 2-D scans with the two standard scalar summaries of
-//! loss-surface sharpness: Keskar-style ε-sharpness (worst random loss
-//! increase in a relative ℓ∞ box) and SAM sharpness (loss increase along
-//! the ascent direction at a fixed ℓ2 radius). Both shrink when HERO's
+//! Complements the 2-D scans with Keskar-style ε-sharpness, the worst
+//! random loss increase in a relative ℓ∞ box. It shrinks when HERO's
 //! regularization works.
 
 use crate::surface::LossOracle;
@@ -48,41 +46,6 @@ pub fn epsilon_sharpness(
     Ok(100.0 * (worst - base) / (1.0 + base))
 }
 
-/// SAM sharpness: `max_{‖δ‖₂ ≤ rho} L(W + δ) − L(W)` approximated at the
-/// first-order ascent point `δ = rho · g/‖g‖`, given the gradient `g` at
-/// `W` (callers obtain it from their training stack; this crate stays
-/// gradient-free).
-///
-/// # Errors
-///
-/// Propagates oracle errors; rejects a non-positive radius or a zero
-/// gradient.
-pub fn sam_sharpness(
-    oracle: &mut dyn LossOracle,
-    params: &[Tensor],
-    grads: &[Tensor],
-    rho: f32,
-) -> Result<f32> {
-    if rho <= 0.0 {
-        return Err(TensorError::InvalidArgument(
-            "sam_sharpness needs rho > 0".into(),
-        ));
-    }
-    let gnorm = hero_tensor::global_norm_l2(grads);
-    if gnorm <= f32::MIN_POSITIVE {
-        return Err(TensorError::InvalidArgument(
-            "sam_sharpness needs a nonzero gradient".into(),
-        ));
-    }
-    let base = oracle.loss(params)?;
-    let mut shifted: Vec<Tensor> = params.to_vec();
-    for ((s, p), g) in shifted.iter_mut().zip(params).zip(grads) {
-        *s = p.clone();
-        s.axpy(rho / gnorm, g)?;
-    }
-    Ok(oracle.loss(&shifted)? - base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,38 +80,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(epsilon_sharpness(&mut bowl(1.0), &params, 0.0, 8, &mut rng).is_err());
         assert!(epsilon_sharpness(&mut bowl(1.0), &params, 0.1, 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn sam_sharpness_matches_quadratic_closed_form() {
-        // f = 0.5 k ||x||²; at x0 with g = k x0, ascent point x0(1 + rho/||g||·k)...
-        // Evaluate directly: at x0 = (1, 0), k = 2: g = (2, 0), ||g|| = 2.
-        // shifted = x0 + rho * g/||g|| = (1 + rho, 0).
-        // increase = 0.5*2*((1+rho)^2 - 1) = (1+rho)^2 - 1.
-        let params = vec![Tensor::from_vec(vec![1.0, 0.0], [2]).unwrap()];
-        let grads = vec![Tensor::from_vec(vec![2.0, 0.0], [2]).unwrap()];
-        let rho = 0.5;
-        let got = sam_sharpness(&mut bowl(2.0), &params, &grads, rho).unwrap();
-        let expected = (1.0f32 + rho).powi(2) - 1.0;
-        assert!((got - expected).abs() < 1e-4, "{got} vs {expected}");
-    }
-
-    #[test]
-    fn sam_sharpness_ranks_curvature() {
-        let params = vec![Tensor::from_vec(vec![1.0, 1.0], [2]).unwrap()];
-        let g_sharp = vec![params[0].scale(50.0)];
-        let g_flat = vec![params[0].scale(0.5)];
-        let sharp = sam_sharpness(&mut bowl(50.0), &params, &g_sharp, 0.1).unwrap();
-        let flat = sam_sharpness(&mut bowl(0.5), &params, &g_flat, 0.1).unwrap();
-        assert!(sharp > flat * 10.0);
-    }
-
-    #[test]
-    fn sam_sharpness_validates() {
-        let params = vec![Tensor::ones([2])];
-        let zero_grad = vec![Tensor::zeros([2])];
-        assert!(sam_sharpness(&mut bowl(1.0), &params, &zero_grad, 0.1).is_err());
-        let g = vec![Tensor::ones([2])];
-        assert!(sam_sharpness(&mut bowl(1.0), &params, &g, 0.0).is_err());
     }
 }

@@ -69,25 +69,6 @@ pub fn eval_loss(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result<f32>
     value
 }
 
-/// Fraction of rows whose argmax matches the label.
-///
-/// # Errors
-///
-/// Returns shape errors if `logits` is not `(batch, classes)` with
-/// `batch == labels.len()`.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
-    let preds = logits.argmax_rows()?;
-    if preds.len() != labels.len() {
-        return Err(hero_tensor::TensorError::InvalidArgument(format!(
-            "{} predictions for {} labels",
-            preds.len(),
-            labels.len()
-        )));
-    }
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    Ok(correct as f32 / labels.len().max(1) as f32)
-}
-
 /// Evaluates classification accuracy over a dataset in mini-batches.
 ///
 /// # Errors
@@ -190,14 +171,6 @@ mod tests {
         let (x, y) = batch();
         let l = eval_loss(&mut net, &x, &y).unwrap();
         assert!(l > 0.0 && l < 10.0);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], [3, 2]).unwrap();
-        assert_eq!(accuracy(&logits, &[0, 1, 1]).unwrap(), 2.0 / 3.0);
-        assert_eq!(accuracy(&logits, &[0, 1, 0]).unwrap(), 1.0);
-        assert!(accuracy(&logits, &[0, 1]).is_err());
     }
 
     #[test]

@@ -70,6 +70,18 @@ pub enum TensorError {
         /// The offending value (NaN or ±Inf).
         loss: f32,
     },
+    /// A stored model was trained under another recipe than the one
+    /// requested; it is neither reused nor retrained over.
+    RecipeMismatch {
+        /// The stored model's file.
+        path: String,
+        /// The first differing recipe field (an artifact meta key).
+        field: String,
+        /// Its stored value.
+        cached: String,
+        /// Its requested value.
+        requested: String,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -111,6 +123,18 @@ impl fmt::Display for TensorError {
                 write!(
                     f,
                     "training diverged: loss {loss} at epoch {epoch}, step {step}"
+                )
+            }
+            TensorError::RecipeMismatch {
+                path,
+                field,
+                cached,
+                requested,
+            } => {
+                write!(
+                    f,
+                    "{path} was trained under another recipe: \
+                     {field}: cached {cached}, requested {requested}"
                 )
             }
         }

@@ -32,19 +32,6 @@ impl Tensor {
         self.data().iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Flat index of the maximum element (first occurrence).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data().iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Row-wise argmax of a 2-D tensor: returns the class index per row.
     ///
     /// # Errors
@@ -126,7 +113,6 @@ mod tests {
         assert_eq!(t.mean(), 0.625);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.argmax(), 2);
     }
 
     #[test]

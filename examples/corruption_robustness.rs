@@ -12,8 +12,8 @@
 //! cargo run --release -p hero-core --example corruption_robustness
 //! ```
 
-use hero_core::experiment::{model_config, MethodKind};
-use hero_core::{train, TrainConfig};
+use hero_core::experiment::{MethodKind, Recipe};
+use hero_core::TrainConfig;
 use hero_data::{Corruption, Preset};
 use hero_landscape::epsilon_sharpness;
 use hero_nn::evaluate_accuracy;
@@ -30,14 +30,13 @@ fn main() -> Result<(), TensorError> {
     println!("test-set Gaussian-noise severity sweep: {severities:?}\n");
 
     for method in [MethodKind::Hero, MethodKind::Sgd] {
-        let mut rng = StdRng::seed_from_u64(123);
-        let mut net = ModelKind::Resnet.build(model_config(preset), &mut rng);
-        let record = train(
-            &mut net,
-            &train_set,
-            &test_set,
-            &TrainConfig::new(method.tuned(), epochs),
-        )?;
+        let recipe = Recipe {
+            preset,
+            model: ModelKind::Resnet,
+            init_seed: 123,
+            config: TrainConfig::new(method.tuned(), epochs),
+        };
+        let (mut net, record, _) = recipe.train(&train_set, &test_set, "example", None)?;
         print!(
             "{:8} (clean test {:5.1}%):",
             method.paper_name(),

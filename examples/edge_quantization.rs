@@ -14,11 +14,10 @@
 //! cargo run --release -p hero-core --example edge_quantization
 //! ```
 
-use hero_core::experiment::{eval_quantized, model_config, MethodKind};
-use hero_core::{train, NoiseBits, TrainConfig};
+use hero_core::experiment::{eval_quantized, MethodKind, Recipe};
+use hero_core::{NoiseBits, TrainConfig};
 use hero_data::Preset;
 use hero_nn::models::ModelKind;
-use hero_tensor::rng::StdRng;
 use hero_tensor::TensorError;
 
 fn main() -> Result<(), TensorError> {
@@ -35,14 +34,13 @@ fn main() -> Result<(), TensorError> {
     ];
 
     for method in [MethodKind::Hero, MethodKind::GradL1, MethodKind::Sgd] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut net = ModelKind::Mobilenet.build(model_config(preset), &mut rng);
-        let record = train(
-            &mut net,
-            &train_set,
-            &test_set,
-            &TrainConfig::new(method.tuned(), epochs),
-        )?;
+        let recipe = Recipe {
+            preset,
+            model: ModelKind::Mobilenet,
+            init_seed: 7,
+            config: TrainConfig::new(method.tuned(), epochs),
+        };
+        let (mut net, record, _) = recipe.train(&train_set, &test_set, "example", None)?;
         println!(
             "{} (full-precision test acc {:.1}%):",
             method.paper_name(),

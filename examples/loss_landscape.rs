@@ -8,8 +8,8 @@
 //! cargo run --release -p hero-core --example loss_landscape
 //! ```
 
-use hero_core::experiment::{landscape_scan, model_config, MethodKind, Scale, TrainedModel};
-use hero_core::{train, TrainConfig};
+use hero_core::experiment::{landscape_scan, MethodKind, Recipe, TrainedModel};
+use hero_core::TrainConfig;
 use hero_data::Preset;
 use hero_hessian::{lanczos_spectrum, BoundInputs};
 use hero_landscape::{probe_robustness, PerturbNorm};
@@ -22,22 +22,15 @@ fn main() -> Result<(), TensorError> {
     let preset = Preset::C10;
     let (train_set, test_set) = preset.load(0.5);
     let epochs = 25;
-    let scale = Scale {
-        data: 0.5,
-        epochs_small: epochs,
-        epochs_large: epochs,
-    };
-    let _ = scale;
 
     for method in [MethodKind::Hero, MethodKind::Sgd] {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut net = ModelKind::Resnet.build(model_config(preset), &mut rng);
-        let record = train(
-            &mut net,
-            &train_set,
-            &test_set,
-            &TrainConfig::new(method.tuned(), epochs),
-        )?;
+        let recipe = Recipe {
+            preset,
+            model: ModelKind::Resnet,
+            init_seed: 11,
+            config: TrainConfig::new(method.tuned(), epochs),
+        };
+        let (net, record, _) = recipe.train(&train_set, &test_set, "example", None)?;
         println!(
             "== {} (test acc {:.1}%) ==",
             method.paper_name(),

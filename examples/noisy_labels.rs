@@ -12,11 +12,10 @@
 //! cargo run --release -p hero-core --example noisy_labels
 //! ```
 
-use hero_core::experiment::{model_config, MethodKind};
-use hero_core::{train, TrainConfig};
+use hero_core::experiment::{MethodKind, Recipe};
+use hero_core::TrainConfig;
 use hero_data::{inject_symmetric_noise, label_disagreement, Preset, SynthGenerator, SynthSpec};
 use hero_nn::models::ModelKind;
-use hero_tensor::rng::StdRng;
 use hero_tensor::TensorError;
 
 fn main() -> Result<(), TensorError> {
@@ -41,10 +40,13 @@ fn main() -> Result<(), TensorError> {
     );
 
     for method in [MethodKind::Hero, MethodKind::Sgd] {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net = ModelKind::Resnet.build(model_config(preset), &mut rng);
-        let config = TrainConfig::new(method.tuned(), 80).with_batch_size(8);
-        let record = train(&mut net, &noisy, &test_set, &config)?;
+        let recipe = Recipe {
+            preset,
+            model: ModelKind::Resnet,
+            init_seed: 3,
+            config: TrainConfig::new(method.tuned(), 80).with_batch_size(8),
+        };
+        let (_, record, _) = recipe.train(&noisy, &test_set, "example", None)?;
         println!(
             "{:5}  fit of (noisy) train set {:5.1}%   clean test acc {:5.1}%",
             method.paper_name(),

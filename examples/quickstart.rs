@@ -7,11 +7,10 @@
 //! cargo run --release -p hero-core --example quickstart
 //! ```
 
-use hero_core::experiment::{model_config, quant_sweep, MethodKind};
-use hero_core::{train, TrainConfig};
+use hero_core::experiment::{quant_sweep, MethodKind, Recipe, TrainedModel};
+use hero_core::TrainConfig;
 use hero_data::Preset;
 use hero_nn::models::ModelKind;
-use hero_tensor::rng::StdRng;
 use hero_tensor::TensorError;
 
 fn main() -> Result<(), TensorError> {
@@ -28,10 +27,13 @@ fn main() -> Result<(), TensorError> {
 
     for method in [MethodKind::Hero, MethodKind::Sgd] {
         // Identical initialization for a fair comparison.
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut net = ModelKind::Resnet.build(model_config(preset), &mut rng);
-        let config = TrainConfig::new(method.tuned(), epochs);
-        let record = train(&mut net, &train_set, &test_set, &config)?;
+        let recipe = Recipe {
+            preset,
+            model: ModelKind::Resnet,
+            init_seed: 42,
+            config: TrainConfig::new(method.tuned(), epochs),
+        };
+        let (net, record, _) = recipe.train(&train_set, &test_set, "example", None)?;
         println!(
             "{:16}  train acc {:5.1}%  test acc {:5.1}%  (gap {:4.1}%)",
             method.paper_name(),
@@ -41,7 +43,7 @@ fn main() -> Result<(), TensorError> {
         );
 
         // Post-training quantization, no finetuning (the paper's setting).
-        let mut trained = hero_core::experiment::TrainedModel {
+        let mut trained = TrainedModel {
             net,
             record,
             method,

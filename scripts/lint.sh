@@ -8,9 +8,10 @@
 #      are genuinely intended need a waiver;
 #   3. no public item without a program caller — every `pub fn`, `pub
 #      struct`, `pub enum`, `pub trait`, `pub type`, `pub const` and `pub
-#      static` in crates/*/src must be named, as a whole word, on some
-#      program line other than its own definition. Program lines are the
-#      library sources, crates/*/benches, examples/ and benchmark/src;
+#      static` in crates/*/src must be named, as a whole word and outside
+#      string literals, on some program line other than its own
+#      definition. Program lines are the library sources,
+#      crates/*/benches, examples/ and benchmark/src;
 #      `use` / `pub use` statements do not count (rustc already flags an
 #      import nothing uses). rustc's dead_code lint covers private items.
 #      The check matches names, not paths: two items that share a name
@@ -121,7 +122,10 @@ unreferenced_items() {
           name = substr(line, RSTART, RLENGTH)
           sub(/.*[[:space:]]/, "", name)
         }
+        # A name inside a string literal (an error message, an event
+        # key) is not a caller.
         words = line
+        gsub(/"([^"\\]|\\.)*"/, " ", words)
         gsub(/[^A-Za-z0-9_]+/, " ", words)
         n = split(words, w, " ")
         own = 0

@@ -148,8 +148,15 @@ fn landscape_scan_centers_on_trained_minimum() {
         epochs_small: 4,
         epochs_large: 1,
     };
-    let mut trained =
-        train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Sgd, scale, 0).unwrap();
+    let mut trained = train_cell(
+        Preset::C10,
+        ModelKind::Resnet,
+        MethodKind::Sgd,
+        scale,
+        0,
+        None,
+    )
+    .unwrap();
     let (train_set, _) = Preset::C10.load(scale.data);
     let scan = landscape_scan(&mut trained, &train_set, 0.5, 7, 42).unwrap();
     // The centre should be at or near the lowest loss on the grid.
@@ -176,8 +183,24 @@ fn experiment_cells_are_reproducible() {
         epochs_small: 2,
         epochs_large: 1,
     };
-    let a = train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Hero, scale, 0).unwrap();
-    let b = train_cell(Preset::C10, ModelKind::Resnet, MethodKind::Hero, scale, 0).unwrap();
+    let a = train_cell(
+        Preset::C10,
+        ModelKind::Resnet,
+        MethodKind::Hero,
+        scale,
+        0,
+        None,
+    )
+    .unwrap();
+    let b = train_cell(
+        Preset::C10,
+        ModelKind::Resnet,
+        MethodKind::Hero,
+        scale,
+        0,
+        None,
+    )
+    .unwrap();
     assert_eq!(a.record.final_test_acc, b.record.final_test_acc);
     assert_eq!(a.net.params(), b.net.params());
 }
