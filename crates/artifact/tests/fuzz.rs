@@ -6,11 +6,12 @@
 //! The crate is zero-dependency, so the generator is a local SplitMix64
 //! (same algorithm as the workspace RNG): every run is deterministic and
 //! a failure reproduces from the case number alone.
+//!
+//! These are the container's cases. The RESUME section is opaque here;
+//! its decoder's corruption cases live with its schema, in
+//! `crates/core/tests/resume_fuzz.rs`.
 
-use hero_artifact::{
-    Artifact, ArtifactError, Estimate, LayerTraceRow, MetaValue, MetricsRow, QuantEntry,
-    ResumeState, SpectrumRow, StateEntry, TensorEntry,
-};
+use hero_artifact::{Artifact, ArtifactError, MetaValue, QuantEntry, StateEntry, TensorEntry};
 
 const TRUNCATION_CASES: u64 = 200;
 const BITFLIP_CASES: u64 = 200;
@@ -61,55 +62,13 @@ fn sample(rng: &mut Rng) -> Artifact {
     art.quant.push(QuantEntry {
         name: "stem.conv.weight".into(),
         bits: 4,
-        per_channel: true,
-        bin_widths: vec![0.125; n],
+        bin_width: 0.125,
     });
     if rng.below(2) == 1 {
-        art.resume = Some(ResumeState {
-            next_epoch: rng.below(10),
-            step: rng.next(),
-            grad_evals: rng.next(),
-            loader_rng: rng.next(),
-            aug_rng: rng.next(),
-            momentum: vec![TensorEntry {
-                name: "stem.conv.weight".into(),
-                kind: 0,
-                dims: vec![n as u64, 2],
-                data: vec![0.01; n * 2],
-            }],
-            metrics: vec![MetricsRow {
-                epoch: 0,
-                train_loss: 1.2,
-                train_acc: 0.5,
-                test_acc: f32::NAN,
-                hessian_norm: f32::NAN,
-                regularizer: 0.0,
-            }],
-            final_train_acc: 0.5,
-            final_test_acc: 0.4,
-            spectra: vec![SpectrumRow {
-                epoch: 0,
-                lambda_max: est(2.0),
-                lambda_min: est(-0.1),
-                mean_eigenvalue: est(0.3),
-                second_moment: est(1.0),
-                layers: vec![LayerTraceRow {
-                    name: "stem.conv.weight".into(),
-                    quantizable: true,
-                    trace: est(0.7),
-                }],
-            }],
-        });
+        // Opaque bytes: the container stores RESUME without reading it.
+        art.resume = Some((0..8 * n).map(|_| rng.next() as u8).collect());
     }
     art
-}
-
-fn est(mean: f32) -> Estimate {
-    Estimate {
-        mean,
-        std_error: f32::NAN,
-        samples: 1,
-    }
 }
 
 /// Decode must terminate with Ok or a typed error — the `match` is

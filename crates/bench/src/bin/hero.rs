@@ -26,8 +26,9 @@ use hero_core::report::{
     render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
 };
 use hero_core::{
-    golden_recipe, load_artifact, resume_from_artifact, run_crosscheck, run_preflight,
-    save_artifact, spectrum_report, train_to_artifact, CrosscheckGrid, NoisePlan, SpectrumOptions,
+    describe_artifact, golden_recipe, load_artifact, resume_from_artifact, run_crosscheck,
+    run_preflight, save_artifact, spectrum_report, train_to_artifact, CrosscheckGrid, NoisePlan,
+    SpectrumOptions,
 };
 use hero_data::Preset;
 use hero_nn::models::ModelKind;
@@ -241,8 +242,10 @@ fn cmd_train(o: &Opts) -> CliResult {
     // all come from the file; only the datasets are reloaded, so the
     // caller must pass the original --preset/--scale.
     let art = if let Some(resume) = o.get("resume") {
+        let (art, state) = load_artifact(resume)?;
         let (rec, art, _) = resume_from_artifact(
-            &load_artifact(resume)?,
+            &art,
+            state,
             &train_set,
             &test_set,
             ckpt_every,
@@ -400,7 +403,8 @@ fn cmd_artifact_inspect(o: &Opts) -> CliResult {
     let path = o
         .get("path")
         .ok_or("hero artifact inspect: --path FILE is required")?;
-    print!("{}", load_artifact(path)?.describe());
+    let (art, state) = load_artifact(path)?;
+    print!("{}", describe_artifact(&art, state.as_ref()));
     Ok(())
 }
 

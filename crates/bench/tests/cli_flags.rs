@@ -129,6 +129,29 @@ fn flags_without_effect_are_rejected() {
     );
 }
 
+/// A checkpoint file the cadence would never write (checkpoints come
+/// after every N-th epoch but the last) is refused before training: a
+/// budget of hours stands in for the training, and the deadline turns a
+/// refusal that comes too late into a failure.
+#[test]
+fn a_checkpoint_that_would_never_be_written_is_refused() {
+    let ckpt = tmp("never_written.ha");
+    let never = "no checkpoint would be written to";
+    let path = ckpt.to_str().unwrap();
+    let args = ["train", "--scale", "0.05", "--checkpoint", path];
+    rejects(&[&args[..], &["--epochs", "1"]].concat(), never);
+    let child = Command::new(env!("CARGO_BIN_EXE_hero"))
+        .args(args)
+        .args(["--epochs", "100000", "--checkpoint-every", "100000"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hero");
+    let stderr = exits_within(child, Duration::from_secs(60));
+    assert!(stderr.contains(never), "{stderr}");
+    assert!(!ckpt.exists());
+}
+
 /// Waits for `child` to exit unsuccessfully within `limit` (killing it and
 /// failing otherwise) and returns its stderr.
 fn exits_within(mut child: Child, limit: Duration) -> String {

@@ -1,13 +1,16 @@
 //! Conversions between live training state and the on-disk model
 //! artifact format (`hero-artifact`, DESIGN.md §16).
 //!
-//! `hero-artifact` defines the byte format over plain data; this module
-//! owns the semantics: how a [`Network`], a [`TrainConfig`], a
-//! [`TrainerState`] and provenance map onto artifact sections, and how a
-//! loaded artifact is turned back into an identical model. Everything is
-//! deterministic: meta keys are written in one fixed order and tensors in
-//! the network's canonical parameter order, so the same run always
-//! produces byte-identical files.
+//! `hero-artifact` defines the container and its plain-data sections;
+//! this module owns the semantics: how a [`Network`], a [`TrainConfig`]
+//! and provenance map onto META, TENSORS and STATE, and how a loaded
+//! artifact is turned back into an identical model. It also owns the
+//! RESUME section's schema: the [`TrainerState`] (resume cursor and
+//! [`TrainRecord`]) is encoded and decoded here, field by field, with the
+//! container's bounded primitives, and [`load_artifact`] decodes it once
+//! as it loads. Everything is deterministic: meta keys are written in one
+//! fixed order and tensors in the network's canonical parameter order, so
+//! the same run always produces byte-identical files.
 //!
 //! The pipeline built on top:
 //!
@@ -23,13 +26,13 @@ use crate::metrics::{EpochMetrics, TrainRecord};
 use crate::spectrum::{LayerTrace, SpectrumProbe};
 use crate::trainer::{train_resumable, TrainerState};
 use hero_artifact::{
-    Artifact, ArtifactError, Estimate as ArtEstimate, LayerTraceRow, MetaValue, MetricsRow,
-    QuantEntry, ResumeState, SpectrumRow, StateEntry, TensorEntry,
+    put_f32, put_str, put_tensor, put_u32, put_u64, Artifact, ArtifactError, MetaValue, QuantEntry,
+    Reader, StateEntry, TensorEntry,
 };
 use hero_data::{Augment, Dataset};
 use hero_hessian::Estimate;
 use hero_nn::models::{mlp, ModelConfig, ModelKind};
-use hero_nn::{Network, ParamKind};
+use hero_nn::{Network, ParamInfo, ParamKind};
 use hero_optim::Method;
 use hero_quant::{quantize_tensor, QuantScheme};
 use hero_tensor::rng::StdRng;
@@ -324,32 +327,27 @@ fn param_kind_tag(kind: ParamKind) -> u8 {
     }
 }
 
-fn tensor_entries(net: &Network) -> Vec<TensorEntry> {
-    let infos = net.param_infos();
-    net.params()
-        .into_iter()
-        .zip(infos)
-        .map(|(t, info)| TensorEntry {
-            name: info.name,
-            kind: param_kind_tag(info.kind),
-            dims: t.dims().iter().map(|&d| d as u64).collect(),
-            data: t.data().to_vec(),
-        })
-        .collect()
+fn tensor_entry(t: &Tensor, info: &ParamInfo) -> TensorEntry {
+    TensorEntry {
+        name: info.name.clone(),
+        kind: param_kind_tag(info.kind),
+        dims: t.dims().iter().map(|&d| d as u64).collect(),
+        data: t.data().to_vec(),
+    }
 }
 
-fn tensors_from_entries(entries: &[TensorEntry]) -> Result<Vec<Tensor>> {
-    entries
-        .iter()
-        .map(|e| {
-            let dims: Vec<usize> = e.dims.iter().map(|&d| d as usize).collect();
-            Tensor::from_vec(e.data.clone(), dims.as_slice())
-        })
-        .collect()
+fn tensor_from_entry(e: TensorEntry) -> Result<Tensor> {
+    let dims: Vec<usize> = e.dims.iter().map(|&d| d as usize).collect();
+    Tensor::from_vec(e.data, dims.as_slice())
 }
 
 fn write_model_sections(art: &mut Artifact, net: &Network) {
-    art.tensors = tensor_entries(net);
+    let params = net.params();
+    art.tensors = params
+        .iter()
+        .zip(&net.param_infos())
+        .map(|(t, info)| tensor_entry(t, info))
+        .collect();
     art.state = net
         .state()
         .into_iter()
@@ -386,7 +384,9 @@ pub fn network_from_artifact(art: &Artifact) -> Result<Network> {
             )));
         }
     }
-    let params = tensors_from_entries(&art.tensors)?;
+    let params = (art.tensors.iter().cloned())
+        .map(tensor_from_entry)
+        .collect::<Result<Vec<_>>>()?;
     net.set_params(&params)?;
     let state: Vec<(String, Vec<f32>)> = art
         .state
@@ -407,160 +407,208 @@ pub fn network_from_artifact(art: &Artifact) -> Result<Network> {
 }
 
 // --- resume section -------------------------------------------------------
+//
+// The RESUME section holds a `TrainerState`: next epoch, step, gradient
+// evaluations and the loader and augmentation RNG states (u64 each); the
+// momentum tensors (u32 count); the epoch rows (u32 count, each a u64
+// epoch and five f32); the final train and test accuracies (f32); the
+// spectrum probes (u32 count, each a u64 epoch, four estimates and a u32
+// count of layer rows: name, quantizable byte, trace estimate). An
+// estimate is its mean and standard error (f32) and sample count (u64).
 
-fn estimate_to_row(e: &Estimate) -> ArtEstimate {
-    ArtEstimate {
-        mean: e.mean,
-        std_error: e.std_error,
-        samples: e.samples as u64,
+fn put_estimate(buf: &mut Vec<u8>, e: &Estimate) {
+    put_f32(buf, e.mean);
+    put_f32(buf, e.std_error);
+    put_u64(buf, e.samples as u64);
+}
+
+fn read_estimate(r: &mut Reader) -> hero_artifact::Result<Estimate> {
+    Ok(Estimate {
+        mean: r.f32()?,
+        std_error: r.f32()?,
+        samples: r.u64()? as usize,
+    })
+}
+
+fn encode_resume(net: &Network, state: &TrainerState) -> Vec<u8> {
+    let rec = &state.record;
+    let mut b = Vec::new();
+    for v in [state.next_epoch, state.step, rec.grad_evals] {
+        put_u64(&mut b, v as u64);
     }
-}
-
-fn estimate_from_row(e: &ArtEstimate) -> Estimate {
-    Estimate {
-        mean: e.mean,
-        std_error: e.std_error,
-        samples: e.samples as usize,
+    put_u64(&mut b, state.loader_rng);
+    put_u64(&mut b, state.aug_rng);
+    let momentum: Vec<TensorEntry> = (state.momentum.iter().zip(&net.param_infos()))
+        .map(|(t, info)| tensor_entry(t, info))
+        .collect();
+    put_u32(&mut b, momentum.len() as u32);
+    for t in &momentum {
+        put_tensor(&mut b, t);
     }
-}
-
-fn spectra_to_rows(spectra: &[SpectrumProbe]) -> Vec<SpectrumRow> {
-    spectra
-        .iter()
-        .map(|s| SpectrumRow {
-            epoch: s.epoch as u64,
-            lambda_max: estimate_to_row(&s.lambda_max),
-            lambda_min: estimate_to_row(&s.lambda_min),
-            mean_eigenvalue: estimate_to_row(&s.mean_eigenvalue),
-            second_moment: estimate_to_row(&s.second_moment),
-            layers: s
-                .layers
-                .iter()
-                .map(|l| LayerTraceRow {
-                    name: l.name.clone(),
-                    quantizable: l.quantizable,
-                    trace: estimate_to_row(&l.trace),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-fn spectra_from_rows(rows: &[SpectrumRow]) -> Vec<SpectrumProbe> {
-    rows.iter()
-        .map(|s| SpectrumProbe {
-            epoch: s.epoch as usize,
-            lambda_max: estimate_from_row(&s.lambda_max),
-            lambda_min: estimate_from_row(&s.lambda_min),
-            mean_eigenvalue: estimate_from_row(&s.mean_eigenvalue),
-            second_moment: estimate_from_row(&s.second_moment),
-            layers: s
-                .layers
-                .iter()
-                .map(|l| LayerTrace {
-                    name: l.name.clone(),
-                    quantizable: l.quantizable,
-                    trace: estimate_from_row(&l.trace),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-fn resume_section(net: &Network, state: &TrainerState) -> ResumeState {
-    let infos = net.param_infos();
-    ResumeState {
-        next_epoch: state.next_epoch as u64,
-        step: state.step as u64,
-        grad_evals: state.grad_evals as u64,
-        loader_rng: state.loader_rng,
-        aug_rng: state.aug_rng,
-        momentum: state
-            .momentum
-            .iter()
-            .zip(&infos)
-            .map(|(t, info)| TensorEntry {
-                name: info.name.clone(),
-                kind: param_kind_tag(info.kind),
-                dims: t.dims().iter().map(|&d| d as u64).collect(),
-                data: t.data().to_vec(),
-            })
-            .collect(),
-        metrics: state
-            .epochs
-            .iter()
-            .map(|m| MetricsRow {
-                epoch: m.epoch as u64,
-                train_loss: m.train_loss,
-                train_acc: m.train_acc,
-                test_acc: m.test_acc,
-                hessian_norm: m.hessian_norm,
-                regularizer: m.regularizer,
-            })
-            .collect(),
-        final_train_acc: state.final_train_acc,
-        final_test_acc: state.final_test_acc,
-        spectra: spectra_to_rows(&state.spectra),
+    put_u32(&mut b, rec.epochs.len() as u32);
+    for m in &rec.epochs {
+        put_u64(&mut b, m.epoch as u64);
+        for v in [
+            m.train_loss,
+            m.train_acc,
+            m.test_acc,
+            m.hessian_norm,
+            m.regularizer,
+        ] {
+            put_f32(&mut b, v);
+        }
     }
+    put_f32(&mut b, rec.final_train_acc);
+    put_f32(&mut b, rec.final_test_acc);
+    put_u32(&mut b, rec.spectra.len() as u32);
+    for s in &rec.spectra {
+        put_u64(&mut b, s.epoch as u64);
+        for e in [
+            &s.lambda_max,
+            &s.lambda_min,
+            &s.mean_eigenvalue,
+            &s.second_moment,
+        ] {
+            put_estimate(&mut b, e);
+        }
+        put_u32(&mut b, s.layers.len() as u32);
+        for l in &s.layers {
+            put_str(&mut b, &l.name);
+            b.push(u8::from(l.quantizable));
+            put_estimate(&mut b, &l.trace);
+        }
+    }
+    b
 }
 
-/// Extracts the trainer-side snapshot from an artifact's RESUME section,
-/// if present.
+/// Decodes [`encode_resume`]'s bytes; the record is labelled `method`.
+fn decode_resume(bytes: &[u8], method: &str) -> hero_artifact::Result<TrainerState> {
+    let mut r = Reader::new(bytes);
+    let (next_epoch, step, grad_evals) = (r.u64()?, r.u64()?, r.u64()?);
+    let (loader_rng, aug_rng) = (r.u64()?, r.u64()?);
+    let n = r.counted(6)?;
+    let mut momentum = Vec::with_capacity(n);
+    for _ in 0..n {
+        let t = tensor_from_entry(r.tensor()?).map_err(|e| r.malformed(e.to_string()))?;
+        momentum.push(t);
+    }
+    let n = r.counted(28)?;
+    let mut epochs = Vec::with_capacity(n);
+    for _ in 0..n {
+        epochs.push(EpochMetrics {
+            epoch: r.u64()? as usize,
+            train_loss: r.f32()?,
+            train_acc: r.f32()?,
+            test_acc: r.f32()?,
+            hessian_norm: r.f32()?,
+            regularizer: r.f32()?,
+        });
+    }
+    let (final_train_acc, final_test_acc) = (r.f32()?, r.f32()?);
+    let n = r.counted(76)?;
+    let mut spectra = Vec::with_capacity(n);
+    for _ in 0..n {
+        let epoch = r.u64()? as usize;
+        let lambda_max = read_estimate(&mut r)?;
+        let lambda_min = read_estimate(&mut r)?;
+        let mean_eigenvalue = read_estimate(&mut r)?;
+        let second_moment = read_estimate(&mut r)?;
+        let n_layers = r.counted(21)?;
+        let mut layers = Vec::with_capacity(n_layers);
+        for _ in 0..n_layers {
+            layers.push(LayerTrace {
+                name: r.string()?,
+                quantizable: r.bool()?,
+                trace: read_estimate(&mut r)?,
+            });
+        }
+        spectra.push(SpectrumProbe {
+            epoch,
+            lambda_max,
+            lambda_min,
+            mean_eigenvalue,
+            second_moment,
+            layers,
+        });
+    }
+    if r.remaining() > 0 {
+        return Err(r.malformed(format!(
+            "{} trailing bytes after the trainer state",
+            r.remaining()
+        )));
+    }
+    Ok(TrainerState {
+        next_epoch: next_epoch as usize,
+        step: step as usize,
+        loader_rng,
+        aug_rng,
+        momentum,
+        record: TrainRecord {
+            method: method.to_string(),
+            epochs,
+            final_test_acc,
+            final_train_acc,
+            grad_evals: grad_evals as usize,
+            spectra,
+        },
+    })
+}
+
+/// Decodes the trainer state of an artifact's RESUME section, if it has
+/// one; its record is labelled with the method named in META.
 ///
 /// # Errors
 ///
-/// Returns an error if momentum tensors fail to reconstruct.
+/// Returns [`TensorError::InvalidArgument`] naming the RESUME section when
+/// its bytes are malformed or truncated (offsets count from the section's
+/// first byte), or when META is.
 pub fn trainer_state_from_artifact(art: &Artifact) -> Result<Option<TrainerState>> {
-    let Some(r) = &art.resume else {
+    let Some(bytes) = &art.resume else {
         return Ok(None);
     };
-    Ok(Some(TrainerState {
-        next_epoch: r.next_epoch as usize,
-        step: r.step as usize,
-        grad_evals: r.grad_evals as usize,
-        loader_rng: r.loader_rng,
-        aug_rng: r.aug_rng,
-        momentum: tensors_from_entries(&r.momentum)?,
-        epochs: r
-            .metrics
-            .iter()
-            .map(|m| EpochMetrics {
-                epoch: m.epoch as usize,
-                train_loss: m.train_loss,
-                train_acc: m.train_acc,
-                test_acc: m.test_acc,
-                hessian_norm: m.hessian_norm,
-                regularizer: m.regularizer,
-            })
-            .collect(),
-        final_train_acc: r.final_train_acc,
-        final_test_acc: r.final_test_acc,
-        spectra: spectra_from_rows(&r.spectra),
-    }))
+    let meta = run_meta_from_artifact(art)?;
+    decode_resume(bytes, meta.config.method.name())
+        .map(Some)
+        .map_err(|e| TensorError::InvalidArgument(format!("RESUME section: {e}")))
 }
 
-/// Reconstructs the [`TrainRecord`] of the run that produced an artifact
-/// (final saves carry the full history in their RESUME section).
+/// The [`TrainRecord`] of the run that produced an artifact (final saves
+/// carry the full history in their RESUME section).
 ///
 /// # Errors
 ///
 /// Returns an error when the artifact has no RESUME section or its meta
-/// is malformed.
+/// or RESUME section is malformed.
 pub fn record_from_artifact(art: &Artifact) -> Result<TrainRecord> {
-    let meta = run_meta_from_artifact(art)?;
-    let state = trainer_state_from_artifact(art)?.ok_or_else(|| {
+    history(trainer_state_from_artifact(art)?)
+}
+
+/// The record of an artifact's decoded RESUME section.
+pub(crate) fn history(state: Option<TrainerState>) -> Result<TrainRecord> {
+    state.map(|s| s.record).ok_or_else(|| {
         TensorError::InvalidArgument(
             "artifact carries no training history (RESUME section missing)".to_string(),
         )
-    })?;
-    Ok(TrainRecord {
-        method: meta.config.method.name().to_string(),
-        epochs: state.epochs,
-        final_test_acc: state.final_test_acc,
-        final_train_acc: state.final_train_acc,
-        grad_evals: state.grad_evals,
-        spectra: state.spectra,
     })
+}
+
+/// The `hero artifact inspect` text: [`Artifact::describe`] followed by a
+/// `resume:` line summarizing `state`, the artifact's decoded RESUME
+/// section (as [`load_artifact`] returns it).
+pub fn describe_artifact(art: &Artifact, state: Option<&TrainerState>) -> String {
+    let resume = match state {
+        Some(s) => format!(
+            "next_epoch={} step={} grad_evals={} momentum_buffers={} metrics_rows={} spectra={}",
+            s.next_epoch,
+            s.step,
+            s.record.grad_evals,
+            s.momentum.len(),
+            s.record.epochs.len(),
+            s.record.spectra.len()
+        ),
+        None => "none (final artifact)".to_string(),
+    };
+    format!("{}  resume: {resume}\n", art.describe())
 }
 
 // --- artifact assembly ----------------------------------------------------
@@ -573,7 +621,7 @@ pub fn build_artifact(net: &Network, meta: &RunMeta, state: Option<&TrainerState
     let mut art = Artifact::new();
     write_meta(&mut art, meta);
     write_model_sections(&mut art, net);
-    art.resume = state.map(|s| resume_section(net, s));
+    art.resume = state.map(|s| encode_resume(net, s));
     art
 }
 
@@ -588,13 +636,17 @@ pub fn save_artifact(art: &Artifact, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Loads an artifact from disk.
+/// Loads an artifact from disk together with the trainer state of its
+/// RESUME section, which is decoded here, once, so a malformed section
+/// fails the load.
 ///
 /// # Errors
 ///
 /// Propagates decode and I/O errors as [`TensorError::InvalidArgument`].
-pub fn load_artifact(path: impl AsRef<Path>) -> Result<Artifact> {
-    Artifact::load(path).map_err(art_err)
+pub fn load_artifact(path: impl AsRef<Path>) -> Result<(Artifact, Option<TrainerState>)> {
+    let art = Artifact::load(path).map_err(art_err)?;
+    let state = trainer_state_from_artifact(&art)?;
+    Ok((art, state))
 }
 
 /// Attaches a post-training quantization decision to an artifact: every
@@ -621,8 +673,7 @@ pub fn attach_quant(art: &mut Artifact, net: &Network, bits: u8) -> Result<()> {
             art.quant.push(QuantEntry {
                 name: info.name,
                 bits,
-                per_channel: false,
-                bin_widths: vec![q.bin_width],
+                bin_width: q.bin_width,
             });
             q.values
         } else {
@@ -637,15 +688,17 @@ pub fn attach_quant(art: &mut Artifact, net: &Network, bits: u8) -> Result<()> {
 // --- high-level pipeline --------------------------------------------------
 
 /// Trains per `meta.config` and returns the record together with the
-/// final model artifact (which embeds the full training history). When
-/// `checkpoint_every > 0`, a resumable checkpoint artifact is written to
-/// `checkpoint_path` after every `checkpoint_every`-th epoch.
+/// final model artifact (which embeds the full training history). With a
+/// `checkpoint_path`, a resumable checkpoint artifact is written there
+/// after every `checkpoint_every`-th epoch but the last.
 ///
 /// # Errors
 ///
-/// Propagates training and checkpoint-write errors (including
-/// [`TensorError::Diverged`]), and refuses to return an artifact whose
-/// weights or batch-norm state hold NaN or infinity.
+/// Refuses, before training, a `checkpoint_path` the cadence would never
+/// write ([`TensorError::NoCheckpoint`]). Propagates training and
+/// checkpoint-write errors (including [`TensorError::Diverged`]), and
+/// refuses to return an artifact whose weights or batch-norm state hold
+/// NaN or infinity.
 pub fn train_to_artifact(
     net: &mut Network,
     train_set: &Dataset,
@@ -665,7 +718,8 @@ pub fn train_to_artifact(
     )
 }
 
-/// Resumes training from a checkpoint artifact: rebuilds the network,
+/// Resumes training from a checkpoint artifact and its decoded trainer
+/// `state` (as [`load_artifact`] returns them): rebuilds the network,
 /// restores the trainer snapshot and continues to the configured epoch
 /// count, producing a record and final artifact bitwise equal to the
 /// uninterrupted run's.
@@ -673,16 +727,17 @@ pub fn train_to_artifact(
 /// # Errors
 ///
 /// Returns an error if the artifact is not a checkpoint (no RESUME
-/// section) or is malformed; propagates training errors.
+/// section) or is malformed; otherwise as [`train_to_artifact`].
 pub fn resume_from_artifact(
     art: &Artifact,
+    state: Option<TrainerState>,
     train_set: &Dataset,
     test_set: &Dataset,
     checkpoint_every: usize,
     checkpoint_path: Option<&Path>,
 ) -> Result<(TrainRecord, Artifact, Network)> {
     let meta = run_meta_from_artifact(art)?;
-    let state = trainer_state_from_artifact(art)?.ok_or_else(|| {
+    let state = state.ok_or_else(|| {
         TensorError::InvalidArgument(
             "artifact is not a resumable checkpoint (RESUME section missing)".to_string(),
         )
@@ -717,10 +772,24 @@ fn train_or_resume(
         }
         Ok(())
     };
-    let every = if checkpoint_path.is_some() {
-        checkpoint_every
-    } else {
-        0
+    let every = match checkpoint_path {
+        // `train_resumable` checkpoints after epoch e when e + 1 is a
+        // multiple of `every` below the epoch count.
+        Some(path) => {
+            let first_epoch = resume.as_ref().map_or(0, |s| s.next_epoch);
+            let epochs = meta.config.epochs;
+            if !(first_epoch + 1..epochs).any(|n| checkpoint_every > 0 && n % checkpoint_every == 0)
+            {
+                return Err(TensorError::NoCheckpoint {
+                    path: path.display().to_string(),
+                    first_epoch,
+                    epochs,
+                    every: checkpoint_every,
+                });
+            }
+            checkpoint_every
+        }
+        None => 0,
     };
     let (record, final_state) = train_resumable(
         net,
@@ -869,6 +938,65 @@ mod tests {
         let back = run_meta_from_artifact(&art).unwrap();
         assert_eq!(back.model, ModelSpec::Mlp(vec![24, 12]));
         assert!(network_from_artifact(&art).is_ok());
+    }
+
+    #[test]
+    fn trainer_state_round_trips_with_nan_placeholders() {
+        let (net, meta) = tiny_setup();
+        let single = Estimate {
+            mean: 2.0,
+            std_error: f32::NAN,
+            samples: 1,
+        };
+        let state = TrainerState {
+            next_epoch: 1,
+            step: 3,
+            loader_rng: 0xDEAD_BEEF,
+            aug_rng: 0xFEED_FACE,
+            momentum: net.params(),
+            record: TrainRecord {
+                method: "unused".into(),
+                epochs: vec![EpochMetrics {
+                    epoch: 0,
+                    train_loss: 1.5,
+                    train_acc: 0.4,
+                    test_acc: f32::NAN,
+                    hessian_norm: f32::NAN,
+                    regularizer: 0.0,
+                }],
+                final_test_acc: f32::NAN,
+                final_train_acc: 0.4,
+                grad_evals: 9,
+                spectra: vec![SpectrumProbe {
+                    epoch: 0,
+                    lambda_max: single,
+                    lambda_min: single,
+                    mean_eigenvalue: single,
+                    second_moment: single,
+                    layers: vec![LayerTrace {
+                        name: "fc.weight".into(),
+                        quantizable: true,
+                        trace: single,
+                    }],
+                }],
+            },
+        };
+        let art = build_artifact(&net, &meta, Some(&state));
+        let back = trainer_state_from_artifact(&art).unwrap().unwrap();
+        assert_eq!(back.record.method, "HERO", "named by META");
+        let row = &back.record.epochs[0];
+        assert!(row.test_acc.is_nan() && row.hessian_norm.is_nan());
+        assert!(back.record.spectra[0].layers[0].trace.std_error.is_nan());
+        assert_eq!(back.momentum, state.momentum);
+        let again = build_artifact(&net, &meta, Some(&back));
+        assert_eq!(again.resume, art.resume, "re-encoding is byte-identical");
+        let text = describe_artifact(&art, Some(&back));
+        let line = format!(
+            "  resume: next_epoch=1 step=3 grad_evals=9 momentum_buffers={} metrics_rows=1 \
+             spectra=1\n",
+            state.momentum.len()
+        );
+        assert!(text.ends_with(&line), "{text}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! substrate).
 
 use crate::artifact_io::{
-    attach_quant, check_run_meta, load_artifact, network_from_artifact, record_from_artifact,
+    attach_quant, check_run_meta, history, load_artifact, network_from_artifact,
     run_meta_from_artifact, save_artifact, train_to_artifact, ModelSpec, RunMeta,
 };
 use crate::config::TrainConfig;
@@ -281,10 +281,10 @@ pub fn train_cell(
     let slug = slug(&[preset.paper_name(), model.paper_name(), method.paper_name()]);
     let path = cache.map(|dir| dir.join(format!("{slug}.ha")));
     if let Some(path) = path.as_ref().filter(|p| p.is_file()) {
-        let art = load_artifact(path)?;
+        let (art, state) = load_artifact(path)?;
         check_run_meta(path, &run_meta_from_artifact(&art)?, &recipe.meta("cache"))?;
         let net = network_from_artifact(&art)?;
-        let record = record_from_artifact(&art)?;
+        let record = history(state)?;
         hero_obs::Event::new("artifact_cache_hit")
             .str("path", &path.to_string_lossy())
             .human(format!("loaded trained model from {}", path.display()))
@@ -373,7 +373,7 @@ impl ModelSource {
     ) -> Result<(Network, Option<Artifact>, &'static str)> {
         Ok(match self {
             ModelSource::Artifact(path) => {
-                let art = load_artifact(path)?;
+                let (art, _) = load_artifact(path)?;
                 let model = run_meta_from_artifact(&art)?.model.paper_name();
                 let path = path.to_string_lossy();
                 let net = network_from_artifact(&art)?;

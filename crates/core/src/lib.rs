@@ -44,9 +44,10 @@ pub mod spectrum;
 pub mod trainer;
 
 pub use artifact_io::{
-    attach_quant, build_artifact, golden_recipe, load_artifact, network_from_artifact,
-    preflight_hash, record_from_artifact, resume_from_artifact, run_meta_from_artifact,
-    save_artifact, train_to_artifact, ModelSpec, RunMeta,
+    attach_quant, build_artifact, describe_artifact, golden_recipe, load_artifact,
+    network_from_artifact, preflight_hash, record_from_artifact, resume_from_artifact,
+    run_meta_from_artifact, save_artifact, train_to_artifact, trainer_state_from_artifact,
+    ModelSpec, RunMeta,
 };
 pub use config::TrainConfig;
 pub use metrics::{EpochMetrics, TrainRecord};

@@ -17,9 +17,10 @@ use hero_tensor::{Result, Tensor, TensorError};
 /// probe costs two gradient evaluations).
 const PROBE_SAMPLES: usize = 64;
 
-/// Mid-training snapshot: everything beyond the network weights and
-/// batch-norm statistics that a bitwise-exact resume needs. Produced for
-/// checkpoint hooks by [`train_resumable`] and fed back in to resume.
+/// Mid-training snapshot: the resume cursor a bitwise-exact resume needs
+/// beyond the network weights and batch-norm statistics, and the training
+/// history so far. Produced for checkpoint hooks by [`train_resumable`] and
+/// fed back in to resume.
 ///
 /// The snapshot is taken at an epoch boundary: `next_epoch` is the first
 /// epoch the resumed run will execute, and the RNG states are captured
@@ -31,8 +32,6 @@ pub struct TrainerState {
     pub next_epoch: usize,
     /// Global step counter (drives the cosine schedule).
     pub step: usize,
-    /// Gradient evaluations spent so far.
-    pub grad_evals: usize,
     /// Data-loader shuffle RNG state.
     pub loader_rng: u64,
     /// Augmentation RNG state.
@@ -40,14 +39,8 @@ pub struct TrainerState {
     /// SGD momentum buffers in canonical parameter order (empty when the
     /// optimizer has not materialized them).
     pub momentum: Vec<Tensor>,
-    /// Per-epoch metrics accumulated so far.
-    pub epochs: Vec<EpochMetrics>,
-    /// Last evaluated training accuracy (NaN if never evaluated).
-    pub final_train_acc: f32,
-    /// Last evaluated test accuracy (NaN if never evaluated).
-    pub final_test_acc: f32,
-    /// Spectrum probes accumulated so far.
-    pub spectra: Vec<crate::spectrum::SpectrumProbe>,
+    /// The history of the epochs run so far.
+    pub record: TrainRecord,
 }
 
 /// Trains `net` on `train`, evaluating on `test`, according to `config`.
@@ -141,13 +134,16 @@ pub fn train_resumable(
         .transpose()?;
 
     let mut aug_rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xA06));
-    let mut epochs = Vec::with_capacity(config.epochs);
-    let mut spectra = Vec::new();
-    let mut grad_evals = 0usize;
     let mut step = 0usize;
-    let mut final_test_acc = f32::NAN;
-    let mut final_train_acc = f32::NAN;
     let mut start_epoch = 0usize;
+    let mut record = TrainRecord {
+        method: config.method.name().to_string(),
+        epochs: Vec::with_capacity(config.epochs),
+        final_test_acc: f32::NAN,
+        final_train_acc: f32::NAN,
+        grad_evals: 0,
+        spectra: Vec::new(),
+    };
 
     if let Some(state) = resume {
         loader.set_rng_state(state.loader_rng);
@@ -155,13 +151,9 @@ pub fn train_resumable(
         if !state.momentum.is_empty() {
             optimizer.set_momentum_buffers(state.momentum);
         }
-        epochs = state.epochs;
-        spectra = state.spectra;
-        grad_evals = state.grad_evals;
         step = state.step;
-        final_train_acc = state.final_train_acc;
-        final_test_acc = state.final_test_acc;
         start_epoch = state.next_epoch;
+        record = state.record;
     }
 
     for epoch in start_epoch..config.epochs {
@@ -194,7 +186,7 @@ pub fn train_resumable(
             }
             loss_acc += stats.loss;
             reg_acc += stats.regularizer;
-            grad_evals += stats.grad_evals;
+            record.grad_evals += stats.grad_evals;
             step += 1;
             batches += 1;
         }
@@ -208,8 +200,8 @@ pub fn train_resumable(
             let tr =
                 evaluate_accuracy(net, &train_set.images, &train_set.labels, config.batch_size)?;
             let te = evaluate_accuracy(net, &test_set.images, &test_set.labels, config.batch_size)?;
-            final_train_acc = tr;
-            final_test_acc = te;
+            record.final_train_acc = tr;
+            record.final_test_acc = te;
             (tr, te)
         } else {
             (f32::NAN, f32::NAN)
@@ -232,7 +224,7 @@ pub fn train_resumable(
                 SpectrumOptions::default().with_seed(hero_hessian::probe_seed(config.seed, epoch));
             let probe = probe_spectrum(net, train_set, epoch, &opts)?;
             probe.emit();
-            spectra.push(probe);
+            record.spectra.push(probe);
         }
 
         let metrics = EpochMetrics {
@@ -246,53 +238,39 @@ pub fn train_resumable(
         if hero_obs::run_active() {
             metrics.to_event().emit();
         }
-        epochs.push(metrics);
+        record.epochs.push(metrics);
 
         if checkpoint_every > 0 && (epoch + 1) % checkpoint_every == 0 && epoch + 1 < config.epochs
         {
-            let state = TrainerState {
-                next_epoch: epoch + 1,
-                step,
-                grad_evals,
-                loader_rng: loader.rng_state(),
-                aug_rng: aug_rng.state(),
-                momentum: optimizer
-                    .momentum_buffers()
-                    .map(<[Tensor]>::to_vec)
-                    .unwrap_or_default(),
-                epochs: epochs.clone(),
-                final_train_acc,
-                final_test_acc,
-                spectra: spectra.clone(),
-            };
+            let state = snapshot(epoch + 1, step, &loader, &aug_rng, &optimizer, &record);
             on_checkpoint(net, &state)?;
         }
     }
 
-    let final_state = TrainerState {
-        next_epoch: config.epochs,
+    let final_state = snapshot(config.epochs, step, &loader, &aug_rng, &optimizer, &record);
+    Ok((record, final_state))
+}
+
+/// The resume cursor at an epoch boundary, with a copy of the history.
+fn snapshot(
+    next_epoch: usize,
+    step: usize,
+    loader: &Loader,
+    aug_rng: &StdRng,
+    optimizer: &Optimizer,
+    record: &TrainRecord,
+) -> TrainerState {
+    TrainerState {
+        next_epoch,
         step,
-        grad_evals,
         loader_rng: loader.rng_state(),
         aug_rng: aug_rng.state(),
         momentum: optimizer
             .momentum_buffers()
             .map(<[Tensor]>::to_vec)
             .unwrap_or_default(),
-        epochs: epochs.clone(),
-        final_train_acc,
-        final_test_acc,
-        spectra: spectra.clone(),
-    };
-    let record = TrainRecord {
-        method: config.method.name().to_string(),
-        epochs,
-        final_test_acc,
-        final_train_acc,
-        grad_evals,
-        spectra,
-    };
-    Ok((record, final_state))
+        record: record.clone(),
+    }
 }
 
 /// Records one train-mode forward/loss tape for `net` on the given batch

@@ -6,7 +6,7 @@
 
 use hero_core::experiment::{quant_sweep, MethodKind, TrainedModel};
 use hero_core::{
-    golden_recipe, load_artifact, network_from_artifact, record_from_artifact,
+    describe_artifact, golden_recipe, load_artifact, network_from_artifact, record_from_artifact,
     resume_from_artifact, save_artifact, train_to_artifact, ModelSpec, RunMeta, TrainConfig,
     TrainRecord,
 };
@@ -84,7 +84,10 @@ fn record_bits(rec: &TrainRecord) -> Vec<u64> {
             out.push(est.samples as u64);
         }
         for l in &s.layers {
+            out.push(u64::from(l.quantizable));
             out.push(u64::from(l.trace.mean.to_bits()));
+            out.push(u64::from(l.trace.std_error.to_bits()));
+            out.push(l.trace.samples as u64);
         }
     }
     out
@@ -98,9 +101,14 @@ fn temp_path(name: &str) -> PathBuf {
 
 // --- checkpoint / resume (satellite: interrupt at epoch k, resume) --------
 
-fn checkpoint_resume_case(method: Method, threads: usize, tag: &str) {
+/// `probe_every` > 0 sets both the ‖Hz‖ and the spectrum cadence, so the
+/// history carries spectrum rows and NaN ‖Hz‖ placeholders through the
+/// checkpoint.
+fn checkpoint_resume_case(method: Method, threads: usize, probe_every: usize, tag: &str) {
     let (train_set, test_set) = setup();
-    let meta = run_meta(method, threads, 5);
+    let mut meta = run_meta(method, threads, 5);
+    meta.config.probe_every = probe_every;
+    meta.config.spectrum_every = probe_every;
 
     // Uninterrupted reference run.
     let mut ref_net = meta.model.build(meta.model_cfg);
@@ -113,15 +121,24 @@ fn checkpoint_resume_case(method: Method, threads: usize, tag: &str) {
     let mut net = meta.model.build(meta.model_cfg);
     let (_, _) =
         train_to_artifact(&mut net, &train_set, &test_set, &meta, 2, Some(&ckpt_path)).unwrap();
-    let ckpt = load_artifact(&ckpt_path).unwrap();
-    let resume_state = ckpt.resume.as_ref().expect("checkpoint has RESUME section");
+    let (ckpt, state) = load_artifact(&ckpt_path).unwrap();
+    let state = state.expect("checkpoint has RESUME section");
     assert!(
-        resume_state.next_epoch < 5,
+        state.next_epoch < 5,
         "{tag}: checkpoint should be mid-run, next_epoch={}",
-        resume_state.next_epoch
+        state.next_epoch
     );
+    if probe_every > 0 {
+        let epochs = &state.record.epochs;
+        assert!(
+            !state.record.spectra.is_empty()
+                && epochs.iter().any(|e| e.hessian_norm.is_nan())
+                && epochs.iter().any(|e| e.hessian_norm.is_finite()),
+            "{tag}: the checkpoint should carry spectra and probed and unprobed epochs"
+        );
+    }
     let (resumed_record, resumed_art, resumed_net) =
-        resume_from_artifact(&ckpt, &train_set, &test_set, 0, None).unwrap();
+        resume_from_artifact(&ckpt, Some(state), &train_set, &test_set, 0, None).unwrap();
 
     assert_eq!(
         param_bits(&resumed_net),
@@ -143,12 +160,12 @@ fn checkpoint_resume_case(method: Method, threads: usize, tag: &str) {
 
 #[test]
 fn checkpoint_resume_is_bitwise_exact_sgd_serial() {
-    checkpoint_resume_case(Method::Sgd, 0, "sgd_serial");
+    checkpoint_resume_case(Method::Sgd, 0, 0, "sgd_serial");
 }
 
 #[test]
 fn checkpoint_resume_is_bitwise_exact_sgd_threads4() {
-    checkpoint_resume_case(Method::Sgd, 4, "sgd_t4");
+    checkpoint_resume_case(Method::Sgd, 4, 0, "sgd_t4");
 }
 
 #[test]
@@ -158,6 +175,7 @@ fn checkpoint_resume_is_bitwise_exact_hero_serial() {
             h: 0.05,
             gamma: 0.1,
         },
+        0,
         0,
         "hero_serial",
     );
@@ -171,8 +189,72 @@ fn checkpoint_resume_is_bitwise_exact_hero_threads4() {
             gamma: 0.1,
         },
         4,
+        0,
         "hero_t4",
     );
+}
+
+#[test]
+fn checkpoint_resume_is_bitwise_exact_hero_probed() {
+    checkpoint_resume_case(
+        Method::Hero {
+            h: 0.05,
+            gamma: 0.1,
+        },
+        0,
+        2,
+        "hero_probed",
+    );
+}
+
+#[test]
+fn a_checkpoint_the_cadence_never_writes_is_refused() {
+    use hero_tensor::TensorError;
+
+    let (train_set, test_set) = setup();
+    let ckpt_path = temp_path("never_written.ha");
+    std::fs::remove_file(&ckpt_path).ok();
+    let ckpt = Some(ckpt_path.as_path());
+    // Checkpoints come after every `every`-th epoch but the last: one
+    // epoch, or two at a cadence of two, never reach one.
+    for (epochs, every) in [(1, 1), (2, 2), (3, 0)] {
+        let meta = run_meta(Method::Sgd, 0, epochs);
+        let mut net = meta.model.build(meta.model_cfg);
+        let before = param_bits(&net);
+        let err = train_to_artifact(&mut net, &train_set, &test_set, &meta, every, ckpt)
+            .expect_err("a checkpoint file that is never written must be refused");
+        assert_eq!(
+            err,
+            TensorError::NoCheckpoint {
+                path: ckpt_path.display().to_string(),
+                first_epoch: 0,
+                epochs,
+                every,
+            },
+            "{err}"
+        );
+        assert_eq!(param_bits(&net), before, "refused before training");
+        assert!(!ckpt_path.exists());
+    }
+
+    // On resume the count starts at the checkpoint's next epoch: a 4-epoch
+    // run checkpointed after epoch 3 has no checkpoint left to write.
+    let meta = run_meta(Method::Sgd, 0, 4);
+    let mut net = meta.model.build(meta.model_cfg);
+    train_to_artifact(&mut net, &train_set, &test_set, &meta, 3, ckpt).unwrap();
+    let (art, state) = load_artifact(&ckpt_path).unwrap();
+    let again = temp_path("never_written_again.ha");
+    let err = resume_from_artifact(&art, state, &train_set, &test_set, 1, Some(&again))
+        .expect_err("no epoch of the resumed run precedes a checkpoint");
+    let at = |first_epoch, epochs, every| TensorError::NoCheckpoint {
+        path: again.display().to_string(),
+        first_epoch,
+        epochs,
+        every,
+    };
+    assert_eq!(err, at(3, 4, 1), "{err}");
+    assert!(!again.exists());
+    std::fs::remove_file(&ckpt_path).ok();
 }
 
 // --- save → load → save byte identity + inference equivalence -------------
@@ -193,7 +275,7 @@ fn save_load_save_is_byte_identical_and_inference_equivalent() {
 
     let path = temp_path("round_trip.ha");
     save_artifact(&art, &path).unwrap();
-    let loaded = load_artifact(&path).unwrap();
+    let (loaded, _) = load_artifact(&path).unwrap();
     let path2 = temp_path("round_trip2.ha");
     save_artifact(&loaded, &path2).unwrap();
     assert_eq!(
@@ -302,12 +384,12 @@ fn checkpoint_artifacts_reload_as_networks_too() {
     let ckpt_path = temp_path("inspectable_ckpt.ha");
     let mut net = meta.model.build(meta.model_cfg);
     train_to_artifact(&mut net, &train_set, &test_set, &meta, 3, Some(&ckpt_path)).unwrap();
-    let ckpt = load_artifact(&ckpt_path).unwrap();
+    let (ckpt, state) = load_artifact(&ckpt_path).unwrap();
     // A checkpoint is a full model artifact: same sections, plus RESUME.
     let mid_net = network_from_artifact(&ckpt).unwrap();
     assert_eq!(mid_net.params().len(), net.params().len());
-    assert!(ckpt.resume.is_some());
-    let described = ckpt.describe();
+    assert!(state.is_some());
+    let described = describe_artifact(&ckpt, state.as_ref());
     assert!(described.contains("resume: next_epoch=3"), "{described}");
     std::fs::remove_file(&ckpt_path).ok();
 }

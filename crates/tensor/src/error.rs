@@ -82,6 +82,19 @@ pub enum TensorError {
         /// Its requested value.
         requested: String,
     },
+    /// A run was given a checkpoint file that its cadence would never
+    /// write: checkpoints come after every `every`-th epoch but the last,
+    /// and none falls in the epochs the run executes.
+    NoCheckpoint {
+        /// The checkpoint file.
+        path: String,
+        /// First epoch the run executes (nonzero on resume).
+        first_epoch: usize,
+        /// Epoch count of the run.
+        epochs: usize,
+        /// The checkpoint cadence in epochs.
+        every: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -135,6 +148,19 @@ impl fmt::Display for TensorError {
                     f,
                     "{path} was trained under another recipe: \
                      {field}: cached {cached}, requested {requested}"
+                )
+            }
+            TensorError::NoCheckpoint {
+                path,
+                first_epoch,
+                epochs,
+                every,
+            } => {
+                write!(
+                    f,
+                    "no checkpoint would be written to {path}: training epochs \
+                     {first_epoch}..{epochs} with a checkpoint every {every} epochs puts \
+                     none before the last epoch"
                 )
             }
         }

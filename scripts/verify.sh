@@ -66,16 +66,25 @@ echo "==> golden model-artifact byte pin (HERO_THREADS=1 vs 4, scalar GEMM)"
 # file bit-for-bit, so any drift in the trainer, RNG, serializer or
 # executor sharding fails the gate loudly. (Regenerate the pin
 # deliberately with `hero train --golden-recipe tests/golden/...` when a
-# change is *meant* to alter the trajectory.)
+# change is *meant* to alter the trajectory.) The regenerated artifact is
+# then resumed: a final save's RESUME section holds the finished run, so
+# the resume trains nothing and must write the same bytes back, which
+# pins the RESUME codec's decode → encode round trip.
 mkdir -p results/artifacts
 for t in 1 4; do
   HERO_NO_SIMD=1 HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
     train --golden-recipe "results/artifacts/golden_t$t.ha"
   cmp tests/golden/c10_resnet_hero_smoke.ha "results/artifacts/golden_t$t.ha" || {
     echo "FAIL: golden artifact bytes drifted at HERO_THREADS=$t"; exit 1; }
+  HERO_NO_SIMD=1 HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
+    train --preset c10 --scale 0.05 --resume "results/artifacts/golden_t$t.ha" \
+    --save "results/artifacts/golden_resumed_t$t.ha"
+  cmp tests/golden/c10_resnet_hero_smoke.ha "results/artifacts/golden_resumed_t$t.ha" || {
+    echo "FAIL: resuming the golden artifact changed its bytes at HERO_THREADS=$t"; exit 1; }
 done
 sha256sum tests/golden/c10_resnet_hero_smoke.ha
-rm -f results/artifacts/golden_t1.ha results/artifacts/golden_t4.ha
+rm -f results/artifacts/golden_t1.ha results/artifacts/golden_t4.ha \
+  results/artifacts/golden_resumed_t1.ha results/artifacts/golden_resumed_t4.ha
 
 echo "==> artifact pipeline smoke (train --save -> inspect -> preflight -> quantize)"
 # Drives the deterministic artifact pipeline end to end on the smoke
