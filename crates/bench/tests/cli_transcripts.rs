@@ -38,15 +38,16 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 /// the golden artifact as `model.ha`, and checks the transcript of case
 /// `name`.
 fn transcript(name: &str, command: &str) {
+    transcript_of(name, "tests/golden/c10_resnet_hero_smoke.ha", command);
+}
+
+/// [`transcript`] with the repository file `input` copied in as `model.ha`.
+fn transcript_of(name: &str, input: &str, command: &str) {
     let args: Vec<&str> = command.split_whitespace().collect();
     let work = std::env::temp_dir().join(format!("hero_transcript_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("create working dir");
-    std::fs::copy(
-        repo().join("tests/golden/c10_resnet_hero_smoke.ha"),
-        work.join("model.ha"),
-    )
-    .expect("copy golden artifact");
+    std::fs::copy(repo().join(input), work.join("model.ha")).expect("copy input artifact");
     let out = Command::new(env!("CARGO_BIN_EXE_hero"))
         .current_dir(&work)
         .args(&args)
@@ -148,4 +149,13 @@ fn noise_crosscheck_transcript() {
 #[test]
 fn artifact_inspect_transcript() {
     transcript("artifact_inspect", "artifact inspect --path model.ha");
+}
+
+#[test]
+fn artifact_inspect_quantized_transcript() {
+    transcript_of(
+        "artifact_inspect_quantized",
+        "tests/golden/cli/quantize/q.ha",
+        "artifact inspect --path model.ha",
+    );
 }

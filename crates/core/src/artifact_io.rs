@@ -606,7 +606,9 @@ pub fn describe_artifact(art: &Artifact, state: Option<&TrainerState>) -> String
             s.record.epochs.len(),
             s.record.spectra.len()
         ),
-        None => "none (final artifact)".to_string(),
+        // Final saves and checkpoints carry RESUME; `attach_quant` drops it.
+        None if !art.quant.is_empty() => "none (quantized snapshot)".to_string(),
+        None => "none".to_string(),
     };
     format!("{}  resume: {resume}\n", art.describe())
 }

@@ -7,9 +7,11 @@
 //! sensitivity proxy). The trainer takes one every
 //! [`crate::TrainConfig::spectrum_every`] epochs (off by default: each
 //! probe costs `slq_probes·steps + trace_probes·n_layers + 1` gradient
-//! evaluations), emits it as `spectrum` / `spectrum_layer` JSONL events
-//! and records it into the `hero-obs` series registry, so traced runs roll
-//! the whole trajectory into `SUMMARY_<run>.json`.
+//! evaluations, the `trace_probes·n_layers` layer-masked ones each
+//! backpropagating only to their own tensor), emits it as `spectrum` /
+//! `spectrum_layer` JSONL events and records it into the `hero-obs` series
+//! registry, so traced runs roll the whole trajectory into
+//! `SUMMARY_<run>.json`.
 //!
 //! [`spectrum_report`] is the observatory behind `hero spectrum`: the same
 //! estimator on each model's final weights, keeping the density grid

@@ -21,6 +21,31 @@ pub trait GradOracle {
     ///
     /// Returns an error if `params` has the wrong arity or shapes.
     fn grad(&mut self, params: &[Tensor]) -> Result<(f32, Vec<Tensor>)>;
+
+    /// The gradient of parameter tensor `index` alone at `params`, bitwise
+    /// equal to tensor `index` of [`GradOracle::grad`]. The default
+    /// evaluates every gradient and keeps one; an oracle that can backprop
+    /// to a single tensor (skipping the adjoints that never reach it)
+    /// overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`GradOracle::grad`], plus
+    /// [`TensorError::InvalidArgument`] for an `index` out of range.
+    fn grad_of(&mut self, params: &[Tensor], index: usize) -> Result<Tensor> {
+        let (_, mut grads) = self.grad(params)?;
+        if index >= grads.len() {
+            return Err(TensorError::InvalidArgument(format!(
+                "gradient {index} of {} tensors",
+                grads.len()
+            )));
+        }
+        let g = grads.swap_remove(index);
+        for t in grads {
+            pool::recycle_tensor(t);
+        }
+        Ok(g)
+    }
 }
 
 impl<F> GradOracle for F
@@ -134,9 +159,17 @@ pub fn fd_hvp_into(
     }
     out.extend(grad_shifted);
     for (o, g0) in out.iter_mut().zip(base_grad) {
-        o.axpy(-1.0, g0)?;
-        o.scale_in_place(norm / eps);
+        fd_difference(o, g0, norm, eps)?;
     }
+    Ok(())
+}
+
+/// The finite-difference quotient in place: turns the gradient `g` at
+/// `params + (eps/norm)·v` into `(g − g0) · norm / eps`, the `H·v` block
+/// of the tensor `g0` is the base gradient of.
+pub(crate) fn fd_difference(g: &mut Tensor, g0: &Tensor, norm: f32, eps: f32) -> Result<()> {
+    g.axpy(-1.0, g0)?;
+    g.scale_in_place(norm / eps);
     Ok(())
 }
 
@@ -154,6 +187,15 @@ mod tests {
         assert_eq!(out[0].data(), &[2.0, 2.0]);
         assert_eq!(out[1].data(), &[0.5, 0.5, 0.5]);
         assert!(perturbed_into(&p, &v[..1], 1.0, &mut out).is_err());
+    }
+
+    #[test]
+    fn default_grad_of_keeps_one_tensor_of_grad() {
+        let mut oracle = |ps: &[Tensor]| Ok((0.0, ps.iter().map(|p| p.scale(2.0)).collect()));
+        let params = vec![Tensor::ones([2]), Tensor::full([3], 3.0)];
+        let g = GradOracle::grad_of(&mut oracle, &params, 1).unwrap();
+        assert_eq!(g.data(), &[6.0, 6.0, 6.0]);
+        assert!(GradOracle::grad_of(&mut oracle, &params, 2).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The paper's curvature probe ‖Hz‖ (Fig. 2a) and the Hutchinson trace
 //! estimator (global and per-layer).
 
-use crate::hvp::{fd_hvp, fd_hvp_into, GradOracle};
+use crate::hvp::{fd_difference, fd_hvp, fd_hvp_into, perturbed_into, GradOracle};
 use crate::stats::{probe_seed, Estimate};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{global_dot, global_norm_l2, pool, Result, Tensor, TensorError};
@@ -136,7 +136,14 @@ pub fn hutchinson_trace(
 /// layer `i` the probe is Rademacher on that tensor and zero elsewhere, so
 /// `zᵀ(Hz)` estimates `tr(H_ii)` — the diagonal block's trace — with no
 /// cross-layer noise. One gradient evaluation per `(layer, probe)` pair,
-/// all through the zero-allocation [`fd_hvp_into`] path.
+/// and each asks for its own tensor only ([`GradOracle::grad_of`]): the
+/// sample `zᵢᵀ(Hz)ᵢ` reads no other block of `H·z`, so an oracle that
+/// backprops only to tensor `i` skips the adjoints that never reach it.
+/// That pruning is bitwise exact — every adjoint on a path to tensor `i`
+/// receives the same contributions in the same order — so the estimates do
+/// not depend on whether the oracle prunes. The finite-difference quotient
+/// is [`fd_hvp_into`]'s, with the step normalized by `‖z‖` over the whole
+/// masked list.
 ///
 /// The estimates are unbiased and sum to the global Hessian trace, which
 /// is the HeRo-Q quantization-sensitivity proxy this repo cross-checks
@@ -163,13 +170,19 @@ pub fn layer_traces(
             "layer_traces needs at least one probe".into(),
         ));
     }
+    if base_grad.len() != params.len() {
+        return Err(TensorError::InvalidArgument(format!(
+            "{} parameter tensors but {} base gradients",
+            params.len(),
+            base_grad.len()
+        )));
+    }
     let _obs = hero_obs::span("layer_traces");
     let mut z: Vec<Tensor> = params
         .iter()
         .map(|p| Tensor::zeros(p.shape().clone()))
         .collect();
     let mut shifted = Vec::new();
-    let mut hz = Vec::new();
     let mut out = Vec::with_capacity(params.len());
     for layer in 0..params.len() {
         let mut samples = Vec::with_capacity(probes);
@@ -178,14 +191,26 @@ pub fn layer_traces(
             let cell = probe_seed(seed, layer * probes + probe);
             let mut rng = StdRng::seed_from_u64(cell);
             fill_rademacher(&mut z[layer], &mut rng);
-            fd_hvp_into(oracle, params, base_grad, &z, eps, &mut shifted, &mut hz)?;
-            // Only the masked block contributes: z is zero off-layer.
-            samples.push(z[layer].dot(&hz[layer])?);
+            let hvp = hero_obs::span("hvp");
+            let norm = global_norm_l2(&z);
+            if norm <= f32::MIN_POSITIVE {
+                // An empty tensor: its block of H·z is empty too.
+                samples.push(0.0);
+                continue;
+            }
+            perturbed_into(params, &z, eps / norm, &mut shifted)?;
+            // Only the masked block contributes, z being zero off-layer,
+            // so only that block of H·z is evaluated.
+            let mut hz = oracle.grad_of(&shifted, layer)?;
+            fd_difference(&mut hz, &base_grad[layer], norm, eps)?;
+            drop(hvp);
+            samples.push(z[layer].dot(&hz)?);
+            pool::recycle_tensor(hz);
         }
         z[layer].data_mut().fill(0.0);
         out.push(Estimate::from_samples(&samples));
     }
-    for t in shifted.drain(..).chain(hz.drain(..)) {
+    for t in shifted {
         pool::recycle_tensor(t);
     }
     Ok(out)

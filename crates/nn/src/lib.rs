@@ -44,6 +44,6 @@ pub use act::{Activation, Flatten, GlobalAvgPool2d, MaxPool2d};
 pub use block::{BasicBlock, InvertedResidual};
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use linear::Linear;
-pub use loss::{eval_loss, evaluate_accuracy, loss_and_grads, LossAndGrads};
+pub use loss::{eval_loss, evaluate_accuracy, loss_and_grads, param_grad, LossAndGrads};
 pub use module::{EntryMut, Layer, LayerClone, Network, ParamInfo, ParamKind, Sequential, Walk};
 pub use norm::BatchNorm2d;

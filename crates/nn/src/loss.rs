@@ -2,7 +2,7 @@
 
 use crate::module::Network;
 use hero_autodiff::Graph;
-use hero_tensor::{Result, Tensor};
+use hero_tensor::{Result, Tensor, TensorError};
 
 /// Loss value and per-parameter gradients from one forward/backward pass.
 #[derive(Debug)]
@@ -30,15 +30,47 @@ pub struct LossAndGrads {
 /// Returns shape errors if the batch is incompatible with the network or
 /// labels are invalid.
 pub fn loss_and_grads(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result<LossAndGrads> {
+    forward_backward(net, x, labels, None)
+}
+
+/// The gradient of parameter tensor `index` (canonical order) alone: the
+/// same train-mode pass as [`loss_and_grads`], whose backward runs only
+/// the ops between the loss and that tensor. Bitwise equal to tensor
+/// `index` of [`loss_and_grads`], because the pruned backward skips only
+/// adjoints that never reach it.
+///
+/// # Errors
+///
+/// Same contract as [`loss_and_grads`], plus
+/// [`TensorError::InvalidArgument`] for an `index` out of range.
+pub fn param_grad(net: &mut Network, x: &Tensor, labels: &[usize], index: usize) -> Result<Tensor> {
+    let mut out = forward_backward(net, x, labels, Some(index))?;
+    Ok(out.grads.swap_remove(0))
+}
+
+/// One train-mode forward and a backward to every parameter, or to
+/// parameter `only` alone; the gradients come back in that order.
+fn forward_backward(
+    net: &mut Network,
+    x: &Tensor,
+    labels: &[usize],
+    only: Option<usize>,
+) -> Result<LossAndGrads> {
     let mut g = Graph::new();
     let fwd = hero_obs::span("forward");
     let (logits, vars) = net.forward(&mut g, x, true)?;
     let loss = g.cross_entropy(logits, labels)?;
     let loss_value = g.value(loss).item()?;
     drop(fwd);
+    let wrt = match only {
+        None => &vars[..],
+        Some(i) => vars.get(i..=i).ok_or_else(|| {
+            TensorError::InvalidArgument(format!("parameter {i} of {}", vars.len()))
+        })?,
+    };
     let _bwd = hero_obs::span("backward");
-    let mut grads = g.backward(loss, &vars)?;
-    let grad_tensors = vars
+    let mut grads = g.backward(loss, wrt)?;
+    let grad_tensors = wrt
         .iter()
         .map(|&v| {
             grads

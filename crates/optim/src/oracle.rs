@@ -2,7 +2,7 @@
 //! [`GradOracle`] interface.
 
 use hero_hessian::GradOracle;
-use hero_nn::{loss_and_grads, Network};
+use hero_nn::{loss_and_grads, param_grad, Network};
 use hero_tensor::{Result, Tensor};
 
 /// A gradient oracle evaluating one mini-batch's cross-entropy loss on a
@@ -35,10 +35,14 @@ impl<'a> BatchOracle<'a> {
     pub fn calls(&self) -> usize {
         self.calls
     }
-}
 
-impl GradOracle for BatchOracle<'_> {
-    fn grad(&mut self, params: &[Tensor]) -> Result<(f32, Vec<Tensor>)> {
+    /// One gradient evaluation at `params`: installs them, runs `pass`
+    /// (a train-mode forward/backward over the batch) and counts the call.
+    fn evaluate<T>(
+        &mut self,
+        params: &[Tensor],
+        pass: impl FnOnce(&mut Network, &Tensor, &[usize]) -> Result<T>,
+    ) -> Result<T> {
         hero_obs::counters::GRAD_EVALS.incr();
         let sync = hero_obs::span("sync");
         self.net.set_params(params)?;
@@ -48,11 +52,22 @@ impl GradOracle for BatchOracle<'_> {
         // weights, which must not contaminate the batch-norm running
         // statistics used at eval time.
         let prev = hero_nn::norm::set_bn_running_stat_updates(self.calls == 0);
-        let out = loss_and_grads(self.net, self.x, self.labels);
+        let out = pass(self.net, self.x, self.labels);
         hero_nn::norm::set_bn_running_stat_updates(prev);
         self.calls += 1;
-        let out = out?;
+        out
+    }
+}
+
+impl GradOracle for BatchOracle<'_> {
+    fn grad(&mut self, params: &[Tensor]) -> Result<(f32, Vec<Tensor>)> {
+        let out = self.evaluate(params, loss_and_grads)?;
         Ok((out.loss, out.grads))
+    }
+
+    /// Backprops only to tensor `index` ([`param_grad`]).
+    fn grad_of(&mut self, params: &[Tensor], index: usize) -> Result<Tensor> {
+        self.evaluate(params, |net, x, labels| param_grad(net, x, labels, index))
     }
 }
 
