@@ -8,7 +8,9 @@
 //! [`crate::TrainConfig::spectrum_every`] epochs (off by default: each
 //! probe costs `slq_probes·steps + trace_probes·n_layers + 1` gradient
 //! evaluations, the `trace_probes·n_layers` layer-masked ones each
-//! backpropagating only to their own tensor), emits it as `spectrum` /
+//! backpropagating only to their own tensor, with a forward that restarts
+//! at a top-level layer at or below that tensor's own from the recorded
+//! input of the unchanged layers below), emits it as `spectrum` /
 //! `spectrum_layer` JSONL events and records it into the `hero-obs` series
 //! registry, so traced runs roll the whole trajectory into
 //! `SUMMARY_<run>.json`.

@@ -26,7 +26,11 @@ pub trait GradOracle {
     /// equal to tensor `index` of [`GradOracle::grad`]. The default
     /// evaluates every gradient and keeps one; an oracle that can backprop
     /// to a single tensor (skipping the adjoints that never reach it)
-    /// overrides it.
+    /// overrides it. Such an oracle may also reuse work of an earlier call
+    /// that no tensor `index` reaches, but only when the parameters that
+    /// work read are bitwise this call's: a caller that moves only tensor
+    /// `index` between calls (as `layer_traces` does) lets the work below
+    /// it be reused.
     ///
     /// # Errors
     ///

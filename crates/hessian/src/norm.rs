@@ -1,7 +1,7 @@
 //! The paper's curvature probe ‖Hz‖ (Fig. 2a) and the Hutchinson trace
 //! estimator (global and per-layer).
 
-use crate::hvp::{fd_difference, fd_hvp, fd_hvp_into, perturbed_into, GradOracle};
+use crate::hvp::{fd_difference, fd_hvp, fd_hvp_into, GradOracle};
 use crate::stats::{probe_seed, Estimate};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{global_dot, global_norm_l2, pool, Result, Tensor, TensorError};
@@ -182,7 +182,11 @@ pub fn layer_traces(
         .iter()
         .map(|p| Tensor::zeros(p.shape().clone()))
         .collect();
-    let mut shifted = Vec::new();
+    // `params + (ε/‖z‖)·z` differs from `params` in the probed tensor
+    // only, and the other tensors stay bitwise `params` (adding a zero
+    // step would turn a `-0.0` into `+0.0`), which is what lets an oracle
+    // reuse the work below the probed tensor.
+    let mut shifted = params.to_vec();
     let mut out = Vec::with_capacity(params.len());
     for layer in 0..params.len() {
         let mut samples = Vec::with_capacity(probes);
@@ -198,7 +202,8 @@ pub fn layer_traces(
                 samples.push(0.0);
                 continue;
             }
-            perturbed_into(params, &z, eps / norm, &mut shifted)?;
+            shifted[layer].copy_from(&params[layer])?;
+            shifted[layer].axpy(eps / norm, &z[layer])?;
             // Only the masked block contributes, z being zero off-layer,
             // so only that block of H·z is evaluated.
             let mut hz = oracle.grad_of(&shifted, layer)?;
@@ -207,6 +212,7 @@ pub fn layer_traces(
             samples.push(z[layer].dot(&hz)?);
             pool::recycle_tensor(hz);
         }
+        shifted[layer].copy_from(&params[layer])?;
         z[layer].data_mut().fill(0.0);
         out.push(Estimate::from_samples(&samples));
     }

@@ -30,41 +30,74 @@ pub struct LossAndGrads {
 /// Returns shape errors if the batch is incompatible with the network or
 /// labels are invalid.
 pub fn loss_and_grads(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result<LossAndGrads> {
-    forward_backward(net, x, labels, None)
+    forward_backward(net, 0, x, labels, None, &mut Vec::new())
 }
 
 /// The gradient of parameter tensor `index` (canonical order) alone: the
-/// same train-mode pass as [`loss_and_grads`], whose backward runs only
-/// the ops between the loss and that tensor. Bitwise equal to tensor
-/// `index` of [`loss_and_grads`], because the pruned backward skips only
-/// adjoints that never reach it.
+/// train-mode pass of [`loss_and_grads`] from top-level layer `start`,
+/// whose input is `x` (the batch when `start` is 0), and a backward that
+/// runs only the ops between the loss and that tensor. With `start` 0 the
+/// result is bitwise tensor `index` of [`loss_and_grads`], because the
+/// pruned backward skips only adjoints that never reach it. The layers
+/// below `start` do not run: when `x` is the input the whole pass gives
+/// layer `start`, and tensor `index` belongs to that layer or one above,
+/// the result is bitwise the same, since layers `start..` see the same
+/// inputs and parameters and the backward never reaches below the layer
+/// that owns tensor `index`. The inputs of the layers after `start` up to
+/// that owner are cloned onto `kept` as the pass reaches them (see
+/// [`Network::forward_from`]).
 ///
 /// # Errors
 ///
 /// Same contract as [`loss_and_grads`], plus
-/// [`TensorError::InvalidArgument`] for an `index` out of range.
-pub fn param_grad(net: &mut Network, x: &Tensor, labels: &[usize], index: usize) -> Result<Tensor> {
-    let mut out = forward_backward(net, x, labels, Some(index))?;
+/// [`TensorError::InvalidArgument`] for an `index` out of range or one
+/// that belongs to a layer below `start`.
+pub fn param_grad(
+    net: &mut Network,
+    start: usize,
+    x: &Tensor,
+    labels: &[usize],
+    index: usize,
+    kept: &mut Vec<Tensor>,
+) -> Result<Tensor> {
+    let starts = net.layer_param_starts();
+    let Some(only) = starts
+        .get(start)
+        .and_then(|&first| index.checked_sub(first))
+    else {
+        return Err(TensorError::InvalidArgument(format!(
+            "parameter {index} is not in layers {start}..{}",
+            starts.len()
+        )));
+    };
+    let owner = starts.partition_point(|&s| s <= index) - 1;
+    let mut out = forward_backward(net, start, x, labels, Some((only, owner)), kept)?;
     Ok(out.grads.swap_remove(0))
 }
 
-/// One train-mode forward and a backward to every parameter, or to
-/// parameter `only` alone; the gradients come back in that order.
+/// One train-mode forward from top-level layer `start` (input `x`) and a
+/// backward to every parameter of layers `start..`, or, for `only =
+/// Some((i, owner))`, to the `i`-th of them alone while the inputs of
+/// layers `start + 1..=owner` are cloned onto `kept`; the gradients come
+/// back in that order.
 fn forward_backward(
     net: &mut Network,
+    start: usize,
     x: &Tensor,
     labels: &[usize],
-    only: Option<usize>,
+    only: Option<(usize, usize)>,
+    kept: &mut Vec<Tensor>,
 ) -> Result<LossAndGrads> {
     let mut g = Graph::new();
     let fwd = hero_obs::span("forward");
-    let (logits, vars) = net.forward(&mut g, x, true)?;
+    let keep_to = only.map_or(0, |(_, owner)| owner);
+    let (logits, vars) = net.forward_from(&mut g, start, x, true, keep_to, kept)?;
     let loss = g.cross_entropy(logits, labels)?;
     let loss_value = g.value(loss).item()?;
     drop(fwd);
     let wrt = match only {
         None => &vars[..],
-        Some(i) => vars.get(i..=i).ok_or_else(|| {
+        Some((i, _)) => vars.get(i..=i).ok_or_else(|| {
             TensorError::InvalidArgument(format!("parameter {i} of {}", vars.len()))
         })?,
     };

@@ -259,10 +259,57 @@ impl Network {
     ///
     /// Returns shape errors if `x` is incompatible with the first layer.
     pub fn forward(&mut self, g: &mut Graph, x: &Tensor, train: bool) -> Result<(Var, Vec<Var>)> {
-        let input = g.input(x.clone());
+        self.forward_from(g, 0, x, train, 0, &mut Vec::new())
+    }
+
+    /// [`Network::forward`] from top-level layer `start`, whose input is
+    /// `x` (the batch when `start` is 0): the layers below it do not run.
+    /// The input of each layer in `start + 1..=keep_to` is cloned onto
+    /// `kept` as the pass reaches it. The handles are those of the
+    /// parameters of layers `start..`, the first being canonical index
+    /// [`Network::layer_param_starts`]`[start]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors if `x` is incompatible with layer `start`.
+    pub fn forward_from(
+        &mut self,
+        g: &mut Graph,
+        start: usize,
+        x: &Tensor,
+        train: bool,
+        keep_to: usize,
+        kept: &mut Vec<Tensor>,
+    ) -> Result<(Var, Vec<Var>)> {
+        let mut cur = g.input(x.clone());
         let mut vars = Vec::new();
-        let logits = self.body.forward(g, input, train, &mut vars)?;
-        Ok((logits, vars))
+        for (j, layer) in self.body.layers.iter_mut().enumerate().skip(start) {
+            if j > start && j <= keep_to {
+                kept.push(g.value(cur).clone());
+            }
+            cur = layer.forward(g, cur, train, &mut vars)?;
+        }
+        Ok((cur, vars))
+    }
+
+    /// The canonical index of each top-level layer's first parameter
+    /// tensor: layer `j` owns tensors `starts[j]..starts[j + 1]` (the last
+    /// layer, the rest). A layer without parameters owns none.
+    pub fn layer_param_starts(&self) -> Vec<usize> {
+        let mut next = 0;
+        self.body
+            .layers
+            .iter()
+            .map(|layer| {
+                let start = next;
+                Walk::run(layer.as_ref(), &mut |_, _, e| {
+                    if let Entry::Param(..) = e {
+                        next += 1;
+                    }
+                });
+                start
+            })
+            .collect()
     }
 
     /// Snapshot clones of all parameters in canonical order.

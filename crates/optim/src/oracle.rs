@@ -12,12 +12,65 @@ use hero_tensor::{Result, Tensor};
 /// network, runs a train-mode forward/backward pass, and returns the loss
 /// and canonical-order gradients. HERO calls this up to three times per
 /// step at different parameter points.
+///
+/// [`GradOracle::grad_of`] backprops only to the asked tensor and restarts
+/// the forward at the deepest top-level layer it can: the inputs of the
+/// layers up to the one owning that tensor are recorded by each such call,
+/// keyed by the parameters they were computed from. A later call reuses
+/// the input of layer `j` (at or below its tensor's owner) only when every
+/// parameter tensor below layer `j` is bitwise the key's, so the layers
+/// from `j` on see bitwise the inputs and parameters of a full pass and
+/// the gradient is bitwise that of a pass from the batch. The first
+/// evaluation, the one that updates batch-norm running statistics, never
+/// reuses: nothing is recorded before it.
 #[derive(Debug)]
 pub struct BatchOracle<'a> {
     net: &'a mut Network,
     x: &'a Tensor,
     labels: &'a [usize],
     calls: usize,
+    prefix: Prefix,
+}
+
+/// The layer inputs recorded by `grad_of` calls and the parameters they
+/// were computed from.
+#[derive(Debug, Default)]
+struct Prefix {
+    /// [`Network::layer_param_starts`], filled by the first `grad_of`.
+    starts: Vec<usize>,
+    /// `inputs[m]` is the input of top-level layer `m + 1`.
+    inputs: Vec<Tensor>,
+    /// The parameters `inputs` were computed from; the tensors below
+    /// `starts[inputs.len()]` are the ones that count.
+    key: Vec<Tensor>,
+}
+
+impl Prefix {
+    /// The deepest top-level layer a pass for tensor `index` at `params`
+    /// may start at: one whose input is recorded, at or below the layer
+    /// owning `index`, with every tensor below it bitwise the key's.
+    fn restart(&self, params: &[Tensor], index: usize) -> usize {
+        let same = params
+            .iter()
+            .zip(&self.key)
+            .take(self.starts[self.inputs.len()])
+            .take_while(|(p, k)| same_bits(p, k))
+            .count();
+        let below = same.min(index);
+        (0..=self.inputs.len())
+            .rev()
+            .find(|&j| self.starts[j] <= below)
+            .unwrap_or(0)
+    }
+}
+
+/// Bitwise equality (`-0.0` and `0.0` differ, a NaN equals its own bits).
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(u, v)| u.to_bits() == v.to_bits())
 }
 
 impl<'a> BatchOracle<'a> {
@@ -28,6 +81,7 @@ impl<'a> BatchOracle<'a> {
             x,
             labels,
             calls: 0,
+            prefix: Prefix::default(),
         }
     }
 
@@ -41,7 +95,7 @@ impl<'a> BatchOracle<'a> {
     fn evaluate<T>(
         &mut self,
         params: &[Tensor],
-        pass: impl FnOnce(&mut Network, &Tensor, &[usize]) -> Result<T>,
+        pass: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
         hero_obs::counters::GRAD_EVALS.incr();
         let sync = hero_obs::span("sync");
@@ -52,22 +106,45 @@ impl<'a> BatchOracle<'a> {
         // weights, which must not contaminate the batch-norm running
         // statistics used at eval time.
         let prev = hero_nn::norm::set_bn_running_stat_updates(self.calls == 0);
-        let out = pass(self.net, self.x, self.labels);
+        let out = pass(self);
         hero_nn::norm::set_bn_running_stat_updates(prev);
         self.calls += 1;
         out
+    }
+
+    /// The gradient of tensor `index` at the installed `params`, started
+    /// at [`Prefix::restart`]'s layer; records the inputs of the layers
+    /// after it up to the tensor's owner and moves the key to `params`.
+    fn restarted_grad(&mut self, params: &[Tensor], index: usize) -> Result<Tensor> {
+        let p = &mut self.prefix;
+        if p.starts.is_empty() {
+            p.starts = self.net.layer_param_starts();
+            p.key = params.to_vec();
+        }
+        let start = p.restart(params, index);
+        p.inputs.truncate(start);
+        let input = start.checked_sub(1).map_or(self.x, |m| &p.inputs[m]);
+        let mut kept = Vec::new();
+        let grad = param_grad(self.net, start, input, self.labels, index, &mut kept)?;
+        p.inputs.append(&mut kept);
+        let moved = p.starts[start]..p.starts[p.inputs.len()];
+        for (k, t) in p.key[moved.clone()].iter_mut().zip(&params[moved]) {
+            k.copy_from(t)?;
+        }
+        Ok(grad)
     }
 }
 
 impl GradOracle for BatchOracle<'_> {
     fn grad(&mut self, params: &[Tensor]) -> Result<(f32, Vec<Tensor>)> {
-        let out = self.evaluate(params, loss_and_grads)?;
+        let out = self.evaluate(params, |o| loss_and_grads(o.net, o.x, o.labels))?;
         Ok((out.loss, out.grads))
     }
 
-    /// Backprops only to tensor `index` ([`param_grad`]).
+    /// Backprops only to tensor `index`, from the deepest recorded layer
+    /// input the parameters below it still produce (see [`BatchOracle`]).
     fn grad_of(&mut self, params: &[Tensor], index: usize) -> Result<Tensor> {
-        self.evaluate(params, |net, x, labels| param_grad(net, x, labels, index))
+        self.evaluate(params, |o| o.restarted_grad(params, index))
     }
 }
 

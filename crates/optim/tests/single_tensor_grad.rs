@@ -8,6 +8,11 @@
 //! equals that tensor of `loss_and_grads`, and `layer_traces` through
 //! `BatchOracle` equals `layer_traces` through an oracle that implements
 //! only `grad` (and so takes the trait's unpruned default `grad_of`).
+//!
+//! `BatchOracle::grad_of` also restarts the forward at a recorded layer
+//! input when the parameters below that layer did not move; the last tests
+//! pin that a restart never serves an input computed from other
+//! parameters, whatever order the tensors are asked in.
 
 use hero_data::Preset;
 use hero_hessian::{layer_traces, Estimate, GradOracle};
@@ -70,14 +75,14 @@ fn single_tensor_gradient_is_bitwise_the_full_gradients_tensor() {
             "{kind:?}: a zero gradient"
         );
         for (i, want) in full.iter().enumerate() {
-            let got = param_grad(&mut net, &x, &labels, i).unwrap();
+            let got = param_grad(&mut net, 0, &x, &labels, i, &mut Vec::new()).unwrap();
             assert_eq!(got.shape(), want.shape(), "{kind:?} tensor {i}");
             assert!(
                 bits(&got) == bits(want),
                 "{kind:?}: tensor {i}'s single-tensor gradient differs"
             );
         }
-        assert!(param_grad(&mut net, &x, &labels, full.len()).is_err());
+        assert!(param_grad(&mut net, 0, &x, &labels, full.len(), &mut Vec::new()).is_err());
     }
 }
 
@@ -110,5 +115,78 @@ fn layer_traces_do_not_depend_on_the_oracle_pruning() {
             got.iter().any(|e| e.mean != 0.0),
             "{kind:?}: all traces zero"
         );
+    }
+}
+
+/// The tensor orders the staleness test walks: ascending, descending and
+/// a seeded shuffle.
+fn orders(n: usize) -> [Vec<usize>; 3] {
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    let mut rng = StdRng::seed_from_u64(47);
+    for i in (1..n).rev() {
+        shuffled.swap(i, rng.gen_range(0..=i));
+    }
+    [(0..n).collect(), (0..n).rev().collect(), shuffled]
+}
+
+#[test]
+fn a_restarted_forward_never_serves_a_stale_layer_input() {
+    let (x, labels) = batch(8);
+    for kind in MODELS {
+        let mut net = c10_model(kind);
+        let mut reference = net.clone();
+        let starts = net.layer_param_starts();
+        let base = net.params();
+        let mut oracle = BatchOracle::new(&mut net, &x, &labels);
+        let mut rng = StdRng::seed_from_u64(53);
+        for (o, order) in orders(base.len()).into_iter().enumerate() {
+            for (q, &i) in order.iter().enumerate() {
+                // Mostly move one tensor of a layer below tensor i's own
+                // (whose recorded inputs it feeds), else one of i's layer,
+                // by one of two steps; sometimes move none. Points recur,
+                // so a key that lags the recorded inputs is caught too.
+                let mut params = base.clone();
+                let owner_start = starts[starts.partition_point(|&s| s <= i) - 1];
+                let moved = match owner_start {
+                    0 => rng.gen_range(0..=i),
+                    below => rng.gen_range(0..below),
+                };
+                let step = [0.0f32, 0.01, 0.02][rng.gen_range(0..3usize)];
+                for v in params[moved].data_mut() {
+                    *v += step;
+                }
+                let got = oracle.grad_of(&params, i).unwrap();
+                reference.set_params(&params).unwrap();
+                let want = param_grad(&mut reference, 0, &x, &labels, i, &mut Vec::new()).unwrap();
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{kind:?}: order {o}, query {q}: tensor {i} after moving tensor {moved}"
+                );
+                if q % 4 == 3 {
+                    let (_, full) = oracle.grad(&params).unwrap();
+                    assert!(
+                        bits(&full[i]) == bits(&want),
+                        "{kind:?}: grad after query {q}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_first_evaluation_updates_every_running_statistic() {
+    let (x, labels) = batch(8);
+    for kind in MODELS {
+        let mut net = c10_model(kind);
+        let mut reference = net.clone();
+        let params = net.params();
+        let last = params.len() - 1;
+        BatchOracle::new(&mut net, &x, &labels)
+            .grad_of(&params, last)
+            .unwrap();
+        loss_and_grads(&mut reference, &x, &labels).unwrap();
+        assert_ne!(net.state(), c10_model(kind).state(), "{kind:?}: no update");
+        assert_eq!(net.state(), reference.state(), "{kind:?}");
     }
 }
