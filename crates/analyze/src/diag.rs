@@ -253,13 +253,6 @@ impl Report {
     pub fn has_errors(&self) -> bool {
         self.errors().next().is_some()
     }
-
-    /// True if a finding with the given code exists on the given node.
-    pub fn flags(&self, node: usize, code: DiagCode) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.node == node && d.code == code)
-    }
 }
 
 impl fmt::Display for Report {

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn unseeded_leaves_carry_zero_noise() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(4));
+        let x = g.input(Tensor::from_fn([4], |i| i[0] as f32));
         let y = g.square(x);
         g.sum(y);
         for (i, e) in noise(&g, &[]).iter().enumerate() {

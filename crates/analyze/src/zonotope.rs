@@ -769,7 +769,7 @@ mod tests {
     #[test]
     fn unseeded_pass_certifies_zero_noise() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(4));
+        let x = g.input(Tensor::from_fn([4], |i| i[0] as f32));
         let y = g.square(x);
         let loss = g.sum(y);
         let rn = run(&g, &[]);

@@ -183,15 +183,6 @@ impl Graph {
         self.push(value, Op::Input)
     }
 
-    /// Every leaf (input or parameter) node, in tape order.
-    pub fn leaves(&self) -> Vec<Var> {
-        let leaves = self.nodes.iter().enumerate();
-        leaves
-            .filter(|(_, node)| matches!(node.op, Op::Input))
-            .map(|(i, _)| Var(i))
-            .collect()
-    }
-
     /// Clears the tape, recycling every node's forward value and the
     /// op-saved context tensors (batch-norm `x̂`, softmax) into the
     /// thread-local scratch pool so the next step's forward pass
@@ -485,12 +476,11 @@ impl Adjoints<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_scalar_fn;
 
     #[test]
     fn input_value_round_trips() {
         let mut g = Graph::new();
-        let t = Tensor::arange(3);
+        let t = Tensor::from_fn([3], |i| i[0] as f32);
         let x = g.input(t.clone());
         assert_eq!(g.value(x), &t);
         assert_eq!(g.len(), 1);
@@ -500,14 +490,14 @@ mod tests {
     #[test]
     fn backward_requires_scalar_loss() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(3));
+        let x = g.input(Tensor::from_fn([3], |i| i[0] as f32));
         assert!(g.backward(x, &[x]).is_err());
     }
 
     #[test]
     fn grad_of_sum_is_ones() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(4));
+        let x = g.input(Tensor::from_fn([4], |i| i[0] as f32));
         let s = g.sum(x);
         let grads = g.backward(s, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[1.0; 4]);
@@ -516,7 +506,7 @@ mod tests {
     #[test]
     fn grad_of_mean_is_inverse_count() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(4));
+        let x = g.input(Tensor::from_fn([4], |i| i[0] as f32));
         let s = g.mean(x);
         let grads = g.backward(s, &[x]).unwrap();
         assert_eq!(grads.get(x).unwrap().data(), &[0.25; 4]);
@@ -526,7 +516,7 @@ mod tests {
     fn grad_accumulates_over_reuse() {
         // loss = sum(x + x) -> dx = 2
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(3));
+        let x = g.input(Tensor::from_fn([3], |i| i[0] as f32));
         let y = g.add(x, x).unwrap();
         let s = g.sum(y);
         let grads = g.backward(s, &[x]).unwrap();
@@ -536,8 +526,8 @@ mod tests {
     #[test]
     fn unused_inputs_have_no_grad() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(3));
-        let unused = g.input(Tensor::arange(2));
+        let x = g.input(Tensor::from_fn([3], |i| i[0] as f32));
+        let unused = g.input(Tensor::from_fn([2], |i| i[0] as f32));
         let s = g.sum(x);
         let mut grads = g.backward(s, &[unused, x]).unwrap();
         assert!(grads.get(unused).is_none());
@@ -558,15 +548,14 @@ mod tests {
         let c = g.input(Tensor::from_fn([2, 2], |i| {
             1.0 + i[0] as f32 - 0.5 * i[1] as f32
         }));
-        let d = g.input(Tensor::arange(2));
+        let d = g.input(Tensor::from_fn([2], |i| i[0] as f32));
         let p = g.matmul(a, b).unwrap();
         let r = g.relu(p);
         let m = g.mul(r, c).unwrap();
         let s1 = g.sum(m);
         let s2 = g.sum(d);
         let loss = g.add(s1, s2).unwrap();
-        assert_eq!(g.leaves(), vec![a, b, c, d]);
-        let full = g.backward(loss, &g.leaves()).unwrap();
+        let full = g.backward(loss, &[a, b, c, d]).unwrap();
         let part = g.backward(loss, &[a]).unwrap();
         // Adjoints on the path from `a` are bitwise those of a full pass;
         // the other leaves and the nodes only they reach get none.
@@ -584,88 +573,8 @@ mod tests {
         assert_eq!(mid.get(m).unwrap().data(), &[1.0; 4]);
         assert!(mid.get(r).is_none() && mid.get(a).is_none());
         // No path from `wrt` to the loss: no gradients at all.
-        let e = g.input(Tensor::arange(2));
+        let e = g.input(Tensor::from_fn([2], |i| i[0] as f32));
         assert!(g.backward(loss, &[e]).unwrap().get(loss).is_none());
-    }
-
-    #[test]
-    fn matmul_gradcheck() {
-        let a0 = Tensor::from_fn([3, 4], |i| 0.1 * (i[0] as f32) - 0.2 * (i[1] as f32) + 0.3);
-        let b0 = Tensor::from_fn([4, 2], |i| 0.2 * (i[0] as f32) + 0.1 * (i[1] as f32) - 0.4);
-        // Check dL/dA where L = sum(A B)
-        check_scalar_fn(&a0, 1e-2, 2e-2, |a| {
-            let mut g = Graph::new();
-            let av = g.input(a.clone());
-            let bv = g.input(b0.clone());
-            let c = g.matmul(av, bv).unwrap();
-            let loss = g.sum(c);
-            let grads = g.backward(loss, &[av]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(av).unwrap().clone(),
-            )
-        });
-        // Check dL/dB
-        check_scalar_fn(&b0, 1e-2, 2e-2, |b| {
-            let mut g = Graph::new();
-            let av = g.input(a0.clone());
-            let bv = g.input(b.clone());
-            let c = g.matmul(av, bv).unwrap();
-            let loss = g.sum(c);
-            let grads = g.backward(loss, &[bv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(bv).unwrap().clone(),
-            )
-        });
-    }
-
-    #[test]
-    fn mul_with_broadcast_gradcheck() {
-        let x0 = Tensor::from_fn([2, 3], |i| 0.3 * (i[0] as f32) + 0.1 * (i[1] as f32) - 0.2);
-        let w0 = Tensor::from_fn([3], |i| 0.5 - 0.2 * (i[0] as f32));
-        check_scalar_fn(&w0, 1e-2, 2e-2, |w| {
-            let mut g = Graph::new();
-            let xv = g.input(x0.clone());
-            let wv = g.input(w.clone());
-            let y = g.mul(xv, wv).unwrap(); // broadcasts w over rows
-            let loss = g.sum(y);
-            let grads = g.backward(loss, &[wv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(wv).unwrap().clone(),
-            )
-        });
-    }
-
-    #[test]
-    fn relu_and_relu6_gradcheck() {
-        // Values chosen away from the kinks at 0 and 6.
-        let x0 = Tensor::from_vec(vec![-2.0, -0.5, 0.7, 3.0, 5.5, 7.0], [6]).unwrap();
-        check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let y = g.relu(xv);
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
-        check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let y = g.relu6(xv);
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
     }
 
     #[test]
@@ -674,26 +583,6 @@ mod tests {
         let x = g.input(Tensor::from_vec(vec![-1.0, 3.0, 8.0], [3]).unwrap());
         let y = g.relu6(x);
         assert_eq!(g.value(y).data(), &[0.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn composite_expression_gradcheck() {
-        // loss = mean((2x + 1)^2 - x) exercises scale, add_scalar, square, sub, mean.
-        let x0 = Tensor::from_fn([5], |i| 0.2 * (i[0] as f32) - 0.5);
-        check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let two_x = g.scale(xv, 2.0);
-            let shifted = g.add_scalar(two_x, 1.0);
-            let sq = g.square(shifted);
-            let diff = g.sub(sq, xv).unwrap();
-            let loss = g.mean(diff);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
     }
 
     #[cfg(feature = "sanitize")]
@@ -708,7 +597,7 @@ mod tests {
     #[test]
     fn reshape_routes_gradients() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::arange(6));
+        let x = g.input(Tensor::from_fn([6], |i| i[0] as f32));
         let m = g.reshape(x, [2, 3]).unwrap();
         let sq = g.square(m);
         let loss = g.sum(sq);

@@ -241,7 +241,6 @@ fn clamp_prob(p: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_scalar_fn;
 
     fn seeded(shape: &[usize], scale: f32, salt: usize) -> Tensor {
         Tensor::from_fn(shape.to_vec(), |i| {
@@ -275,72 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_gradcheck_weights_and_input() {
-        let x0 = seeded(&[2, 2, 4, 4], 1.0, 3);
-        let w0 = seeded(&[3, 2 * 3 * 3], 0.6, 5);
-        let geom = ConvGeometry::new(4, 4, 3, 2, 1).unwrap();
-        check_scalar_fn(&w0, 1e-2, 3e-2, |w| {
-            let mut g = Graph::new();
-            let xv = g.input(x0.clone());
-            let wv = g.input(w.clone());
-            let y = g.conv2d(xv, wv, geom).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[wv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(wv).unwrap().clone(),
-            )
-        });
-        check_scalar_fn(&x0, 1e-2, 3e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let wv = g.input(w0.clone());
-            let y = g.conv2d(xv, wv, geom).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
-    }
-
-    #[test]
-    fn depthwise_conv_gradcheck() {
-        let x0 = seeded(&[2, 3, 4, 4], 1.0, 11);
-        let w0 = seeded(&[3, 3, 3], 0.8, 13);
-        let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
-        check_scalar_fn(&w0, 1e-2, 3e-2, |w| {
-            let mut g = Graph::new();
-            let xv = g.input(x0.clone());
-            let wv = g.input(w.clone());
-            let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[wv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(wv).unwrap().clone(),
-            )
-        });
-        check_scalar_fn(&x0, 1e-2, 3e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let wv = g.input(w0.clone());
-            let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
-    }
-
-    #[test]
     fn depthwise_conv_validates_weight_shape() {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 3, 4, 4]));
@@ -367,45 +300,11 @@ mod tests {
             }
             let t = Tensor::from_vec(vals, [n * h * w]).unwrap();
             assert!(t.mean().abs() < 1e-4);
-            assert!((t.variance() - 1.0).abs() < 1e-2);
+            let variance = t.add_scalar(-t.mean()).norm_l2_sq() / t.numel() as f32;
+            assert!((variance - 1.0).abs() < 1e-2);
         }
         assert_eq!(stats.mean.len(), 2);
         assert_eq!(stats.var.len(), 2);
-    }
-
-    #[test]
-    fn batch_norm_gradcheck_all_parameters() {
-        let x0 = seeded(&[3, 2, 2, 2], 2.0, 23);
-        let gamma0 = Tensor::from_vec(vec![1.2, 0.7], [2]).unwrap();
-        let beta0 = Tensor::from_vec(vec![0.1, -0.3], [2]).unwrap();
-        let run = |x: &Tensor, gamma: &Tensor, beta: &Tensor| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let gv = g.input(gamma.clone());
-            let bv = g.input(beta.clone());
-            let (y, _) = g.batch_norm(xv, gv, bv, 1e-5).unwrap();
-            let sq = g.square(y);
-            // Weighted sum to make the loss non-symmetric in elements.
-            let weights = g.input(Tensor::from_fn([3, 2, 2, 2], |i| {
-                0.1 + 0.05 * (i.iter().sum::<usize>() as f32)
-            }));
-            let weighted = g.mul(sq, weights).unwrap();
-            let loss = g.sum(weighted);
-            let grads = g.backward(loss, &[xv, gv, bv]).unwrap();
-            (g.value(loss).item().unwrap(), grads, xv, gv, bv)
-        };
-        check_scalar_fn(&x0, 1e-2, 5e-2, |x| {
-            let (l, grads, xv, _, _) = run(x, &gamma0, &beta0);
-            (l, grads.get(xv).unwrap().clone())
-        });
-        check_scalar_fn(&gamma0, 1e-3, 2e-2, |gamma| {
-            let (l, grads, _, gv, _) = run(&x0, gamma, &beta0);
-            (l, grads.get(gv).unwrap().clone())
-        });
-        check_scalar_fn(&beta0, 1e-3, 2e-2, |beta| {
-            let (l, grads, _, _, bv) = run(&x0, &gamma0, beta);
-            (l, grads.get(bv).unwrap().clone())
-        });
     }
 
     #[test]
@@ -431,45 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn global_avg_pool_gradcheck() {
-        let x0 = seeded(&[2, 3, 2, 2], 1.0, 31);
-        check_scalar_fn(&x0, 1e-2, 2e-2, |x| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let y = g.global_avg_pool2d(xv).unwrap();
-            let sq = g.square(y);
-            let loss = g.sum(sq);
-            let grads = g.backward(loss, &[xv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(xv).unwrap().clone(),
-            )
-        });
-    }
-
-    #[test]
     fn cross_entropy_on_uniform_logits_is_log_classes() {
         let mut g = Graph::new();
         let logits = g.input(Tensor::zeros([4, 10]));
         let loss = g.cross_entropy(logits, &[0, 3, 7, 9]).unwrap();
         let expected = (10.0f32).ln();
         assert!((g.value(loss).item().unwrap() - expected).abs() < 1e-5);
-    }
-
-    #[test]
-    fn cross_entropy_gradcheck() {
-        let l0 = seeded(&[3, 5], 2.0, 37);
-        let labels = vec![1usize, 4, 0];
-        check_scalar_fn(&l0, 1e-2, 2e-2, |l| {
-            let mut g = Graph::new();
-            let lv = g.input(l.clone());
-            let loss = g.cross_entropy(lv, &labels).unwrap();
-            let grads = g.backward(loss, &[lv]).unwrap();
-            (
-                g.value(loss).item().unwrap(),
-                grads.get(lv).unwrap().clone(),
-            )
-        });
     }
 
     #[test]

@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn trace_reflects_tape_order_and_parents() {
         let mut g = Graph::new();
-        let a = g.input(Tensor::arange(6));
+        let a = g.input(Tensor::from_fn([6], |i| i[0] as f32));
         let m = g.reshape(a, [2, 3]).unwrap();
         let b = g.input(Tensor::from_fn([3, 2], |_| 0.5));
         let c = g.matmul(m, b).unwrap();

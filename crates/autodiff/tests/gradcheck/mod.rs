@@ -1,6 +1,6 @@
 //! Numeric gradient checking against central finite differences.
 //!
-//! Every differentiable operation in this crate is validated with
+//! Every backward rule of `hero-autodiff` is validated with
 //! [`check_scalar_fn`], which compares an analytic gradient against
 //! `(f(x + εe_i) - f(x - εe_i)) / 2ε` at every coordinate. The
 //! graph-level front-end [`check_graph_fn`] drives the same comparison
@@ -9,7 +9,7 @@
 //! generate the reproducible random test points the corpus in
 //! `tests/gradcheck_corpus.rs` sweeps every registered op with.
 
-use crate::graph::{Graph, Var};
+use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{Shape, Tensor};
 
@@ -156,7 +156,6 @@ pub fn check_graph_fn(
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -9,7 +9,9 @@
 //! (a plain `sum` would let an op with a wrong-but-constant Jacobian
 //! column slip through).
 
-use hero_autodiff::gradcheck::{check_graph_fn, seeded_signed, seeded_uniform};
+mod gradcheck;
+
+use gradcheck::{check_graph_fn, check_scalar_fn, seeded_signed, seeded_uniform};
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{ConvGeometry, Result, Tensor};
@@ -239,4 +241,251 @@ fn corpus_losses() {
             g.cross_entropy(v[0], &labels)
         });
     }
+}
+
+// Fixed-point checks of single backward rules through `check_scalar_fn`:
+// one input perturbed at a time, the others held constant.
+
+/// A deterministic tensor of hashed entries in `[-scale/2, scale/2)`.
+fn seeded(shape: &[usize], scale: f32, salt: usize) -> Tensor {
+    Tensor::from_fn(shape.to_vec(), |i| {
+        let h = i.iter().enumerate().fold(salt, |acc, (k, &v)| {
+            acc.wrapping_mul(31).wrapping_add(v * (k + 7))
+        });
+        ((h % 17) as f32 / 17.0 - 0.5) * scale
+    })
+}
+
+#[test]
+fn matmul_gradcheck() {
+    let a0 = Tensor::from_fn([3, 4], |i| 0.1 * (i[0] as f32) - 0.2 * (i[1] as f32) + 0.3);
+    let b0 = Tensor::from_fn([4, 2], |i| 0.2 * (i[0] as f32) + 0.1 * (i[1] as f32) - 0.4);
+    // Check dL/dA where L = sum(A B)
+    check_scalar_fn(&a0, 1e-2, 2e-2, |a| {
+        let mut g = Graph::new();
+        let av = g.input(a.clone());
+        let bv = g.input(b0.clone());
+        let c = g.matmul(av, bv).unwrap();
+        let loss = g.sum(c);
+        let grads = g.backward(loss, &[av]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(av).unwrap().clone(),
+        )
+    });
+    // Check dL/dB
+    check_scalar_fn(&b0, 1e-2, 2e-2, |b| {
+        let mut g = Graph::new();
+        let av = g.input(a0.clone());
+        let bv = g.input(b.clone());
+        let c = g.matmul(av, bv).unwrap();
+        let loss = g.sum(c);
+        let grads = g.backward(loss, &[bv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(bv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn mul_with_broadcast_gradcheck() {
+    let x0 = Tensor::from_fn([2, 3], |i| 0.3 * (i[0] as f32) + 0.1 * (i[1] as f32) - 0.2);
+    let w0 = Tensor::from_fn([3], |i| 0.5 - 0.2 * (i[0] as f32));
+    check_scalar_fn(&w0, 1e-2, 2e-2, |w| {
+        let mut g = Graph::new();
+        let xv = g.input(x0.clone());
+        let wv = g.input(w.clone());
+        let y = g.mul(xv, wv).unwrap(); // broadcasts w over rows
+        let loss = g.sum(y);
+        let grads = g.backward(loss, &[wv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(wv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn relu_and_relu6_gradcheck() {
+    // Values chosen away from the kinks at 0 and 6.
+    let x0 = Tensor::from_vec(vec![-2.0, -0.5, 0.7, 3.0, 5.5, 7.0], [6]).unwrap();
+    check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let y = g.relu(xv);
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+    check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let y = g.relu6(xv);
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn composite_expression_gradcheck() {
+    // loss = mean((2x + 1)^2 - x) exercises scale, add_scalar, square, sub, mean.
+    let x0 = Tensor::from_fn([5], |i| 0.2 * (i[0] as f32) - 0.5);
+    check_scalar_fn(&x0, 1e-3, 1e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let two_x = g.scale(xv, 2.0);
+        let shifted = g.add_scalar(two_x, 1.0);
+        let sq = g.square(shifted);
+        let diff = g.sub(sq, xv).unwrap();
+        let loss = g.mean(diff);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn conv2d_gradcheck_weights_and_input() {
+    let x0 = seeded(&[2, 2, 4, 4], 1.0, 3);
+    let w0 = seeded(&[3, 2 * 3 * 3], 0.6, 5);
+    let geom = ConvGeometry::new(4, 4, 3, 2, 1).unwrap();
+    check_scalar_fn(&w0, 1e-2, 3e-2, |w| {
+        let mut g = Graph::new();
+        let xv = g.input(x0.clone());
+        let wv = g.input(w.clone());
+        let y = g.conv2d(xv, wv, geom).unwrap();
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[wv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(wv).unwrap().clone(),
+        )
+    });
+    check_scalar_fn(&x0, 1e-2, 3e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let wv = g.input(w0.clone());
+        let y = g.conv2d(xv, wv, geom).unwrap();
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn depthwise_conv_gradcheck() {
+    let x0 = seeded(&[2, 3, 4, 4], 1.0, 11);
+    let w0 = seeded(&[3, 3, 3], 0.8, 13);
+    let geom = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
+    check_scalar_fn(&w0, 1e-2, 3e-2, |w| {
+        let mut g = Graph::new();
+        let xv = g.input(x0.clone());
+        let wv = g.input(w.clone());
+        let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[wv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(wv).unwrap().clone(),
+        )
+    });
+    check_scalar_fn(&x0, 1e-2, 3e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let wv = g.input(w0.clone());
+        let y = g.depthwise_conv2d(xv, wv, geom).unwrap();
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn batch_norm_gradcheck_all_parameters() {
+    let x0 = seeded(&[3, 2, 2, 2], 2.0, 23);
+    let gamma0 = Tensor::from_vec(vec![1.2, 0.7], [2]).unwrap();
+    let beta0 = Tensor::from_vec(vec![0.1, -0.3], [2]).unwrap();
+    let run = |x: &Tensor, gamma: &Tensor, beta: &Tensor| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let gv = g.input(gamma.clone());
+        let bv = g.input(beta.clone());
+        let (y, _) = g.batch_norm(xv, gv, bv, 1e-5).unwrap();
+        let sq = g.square(y);
+        // Weighted sum to make the loss non-symmetric in elements.
+        let weights = g.input(Tensor::from_fn([3, 2, 2, 2], |i| {
+            0.1 + 0.05 * (i.iter().sum::<usize>() as f32)
+        }));
+        let weighted = g.mul(sq, weights).unwrap();
+        let loss = g.sum(weighted);
+        let grads = g.backward(loss, &[xv, gv, bv]).unwrap();
+        (g.value(loss).item().unwrap(), grads, xv, gv, bv)
+    };
+    check_scalar_fn(&x0, 1e-2, 5e-2, |x| {
+        let (l, grads, xv, _, _) = run(x, &gamma0, &beta0);
+        (l, grads.get(xv).unwrap().clone())
+    });
+    check_scalar_fn(&gamma0, 1e-3, 2e-2, |gamma| {
+        let (l, grads, _, gv, _) = run(&x0, gamma, &beta0);
+        (l, grads.get(gv).unwrap().clone())
+    });
+    check_scalar_fn(&beta0, 1e-3, 2e-2, |beta| {
+        let (l, grads, _, _, bv) = run(&x0, &gamma0, beta);
+        (l, grads.get(bv).unwrap().clone())
+    });
+}
+
+#[test]
+fn global_avg_pool_gradcheck() {
+    let x0 = seeded(&[2, 3, 2, 2], 1.0, 31);
+    check_scalar_fn(&x0, 1e-2, 2e-2, |x| {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let y = g.global_avg_pool2d(xv).unwrap();
+        let sq = g.square(y);
+        let loss = g.sum(sq);
+        let grads = g.backward(loss, &[xv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(xv).unwrap().clone(),
+        )
+    });
+}
+
+#[test]
+fn cross_entropy_gradcheck() {
+    let l0 = seeded(&[3, 5], 2.0, 37);
+    let labels = vec![1usize, 4, 0];
+    check_scalar_fn(&l0, 1e-2, 2e-2, |l| {
+        let mut g = Graph::new();
+        let lv = g.input(l.clone());
+        let loss = g.cross_entropy(lv, &labels).unwrap();
+        let grads = g.backward(loss, &[lv]).unwrap();
+        (
+            g.value(loss).item().unwrap(),
+            grads.get(lv).unwrap().clone(),
+        )
+    });
 }

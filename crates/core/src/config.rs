@@ -41,12 +41,13 @@ pub struct TrainConfig {
     /// the serial in-process path. Defaults to the `HERO_THREADS`
     /// environment variable (unset ⇒ 0). With the shard count fixed,
     /// every value ≥ 1 produces bitwise identical trajectories (see
-    /// DESIGN.md §11 and the parallel_equiv suite) — a single worker
-    /// re-runs the sharded math behind one thread, so `HERO_THREADS=1`
-    /// and `HERO_THREADS=4` yield byte-identical model artifacts — and
-    /// the value trades wall-clock only. The same variable also sizes
-    /// the GEMM worker pool (DESIGN.md §13), which accelerates the
-    /// serial step too.
+    /// DESIGN.md §11 and the parallel_equiv suite), so `HERO_THREADS=1`
+    /// and `HERO_THREADS=4` yield byte-identical model artifacts. Going
+    /// from 0 to ≥ 1 changes the objective, not just the rounding: the
+    /// shards normalize batch norm with per-shard statistics, the serial
+    /// path with the whole batch's. The same variable also sizes the GEMM
+    /// worker pool (DESIGN.md §13), which accelerates the serial step
+    /// too and changes no result.
     pub threads: usize,
 }
 

@@ -124,11 +124,13 @@ pub fn train_resumable(
     // network replicas live across the whole run. With the shard count
     // fixed, the trajectory is bitwise identical for any worker count ≥ 1
     // — see DESIGN.md §11 and the parallel_equiv test suite — which is
-    // what makes saved model artifacts byte-equal across HERO_THREADS
-    // settings. 0 selects the serial in-process path (a distinct, equally
-    // deterministic trajectory: batch-norm statistics advance inside the
-    // first gradient evaluation rather than in a post-step refresh);
-    // GEMM-level parallelism (DESIGN.md §13) needs no shard context.
+    // what makes saved model artifacts byte-equal across HERO_THREADS ≥ 1
+    // settings. 0 selects the serial in-process path, a different
+    // objective: it normalizes batch norm over the whole batch where the
+    // shards use per-shard statistics, and its running statistics advance
+    // inside the first gradient evaluation rather than in a post-step
+    // refresh. GEMM-level parallelism (DESIGN.md §13) needs no shard
+    // context.
     let mut pctx = (config.threads > 0)
         .then(|| ParallelCtx::new(net, config.threads))
         .transpose()?;

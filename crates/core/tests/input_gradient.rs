@@ -30,13 +30,18 @@ fn full_backward(net: &mut Network, x: &Tensor, labels: &[usize]) -> (Vec<Tensor
     let mut g = Graph::new();
     let (logits, vars) = net.forward(&mut g, x, true).unwrap();
     let loss = g.cross_entropy(logits, labels).unwrap();
-    let leaves = g.leaves();
-    let input = *leaves.iter().find(|v| !vars.contains(v)).unwrap();
-    let grads = g.backward(loss, &leaves).unwrap();
+    // The forward records the batch as the tape's first node, so the first
+    // handle a fresh graph issues names it; with the parameters it makes
+    // up every leaf of the tape.
+    let input = Graph::new().input(Tensor::zeros([0]));
+    let trace = g.trace();
+    assert_eq!(trace[input.index()].op, TraceOp::Input);
+    let leaves = trace.iter().filter(|n| n.op == TraceOp::Input).count();
+    assert_eq!(leaves, vars.len() + 1);
+    let grads = g.backward(loss, &[&[input], &vars[..]].concat()).unwrap();
     assert_eq!(grads.get(input).unwrap().dims(), x.dims());
     // The dX product of the conv reading the input: `C·k·k` taps against
     // every output element.
-    let trace = g.trace();
     let stem = trace
         .iter()
         .find(|n| n.parents.first() == Some(&input.index()));

@@ -118,7 +118,7 @@ mod tests {
     fn crop_keeps_content_within_pad_distance() {
         // A single bright pixel moves by at most `pad` in each direction.
         let mut b = Tensor::zeros([1, 1, 5, 5]);
-        b.set(&[0, 0, 2, 2], 1.0).unwrap();
+        b.data_mut()[2 * 5 + 2] = 1.0;
         let aug = Augment {
             pad: 1,
             hflip: false,

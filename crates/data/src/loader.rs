@@ -174,7 +174,7 @@ mod tests {
         let mut loader = Loader::new(6, 2);
         for b in loader.epoch(&d) {
             for (row, &label) in b.labels.iter().enumerate() {
-                let first = b.images.get(&[row, 0, 0, 0]).unwrap();
+                let first = b.images.data()[row * pix];
                 assert_eq!(first, label as f32);
             }
         }

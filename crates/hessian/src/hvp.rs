@@ -180,7 +180,7 @@ pub(crate) fn fd_difference(g: &mut Tensor, g0: &Tensor, norm: f32, eps: f32) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::Quadratic;
+    use hero_testkit::Quadratic;
 
     #[test]
     fn perturbed_adds_scaled_direction() {

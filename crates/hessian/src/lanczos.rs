@@ -260,8 +260,8 @@ fn tridiag_eigen(alphas: &[f32], betas: &[f32]) -> (Vec<f32>, Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::Quadratic;
     use hero_tensor::rng::StdRng;
+    use hero_testkit::Quadratic;
 
     #[test]
     fn tridiag_eigen_of_diagonal_matrix() {

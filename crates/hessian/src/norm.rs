@@ -1,10 +1,10 @@
-//! The paper's curvature probe ‖Hz‖ (Fig. 2a) and the Hutchinson trace
-//! estimator (global and per-layer).
+//! The paper's curvature probe ‖Hz‖ (Fig. 2a) and the per-layer
+//! Hutchinson trace estimator.
 
-use crate::hvp::{fd_difference, fd_hvp, fd_hvp_into, GradOracle};
+use crate::hvp::{fd_difference, fd_hvp, GradOracle};
 use crate::stats::{probe_seed, Estimate};
 use hero_tensor::rng::{Rng, StdRng};
-use hero_tensor::{global_dot, global_norm_l2, pool, Result, Tensor, TensorError};
+use hero_tensor::{global_norm_l2, pool, Result, Tensor, TensorError};
 
 /// Computes the paper's layer-scaled perturbation direction (Eq. 15):
 /// `z_i = (W_i ⊙ W_i ⊙ g_i) / (‖W_i‖₂ · ‖g_i‖₂)` per parameter tensor,
@@ -85,53 +85,6 @@ fn fill_rademacher(t: &mut Tensor, rng: &mut impl Rng) {
     }
 }
 
-/// Hutchinson estimate of the Hessian trace: `E_z[zᵀHz]` with Rademacher
-/// probes. Each probe costs one gradient evaluation.
-///
-/// Probes are drawn from independent streams derived from `seed` (probe
-/// `i` uses [`probe_seed`]`(seed, i)`), so runs are reproducible and the
-/// probe count can change without re-seeding the shared prefix. The
-/// returned [`Estimate`] carries the per-probe standard error next to the
-/// mean.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] for zero probes and
-/// propagates oracle and shape errors.
-pub fn hutchinson_trace(
-    oracle: &mut dyn GradOracle,
-    params: &[Tensor],
-    probes: usize,
-    eps: f32,
-    seed: u64,
-) -> Result<Estimate> {
-    if probes == 0 {
-        return Err(TensorError::InvalidArgument(
-            "hutchinson_trace needs at least one probe".into(),
-        ));
-    }
-    let (_, grads) = oracle.grad(params)?;
-    let mut z: Vec<Tensor> = params
-        .iter()
-        .map(|p| Tensor::zeros(p.shape().clone()))
-        .collect();
-    let mut shifted = Vec::new();
-    let mut hz = Vec::new();
-    let mut samples = Vec::with_capacity(probes);
-    for i in 0..probes {
-        let mut rng = StdRng::seed_from_u64(probe_seed(seed, i));
-        for t in &mut z {
-            fill_rademacher(t, &mut rng);
-        }
-        fd_hvp_into(oracle, params, &grads, &z, eps, &mut shifted, &mut hz)?;
-        samples.push(global_dot(&z, &hz));
-    }
-    for t in shifted.drain(..).chain(hz.drain(..)) {
-        pool::recycle_tensor(t);
-    }
-    Ok(Estimate::from_samples(&samples))
-}
-
 /// Per-parameter-tensor Hutchinson traces via *layer-masked* probes: for
 /// layer `i` the probe is Rademacher on that tensor and zero elsewhere, so
 /// `zᵀ(Hz)` estimates `tr(H_ii)` — the diagonal block's trace — with no
@@ -142,8 +95,15 @@ pub fn hutchinson_trace(
 /// That pruning is bitwise exact — every adjoint on a path to tensor `i`
 /// receives the same contributions in the same order — so the estimates do
 /// not depend on whether the oracle prunes. The finite-difference quotient
-/// is [`fd_hvp_into`]'s, with the step normalized by `‖z‖` over the whole
-/// masked list.
+/// is [`crate::fd_hvp_into`]'s, with the step normalized by `‖z‖` over
+/// the whole masked list.
+///
+/// The tensors are swept from the last to the first, so that every probe
+/// differs from `params` in its own tensor only and the tensors below it
+/// are bitwise `params`: an oracle that reuses the work below the probed
+/// tensor (`hero_optim::BatchOracle`) then restarts each probe at that
+/// tensor's own layer. Each `(layer, probe)` cell draws from its own seed,
+/// so the order changes no estimate.
 ///
 /// The estimates are unbiased and sum to the global Hessian trace, which
 /// is the HeRo-Q quantization-sensitivity proxy this repo cross-checks
@@ -188,7 +148,7 @@ pub fn layer_traces(
     // reuse the work below the probed tensor.
     let mut shifted = params.to_vec();
     let mut out = Vec::with_capacity(params.len());
-    for layer in 0..params.len() {
+    for layer in (0..params.len()).rev() {
         let mut samples = Vec::with_capacity(probes);
         for probe in 0..probes {
             // One independent stream per (layer, probe) cell.
@@ -219,13 +179,14 @@ pub fn layer_traces(
     for t in shifted {
         pool::recycle_tensor(t);
     }
+    out.reverse();
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::Quadratic;
+    use hero_testkit::Quadratic;
 
     #[test]
     fn layer_scaled_direction_matches_eq15() {
@@ -272,82 +233,6 @@ mod tests {
             "‖Hz‖={hn}, expected {expected}"
         );
         assert!((loss - 25.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn hutchinson_trace_of_diagonal() {
-        // Rademacher probes square to 1, so zᵀHz = Σ Hₖₖ exactly for a
-        // diagonal Hessian: every sample equals the trace.
-        let q = Quadratic::diag(&[1.0, 2.0, 3.0]);
-        let mut oracle = q.oracle();
-        let params = vec![Tensor::zeros([3])];
-        let tr = hutchinson_trace(&mut oracle, &params, 8, 1e-3, 5).unwrap();
-        assert!((tr.mean - 6.0).abs() < 0.1, "trace={}", tr.mean);
-        assert_eq!(tr.samples, 8);
-        assert!(tr.std_error.is_finite() && tr.std_error < 0.1);
-    }
-
-    #[test]
-    fn hutchinson_trace_is_seed_reproducible() {
-        // Off-diagonal Hessian [[0,1],[1,0]]: zᵀHz = 2·z₀z₁ = ±2, so the
-        // estimate genuinely depends on the probe signs (on a diagonal
-        // Hessian every Rademacher probe is exact and seeds are invisible).
-        let mut oracle = |ps: &[Tensor]| {
-            let d = ps[0].data();
-            Ok((d[0] * d[1], vec![Tensor::from_vec(vec![d[1], d[0]], [2])?]))
-        };
-        let params = vec![Tensor::zeros([2])];
-        let a = hutchinson_trace(&mut oracle, &params, 3, 1e-3, 9).unwrap();
-        let b = hutchinson_trace(&mut oracle, &params, 3, 1e-3, 9).unwrap();
-        assert_eq!(a, b, "same seed must reproduce bitwise");
-        let others: Vec<f32> = (0..16)
-            .map(|s| {
-                hutchinson_trace(&mut oracle, &params, 3, 1e-3, s)
-                    .unwrap()
-                    .mean
-            })
-            .collect();
-        assert!(
-            others.iter().any(|&m| m != a.mean),
-            "seed changes never alter the estimate"
-        );
-    }
-
-    #[test]
-    fn hutchinson_trace_rejects_zero_probes() {
-        let q = Quadratic::diag(&[1.0]);
-        let params = vec![Tensor::zeros([1])];
-        assert!(hutchinson_trace(&mut q.oracle(), &params, 0, 1e-3, 0).is_err());
-    }
-
-    #[test]
-    fn layer_traces_of_block_diagonal() {
-        // Two parameter tensors over a block-diagonal quadratic: each
-        // masked probe recovers its block's trace exactly (diagonal H).
-        let q = Quadratic::diag(&[1.0, 2.0, 3.0, 4.0]);
-        let mut oracle = move |ps: &[Tensor]| {
-            let flat: Vec<f32> = ps.iter().flat_map(|t| t.data().iter().copied()).collect();
-            let x = vec![Tensor::from_vec(flat, [4])?];
-            let (l, g) = q.oracle().grad(&x)?;
-            let gd = g[0].data();
-            Ok((
-                l,
-                vec![
-                    Tensor::from_vec(gd[..2].to_vec(), [2])?,
-                    Tensor::from_vec(gd[2..].to_vec(), [2])?,
-                ],
-            ))
-        };
-        let params = vec![Tensor::zeros([2]), Tensor::zeros([2])];
-        let (_, base) = oracle(&params).unwrap();
-        let traces = layer_traces(&mut oracle, &params, &base, 4, 1e-3, 7).unwrap();
-        assert_eq!(traces.len(), 2);
-        assert!((traces[0].mean - 3.0).abs() < 0.05, "{:?}", traces[0]);
-        assert!((traces[1].mean - 7.0).abs() < 0.05, "{:?}", traces[1]);
-        // Per-layer traces sum to the global trace.
-        let total: f32 = traces.iter().map(|t| t.mean).sum();
-        let global = hutchinson_trace(&mut oracle, &params, 4, 1e-3, 7).unwrap();
-        assert!((total - global.mean).abs() < 0.1, "{total} vs {global:?}");
     }
 
     #[test]

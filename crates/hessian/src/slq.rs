@@ -85,28 +85,6 @@ pub struct SlqDensity {
     pub probes: Vec<LanczosResult>,
 }
 
-impl SlqDensity {
-    /// Numerically integrates `λᵖ · ρ(λ)` over the grid (trapezoid rule).
-    /// `grid_moment(0)` ≈ 1 checks normalization; `grid_moment(1)` and
-    /// `grid_moment(2)` should track [`Self::mean_eigenvalue`] and
-    /// [`Self::second_moment`] up to broadening (which inflates the second
-    /// moment by exactly σ²).
-    pub fn grid_moment(&self, p: u32) -> f32 {
-        let n = self.grid.len();
-        if n < 2 {
-            return f32::NAN;
-        }
-        let mut acc = 0.0f64;
-        for i in 0..n - 1 {
-            let dl = (self.grid[i + 1] - self.grid[i]) as f64;
-            let fa = (self.grid[i].powi(p as i32) * self.density[i]) as f64;
-            let fb = (self.grid[i + 1].powi(p as i32) * self.density[i + 1]) as f64;
-            acc += 0.5 * (fa + fb) * dl;
-        }
-        acc as f32
-    }
-}
-
 /// Estimates the Hessian spectral density at `params` by stochastic
 /// Lanczos quadrature over `cfg.probes` seeded random probes, given the
 /// base gradient `base_grad = ∇L(params)` that every probe's HVPs share.
@@ -199,7 +177,7 @@ pub fn slq_density(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::Quadratic;
+    use hero_testkit::Quadratic;
 
     /// [`slq_density`] on a quadratic, with its base gradient.
     fn density(q: &Quadratic, params: &[Tensor], cfg: SlqConfig) -> Result<SlqDensity> {
@@ -238,33 +216,6 @@ mod tests {
         );
         assert_eq!(d.lambda_max.samples, 16);
         assert!(d.lambda_max.std_error.is_finite());
-    }
-
-    #[test]
-    fn grid_density_is_normalized_and_tracks_moments() {
-        let q = Quadratic::diag(&[1.0, 3.0, 8.0]);
-        let params = vec![Tensor::zeros([3])];
-        let cfg = SlqConfig {
-            steps: 3,
-            probes: 8,
-            grid_points: 256,
-            ..SlqConfig::default()
-        };
-        let d = density(&q, &params, cfg).unwrap();
-        assert!(
-            (d.grid_moment(0) - 1.0).abs() < 0.02,
-            "{}",
-            d.grid_moment(0)
-        );
-        assert!(
-            (d.grid_moment(1) - d.mean_eigenvalue.mean).abs() < 0.2,
-            "grid {} vs quadrature {}",
-            d.grid_moment(1),
-            d.mean_eigenvalue.mean
-        );
-        // Broadening inflates the second grid moment by exactly σ².
-        let expect2 = d.second_moment.mean + d.sigma * d.sigma;
-        assert!((d.grid_moment(2) - expect2).abs() < 0.8);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use sink::{finish, init_from_env, init_run, run_active, Event, RunArtifacts}
 pub use span::{
     disable, enable, enable_events, is_enabled, span, summary_rows, SpanEvent, SpanGuard,
 };
-pub use summary::{child_coverage, SummaryRow};
+pub use summary::SummaryRow;
 
 /// Opens a span scoped to the enclosing block: expands to a `let` binding
 /// of a [`SpanGuard`] that closes when the block ends. Use the function

@@ -75,31 +75,6 @@ pub fn render(rows: &[SummaryRow]) -> String {
     out
 }
 
-/// Fraction of wall-clock time inside spans named `name` that is covered
-/// by *named child spans* — the acceptance metric "≥ 90% of step
-/// wall-clock attributed to named phases" with `name = "train_step"`.
-///
-/// Aggregates over every occurrence of `name` in the tree (any path) and
-/// returns `NaN` when the span never ran.
-pub fn child_coverage(rows: &[SummaryRow], name: &str) -> f64 {
-    let mut own = 0u64;
-    let mut covered = 0u64;
-    for r in rows.iter().filter(|r| r.name == name) {
-        own += r.total_ns;
-        let prefix = format!("{}/", r.path);
-        covered += rows
-            .iter()
-            .filter(|c| c.depth == r.depth + 1 && c.path.starts_with(&prefix))
-            .map(|c| c.total_ns)
-            .sum::<u64>();
-    }
-    if own == 0 {
-        f64::NAN
-    } else {
-        covered as f64 / own as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +89,6 @@ mod tests {
             total_ns,
             parent_total_ns,
         }
-    }
-
-    #[test]
-    fn coverage_sums_direct_children_only() {
-        let rows = vec![
-            row("train_step", 0, 100, 0),
-            row("train_step/forward", 1, 40, 100),
-            row("train_step/hvp", 1, 50, 100),
-            row("train_step/hvp/forward", 2, 45, 50),
-        ];
-        let c = child_coverage(&rows, "train_step");
-        assert!((c - 0.9).abs() < 1e-9, "coverage {c}");
-        // The nested forward does not double count.
-        assert!(child_coverage(&rows, "hvp") > 0.89);
-        assert!(child_coverage(&rows, "absent").is_nan());
     }
 
     #[test]

@@ -13,19 +13,22 @@
 //!
 //! ```
 //! use hero_optim::{Method, Optimizer};
-//! use hero_hessian::Quadratic;
 //! use hero_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), hero_tensor::TensorError> {
-//! let q = Quadratic::diag(&[1.0, 5.0]);
+//! // ½xᵀ diag(1, 5) x, minimized at the origin.
+//! let loss = |x: &[f32]| 0.5 * (x[0] * x[0] + 5.0 * x[1] * x[1]);
+//! let mut oracle = |p: &[Tensor]| {
+//!     let x = p[0].data();
+//!     Ok((loss(x), vec![Tensor::from_vec(vec![x[0], 5.0 * x[1]], [2])?]))
+//! };
 //! let mut opt = Optimizer::new(Method::Hero { h: 0.05, gamma: 0.1 })
 //!     .with_weight_decay(0.0);
 //! let mut params = vec![Tensor::from_vec(vec![1.0, 1.0], [2])?];
-//! let mut oracle = q.oracle();
 //! for _ in 0..100 {
 //!     opt.step(&mut oracle, &mut params, &[false], 0.05)?;
 //! }
-//! assert!(q.loss(&params[0])? < 1e-3);
+//! assert!(loss(params[0].data()) < 1e-3);
 //! # Ok(())
 //! # }
 //! ```

@@ -327,7 +327,7 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hero_hessian::Quadratic;
+    use hero_testkit::Quadratic;
 
     fn run_steps(
         method: Method,

@@ -85,11 +85,6 @@ impl<'a> BatchOracle<'a> {
         }
     }
 
-    /// Number of gradient evaluations performed so far.
-    pub fn calls(&self) -> usize {
-        self.calls
-    }
-
     /// One gradient evaluation at `params`: installs them, runs `pass`
     /// (a train-mode forward/backward over the batch) and counts the call.
     fn evaluate<T>(

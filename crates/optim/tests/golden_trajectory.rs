@@ -4,9 +4,9 @@
 //! silently shifts numerics — even by one ulp — fails this test and has
 //! to justify updating the pinned values.
 
-use hero_hessian::Quadratic;
 use hero_optim::{Method, Optimizer};
 use hero_tensor::Tensor;
+use hero_testkit::Quadratic;
 
 /// The pinned losses of the canonical 5-step run (exact f32 values
 /// captured from the reference implementation; compare bitwise).

@@ -2,10 +2,10 @@
 //! random convex quadratics (formerly a proptest suite; rewritten against
 //! the in-tree RNG so the workspace builds offline).
 
-use hero_hessian::Quadratic;
 use hero_optim::{LrSchedule, Method, Optimizer, SgdState};
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::Tensor;
+use hero_testkit::Quadratic;
 
 #[test]
 fn cosine_schedule_stays_in_range() {

@@ -1,14 +1,16 @@
 //! The exact work a layer-trace sweep saves by restarting its forwards.
 //!
 //! `BatchOracle::grad_of` starts the forward at a recorded layer input
-//! when the parameters below that layer did not move. In a `layer_traces`
-//! sweep the probe of tensor `ℓ` moves tensor `ℓ` alone, so its first
-//! probe restarts at the layer owning tensor `ℓ - 1` (restored since the
-//! previous query) and every later probe at the layer owning tensor `ℓ`.
+//! when the parameters below that layer did not move. A `layer_traces`
+//! sweep runs from the last tensor to the first and the probe of tensor
+//! `ℓ` moves tensor `ℓ` alone, so every probe restarts at the layer owning
+//! tensor `ℓ` (the tensor restored since the previous query lies above
+//! it), except the sweep's first query, which has nothing recorded and
+//! starts at the batch.
 //! The sweep must run exactly `trace_probes·n_tensors` gradient
-//! evaluations and exactly the GEMM calls and flops of the same sweep
-//! without restarts, less the forward products of the layers skipped.
-//! Integers that host noise cannot move.
+//! evaluations, and each query exactly the GEMM calls and flops of the
+//! same query without restarts, less the forward products of the layers
+//! it skipped. Integers that host noise cannot move.
 //!
 //! Lives in its own integration-test binary because the counters are
 //! process-global; unit tests elsewhere in the workspace must not add to
@@ -37,6 +39,33 @@ struct FromTheBatch<'a> {
     net: &'a mut Network,
     x: &'a Tensor,
     labels: &'a [usize],
+}
+
+/// Records the GEMM calls and flops of each `grad_of` query it forwards.
+struct PerQuery<O> {
+    inner: O,
+    work: Vec<[u64; 2]>,
+}
+
+impl<O: GradOracle> PerQuery<O> {
+    fn new(inner: O) -> Self {
+        PerQuery {
+            inner,
+            work: Vec::new(),
+        }
+    }
+}
+
+impl<O: GradOracle> GradOracle for PerQuery<O> {
+    fn grad(&mut self, params: &[Tensor]) -> Result<(f32, Vec<Tensor>)> {
+        self.inner.grad(params)
+    }
+
+    fn grad_of(&mut self, params: &[Tensor], index: usize) -> Result<Tensor> {
+        let (out, work) = counted(|| self.inner.grad_of(params, index));
+        self.work.push(work);
+        out
+    }
 }
 
 impl GradOracle for FromTheBatch<'_> {
@@ -85,36 +114,35 @@ fn a_trace_sweep_skips_exactly_the_forward_below_each_restart() {
             below.push([whole[0] - from[0], whole[1] - from[1]]);
         }
 
-        let mut plain = FromTheBatch {
-            net: &mut net.clone(),
+        let mut plain_net = net.clone();
+        let mut plain = PerQuery::new(FromTheBatch {
+            net: &mut plain_net,
             x: &x,
             labels: &labels,
-        };
+        });
         let (_, base) = plain.grad(&params).unwrap();
-        let (want, plain_work) =
-            counted(|| layer_traces(&mut plain, &params, &base, PROBES, 1e-3, 5).unwrap());
+        let want = layer_traces(&mut plain, &params, &base, PROBES, 1e-3, 5).unwrap();
 
-        let mut oracle = BatchOracle::new(&mut net, &x, &labels);
+        let mut oracle = PerQuery::new(BatchOracle::new(&mut net, &x, &labels));
         oracle.grad(&params).unwrap();
         let evals = GRAD_EVALS.get();
-        let (got, work) =
-            counted(|| layer_traces(&mut oracle, &params, &base, PROBES, 1e-3, 5).unwrap());
+        let got = layer_traces(&mut oracle, &params, &base, PROBES, 1e-3, 5).unwrap();
         assert_eq!(GRAD_EVALS.get() - evals, (PROBES * n) as u64, "{kind:?}");
         assert_eq!(got, want, "{kind:?}: traces");
 
-        let mut skipped = [0, 0];
-        for layer in 0..n {
-            for probe in 0..PROBES {
-                let start = owner(match probe {
-                    0 => layer.saturating_sub(1),
-                    _ => layer,
-                });
-                let s = below[start];
-                skipped = [skipped[0] + s[0], skipped[1] + s[1]];
-            }
+        // The sweep's queries in order: the tensors from the last to the
+        // first, each probed PROBES times.
+        let queries = (0..n).rev().flat_map(|i| [i; PROBES]);
+        assert_eq!(oracle.work.len(), PROBES * n, "{kind:?}: queries");
+        let mut skipped = 0;
+        for (q, i) in queries.enumerate() {
+            let s = below[if q == 0 { 0 } else { owner(i) }];
+            let (work, plain) = (oracle.work[q], plain.work[q]);
+            let at = format!("{kind:?}: query {q} (tensor {i})");
+            assert_eq!(work[0] + s[0], plain[0], "{at}: GEMM calls");
+            assert_eq!(work[1] + s[1], plain[1], "{at}: GEMM flops");
+            skipped += s[0];
         }
-        assert!(skipped[0] > 0, "{kind:?}: no forward skipped");
-        assert_eq!(work[0] + skipped[0], plain_work[0], "{kind:?}: GEMM calls");
-        assert_eq!(work[1] + skipped[1], plain_work[1], "{kind:?}: GEMM flops");
+        assert!(skipped > 0, "{kind:?}: no forward skipped");
     }
 }

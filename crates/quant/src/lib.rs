@@ -2,9 +2,8 @@
 //!
 //! Post-training linear uniform weight quantization for the HERO (DAC 2022)
 //! reproduction on the paper's grid: symmetric, one range per weight tensor
-//! (per layer), min-max calibration (percentile clipping is kept to produce
-//! real clipping in the analyzer's crosscheck), and whole-network fake
-//! quantization that touches weight tensors only.
+//! (per layer), min-max calibration, and whole-network fake quantization
+//! that touches weight tensors only.
 //!
 //! The implementation is property-tested against the premise of the paper's
 //! Theorem 2: with min-max calibration, `‖W_q − W‖∞ ≤ Δ/2`.
@@ -35,5 +34,5 @@ mod sensitivity;
 pub use mixed::{allocate_bits, network_sensitivities, quantize_params_mixed, LayerSensitivity};
 pub use model::{quantize_params, ModelQuantReport};
 pub use quantizer::{quant_error, quantize_tensor, QuantError, QuantizedTensor};
-pub use scheme::{Calibration, QuantScheme};
+pub use scheme::QuantScheme;
 pub use sensitivity::{SensitivityMatrix, StaticSensitivity};

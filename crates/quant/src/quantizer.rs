@@ -1,7 +1,7 @@
 //! Fake-quantization (quantize→dequantize) of weight tensors.
 
-use crate::scheme::{Calibration, QuantScheme};
-use hero_tensor::{Result, Tensor, TensorError};
+use crate::scheme::QuantScheme;
+use hero_tensor::{Result, Tensor};
 
 /// Result of quantizing one tensor: the dequantized values plus the grid
 /// parameters, exposing the bin width Theorem 2 reasons about.
@@ -13,45 +13,18 @@ pub struct QuantizedTensor {
     pub bin_width: f32,
 }
 
-/// Calibrated clipping range for a slice of values.
-fn calibrate_range(values: &[f32], calibration: Calibration) -> (f32, f32) {
-    match calibration {
-        Calibration::MinMax => {
-            let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
-            let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            (lo.min(0.0).min(hi), hi.max(0.0).max(lo))
-        }
-        Calibration::Percentile(q) => {
-            let mut sorted: Vec<f32> = values.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let n = sorted.len();
-            if n == 0 {
-                return (0.0, 0.0);
-            }
-            let lo_idx = (((1.0 - q) * n as f32) as usize).min(n - 1);
-            let hi_idx = ((q * n as f32) as usize).min(n - 1);
-            (sorted[lo_idx].min(0.0), sorted[hi_idx].max(0.0))
-        }
-    }
-}
-
 /// Fake-quantizes a weight tensor under `scheme`: one symmetric range for
 /// the whole tensor.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for a percentile outside
-/// `[0.5, 1.0]`.
+/// None for a well-formed tensor: the result is built with `t`'s own shape.
 pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> Result<QuantizedTensor> {
-    if let Calibration::Percentile(q) = scheme.calibration {
-        if !(0.5..=1.0).contains(&q) {
-            return Err(TensorError::InvalidArgument(format!(
-                "percentile {q} must lie in [0.5, 1.0]"
-            )));
-        }
-    }
     let values = t.data();
-    let (lo, hi) = calibrate_range(values, scheme.calibration);
+    // The min-max range, widened to include zero.
+    let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
+    let hi = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let (lo, hi) = (lo.min(0.0).min(hi), hi.max(0.0).max(lo));
     let max_abs = lo.abs().max(hi.abs());
     let half_levels = QuantScheme::half_levels(scheme.bits) as f32; // 2^(n-1) - 1
     let mut out = vec![0.0f32; t.numel()];
@@ -187,36 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn percentile_calibration_clips_outliers() {
-        let mut vals = vec![0.0f32; 99];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = (i as f32 / 99.0) - 0.5;
-        }
-        vals.push(100.0); // one huge outlier
-        let w = t(&vals);
-        let clipped = quantize_tensor(
-            &w,
-            &QuantScheme::symmetric(4).unwrap().with_percentile(0.95),
-        )
-        .unwrap();
-        let minmax = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap()).unwrap();
-        // The percentile grid is far finer than the outlier-dominated one.
-        assert!(clipped.bin_width < minmax.bin_width / 10.0);
-        // But the outlier itself is clipped hard.
-        let outlier_err = (clipped.values.data()[99] - 100.0).abs();
-        assert!(outlier_err > 50.0);
-    }
-
-    #[test]
     fn validates_arguments() {
         let w = t(&[1.0]);
         // Out-of-range widths are rejected at construction.
         assert!(QuantScheme::symmetric(0).is_err());
         assert!(QuantScheme::symmetric(17).is_err());
         assert!(QuantScheme::symmetric(32).is_err());
-        assert!(
-            quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap().with_percentile(0.3)).is_err()
-        );
         assert!(quant_error(&w, &t(&[1.0, 2.0])).is_err());
     }
 }

@@ -1,23 +1,14 @@
-//! Quantization scheme description: precision and range calibration on the
-//! paper's grid (symmetric, one range per weight tensor).
+//! Quantization scheme description: precision on the paper's grid
+//! (symmetric, min-max calibrated, one range per weight tensor).
 
 use hero_tensor::{Result, TensorError};
 use std::fmt;
 
-/// How the clipping range is chosen from the data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Calibration {
-    /// Use the exact min/max — nothing clips, so the Theorem 2 premise
-    /// `‖W_q − W‖∞ ≤ Δ/2` holds for every weight.
-    MinMax,
-    /// Clip to the given two-sided quantile (e.g. `0.999`), trading clipped
-    /// outliers for a finer grid on the bulk.
-    Percentile(f32),
-}
-
 /// A linear uniform quantization scheme: a zero-centred grid `[-A, A]`
 /// (zero is exactly representable) with one range per weight tensor — the
-/// paper's per-layer setting.
+/// paper's per-layer setting. `A` is the tensor's largest magnitude
+/// (min-max calibration), so nothing clips and the Theorem 2 premise
+/// `‖W_q − W‖∞ ≤ Δ/2` holds for every weight.
 ///
 /// Constructed via [`QuantScheme::symmetric`], which validates
 /// `1 ≤ bits ≤ 16` up front; the fields are private, so no scheme with
@@ -37,8 +28,6 @@ pub enum Calibration {
 pub struct QuantScheme {
     /// Bit width `n`; the grid has `2^n − 1` levels.
     pub(crate) bits: u8,
-    /// Range calibration rule.
-    pub(crate) calibration: Calibration,
 }
 
 impl QuantScheme {
@@ -59,17 +48,7 @@ impl QuantScheme {
                 Self::MAX_BITS
             )));
         }
-        Ok(QuantScheme {
-            bits,
-            calibration: Calibration::MinMax,
-        })
-    }
-
-    /// Switches to percentile calibration at quantile `q` (0.5 < q ≤ 1).
-    #[must_use]
-    pub fn with_percentile(mut self, q: f32) -> Self {
-        self.calibration = Calibration::Percentile(q);
-        self
+        Ok(QuantScheme { bits })
     }
 
     /// Number of levels on each side of zero for a symmetric grid at
@@ -94,14 +73,6 @@ mod tests {
     fn constructors_set_fields() {
         let s = QuantScheme::symmetric(8).unwrap();
         assert_eq!(s.bits, 8);
-        assert_eq!(s.calibration, Calibration::MinMax);
-    }
-
-    #[test]
-    fn builders_compose() {
-        let s = QuantScheme::symmetric(4).unwrap().with_percentile(0.99);
-        assert_eq!(s.bits, 4);
-        assert_eq!(s.calibration, Calibration::Percentile(0.99));
     }
 
     #[test]

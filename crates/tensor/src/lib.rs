@@ -12,8 +12,8 @@
 //! - packed micro-kernel [`Tensor::matmul`] plus transposed variants
 //!   (with the old blocked kernel kept as [`matmul_reference`])
 //! - direct convolution kernels ([`Tensor::conv2d`] and its weight/input
-//!   gradients), the [`Tensor::im2col`] / [`Tensor::col2im`] lowering they
-//!   are tested against, and pooling with adjoints
+//!   gradients, bitwise equal to the im2col lowering that `hero-testkit`
+//!   keeps as their test reference) and pooling with adjoints
 //! - train-mode batch-norm kernels ([`Tensor::batch_norm_train`] and
 //!   [`Tensor::batch_norm_backward`])
 //! - the norms HERO's theory is stated in (ℓ1, ℓ2, ℓ∞, ℓ0)
@@ -54,11 +54,11 @@ pub mod workers;
 pub use error::{Result, TensorError};
 pub use init::{fill_standard_normal, Init};
 pub use ops::batch_norm::BatchNormForward;
+pub use ops::conv::ConvGeometry;
 pub use ops::gemm::{
     active_gemm_kernel, force_gemm_kernel, gemm_pool_reset_stats, gemm_pool_stats,
     set_gemm_threads, GemmKernel,
 };
-pub use ops::im2col::ConvGeometry;
 pub use ops::matmul::matmul_reference;
 pub use ops::norm::{global_dot, global_norm_l1, global_norm_l2};
 pub use pool::{PoolStats, ScratchPool};

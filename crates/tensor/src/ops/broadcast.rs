@@ -210,10 +210,11 @@ impl RunWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::tests::ramp;
 
     #[test]
     fn broadcast_row_over_matrix() {
-        let m = Tensor::arange(6).reshape([2, 3]).unwrap();
+        let m = ramp(&[2, 3]);
         let row = Tensor::from_vec(vec![10.0, 20.0, 30.0], [3]).unwrap();
         let out = m.badd(&row).unwrap();
         assert_eq!(out.data(), &[10.0, 21.0, 32.0, 13.0, 24.0, 35.0]);
@@ -221,7 +222,7 @@ mod tests {
 
     #[test]
     fn broadcast_column_over_matrix() {
-        let m = Tensor::arange(6).reshape([2, 3]).unwrap();
+        let m = ramp(&[2, 3]);
         let col = Tensor::from_vec(vec![100.0, 200.0], [2, 1]).unwrap();
         let out = m.badd(&col).unwrap();
         assert_eq!(out.data(), &[100.0, 101.0, 102.0, 203.0, 204.0, 205.0]);
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn broadcast_scalar_tensor() {
-        let m = Tensor::arange(4).reshape([2, 2]).unwrap();
+        let m = ramp(&[2, 2]);
         let s = Tensor::scalar(2.0);
         assert_eq!(m.bmul(&s).unwrap().data(), &[0.0, 2.0, 4.0, 6.0]);
         assert_eq!(m.bsub(&s).unwrap().data(), &[-2.0, -1.0, 0.0, 1.0]);
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn reduce_to_shape_is_identity_when_equal() {
-        let g = Tensor::arange(4).reshape([2, 2]).unwrap();
+        let g = ramp(&[2, 2]);
         assert_eq!(g.reduce_to_shape(g.shape()).unwrap(), g);
     }
 
@@ -269,7 +270,7 @@ mod tests {
     fn broadcast_then_reduce_is_adjoint() {
         // <broadcast(x), y> == <x, reduce(y)> for the sum-broadcast pair.
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).unwrap();
-        let y = Tensor::arange(6).reshape([2, 3]).unwrap();
+        let y = ramp(&[2, 3]);
         let broadcast_x = Tensor::zeros([2, 3]).badd(&x).unwrap();
         let lhs = broadcast_x.dot(&y).unwrap();
         let rhs = x.dot(&y.reduce_to_shape(x.shape()).unwrap()).unwrap();

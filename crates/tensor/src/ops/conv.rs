@@ -7,7 +7,9 @@
 //! `dY·colsᵀ`, dX `col2im(Wᵀ·dY)` — with the packed GEMM's rounding, so
 //! every output is bitwise identical to that lowering under either
 //! [`GemmKernel`](crate::GemmKernel) — both run on the lanes of
-//! [`crate::ops::lanes`]:
+//! [`crate::ops::lanes`]. The lowering itself is test code
+//! (`hero_testkit::im2col`/`col2im`), the reference
+//! `crates/tensor/tests/conv_kernels.rs` holds these kernels against:
 //!
 //! * **Chains.** A forward or dW output element is one chain per `KC`
 //!   block of its reduction (the `C·k·k` taps for forward, the `N·oh·ow`
@@ -55,10 +57,73 @@
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::{Product, SharedOut, KC};
-use crate::ops::im2col::ConvGeometry;
 use crate::ops::lanes::{execute, Lanes, Pass, LANES};
 use crate::pool;
 use crate::tensor::Tensor;
+
+/// Geometry of a 2-D convolution window over an NCHW input.
+///
+/// # Examples
+///
+/// ```
+/// use hero_tensor::ConvGeometry;
+///
+/// # fn main() -> Result<(), hero_tensor::TensorError> {
+/// let g = ConvGeometry::new(8, 8, 3, 1, 1)?; // 8x8 input, 3x3 kernel, stride 1, pad 1
+/// assert_eq!(g.out_hw(), (8, 8)); // "same" convolution
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ConvGeometry {
+    /// Input height.
+    pub in_h: usize,
+    /// Input width.
+    pub in_w: usize,
+    /// Square kernel side length.
+    pub kernel: usize,
+    /// Stride along both spatial axes.
+    pub stride: usize,
+    /// Zero padding on every side.
+    pub pad: usize,
+}
+
+impl ConvGeometry {
+    /// Creates and validates a convolution geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidGeometry`] for a zero stride/kernel or
+    /// a kernel larger than the padded input.
+    pub fn new(in_h: usize, in_w: usize, kernel: usize, stride: usize, pad: usize) -> Result<Self> {
+        if stride == 0 || kernel == 0 {
+            return Err(TensorError::InvalidGeometry(
+                "kernel and stride must be positive".into(),
+            ));
+        }
+        if kernel > in_h + 2 * pad || kernel > in_w + 2 * pad {
+            return Err(TensorError::InvalidGeometry(format!(
+                "kernel {kernel} exceeds padded input {}x{}",
+                in_h + 2 * pad,
+                in_w + 2 * pad
+            )));
+        }
+        Ok(ConvGeometry {
+            in_h,
+            in_w,
+            kernel,
+            stride,
+            pad,
+        })
+    }
+
+    /// Output spatial size `(out_h, out_w)`.
+    pub fn out_hw(&self) -> (usize, usize) {
+        let oh = (self.in_h + 2 * self.pad - self.kernel) / self.stride + 1;
+        let ow = (self.in_w + 2 * self.pad - self.kernel) / self.stride + 1;
+        (oh, ow)
+    }
+}
 
 /// Taps per dW tile: twelve `f32x8` accumulators, the `dY` lanes and one
 /// broadcast fit the sixteen ymm registers.
@@ -685,7 +750,7 @@ impl Tensor {
     /// giving `(N, out_c, oh, ow)`.
     ///
     /// Runs the direct forward kernel (no patch matrix); the result is
-    /// bitwise identical to `w.matmul(&x.im2col(geom)?)` reordered to NCHW.
+    /// bitwise identical to `w.matmul(&im2col(x, geom)?)` reordered to NCHW.
     ///
     /// # Errors
     ///
@@ -739,7 +804,7 @@ impl Tensor {
     /// `(out_c, C·k·k)`.
     ///
     /// Runs the direct dW kernel; the result is bitwise identical to
-    /// `dy2.matmul_nt(&x.im2col(geom)?)`, with `dy2` the `(out_c, N·oh·ow)`
+    /// `dy2.matmul_nt(&im2col(x, geom)?)`, with `dy2` the `(out_c, N·oh·ow)`
     /// reorder of `self`.
     ///
     /// # Errors
@@ -793,7 +858,7 @@ impl Tensor {
     /// `(N, C, in_h, in_w)`.
     ///
     /// Runs the direct dX kernel; the result is bitwise identical to
-    /// `w.matmul_tn(&dy2)?.col2im(geom, N, C)`, with `dy2` the
+    /// `col2im(&w.matmul_tn(&dy2)?, geom, N, C)`, with `dy2` the
     /// `(out_c, N·oh·ow)` reorder of `self`.
     ///
     /// # Errors
@@ -886,6 +951,22 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::rng::{Rng, StdRng};
+
+    #[test]
+    fn geometry_validates() {
+        assert!(ConvGeometry::new(4, 4, 3, 1, 0).is_ok());
+        assert!(ConvGeometry::new(4, 4, 0, 1, 0).is_err());
+        assert!(ConvGeometry::new(4, 4, 3, 0, 0).is_err());
+        assert!(ConvGeometry::new(2, 2, 5, 1, 1).is_err());
+    }
+
+    #[test]
+    fn out_hw_matches_formula() {
+        assert_eq!(ConvGeometry::new(8, 8, 3, 1, 1).unwrap().out_hw(), (8, 8));
+        assert_eq!(ConvGeometry::new(8, 8, 3, 2, 1).unwrap().out_hw(), (4, 4));
+        assert_eq!(ConvGeometry::new(5, 5, 3, 1, 0).unwrap().out_hw(), (3, 3));
+        assert_eq!(ConvGeometry::new(4, 4, 1, 1, 0).unwrap().out_hw(), (4, 4));
+    }
 
     /// Seeded geometries `(n, c, h, w, k, s, p)`, including strides above
     /// the kernel (1×1 at stride 2 and 3), where some pixels are not

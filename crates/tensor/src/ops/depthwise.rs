@@ -49,9 +49,9 @@
 //! depends on the split, so results are bitwise equal at any thread count.
 
 use crate::error::{Result, TensorError};
+use crate::ops::conv::ConvGeometry;
 use crate::ops::conv::{grad_dims, input_dims, Plan, FOLD_IMAGES};
 use crate::ops::gemm::{Product, SharedOut};
-use crate::ops::im2col::ConvGeometry;
 use crate::ops::lanes::{execute, Lanes, Pass, LANES};
 use crate::pool;
 use crate::tensor::Tensor;

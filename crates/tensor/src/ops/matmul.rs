@@ -138,44 +138,12 @@ impl Tensor {
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
         gemm_tensor(self, other, false, true)
     }
-
-    /// Matrix-vector product: `(m, k) x (k,) -> (m,)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank/dimension errors mirroring [`Tensor::matmul`].
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        if v.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: v.rank(),
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if v.dims()[0] != k {
-            return Err(TensorError::MatmulDims {
-                left_cols: k,
-                right_rows: v.dims()[0],
-            });
-        }
-        let mut out = pool::lease_raw(m);
-        for i in 0..m {
-            let row = &self.data()[i * k..(i + 1) * k];
-            out.push(row.iter().zip(v.data()).map(|(&a, &b)| a * b).sum());
-        }
-        Tensor::from_vec(out, [m])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::tests::ramp;
 
     #[test]
     fn matmul_small_known_result() {
@@ -196,7 +164,7 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
-        let a = Tensor::arange(9).reshape([3, 3]).unwrap();
+        let a = ramp(&[3, 3]);
         let id = Tensor::from_fn([3, 3], |idx| if idx[0] == idx[1] { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&id).unwrap(), a);
         assert_eq!(id.matmul(&a).unwrap(), a);
@@ -264,15 +232,5 @@ mod tests {
         }
         let a = Tensor::from_fn([4, 3], |i| (i[0] + 2 * i[1]) as f32);
         assert!(a.matmul_nt(&Tensor::zeros([5, 4])).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_fn([3, 4], |i| (i[0] * 4 + i[1]) as f32);
-        let v = Tensor::arange(4);
-        let got = a.matvec(&v).unwrap();
-        let expected = a.matmul(&v.reshape([4, 1]).unwrap()).unwrap();
-        assert_eq!(got.data(), expected.data());
-        assert!(a.matvec(&Tensor::arange(3)).is_err());
     }
 }

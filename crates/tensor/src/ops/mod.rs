@@ -6,7 +6,6 @@ pub(crate) mod conv;
 pub(crate) mod depthwise;
 pub(crate) mod elementwise;
 pub(crate) mod gemm;
-pub(crate) mod im2col;
 pub(crate) mod lanes;
 pub(crate) mod matmul;
 pub(crate) mod norm;

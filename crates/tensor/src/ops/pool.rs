@@ -92,6 +92,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::tests::ramp;
 
     #[test]
     fn max_pool_returns_max_and_indices() {
@@ -111,7 +112,7 @@ mod tests {
 
     #[test]
     fn global_avg_pool_reduces_spatial() {
-        let t = Tensor::arange(8).reshape([1, 2, 2, 2]).unwrap();
+        let t = ramp(&[1, 2, 2, 2]);
         let g = t.global_avg_pool2d().unwrap();
         assert_eq!(g.dims(), &[1, 2]);
         assert_eq!(g.data(), &[1.5, 5.5]);

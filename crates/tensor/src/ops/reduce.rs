@@ -91,15 +91,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, [rows, cols])
     }
-
-    /// Population variance of all elements.
-    pub fn variance(&self) -> f32 {
-        if self.numel() == 0 {
-            return 0.0;
-        }
-        let m = self.mean();
-        self.data().iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / self.numel() as f32
-    }
 }
 
 #[cfg(test)]
@@ -132,13 +123,6 @@ mod tests {
             assert!((row_sum - 1.0).abs() < 1e-5);
         }
         // Uniform logits -> uniform probabilities.
-        assert!((s.get(&[1, 0]).unwrap() - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn variance_of_constant_is_zero() {
-        assert_eq!(Tensor::full([5], 3.0).variance(), 0.0);
-        let t = Tensor::from_vec(vec![1.0, 3.0], [2]).unwrap();
-        assert_eq!(t.variance(), 1.0);
+        assert!((s.data()[3] - 1.0 / 3.0).abs() < 1e-6);
     }
 }

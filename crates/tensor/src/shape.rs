@@ -57,35 +57,6 @@ impl Shape {
         strides
     }
 
-    /// Converts a multi-index to a flat row-major offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `index` has the wrong rank or any coordinate is
-    /// out of bounds.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
-        if index.len() != self.rank() {
-            return Err(TensorError::RankMismatch {
-                expected: self.rank(),
-                actual: index.len(),
-            });
-        }
-        let strides = self.strides();
-        let mut off = 0;
-        for (axis, (&i, (&d, &s))) in index
-            .iter()
-            .zip(self.0.iter().zip(strides.iter()))
-            .enumerate()
-        {
-            let _ = axis;
-            if i >= d {
-                return Err(TensorError::IndexOutOfRange { index: i, size: d });
-            }
-            off += i * s;
-        }
-        Ok(off)
-    }
-
     /// Converts a flat row-major offset back to a multi-index.
     ///
     /// # Panics
@@ -191,21 +162,9 @@ mod tests {
         let s = Shape::from([3, 4, 5]);
         for flat in 0..s.numel() {
             let idx = s.unravel(flat);
-            assert_eq!(s.offset(&idx).unwrap(), flat);
+            let offset: usize = idx.iter().zip(s.strides()).map(|(i, st)| i * st).sum();
+            assert_eq!(offset, flat);
         }
-    }
-
-    #[test]
-    fn offset_rejects_out_of_range() {
-        let s = Shape::from([2, 2]);
-        assert_eq!(
-            s.offset(&[2, 0]),
-            Err(TensorError::IndexOutOfRange { index: 2, size: 2 })
-        );
-        assert!(matches!(
-            s.offset(&[0]),
-            Err(TensorError::RankMismatch { .. })
-        ));
     }
 
     #[test]

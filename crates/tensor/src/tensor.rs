@@ -18,7 +18,7 @@ use std::fmt;
 ///
 /// # fn main() -> Result<(), hero_tensor::TensorError> {
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2])?;
-/// assert_eq!(t.get(&[1, 0])?, 3.0);
+/// assert_eq!(t.data()[2], 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// # Ok(())
 /// # }
@@ -117,11 +117,6 @@ impl Tensor {
         Tensor::assemble(shape, data)
     }
 
-    /// Creates a 1-D tensor `[0, 1, ..., n-1]` as `f32`.
-    pub fn arange(n: usize) -> Self {
-        Tensor::assemble(Shape::from([n]), (0..n).map(|i| i as f32).collect())
-    }
-
     /// Creates a tensor whose element at multi-index `idx` is `f(idx)`.
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> f32) -> Self {
         let shape = shape.into();
@@ -189,26 +184,6 @@ impl Tensor {
             });
         }
         self.data.copy_from_slice(&src.data);
-        Ok(())
-    }
-
-    /// Reads the element at a multi-index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the index rank or any coordinate is invalid.
-    pub fn get(&self, index: &[usize]) -> Result<f32> {
-        Ok(self.data[self.shape.offset(index)?])
-    }
-
-    /// Writes the element at a multi-index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the index rank or any coordinate is invalid.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
-        let off = self.shape.offset(index)?;
-        self.data[off] = value;
         Ok(())
     }
 
@@ -327,8 +302,15 @@ impl fmt::Display for Tensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `[0, 1, 2, ...]` in row-major order over `dims`; the unit tests of
+    /// every op module build their inputs from it.
+    pub(crate) fn ramp(dims: &[usize]) -> Tensor {
+        let n = dims.iter().product::<usize>();
+        Tensor::from_vec((0..n).map(|i| i as f32).collect(), dims.to_vec()).unwrap()
+    }
 
     #[test]
     fn from_vec_validates_length() {
@@ -347,23 +329,14 @@ mod tests {
         assert!(Tensor::zeros([3, 3]).data().iter().all(|&v| v == 0.0));
         assert!(Tensor::ones([2]).data().iter().all(|&v| v == 1.0));
         assert_eq!(Tensor::full([2], 7.5).data(), &[7.5, 7.5]);
-        assert_eq!(Tensor::arange(4).data(), &[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(Tensor::scalar(2.0).item().unwrap(), 2.0);
     }
 
     #[test]
     fn from_fn_uses_multi_index() {
         let t = Tensor::from_fn([2, 3], |idx| (idx[0] * 10 + idx[1]) as f32);
-        assert_eq!(t.get(&[1, 2]).unwrap(), 12.0);
-        assert_eq!(t.get(&[0, 0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn get_set_round_trip() {
-        let mut t = Tensor::zeros([2, 2]);
-        t.set(&[0, 1], 5.0).unwrap();
-        assert_eq!(t.get(&[0, 1]).unwrap(), 5.0);
-        assert!(t.set(&[2, 0], 1.0).is_err());
+        assert_eq!(t.data()[5], 12.0);
+        assert_eq!(t.data()[0], 0.0);
     }
 
     #[test]
@@ -373,24 +346,24 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
-        assert_eq!(t.get(&[1, 0]).unwrap(), 3.0);
+        let t = ramp(&[2, 3]);
+        assert_eq!(t.data()[3], 3.0);
         assert!(t.reshape([4]).is_err());
     }
 
     #[test]
     fn transpose_is_involutive() {
-        let t = Tensor::arange(6).reshape([2, 3]).unwrap();
+        let t = ramp(&[2, 3]);
         let tt = t.transpose().unwrap();
         assert_eq!(tt.dims(), &[3, 2]);
-        assert_eq!(tt.get(&[2, 1]).unwrap(), t.get(&[1, 2]).unwrap());
+        assert_eq!(tt.data()[2 * 2 + 1], t.data()[3 + 2]);
         assert_eq!(tt.transpose().unwrap(), t);
-        assert!(Tensor::arange(3).transpose().is_err());
+        assert!(ramp(&[3]).transpose().is_err());
     }
 
     #[test]
     fn narrow_takes_row_ranges() {
-        let t = Tensor::arange(6).reshape([3, 2]).unwrap();
+        let t = ramp(&[3, 2]);
         let mid = t.narrow(1, 2).unwrap();
         assert_eq!(mid.dims(), &[2, 2]);
         assert_eq!(mid.data(), &[2.0, 3.0, 4.0, 5.0]);

@@ -1,7 +1,8 @@
 //! Bitwise corpus for the direct convolution kernels (`Tensor::conv2d`,
 //! `conv2d_grad_weight`, `conv2d_grad_input`).
 //!
-//! Each kernel is compared bit for bit with the im2col lowering whose
+//! Each kernel is compared bit for bit with the im2col lowering
+//! (`hero_testkit::im2col`/`col2im`) whose
 //! products it computes: forward against `im2col` + `matmul`, dW against
 //! `matmul_nt` with the patch matrix, dX against `matmul_tn` + `col2im`.
 //! Every check runs under both forced GEMM kernels and at 1–4 worker
@@ -21,6 +22,7 @@
 
 use hero_tensor::rng::{Rng, StdRng};
 use hero_tensor::{force_gemm_kernel, set_gemm_threads, ConvGeometry, GemmKernel, Tensor};
+use hero_testkit::{col2im, im2col};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes tests that touch the process-wide kernel/thread overrides.
@@ -89,13 +91,13 @@ fn lowered(case: &Case, x: &Tensor, w: &Tensor, dy: &Tensor) -> [Vec<f32>; 3] {
     let geom = case.geom();
     let (oh, ow) = geom.out_hw();
     let sites = case.n * oh * ow;
-    let cols = x.im2col(&geom).unwrap();
+    let cols = im2col(x, &geom).unwrap();
     let fwd = w.matmul(&cols).unwrap();
     let dy2 = swap_outer(dy.data(), case.n, case.oc, oh * ow);
     let dy2 = Tensor::from_vec(dy2, [case.oc, sites]).unwrap();
     let dw = dy2.matmul_nt(&cols).unwrap();
     let dx = w.matmul_tn(&dy2).unwrap();
-    let dx = dx.col2im(&geom, case.n, case.c).unwrap();
+    let dx = col2im(&dx, &geom, case.n, case.c).unwrap();
     [
         swap_outer(fwd.data(), case.oc, case.n, oh * ow),
         dw.data().to_vec(),

@@ -2,7 +2,7 @@
 //!
 //! `f(x) = ½ xᵀ A x + bᵀ x` has gradient `A x + b` and constant Hessian
 //! `A`, making it the ground-truth fixture for validating every curvature
-//! estimator in this crate and the optimizer behaviour in `hero-optim`.
+//! estimator in `hero-hessian` and the optimizer behaviour in `hero-optim`.
 
 use hero_tensor::{Result, Tensor, TensorError};
 
@@ -53,7 +53,7 @@ impl Quadratic {
     ///
     /// Returns a shape error if `x` has the wrong dimension.
     pub fn loss(&self, x: &Tensor) -> Result<f32> {
-        let ax = self.a.matvec(x)?;
+        let ax = self.ax(x)?;
         Ok(0.5 * x.dot(&ax)? + self.b.dot(x)?)
     }
 
@@ -63,12 +63,26 @@ impl Quadratic {
     ///
     /// Returns a shape error if `x` has the wrong dimension.
     pub fn grad(&self, x: &Tensor) -> Result<Tensor> {
-        let mut g = self.a.matvec(x)?;
+        let mut g = self.ax(x)?;
         g.axpy(1.0, &self.b)?;
         Ok(g)
     }
 
-    /// A [`crate::GradOracle`] closure for this objective over a
+    /// The product `A x`, one row dot product at a time.
+    fn ax(&self, x: &Tensor) -> Result<Tensor> {
+        let n = self.a.dims()[0];
+        if x.dims() != [n] {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![n],
+                right: x.dims().to_vec(),
+            });
+        }
+        let rows = self.a.data().chunks(n.max(1));
+        let ax = rows.map(|row| row.iter().zip(x.data()).map(|(&a, &b)| a * b).sum());
+        Tensor::from_vec(ax.collect(), [n])
+    }
+
+    /// A `hero_hessian::GradOracle` closure for this objective over a
     /// single-tensor parameter list.
     pub fn oracle(&self) -> impl FnMut(&[Tensor]) -> Result<(f32, Vec<Tensor>)> + '_ {
         move |params: &[Tensor]| {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Lint gate for the workspace: clippy at -D warnings (default and `sanitize`
-# feature builds) plus three repo-specific grep lints over program code:
+# feature builds), three repo-specific grep lints over program code and one
+# over the manifests:
 #
 #   1. no `.unwrap()` in library code — fallible paths must use
 #      `?`/`expect` with context or handle the error;
@@ -16,11 +17,14 @@
 #      import nothing uses). rustc's dead_code lint covers private items.
 #      The check matches names, not paths: two items that share a name
 #      both count as used, so it can miss a dead item; it flags a live
-#      one only when every use goes through a `use ... as` rename.
+#      one only when every use goes through a `use ... as` rename;
+#   4. `hero-testkit` (crates/testkit: the references and fixtures tests
+#      share) is only ever a dev-dependency — no `[dependencies]` table of
+#      a workspace crate or of benchmark/Cargo.toml names it.
 #
-# Program code is each file up to its first `#[cfg(test)]` /
-# `#[cfg(all(test, ...))]` line (the repo convention is tail-positioned
-# test modules), minus comment lines. Waivers live in scripts/lint-allow.txt
+# Program code is each crates/*/src file outside crates/testkit, up to its
+# first `#[cfg(test)]` / `#[cfg(all(test, ...))]` line (the repo convention
+# is tail-positioned test modules), minus comment lines. Waivers live in scripts/lint-allow.txt
 # as tab-separated `file<TAB>substring` lines, each under a `#` comment that
 # gives its reason; a flagged line is waived when an entry's file matches
 # and the line contains the substring. An entry whose file is missing, or
@@ -46,6 +50,16 @@ cargo clippy -p hero-tensor -p hero-autodiff --all-targets --features sanitize \
   -- "${CLIPPY_LINTS[@]}"
 
 ALLOW=scripts/lint-allow.txt
+
+# The library sources of every crate but crates/testkit, which only tests
+# link.
+lib_sources() {
+  local file
+  for file in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    [[ -e "$file" && "$file" != crates/testkit/* ]] && echo "$file"
+  done
+  return 0
+}
 
 allowed() { # $1 = file, $2 = offending line
   local f pat
@@ -73,8 +87,7 @@ program_text() {
 # allowlist. Prints violations and returns nonzero if any survive.
 scan() {
   local re="$1" desc="$2" bad=0 file hits hit line
-  for file in crates/*/src/*.rs crates/*/src/*/*.rs; do
-    [[ -e "$file" ]] || continue
+  for file in $(lib_sources); do
     hits=$(program_text "$file" | grep -nE "$re" |
       grep -vE '^[0-9]+:[[:space:]]*//' || true)
     [[ -z "$hits" ]] && continue
@@ -104,8 +117,7 @@ unreferenced_items() {
   local bad=0 file line def
   local defs
   defs=$(
-    for file in crates/*/src/*.rs crates/*/src/*/*.rs crates/*/benches/*.rs \
-      examples/*.rs benchmark/src/*.rs; do
+    for file in $(lib_sources) crates/*/benches/*.rs examples/*.rs benchmark/src/*.rs; do
       [[ -e "$file" ]] || continue
       program_text "$file" | awk -v f="$file" '{ print f "\t" NR "\t" $0 }'
     done | awk -F'\t' '
@@ -183,10 +195,28 @@ stale_entries() {
 echo "==> grep lint: no stale allowlist entries"
 stale_entries || fail=1
 
+# testkit_dependents — prints each manifest whose `[dependencies]` table
+# (or a target-specific one) names hero-testkit, and returns nonzero if any.
+testkit_dependents() {
+  local hits
+  hits=$(awk '
+    /^[[:space:]]*\[/ { deps = ($0 ~ /^[[:space:]]*\[(target\..*\.)?dependencies\][[:space:]]*$/) }
+    deps && /^[[:space:]]*hero-testkit[[:space:]]*[=.]/ { print FILENAME ":" FNR ": " $0 }
+  ' crates/*/Cargo.toml benchmark/Cargo.toml)
+  [[ -z "$hits" ]] && return 0
+  echo "lint.sh: hero-testkit in a [dependencies] table (dev-dependencies only):"
+  echo "$hits"
+  return 1
+}
+
+echo "==> manifest lint: hero-testkit is a dev-dependency only"
+testkit_dependents || fail=1
+
 if [[ $fail -ne 0 ]]; then
   echo "lint.sh: grep lints FAILED (add a scripts/lint-allow.txt entry, with" \
-    "its reason, only for an intentional exact comparison or a test-support" \
-    "item; delete code nothing calls; drop entries whose code is gone)"
+    "its reason, only for an intentional exact comparison or a measurement" \
+    "helper over crate-private state; move test support to the tests or" \
+    "crates/testkit; delete code nothing calls; drop entries whose code is gone)"
   exit 1
 fi
 

@@ -2,7 +2,8 @@
 # Program lines per crate, counted by lint.sh's rule: every
 # crates/*/src/*.rs and crates/*/src/*/*.rs file up to its first
 # `#[cfg(...test` line (the tail-positioned test modules are not program
-# code). Blank and comment lines above the cut count.
+# code). Blank and comment lines above the cut count. crates/testkit, which
+# only tests link, is not program code and is not counted.
 #
 # Usage: scripts/loc.sh [REV]
 #   Without REV, prints the working tree's counts. With REV (any git
@@ -19,7 +20,7 @@ program_lines() {
 tree_counts() {
   local f
   for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
-    [[ -e "$f" ]] || continue
+    [[ -e "$f" && "$f" != crates/testkit/* ]] || continue
     f="${f#crates/}"
     echo "${f%%/*} $(program_lines <"crates/$f")"
   done | sum_by_crate
@@ -29,7 +30,7 @@ tree_counts() {
 rev_counts() {
   local f
   git ls-tree -r --name-only "$1" -- crates |
-    grep -E '^crates/[^/]+/src/([^/]+/)?[^/]+\.rs$' |
+    grep -E '^crates/[^/]+/src/([^/]+/)?[^/]+\.rs$' | grep -v '^crates/testkit/' |
     while read -r f; do
       local rel="${f#crates/}"
       echo "${rel%%/*} $(git show "$1:$f" | program_lines)"
