@@ -92,7 +92,7 @@ fn model_tape(kind: ModelKind) -> Vec<NodeTrace> {
     let mut net = kind.build(cfg, &mut StdRng::seed_from_u64(0));
     let x = Tensor::zeros([CONV_BATCH, cfg.in_channels, cfg.input_hw, cfg.input_hw]);
     let mut g = Graph::new();
-    net.forward(&mut g, &x, true).expect("model forward");
+    net.forward(&mut g, &x).expect("model forward");
     g.trace()
 }
 

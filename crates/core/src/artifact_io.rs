@@ -671,7 +671,7 @@ pub fn attach_quant(art: &mut Artifact, net: &Network, bits: u8) -> Result<()> {
         .zip(net.param_infos())
     {
         let values = if info.kind.is_quantizable() {
-            let q = quantize_tensor(&p, &scheme)?;
+            let q = quantize_tensor(&p, &scheme);
             art.quant.push(QuantEntry {
                 name: info.name,
                 bits,
@@ -907,7 +907,7 @@ mod tests {
         }
         net.set_params(&params).unwrap();
         let art = build_artifact(&net, &meta, None);
-        let mut loaded = network_from_artifact(&art).unwrap();
+        let loaded = network_from_artifact(&art).unwrap();
         assert_eq!(loaded.params(), net.params());
         assert_eq!(loaded.state(), net.state());
         // Logits bitwise equal on a fixed batch.

@@ -486,7 +486,7 @@ pub fn quantize_report(
     }
     let (train_set, test_set) = preset.load(scale);
     let (mut net, artifact, _) = source.load(preset, &train_set, &test_set, true)?;
-    let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)?;
+    let full_acc = evaluate_accuracy(&net, &test_set.images, &test_set.labels, 64)?;
     let mut mixed_eval = None;
     if let Some((avg, sens)) = mixed {
         let (widths, layers) = match sens {
@@ -882,7 +882,7 @@ pub fn quant_sweep(
                 )));
             }
         }
-        let acc = evaluate_accuracy(&mut trained.net, &test_set.images, &test_set.labels, 64)?;
+        let acc = evaluate_accuracy(&trained.net, &test_set.images, &test_set.labels, 64)?;
         if hero_obs::run_active() {
             hero_obs::Event::new("quant")
                 .str("method", trained.method.paper_name())

@@ -150,7 +150,7 @@ fn probe_tape(
 ) -> Result<(Var, Vec<Var>)> {
     let prev = hero_nn::norm::set_bn_running_stat_updates(false);
     let built = net
-        .forward(g, images, true)
+        .forward(g, images)
         .and_then(|(logits, vars)| Ok((g.cross_entropy(logits, labels)?, vars)));
     hero_nn::norm::set_bn_running_stat_updates(prev);
     built
@@ -409,7 +409,7 @@ pub fn noise_crosscheck(
             let half = matrix.layers[l].delta(b) / 2.0;
             let mut empirical = 0.0f32;
             // Trial 0: the actual round-to-nearest fake quantization.
-            let q = quantize_tensor(&full[pi], &QuantScheme::symmetric(b)?)?;
+            let q = quantize_tensor(&full[pi], &QuantScheme::symmetric(b)?);
             let mut probe_with = |perturbed: Tensor| -> Result<()> {
                 let mut params = full.clone();
                 params[pi] = perturbed;

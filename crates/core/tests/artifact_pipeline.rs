@@ -286,7 +286,7 @@ fn save_load_save_is_byte_identical_and_inference_equivalent() {
 
     // The loaded network is the trained network, bit for bit: same
     // parameters, same BN statistics, same logits on a fixed batch.
-    let mut loaded_net = network_from_artifact(&loaded).unwrap();
+    let loaded_net = network_from_artifact(&loaded).unwrap();
     assert_eq!(param_bits(&loaded_net), param_bits(&net));
     assert_eq!(loaded_net.state(), net.state());
     let reference = net.predict(&test_set.images).unwrap();
@@ -407,7 +407,7 @@ fn train_cell_cache_hit_is_bitwise_equal_to_the_fresh_run() {
     };
     let dir = temp_path("cell_cache");
     std::fs::remove_dir_all(&dir).ok();
-    let mut fresh = train_cell_cached(
+    let fresh = train_cell_cached(
         Preset::C10,
         ModelKind::Resnet,
         MethodKind::Sgd,
@@ -416,7 +416,7 @@ fn train_cell_cache_hit_is_bitwise_equal_to_the_fresh_run() {
         &dir,
     )
     .expect("cold cache trains and saves");
-    let mut cached = train_cell_cached(
+    let cached = train_cell_cached(
         Preset::C10,
         ModelKind::Resnet,
         MethodKind::Sgd,
@@ -515,7 +515,7 @@ fn golden_artifact_bytes_are_pinned() {
 
     // And the committed file itself decodes into a working model.
     let decoded = hero_artifact::Artifact::from_bytes(&committed).unwrap();
-    let mut golden_net = network_from_artifact(&decoded).unwrap();
+    let golden_net = network_from_artifact(&decoded).unwrap();
     let logits = golden_net.predict(&test_set.images).unwrap();
     assert!(logits.data().iter().all(|v| v.is_finite()));
 }
@@ -530,40 +530,47 @@ fn logit_hash(t: &hero_tensor::Tensor) -> u64 {
     hero_artifact::fnv1a64(&bytes)
 }
 
-/// Bit pin of eval-mode logits. The golden byte-pin sees eval numerics
-/// only through argmax accuracy; this pins `Network::predict` itself for
-/// the decoded golden ResNet and for seeded C10 MobileNet and VGG whose
-/// batch-norm running statistics were moved off their defaults by one
-/// train-mode pass, so the eval-mode BN broadcasts, depthwise kernel and
-/// pooling paths are all covered. Each GEMM kernel rounds one way, so
-/// each has its own table.
-#[test]
-fn eval_logits_are_pinned() {
+/// The nets the eval pins read, with the test set they evaluate: the
+/// decoded golden ResNet and seeded C10 MobileNet and VGG whose batch-norm
+/// running statistics were moved off their defaults by one train-mode pass.
+fn pinned_eval_nets() -> (Vec<(&'static str, Network)>, Dataset) {
     use hero_core::experiment::model_config;
     use hero_data::Preset;
     use hero_nn::models::ModelKind;
     use hero_tensor::rng::StdRng;
-    use hero_tensor::GemmKernel;
 
     let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/c10_resnet_hero_smoke.ha");
     let committed = std::fs::read(&golden_path).unwrap();
     let decoded = hero_artifact::Artifact::from_bytes(&committed).unwrap();
-    let mut resnet = network_from_artifact(&decoded).unwrap();
+    let resnet = network_from_artifact(&decoded).unwrap();
     let (train_set, test_set, _, _) = golden_recipe();
-
-    let mut hashes = vec![(
-        "golden resnet",
-        logit_hash(&resnet.predict(&test_set.images).unwrap()),
-    )];
+    let mut nets = vec![("golden resnet", resnet)];
     for (name, kind, seed) in [
         ("seeded mobilenet", ModelKind::Mobilenet, 0x3B11u64),
         ("seeded vgg", ModelKind::Vgg, 0x7667u64),
     ] {
         let mut net = kind.build(model_config(Preset::C10), &mut StdRng::seed_from_u64(seed));
         hero_nn::loss_and_grads(&mut net, &train_set.images, &train_set.labels).unwrap();
-        hashes.push((name, logit_hash(&net.predict(&test_set.images).unwrap())));
+        nets.push((name, net));
     }
+    (nets, test_set)
+}
+
+/// Bit pin of eval-mode logits. The golden byte-pin sees eval numerics
+/// only through argmax accuracy; this pins `Network::predict` itself for
+/// the nets of [`pinned_eval_nets`], so the eval-mode batch norm,
+/// depthwise kernel and pooling paths are all covered. Each GEMM kernel
+/// rounds one way, so each has its own table.
+#[test]
+fn eval_logits_are_pinned() {
+    use hero_tensor::GemmKernel;
+
+    let (nets, test_set) = pinned_eval_nets();
+    let hashes: Vec<_> = nets
+        .iter()
+        .map(|(name, net)| (*name, logit_hash(&net.predict(&test_set.images).unwrap())))
+        .collect();
     let expected = match hero_tensor::active_gemm_kernel() {
         GemmKernel::Scalar => [
             ("golden resnet", 14_023_885_289_347_422_372u64),
@@ -577,6 +584,36 @@ fn eval_logits_are_pinned() {
         ],
     };
     assert_eq!(hashes, expected, "eval-mode logits changed bitwise");
+}
+
+/// Bit pin of `hero_nn::eval_loss`, the loss the landscape probes (Fig. 3)
+/// evaluate: the f32 bits of each pinned net's mean eval-mode
+/// cross-entropy on the test set. Each GEMM kernel has its own table.
+#[test]
+fn eval_loss_is_pinned() {
+    use hero_tensor::GemmKernel;
+
+    let (nets, test_set) = pinned_eval_nets();
+    let bits: Vec<_> = nets
+        .iter()
+        .map(|(name, net)| {
+            let loss = hero_nn::eval_loss(net, &test_set.images, &test_set.labels).unwrap();
+            (*name, loss.to_bits())
+        })
+        .collect();
+    let expected = match hero_tensor::active_gemm_kernel() {
+        GemmKernel::Scalar => [
+            ("golden resnet", 1_078_066_813u32),
+            ("seeded mobilenet", 1_080_531_718u32),
+            ("seeded vgg", 1_081_241_189u32),
+        ],
+        GemmKernel::Avx2Fma => [
+            ("golden resnet", 1_078_066_814u32),
+            ("seeded mobilenet", 1_080_531_718u32),
+            ("seeded vgg", 1_081_241_190u32),
+        ],
+    };
+    assert_eq!(bits, expected, "eval-mode loss changed bitwise");
 }
 
 /// Bit pin of MobileNet's parameter gradients: one `loss_and_grads` of a

@@ -28,7 +28,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 /// input batch's included, and the flops of the input batch's dX product.
 fn full_backward(net: &mut Network, x: &Tensor, labels: &[usize]) -> (Vec<Tensor>, u64) {
     let mut g = Graph::new();
-    let (logits, vars) = net.forward(&mut g, x, true).unwrap();
+    let (logits, vars) = net.forward(&mut g, x).unwrap();
     let loss = g.cross_entropy(logits, labels).unwrap();
     // The forward records the batch as the tape's first node, so the first
     // handle a fresh graph issues names it; with the parameters it makes

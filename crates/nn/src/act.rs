@@ -2,7 +2,7 @@
 
 use crate::module::Layer;
 use hero_autodiff::{Graph, Var};
-use hero_tensor::Result;
+use hero_tensor::{Result, Tensor, TensorError};
 
 /// Activation functions used by the paper's architectures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,17 +14,21 @@ pub enum Activation {
 }
 
 impl Layer for Activation {
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        x: Var,
-        _train: bool,
-        _vars: &mut Vec<Var>,
-    ) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, _vars: &mut Vec<Var>) -> Result<Var> {
         Ok(match self {
             Activation::Relu => g.relu(x),
             Activation::Relu6 => g.relu6(x),
         })
+    }
+
+    /// In place, with the element functions of [`Tensor::clamp_min`] and
+    /// [`Tensor::clamp`], which the graph ops run.
+    fn infer(&self, mut x: Tensor) -> Result<Tensor> {
+        match self {
+            Activation::Relu => x.map_in_place(|v| v.max(0.0)),
+            Activation::Relu6 => x.map_in_place(|v| v.clamp(0.0, 6.0)),
+        }
+        Ok(x)
     }
 }
 
@@ -36,14 +40,12 @@ pub struct MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        x: Var,
-        _train: bool,
-        _vars: &mut Vec<Var>,
-    ) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, _vars: &mut Vec<Var>) -> Result<Var> {
         g.max_pool2d(x, self.k)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        Ok(x.max_pool2d(self.k)?.0)
     }
 }
 
@@ -52,14 +54,12 @@ impl Layer for MaxPool2d {
 pub struct GlobalAvgPool2d;
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        x: Var,
-        _train: bool,
-        _vars: &mut Vec<Var>,
-    ) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, _vars: &mut Vec<Var>) -> Result<Var> {
         g.global_avg_pool2d(x)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        x.global_avg_pool2d()
     }
 }
 
@@ -67,18 +67,31 @@ impl Layer for GlobalAvgPool2d {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Flatten;
 
+/// The flattened shape `[n, prod(rest)]` of a batch with dims `(n, rest…)`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a rank-0 tensor, which has
+/// no batch axis.
+fn flat_dims(x: &Tensor) -> Result<[usize; 2]> {
+    match x.dims().split_first() {
+        Some((&n, rest)) => Ok([n, rest.iter().product()]),
+        None => Err(TensorError::RankMismatch {
+            expected: 1,
+            actual: 0,
+        }),
+    }
+}
+
 impl Layer for Flatten {
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        x: Var,
-        _train: bool,
-        _vars: &mut Vec<Var>,
-    ) -> Result<Var> {
-        let dims = g.value(x).dims().to_vec();
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        g.reshape(x, [n, rest])
+    fn forward(&mut self, g: &mut Graph, x: Var, _vars: &mut Vec<Var>) -> Result<Var> {
+        let dims = flat_dims(g.value(x))?;
+        g.reshape(x, dims)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        let dims = flat_dims(&x)?;
+        Tensor::from_vec(x.into_vec(), dims)
     }
 }
 
@@ -86,20 +99,15 @@ impl Layer for Flatten {
 mod tests {
     use super::*;
     use crate::module::{Network, Sequential};
-    use hero_tensor::Tensor;
 
     #[test]
     fn relu_layers_apply_nonlinearity() {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(vec![-1.0, 3.0, 8.0], [3]).unwrap());
         let mut vars = Vec::new();
-        let y = Activation::Relu
-            .forward(&mut g, x, true, &mut vars)
-            .unwrap();
+        let y = Activation::Relu.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).data(), &[0.0, 3.0, 8.0]);
-        let y6 = Activation::Relu6
-            .forward(&mut g, x, true, &mut vars)
-            .unwrap();
+        let y6 = Activation::Relu6.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y6).data(), &[0.0, 3.0, 6.0]);
         assert!(vars.is_empty());
     }
@@ -109,11 +117,9 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_fn([1, 1, 4, 4], |i| (i[2] * 4 + i[3]) as f32));
         let mut vars = Vec::new();
-        let m = MaxPool2d { k: 2 }
-            .forward(&mut g, x, true, &mut vars)
-            .unwrap();
+        let m = MaxPool2d { k: 2 }.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(m).dims(), &[1, 1, 2, 2]);
-        let gp = GlobalAvgPool2d.forward(&mut g, x, true, &mut vars).unwrap();
+        let gp = GlobalAvgPool2d.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(gp).dims(), &[1, 1]);
     }
 
@@ -122,7 +128,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 3, 4, 4]));
         let mut vars = Vec::new();
-        let y = Flatten.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = Flatten.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 48]);
     }
 

@@ -7,7 +7,7 @@ use crate::module::{EntryMut, Layer, Walk};
 use crate::norm::BatchNorm2d;
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::Rng;
-use hero_tensor::Result;
+use hero_tensor::{Result, Tensor};
 
 /// ResNet "basic block": two 3×3 conv-BN pairs with an identity (or 1×1
 /// projection) shortcut, post-activation ReLU.
@@ -44,21 +44,34 @@ impl BasicBlock {
 }
 
 impl Layer for BasicBlock {
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var> {
-        let mut h = self.conv1.forward(g, x, train, vars)?;
-        h = self.bn1.forward(g, h, train, vars)?;
-        h = Activation::Relu.forward(g, h, train, vars)?;
-        h = self.conv2.forward(g, h, train, vars)?;
-        h = self.bn2.forward(g, h, train, vars)?;
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
+        let mut h = self.conv1.forward(g, x, vars)?;
+        h = self.bn1.forward(g, h, vars)?;
+        h = g.relu(h);
+        h = self.conv2.forward(g, h, vars)?;
+        h = self.bn2.forward(g, h, vars)?;
         let shortcut = match &mut self.downsample {
             Some((conv, bn)) => {
-                let s = conv.forward(g, x, train, vars)?;
-                bn.forward(g, s, train, vars)?
+                let s = conv.forward(g, x, vars)?;
+                bn.forward(g, s, vars)?
             }
             None => x,
         };
         let sum = g.add(h, shortcut)?;
         Ok(g.relu(sum))
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        let h = self.bn1.infer(self.conv1.apply(&x)?)?;
+        let h = Activation::Relu.infer(h)?;
+        let mut h = self.bn2.infer(self.conv2.infer(h)?)?;
+        let shortcut = match &self.downsample {
+            Some((conv, bn)) => bn.infer(conv.apply(&x)?)?,
+            None => x,
+        };
+        // `1·shortcut` is exact, so this rounds as the graph's `h + shortcut`.
+        h.axpy(1.0, &shortcut)?;
+        Activation::Relu.infer(h)
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -128,20 +141,37 @@ impl InvertedResidual {
 }
 
 impl Layer for InvertedResidual {
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
         let mut h = x;
         if let Some((conv, bn)) = &mut self.expand {
-            h = conv.forward(g, h, train, vars)?;
-            h = bn.forward(g, h, train, vars)?;
-            h = Activation::Relu6.forward(g, h, train, vars)?;
+            h = conv.forward(g, h, vars)?;
+            h = bn.forward(g, h, vars)?;
+            h = g.relu6(h);
         }
-        h = self.depthwise.forward(g, h, train, vars)?;
-        h = self.bn_dw.forward(g, h, train, vars)?;
-        h = Activation::Relu6.forward(g, h, train, vars)?;
-        h = self.project.forward(g, h, train, vars)?;
-        h = self.bn_proj.forward(g, h, train, vars)?;
+        h = self.depthwise.forward(g, h, vars)?;
+        h = self.bn_dw.forward(g, h, vars)?;
+        h = g.relu6(h);
+        h = self.project.forward(g, h, vars)?;
+        h = self.bn_proj.forward(g, h, vars)?;
         if self.use_skip {
             h = g.add(h, x)?;
+        }
+        Ok(h)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        let h = match &self.expand {
+            Some((conv, bn)) => {
+                let e = Activation::Relu6.infer(bn.infer(conv.apply(&x)?)?)?;
+                self.depthwise.apply(&e)?
+            }
+            None => self.depthwise.apply(&x)?,
+        };
+        let h = Activation::Relu6.infer(self.bn_dw.infer(h)?)?;
+        let mut h = self.bn_proj.infer(self.project.infer(h)?)?;
+        if self.use_skip {
+            // `1·x` is exact, so this rounds as the graph's `h + x`.
+            h.axpy(1.0, &x)?;
         }
         Ok(h)
     }
@@ -174,7 +204,6 @@ mod tests {
     use super::*;
     use crate::module::{Network, Sequential};
     use hero_tensor::rng::StdRng;
-    use hero_tensor::Tensor;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)
@@ -187,7 +216,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 8, 4, 4]));
         let mut vars = Vec::new();
-        let y = b.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = b.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 8, 4, 4]);
         // conv1(w) + bn1(2) + conv2(w) + bn2(2) = 6 parameter vars.
         assert_eq!(vars.len(), 6);
@@ -200,7 +229,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 8, 8, 8]));
         let mut vars = Vec::new();
-        let y = b.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = b.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[1, 16, 4, 4]);
         assert_eq!(vars.len(), 9); // + projection conv + its bn(2)
     }
@@ -225,7 +254,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 8, 4, 4]));
         let mut vars = Vec::new();
-        let y = b.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = b.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 8, 4, 4]);
     }
 
@@ -236,7 +265,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 8, 8, 8]));
         let mut vars = Vec::new();
-        let y = b.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = b.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[1, 16, 4, 4]);
     }
 
@@ -259,7 +288,7 @@ mod tests {
             (i.iter().sum::<usize>() % 5) as f32 * 0.3 - 0.5
         }));
         let mut vars = Vec::new();
-        let y = b.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = b.forward(&mut g, x, &mut vars).unwrap();
         let sq = g.square(y);
         let loss = g.sum(sq);
         let grads = g.backward(loss, &vars).unwrap();

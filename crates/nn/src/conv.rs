@@ -3,7 +3,24 @@
 use crate::module::{EntryMut, Layer, ParamKind, Walk};
 use hero_autodiff::{Graph, Var};
 use hero_tensor::rng::Rng;
-use hero_tensor::{ConvGeometry, Init, Result, Tensor};
+use hero_tensor::{ConvGeometry, Init, Result, Tensor, TensorError};
+
+/// The geometry of a square `kernel` over the spatial axes of the NCHW
+/// batch `x`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] unless `x` is 4-D, and geometry
+/// errors from [`ConvGeometry::new`].
+fn geometry(x: &Tensor, kernel: usize, stride: usize, pad: usize) -> Result<ConvGeometry> {
+    match *x.dims() {
+        [_, _, h, w] => ConvGeometry::new(h, w, kernel, stride, pad),
+        _ => Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: x.rank(),
+        }),
+    }
+}
 
 /// 2-D convolution with a square kernel over NCHW inputs.
 ///
@@ -38,13 +55,24 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// The eval-mode convolution of `x`, which it only reads (a residual
+    /// block's shortcut reads the same input).
+    pub(crate) fn apply(&self, x: &Tensor) -> Result<Tensor> {
+        x.conv2d(&self.w, &geometry(x, self.kernel, self.stride, self.pad)?)
+    }
+}
+
 impl Layer for Conv2d {
-    fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
-        let dims = g.value(x).dims().to_vec();
-        let geom = ConvGeometry::new(dims[2], dims[3], self.kernel, self.stride, self.pad)?;
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
+        let geom = geometry(g.value(x), self.kernel, self.stride, self.pad)?;
         let w = g.input(self.w.clone());
         vars.push(w);
         g.conv2d(x, w, geom)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        self.apply(&x)
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -92,13 +120,24 @@ impl DepthwiseConv2d {
     }
 }
 
+impl DepthwiseConv2d {
+    /// The eval-mode depthwise convolution of `x`, which it only reads (an
+    /// inverted residual's skip reads the same input).
+    pub(crate) fn apply(&self, x: &Tensor) -> Result<Tensor> {
+        x.depthwise_conv2d(&self.w, &geometry(x, self.kernel, self.stride, self.pad)?)
+    }
+}
+
 impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
-        let dims = g.value(x).dims().to_vec();
-        let geom = ConvGeometry::new(dims[2], dims[3], self.kernel, self.stride, self.pad)?;
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
+        let geom = geometry(g.value(x), self.kernel, self.stride, self.pad)?;
         let w = g.input(self.w.clone());
         vars.push(w);
         g.depthwise_conv2d(x, w, geom)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        self.apply(&x)
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -122,7 +161,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 3, 8, 8]));
         let mut vars = Vec::new();
-        let y = c.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = c.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 8, 8, 8]);
         assert_eq!(c.w.dims(), &[8, 27]);
     }
@@ -133,7 +172,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 4, 8, 8]));
         let mut vars = Vec::new();
-        let y = c.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = c.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[1, 4, 4, 4]);
     }
 
@@ -143,7 +182,24 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([1, 5, 8, 8]));
         let mut vars = Vec::new();
-        assert!(c.forward(&mut g, x, true, &mut vars).is_err());
+        assert!(c.forward(&mut g, x, &mut vars).is_err());
+    }
+
+    #[test]
+    fn convs_reject_inputs_that_are_not_4d() {
+        let conv = Conv2d::new(3, 8, 3, 1, 1, &mut StdRng::seed_from_u64(2));
+        let dw = DepthwiseConv2d::new(3, 3, 1, 1, &mut StdRng::seed_from_u64(2));
+        let layers: [Box<dyn Layer>; 2] = [Box::new(conv), Box::new(dw)];
+        for mut layer in layers {
+            for dims in [vec![2, 3], vec![2, 3, 8]] {
+                let mut g = Graph::new();
+                let x = g.input(Tensor::zeros(dims.as_slice()));
+                let err = layer.forward(&mut g, x, &mut Vec::new()).unwrap_err();
+                assert!(matches!(err, TensorError::RankMismatch { .. }), "{err}");
+                let err = layer.infer(Tensor::zeros(dims.as_slice())).unwrap_err();
+                assert!(matches!(err, TensorError::RankMismatch { .. }), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -152,7 +208,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros([2, 6, 4, 4]));
         let mut vars = Vec::new();
-        let y = c.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = c.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[2, 6, 4, 4]);
         assert_eq!(c.channels(), 6);
     }

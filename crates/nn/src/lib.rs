@@ -6,8 +6,9 @@
 //! MobileNetV2 and VGG19BN architectures.
 //!
 //! The central abstractions are [`Layer`] (a block that contributes
-//! parameters to an autodiff [`hero_autodiff::Graph`] on each forward pass)
-//! and [`Network`] (a complete model exposing the flat canonical-order
+//! parameters to an autodiff [`hero_autodiff::Graph`] on each train-mode
+//! forward pass, and runs eval-mode forwards on owned tensors with no
+//! graph) and [`Network`] (a complete model exposing the flat canonical-order
 //! parameter view the HERO training methods operate on).
 //!
 //! # Examples

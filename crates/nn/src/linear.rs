@@ -26,13 +26,25 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, g: &mut Graph, x: Var, _train: bool, vars: &mut Vec<Var>) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
         let w = g.input(self.w.clone());
         vars.push(w);
         let out = g.matmul(x, w)?;
         let b = g.input(self.b.clone());
         vars.push(b);
         g.add(out, b) // broadcasts (out_dim,) over rows
+    }
+
+    /// `x W`, then the bias added into each row in place.
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        let mut out = x.matmul(&self.w)?;
+        let bias = self.b.data();
+        for row in out.data_mut().chunks_exact_mut(bias.len().max(1)) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
+            }
+        }
+        Ok(out)
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -61,10 +73,12 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 3]).unwrap());
         let mut vars = Vec::new();
-        let y = l.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = l.forward(&mut g, x, &mut vars).unwrap();
         // y = [1*1 + 2*0 + 3*1 + 10, 1*0 + 2*1 + 3*1 + 20] = [14, 25]
         assert_eq!(g.value(y).data(), &[14.0, 25.0]);
         assert_eq!(vars.len(), 2);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 3]).unwrap();
+        assert_eq!(l.infer(x).unwrap().data(), &[14.0, 25.0]);
     }
 
     #[test]
@@ -73,7 +87,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::ones([4, 3]));
         let mut vars = Vec::new();
-        let y = l.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = l.forward(&mut g, x, &mut vars).unwrap();
         let loss = g.sum(y);
         let grads = g.backward(loss, &vars).unwrap();
         assert_eq!(grads.get(vars[0]).unwrap().dims(), &[3, 2]);

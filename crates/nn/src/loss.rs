@@ -91,7 +91,7 @@ fn forward_backward(
     let mut g = Graph::new();
     let fwd = hero_obs::span("forward");
     let keep_to = only.map_or(0, |(_, owner)| owner);
-    let (logits, vars) = net.forward_from(&mut g, start, x, true, keep_to, kept)?;
+    let (logits, vars) = net.forward_from(&mut g, start, x, keep_to, kept)?;
     let loss = g.cross_entropy(logits, labels)?;
     let loss_value = g.value(loss).item()?;
     drop(fwd);
@@ -119,15 +119,17 @@ fn forward_backward(
     })
 }
 
-/// Computes the mean cross-entropy loss in eval mode (no gradients).
+/// Computes the mean cross-entropy loss in eval mode: the graph's
+/// cross-entropy op applied to the logits of [`Network::predict`].
 ///
 /// # Errors
 ///
-/// Returns shape errors if the batch is incompatible with the network.
-pub fn eval_loss(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result<f32> {
+/// Returns shape errors if the batch is incompatible with the network or
+/// labels are invalid.
+pub fn eval_loss(net: &Network, x: &Tensor, labels: &[usize]) -> Result<f32> {
     let _obs = hero_obs::span("forward");
     let mut g = Graph::new();
-    let (logits, _) = net.forward(&mut g, x, false)?;
+    let logits = g.input(net.predict(x)?);
     let loss = g.cross_entropy(logits, labels)?;
     let value = g.value(loss).item();
     g.reset();
@@ -138,23 +140,29 @@ pub fn eval_loss(net: &mut Network, x: &Tensor, labels: &[usize]) -> Result<f32>
 ///
 /// # Errors
 ///
-/// Returns [`hero_tensor::TensorError::InvalidArgument`] if `batch` is 0
-/// or there are fewer labels than samples, and shape errors if any batch
-/// is incompatible with the network.
+/// Returns [`TensorError::InvalidArgument`] if `batch` is 0 or there are
+/// fewer labels than samples, [`TensorError::RankMismatch`] if `xs` is a
+/// scalar (it has no sample axis), and shape errors if any batch is
+/// incompatible with the network.
 pub fn evaluate_accuracy(
-    net: &mut Network,
+    net: &Network,
     xs: &Tensor,
     labels: &[usize],
     batch: usize,
 ) -> Result<f32> {
-    let n = xs.dims()[0];
+    let Some(&n) = xs.dims().first() else {
+        return Err(TensorError::RankMismatch {
+            expected: 1,
+            actual: 0,
+        });
+    };
     if batch == 0 {
-        return Err(hero_tensor::TensorError::InvalidArgument(
+        return Err(TensorError::InvalidArgument(
             "evaluation batch size must be positive".to_string(),
         ));
     }
     if labels.len() < n {
-        return Err(hero_tensor::TensorError::InvalidArgument(format!(
+        return Err(TensorError::InvalidArgument(format!(
             "{} labels for {n} samples",
             labels.len()
         )));
@@ -232,19 +240,19 @@ mod tests {
 
     #[test]
     fn eval_loss_matches_magnitude() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let (x, y) = batch();
-        let l = eval_loss(&mut net, &x, &y).unwrap();
+        let l = eval_loss(&net, &x, &y).unwrap();
         assert!(l > 0.0 && l < 10.0);
     }
 
     #[test]
     fn evaluate_accuracy_batches_consistently() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let (x, y) = batch();
-        let a1 = evaluate_accuracy(&mut net, &x, &y, 2).unwrap();
-        let a2 = evaluate_accuracy(&mut net, &x, &y, 4).unwrap();
-        let a3 = evaluate_accuracy(&mut net, &x, &y, 3).unwrap();
+        let a1 = evaluate_accuracy(&net, &x, &y, 2).unwrap();
+        let a2 = evaluate_accuracy(&net, &x, &y, 4).unwrap();
+        let a3 = evaluate_accuracy(&net, &x, &y, 3).unwrap();
         assert_eq!(a1, a2);
         assert_eq!(a1, a3);
         assert!((0.0..=1.0).contains(&a1));
@@ -252,23 +260,17 @@ mod tests {
 
     #[test]
     fn evaluate_accuracy_rejects_zero_batch() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let (x, y) = batch();
-        let err = evaluate_accuracy(&mut net, &x, &y, 0).unwrap_err();
-        assert!(
-            matches!(err, hero_tensor::TensorError::InvalidArgument(_)),
-            "{err}"
-        );
+        let err = evaluate_accuracy(&net, &x, &y, 0).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidArgument(_)), "{err}");
     }
 
     #[test]
     fn evaluate_accuracy_rejects_missing_labels() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let (x, y) = batch();
-        let err = evaluate_accuracy(&mut net, &x, &y[..3], 2).unwrap_err();
-        assert!(
-            matches!(err, hero_tensor::TensorError::InvalidArgument(_)),
-            "{err}"
-        );
+        let err = evaluate_accuracy(&net, &x, &y[..3], 2).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidArgument(_)), "{err}");
     }
 }

@@ -199,7 +199,7 @@ mod tests {
         });
         // Train-mode forward produces logits with gradients for all params.
         let mut g = Graph::new();
-        let (logits, vars) = net.forward(&mut g, &x, true).unwrap();
+        let (logits, vars) = net.forward(&mut g, &x).unwrap();
         assert_eq!(g.value(logits).dims(), &[2, cfg.classes]);
         let loss = g.cross_entropy(logits, &[0, 1]).unwrap();
         let grads = g.backward(loss, &vars).unwrap();

@@ -104,9 +104,12 @@ impl Walk<'_> {
 
 /// A neural-network building block with owned parameters.
 ///
-/// A layer contributes its parameters to a fresh [`Graph`] on every forward
-/// call (define-by-run); the `vars` list receives the graph handle of each
-/// parameter in canonical order. The two walks report the same order, once
+/// A layer has two forwards. [`Layer::forward`] is the train-mode pass: it
+/// contributes its parameters to a fresh [`Graph`] on every call
+/// (define-by-run), and the `vars` list receives the graph handle of each
+/// parameter in canonical order. [`Layer::infer`] is the eval-mode pass on
+/// owned tensors: it records no tape, and element-wise layers overwrite
+/// the tensor they receive. The two walks report the same order, once
 /// by shared reference with names and kinds ([`Layer::walk`]) and once
 /// mutably without names ([`Layer::walk_mut`]); that order is what lets
 /// optimizers map gradients back onto parameters and [`Network`] derive
@@ -116,15 +119,23 @@ impl Walk<'_> {
 /// [`Network`] can be replicated into per-thread workers by the
 /// data-parallel executor (`hero-parallel`).
 pub trait Layer: std::fmt::Debug + Send + LayerClone {
-    /// Builds this layer's forward computation.
-    ///
-    /// `train` selects training behaviour (e.g. batch-norm batch
-    /// statistics); parameter graph handles are appended to `vars`.
+    /// Builds this layer's train-mode forward computation (batch norm
+    /// normalizes by batch statistics and updates its running estimates);
+    /// parameter graph handles are appended to `vars`.
     ///
     /// # Errors
     ///
     /// Returns shape errors when `x` is incompatible with the layer.
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var>;
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var>;
+
+    /// The eval-mode forward of `x`, with no graph: batch norm applies its
+    /// running statistics. It runs the `hero-tensor` kernels the graph ops
+    /// run, so each value rounds as the matching tape op would.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors when `x` is incompatible with the layer.
+    fn infer(&self, x: Tensor) -> Result<Tensor>;
 
     /// Reports each parameter (name suffix, kind, tensor) and state buffer
     /// in canonical order, and walks children through [`Walk::child`].
@@ -197,12 +208,18 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
         let mut cur = x;
         for layer in &mut self.layers {
-            cur = layer.forward(g, cur, train, vars)?;
+            cur = layer.forward(g, cur, vars)?;
         }
         Ok(cur)
+    }
+
+    fn infer(&self, x: Tensor) -> Result<Tensor> {
+        self.layers
+            .iter()
+            .try_fold(x, |cur, layer| layer.infer(cur))
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -252,14 +269,14 @@ impl Network {
         &self.name
     }
 
-    /// Builds the forward graph. Returns the logits node and the graph
-    /// handles of every parameter (canonical order).
+    /// Builds the train-mode forward graph. Returns the logits node and the
+    /// graph handles of every parameter (canonical order).
     ///
     /// # Errors
     ///
     /// Returns shape errors if `x` is incompatible with the first layer.
-    pub fn forward(&mut self, g: &mut Graph, x: &Tensor, train: bool) -> Result<(Var, Vec<Var>)> {
-        self.forward_from(g, 0, x, train, 0, &mut Vec::new())
+    pub fn forward(&mut self, g: &mut Graph, x: &Tensor) -> Result<(Var, Vec<Var>)> {
+        self.forward_from(g, 0, x, 0, &mut Vec::new())
     }
 
     /// [`Network::forward`] from top-level layer `start`, whose input is
@@ -277,7 +294,6 @@ impl Network {
         g: &mut Graph,
         start: usize,
         x: &Tensor,
-        train: bool,
         keep_to: usize,
         kept: &mut Vec<Tensor>,
     ) -> Result<(Var, Vec<Var>)> {
@@ -287,7 +303,7 @@ impl Network {
             if j > start && j <= keep_to {
                 kept.push(g.value(cur).clone());
             }
-            cur = layer.forward(g, cur, train, &mut vars)?;
+            cur = layer.forward(g, cur, &mut vars)?;
         }
         Ok((cur, vars))
     }
@@ -413,17 +429,14 @@ impl Network {
         Ok(())
     }
 
-    /// Computes logits for `x` without recording gradients (eval mode).
+    /// Computes the eval-mode logits of `x` through [`Layer::infer`]: no
+    /// tape is recorded.
     ///
     /// # Errors
     ///
     /// Returns shape errors if `x` is incompatible with the network.
-    pub fn predict(&mut self, x: &Tensor) -> Result<Tensor> {
-        let mut g = Graph::new();
-        let (logits, _) = self.forward(&mut g, x, false)?;
-        let out = g.value(logits).clone();
-        g.reset();
-        Ok(out)
+    pub fn predict(&self, x: &Tensor) -> Result<Tensor> {
+        self.body.infer(x.clone())
     }
 }
 
@@ -438,16 +451,14 @@ mod tests {
     }
 
     impl Layer for ScaleLayer {
-        fn forward(
-            &mut self,
-            g: &mut Graph,
-            x: Var,
-            _train: bool,
-            vars: &mut Vec<Var>,
-        ) -> Result<Var> {
+        fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
             let w = g.input(self.w.clone());
             vars.push(w);
             g.mul(x, w)
+        }
+
+        fn infer(&self, x: Tensor) -> Result<Tensor> {
+            x.bmul(&self.w)
         }
 
         fn walk(&self, w: &mut Walk<'_>) {
@@ -481,7 +492,7 @@ mod tests {
         let mut net = two_layer_network();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).unwrap();
         let mut g = Graph::new();
-        let (out, vars) = net.forward(&mut g, &x, true).unwrap();
+        let (out, vars) = net.forward(&mut g, &x).unwrap();
         assert_eq!(g.value(out).data(), &[1.0, 2.0, 3.0]); // x * 2 * 0.5
         assert_eq!(vars.len(), 2);
     }
@@ -522,7 +533,7 @@ mod tests {
         let mut net = two_layer_network();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).unwrap();
         let mut g = Graph::new();
-        let (out, vars) = net.forward(&mut g, &x, true).unwrap();
+        let (out, vars) = net.forward(&mut g, &x).unwrap();
         let loss = g.sum(out);
         let grads = g.backward(loss, &vars).unwrap();
         // d loss / d w_a = x * w_b = [0.5, 1.0, 1.5]

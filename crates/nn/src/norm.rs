@@ -2,7 +2,7 @@
 
 use crate::module::{EntryMut, Layer, ParamKind, Walk};
 use hero_autodiff::{Graph, Var};
-use hero_tensor::{Result, Tensor};
+use hero_tensor::{Result, Tensor, TensorError};
 use std::cell::Cell;
 
 thread_local! {
@@ -30,10 +30,11 @@ pub fn bn_running_stat_updates() -> bool {
 
 /// 2-D batch normalization over NCHW inputs.
 ///
-/// In training mode the batch statistics normalize the activations (via
-/// [`Graph::batch_norm`], which has a full backward rule) and exponentially
-/// update the running estimates. In eval mode the stored running statistics
-/// are folded into a per-channel affine transform.
+/// The graph forward ([`Layer::forward`]) is the training mode: the batch
+/// statistics normalize the activations (via [`Graph::batch_norm`], which
+/// has a full backward rule) and exponentially update the running
+/// estimates. The eval mode ([`Layer::infer`]) normalizes by the running
+/// statistics in one in-place pass per element.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -64,45 +65,53 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool, vars: &mut Vec<Var>) -> Result<Var> {
+    fn forward(&mut self, g: &mut Graph, x: Var, vars: &mut Vec<Var>) -> Result<Var> {
         let gamma = g.input(self.gamma.clone());
         let beta = g.input(self.beta.clone());
         vars.push(gamma);
         vars.push(beta);
-        if train {
-            let (y, stats) = g.batch_norm(x, gamma, beta, self.eps)?;
-            if bn_running_stat_updates() {
-                for (r, &b) in self.running_mean.iter_mut().zip(&stats.mean) {
-                    *r = (1.0 - self.momentum) * *r + self.momentum * b;
-                }
-                for (r, &b) in self.running_var.iter_mut().zip(&stats.var) {
-                    *r = (1.0 - self.momentum) * *r + self.momentum * b;
-                }
+        let (y, stats) = g.batch_norm(x, gamma, beta, self.eps)?;
+        if bn_running_stat_updates() {
+            for (r, &b) in self.running_mean.iter_mut().zip(&stats.mean) {
+                *r = (1.0 - self.momentum) * *r + self.momentum * b;
             }
-            Ok(y)
-        } else {
-            // y = gamma * (x - mean) / sqrt(var + eps) + beta, folded into
-            // per-channel scale/shift constants broadcast over (N,C,H,W).
-            let c = self.channels();
-            let mut scale = Tensor::zeros([1, c, 1, 1]);
-            let mut shift = Tensor::zeros([1, c, 1, 1]);
-            for ch in 0..c {
-                let inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
-                // Keep gamma/beta in the graph path so eval still depends on
-                // the parameter nodes (useful for perturbation probes).
-                scale.data_mut()[ch] = inv;
-                shift.data_mut()[ch] = -self.running_mean[ch] * inv;
+            for (r, &b) in self.running_var.iter_mut().zip(&stats.var) {
+                *r = (1.0 - self.momentum) * *r + self.momentum * b;
             }
-            let scale_v = g.input(scale);
-            let shift_v = g.input(shift);
-            let normalized0 = g.mul(x, scale_v)?;
-            let normalized = g.add(normalized0, shift_v)?;
-            // Reshape gamma/beta to (1,c,1,1) for broadcasting.
-            let gamma4 = g.reshape(gamma, [1, c, 1, 1])?;
-            let beta4 = g.reshape(beta, [1, c, 1, 1])?;
-            let scaled = g.mul(normalized, gamma4)?;
-            g.add(scaled, beta4)
         }
+        Ok(y)
+    }
+
+    /// `y = γ·(x − mean)/sqrt(var + eps) + β` with the running statistics,
+    /// evaluated per element as `((x·inv) + shift)·γ + β` for
+    /// `inv = 1/sqrt(var + eps)` and `shift = −mean·inv`: four roundings
+    /// in that order, no fused multiply-add.
+    fn infer(&self, mut x: Tensor) -> Result<Tensor> {
+        if x.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: x.rank(),
+            });
+        }
+        let c = self.channels();
+        let d = x.dims();
+        if d[1] != c {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![d[1]],
+                right: vec![c],
+            });
+        }
+        let hw = d[2] * d[3];
+        let (gamma, beta) = (self.gamma.data(), self.beta.data());
+        for (plane, ch) in x.data_mut().chunks_exact_mut(hw.max(1)).zip((0..c).cycle()) {
+            let inv = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+            let shift = -self.running_mean[ch] * inv;
+            let (ga, be) = (gamma[ch], beta[ch]);
+            for v in plane {
+                *v = ((*v * inv) + shift) * ga + be;
+            }
+        }
+        Ok(x)
     }
 
     fn walk(&self, w: &mut Walk<'_>) {
@@ -142,7 +151,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(sample_input());
         let mut vars = Vec::new();
-        let y = bn.forward(&mut g, x, true, &mut vars).unwrap();
+        let y = bn.forward(&mut g, x, &mut vars).unwrap();
         assert_eq!(g.value(y).dims(), &[4, 2, 3, 3]);
         assert_ne!(bn.running_mean, before_mean);
         assert_eq!(vars.len(), 2);
@@ -156,35 +165,54 @@ mod tests {
             let mut g = Graph::new();
             let x = g.input(sample_input());
             let mut vars = Vec::new();
-            bn.forward(&mut g, x, true, &mut vars).unwrap();
+            bn.forward(&mut g, x, &mut vars).unwrap();
         }
         // Eval output should now be close to train-mode normalization.
         let mut g_train = Graph::new();
         let x1 = g_train.input(sample_input());
         let mut v1 = Vec::new();
-        let y_train = bn.forward(&mut g_train, x1, true, &mut v1).unwrap();
-        let mut g_eval = Graph::new();
-        let x2 = g_eval.input(sample_input());
-        let mut v2 = Vec::new();
-        let y_eval = bn.forward(&mut g_eval, x2, false, &mut v2).unwrap();
-        let diff = g_train
-            .value(y_train)
-            .sub(g_eval.value(y_eval))
-            .unwrap()
-            .norm_linf();
+        let y_train = bn.forward(&mut g_train, x1, &mut v1).unwrap();
+        let y_eval = bn.infer(sample_input()).unwrap();
+        let diff = g_train.value(y_train).sub(&y_eval).unwrap().norm_linf();
         assert!(diff < 0.1, "train/eval divergence {diff}");
     }
 
     #[test]
     fn eval_mode_is_deterministic_and_affine() {
-        let mut bn = BatchNorm2d::new(2);
-        let mut g = Graph::new();
-        let x = g.input(sample_input());
-        let mut vars = Vec::new();
-        let y = bn.forward(&mut g, x, false, &mut vars).unwrap();
+        let bn = BatchNorm2d::new(2);
+        let y = bn.infer(sample_input()).unwrap();
         // Fresh BN has mean 0, var 1 => eval output ~= input (eps shrinks slightly).
-        let diff = g.value(y).sub(&sample_input()).unwrap().norm_linf();
+        let diff = y.sub(&sample_input()).unwrap().norm_linf();
         assert!(diff < 1e-3);
+    }
+
+    /// The fused pass rounds as the four broadcast ops of the eval formula
+    /// would, one op at a time: `x·inv`, `+ shift`, `·γ`, `+ β`.
+    #[test]
+    fn eval_mode_matches_the_broadcast_chain_bitwise() {
+        let mut bn = BatchNorm2d::new(2);
+        bn.running_mean = vec![0.3, -1.7];
+        bn.running_var = vec![2.9, 0.41];
+        bn.gamma = Tensor::from_vec(vec![1.3, -0.6], [2]).unwrap();
+        bn.beta = Tensor::from_vec(vec![-0.2, 0.9], [2]).unwrap();
+        let per_channel = |f: &dyn Fn(usize) -> f32| Tensor::from_fn([1, 2, 1, 1], |i| f(i[1]));
+        let inv = per_channel(&|c| 1.0 / (bn.running_var[c] + bn.eps).sqrt());
+        let shift = per_channel(&|c| -bn.running_mean[c] * inv.data()[c]);
+        let gamma = per_channel(&|c| bn.gamma.data()[c]);
+        let beta = per_channel(&|c| bn.beta.data()[c]);
+        let x = sample_input();
+        let chain = x.bmul(&inv).unwrap().badd(&shift).unwrap();
+        let chain = chain.bmul(&gamma).unwrap().badd(&beta).unwrap();
+        assert_eq!(bn.infer(x).unwrap(), chain);
+    }
+
+    #[test]
+    fn eval_mode_rejects_rank_and_channel_mismatches() {
+        let bn = BatchNorm2d::new(2);
+        let err = bn.infer(Tensor::zeros([4, 2])).unwrap_err();
+        assert!(matches!(err, TensorError::RankMismatch { .. }), "{err}");
+        let err = bn.infer(Tensor::zeros([4, 3, 2, 2])).unwrap_err();
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
     }
 
     #[test]
@@ -242,7 +270,7 @@ mod stat_freeze_tests {
             let mut g = hero_autodiff::Graph::new();
             let x = g.input(x_data.clone());
             let mut vars = Vec::new();
-            bn.forward(&mut g, x, true, &mut vars).unwrap();
+            bn.forward(&mut g, x, &mut vars).unwrap();
         }
         set_bn_running_stat_updates(prev);
         assert_eq!(bn.running_mean, before);
@@ -251,7 +279,7 @@ mod stat_freeze_tests {
         let mut g = hero_autodiff::Graph::new();
         let x = g.input(x_data);
         let mut vars = Vec::new();
-        bn.forward(&mut g, x, true, &mut vars).unwrap();
+        bn.forward(&mut g, x, &mut vars).unwrap();
         assert_ne!(bn.running_mean, before);
     }
 }

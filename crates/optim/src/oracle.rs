@@ -251,7 +251,7 @@ mod tests {
         for _ in 0..60 {
             train_step(&mut net, &mut opt, &x, &y, 0.05).unwrap();
         }
-        let acc = evaluate_accuracy(&mut net, &x, &y, 8).unwrap();
+        let acc = evaluate_accuracy(&net, &x, &y, 8).unwrap();
         assert!(acc > 0.9, "accuracy {acc}");
     }
 

@@ -241,7 +241,7 @@ fn has_batch_norm(net: &Network) -> bool {
 /// batch statistics into its running estimates; the tape is discarded.
 fn refresh_bn_stats(net: &mut Network, x: &Tensor) -> Result<()> {
     let mut g = hero_autodiff::Graph::new();
-    net.forward(&mut g, x, true)?;
+    net.forward(&mut g, x)?;
     g.reset();
     Ok(())
 }

@@ -16,7 +16,7 @@
 //!
 //! # fn main() -> Result<(), hero_tensor::TensorError> {
 //! let w = Tensor::from_vec(vec![-0.9, -0.2, 0.3, 0.8], [4])?;
-//! let q = quantize_tensor(&w, &QuantScheme::symmetric(4)?)?;
+//! let q = quantize_tensor(&w, &QuantScheme::symmetric(4)?);
 //! let worst = q.values.sub(&w)?.norm_linf();
 //! assert!(worst <= q.bin_width / 2.0 + 1e-6);
 //! # Ok(())

@@ -55,7 +55,7 @@ pub(crate) fn quantize_each(
     let mut mse_acc = 0.0;
     for (p, info) in params.iter().zip(net.param_infos()) {
         if info.kind.is_quantizable() {
-            let q = quantize_tensor(p, &scheme_of(report.quantized_tensors)?)?;
+            let q = quantize_tensor(p, &scheme_of(report.quantized_tensors)?);
             let err: QuantError = quant_error(p, &q.values)?;
             hero_obs::counters::QUANT_TENSORS.incr();
             report.quantized_tensors += 1;

@@ -14,12 +14,8 @@ pub struct QuantizedTensor {
 }
 
 /// Fake-quantizes a weight tensor under `scheme`: one symmetric range for
-/// the whole tensor.
-///
-/// # Errors
-///
-/// None for a well-formed tensor: the result is built with `t`'s own shape.
-pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> Result<QuantizedTensor> {
+/// the whole tensor. The result takes `t`'s shape.
+pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> QuantizedTensor {
     let values = t.data();
     // The min-max range, widened to include zero.
     let lo = values.iter().copied().fold(f32::INFINITY, f32::min);
@@ -27,21 +23,17 @@ pub fn quantize_tensor(t: &Tensor, scheme: &QuantScheme) -> Result<QuantizedTens
     let (lo, hi) = (lo.min(0.0).min(hi), hi.max(0.0).max(lo));
     let max_abs = lo.abs().max(hi.abs());
     let half_levels = QuantScheme::half_levels(scheme.bits) as f32; // 2^(n-1) - 1
-    let mut out = vec![0.0f32; t.numel()];
-    let bin_width = if max_abs <= f32::MIN_POSITIVE {
-        0.0
-    } else {
-        let scale = max_abs / half_levels;
-        for (o, &v) in out.iter_mut().zip(values) {
-            let q = (v / scale).round().clamp(-half_levels, half_levels);
-            *o = q * scale;
-        }
-        scale
-    };
-    Ok(QuantizedTensor {
-        values: Tensor::from_vec(out, t.shape().clone())?,
-        bin_width,
-    })
+    if max_abs <= f32::MIN_POSITIVE {
+        return QuantizedTensor {
+            values: Tensor::zeros(t.shape().clone()),
+            bin_width: 0.0,
+        };
+    }
+    let scale = max_abs / half_levels;
+    QuantizedTensor {
+        values: t.map(|v| (v / scale).round().clamp(-half_levels, half_levels) * scale),
+        bin_width: scale,
+    }
 }
 
 /// Quantization error statistics between an original and its quantized
@@ -84,7 +76,7 @@ mod tests {
         // weight by at most Δ/2.
         let w = t(&[-1.0, -0.33, 0.0, 0.4, 0.77, 1.0]);
         for bits in 2..=8 {
-            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap()).unwrap();
+            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap());
             let err = quant_error(&w, &q.values).unwrap();
             assert!(
                 err.linf <= q.bin_width / 2.0 + 1e-6,
@@ -100,7 +92,7 @@ mod tests {
         let w = Tensor::from_fn([64], |i| ((i[0] * 37 % 64) as f32 / 32.0) - 1.0);
         let mut prev = f32::INFINITY;
         for bits in [2u8, 3, 4, 6, 8] {
-            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap()).unwrap();
+            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap());
             let err = quant_error(&w, &q.values).unwrap();
             assert!(
                 err.mse <= prev + 1e-9,
@@ -114,7 +106,7 @@ mod tests {
     #[test]
     fn high_precision_is_nearly_lossless() {
         let w = Tensor::from_fn([32], |i| (i[0] as f32 / 16.0) - 1.0);
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(16).unwrap()).unwrap();
+        let q = quantize_tensor(&w, &QuantScheme::symmetric(16).unwrap());
         let err = quant_error(&w, &q.values).unwrap();
         assert!(err.linf < 1e-4);
     }
@@ -122,7 +114,7 @@ mod tests {
     #[test]
     fn symmetric_preserves_exact_zero() {
         let w = t(&[-1.0, 0.0, 1.0]);
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(3).unwrap()).unwrap();
+        let q = quantize_tensor(&w, &QuantScheme::symmetric(3).unwrap());
         assert_eq!(q.values.data()[1], 0.0);
     }
 
@@ -130,8 +122,8 @@ mod tests {
     fn quantization_is_idempotent() {
         let w = Tensor::from_fn([40], |i| (i[0] as f32 * 0.37).sin());
         let scheme = QuantScheme::symmetric(4).unwrap();
-        let q1 = quantize_tensor(&w, &scheme).unwrap();
-        let q2 = quantize_tensor(&q1.values, &scheme).unwrap();
+        let q1 = quantize_tensor(&w, &scheme);
+        let q2 = quantize_tensor(&q1.values, &scheme);
         for (a, b) in q1.values.data().iter().zip(q2.values.data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -140,7 +132,7 @@ mod tests {
     #[test]
     fn values_lie_on_the_grid() {
         let w = Tensor::from_fn([30], |i| (i[0] as f32 * 0.21).cos() * 2.0);
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(3).unwrap()).unwrap();
+        let q = quantize_tensor(&w, &QuantScheme::symmetric(3).unwrap());
         let delta = q.bin_width;
         for &v in q.values.data() {
             let steps = v / delta;
@@ -154,7 +146,7 @@ mod tests {
     #[test]
     fn constant_tensor_quantizes_cleanly() {
         let w = Tensor::zeros([8]);
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap()).unwrap();
+        let q = quantize_tensor(&w, &QuantScheme::symmetric(4).unwrap());
         assert_eq!(q.values.data(), w.data());
         assert_eq!(q.bin_width, 0.0);
     }

@@ -24,7 +24,7 @@ fn symmetric_linf_error_at_most_half_bin() {
     for _ in 0..32 {
         let w = arb_weights(&mut rng);
         let bits = arb_bits(&mut rng, 10);
-        let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap()).unwrap();
+        let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap());
         let err = quant_error(&w, &q.values).unwrap();
         assert!(err.linf <= q.bin_width / 2.0 + 1e-5);
     }
@@ -39,8 +39,8 @@ fn quantization_is_idempotent() {
         let w = arb_weights(&mut rng);
         let bits = arb_bits(&mut rng, 8);
         let scheme = QuantScheme::symmetric(bits).unwrap();
-        let q1 = quantize_tensor(&w, &scheme).unwrap();
-        let q2 = quantize_tensor(&q1.values, &scheme).unwrap();
+        let q1 = quantize_tensor(&w, &scheme);
+        let q2 = quantize_tensor(&q1.values, &scheme);
         for (a, b) in q1.values.data().iter().zip(q2.values.data()) {
             assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()));
         }
@@ -56,7 +56,7 @@ fn level_count_is_bounded() {
         let w = arb_weights(&mut rng);
         let bits = arb_bits(&mut rng, 6);
         let scheme = QuantScheme::symmetric(bits).unwrap();
-        let q = quantize_tensor(&w, &scheme).unwrap();
+        let q = quantize_tensor(&w, &scheme);
         let mut levels: Vec<f32> = q.values.data().to_vec();
         levels.sort_by(|a, b| a.partial_cmp(b).unwrap());
         levels.dedup();
@@ -72,7 +72,7 @@ fn mse_is_monotone_in_bits() {
         let w = arb_weights(&mut rng);
         let mut prev = f32::INFINITY;
         for bits in [2u8, 4, 6, 8] {
-            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap()).unwrap();
+            let q = quantize_tensor(&w, &QuantScheme::symmetric(bits).unwrap());
             let err = quant_error(&w, &q.values).unwrap();
             assert!(err.mse <= prev + 1e-6);
             prev = err.mse;
@@ -89,8 +89,8 @@ fn symmetric_quantization_is_odd() {
         let w = arb_weights(&mut rng);
         let bits = arb_bits(&mut rng, 8);
         let scheme = QuantScheme::symmetric(bits).unwrap();
-        let q_pos = quantize_tensor(&w, &scheme).unwrap();
-        let q_neg = quantize_tensor(&w.neg(), &scheme).unwrap();
+        let q_pos = quantize_tensor(&w, &scheme);
+        let q_neg = quantize_tensor(&w.neg(), &scheme);
         for (a, b) in q_pos.values.data().iter().zip(q_neg.values.data()) {
             assert!((a + b).abs() <= 1e-4 * (1.0 + a.abs()));
         }

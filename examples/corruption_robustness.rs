@@ -44,7 +44,7 @@ fn main() -> Result<(), TensorError> {
         );
         for &std in &severities {
             let corrupted = Corruption::GaussianNoise(std).apply(&test_set, 9);
-            let acc = evaluate_accuracy(&mut net, &corrupted.images, &corrupted.labels, 64)?;
+            let acc = evaluate_accuracy(&net, &corrupted.images, &corrupted.labels, 64)?;
             print!("  σ={std}: {:5.1}%", 100.0 * acc);
         }
         println!();

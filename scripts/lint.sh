@@ -46,7 +46,7 @@ echo "==> clippy -D warnings (default features)"
 cargo clippy --workspace --all-targets -- "${CLIPPY_LINTS[@]}"
 
 echo "==> clippy -D warnings (sanitize feature)"
-cargo clippy -p hero-tensor -p hero-autodiff --all-targets --features sanitize \
+cargo clippy -p hero-tensor -p hero-autodiff -p hero-nn --all-targets --features sanitize \
   -- "${CLIPPY_LINTS[@]}"
 
 ALLOW=scripts/lint-allow.txt

@@ -42,6 +42,7 @@ cargo test --release -p hero-tensor --test batch_norm_kernels -- --include-ignor
 echo "==> cargo test -q (sanitize feature: pool + tape sanitizers)"
 cargo test -q -p hero-tensor --features sanitize
 cargo test -q -p hero-autodiff --features sanitize
+cargo test -q -p hero-nn --features sanitize
 
 echo "==> cargo test -q (obs-off feature: instrumentation compiled out)"
 cargo test -q -p hero-obs --features obs-off

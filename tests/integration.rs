@@ -65,7 +65,7 @@ fn trained_model_beats_chance_and_survives_8bit_quantization() {
     let mut net = ModelKind::Resnet.build(tiny_config(), &mut StdRng::seed_from_u64(2));
     let config = TrainConfig::new(Method::Sgd, 12).with_batch_size(16);
     train(&mut net, &train_set, &test_set, &config).unwrap();
-    let acc_fp = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 32).unwrap();
+    let acc_fp = evaluate_accuracy(&net, &test_set.images, &test_set.labels, 32).unwrap();
     assert!(
         acc_fp > 0.5,
         "full-precision acc {acc_fp} barely above 4-class chance"
@@ -73,7 +73,7 @@ fn trained_model_beats_chance_and_survives_8bit_quantization() {
     let (params, report) = quantize_params(&net, &QuantScheme::symmetric(8).unwrap()).unwrap();
     net.set_params(&params).unwrap();
     assert!(report.worst_linf <= report.max_bin_width / 2.0 + 1e-6);
-    let acc_q8 = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 32).unwrap();
+    let acc_q8 = evaluate_accuracy(&net, &test_set.images, &test_set.labels, 32).unwrap();
     assert!(
         (acc_fp - acc_q8).abs() < 0.1,
         "8-bit quantization moved accuracy {acc_fp} -> {acc_q8}"
@@ -212,7 +212,7 @@ fn model_config_matches_presets() {
         assert_eq!(cfg.classes, preset.classes());
         assert_eq!(cfg.input_hw, preset.input_hw());
         // A model built from it accepts preset images.
-        let mut net = ModelKind::Resnet.build(cfg, &mut StdRng::seed_from_u64(6));
+        let net = ModelKind::Resnet.build(cfg, &mut StdRng::seed_from_u64(6));
         let (train_set, _) = preset.load(0.02);
         let logits = net.predict(&train_set.images).unwrap();
         assert_eq!(logits.dims(), &[train_set.len(), preset.classes()]);
