@@ -227,6 +227,19 @@ pub fn analyze(tape: &[NodeTrace], opts: &AnalyzeOptions) -> Report {
 /// [`VerifyOptions::default`] keeps the default lint thresholds and turns
 /// the quantization lint off).
 pub fn verify_graph_with(g: &Graph, roots: &[Var], opts: &VerifyOptions) -> Report {
+    verify_graph_lowered(g, roots, opts).0
+}
+
+/// [`verify_graph_with`], also returning the lowered tape it analyzed and
+/// the recorded per-node magnitudes
+/// ([`hero_autodiff::Graph::value_abs_max`]), for passes that run over the
+/// same tape again, such as further [`relational_noise_pass`]es.
+pub fn verify_graph_lowered(
+    g: &Graph,
+    roots: &[Var],
+    opts: &VerifyOptions,
+) -> (Report, Vec<NodeTrace>, Vec<f32>) {
+    let recorded = g.value_abs_max();
     let seeds = g
         .input_ranges()
         .into_iter()
@@ -243,10 +256,11 @@ pub fn verify_graph_with(g: &Graph, roots: &[Var], opts: &VerifyOptions) -> Repo
             vanish_threshold: opts.vanish_threshold,
             noise_seeds: opts.noise_seeds.clone(),
             noise_budget: opts.noise_budget,
-            recorded_abs: g.value_abs_max(),
+            recorded_abs: recorded.clone(),
         }),
     };
-    analyze(&g.trace(), &aopts)
+    let tape = g.trace();
+    (analyze(&tape, &aopts), tape, recorded)
 }
 
 impl Report {

@@ -12,7 +12,7 @@ use crate::artifact_io::{
 };
 use crate::config::TrainConfig;
 use crate::metrics::TrainRecord;
-use crate::preflight::{static_sensitivity_matrix, NoiseBits};
+use crate::preflight::{static_sensitivity_matrix, NoiseBits, SweepGate};
 use crate::trainer::probe_batch;
 use hero_artifact::Artifact;
 use hero_data::{inject_symmetric_noise, Dataset, Preset};
@@ -826,34 +826,26 @@ pub struct QuantCurve {
 /// Sweeps post-training quantization over `bits` for a trained model,
 /// restoring full-precision weights afterwards.
 ///
+/// Unless `test_set` is empty, the sweep first records one probe tape on
+/// its first 64 images, the soundness gate of DESIGN.md §14
+/// (`preflight::SweepGate`): its static verification includes
+/// the clip-risk lint at exactly the swept widths, so a malformed model
+/// fails with a report rather than skewing every point of the curve, and
+/// every point's probe-loss shift is held against its certified bound.
+///
 /// # Errors
 ///
-/// Propagates quantization/evaluation errors.
+/// Propagates verification, soundness-gate, quantization and evaluation
+/// errors.
 pub fn quant_sweep(
     trained: &mut TrainedModel,
     test_set: &Dataset,
     bits: &[u8],
 ) -> Result<QuantCurve> {
-    // The sweep evaluates many quantized parameter sets on the same tape;
-    // statically verify that tape once up front — including the clip-risk
-    // lint at exactly the bit widths about to be swept — so a malformed
-    // model fails with a report rather than skewing every point of the
-    // curve.
     let mut gate = None;
     if !test_set.is_empty() {
         let (images, labels) = probe_batch(test_set, 64)?;
-        let vopts = hero_analyze::VerifyOptions {
-            quant_bits: bits.to_vec(),
-            ..hero_analyze::VerifyOptions::default()
-        };
-        crate::trainer::verify_network_tape_with(&mut trained.net, &images, labels, &vopts)?;
-        // Certified whole-network noise bounds at the swept widths plus the
-        // unquantized probe loss: every sweep point is held against its
-        // static certificate below (the soundness gate of DESIGN.md §14).
-        let bounds =
-            crate::preflight::certified_noise_bounds(&mut trained.net, &images, labels, bits)?;
-        let base = crate::preflight::probe_loss(&mut trained.net, &images, labels)?;
-        gate = Some((images, labels, bounds, base));
+        gate = Some(SweepGate::new(&mut trained.net, images, labels, bits)?);
     }
     let _sweep = hero_obs::span("quant_sweep");
     let full_params = trained.net.params();
@@ -861,25 +853,11 @@ pub fn quant_sweep(
     for (i, &b) in bits.iter().enumerate() {
         let (qp, _) = quantize_params(&trained.net, &QuantScheme::symmetric(b)?)?;
         trained.net.set_params(&qp)?;
-        if let Some((images, labels, bounds, base)) = &gate {
-            let shifted = crate::preflight::probe_loss(&mut trained.net, images, labels)?;
-            let measured = (shifted - base).abs();
-            let certified = bounds[i];
-            if hero_obs::run_active() {
-                hero_obs::Event::new("quant_noise_gate")
-                    .str("method", trained.method.paper_name())
-                    .u64("bits", u64::from(b))
-                    .f64("certified", f64::from(certified))
-                    .f64("measured", f64::from(measured))
-                    .emit();
-            }
-            if measured > certified * 1.0001 + 1e-5 {
-                hero_obs::counters::NOISE_CROSSCHECK_VIOLATIONS.incr();
+        if let Some(gate) = &gate {
+            let method = trained.method.paper_name();
+            if let Err(e) = gate.check(&mut trained.net, method, i, b) {
                 trained.net.set_params(&full_params)?;
-                return Err(TensorError::InvalidArgument(format!(
-                    "noise-domain soundness violation at {b} bits: measured probe-loss \
-                     shift {measured:.6e} escapes the certified bound {certified:.6e}"
-                )));
+                return Err(e);
             }
         }
         let acc = evaluate_accuracy(&trained.net, &test_set.images, &test_set.labels, 64)?;

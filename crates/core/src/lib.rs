@@ -52,15 +52,14 @@ pub use artifact_io::{
 pub use config::TrainConfig;
 pub use metrics::{EpochMetrics, TrainRecord};
 pub use preflight::{
-    certified_noise_bounds, noise_crosscheck, preflight_report_with_noise, probe_loss,
-    run_crosscheck, run_preflight, static_sensitivity_matrix, CrosscheckCell, CrosscheckGrid,
-    CrosscheckReport, CrosscheckRun, NoiseBits, NoiseConfig, NoisePlan, PreflightRun,
+    noise_crosscheck, preflight_report_with_noise, probe_loss, run_crosscheck, run_preflight,
+    static_sensitivity_matrix, CrosscheckCell, CrosscheckGrid, CrosscheckReport, CrosscheckRun,
+    NoiseBits, NoiseConfig, NoisePlan, PreflightRun,
 };
 pub use spectrum::{
     probe_density, probe_spectrum, spectrum_report, LayerTrace, MethodSpectrum, SpectrumOptions,
     SpectrumProbe, SpectrumReport,
 };
 pub use trainer::{
-    probe_batch, probe_hessian_norm, train, train_resumable, verify_network_tape,
-    verify_network_tape_with, TrainerState,
+    probe_batch, probe_hessian_norm, train, train_resumable, verify_network_tape, TrainerState,
 };

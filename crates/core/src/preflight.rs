@@ -12,9 +12,10 @@
 //!   [`SensitivityMatrix`] `err[layer][bits]`: one tape and one
 //!   interval/scale analysis, then one cheap noise propagation per
 //!   `(layer, bits)` cell seeding that layer alone.
-//! * [`certified_noise_bounds`] — the whole-network bound per bit width
-//!   (all layers seeded at once), the cheap dominance gate used by
-//!   `quant_sweep`.
+//! * [`SweepGate`] — `quant_sweep`'s soundness gate: one probe tape that
+//!   is the sweep's static verification, the base of its whole-network
+//!   bounds per bit width (all layers seeded at once) and its unquantized
+//!   probe loss.
 //! * [`noise_crosscheck`] — the adversarial check: per-layer fake-quant
 //!   (and random in-bin perturbation) probe-loss trials, confirming the
 //!   static bound dominates every measured error and that the static
@@ -90,7 +91,7 @@ fn build_seeds(net: &Network, vars: &[Var], bits: &NoiseBits) -> Result<Vec<Nois
 }
 
 /// The full analyzer suite over one frozen-BN probe tape (see
-/// [`crate::verify_network_tape_with`]), plus an optional quantization-noise
+/// [`crate::verify_network_tape`]), plus an optional quantization-noise
 /// configuration: when `noise` is set, every quantizable weight tensor is
 /// seeded with `‖δW‖∞ ≤ Δ(bits)/2` and the report carries the certified
 /// per-node error bounds, the noise-dominance lint and (with a budget)
@@ -156,6 +157,18 @@ fn probe_tape(
     built
 }
 
+/// The error of a tape that fails static verification, rendering its
+/// report; `Ok` when the report holds no error-severity finding.
+pub(crate) fn check_verified(report: &Report, net: &Network) -> Result<()> {
+    if report.has_errors() {
+        return Err(TensorError::InvalidArgument(format!(
+            "static tape verification failed for `{}`:\n{report}",
+            net.name()
+        )));
+    }
+    Ok(())
+}
+
 /// A verified, value-analyzed probe tape: what every certified noise
 /// propagation runs over.
 struct NoiseTape {
@@ -163,25 +176,30 @@ struct NoiseTape {
     value: ValueAnalysis,
     recorded: Vec<f32>,
     loss: usize,
+    /// The probe loss the tape recorded.
+    base: f32,
     vars: Vec<Var>,
 }
 
 impl NoiseTape {
-    /// Records and analyzes `net`'s probe tape; fails when it does not
-    /// pass structural verification.
-    fn record(net: &mut Network, images: &Tensor, labels: &[usize]) -> Result<Self> {
+    /// Records `net`'s probe tape and analyzes it under `opts`; fails when
+    /// it does not pass structural verification. `publish` sees the report
+    /// first, pass or fail.
+    fn record(
+        net: &mut Network,
+        images: &Tensor,
+        labels: &[usize],
+        opts: &VerifyOptions,
+        publish: impl FnOnce(&Report),
+    ) -> Result<Self> {
         let mut g = Graph::new();
         let (loss, vars) = probe_tape(net, &mut g, images, labels)?;
-        let report = hero_analyze::verify_graph_with(&g, &[loss], &VerifyOptions::default());
-        let (tape, recorded) = (g.trace(), g.value_abs_max());
+        let (mut report, tape, recorded) = hero_analyze::verify_graph_lowered(&g, &[loss], opts);
+        let base = g.value(loss).data()[0];
         g.reset();
-        if report.has_errors() {
-            return Err(TensorError::InvalidArgument(format!(
-                "static tape verification failed for `{}`:\n{report}",
-                net.name()
-            )));
-        }
-        let value = report.value.ok_or_else(|| {
+        publish(&report);
+        check_verified(&report, net)?;
+        let value = report.value.take().ok_or_else(|| {
             TensorError::InvalidArgument("analyzer produced no value analysis".into())
         })?;
         Ok(NoiseTape {
@@ -189,6 +207,7 @@ impl NoiseTape {
             value,
             recorded,
             loss: loss.index(),
+            base,
             vars,
         })
     }
@@ -245,7 +264,7 @@ pub fn static_sensitivity_matrix(
 ) -> Result<SensitivityMatrix> {
     validate_grid(bits_grid)?;
     let _obs = hero_obs::span("static_sensitivity");
-    let t = NoiseTape::record(net, images, labels)?;
+    let t = NoiseTape::record(net, images, labels, &VerifyOptions::default(), |_| ())?;
     let mut layers = Vec::new();
     for ((var, param), info) in t.vars.iter().zip(net.params()).zip(net.param_infos()) {
         if !info.kind.is_quantizable() {
@@ -271,27 +290,84 @@ pub fn static_sensitivity_matrix(
     })
 }
 
-/// Certified whole-network loss-error bound per bit width: one analyzed
-/// tape, then one noise propagation per entry of `bits` seeding *every*
-/// quantizable layer at `Δ(b)/2` simultaneously. This bounds the loss
-/// shift of uniformly quantizing the full network — the cheap dominance
-/// gate `quant_sweep` holds every sweep point against.
-///
-/// # Errors
-///
-/// Same contract as [`static_sensitivity_matrix`].
-pub fn certified_noise_bounds(
-    net: &mut Network,
-    images: &Tensor,
-    labels: &[usize],
-    bits: &[u8],
-) -> Result<Vec<f32>> {
-    for &b in bits {
-        QuantScheme::symmetric(b)?;
+/// The soundness gate of a quantization sweep (DESIGN.md §14): one
+/// frozen-BN probe tape, recorded and analyzed once. Its report, with the
+/// clip-risk lint at the swept widths, is the sweep's static verification;
+/// its value analysis carries one certified whole-network bound per width
+/// (one noise propagation seeding *every* quantizable layer at `Δ(b)/2`);
+/// and its loss is the unquantized probe loss each sweep point's shift is
+/// measured from.
+pub(crate) struct SweepGate<'a> {
+    images: Tensor,
+    labels: &'a [usize],
+    /// The certified probe-loss shift bound of each swept width.
+    bounds: Vec<f32>,
+    /// The unquantized probe loss.
+    base: f32,
+}
+
+impl<'a> SweepGate<'a> {
+    /// Records, verifies and analyzes `net`'s probe tape on
+    /// `images`/`labels` for a sweep over `bits`, publishing the report
+    /// through `hero-obs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] carrying the rendered
+    /// report for a tape that fails static verification, or for an
+    /// unsupported width; shape errors for an incompatible batch.
+    pub(crate) fn new(
+        net: &mut Network,
+        images: Tensor,
+        labels: &'a [usize],
+        bits: &[u8],
+    ) -> Result<Self> {
+        let opts = VerifyOptions {
+            quant_bits: bits.to_vec(),
+            ..VerifyOptions::default()
+        };
+        let name = net.name().to_owned();
+        let t = NoiseTape::record(net, &images, labels, &opts, |r| r.emit_obs(&name))?;
+        let seeds = |b| build_seeds(net, &t.vars, &NoiseBits::Uniform(b));
+        let bounds = bits.iter().map(|&b| Ok(t.bound(&seeds(b)?)));
+        Ok(SweepGate {
+            bounds: bounds.collect::<Result<_>>()?,
+            images,
+            labels,
+            base: t.base,
+        })
     }
-    let t = NoiseTape::record(net, images, labels)?;
-    let seeds = |b| build_seeds(net, &t.vars, &NoiseBits::Uniform(b));
-    bits.iter().map(|&b| Ok(t.bound(&seeds(b)?))).collect()
+
+    /// Holds the probe-loss shift of the weights now installed in `net`,
+    /// quantized to `b` bits (the sweep's `i`-th width), against their
+    /// certified bound. Traced runs get a `quant_noise_gate` event tagged
+    /// with `method`; a violation bumps `noise_crosscheck_violations`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] when the measured shift
+    /// escapes the bound; shape errors from the probe forward.
+    pub(crate) fn check(&self, net: &mut Network, method: &str, i: usize, b: u8) -> Result<()> {
+        let shifted = probe_loss(net, &self.images, self.labels)?;
+        let measured = (shifted - self.base).abs();
+        let certified = self.bounds[i];
+        if hero_obs::run_active() {
+            hero_obs::Event::new("quant_noise_gate")
+                .str("method", method)
+                .u64("bits", u64::from(b))
+                .f64("certified", f64::from(certified))
+                .f64("measured", f64::from(measured))
+                .emit();
+        }
+        if measured > certified * 1.0001 + 1e-5 {
+            hero_obs::counters::NOISE_CROSSCHECK_VIOLATIONS.incr();
+            return Err(TensorError::InvalidArgument(format!(
+                "noise-domain soundness violation at {b} bits: measured probe-loss \
+                 shift {measured:.6e} escapes the certified bound {certified:.6e}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// One `(layer, bits)` cell of the empirical crosscheck.
@@ -891,23 +967,85 @@ mod tests {
     fn certified_bounds_dominate_uniform_quantization() {
         let (mut net, images, labels) = setup();
         let bits = [2u8, 4, 8];
-        let bounds = certified_noise_bounds(&mut net, &images, &labels, &bits).unwrap();
-        let base = probe_loss(&mut net, &images, &labels).unwrap();
+        let gate = SweepGate::new(&mut net, images.clone(), &labels, &bits).unwrap();
         let full = net.params();
-        for (&b, &bound) in bits.iter().zip(&bounds) {
+        for (i, (&b, &bound)) in bits.iter().zip(&gate.bounds).enumerate() {
             let (qp, _) =
                 hero_quant::quantize_params(&net, &QuantScheme::symmetric(b).unwrap()).unwrap();
             net.set_params(&qp).unwrap();
             let shifted = probe_loss(&mut net, &images, &labels).unwrap();
-            let emp = (shifted - base).abs();
+            let emp = (shifted - gate.base).abs();
             assert!(
                 emp <= bound * (1.0 + DOMINANCE_REL_TOL) + DOMINANCE_ABS_TOL,
                 "{b}-bit: measured {emp} escapes certified {bound}"
             );
+            gate.check(&mut net, "SGD", i, b).unwrap();
             net.set_params(&full).unwrap();
         }
         // Monotone: more bits, tighter certified bound.
+        let bounds = &gate.bounds;
         assert!(bounds[0] >= bounds[1] && bounds[1] >= bounds[2]);
+    }
+
+    /// The sweep gate's single tape gives, bit for bit, the bounds of a
+    /// default-options noise tape and the loss of a separate probe
+    /// forward: the clip-risk lint only adds diagnostics.
+    #[test]
+    fn the_sweep_gate_matches_separate_tapes_bitwise() {
+        let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/c10_resnet_hero_smoke.ha");
+        let bytes = std::fs::read(golden).unwrap();
+        let resnet = crate::network_from_artifact(&Artifact::from_bytes(&bytes).unwrap());
+        let mut nets = vec![resnet.unwrap()];
+        let cfg = crate::experiment::model_config(Preset::C10);
+        for (kind, seed) in [(ModelKind::Mobilenet, 0x3B11), (ModelKind::Vgg, 0x7667)] {
+            nets.push(kind.build(cfg, &mut StdRng::seed_from_u64(seed)));
+        }
+        let (_, test_set) = Preset::C10.load(0.25);
+        let (images, labels) = probe_batch(&test_set, 64).unwrap();
+        let bits = [3u8, 4, 5, 6, 8];
+        for mut net in nets {
+            let gate = SweepGate::new(&mut net, images.clone(), labels, &bits).unwrap();
+            let opts = VerifyOptions::default();
+            let t = NoiseTape::record(&mut net, &images, labels, &opts, |_| ()).unwrap();
+            let want: Vec<u32> = (bits.iter())
+                .map(|&b| {
+                    let seeds = build_seeds(&net, &t.vars, &NoiseBits::Uniform(b)).unwrap();
+                    t.bound(&seeds).to_bits()
+                })
+                .collect();
+            let got: Vec<u32> = gate.bounds.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{}: bounds", net.name());
+            let base = probe_loss(&mut net, &images, labels).unwrap();
+            assert_eq!(gate.base.to_bits(), base.to_bits(), "{}: base", net.name());
+        }
+    }
+
+    #[test]
+    fn the_sweep_gate_rejects_a_shift_beyond_its_bound() {
+        let (mut net, images, labels) = setup();
+        let mut gate = SweepGate::new(&mut net, images, &labels, &[2]).unwrap();
+        let (qp, _) =
+            hero_quant::quantize_params(&net, &QuantScheme::symmetric(2).unwrap()).unwrap();
+        net.set_params(&qp).unwrap();
+        gate.check(&mut net, "SGD", 0, 2).unwrap();
+        // A certificate the measured shift escapes.
+        gate.bounds[0] = 0.0;
+        gate.base += 1.0;
+        let err = gate.check(&mut net, "SGD", 0, 2).unwrap_err().to_string();
+        assert!(err.contains("soundness violation at 2 bits"), "{err}");
+    }
+
+    #[test]
+    fn the_sweep_gate_fails_verification_of_a_non_finite_tape() {
+        let (mut net, images, labels) = setup();
+        let mut params = net.params();
+        params[0].data_mut()[0] = f32::NAN;
+        net.set_params(&params).unwrap();
+        let err = SweepGate::new(&mut net, images, &labels, &[4, 8]).err();
+        let err = err.expect("a NaN weight passed verification").to_string();
+        assert!(err.contains("static tape verification failed"), "{err}");
+        assert!(SweepGate::new(&mut setup().0, setup().1, &labels, &[4, 32]).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::TrainConfig;
 use crate::metrics::{EpochMetrics, TrainRecord};
-use crate::preflight::preflight_report_with_noise;
+use crate::preflight::{check_verified, preflight_report_with_noise};
 use crate::spectrum::{probe_spectrum, SpectrumOptions};
 use hero_analyze::{Report, VerifyOptions};
 use hero_data::{Dataset, Loader};
@@ -281,7 +281,9 @@ fn snapshot(
 ///
 /// Batch-norm running statistics are frozen around the probe forward so
 /// verification never contaminates eval-time behaviour; the tape and its
-/// buffers are recycled into the scratch pool afterwards.
+/// buffers are recycled into the scratch pool afterwards. The report is
+/// also published through `hero-obs` (`analyze_diags_*` counters and, on
+/// traced runs, an `analyze_report` event).
 ///
 /// # Errors
 ///
@@ -289,30 +291,9 @@ fn snapshot(
 /// any error-severity diagnostic is found, or shape errors if the batch is
 /// incompatible with the network.
 pub fn verify_network_tape(net: &mut Network, images: &Tensor, labels: &[usize]) -> Result<Report> {
-    verify_network_tape_with(net, images, labels, &VerifyOptions::default())
-}
-
-/// [`verify_network_tape`] with explicit value-lint options (e.g. the bit
-/// widths an upcoming quantization sweep will use). The report is also
-/// published through `hero-obs` (`analyze_diags_*` counters and, on
-/// traced runs, an `analyze_report` event).
-///
-/// # Errors
-///
-/// Same contract as [`verify_network_tape`].
-pub fn verify_network_tape_with(
-    net: &mut Network,
-    images: &Tensor,
-    labels: &[usize],
-    opts: &VerifyOptions,
-) -> Result<Report> {
-    let (report, _) = preflight_report_with_noise(net, images, labels, opts, None, false)?;
-    if report.has_errors() {
-        return Err(TensorError::InvalidArgument(format!(
-            "static tape verification failed for `{}`:\n{report}",
-            net.name()
-        )));
-    }
+    let opts = VerifyOptions::default();
+    let (report, _) = preflight_report_with_noise(net, images, labels, &opts, None, false)?;
+    check_verified(&report, net)?;
     Ok(report)
 }
 

@@ -44,8 +44,10 @@ impl Layer for MaxPool2d {
         g.max_pool2d(x, self.k)
     }
 
+    /// The values of the graph op's kernel, with no argmax: nothing
+    /// differentiates an eval forward.
     fn infer(&self, x: Tensor) -> Result<Tensor> {
-        Ok(x.max_pool2d(self.k)?.0)
+        x.max_pool2d_values(self.k)
     }
 }
 

@@ -1,6 +1,19 @@
 //! Spatial pooling primitives for NCHW tensors.
+//!
+//! Max pooling has one kernel body, [`max_pool_windows`], for its two
+//! passes: [`Tensor::max_pool2d`], the graph op's, which also returns the
+//! argmax its backward routes gradients through, and
+//! [`Tensor::max_pool2d_values`], the eval forward's, which computes values
+//! only. Each window folds its elements in window order (row `ky`, then
+//! column `kx`) with `v > best` from −∞, selecting without a branch: the
+//! first maximum wins (so of a `±0` tie, the zero that comes first), NaN
+//! never wins, and an all-NaN window gives −∞ with argmax 0. The body is
+//! compiled once for 2×2 windows, the only ones the models use, so their
+//! window loops unroll, and once for any side. Both passes run in a
+//! `max_pool` span and lease their output from the scratch pool.
 
 use crate::error::{Result, TensorError};
+use crate::pool;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -13,6 +26,25 @@ impl Tensor {
     /// Returns rank/geometry errors if the input is not 4-D or not evenly
     /// divisible by `k`.
     pub fn max_pool2d(&self, k: usize) -> Result<(Tensor, Vec<usize>)> {
+        let mut arg = Vec::new();
+        let out = self.max_pool::<true>(k, &mut arg)?;
+        Ok((out, arg))
+    }
+
+    /// The values of [`Tensor::max_pool2d`] without the argmax, for
+    /// forwards that are never differentiated.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Tensor::max_pool2d`].
+    pub fn max_pool2d_values(&self, k: usize) -> Result<Tensor> {
+        self.max_pool::<false>(k, &mut Vec::new())
+    }
+
+    /// Checks the geometry and runs [`max_pool_windows`], filling `arg`
+    /// when `ARG`.
+    fn max_pool<const ARG: bool>(&self, k: usize, arg: &mut Vec<usize>) -> Result<Tensor> {
+        let _span = hero_obs::span("max_pool");
         if self.rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -31,31 +63,17 @@ impl Tensor {
             )));
         }
         let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros([n, c, oh, ow]);
-        let mut arg = vec![0usize; n * c * oh * ow];
-        for in_ in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_src = 0;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let src = (((in_ * c) + ch) * h + oy * k + ky) * w + ox * k + kx;
-                                if self.data()[src] > best {
-                                    best = self.data()[src];
-                                    best_src = src;
-                                }
-                            }
-                        }
-                        let dst = (((in_ * c) + ch) * oh + oy) * ow + ox;
-                        out.data_mut()[dst] = best;
-                        arg[dst] = best_src;
-                    }
-                }
-            }
+        let len = n * c * oh * ow;
+        let mut out = pool::lease(len);
+        if ARG {
+            arg.resize(len, 0);
         }
-        Ok((out, arg))
+        let d = [n, c, h, w];
+        match k {
+            2 => max_pool_windows::<ARG, 2>(self.data(), d, k, &mut out, arg),
+            _ => max_pool_windows::<ARG, 0>(self.data(), d, k, &mut out, arg),
+        }
+        Ok(Tensor::assemble([n, c, oh, ow].into(), out))
     }
 
     /// Global average pooling: `(n, c, h, w) -> (n, c)`.
@@ -86,6 +104,55 @@ impl Tensor {
             }
         }
         Ok(out)
+    }
+}
+
+/// The max-pool kernel body over `x`, NCHW with dims `d`: writes each
+/// window's maximum to `out` and, when `ARG`, its flat index in `x` to
+/// `arg`. A nonzero `K` is the window side, fixed at compile time so the
+/// window loops unroll; `K == 0` reads it from `k`.
+fn max_pool_windows<const ARG: bool, const K: usize>(
+    x: &[f32],
+    d: [usize; 4],
+    k: usize,
+    out: &mut [f32],
+    arg: &mut [usize],
+) {
+    let [n, c, h, w] = d;
+    let k = if K == 0 { k } else { K };
+    let (oh, ow) = (h / k, w / k);
+    assert!(x.len() == n * c * h * w && out.len() == n * c * oh * ow);
+    assert!(!ARG || arg.len() == out.len());
+    for plane in 0..n * c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let (mut best, mut best_src) = (f32::NEG_INFINITY, 0);
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let src = (plane * h + oy * k + ky) * w + ox * k + kx;
+                        // SAFETY: `x.len() == n·c·h·w` (asserted above),
+                        // `oy·k + ky < oh·k ≤ h` and `ox·k + kx < ow·k ≤ w`,
+                        // so `src < x.len()`. Checked loads cost the eval
+                        // pass more than half its speed.
+                        let v = unsafe { *x.get_unchecked(src) };
+                        let take = v > best;
+                        best = if take { v } else { best };
+                        if ARG {
+                            best_src = if take { src } else { best_src };
+                        }
+                    }
+                }
+                let dst = (plane * oh + oy) * ow + ox;
+                // SAFETY: `dst < n·c·oh·ow == out.len()`, and `arg.len() ==
+                // out.len()` when `ARG` (both asserted above).
+                unsafe {
+                    *out.get_unchecked_mut(dst) = best;
+                    if ARG {
+                        *arg.get_unchecked_mut(dst) = best_src;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -114,6 +114,17 @@ echo "==> hero repro smoke (fig2 --fast, the cheapest reproduction target)"
 # broken `hero repro` dispatch fails the gate, not just a full rerun.
 cargo run --release -p hero-bench --bin hero -- repro fig2 --fast
 
+echo "==> hero repro fig1 --fast against its committed stdout"
+# Fig. 1's post-training quantization sweeps run every model's soundness
+# gate (one probe tape per sweep) and eval forward, VGG's max-pools
+# included. Their stdout must not move by a byte; the committed copy is
+# the AVX2 kernel's output.
+cargo run --release -q -p hero-bench --bin hero -- repro fig1 --fast \
+  > results/artifacts/repro_fig1_fast.txt
+cmp results/repro_fig1_fast.txt results/artifacts/repro_fig1_fast.txt || {
+  echo "FAIL: hero repro fig1 --fast stdout drifted from results/repro_fig1_fast.txt"; exit 1; }
+rm -f results/artifacts/repro_fig1_fast.txt
+
 echo "==> pre-flight analyzer over the example networks"
 mkdir -p results/analyze
 # `hero preflight` exits nonzero when the analyzer finds error-severity
