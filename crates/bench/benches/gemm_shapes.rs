@@ -5,7 +5,9 @@
 //! Each GEMM shape is timed under every kernel variant — `reference` (the
 //! blocked oracle), `scalar` (portable packed kernel), `avx2fma` (forced
 //! SIMD; silently identical to scalar on hardware without AVX2+FMA, the
-//! `kernel_ran` extra records what actually ran). Conv-as-im2col GEMMs are
+//! `kernel_ran` extra records what actually ran, and `lane_width` the
+//! chains per vector it ran at: 16 for the fused kernel on an AVX-512F
+//! CPU, else 8). Conv-as-im2col GEMMs are
 //! skinny (m = out-channels ≤ 16) with fat panel dims, which stresses the
 //! edge-tile and packing paths very differently from a square matmul.
 //!
@@ -36,8 +38,8 @@ use hero_nn::models::ModelKind;
 use hero_tensor::pool::MAX_HELD;
 use hero_tensor::rng::StdRng;
 use hero_tensor::{
-    active_gemm_kernel, force_gemm_kernel, matmul_reference, ConvGeometry, GemmKernel, ScratchPool,
-    Tensor,
+    active_gemm_kernel, force_gemm_kernel, lane_width, matmul_reference, ConvGeometry, GemmKernel,
+    ScratchPool, Tensor,
 };
 
 /// Named GEMM shapes `(name, m, n, k)`.
@@ -188,7 +190,8 @@ fn main() {
             });
             rows.push(
                 with_gflops(row, m, n, k)
-                    .with_extra("kernel_ran", (active == GemmKernel::Avx2Fma) as u64 as f64),
+                    .with_extra("kernel_ran", (active == GemmKernel::Avx2Fma) as u64 as f64)
+                    .with_extra("lane_width", lane_width() as f64),
             );
             force_gemm_kernel(None);
         }

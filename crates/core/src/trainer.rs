@@ -198,7 +198,6 @@ pub fn train_resumable(
         let evaluate =
             config.eval_every > 0 && (epoch % config.eval_every == 0 || epoch + 1 == config.epochs);
         let (train_acc, test_acc) = if evaluate {
-            let _eval = hero_obs::span("eval");
             let tr =
                 evaluate_accuracy(net, &train_set.images, &train_set.labels, config.batch_size)?;
             let te = evaluate_accuracy(net, &test_set.images, &test_set.labels, config.batch_size)?;

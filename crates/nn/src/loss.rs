@@ -136,7 +136,8 @@ pub fn eval_loss(net: &Network, x: &Tensor, labels: &[usize]) -> Result<f32> {
     value
 }
 
-/// Evaluates classification accuracy over a dataset in mini-batches.
+/// Evaluates classification accuracy over a dataset in mini-batches, in
+/// one `eval` span.
 ///
 /// # Errors
 ///
@@ -167,6 +168,7 @@ pub fn evaluate_accuracy(
             labels.len()
         )));
     }
+    let _eval = hero_obs::span("eval");
     let mut correct = 0usize;
     let mut start = 0;
     while start < n {

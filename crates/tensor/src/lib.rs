@@ -59,6 +59,7 @@ pub use ops::gemm::{
     active_gemm_kernel, force_gemm_kernel, gemm_pool_reset_stats, gemm_pool_stats,
     set_gemm_threads, GemmKernel,
 };
+pub use ops::lanes::lane_width;
 pub use ops::matmul::matmul_reference;
 pub use ops::norm::{global_dot, global_norm_l1, global_norm_l2};
 pub use pool::{PoolStats, ScratchPool};

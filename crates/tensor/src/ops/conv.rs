@@ -35,18 +35,25 @@
 //! `hq ≤ ⌈(h + 2p)/s⌉` (see `Plan::new`). Output site `(img, oy, ox)`
 //! sits at `img·hq·wq + oy·wq + ox` on the folded site grid and reads tap
 //! `(ky, kx)` at a constant offset from there. The forward therefore runs
-//! over the whole batch's grid in [`LANES`]-wide tiles with contiguous
+//! over the whole batch's grid in lane-wide tiles with contiguous
 //! loads and stores; sites with `ox ≥ ow` or `oy ≥ oh` are junk lanes,
 //! which it crops away. dX runs the other way, with lanes over the
 //! positions of a folded dX buffer, one phase plane at a time: tap
 //! `(ky, kx)` of plane `(ky mod s, kx mod s)` reaches position `q` from
 //! site `q − (ky/s)·wq − kx/s`, so it reads `dY` at a constant negative
 //! offset in a front-padded `dY` grid, and a lane mask drops junk sites.
-//! Forward tiles hold 4 output channels × 2 site tiles, dW tiles put 8
-//! output channels in the lanes against 12 taps, and dX tiles hold 4 input
-//! channels × 2 position tiles, so each `dY` load feeds 4 chains. The
-//! depthwise kernels (`ops::depthwise`) fold their operands into the same
-//! layout, with 8 channels side by side in the lanes.
+//! Forward tiles hold 4 output channels × 2 site tiles, dW tiles put one
+//! lane vector of output channels against 12 taps, and dX tiles hold 4
+//! input channels × 2 position tiles, so each `dY` load feeds 4 chains.
+//! The depthwise kernels (`ops::depthwise`) fold their operands into the
+//! same layout, with a lane vector of channels side by side.
+//!
+//! **Width.** Tiles are whole lane vectors of the product's width (8 or 16,
+//! see [`crate::ops::lanes`]), and so are the sizes the [`Plan`] pads to:
+//! output channels (`ocp`), the forward grid (`gp`) and the dX planes. The
+//! plan takes the width from the product before a pass runs; dW, whose
+//! lanes are output channels, runs 8 wide for at most 8 of them. The width
+//! moves which chains share a vector, never a chain's terms or order.
 //!
 //! Each kernel runs inside its product's GEMM span and counters and splits
 //! its outer loop over the GEMM worker pool: forward tiles, dW channel ×
@@ -57,7 +64,7 @@
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::{Product, SharedOut, KC};
-use crate::ops::lanes::{execute, Lanes, Pass, LANES};
+use crate::ops::lanes::{execute, Lanes, Pass};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -125,17 +132,15 @@ impl ConvGeometry {
     }
 }
 
-/// Taps per dW tile: twelve `f32x8` accumulators, the `dY` lanes and one
+/// Taps per dW tile: twelve accumulators, the `dY` lanes and one
 /// broadcast fit the sixteen ymm registers.
 const DW_TAPS: usize = 12;
-/// Output channels × site tiles per forward tile: eight `f32x8` chains,
-/// enough to keep both FMA ports busy, for six loads per tap. (Three site
+/// Output channels × site tiles per forward tile: eight chains, enough to
+/// keep both FMA ports busy, for six loads per tap. (At 8 lanes, three site
 /// tiles leave one register short, and the two spilled chains cost a fifth
 /// of the forward.)
 const FWD_CHANNELS: usize = 4;
 const FWD_TILES: usize = 2;
-/// Grid sites per forward tile.
-const FWD_SITES: usize = FWD_TILES * LANES;
 /// Images the forward and dX fold at a time: a training batch. Larger
 /// (evaluation, probe) batches run in chunks, so the folded copies and grid
 /// scratch stay the size a training step leases.
@@ -144,8 +149,6 @@ pub(crate) const FOLD_IMAGES: usize = 32;
 /// channels' chains, for six loads per eight FMAs as in the forward.
 const DX_CHANNELS: usize = 4;
 const DX_TILES: usize = 2;
-/// Folded dX positions per item.
-const DX_SITES: usize = DX_TILES * LANES;
 
 /// Shapes of one convolution over a batch and of its folded layout.
 #[derive(Debug, Clone, Copy)]
@@ -179,12 +182,16 @@ pub(crate) struct Plan {
     gp: usize,
     /// Patch rows, `c·k·k`.
     taps: usize,
-    /// Output channels rounded up to whole lane groups.
+    /// The lane width the plan's passes run at.
+    pub(crate) lanes: usize,
+    /// Output channels rounded up to whole lane vectors.
     pub(crate) ocp: usize,
 }
 
 impl Plan {
-    pub(crate) fn new(geom: &ConvGeometry, n: usize, c: usize, oc: usize) -> Plan {
+    /// The plan of `n` images of `c` channels into `oc`, laid out for
+    /// passes `lanes` wide.
+    pub(crate) fn new(geom: &ConvGeometry, n: usize, c: usize, oc: usize, lanes: usize) -> Plan {
         let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
         let (oh, ow) = geom.out_hw();
         let sp = s.min(k);
@@ -232,10 +239,27 @@ impl Plan {
             ps: rows * wq,
             cs: sp * sp * rows * wq,
             grid,
-            gp: grid.div_ceil(FWD_SITES) * FWD_SITES,
+            gp: grid.div_ceil(FWD_TILES * lanes) * FWD_TILES * lanes,
             taps: c * k * k,
-            ocp: oc.div_ceil(LANES) * LANES,
+            lanes,
+            ocp: oc.div_ceil(lanes) * lanes,
         }
+    }
+
+    /// Grid sites per forward tile.
+    fn fwd_sites(&self) -> usize {
+        FWD_TILES * self.lanes
+    }
+
+    /// Folded dX positions per item.
+    fn dx_sites(&self) -> usize {
+        DX_TILES * self.lanes
+    }
+
+    /// Checks that a pass runs on lanes `V` as wide as the plan's layout.
+    #[inline(always)]
+    pub(crate) fn check_lanes<V: Lanes>(&self) {
+        assert_eq!(V::N, self.lanes, "pass runs at another lane width");
     }
 
     /// Elements of the folded buffer, plus the slack that tiles past the
@@ -403,7 +427,7 @@ fn add_block<V: Lanes, const R: usize>(sums: &mut [V; R], acc: &mut [V; R]) {
     }
 }
 
-/// Forward: grid tiles `lo..hi` (`FWD_SITES` sites each) of every output
+/// Forward: grid tiles `lo..hi` (`fwd_sites` sites each) of every output
 /// channel.
 struct Forward<'a> {
     plan: Plan,
@@ -419,12 +443,14 @@ impl Pass for Forward<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
         let p = &self.plan;
+        p.check_lanes::<V>();
+        let sites = p.fwd_sites();
         let mut table = [0usize; KC];
         for k0 in (0..p.taps).step_by(KC) {
             let offs = &mut table[..KC.min(p.taps - k0)];
             p.tap_offsets(k0, offs);
             let wblk = &self.wt[k0 * p.ocp..];
-            for g0 in (lo * FWD_SITES..hi * FWD_SITES).step_by(FWD_SITES) {
+            for g0 in (lo * sites..hi * sites).step_by(sites) {
                 for o0 in (0..p.oc).step_by(FWD_CHANNELS) {
                     let acc = forward_tile::<V>(p, wblk, offs, &self.xs[g0..], o0);
                     // Add the block's chains into the output as whole
@@ -432,8 +458,8 @@ impl Pass for Forward<'_> {
                     for (r, a) in acc.iter().enumerate().take(p.oc - o0) {
                         // SAFETY: the tile lies inside row `o0 + r` of the
                         // `oc × gp` output, and items own disjoint tiles.
-                        let dst = unsafe { self.out.slice((o0 + r) * p.gp + g0, FWD_SITES) };
-                        for (d, &aj) in dst.chunks_exact_mut(LANES).zip(a) {
+                        let dst = unsafe { self.out.slice((o0 + r) * p.gp + g0, sites) };
+                        for (d, &aj) in dst.chunks_exact_mut(V::N).zip(a) {
                             V::load(d).add(aj).store(d);
                         }
                     }
@@ -444,7 +470,7 @@ impl Pass for Forward<'_> {
 }
 
 /// One `KC` block's chains of output channels `o0..o0 + FWD_CHANNELS` at
-/// the `FWD_SITES` grid sites whose folded input starts at `xs`, over the
+/// the `FWD_TILES · N` grid sites whose folded input starts at `xs`, over the
 /// taps at offsets `offs` (weights from `wblk`).
 #[inline(always)]
 fn forward_tile<V: Lanes>(
@@ -457,8 +483,8 @@ fn forward_tile<V: Lanes>(
     // Rows are output channels, columns are site tiles, lanes are sites.
     let mut acc = [[V::zero(); FWD_TILES]; FWD_CHANNELS];
     for (i, &off) in offs.iter().enumerate() {
-        let x = &xs[off..][..FWD_SITES];
-        let xv: [V; FWD_TILES] = std::array::from_fn(|j| V::load(&x[j * LANES..]));
+        let x = &xs[off..][..FWD_TILES * V::N];
+        let xv: [V; FWD_TILES] = std::array::from_fn(|j| V::load(&x[j * V::N..]));
         let wv = &wblk[i * p.ocp + o0..][..FWD_CHANNELS];
         for (a, &wr) in acc.iter_mut().zip(wv) {
             let wr = V::splat(wr);
@@ -484,12 +510,13 @@ impl Pass for GradW<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
         let p = &self.plan;
+        p.check_lanes::<V>();
         let tap_tiles = p.taps.div_ceil(DW_TAPS);
         for item in lo..hi {
-            let (o0, t0) = (item / tap_tiles * LANES, item % tap_tiles * DW_TAPS);
+            let (o0, t0) = (item / tap_tiles * V::N, item % tap_tiles * DW_TAPS);
             let sums = grad_w_tile::<V>(p, self.dyt, self.xs, o0, t0).map(V::to_array);
             for (i, row) in sums.iter().enumerate().take(p.taps - t0) {
-                for (l, &v) in row.iter().enumerate().take(p.oc - o0) {
+                for (l, &v) in row.iter().enumerate().take(V::N.min(p.oc - o0)) {
                     // SAFETY: `(o0 + l, t0 + i)` lies inside the `oc × taps`
                     // output, and items own disjoint tiles of it.
                     unsafe { *self.out.ptr().add((o0 + l) * p.taps + t0 + i) = v };
@@ -499,7 +526,7 @@ impl Pass for GradW<'_> {
     }
 }
 
-/// dW of output channels `o0..o0 + LANES` and taps `t0..t0 + DW_TAPS`
+/// dW of output channels `o0..o0 + N` and taps `t0..t0 + DW_TAPS`
 /// (taps past the end repeat the last one, and callers drop them): one
 /// chain per `KC` block of output sites, sites in `(img, oy, ox)` order.
 #[inline(always)]
@@ -540,7 +567,7 @@ fn grad_w_tile<V: Lanes>(p: &Plan, dyt: &[f32], xs: &[f32], o0: usize, t0: usize
 }
 
 /// dX: `(channel block, phase plane, position group)` items of a chunk's
-/// folded dX buffer, `DX_SITES` positions each.
+/// folded dX buffer, `dx_sites` positions each.
 struct GradX<'a> {
     /// The chunk's plan, with phase planes of whole position groups.
     plan: Plan,
@@ -563,7 +590,9 @@ impl Pass for GradX<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
         let p = &self.plan;
-        let (groups, planes) = (p.ps / DX_SITES, p.sp * p.sp);
+        p.check_lanes::<V>();
+        let sites = p.dx_sites();
+        let (groups, planes) = (p.ps / sites, p.sp * p.sp);
         // Items run `(channel block, plane, group)` in row-major order:
         // divide once per run of groups in one plane.
         let mut item = lo;
@@ -573,7 +602,7 @@ impl Pass for GradX<'_> {
             let (cb, plane) = (block / planes, block % planes);
             let phase = (plane / p.sp, plane % p.sp);
             for g in g0..g1 {
-                self.group::<V>(cb, plane, phase, g * DX_SITES);
+                self.group::<V>(cb, plane, phase, g * sites);
             }
             item += g1 - g0;
         }
@@ -581,14 +610,14 @@ impl Pass for GradX<'_> {
 }
 
 impl GradX<'_> {
-    /// dX of channel block `cb` at positions `q0..q0 + DX_SITES` of phase
-    /// plane `plane` (phase `(ry, rx)`), each element summed in registers
-    /// and stored once.
+    /// dX of channel block `cb` at positions `q0..q0 + DX_TILES · N` of
+    /// phase plane `plane` (phase `(ry, rx)`), each element summed in
+    /// registers and stored once.
     #[inline(always)]
     fn group<V: Lanes>(&self, cb: usize, plane: usize, (ry, rx): (usize, usize), q0: usize) {
         let p = &self.plan;
-        let k = p.k;
-        let last = self.front + q0 + (p.oc - 1) * self.row + DX_SITES;
+        let (k, sites) = (p.k, DX_TILES * V::N);
+        let last = self.front + q0 + (p.oc - 1) * self.row + sites;
         assert!(last <= self.dyg.len(), "tap past the dY grid");
         // Rows are input channels, columns are position tiles, lanes are
         // positions.
@@ -607,9 +636,9 @@ impl GradX<'_> {
                 // is: it starts at +0.0, and a sum of IEEE adds never turns
                 // it into −0.0. The mask also keeps a non-finite weight
                 // times a junk zero from landing.
-                let real = &self.real[at..][..DX_SITES];
+                let real = &self.real[at..][..sites];
                 for (sum, c) in sums.iter_mut().zip(&chain) {
-                    for ((sj, &cj), m) in sum.iter_mut().zip(c).zip(real.chunks_exact(LANES)) {
+                    for ((sj, &cj), m) in sum.iter_mut().zip(c).zip(real.chunks_exact(V::N)) {
                         *sj = sj.add(cj.and(V::load(m)));
                     }
                 }
@@ -619,11 +648,8 @@ impl GradX<'_> {
         for (r, sum) in sums.iter().enumerate().take(p.c - c0) {
             // SAFETY: the group lies inside plane `plane` of channel
             // `c0 + r`, and items own disjoint groups.
-            let dst = unsafe {
-                self.out
-                    .slice((c0 + r) * p.cs + plane * p.ps + q0, DX_SITES)
-            };
-            for (d, sj) in dst.chunks_exact_mut(LANES).zip(sum) {
+            let dst = unsafe { self.out.slice((c0 + r) * p.cs + plane * p.ps + q0, sites) };
+            for (d, sj) in dst.chunks_exact_mut(V::N).zip(sum) {
                 sj.store(d);
             }
         }
@@ -632,14 +658,14 @@ impl GradX<'_> {
 
 /// One tap's chains over output channels (`KC`-blocked) for the
 /// `DX_CHANNELS` input channels whose weights `w` holds (`oc ×
-/// DX_CHANNELS`) at the `DX_SITES` sites whose `dY` starts at `dy` (rows
+/// DX_CHANNELS`) at the `DX_TILES · N` sites whose `dY` starts at `dy` (rows
 /// `row` apart). Blocks after the first are added in block order; the
 /// lowering's `0 +` before the first block only changes the sign of a zero
 /// chain, which the caller's add erases.
 ///
 /// # Safety
 ///
-/// `dy` must hold `(oc − 1)·row + DX_SITES` values.
+/// `dy` must hold `(oc − 1)·row + DX_TILES · N` values.
 #[inline(always)]
 unsafe fn grad_x_chain<V: Lanes>(
     oc: usize,
@@ -678,8 +704,8 @@ unsafe fn grad_x_block<V: Lanes>(
     for wr in wblk.chunks_exact(DX_CHANNELS) {
         // One `dY` load per tile feeds every channel's chain. Checking
         // every load instead cost ~15% on the 8→8 3×3 layer.
-        let y = dy.get_unchecked(at..at + DX_SITES);
-        let dv: [V; DX_TILES] = std::array::from_fn(|j| V::load(&y[j * LANES..]));
+        let y = dy.get_unchecked(at..at + DX_TILES * V::N);
+        let dv: [V; DX_TILES] = std::array::from_fn(|j| V::load(&y[j * V::N..]));
         for (a, &wc) in acc.iter_mut().zip(wr) {
             let wv = V::splat(wc);
             for (aj, &dj) in a.iter_mut().zip(&dv) {
@@ -760,11 +786,13 @@ impl Tensor {
     /// differ from `C·k·k`.
     pub fn conv2d(&self, w: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(self, geom)?;
-        let oc = weight_rows(w, c * geom.kernel * geom.kernel)?;
-        let plan = Plan::new(geom, n, c, oc);
-        let (chw, slab) = (c * plan.h * plan.w, oc * plan.oh * plan.ow);
+        let taps = c * geom.kernel * geom.kernel;
+        let oc = weight_rows(w, taps)?;
+        let (oh, ow) = geom.out_hw();
+        let (chw, slab) = (c * geom.in_h * geom.in_w, oc * oh * ow);
         let mut out = pool::lease(n * slab);
-        if let Some(product) = Product::begin(oc, n * plan.oh * plan.ow, plan.taps) {
+        if let Some(product) = Product::begin(oc, n * oh * ow, taps) {
+            let plan = Plan::new(geom, n, c, oc, product.width);
             let mut wt = pool::lease(plan.taps * plan.ocp);
             for (o, row) in w.data().chunks_exact(plan.taps).enumerate() {
                 for (t, &v) in row.iter().enumerate() {
@@ -774,7 +802,7 @@ impl Tensor {
             // Chunk by image count: an empty input plane (`chw == 0`)
             // still has padding-only output sites.
             for img0 in (0..n).step_by(FOLD_IMAGES) {
-                let plan = Plan::new(geom, FOLD_IMAGES.min(n - img0), c, oc);
+                let plan = Plan::new(geom, FOLD_IMAGES.min(n - img0), c, oc, product.width);
                 let x = &self.data()[img0 * chw..][..plan.n * chw];
                 let out = &mut out[img0 * slab..][..plan.n * slab];
                 let mut xs = pool::lease(plan.split_len());
@@ -786,7 +814,7 @@ impl Tensor {
                     xs: &xs,
                     out: SharedOut::new(&mut grid),
                 };
-                execute(&product, &pass, plan.gp / FWD_SITES);
+                execute(&product, &pass, plan.gp / plan.fwd_sites());
                 // Crop the real sites into NCHW.
                 plan.for_each_output_run(plan.gp, |at, px, len| {
                     copy_row(&mut out[px..][..len], &grid[at..][..len]);
@@ -796,7 +824,7 @@ impl Tensor {
             }
             pool::recycle(wt);
         }
-        Tensor::from_vec(out, [n, oc, plan.oh, plan.ow])
+        Tensor::from_vec(out, [n, oc, oh, ow])
     }
 
     /// Weight gradient of [`Tensor::conv2d`]: `self` is the output
@@ -815,16 +843,17 @@ impl Tensor {
     pub fn conv2d_grad_weight(&self, x: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(x, geom)?;
         let (dn, oc) = grad_dims(self, geom)?;
-        let plan = Plan::new(geom, n, c, oc);
+        let (oh, ow) = geom.out_hw();
         if dn != n {
             return Err(TensorError::ShapeMismatch {
-                left: vec![n, oc, plan.oh, plan.ow],
+                left: vec![n, oc, oh, ow],
                 right: self.dims().to_vec(),
             });
         }
-        let ohw = plan.oh * plan.ow;
-        let mut out = pool::lease(oc * plan.taps);
-        if let Some(product) = Product::begin(oc, plan.taps, n * ohw) {
+        let (ohw, taps) = (oh * ow, c * geom.kernel * geom.kernel);
+        let mut out = pool::lease(oc * taps);
+        if let Some(product) = Product::begin(oc, taps, n * ohw).map(|p| p.lanes_over(oc)) {
+            let plan = Plan::new(geom, n, c, oc, product.width);
             let mut dyt = pool::lease(n * ohw * plan.ocp);
             let images = dyt.chunks_exact_mut(ohw * plan.ocp);
             for (dst, src) in images.zip(self.data().chunks_exact(oc * ohw)) {
@@ -845,12 +874,12 @@ impl Tensor {
             execute(
                 &product,
                 &pass,
-                plan.ocp / LANES * plan.taps.div_ceil(DW_TAPS),
+                plan.ocp / plan.lanes * taps.div_ceil(DW_TAPS),
             );
             pool::recycle(dyt);
             pool::recycle(xs);
         }
-        Tensor::from_vec(out, [oc, plan.taps])
+        Tensor::from_vec(out, [oc, taps])
     }
 
     /// Input gradient of [`Tensor::conv2d`]: `self` is the output gradient
@@ -882,17 +911,17 @@ impl Tensor {
             )));
         }
         let (n, dc) = grad_dims(self, geom)?;
-        let plan = Plan::new(geom, n, taps / kk, oc);
+        let (c, (oh, ow)) = (taps / kk, geom.out_hw());
         if dc != oc {
             return Err(TensorError::ShapeMismatch {
-                left: vec![n, oc, plan.oh, plan.ow],
+                left: vec![n, oc, oh, ow],
                 right: self.dims().to_vec(),
             });
         }
-        let (chw, slab) = (plan.c * plan.h * plan.w, oc * plan.oh * plan.ow);
+        let (chw, slab) = (c * geom.in_h * geom.in_w, oc * oh * ow);
         let mut out = pool::lease(n * chw);
-        if let Some(product) = Product::begin(taps, n * plan.oh * plan.ow, oc) {
-            let blocks = plan.c.div_ceil(DX_CHANNELS);
+        if let Some(product) = Product::begin(taps, n * oh * ow, oc) {
+            let blocks = c.div_ceil(DX_CHANNELS);
             let mut wg = pool::lease(blocks * kk * oc * DX_CHANNELS);
             for (o, row) in w.data().chunks_exact(taps).enumerate() {
                 for (ch, taps) in row.chunks_exact(kk).enumerate() {
@@ -903,10 +932,11 @@ impl Tensor {
                 }
             }
             for img0 in (0..n).step_by(FOLD_IMAGES) {
-                let chunk = Plan::new(geom, FOLD_IMAGES.min(n - img0), plan.c, oc);
+                let chunk = Plan::new(geom, FOLD_IMAGES.min(n - img0), c, oc, product.width);
                 let dy = &self.data()[img0 * slab..][..chunk.n * slab];
                 let out = &mut out[img0 * chw..][..chunk.n * chw];
-                let plan = chunk.with_plane_len((chunk.n * chunk.ig).div_ceil(DX_SITES) * DX_SITES);
+                let sites = chunk.dx_sites();
+                let plan = chunk.with_plane_len((chunk.n * chunk.ig).div_ceil(sites) * sites);
                 // Sites reach positions up to `front` past them, so `dY`
                 // rows start that many zero sites late and every read
                 // stays inside the row.
@@ -935,7 +965,7 @@ impl Tensor {
                     out: SharedOut::new(&mut dxs),
                 };
                 let planes = plan.sp * plan.sp;
-                execute(&product, &pass, blocks * planes * plan.ps / DX_SITES);
+                execute(&product, &pass, blocks * planes * plan.ps / sites);
                 plan.merge(&dxs, out);
                 pool::recycle(dyg);
                 pool::recycle(real);
@@ -943,7 +973,7 @@ impl Tensor {
             }
             pool::recycle(wg);
         }
-        Tensor::from_vec(out, [n, plan.c, plan.h, plan.w])
+        Tensor::from_vec(out, [n, c, geom.in_h, geom.in_w])
     }
 }
 
@@ -993,7 +1023,7 @@ mod tests {
     }
 
     fn plan(&(n, c, h, w, k, s, p): &(usize, usize, usize, usize, usize, usize, usize)) -> Plan {
-        Plan::new(&ConvGeometry::new(h, w, k, s, p).unwrap(), n, c, 1)
+        Plan::new(&ConvGeometry::new(h, w, k, s, p).unwrap(), n, c, 1, 8)
     }
 
     /// Whether a tap reads pixel `(y, x)`: its padded coordinates fall in

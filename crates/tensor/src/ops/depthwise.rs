@@ -27,11 +27,13 @@
 //!   instead — all bits set for a real tap with a nonzero `dY`, clear
 //!   otherwise — so a skipped term adds +0.0 rather than a NaN.
 //!
-//! **Layout.** All three passes put 8 channels side by side in the lanes.
-//! The batch runs in chunks of whole images. An item folds one channel
-//! group of one chunk into the plan's layout, with the group's 8 channels
-//! next to each other at every slot, and lays `dY` onto the site grid the
-//! same way, with `(k − 1)/s·(wq + 1)` zero sites in front. A tap then
+//! **Layout.** All three passes put a group of channels side by side in the
+//! lanes, one per lane: 8 or 16, the product's lane width (8 for at most 8
+//! channels), which the plan and every lane-interleaved copy are sized from
+//! before a pass runs. The batch runs in chunks of whole images. An item
+//! folds one channel group of one chunk into the plan's layout, with the
+//! group's channels next to each other at every slot, and lays `dY` onto
+//! the site grid the same way, with `(k − 1)/s·(wq + 1)` zero sites in front. A tap then
 //! reads a constant offset from its site, for any stride, and only real
 //! sites and pixels are computed. The forward walks an image's output rows,
 //! up to [`RUN`] neighbouring sites at a time (independent chains side by
@@ -52,7 +54,7 @@ use crate::error::{Result, TensorError};
 use crate::ops::conv::ConvGeometry;
 use crate::ops::conv::{grad_dims, input_dims, Plan, FOLD_IMAGES};
 use crate::ops::gemm::{Product, SharedOut};
-use crate::ops::lanes::{execute, Lanes, Pass, LANES};
+use crate::ops::lanes::{execute, Lanes, Pass};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -68,21 +70,21 @@ const CHUNK_FLOATS: usize = 4 << 10;
 /// the rows past its last image (see [`lease_scratch`]).
 const SCRATCH_FLOATS: usize = 2 * CHUNK_FLOATS;
 /// Taps per dW item: one 3×3 window's nine chains, with the `dY` lanes,
-/// its mask and a load, fit the sixteen ymm registers.
+/// its mask and a load, fit the sixteen ymm registers at 8 lanes.
 const DW_TAPS: usize = 9;
 
 /// The lanes at slot `i` of a lane-interleaved buffer.
 ///
 /// # Safety
 ///
-/// `buf` must hold `(i + 1)·LANES` values.
+/// `buf` must hold `(i + 1)·N` values.
 #[inline(always)]
 unsafe fn lanes_at<V: Lanes>(buf: &[f32], i: usize) -> V {
-    V::load(buf.get_unchecked(i * LANES..(i + 1) * LANES))
+    V::load(buf.get_unchecked(i * V::N..(i + 1) * V::N))
 }
 
 /// Writes the lanes of `v` to NCHW `out`: channel `c0 + l` of a group at
-/// `at + l·plane`, for the group's first `real` channels.
+/// `at + l·plane`, for the group's first `real ≤ N` channels.
 ///
 /// # Safety
 ///
@@ -131,9 +133,9 @@ struct Shape {
 }
 
 impl Shape {
-    fn new(geom: &ConvGeometry, n: usize, c: usize) -> Shape {
-        let plan = Plan::new(geom, n, c, c);
-        let per_image = LANES * plan.sp * plan.sp * plan.ig;
+    fn new(geom: &ConvGeometry, n: usize, c: usize, lanes: usize) -> Shape {
+        let plan = Plan::new(geom, n, c, c, lanes);
+        let per_image = lanes * plan.sp * plan.sp * plan.ig;
         Shape {
             geom: *geom,
             plan,
@@ -146,21 +148,24 @@ impl Shape {
     }
 
     fn groups(&self) -> usize {
-        self.plan.ocp / LANES
+        self.plan.ocp / self.plan.lanes
     }
 
     /// Chunk `i`: its plan and the batch index of its first image.
     fn chunk(&self, i: usize) -> (Plan, usize) {
         let img0 = i * self.imgs;
         let n = self.imgs.min(self.plan.n - img0);
-        (Plan::new(&self.geom, n, self.plan.c, self.plan.c), img0)
-    }
-
-    /// `2·n·c·oh·ow·k²`: the flops of each pass.
-    fn flops(&self) -> u64 {
         let p = &self.plan;
-        (2 * p.n * p.c * p.oh * p.ow * p.k * p.k) as u64
+        (Plan::new(&self.geom, n, p.c, p.c, p.lanes), img0)
     }
+}
+
+/// Starts one pass over `n` images of `c` channels: `2·n·c·oh·ow·k²`
+/// flops in a `depthwise` span, on lanes no wider than the channels need.
+fn begin(geom: &ConvGeometry, n: usize, c: usize) -> Option<Product> {
+    let (oh, ow) = geom.out_hw();
+    let flops = (2 * n * c * oh * ow * geom.kernel * geom.kernel) as u64;
+    Product::begin_uncounted("depthwise", flops).map(|p| p.lanes_over(c))
 }
 
 /// Forward: `(chunk, channel group)` items of the NCHW output.
@@ -177,9 +182,10 @@ struct Forward<'a> {
 impl Pass for Forward<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
+        self.shape.plan.check_lanes::<V>();
         let groups = self.shape.groups();
         for item in lo..hi {
-            let (chunk, c0) = (item / groups, item % groups * LANES);
+            let (chunk, c0) = (item / groups, item % groups * V::N);
             let (plan, img0) = self.shape.chunk(chunk);
             let xt = fold_lanes(&plan, self.x, img0, c0);
             let real = match self.masked {
@@ -189,7 +195,7 @@ impl Pass for Forward<'_> {
             let group = ForwardGroup {
                 plan,
                 offs: &tap_offsets(&plan),
-                wt: &self.wt[c0 * plan.k * plan.k..][..plan.k * plan.k * LANES],
+                wt: &self.wt[c0 * plan.k * plan.k..][..plan.k * plan.k * V::N],
                 xt: &xt,
                 real: &real,
                 out: self.out,
@@ -222,7 +228,7 @@ struct ForwardGroup<'a> {
 }
 
 impl ForwardGroup<'_> {
-    /// The outputs of channels `c0..c0 + LANES` over the sites of the
+    /// The outputs of channels `c0..c0 + N` over the sites of the
     /// chunk's image `img` (batch image `img0 + img`); `MASK` ANDs the
     /// real-pixel mask into every product.
     #[inline(always)]
@@ -232,8 +238,8 @@ impl ForwardGroup<'_> {
         let last = img * p.ig + (p.oh - 1) * p.wq + p.ow - 1 + reach;
         assert!(last <= p.cs, "tap past the folded buffer");
         assert!(!MASK || last <= self.real.len(), "tap past the mask");
-        assert!(self.wt.len() == self.offs.len() * LANES, "weights per tap");
-        let (ohw, real) = (p.oh * p.ow, LANES.min(p.c - c0));
+        assert!(self.wt.len() == self.offs.len() * V::N, "weights per tap");
+        let (ohw, real) = (p.oh * p.ow, V::N.min(p.c - c0));
         for oy in 0..p.oh {
             let g0 = img * p.ig + oy * p.wq;
             let at = ((img0 + img) * p.c + c0) * ohw + oy * p.ow;
@@ -325,9 +331,10 @@ impl Phase {
 impl Pass for GradX<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
+        self.shape.plan.check_lanes::<V>();
         let groups = self.shape.groups();
         for item in lo..hi {
-            let (chunk, c0) = (item / groups, item % groups * LANES);
+            let (chunk, c0) = (item / groups, item % groups * V::N);
             let (plan, img0) = self.shape.chunk(chunk);
             let dy = DyLanes::new(&plan, self.dy, img0, c0);
             let live = match self.masked {
@@ -337,7 +344,7 @@ impl Pass for GradX<'_> {
             let group = GradXGroup {
                 plan,
                 phases: self.phases,
-                wt: &self.wt[c0 * plan.k * plan.k..][..plan.k * plan.k * LANES],
+                wt: &self.wt[c0 * plan.k * plan.k..][..plan.k * plan.k * V::N],
                 dy: &dy,
                 live: &live,
                 out: self.out,
@@ -369,16 +376,16 @@ struct GradXGroup<'a> {
 }
 
 impl GradXGroup<'_> {
-    /// dX of channels `c0..c0 + LANES` at the pixels of the chunk's image
+    /// dX of channels `c0..c0 + N` at the pixels of the chunk's image
     /// `img` (batch image `img0 + img`); `MASK` ANDs the live-site mask
     /// into every product.
     #[inline(always)]
     fn image<V: Lanes, const MASK: bool>(&self, c0: usize, img0: usize, img: usize) {
         let (p, dy) = (&self.plan, self.dy);
         let s = p.s;
-        assert!(self.wt.len() == p.k * p.k * LANES, "weights per tap");
+        assert!(self.wt.len() == p.k * p.k * V::N, "weights per tap");
         assert!(!MASK || self.live.len() == dy.grid.len(), "mask per site");
-        let (hw, real) = (p.h * p.w, LANES.min(p.c - c0));
+        let (hw, real) = (p.h * p.w, V::N.min(p.c - c0));
         // Padded row `y + p` is row `a` of phase `ry`, stepped rather than
         // divided per row. Rows and columns of phases no tap reads (stride
         // above kernel) keep their zero gradient.
@@ -457,10 +464,11 @@ impl Pass for GradW<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
         let p = &self.shape.plan;
+        p.check_lanes::<V>();
         let kk = p.k * p.k;
         let tap_tiles = kk.div_ceil(DW_TAPS);
         for item in lo..hi {
-            let (c0, t0) = (item / tap_tiles * LANES, item % tap_tiles * DW_TAPS);
+            let (c0, t0) = (item / tap_tiles * V::N, item % tap_tiles * DW_TAPS);
             let mut acc = [V::zero(); DW_TAPS];
             for chunk in 0..self.shape.chunks() {
                 match self.masked {
@@ -469,7 +477,7 @@ impl Pass for GradW<'_> {
                 }
             }
             for (i, row) in acc.map(V::to_array).iter().enumerate().take(kk - t0) {
-                for (l, &v) in row.iter().enumerate().take(p.c - c0) {
+                for (l, &v) in row.iter().enumerate().take(V::N.min(p.c - c0)) {
                     // SAFETY: `(c0 + l, t0 + i)` lies inside the `c × k·k`
                     // output, and items own disjoint tiles of it.
                     unsafe { *self.out.ptr().add((c0 + l) * kk + t0 + i) = v };
@@ -480,7 +488,7 @@ impl Pass for GradW<'_> {
 }
 
 impl GradW<'_> {
-    /// Continues the dW chains `acc` of channels `c0..c0 + LANES` and taps
+    /// Continues the dW chains `acc` of channels `c0..c0 + N` and taps
     /// `t0..t0 + DW_TAPS` (taps past the end repeat the last one, and the
     /// caller drops them) over chunk `chunk`: one chain per tap of products
     /// `dY·x` over the sites in `(img, oy, ox)` order; `MASK` ANDs the
@@ -555,14 +563,14 @@ fn lease_scratch(len: usize) -> Vec<f32> {
 }
 
 /// Channel group `c0` of `plan`'s images of the NCHW batch `x` (batch
-/// images `img0..`), folded into the plan's layout with the group's 8
-/// channels side by side at every slot: element `slot·LANES + lane`.
+/// images `img0..`), folded into the plan's layout with the group's
+/// channels side by side at every slot: element `slot·lanes + lane`.
 /// Padding slots and channels past the last are zero.
 fn fold_lanes(plan: &Plan, x: &[f32], img0: usize, c0: usize) -> Vec<f32> {
-    let (c, s, p, hw) = (plan.c, plan.s, plan.p, plan.h * plan.w);
-    let mut xt = lease_scratch(plan.cs * LANES);
+    let (c, s, p, hw, lanes) = (plan.c, plan.s, plan.p, plan.h * plan.w, plan.lanes);
+    let mut xt = lease_scratch(plan.cs * lanes);
     for img in 0..plan.n {
-        let src = &x[((img0 + img) * c + c0) * hw..][..LANES.min(c - c0) * hw];
+        let src = &x[((img0 + img) * c + c0) * hw..][..lanes.min(c - c0) * hw];
         // Padded row `y + p` is row `a` of phase `ry`, and padded column
         // `x + p` column `b` of phase `rx`; both are stepped rather than
         // divided per pixel. Pixels of phases no tap reads (stride above
@@ -573,7 +581,7 @@ fn fold_lanes(plan: &Plan, x: &[f32], img0: usize, c0: usize) -> Vec<f32> {
             for px in y * plan.w..(y + 1) * plan.w {
                 if ry < plan.sp && rx < plan.sp {
                     let slot = (ry * plan.sp + rx) * plan.ps + img * plan.ig + a * plan.wq + b;
-                    gather(&mut xt[slot * LANES..][..LANES], src, px, hw);
+                    gather(&mut xt[slot * lanes..][..lanes], src, px, hw);
                 }
                 (b, rx) = if rx + 1 == s { (b + 1, 0) } else { (b, rx + 1) };
             }
@@ -584,14 +592,14 @@ fn fold_lanes(plan: &Plan, x: &[f32], img0: usize, c0: usize) -> Vec<f32> {
 }
 
 /// Sets lane `l` of `dst` to `src[at + l·plane]` for every plane `src`
-/// holds (at most `LANES`).
+/// holds (at most `dst.len()`).
 #[inline(always)]
 fn gather(dst: &mut [f32], src: &[f32], at: usize, plane: usize) {
-    assert!(at < plane && dst.len() == LANES, "pixel past its plane");
     let lanes = src.len() / plane;
+    assert!(at < plane && lanes <= dst.len(), "pixel past its plane");
     // SAFETY: `at + l·plane < (l + 1)·plane ≤ src.len()` for `l < lanes`.
     let value = |l: usize| unsafe { *src.get_unchecked(at + l * plane) };
-    if lanes == LANES {
+    if lanes == dst.len() {
         for (l, d) in dst.iter_mut().enumerate() {
             *d = value(l);
         }
@@ -605,8 +613,8 @@ fn gather(dst: &mut [f32], src: &[f32], at: usize, plane: usize) {
 /// Whether every value of `v` is finite: `x·0` is NaN exactly for an
 /// infinite or NaN `x`, and eight independent sums of them vectorize.
 fn all_finite(v: &[f32]) -> bool {
-    let mut sums = [0.0f32; LANES];
-    let chunks = v.chunks_exact(LANES);
+    let mut sums = [0.0f32; 8];
+    let chunks = v.chunks_exact(8);
     let rest = chunks.remainder();
     for chunk in chunks {
         for (s, &x) in sums.iter_mut().zip(chunk) {
@@ -620,31 +628,31 @@ fn all_finite(v: &[f32]) -> bool {
 /// pixel, clear on their padding: one channel's planes, which every
 /// channel shares.
 fn real_mask(geom: &ConvGeometry, plan: &Plan) -> Vec<f32> {
-    let one = Plan::new(geom, plan.n, 1, 1);
+    let one = Plan::new(geom, plan.n, 1, 1, plan.lanes);
     let mut real = lease_scratch(one.cs);
     one.for_each_run(|_, slot, len| real[slot..][..len].fill(KEEP));
     real
 }
 
-/// The weights `(c, k·k)` with the 8 channels of a group side by side per
-/// tap: element `(group·k·k + tap)·LANES + lane`, zero past the last
+/// The weights `(c, k·k)` with the channels of a group side by side per
+/// tap: element `(group·k·k + tap)·lanes + lane`, zero past the last
 /// channel.
 fn lane_weights(w: &[f32], plan: &Plan) -> Vec<f32> {
-    let kk = plan.k * plan.k;
+    let (kk, lanes) = (plan.k * plan.k, plan.lanes);
     let mut wt = pool::lease(plan.ocp * kk);
     for (ch, taps) in w.chunks_exact(kk).enumerate() {
-        let group = ch / LANES * kk;
+        let group = ch / lanes * kk;
         for (t, &v) in taps.iter().enumerate() {
-            wt[(group + t) * LANES + ch % LANES] = v;
+            wt[(group + t) * lanes + ch % lanes] = v;
         }
     }
     wt
 }
 
 /// Channel group `c0` of `dY` for `plan`'s images (batch images `img0..`)
-/// on the plan's site grid, the group's 8 channels side by side.
+/// on the plan's site grid, the group's channels side by side.
 struct DyLanes {
-    /// Element `(front + site)·LANES + lane`; junk and front sites and
+    /// Element `(front + site)·lanes + lane`; junk and front sites and
     /// channels past the last are zero.
     grid: Vec<f32>,
     /// Zero sites in front of the grid: sites reach pixels up to this many
@@ -658,14 +666,15 @@ impl DyLanes {
     fn new(plan: &Plan, dy: &[f32], img0: usize, c0: usize) -> DyLanes {
         let front = (plan.k - 1) / plan.s * (plan.wq + 1);
         let row = front + plan.ps;
-        let mut grid = lease_scratch(row * LANES);
+        let lanes = plan.lanes;
+        let mut grid = lease_scratch(row * lanes);
         let (c, ohw) = (plan.c, plan.oh * plan.ow);
         for img in 0..plan.n {
-            let src = &dy[((img0 + img) * c + c0) * ohw..][..LANES.min(c - c0) * ohw];
+            let src = &dy[((img0 + img) * c + c0) * ohw..][..lanes.min(c - c0) * ohw];
             for oy in 0..plan.oh {
                 let at = front + img * plan.ig + oy * plan.wq;
                 for ox in 0..plan.ow {
-                    let d = &mut grid[(at + ox) * LANES..][..LANES];
+                    let d = &mut grid[(at + ox) * lanes..][..lanes];
                     gather(d, src, oy * plan.ow + ox, ohw);
                 }
             }
@@ -721,11 +730,11 @@ impl Tensor {
     pub fn depthwise_conv2d(&self, w: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(self, geom)?;
         check_weight(w, c, geom.kernel)?;
-        let shape = Shape::new(geom, n, c);
-        let p = shape.plan;
-        let mut out = pool::lease(n * c * p.oh * p.ow);
-        if let Some(product) = Product::begin_uncounted("depthwise", shape.flops()) {
-            let wt = lane_weights(w.data(), &p);
+        let (oh, ow) = geom.out_hw();
+        let mut out = pool::lease(n * c * oh * ow);
+        if let Some(product) = begin(geom, n, c) {
+            let shape = Shape::new(geom, n, c, product.width);
+            let wt = lane_weights(w.data(), &shape.plan);
             let pass = Forward {
                 shape,
                 x: self.data(),
@@ -736,7 +745,7 @@ impl Tensor {
             execute(&product, &pass, shape.chunks() * shape.groups());
             pool::recycle(wt);
         }
-        Tensor::from_vec(out, [n, c, p.oh, p.ow])
+        Tensor::from_vec(out, [n, c, oh, ow])
     }
 
     /// Input gradient of [`Tensor::depthwise_conv2d`]: `self` is the output
@@ -756,12 +765,11 @@ impl Tensor {
     pub fn depthwise_conv2d_grad_input(&self, w: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = grad_dims(self, geom)?;
         check_weight(w, c, geom.kernel)?;
-        let shape = Shape::new(geom, n, c);
-        let p = shape.plan;
-        let mut out = pool::lease(n * c * p.h * p.w);
-        if let Some(product) = Product::begin_uncounted("depthwise", shape.flops()) {
-            let wt = lane_weights(w.data(), &p);
-            let phases = Phase::all(&p);
+        let mut out = pool::lease(n * c * geom.in_h * geom.in_w);
+        if let Some(product) = begin(geom, n, c) {
+            let shape = Shape::new(geom, n, c, product.width);
+            let wt = lane_weights(w.data(), &shape.plan);
+            let phases = Phase::all(&shape.plan);
             let pass = GradX {
                 shape,
                 phases: &phases,
@@ -773,7 +781,7 @@ impl Tensor {
             execute(&product, &pass, shape.chunks() * shape.groups());
             pool::recycle(wt);
         }
-        Tensor::from_vec(out, [n, c, p.h, p.w])
+        Tensor::from_vec(out, [n, c, geom.in_h, geom.in_w])
     }
 
     /// Weight gradient of [`Tensor::depthwise_conv2d`]: `self` is the
@@ -792,17 +800,17 @@ impl Tensor {
     /// size.
     pub fn depthwise_conv2d_grad_weight(&self, x: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
         let (n, c) = input_dims(x, geom)?;
-        let shape = Shape::new(geom, n, c);
-        let p = shape.plan;
+        let (k, (oh, ow)) = (geom.kernel, geom.out_hw());
         if grad_dims(self, geom)? != (n, c) {
             return Err(TensorError::ShapeMismatch {
-                left: vec![n, c, p.oh, p.ow],
+                left: vec![n, c, oh, ow],
                 right: self.dims().to_vec(),
             });
         }
-        let kk = p.k * p.k;
+        let kk = k * k;
         let mut out = pool::lease(c * kk);
-        if let Some(product) = Product::begin_uncounted("depthwise", shape.flops()) {
+        if let Some(product) = begin(geom, n, c) {
+            let shape = Shape::new(geom, n, c, product.width);
             let pass = GradW {
                 shape,
                 x: x.data(),
@@ -812,6 +820,6 @@ impl Tensor {
             };
             execute(&product, &pass, shape.groups() * kk.div_ceil(DW_TAPS));
         }
-        Tensor::from_vec(out, [c, p.k, p.k])
+        Tensor::from_vec(out, [c, k, k])
     }
 }

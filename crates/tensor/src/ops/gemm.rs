@@ -3,31 +3,33 @@
 //!
 //! All matmul variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) route through one [`gemm`]
 //! entry point that handles transposition during packing, so the inner
-//! loop is always the same branch-free MR×NR micro-kernel over contiguous
-//! panels. Convolution runs its own direct kernels (`ops::conv`), which
-//! share this module's kernel selection, span, counters, KC block and
-//! worker pool through [`Product`].
+//! loop is always the same branch-free MR × 2N micro-kernel (N the lane
+//! width) over contiguous panels. Convolution runs its own direct kernels
+//! (`ops::conv`), which share this module's kernel selection, span,
+//! counters, KC block and worker pool through [`Product`].
 //!
 //! * **Packing** — for each KC-deep slice of the reduction dimension, a
 //!   block of A is repacked into MR-row strips (`strip·kc·MR + kk·MR + r`)
-//!   and a block of B into NR-column strips (`strip·kc·NR + kk·NR + j`),
-//!   both zero-padded to full strip width.
-//! * **Micro-kernel** — one 6×16 register tile for both [`GemmKernel`]s,
-//!   written once over the lanes of [`crate::ops::lanes`]: twelve
-//!   `f32x8` accumulators, each packed k-step broadcasting six A values
-//!   against two B vectors. The lanes are the only place that encodes
-//!   rounding: plain mul+add under `Scalar` (within a KC block the
-//!   ascending-k order of [`crate::matmul_reference`]), one fused
-//!   multiply-add per step under `Avx2Fma`. Every C element is one chain
-//!   per KC block, started from zero and added into C in block order —
-//!   see the bitwise contracts in `crates/tensor/tests/gemm_kernels.rs`.
+//!   and a block of B into `nr = 2N`-column strips
+//!   (`strip·kc·nr + kk·nr + j`), both zero-padded to full strip width.
+//! * **Micro-kernel** — one 6 × 2N register tile for every lane width N,
+//!   written once over the lanes of [`crate::ops::lanes`]: twelve N-lane
+//!   accumulators (6×16 at 8 lanes, 6×32 at 16), each packed k-step
+//!   broadcasting six A values against two B vectors. The lanes are the
+//!   only place that encodes rounding: plain mul+add under `Scalar`
+//!   (within a KC block the ascending-k order of
+//!   [`crate::matmul_reference`]), one fused multiply-add per step under
+//!   `Avx2Fma`. Every C element is one chain per KC block, started from
+//!   zero and added into C in block order, whichever strip holds its
+//!   column — see the bitwise contracts in
+//!   `crates/tensor/tests/gemm_kernels.rs`.
 //! * **Blocking** — loops are ordered jc → pc → ic → jr → ir with cache
 //!   blocks NC/KC/MC, so the B panel stays in L2/L3 across the ic loop and
 //!   each A strip stays in L1 across the jr loop (the BLIS / GotoBLAS
 //!   loop nest).
 //! * **Multicore** — when `HERO_THREADS ≥ 2` (or [`set_gemm_threads`])
 //!   and the product is large enough, the jc loop is partitioned into
-//!   contiguous NR-aligned column chunks scattered over a process-wide
+//!   contiguous strip-aligned column chunks scattered over a process-wide
 //!   [`WorkerPool`]. Each worker runs the full serial loop nest over its
 //!   own chunk with pack buffers leased from its *own* thread-local
 //!   [`crate::pool`], and owns a disjoint set of C columns, so there is
@@ -39,7 +41,7 @@
 //! steady-state training step performs no fresh pack allocations — on the
 //! calling thread and on every GEMM worker alike.
 
-use crate::ops::lanes::{dispatch, Lanes, Pass, LANES};
+use crate::ops::lanes::{dispatch, fused_supported, select, Lanes, Pass, MAX_LANES, MIN_LANES};
 use crate::pool;
 use crate::workers::{Job, WorkerPool};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -47,17 +49,16 @@ use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
 
 /// Micro-tile rows: six broadcast A values against two B vectors give
 /// twelve accumulators (+ 1 broadcast + 2 B loads = 15 of the 16 ymm
-/// registers under AVX2).
+/// registers under AVX2). The tile is `MR × 2N` for lane width `N`: B is
+/// packed in strips of two lane vectors.
 const MR: usize = 6;
-/// Micro-tile columns: two lane vectors.
-const NR: usize = 2 * LANES;
 /// Reduction-dimension cache block (sizes the packed panels). Every C
 /// element is the sum of one chain per block, each started from zero, so
 /// this constant is part of the rounding the convolution kernels match.
 pub(crate) const KC: usize = 256;
 /// Row cache block — a multiple of `MR`.
 const MC: usize = 126;
-/// Column cache block — a multiple of `NR`.
+/// Column cache block — a multiple of every strip width `2N`.
 const NC: usize = 512;
 
 /// Minimum `2·m·n·k` flop count before a product considers fanning out to
@@ -73,8 +74,10 @@ pub enum GemmKernel {
     /// for the same operands.
     Scalar,
     /// x86-64 lanes of fused multiply-adds (`vfmadd231ps`); requires
-    /// AVX2+FMA at runtime. Fused rounding makes it differ from `Scalar`
-    /// by a few ULP per dot product.
+    /// AVX2+FMA at runtime, and runs 16 lanes wide (`__m512`) where the
+    /// CPU also has AVX-512F, 8 wide (`__m256`) otherwise. The width
+    /// changes no bit, so the name stays. Fused rounding makes it differ
+    /// from `Scalar` by a few ULP per dot product.
     Avx2Fma,
 }
 
@@ -97,18 +100,6 @@ impl GemmKernel {
     }
 }
 
-/// True when this CPU can run the AVX2/FMA lanes.
-fn simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Kernel chosen by runtime detection, honoring the `HERO_NO_SIMD`
 /// escape hatch (any value other than `0`/empty disables SIMD for the
 /// process — the env var is read once).
@@ -116,7 +107,7 @@ fn detected_kernel() -> GemmKernel {
     static DETECTED: OnceLock<GemmKernel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         let disabled = std::env::var("HERO_NO_SIMD").is_ok_and(|v| !v.is_empty() && v != "0");
-        if !disabled && simd_supported() {
+        if !disabled && fused_supported() {
             GemmKernel::Avx2Fma
         } else {
             GemmKernel::Scalar
@@ -130,7 +121,9 @@ static FORCED_KERNEL: AtomicU8 = AtomicU8::new(0);
 /// Overrides runtime kernel detection process-wide (`None` restores
 /// auto-detection). Forcing [`GemmKernel::Avx2Fma`] on hardware without
 /// AVX2+FMA silently falls back to scalar rather than faulting, so tests
-/// and benches can request both variants unconditionally.
+/// and benches can request both variants unconditionally. The fused
+/// kernel runs at the widest lanes the CPU has (see
+/// [`lane_width`](crate::lane_width)); no override changes the width.
 pub fn force_gemm_kernel(kernel: Option<GemmKernel>) {
     let v = match kernel {
         None => 0,
@@ -145,7 +138,7 @@ pub fn force_gemm_kernel(kernel: Option<GemmKernel>) {
 pub fn active_gemm_kernel() -> GemmKernel {
     match FORCED_KERNEL.load(Ordering::Relaxed) {
         1 => GemmKernel::Scalar,
-        2 if simd_supported() => GemmKernel::Avx2Fma,
+        2 if fused_supported() => GemmKernel::Avx2Fma,
         2 => GemmKernel::Scalar,
         _ => detected_kernel(),
     }
@@ -177,11 +170,15 @@ fn gemm_threads() -> usize {
     })
 }
 
-/// One matrix product in flight: the kernel it runs on, its flop count,
-/// and the kernel's span, open until the product is dropped.
+/// One matrix product in flight: the kernel and lane width it runs on,
+/// its flop count, and the kernel's span, open until the product is
+/// dropped.
 pub(crate) struct Product {
     /// The micro-kernel variant every part of the product uses.
     pub(crate) kernel: GemmKernel,
+    /// The kernel's lane width: every layout a pass derives from the width
+    /// is sized from this before the pass runs.
+    pub(crate) width: usize,
     /// `2·m·n·k`.
     flops: u64,
     _span: hero_obs::SpanGuard,
@@ -195,7 +192,7 @@ impl Product {
         if m == 0 || n == 0 || k == 0 {
             return None;
         }
-        let kernel = active_gemm_kernel();
+        let (kernel, width) = select();
         let span = hero_obs::span(kernel.span_name());
         hero_obs::counters::GEMM_CALLS.incr();
         let flops = 2 * (m as u64) * (n as u64) * (k as u64);
@@ -205,6 +202,7 @@ impl Product {
         }
         Some(Product {
             kernel,
+            width,
             flops,
             _span: span,
         })
@@ -215,11 +213,26 @@ impl Product {
     /// kernel's lanes and worker pool, but adds nothing to the GEMM
     /// counters. Returns `None` for no flops.
     pub(crate) fn begin_uncounted(span: &'static str, flops: u64) -> Option<Product> {
-        (flops > 0).then(|| Product {
-            kernel: active_gemm_kernel(),
-            flops,
-            _span: hero_obs::span(span),
+        (flops > 0).then(|| {
+            let (kernel, width) = select();
+            Product {
+                kernel,
+                width,
+                flops,
+                _span: hero_obs::span(span),
+            }
         })
+    }
+
+    /// This product at 8 lanes when its pass puts at most 8 channels side
+    /// by side in the lanes (the conv dW and depthwise passes): wider lanes
+    /// would compute as many padding channels as real ones. The bits are
+    /// the same at either width.
+    pub(crate) fn lanes_over(mut self, channels: usize) -> Product {
+        if channels <= MIN_LANES {
+            self.width = MIN_LANES;
+        }
+        self
     }
 
     /// Runs `work(lo, hi)` over `0..items`: split into contiguous chunks
@@ -310,7 +323,7 @@ fn pack_a(
     }
 }
 
-/// Packs the `kc × nc` block of B at `(pc, jc)` into `NR`-column strips
+/// Packs the `kc × nc` block of B at `(pc, jc)` into `nr`-column strips
 /// (`ldb` is `n` row-major, `k` when transposed). The final partial strip
 /// is zero-padded.
 #[allow(clippy::too_many_arguments)]
@@ -323,23 +336,24 @@ fn pack_b(
     kc: usize,
     jc: usize,
     nc: usize,
+    nr: usize,
 ) {
-    let strips = nc.div_ceil(NR);
+    let strips = nc.div_ceil(nr);
     for s in 0..strips {
-        let base = s * kc * NR;
-        let cols = NR.min(nc - s * NR);
+        let base = s * kc * nr;
+        let cols = nr.min(nc - s * nr);
         for kk in 0..kc {
-            let at = base + kk * NR;
+            let at = base + kk * nr;
             let gk = pc + kk;
             for j in 0..cols {
-                let gj = jc + s * NR + j;
+                let gj = jc + s * nr + j;
                 dst[at + j] = if trans {
                     b[gj * ldb + gk]
                 } else {
                     b[gk * ldb + gj]
                 };
             }
-            for j in cols..NR {
+            for j in cols..nr {
                 dst[at + j] = 0.0;
             }
         }
@@ -353,7 +367,7 @@ struct Tiles<'a> {
     kc: usize,
     /// The packed A block, `kc·MR` per strip.
     ap: &'a [f32],
-    /// One packed B strip, `kc·NR`.
+    /// One packed B strip, `kc·2N` for lane width `N`.
     bp: &'a [f32],
     c: SharedOut,
     ldc: usize,
@@ -364,6 +378,12 @@ struct Tiles<'a> {
 impl Pass for Tiles<'_> {
     #[inline(always)]
     fn run<V: Lanes>(&self, lo: usize, hi: usize) {
+        let nr = 2 * V::N;
+        assert_eq!(
+            self.bp.len(),
+            self.kc * nr,
+            "B strip packed at another width"
+        );
         for s in lo..hi {
             let ap = &self.ap[s * self.kc * MR..][..self.kc * MR];
             let acc = micro_kernel::<V>(ap, self.bp);
@@ -372,16 +392,16 @@ impl Pass for Tiles<'_> {
                 // SAFETY: row `s·MR + r` of the corner lies inside C, and
                 // the caller owns these columns of it.
                 let row = unsafe { self.c.slice((s * MR + r) * self.ldc, self.nr) };
-                if self.nr == NR {
-                    for (d, &l) in row.chunks_exact_mut(LANES).zip(lanes) {
+                if self.nr == nr {
+                    for (d, &l) in row.chunks_exact_mut(V::N).zip(lanes) {
                         V::load(d).add(l).store(d);
                     }
                 } else {
                     // An edge tile adds element by element, which rounds
                     // as the lane add does.
-                    let mut tile = [0.0; NR];
+                    let mut tile = [0.0; 2 * MAX_LANES];
                     lanes[0].store(&mut tile);
-                    lanes[1].store(&mut tile[LANES..]);
+                    lanes[1].store(&mut tile[V::N..]);
                     for (d, &v) in row.iter_mut().zip(&tile) {
                         *d += v;
                     }
@@ -391,17 +411,18 @@ impl Pass for Tiles<'_> {
     }
 }
 
-/// The MR×NR register tile of `Ap · Bp` over the packed k-steps: one
+/// The MR × 2N register tile of `Ap · Bp` over the packed k-steps: one
 /// chain per element, from zero, in ascending k with the lanes'
 /// multiply-add. k is unrolled 2×, which halves the loop overhead and
 /// leaves every chain's order as it is.
 #[inline(always)]
 fn micro_kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
     let mut acc = [[V::zero(); 2]; MR];
-    let (mut a2, mut b2) = (ap.chunks_exact(2 * MR), bp.chunks_exact(2 * NR));
+    let nr = 2 * V::N;
+    let (mut a2, mut b2) = (ap.chunks_exact(2 * MR), bp.chunks_exact(2 * nr));
     for (a, b) in (&mut a2).zip(&mut b2) {
-        k_step(&mut acc, &a[..MR], &b[..NR]);
-        k_step(&mut acc, &a[MR..], &b[NR..]);
+        k_step(&mut acc, &a[..MR], &b[..nr]);
+        k_step(&mut acc, &a[MR..], &b[nr..]);
     }
     if !a2.remainder().is_empty() {
         k_step(&mut acc, a2.remainder(), b2.remainder());
@@ -412,7 +433,7 @@ fn micro_kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
 /// One packed k-step: six A broadcasts against the two B vectors.
 #[inline(always)]
 fn k_step<V: Lanes>(acc: &mut [[V; 2]; MR], a: &[f32], b: &[f32]) {
-    let (b0, b1) = (V::load(b), V::load(&b[LANES..]));
+    let (b0, b1) = (V::load(b), V::load(&b[V::N..]));
     for (lanes, &ar) in acc.iter_mut().zip(&a[..MR]) {
         let av = V::splat(ar);
         lanes[0] = lanes[0].mul_add(av, b0);
@@ -421,18 +442,18 @@ fn k_step<V: Lanes>(acc: &mut [[V; 2]; MR], a: &[f32], b: &[f32]) {
 }
 
 /// Runs the serial BLIS loop nest over C columns `[j0, j1)` on `kernel`'s
-/// lanes, leasing pack buffers from the *calling thread's* scratch pool
-/// (per-worker buffers in the parallel path).
+/// lanes, `width` wide, leasing pack buffers from the *calling thread's*
+/// scratch pool (per-worker buffers in the parallel path).
 ///
 /// # Safety
 ///
 /// `c` must point to an `m × n` row-major matrix valid for reads and
 /// writes, and no other thread may concurrently access columns
-/// `[j0, j1)` of it (callers partition columns disjointly). When the
-/// kernel is [`GemmKernel::Avx2Fma`], the CPU must support AVX2+FMA.
+/// `[j0, j1)` of it (callers partition columns disjointly).
+/// `(kernel, width)` must come from [`select`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_range(
-    kernel: GemmKernel,
+    (kernel, width): (GemmKernel, usize),
     m: usize,
     n: usize,
     k: usize,
@@ -446,21 +467,22 @@ unsafe fn gemm_range(
 ) {
     let lda = if a_trans { m } else { k };
     let ldb = if b_trans { k } else { n };
+    let nr = 2 * width;
     // Exact panel capacities so repeat leases hit the pool's free list.
     let kc_cap = KC.min(k);
     let mut a_pack = pool::lease(round_up(m.min(MC), MR) * kc_cap);
-    let mut b_pack = pool::lease(round_up((j1 - j0).min(NC), NR) * kc_cap);
+    let mut b_pack = pool::lease(round_up((j1 - j0).min(NC), nr) * kc_cap);
     for jc in (j0..j1).step_by(NC) {
         let nc = NC.min(j1 - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let b_block = &mut b_pack[..round_up(nc, NR) * kc];
-            pack_b(b_block, b, b_trans, ldb, pc, kc, jc, nc);
+            let b_block = &mut b_pack[..round_up(nc, nr) * kc];
+            pack_b(b_block, b, b_trans, ldb, pc, kc, jc, nc, nr);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 let a_block = &mut a_pack[..round_up(mc, MR) * kc];
                 pack_a(a_block, a, a_trans, lda, ic, mc, pc, kc);
-                for (jr, bp) in (0..nc).step_by(NR).zip(b_block.chunks_exact(kc * NR)) {
+                for (jr, bp) in (0..nc).step_by(nr).zip(b_block.chunks_exact(kc * nr)) {
                     let tiles = Tiles {
                         kc,
                         ap: a_block,
@@ -468,9 +490,9 @@ unsafe fn gemm_range(
                         c: SharedOut(c.ptr().add(ic * n + jc + jr)),
                         ldc: n,
                         mc,
-                        nr: NR.min(nc - jr),
+                        nr: nr.min(nc - jr),
                     };
-                    dispatch(kernel, &tiles, 0, mc.div_ceil(MR));
+                    dispatch(kernel, width, &tiles, 0, mc.div_ceil(MR));
                 }
             }
         }
@@ -506,17 +528,19 @@ pub(crate) fn gemm(
     let Some(product) = Product::begin(m, n, k) else {
         return;
     };
-    let kernel = product.kernel;
+    let lanes = (product.kernel, product.width);
+    let nr = 2 * product.width;
     let out = SharedOut::new(c);
-    // One item per NR-wide column panel, so no packing strip straddles two
-    // workers and every C element sees exactly the serial summation order.
+    // One item per strip-wide column panel, so no packing strip straddles
+    // two workers and every C element sees exactly the serial summation
+    // order.
     let panels = |p0: usize, p1: usize| {
         // SAFETY: `out` is the exclusive `m × n` slice `c` and each call
-        // owns a disjoint range of panels; the kernel came from
-        // `active_gemm_kernel`, which only reports AVX2+FMA when present.
+        // owns a disjoint range of panels; the kernel and width came from
+        // `select`, which only reports lanes this CPU runs.
         unsafe {
             gemm_range(
-                kernel,
+                lanes,
                 m,
                 n,
                 k,
@@ -525,13 +549,13 @@ pub(crate) fn gemm(
                 b,
                 b_trans,
                 out,
-                p0 * NR,
-                (p1 * NR).min(n),
+                p0 * nr,
+                (p1 * nr).min(n),
             );
         }
     };
-    let items = n.div_ceil(NR);
-    if n >= 2 * NR {
+    let items = n.div_ceil(nr);
+    if n >= 2 * nr {
         product.split(items, &panels);
     } else {
         panels(0, items);

@@ -20,7 +20,11 @@
 #      one only when every use goes through a `use ... as` rename;
 #   4. `hero-testkit` (crates/testkit: the references and fixtures tests
 #      share) is only ever a dev-dependency — no `[dependencies]` table of
-#      a workspace crate or of benchmark/Cargo.toml names it.
+#      a workspace crate or of benchmark/Cargo.toml names it;
+#   5. only the lane layer touches the CPU — no `std::arch`, `core::arch`,
+#      `target_feature` or `is_x86_feature_detected` on a program line
+#      (library sources, crates/*/benches, examples/, benchmark/src)
+#      outside crates/tensor/src/ops/lanes.rs. It takes no waiver.
 #
 # Program code is each crates/*/src file outside crates/testkit, up to its
 # first `#[cfg(test)]` / `#[cfg(all(test, ...))]` line (the repo convention
@@ -211,6 +215,29 @@ testkit_dependents() {
 
 echo "==> manifest lint: hero-testkit is a dev-dependency only"
 testkit_dependents || fail=1
+
+LANE_LAYER=crates/tensor/src/ops/lanes.rs
+
+# arch_outside_lanes — prints each program line outside the lane layer
+# that names an intrinsic module, a target feature or CPU feature
+# detection, and returns nonzero if any.
+arch_outside_lanes() {
+  local bad=0 file hit
+  for file in $(lib_sources) crates/*/benches/*.rs examples/*.rs benchmark/src/*.rs; do
+    [[ -e "$file" && "$file" != "$LANE_LAYER" ]] || continue
+    while IFS= read -r hit; do
+      [[ -z "$hit" ]] && continue
+      echo "lint.sh: CPU-specific code outside $LANE_LAYER: $file:$hit"
+      bad=1
+    done < <(program_text "$file" |
+      grep -nE '(std|core)::arch|target_feature|is_x86_feature_detected' |
+      grep -vE '^[0-9]+:[[:space:]]*//' || true)
+  done
+  return $bad
+}
+
+echo "==> grep lint: intrinsics and CPU feature detection only in $LANE_LAYER"
+arch_outside_lanes || fail=1
 
 if [[ $fail -ne 0 ]]; then
   echo "lint.sh: grep lints FAILED (add a scripts/lint-allow.txt entry, with" \

@@ -189,8 +189,9 @@ fi
 
 echo "==> GEMM kernel sweep (gemm_shapes --quick, GFLOP/s per variant)"
 cargo bench -p hero-bench --bench gemm_shapes -- --quick
-# Tabulate GFLOP/s per shape across kernel variants (reference / scalar /
-# avx2fma), then per preset conv layer across the direct kernels (forward
+# Tabulate, under a header line giving each kernel's lane width, GFLOP/s
+# per shape across kernel variants (reference / scalar / avx2fma), then
+# per preset conv layer across the direct kernels (forward
 # / dW / dX), then µs and GB/s per batch-norm layer and the pool lease
 # time, into a diff-friendly artifact so CI surfaces SIMD speedups — and
 # regressions — next to the raw JSON.
@@ -217,8 +218,13 @@ awk -F'"' '
     if (variant == "fwd") convs[++nc] = name
     else if (variant != "dw" && variant != "dx" && !(name in seen)) { order[++n] = name; seen[name] = 1 }
     gflops[name "/" variant] = gf
+    if ((variant == "scalar" || variant == "avx2fma") && /"lane_width"/) {
+      lw = $0; sub(/.*"lane_width": /, "", lw); sub(/[,}].*/, "", lw)
+      lanes[variant] = lw + 0
+    }
   }
   END {
+    printf "lane width (chains per vector; no result bit depends on it): scalar %d, avx2fma %d\n\n", lanes["scalar"], lanes["avx2fma"]
     printf "%-34s %10s %10s %10s %8s\n", "shape", "reference", "scalar", "avx2fma", "simd-x"
     for (i = 1; i <= n; i++) {
       s = order[i]
