@@ -3,11 +3,11 @@
 //! file it wrote against `tests/golden/cli/<case>/` (stdout is stored as
 //! `stdout`; written files keep their relative paths).
 //!
-//! The child runs the portable scalar kernel on one worker
-//! (`HERO_NO_SIMD=1 HERO_THREADS=1`), so the transcripts do not depend on
-//! the host's SIMD support or core count. On a mismatch the actual bytes
-//! are written to a temp file that the failure names; compare it with the
-//! committed file to see what moved.
+//! The child runs on one worker (`HERO_THREADS=1`), so the transcripts do
+//! not depend on the host's core count. Both GEMM kernels round alike, so
+//! they do not depend on its SIMD support either. On a mismatch the actual
+//! bytes are written to a temp file that the failure names; compare it
+//! with the committed file to see what moved.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -51,7 +51,6 @@ fn transcript_of(name: &str, input: &str, command: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_hero"))
         .current_dir(&work)
         .args(&args)
-        .env("HERO_NO_SIMD", "1")
         .env("HERO_THREADS", "1")
         .env_remove("HERO_TRACE")
         .output()

@@ -4,10 +4,7 @@
 //! Op names appear in every report line and in the FNV `preflight_hash`
 //! stamped into `.ha` provenance, so this also pins the trace IR's op-name
 //! table. The reports are identical in debug and release builds and under
-//! both GEMM kernels (`HERO_NO_SIMD=1` included). MobileNet is left out:
-//! under `HERO_NO_SIMD=1` its `scale-explosion` bounds differ in the 9th
-//! digit, the expected FMA rounding difference between the kernels
-//! (DESIGN.md §13), so its report is not kernel-independent.
+//! both GEMM kernels (`HERO_NO_SIMD=1` included).
 
 use std::path::Path;
 use std::process::Command;
@@ -16,7 +13,11 @@ use std::process::Command;
 fn preflight_reports_match_the_committed_files() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/analyze");
     let out_dir = std::env::temp_dir().join(format!("hero_preflight_pin_{}", std::process::id()));
-    for (model, stem) in [("resnet", "resnet20_cifar_10"), ("vgg", "vgg19bn_cifar_10")] {
+    for (model, stem) in [
+        ("resnet", "resnet20_cifar_10"),
+        ("mobilenet", "mobilenetv2_cifar_10"),
+        ("vgg", "vgg19bn_cifar_10"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_hero"))
             .args(["preflight", "--preset", "c10", "--model", model])
             .args(["--scale", "0.25", "--bits", "3,4,8", "--out-dir"])

@@ -822,7 +822,7 @@ fn train_or_resume(
 
 /// The fixed smoke recipe behind the committed golden artifact: a tiny
 /// HERO run on the synthetic C10 preset, sharded executor (so the bytes
-/// are identical for every `HERO_THREADS ≥ 1`), scalar-GEMM canonical.
+/// are identical for every `HERO_THREADS ≥ 1`, under either GEMM kernel).
 /// Shared by `hero train --golden-recipe`, the byte-pin regression test
 /// and verify.sh so the recipe cannot drift between them.
 pub fn golden_recipe() -> (Dataset, Dataset, Network, RunMeta) {

@@ -486,16 +486,12 @@ fn train_cell_cache_refuses_a_model_of_another_recipe() {
 
 // --- the committed golden artifact ----------------------------------------
 
-/// Byte-pin of the committed golden artifact. The golden file is
-/// generated with scalar GEMM (`HERO_NO_SIMD=1`) as the canonical
-/// kernel, so the pin only runs under that environment — verify.sh
-/// exercises it in its scalar pass with both HERO_THREADS=1 and =4.
+/// Byte-pin of the committed golden artifact. Both GEMM kernels round
+/// alike and the recipe's bytes are the same for every `HERO_THREADS`, so
+/// the pin holds in every environment; verify.sh runs the suite under
+/// both kernels and at `HERO_THREADS=1` and `=4`.
 #[test]
 fn golden_artifact_bytes_are_pinned() {
-    if std::env::var("HERO_NO_SIMD").is_err() {
-        eprintln!("skipping golden byte-pin: HERO_NO_SIMD not set (SIMD kernels differ bitwise)");
-        return;
-    }
     let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/c10_resnet_hero_smoke.ha");
     let committed = std::fs::read(&golden_path)
@@ -560,39 +556,27 @@ fn pinned_eval_nets() -> (Vec<(&'static str, Network)>, Dataset) {
 /// Bit pin of eval-mode logits. The golden byte-pin sees eval numerics
 /// only through argmax accuracy; this pins `Network::predict` itself for
 /// the nets of [`pinned_eval_nets`], so the eval-mode batch norm,
-/// depthwise kernel and pooling paths are all covered. Each GEMM kernel
-/// rounds one way, so each has its own table.
+/// depthwise kernel and pooling paths are all covered.
 #[test]
 fn eval_logits_are_pinned() {
-    use hero_tensor::GemmKernel;
-
     let (nets, test_set) = pinned_eval_nets();
     let hashes: Vec<_> = nets
         .iter()
         .map(|(name, net)| (*name, logit_hash(&net.predict(&test_set.images).unwrap())))
         .collect();
-    let expected = match hero_tensor::active_gemm_kernel() {
-        GemmKernel::Scalar => [
-            ("golden resnet", 14_023_885_289_347_422_372u64),
-            ("seeded mobilenet", 13_119_541_775_662_744_133u64),
-            ("seeded vgg", 8_477_554_826_185_836_743u64),
-        ],
-        GemmKernel::Avx2Fma => [
-            ("golden resnet", 16_965_550_597_281_842_274u64),
-            ("seeded mobilenet", 8_093_755_523_341_453_577u64),
-            ("seeded vgg", 9_924_324_883_538_834_119u64),
-        ],
-    };
+    let expected = [
+        ("golden resnet", 16_681_595_778_110_037_752u64),
+        ("seeded mobilenet", 8_093_755_523_341_453_577u64),
+        ("seeded vgg", 9_924_324_883_538_834_119u64),
+    ];
     assert_eq!(hashes, expected, "eval-mode logits changed bitwise");
 }
 
 /// Bit pin of `hero_nn::eval_loss`, the loss the landscape probes (Fig. 3)
 /// evaluate: the f32 bits of each pinned net's mean eval-mode
-/// cross-entropy on the test set. Each GEMM kernel has its own table.
+/// cross-entropy on the test set.
 #[test]
 fn eval_loss_is_pinned() {
-    use hero_tensor::GemmKernel;
-
     let (nets, test_set) = pinned_eval_nets();
     let bits: Vec<_> = nets
         .iter()
@@ -601,18 +585,11 @@ fn eval_loss_is_pinned() {
             (*name, loss.to_bits())
         })
         .collect();
-    let expected = match hero_tensor::active_gemm_kernel() {
-        GemmKernel::Scalar => [
-            ("golden resnet", 1_078_066_813u32),
-            ("seeded mobilenet", 1_080_531_718u32),
-            ("seeded vgg", 1_081_241_189u32),
-        ],
-        GemmKernel::Avx2Fma => [
-            ("golden resnet", 1_078_066_814u32),
-            ("seeded mobilenet", 1_080_531_718u32),
-            ("seeded vgg", 1_081_241_190u32),
-        ],
-    };
+    let expected = [
+        ("golden resnet", 1_078_066_848u32),
+        ("seeded mobilenet", 1_080_531_718u32),
+        ("seeded vgg", 1_081_241_190u32),
+    ];
     assert_eq!(bits, expected, "eval-mode loss changed bitwise");
 }
 
@@ -620,14 +597,12 @@ fn eval_loss_is_pinned() {
 /// seeded C10 MobileNet on the golden recipe's training set, hashed over
 /// every parameter gradient in canonical order. The eval-logit pin reaches
 /// only the forward; this covers the depthwise backward (dX and dW) too.
-/// Each GEMM kernel rounds one way, so each has its own value.
 #[test]
 fn mobilenet_parameter_gradients_are_pinned() {
     use hero_core::experiment::model_config;
     use hero_data::Preset;
     use hero_nn::models::ModelKind;
     use hero_tensor::rng::StdRng;
-    use hero_tensor::GemmKernel;
 
     let (train_set, _, _, _) = golden_recipe();
     let mut net = ModelKind::Mobilenet.build(
@@ -642,12 +617,8 @@ fn mobilenet_parameter_gradients_are_pinned() {
         .flat_map(|g| g.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
         .collect();
     let hash = hero_artifact::fnv1a64(&bytes);
-    let expected = match hero_tensor::active_gemm_kernel() {
-        GemmKernel::Scalar => 7_659_177_561_307_327_599u64,
-        GemmKernel::Avx2Fma => 339_917_683_618_484_760u64,
-    };
     assert_eq!(
-        hash, expected,
+        hash, 339_917_683_618_484_760u64,
         "MobileNet parameter gradients changed bitwise"
     );
 }

@@ -9,9 +9,9 @@
 //! that `tests/depthwise_kernels.rs` keeps as its oracle:
 //!
 //! * **Rounding.** Every term is a rounded product added to its chain
-//!   ([`Lanes::mul`], then [`Lanes::add`]), never a fused multiply-add, so
-//!   the bits do not depend on the kernel. Chains are whole (no `KC`
-//!   blocking) and start at +0.0.
+//!   ([`Lanes::mul`], then [`Lanes::add`]), as in the loop nest, so that a
+//!   masked pass (below) can AND into the product before the add. Chains
+//!   are whole (no `KC` blocking) and start at +0.0.
 //! * **Order.** A forward output sums its taps in ascending `(ky, kx)`
 //!   order. A dX element sums its taps in descending `(ky, kx)` order: the
 //!   loop nest scatters over ascending `(oy, ox)`, which reaches an input

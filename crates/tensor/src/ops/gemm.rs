@@ -16,12 +16,10 @@
 //!   written once over the lanes of [`crate::ops::lanes`]: twelve N-lane
 //!   accumulators (6×16 at 8 lanes, 6×32 at 16), each packed k-step
 //!   broadcasting six A values against two B vectors. The lanes are the
-//!   only place that encodes rounding: plain mul+add under `Scalar`
-//!   (within a KC block the ascending-k order of
-//!   [`crate::matmul_reference`]), one fused multiply-add per step under
-//!   `Avx2Fma`. Every C element is one chain per KC block, started from
-//!   zero and added into C in block order, whichever strip holds its
-//!   column — see the bitwise contracts in
+//!   only place that encodes rounding: one fused multiply-add per step
+//!   under both kernels. Every C element is one chain per KC block,
+//!   started from zero, run in ascending k and added into C in block
+//!   order, whichever strip holds its column — see the bitwise contract in
 //!   `crates/tensor/tests/gemm_kernels.rs`.
 //! * **Blocking** — loops are ordered jc → pc → ic → jr → ir with cache
 //!   blocks NC/KC/MC, so the B panel stays in L2/L3 across the ic loop and
@@ -69,15 +67,14 @@ const PAR_MIN_FLOPS: u64 = 4 << 20;
 /// Which micro-kernel the GEMM dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Portable lanes: plain mul+add, auto-vectorized. Within a KC block
-    /// of the reduction, bitwise identical to [`crate::matmul_reference`]
-    /// for the same operands.
+    /// Portable lanes of `f32::mul_add`: bitwise identical to
+    /// [`GemmKernel::Avx2Fma`], but a libm `fmaf` call per step where the
+    /// build target lacks FMA.
     Scalar,
     /// x86-64 lanes of fused multiply-adds (`vfmadd231ps`); requires
     /// AVX2+FMA at runtime, and runs 16 lanes wide (`__m512`) where the
-    /// CPU also has AVX-512F, 8 wide (`__m256`) otherwise. The width
-    /// changes no bit, so the name stays. Fused rounding makes it differ
-    /// from `Scalar` by a few ULP per dot product.
+    /// CPU also has AVX-512F, 8 wide (`__m256`) otherwise. Neither the
+    /// width nor the kernel changes a result bit.
     Avx2Fma,
 }
 
@@ -120,8 +117,9 @@ static FORCED_KERNEL: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides runtime kernel detection process-wide (`None` restores
 /// auto-detection). Forcing [`GemmKernel::Avx2Fma`] on hardware without
-/// AVX2+FMA silently falls back to scalar rather than faulting, so tests
-/// and benches can request both variants unconditionally. The fused
+/// AVX2+FMA silently falls back to scalar (the same bits, slower) rather
+/// than faulting, so tests and benches can request both variants
+/// unconditionally. The fused
 /// kernel runs at the widest lanes the CPU has (see
 /// [`lane_width`](crate::lane_width)); no override changes the width.
 pub fn force_gemm_kernel(kernel: Option<GemmKernel>) {

@@ -1,19 +1,21 @@
-//! The lane layer: the one place that encodes how each [`GemmKernel`]
-//! rounds, how many chains share a vector, and which CPU features that
+//! The lane layer: the one place that encodes how the product kernels
+//! round, how many chains share a vector, and which CPU features that
 //! takes. It is the only program file that names an intrinsic, a target
 //! feature or feature detection.
 //!
 //! Every product kernel — the packed GEMM micro-kernel, the direct
 //! convolution passes and the depthwise passes — is written once,
 //! generically over [`Lanes`]: [`Lanes::N`] accumulation chains side by
-//! side. The GEMM and convolution chains step with the kernel's
-//! multiply-add; the depthwise chains with an unfused [`Lanes::mul`] and
-//! [`Lanes::add`], which round alike on every lane type.
-//! [`GemmKernel::Scalar`] runs the body on `[f32; 8]` (a rounded product,
-//! then a rounded sum). [`GemmKernel::Avx2Fma`] runs it with one fused
-//! multiply-add per step (`vfmadd231ps`): on `__m512`, 16 chains wide, when
-//! the CPU has AVX-512F, else on `__m256`, 8 wide, each compiled for its
-//! features by its runner ([`run_wide`], [`run_fused`]).
+//! side. Every lane type steps [`Lanes::mul_add`] with one correctly
+//! rounded fused multiply-add, so both kernels give the same bits.
+//! [`GemmKernel::Scalar`] runs the body on `[f32; 8]` (`f32::mul_add`, a
+//! libm `fmaf` call where the build target lacks FMA);
+//! [`GemmKernel::Avx2Fma`] on `vfmadd231ps`: on `__m512`, 16 chains wide,
+//! when the CPU has AVX-512F, else on `__m256`, 8 wide, each compiled for
+//! its features by its runner ([`run_wide`], [`run_fused`]). The depthwise
+//! chains step with [`Lanes::mul`] and [`Lanes::add`]: a masked pass ANDs
+//! a mask into each product before the add (so an infinity times a padded
+//! zero adds +0.0, not a NaN), which a fused multiply-add cannot.
 //!
 //! The width only decides which chains share a vector. Every output element
 //! keeps its chain (the same taps, the same `KC` blocks, one multiply-add
@@ -44,7 +46,7 @@ pub(crate) trait Lanes: Copy {
     fn load(src: &[f32]) -> Self;
     /// Writes the lanes to the first `N` values of `dst`.
     fn store(self, dst: &mut [f32]);
-    /// `self + a·b` in every lane, rounded as the kernel rounds.
+    /// `self + a·b` in every lane, rounded once (a fused multiply-add).
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `self + b` in every lane.
     fn add(self, b: Self) -> Self;
@@ -63,7 +65,7 @@ pub(crate) trait Lanes: Copy {
     }
 }
 
-/// [`GemmKernel::Scalar`]: a rounded product, then a rounded sum.
+/// [`GemmKernel::Scalar`]: portable lanes.
 impl<const W: usize> Lanes for [f32; W] {
     const N: usize = W;
 
@@ -92,7 +94,7 @@ impl<const W: usize> Lanes for [f32; W] {
     #[inline(always)]
     fn mul_add(mut self, a: Self, b: Self) -> Self {
         for ((s, a), b) in self.iter_mut().zip(a).zip(b) {
-            *s += a * b;
+            *s = a.mul_add(b, *s);
         }
         self
     }
@@ -441,6 +443,22 @@ mod tests {
             assert_eq!(product().lanes_over(8).width, 8);
             assert_eq!(product().lanes_over(9).width, 16);
         });
+    }
+
+    /// The portable lanes round each multiply-add once, as `f32::mul_add`
+    /// does: with `a = 1 + 2⁻¹²`, `a·a − (1 + 2⁻¹¹)` is 2⁻²⁴ exactly, where
+    /// a rounded product then a rounded sum give 0.
+    #[test]
+    fn portable_lanes_fuse_their_multiply_add() {
+        let a = 1.0 + 2f32.powi(-12);
+        let s = -(1.0 + 2f32.powi(-11));
+        assert_eq!(s + a * a, 0.0);
+        let x: [f32; 8] = std::array::from_fn(|i| a + i as f32 * 2f32.powi(-9));
+        let got = [s; 8].mul_add(x, x);
+        for (i, (&g, &x)) in got.iter().zip(&x).enumerate() {
+            assert_eq!(g.to_bits(), x.mul_add(x, s).to_bits(), "lane {i}");
+        }
+        assert_eq!(got[0], 2f32.powi(-24));
     }
 
     /// Convolution `(n, c, oc, h, w, k, s, p)`: forward, dW and dX.

@@ -2,7 +2,7 @@
 //!
 //! All three product variants route through the packed micro-kernel in
 //! [`super::gemm`]; the previous cache-blocked triple loop survives as
-//! [`matmul_reference`], the correctness oracle and bench baseline.
+//! [`matmul_reference`], the `gemm_shapes` bench baseline.
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::gemm;
@@ -12,9 +12,9 @@ use crate::tensor::Tensor;
 /// Blocking factor for the reference matmul kernel.
 const BLOCK: usize = 32;
 
-/// The pre-packing cache-blocked i-k-j kernel, kept as the correctness
-/// oracle for the packed GEMM's shape-grid tests and as the `reference`
-/// rows of the `gemm_shapes` bench.
+/// The pre-packing cache-blocked i-k-j kernel, kept as the `reference`
+/// rows of the `gemm_shapes` bench. It rounds each product apart, so the
+/// packed GEMM matches it only to a tolerance.
 ///
 /// # Errors
 ///

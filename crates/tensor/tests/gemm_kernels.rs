@@ -1,23 +1,17 @@
 //! Kernel-equivalence corpus for the GEMM micro-kernel under both
 //! kernels' lanes.
 //!
-//! # Bitwise contract (per kernel variant)
+//! # Bitwise contract (both kernel variants)
 //!
-//! * **Scalar vs [`matmul_reference`] — bitwise.** The scalar packed
-//!   kernel accumulates with plain mul+add in ascending-k order, exactly
-//!   the per-element summation order of the reference kernel, and panel
+//! * **Every kernel vs an FMA-chain model — bitwise.** Both kernels step
+//!   with one correctly rounded fused multiply-add (`vfmadd231ps` on the
+//!   fused lanes, `f32::mul_add` on the portable ones), so every element is
+//!   one chain of `f32::mul_add` per `KC = 256` block of k, started from
+//!   zero in ascending k, and the chains are added into a zero C in block
+//!   order. The test recomputes that model and matches each kernel to it
+//!   bit for bit, so the two kernels give the same bits. Panel
 //!   zero-padding only ever pads the MR/NR dimensions (never k), so
-//!   padding cannot perturb valid sums. Every element must match to the
-//!   bit. (The operand generator below avoids exact zeros because the
-//!   reference kernel skips `a == 0.0` terms, which can flip a signed
-//!   zero in degenerate all-zero prefixes — a non-goal to reproduce.)
-//! * **AVX2/FMA vs an FMA-chain model — bitwise.** `vfmadd231ps` fuses
-//!   each multiply-add into one rounding, so the kernel differs from the
-//!   reference by a few ULP, but it rounds exactly one way: every element
-//!   is one chain of `f32::mul_add` per `KC = 256` block of k, started
-//!   from zero in ascending k, and the chains are added into a zero C in
-//!   block order. The test recomputes that model and matches it to the
-//!   bit.
+//!   padding cannot perturb valid sums.
 //! * **Parallel vs serial — bitwise, any thread count.** Worker chunk
 //!   boundaries are NR-aligned C column ranges; every element's summation
 //!   order is the serial order regardless of which worker owns it.
@@ -25,9 +19,7 @@
 //! The convolution kernels' bitwise contract against the im2col lowering
 //! lives in `conv_kernels.rs`.
 
-use hero_tensor::{
-    force_gemm_kernel, gemm_pool_stats, matmul_reference, set_gemm_threads, GemmKernel, Tensor,
-};
+use hero_tensor::{force_gemm_kernel, gemm_pool_stats, set_gemm_threads, GemmKernel, Tensor};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes tests that touch the process-wide kernel/thread overrides.
@@ -46,8 +38,8 @@ fn lock_overrides() -> OverrideGuard {
     OverrideGuard(OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-/// Seeded operand values on an odd grid — never exactly 0.0 (see the
-/// signed-zero note in the module docs), bounded in (−1.65, 1.65).
+/// Seeded operand values on an odd grid, never exactly 0.0, bounded in
+/// (−1.65, 1.65).
 fn fill(dims: [usize; 2], salt: usize) -> Tensor {
     Tensor::from_fn(dims, |i| {
         let v = (i[0] * 31 + i[1] * 13 + salt * 17) % 23;
@@ -77,53 +69,23 @@ const SHAPES: [(usize, usize, usize); 14] = [
 
 /// All three transpose variants of `op(A)·op(B)` via the public API,
 /// with operands laid out for each storage order.
-fn products(m: usize, n: usize, k: usize, salt: usize) -> Vec<(&'static str, Tensor, Tensor)> {
+fn products(m: usize, n: usize, k: usize, salt: usize) -> Vec<(&'static str, Tensor)> {
     let a = fill([m, k], salt);
     let b = fill([k, n], salt + 1);
     let at = a.transpose().unwrap(); // (k, m) storage for tn
     let bt = b.transpose().unwrap(); // (n, k) storage for nt
     vec![
-        (
-            "nn",
-            a.matmul(&b).unwrap(),
-            matmul_reference(&a, &b).unwrap(),
-        ),
-        (
-            "tn",
-            at.matmul_tn(&b).unwrap(),
-            matmul_reference(&a, &b).unwrap(),
-        ),
-        (
-            "nt",
-            a.matmul_nt(&bt).unwrap(),
-            matmul_reference(&a, &b).unwrap(),
-        ),
+        ("nn", a.matmul(&b).unwrap()),
+        ("tn", at.matmul_tn(&b).unwrap()),
+        ("nt", a.matmul_nt(&bt).unwrap()),
     ]
-}
-
-#[test]
-fn scalar_kernel_is_bitwise_equal_to_reference() {
-    let _g = lock_overrides();
-    force_gemm_kernel(Some(GemmKernel::Scalar));
-    for &(m, n, k) in &SHAPES {
-        for (variant, got, want) in products(m, n, k, m + n + k) {
-            assert_eq!(got.dims(), want.dims());
-            for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "({m},{n},{k}) {variant} idx {i}: {g} vs {w}"
-                );
-            }
-        }
-    }
 }
 
 /// The packed GEMM's rounding, element by element: one chain per
 /// `KC = 256` block of the reduction, started from 0.0 and run in
-/// ascending k with `fused` (`f32::mul_add`) or plain multiply-add steps,
-/// then the chains added into a zero C in block order.
-fn chain_model(a: &Tensor, b: &Tensor, fused: bool) -> Vec<f32> {
+/// ascending k with `f32::mul_add` steps, then the chains added into a
+/// zero C in block order.
+fn chain_model(a: &Tensor, b: &Tensor) -> Vec<f32> {
     const KC: usize = 256;
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let (a, b) = (a.data(), b.data());
@@ -133,12 +95,7 @@ fn chain_model(a: &Tensor, b: &Tensor, fused: bool) -> Vec<f32> {
             for k0 in (0..k).step_by(KC) {
                 let mut chain = 0.0f32;
                 for kk in k0..(k0 + KC).min(k) {
-                    let (x, y) = (a[i * k + kk], b[kk * n + j]);
-                    chain = if fused {
-                        x.mul_add(y, chain)
-                    } else {
-                        chain + x * y
-                    };
+                    chain = a[i * k + kk].mul_add(b[kk * n + j], chain);
                 }
                 c[i * n + j] += chain;
             }
@@ -147,29 +104,44 @@ fn chain_model(a: &Tensor, b: &Tensor, fused: bool) -> Vec<f32> {
     c
 }
 
-/// The AVX2 kernel's error against the FMA-chain model is zero: every
-/// element matches it bit for bit.
-#[test]
-fn simd_kernel_stays_within_fma_error_bound() {
-    let _g = lock_overrides();
-    force_gemm_kernel(Some(GemmKernel::Avx2Fma));
-    // A host without AVX2+FMA falls back to scalar: check that against
-    // the unfused model instead.
-    let fused = hero_tensor::active_gemm_kernel() == GemmKernel::Avx2Fma;
+/// Forces `kernel` and matches every product variant over the shape
+/// corpus to the FMA-chain model bit for bit.
+fn assert_matches_chain_model(kernel: GemmKernel) {
+    force_gemm_kernel(Some(kernel));
     // k = 600 spans three KC blocks, the last one partial.
     for (m, n, k) in SHAPES.into_iter().chain([(7, 19, 600)]) {
         let salt = m + n + k;
-        let want = chain_model(&fill([m, k], salt), &fill([k, n], salt + 1), fused);
-        for (variant, got, _) in products(m, n, k, salt) {
+        let want = chain_model(&fill([m, k], salt), &fill([k, n], salt + 1));
+        for (variant, got) in products(m, n, k, salt) {
+            assert_eq!(got.dims(), [m, n]);
             for (i, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.to_bits(),
                     w.to_bits(),
-                    "({m},{n},{k}) {variant} idx {i}: {g} vs {w}"
+                    "{} ({m},{n},{k}) {variant} idx {i}: {g} vs {w}",
+                    kernel.name()
                 );
             }
         }
     }
+}
+
+/// The portable lanes fuse each multiply-add with `f32::mul_add`, so the
+/// scalar kernel's reference is the FMA-chain model, matched bit for bit.
+#[test]
+fn scalar_kernel_is_bitwise_equal_to_reference() {
+    let _g = lock_overrides();
+    assert_matches_chain_model(GemmKernel::Scalar);
+}
+
+/// The fused kernel's error against the FMA-chain model is zero: every
+/// element matches it bit for bit, so it gives the scalar kernel's bits.
+/// (A host without AVX2+FMA runs the forced fused kernel on the portable
+/// lanes.)
+#[test]
+fn simd_kernel_stays_within_fma_error_bound() {
+    let _g = lock_overrides();
+    assert_matches_chain_model(GemmKernel::Avx2Fma);
 }
 
 #[test]

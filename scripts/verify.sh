@@ -14,7 +14,7 @@ HERO_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q (HERO_THREADS=4: sharded executor, four workers)"
 HERO_THREADS=4 cargo test -q --workspace
 
-echo "==> cargo test -q (HERO_NO_SIMD=1: portable scalar GEMM kernel)"
+echo "==> cargo test -q (HERO_NO_SIMD=1: portable scalar GEMM kernel, the same bits)"
 HERO_NO_SIMD=1 cargo test -q --workspace
 
 echo "==> GEMM kernel corpus (release: the shipped micro-kernel build)"
@@ -60,32 +60,35 @@ cargo fmt --all -- --check
 echo "==> scripts/lint.sh"
 scripts/lint.sh
 
-echo "==> golden model-artifact byte pin (HERO_THREADS=1 vs 4, scalar GEMM)"
+echo "==> golden model-artifact byte pin (HERO_THREADS=1 vs 4, both GEMM kernels)"
 # The committed golden artifact (tests/golden/) pins the bytes of the
-# fixed smoke training recipe. Regenerate it under both worker counts
-# with the canonical scalar kernel: each run must reproduce the committed
-# file bit-for-bit, so any drift in the trainer, RNG, serializer or
-# executor sharding fails the gate loudly. (Regenerate the pin
-# deliberately with `hero train --golden-recipe tests/golden/...` when a
-# change is *meant* to alter the trajectory.) The regenerated artifact is
-# then resumed: a final save's RESUME section holds the finished run, so
-# the resume trains nothing and must write the same bytes back, which
-# pins the RESUME codec's decode → encode round trip.
+# fixed smoke training recipe. Regenerate it under both worker counts and
+# both GEMM kernels (HERO_NO_SIMD=0 and =1): each run must reproduce the
+# committed file bit-for-bit, so any drift in the trainer, RNG,
+# serializer, executor sharding or kernel rounding fails the gate loudly.
+# (Regenerate the pin deliberately with `hero train --golden-recipe
+# tests/golden/...` when a change is *meant* to alter the trajectory.)
+# The regenerated artifact is then resumed: a final save's RESUME section
+# holds the finished run, so the resume trains nothing and must write the
+# same bytes back, which pins the RESUME codec's decode → encode round
+# trip.
 mkdir -p results/artifacts
-for t in 1 4; do
-  HERO_NO_SIMD=1 HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
-    train --golden-recipe "results/artifacts/golden_t$t.ha"
-  cmp tests/golden/c10_resnet_hero_smoke.ha "results/artifacts/golden_t$t.ha" || {
-    echo "FAIL: golden artifact bytes drifted at HERO_THREADS=$t"; exit 1; }
-  HERO_NO_SIMD=1 HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
-    train --preset c10 --scale 0.05 --resume "results/artifacts/golden_t$t.ha" \
-    --save "results/artifacts/golden_resumed_t$t.ha"
-  cmp tests/golden/c10_resnet_hero_smoke.ha "results/artifacts/golden_resumed_t$t.ha" || {
-    echo "FAIL: resuming the golden artifact changed its bytes at HERO_THREADS=$t"; exit 1; }
+for simd in 0 1; do
+  for t in 1 4; do
+    run="HERO_NO_SIMD=$simd HERO_THREADS=$t"
+    HERO_NO_SIMD="$simd" HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
+      train --golden-recipe results/artifacts/golden.ha
+    cmp tests/golden/c10_resnet_hero_smoke.ha results/artifacts/golden.ha || {
+      echo "FAIL: golden artifact bytes drifted at $run"; exit 1; }
+    HERO_NO_SIMD="$simd" HERO_THREADS="$t" cargo run --release -p hero-bench --bin hero -- \
+      train --preset c10 --scale 0.05 --resume results/artifacts/golden.ha \
+      --save results/artifacts/golden_resumed.ha
+    cmp tests/golden/c10_resnet_hero_smoke.ha results/artifacts/golden_resumed.ha || {
+      echo "FAIL: resuming the golden artifact changed its bytes at $run"; exit 1; }
+  done
 done
 sha256sum tests/golden/c10_resnet_hero_smoke.ha
-rm -f results/artifacts/golden_t1.ha results/artifacts/golden_t4.ha \
-  results/artifacts/golden_resumed_t1.ha results/artifacts/golden_resumed_t4.ha
+rm -f results/artifacts/golden.ha results/artifacts/golden_resumed.ha
 
 echo "==> artifact pipeline smoke (train --save -> inspect -> preflight -> quantize)"
 # Drives the deterministic artifact pipeline end to end on the smoke
@@ -117,8 +120,7 @@ cargo run --release -p hero-bench --bin hero -- repro fig2 --fast
 echo "==> hero repro fig1 --fast against its committed stdout"
 # Fig. 1's post-training quantization sweeps run every model's soundness
 # gate (one probe tape per sweep) and eval forward, VGG's max-pools
-# included. Their stdout must not move by a byte; the committed copy is
-# the AVX2 kernel's output.
+# included. Their stdout must not move by a byte.
 cargo run --release -q -p hero-bench --bin hero -- repro fig1 --fast \
   > results/artifacts/repro_fig1_fast.txt
 cmp results/repro_fig1_fast.txt results/artifacts/repro_fig1_fast.txt || {
@@ -151,9 +153,7 @@ echo "==> regenerated analyzer artifacts match the committed ones"
 # The three preflight reports and the crosscheck JSON are deterministic,
 # so a change that alters them must commit the regenerated files with it.
 # (The artifact-pipeline preflight above rewrites resnet20_* from its own
-# model; the preflight loop restores them.) MobileNet's scale-explosion
-# bounds follow the GEMM kernel's FMA rounding, so the committed files
-# are the AVX2 ones.
+# model; the preflight loop restores them.)
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   git diff --exit-code --stat -- results/analyze || {
     echo "FAIL: regenerated results/analyze/ differs from the committed files"; exit 1; }
@@ -179,9 +179,7 @@ HERO_TRACE=1 HERO_TRACE_RUN=spectrum \
 echo "==> regenerated spectrum artifact matches the committed one"
 # The spectrum document is deterministic (a traced run writes the same
 # bytes as an untraced one), so a change that alters it must commit the
-# regenerated file. Like results/analyze/, the committed file is the AVX2
-# one: under the scalar kernel the FMA rounding difference moves its
-# digits.
+# regenerated file.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   git diff --exit-code --stat -- results/SPECTRUM_resnet_c10.json || {
     echo "FAIL: regenerated results/SPECTRUM_resnet_c10.json differs from the committed file"; exit 1; }
@@ -190,7 +188,9 @@ fi
 echo "==> GEMM kernel sweep (gemm_shapes --quick, GFLOP/s per variant)"
 cargo bench -p hero-bench --bench gemm_shapes -- --quick
 # Tabulate, under a header line giving each kernel's lane width, GFLOP/s
-# per shape across kernel variants (reference / scalar / avx2fma), then
+# per shape across kernel variants (reference / scalar / avx2fma) with
+# each kernel's ratio to the reference timed before it in the same
+# process, then
 # per preset conv layer across the direct kernels (forward
 # / dW / dX), then µs and GB/s per batch-norm layer and the pool lease
 # time, into a diff-friendly artifact so CI surfaces SIMD speedups — and
@@ -225,14 +225,14 @@ awk -F'"' '
   }
   END {
     printf "lane width (chains per vector; no result bit depends on it): scalar %d, avx2fma %d\n\n", lanes["scalar"], lanes["avx2fma"]
-    printf "%-34s %10s %10s %10s %8s\n", "shape", "reference", "scalar", "avx2fma", "simd-x"
+    printf "%-34s %10s %10s %10s %10s %10s\n", "shape", "reference", "scalar", "avx2fma", "scalar/ref", "fma/ref"
     for (i = 1; i <= n; i++) {
       s = order[i]
       ref = gflops[s "/reference"]; sc = gflops[s "/scalar"]; sx = gflops[s "/avx2fma"]
       if (sc == "" || sx == "") {
         printf "%-34s %10s\n", s, gflops[s "/single"]
       } else {
-        printf "%-34s %10.2f %10.2f %10.2f %7.2fx\n", s, ref, sc, sx, sx / sc
+        printf "%-34s %10.2f %10.2f %10.2f %9.2fx %9.2fx\n", s, ref, sc, sx, sc / ref, sx / ref
       }
     }
     printf "\n%-34s %10s %10s %10s\n", "direct conv kernel", "forward", "dW", "dX"
